@@ -43,6 +43,14 @@ class BackendUnavailableError(AgentError):
     """Live backend still failing after the retry budget."""
 
 
+class BackendRejectedError(AgentError):
+    """Live backend refused the request (HTTP 4xx); retrying cannot help."""
+
+
+class MalformedReplyError(AgentError):
+    """Live backend replied with something other than a JSON object with string ``content``."""
+
+
 AGENT_ROLES = ("planner", "molecule_recognition", "reaction_combiner")
 
 _VAR_OPEN = "{{"
@@ -179,18 +187,34 @@ class LiveAgentClient(AgentClient):
 
         last_error: Exception | None = None
         for attempt in range(self.backend.max_retries + 1):
+            if attempt:
+                time.sleep(min(2.0 ** (attempt - 1) * 0.25, 5.0))
             try:
                 with self._gate:
                     self._throttle()
                     request = urllib.request.Request(self.backend.endpoint, payload, headers)
                     with urllib.request.urlopen(request, timeout=self.backend.timeout) as reply:
-                        data = json.loads(reply.read().decode("utf-8"))
-                return data.get("content", "")
-            except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+                        return _reply_content(reply.read())
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code < 500:
+                    raise BackendRejectedError(f"backend {self.backend.endpoint}: HTTP {exc.code} {exc.reason}") from exc
                 last_error = exc
-                log.warning("agent backend attempt %d failed: %s", attempt + 1, exc)
-                time.sleep(min(2.0**attempt * 0.25, 5.0))
+            except OSError as exc:  # refused or dropped connections and timeouts, wrapped or not
+                last_error = exc
+            log.warning("agent backend attempt %d failed: %s", attempt + 1, last_error)
         raise BackendUnavailableError(
             f"backend {self.backend.endpoint} unavailable after "
             f"{self.backend.max_retries + 1} attempts: {last_error}"
         )
+
+
+def _reply_content(body: bytes) -> str:
+    try:
+        data = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise MalformedReplyError(f"reply is not JSON: {exc}") from exc
+    content = data.get("content", "") if isinstance(data, dict) else None
+    if not isinstance(content, str):
+        raise MalformedReplyError(f"reply is not a JSON object with string content: {body[:80]!r}")
+    return content

@@ -11,7 +11,7 @@ graph.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .molecule import Molecule
 
@@ -38,11 +38,7 @@ class FingerprintConfig:
         return f"{self.algorithm_tag}:l{self.max_path_length}"
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "max_path_length": self.max_path_length,
-            "algorithm_tag": self.algorithm_tag,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FingerprintConfig":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .chem import FingerprintConfig
 
@@ -57,23 +57,7 @@ class ReasoningConfig:
         return (self.alpha_space, self.alpha_chem, self.alpha_init)
 
     def to_dict(self) -> dict:
-        return {
-            "k_nn": self.k_nn,
-            "radius": self.radius,
-            "layers": self.layers,
-            "dim": self.dim,
-            "beta": self.beta,
-            "tau_chem": self.tau_chem,
-            "tau_cluster": self.tau_cluster,
-            "tau_fuse": self.tau_fuse,
-            "alpha_space": self.alpha_space,
-            "alpha_chem": self.alpha_chem,
-            "alpha_init": self.alpha_init,
-            "exact_search_limit": self.exact_search_limit,
-            "conservation_penalty": self.conservation_penalty,
-            "weights_seed": self.weights_seed,
-            "fingerprint": self.fingerprint.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReasoningConfig":

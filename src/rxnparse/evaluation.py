@@ -26,6 +26,10 @@ class AlignmentError(ValueError):
     """Corpus document ids do not line up between ground truth and predictions."""
 
 
+class MatchingInvariantError(RuntimeError):
+    """The lexicographic matching lost the maximum size it must keep."""
+
+
 @dataclass(frozen=True)
 class MatchReport:
     criterion: str
@@ -162,7 +166,8 @@ def _lexicographic_matching(n_gt: int, n_pred: int, adjacency) -> list[tuple[int
         else:
             rest_rows = [adjacency[i] for i in remaining]
             # skipping this gt must still reach the target
-            assert len(pairs) + max_size(rest_rows, used_right) == target
+            if len(pairs) + max_size(rest_rows, used_right) != target:
+                raise MatchingInvariantError(f"skipping gt {gt_index} loses a pair of the maximum {target}")
     return pairs
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 Point = tuple[float, float]
 
 _EPS = 1e-12
@@ -257,6 +259,27 @@ def center_distance_normalized(a: Region, b: Region, diagram: AxisBox) -> float:
     ax, ay = centroid_of(a)
     bx, by = centroid_of(b)
     return math.hypot(bx - ax, by - ay) / diag
+
+
+def centroid_distances(points, diagram: AxisBox) -> np.ndarray:
+    """n×n matrix of :func:`center_distance_normalized` between centroid points.
+
+    ``sqrt(dx*dx + dy*dy)`` is bit-equal to ``math.hypot`` where the squared
+    offsets are exact (integer, half- and quarter-unit centroids) and within
+    two units in the last place elsewhere; offsets whose squares under- or
+    overflow go through ``np.hypot`` instead.
+    """
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    diag = diagram.diagonal
+    if diag <= 0.0 and len(xy) > 1:
+        raise ValueError("diagram bounds must have a positive diagonal")
+    with np.errstate(over="ignore", under="ignore"):  # such entries are redone below
+        squared = np.square(xy[None, :, 0] - xy[:, None, 0])
+        squared += np.square(xy[None, :, 1] - xy[:, None, 1])  # in place: two n×n arrays at a time
+    rows, cols = np.nonzero((squared < np.finfo(float).tiny) | np.isinf(squared))
+    distances = np.sqrt(squared, out=squared)
+    distances[rows, cols] = np.hypot(*(xy[cols] - xy[rows]).T)
+    return np.divide(distances, diag or 1.0, out=distances)
 
 
 def principal_axis(quad: OrientedQuad) -> tuple[Point, Point]:

@@ -15,8 +15,9 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .agents import AgentClient, LiveAgentClient, LiveBackendConfig, MockAgentClient
@@ -117,24 +118,7 @@ class PipelineConfig:
         return cls(reasoning=reasoning, **data)
 
     def to_dict(self) -> dict:
-        return {
-            "reasoning": self.reasoning.to_dict(),
-            "backend": self.backend,
-            "fixtures_dir": self.fixtures_dir,
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "weights_file": self.weights_file,
-            "lexicon_file": self.lexicon_file,
-            "output_dir": self.output_dir,
-            "iou_threshold": self.iou_threshold,
-            "criterion": self.criterion,
-            "polygon_iou": self.polygon_iou,
-            "max_workers": self.max_workers,
-            "cluster_workers": self.cluster_workers,
-            "query": self.query,
-            "planner_policy": self.planner_policy,
-            "plan_fallback": self.plan_fallback,
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -275,6 +259,16 @@ def run_document(
     return ReasoningOutcome(plan=plan, reactions=reactions, document=doc, warnings=warnings)
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a temporary sibling, then rename it over ``path``: no reader sees a partial file."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # output names are unique per batch
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
 def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None) -> RunManifest:
     """Process detection files into reaction JSON files plus a manifest."""
     client = client or make_client(config)
@@ -284,9 +278,12 @@ def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None)
     output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config.config_hash())
 
-    def process(path) -> DocumentResult:
-        path = Path(path)
+    def process(path: Path) -> DocumentResult:
         result = DocumentResult(source=str(path))
+        if stems[path.stem] > 1:  # inputs sharing a stem would overwrite each other's output
+            same = ", ".join(str(p) for p in paths if p.stem == path.stem)
+            result.status, result.error = "failed", f"OutputCollision: {same} all map to {path.stem}.reactions.json"
+            return result
         try:
             started = time.perf_counter()
             doc = load_document(path.read_bytes(), lexicon)
@@ -294,9 +291,7 @@ def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None)
             outcome = run_document(doc, config, client, weights, result.stages)
             started = time.perf_counter()
             out_path = output_dir / f"{path.stem}.reactions.json"
-            out_path.write_text(
-                reactions_to_json(outcome.reactions, doc) + "\n", encoding="utf-8"
-            )
+            _write_atomic(out_path, reactions_to_json(outcome.reactions, doc) + "\n")
             result.stages["emit"] = time.perf_counter() - started
             result.outputs.append(str(out_path))
             result.warnings.extend(doc.warnings)
@@ -309,7 +304,8 @@ def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None)
             result.error = f"{type(exc).__name__}: {exc}"
         return result
 
-    paths = list(inputs)
+    paths = [Path(p) for p in inputs]
+    stems = Counter(p.stem for p in paths)
     if config.max_workers > 1 and len(paths) > 1:
         with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
             results = list(pool.map(process, paths))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .agents import AgentClient
 from .entities import EntityKind, ReactionDocument
-from .geometry import center_distance_normalized
+from .reasoning.clustering import proximity_groups
 
 ROLES = ("molecule_expert", "arrow_expert", "text_expert", "reaction_expert")
 PERCEPTION_ROLES = ROLES[:3]
@@ -96,26 +96,7 @@ def extract_features(doc: ReactionDocument, proximity_threshold: float = 0.35) -
             text_area += entity.region.area
 
     n = len(doc.entities)
-    if n == 0:
-        complexity = 0.0
-    else:
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = center_distance_normalized(
-                    doc.entities[i].region, doc.entities[j].region, doc.diagram_bounds
-                )
-                if d < proximity_threshold:
-                    parent[find(i)] = find(j)
-        components = len({find(i) for i in range(n)})
-        complexity = n / components
+    complexity = n / len(proximity_groups(doc, proximity_threshold)) if n else 0.0
 
     diagram_area = doc.diagram_bounds.area
     density = text_area / diagram_area if diagram_area > 0 else 0.0

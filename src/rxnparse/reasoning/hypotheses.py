@@ -18,9 +18,11 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..agents import AgentClient
 from ..entities import ReactionDocument, entity_to_json
-from ..geometry import center_distance_normalized
+from ..geometry import centroid_distances
 from ..reactions import (
     ConstraintError,
     Reaction,
@@ -66,22 +68,19 @@ def cluster_prompt_variables(cluster, doc: ReactionDocument, config: ReasoningCo
     available before fusion.
     """
     ids = list(cluster)
-    nodes = [entity_to_json(doc.entity(i)) for i in ids]
-    edges = []
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            d = center_distance_normalized(
-                doc.entity(ids[a]).region, doc.entity(ids[b]).region, doc.diagram_bounds
-            )
-            if d < config.tau_cluster:
-                edges.append(
-                    {
-                        "source": ids[a],
-                        "target": ids[b],
-                        "relation": int(EdgeRelation.NO_EDGE),
-                        "weight": round(1.0 - d, 6),
-                    }
-                )
+    entities = [doc.entity(i) for i in ids]
+    nodes = [entity_to_json(e) for e in entities]
+    distances = centroid_distances([e.centroid for e in entities], doc.diagram_bounds)
+    rows, cols = np.nonzero(np.triu(distances < config.tau_cluster, k=1))
+    edges = [
+        {
+            "source": ids[a],
+            "target": ids[b],
+            "relation": int(EdgeRelation.NO_EDGE),
+            "weight": round(1.0 - d, 6),
+        }
+        for a, b, d in zip(rows.tolist(), cols.tolist(), distances[rows, cols].tolist())
+    ]
     graph = {"nodes": nodes, "edges": edges}
     return {"graph_json": json.dumps(graph, sort_keys=True)}
 

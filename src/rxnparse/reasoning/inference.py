@@ -22,10 +22,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 from ..geometry import axis_parameter, principal_axis
 from ..reactions import ConstraintError, Reaction
+from .clustering import connected_groups
 from .fusion import FusedEdge, FusedGraph
 from .relations import EdgeRelation
 
@@ -240,27 +243,13 @@ def _arrowless_candidates(component, fused: FusedGraph, doc: ReactionDocument) -
         and e.source in members
         and e.target in members
     ]
-    if not r2p:
-        return []
-    parent = list(range(len(r2p)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(len(r2p)):
-        for j in range(i + 1, len(r2p)):
-            if r2p[i].source == r2p[j].source or r2p[i].target == r2p[j].target:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[FusedEdge]] = {}
-    for i, edge in enumerate(r2p):
-        groups.setdefault(find(i), []).append(edge)
+    tails = np.array([e.source for e in r2p])
+    heads = np.array([e.target for e in r2p])
+    shared = (tails[:, None] == tails[None, :]) | (heads[:, None] == heads[None, :])
 
     reactions = []
-    for edges in groups.values():
+    for group in connected_groups(shared):
+        edges = [r2p[i] for i in group]
         sources: list[str] = []
         targets: list[str] = []
         score = 0.0

@@ -16,6 +16,7 @@ zero embedding on either end scores the neutral 0.5.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -24,7 +25,7 @@ import numpy as np
 from ..chem import bit_sketch, fingerprint
 from ..config import ConfigError, ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
-from ..geometry import center_distance_normalized, centroid_of
+from ..geometry import centroid_distances
 
 _KINDS = (EntityKind.MOLECULE, EntityKind.ARROW, EntityKind.TEXT, EntityKind.IDENTIFIER)
 _KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
@@ -109,16 +110,14 @@ class SpatialGraph:
     node_ids: tuple[str, ...]
     features: np.ndarray  # (n, dim)
     edges: tuple[tuple[int, int], ...]  # undirected, i < j
-    edge_features: dict  # (i, j) ordered pair -> np.ndarray(EDGE_DIMS)
+    # (2 * len(edges), EDGE_DIMS): e_ij for both directions (i, j) and (j, i) of every edge, rows sorted
+    edge_features: np.ndarray
     weights: SpatialWeights
     scores: dict | None = None  # (i, j) i < j -> float, set by propagate
 
-    def neighbor_lists(self) -> list[list[int]]:
-        adjacency: list[list[int]] = [[] for _ in self.node_ids]
-        for i, j in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        return adjacency
+    def __post_init__(self):
+        if len(self.edge_features) != 2 * len(self.edges):
+            raise ValueError(f"{len(self.edges)} edges need {2 * len(self.edges)} edge-feature rows")
 
     def score_by_ids(self) -> dict:
         """Edge scores keyed by (entity_id, entity_id), smaller id first."""
@@ -153,18 +152,25 @@ def _node_features(doc: ReactionDocument, config: ReasoningConfig) -> np.ndarray
     return np.asarray(rows, dtype=float) if rows else np.zeros((0, config.dim))
 
 
-def _edge_feature(doc: ReactionDocument, i: int, j: int) -> np.ndarray:
-    a, b = doc.entities[i], doc.entities[j]
+def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric 0/1 matrix of the undirected edges (rows[k], cols[k])."""
+    adjacency = np.zeros((n, n))
+    adjacency[rows, cols] = adjacency[cols, rows] = 1.0
+    return adjacency
+
+
+def _edge_features(doc: ReactionDocument, centroids, distances, receivers, senders) -> np.ndarray:
+    """Feature e_ij of each directed edge (i = receiver, j = sender)."""
     diag = doc.diagram_bounds.diagonal or 1.0
-    ax, ay = a.centroid
-    bx, by = b.centroid
-    offset = [(bx - ax) / diag, (by - ay) / diag]
-    distance = center_distance_normalized(a.region, b.region, doc.diagram_bounds)
-    total = a.region.area + b.region.area
-    ratio = a.region.area / total if total > 0 else 0.5
-    pair_onehot = [0.0] * 16
-    pair_onehot[_KIND_INDEX[a.kind] * 4 + _KIND_INDEX[b.kind]] = 1.0
-    return np.asarray(offset + [distance, ratio] + pair_onehot, dtype=float)
+    areas = np.array([e.region.area for e in doc.entities], dtype=float)
+    kinds = np.array([_KIND_INDEX[e.kind] for e in doc.entities], dtype=np.intp)
+    total = areas[receivers] + areas[senders]
+    features = np.zeros((len(receivers), EDGE_DIMS))
+    features[:, 0:2] = (centroids[senders] - centroids[receivers]) / diag
+    features[:, 2] = distances[receivers, senders]
+    features[:, 3] = np.divide(areas[receivers], total, out=np.full(len(total), 0.5), where=total > 0)
+    features[np.arange(len(receivers)), 4 + kinds[receivers] * 4 + kinds[senders]] = 1.0
+    return features
 
 
 def build_spatial_graph(
@@ -172,7 +178,11 @@ def build_spatial_graph(
     config: ReasoningConfig,
     weights: SpatialWeights | None = None,
 ) -> SpatialGraph:
-    """Assemble nodes, kNN/radius edges and initial features."""
+    """Assemble nodes, kNN/radius edges and initial features.
+
+    Each entity links to its ``k_nn`` nearest others, ties broken by the
+    lower index, and to every entity within ``radius``.
+    """
     if weights is None:
         weights = random_weights(config.layers, config.dim, EDGE_DIMS, seed=config.weights_seed)
     weights.validate()
@@ -182,71 +192,58 @@ def build_spatial_graph(
         raise ConfigError(f"weights edge dim {weights.edge_dim} != {EDGE_DIMS}")
 
     n = len(doc.entities)
-    node_ids = tuple(e.id for e in doc.entities)
     features = _node_features(doc, config)
+    centroids = np.array([e.centroid for e in doc.entities], dtype=float).reshape(-1, 2)
+    distances = centroid_distances(centroids, doc.diagram_bounds)
 
-    distances = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = center_distance_normalized(
-                doc.entities[i].region, doc.entities[j].region, doc.diagram_bounds
-            )
-            distances[i, j] = distances[j, i] = d
-
-    edge_set: set[tuple[int, int]] = set()
-    for i in range(n):
-        order = sorted(range(n), key=lambda j: (distances[i, j], j))
-        neighbors = [j for j in order if j != i][: config.k_nn]
-        for j in neighbors:
-            edge_set.add((min(i, j), max(i, j)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if distances[i, j] <= config.radius:
-                edge_set.add((i, j))
-
-    edges = tuple(sorted(edge_set))
-    edge_features = {}
-    for i, j in edges:
-        edge_features[(i, j)] = _edge_feature(doc, i, j)
-        edge_features[(j, i)] = _edge_feature(doc, j, i)
-
+    # a stable sort keeps (distance, index) order; a row's own index goes
+    # explicitly, since another entity may share its centroid
+    order = np.argsort(distances, axis=1, kind="stable")
+    others = order[order != np.arange(n)[:, None]].reshape(n, max(n - 1, 0))
+    linked = distances <= config.radius
+    linked[np.repeat(np.arange(n), min(config.k_nn, max(n - 1, 0))), others[:, : config.k_nn].ravel()] = True
+    rows, cols = np.nonzero(np.triu(linked | linked.T, k=1))
     return SpatialGraph(
-        node_ids=node_ids,
+        node_ids=tuple(e.id for e in doc.entities),
         features=features,
-        edges=edges,
-        edge_features=edge_features,
+        edges=tuple(zip(rows.tolist(), cols.tolist())),
+        edge_features=_edge_features(doc, centroids, distances, *np.nonzero(_adjacency(rows, cols, n))),
         weights=weights,
     )
 
 
 def propagate(graph: SpatialGraph, layers: int | None = None) -> SpatialGraph:
-    """Run message passing and score edges; returns a new graph."""
+    """Run message passing and score edges; returns a new graph.
+
+    Neighbour sums are taken before the weights apply, so each layer
+    costs two small matrix products: ``relu(W1 @ sum_j h_j + W2 @ sum_j e_ij)``.
+    The edge-feature sums are the same in every layer.
+    """
     n = len(graph.node_ids)
     steps = graph.weights.layers if layers is None else layers
     h = np.array(graph.features, dtype=float)
-    adjacency = graph.neighbor_lists()
+    flat = itertools.chain.from_iterable(graph.edges)
+    rows, cols = np.fromiter(flat, dtype=np.intp, count=2 * len(graph.edges)).reshape(-1, 2).T
+    adjacency = _adjacency(rows, cols, n)
+    # edge_features rows follow the nonzero entries of the adjacency in row-major order
+    receivers, _ = np.nonzero(adjacency)
+    nodes, starts = np.unique(receivers, return_index=True)
+    edge_sums = np.zeros((n, graph.edge_features.shape[1]))
+    edge_sums[nodes] = np.add.reduceat(graph.edge_features, starts, axis=0)
 
     for layer in range(steps):
         w1 = graph.weights.w1[layer % graph.weights.layers]
         w2 = graph.weights.w2[layer % graph.weights.layers]
-        new_h = np.zeros_like(h)
-        for i in range(n):
-            total = np.zeros(h.shape[1])
-            for j in adjacency[i]:
-                total += w1 @ h[j] + w2 @ graph.edge_features[(i, j)]
-            new_h[i] = np.maximum(total, 0.0)
-        h = new_h
+        h = np.maximum((adjacency @ h) @ w1.T + edge_sums @ w2.T, 0.0)
 
-    scores = {}
-    for i, j in graph.edges:
-        scores[(i, j)] = _shifted_cosine(h[i], h[j])
-    return replace(graph, features=h, scores=scores)
+    scores = _shifted_cosines(h, rows, cols)
+    return replace(graph, features=h, scores=dict(zip(graph.edges, scores.tolist())))
 
 
-def _shifted_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.5
-    cosine = float(np.dot(a, b) / (na * nb))
-    return min(1.0, max(0.0, (1.0 + cosine) / 2.0))
+def _shifted_cosines(h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(1 + cos(h_i, h_j)) / 2 per edge in [0, 1]; 0.5 where either end is zero."""
+    norms = np.linalg.norm(h, axis=1)
+    zero = (norms[rows] == 0.0) | (norms[cols] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = (h @ h.T)[rows, cols] / (norms[rows] * norms[cols])
+    return np.where(zero, 0.5, np.clip((1.0 + cosines) / 2.0, 0.0, 1.0))

@@ -2,7 +2,8 @@
 
 Oracles here are deliberately independent of the library's computation
 paths: Monte Carlo IoU rasterizes, matching enumerates, assignment
-enumerates, and molecule formulas come from a hand-verified table.
+enumerates, molecule formulas come from a hand-verified table, and the
+vectorised per-document geometry is checked against pairwise loops.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from rxnparse.chem import Atom, Bond, Molecule, VALENCES
 from rxnparse.entities import load_document
-from rxnparse.geometry import AxisBox, OrientedQuad, polygon_of
+from rxnparse.geometry import AxisBox, OrientedQuad, center_distance_normalized, polygon_of
 
 
 # --- documents -------------------------------------------------------------
@@ -289,3 +290,170 @@ def brute_force_assignment(entities, arrows, affinity) -> float:
     for combo in itertools.product(*option_lists):
         best = max(best, sum(value for _arrow, value in combo))
     return best
+
+
+# --- pairwise references for the vectorised geometry --------------------------
+#
+# These are the loops the per-document geometry replaced, kept verbatim in
+# spirit: one center_distance_normalized call per pair, kNN by sorting each
+# row on (distance, index), union-find over every close pair, and one
+# matrix-vector product per directed edge in message passing.
+
+
+def reference_distances(doc) -> np.ndarray:
+    n = len(doc.entities)
+    distances = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = center_distance_normalized(
+                doc.entities[i].region, doc.entities[j].region, doc.diagram_bounds
+            )
+            distances[i, j] = distances[j, i] = d
+    return distances
+
+
+def reference_edge_feature(doc, i: int, j: int) -> np.ndarray:
+    from rxnparse.reasoning.spatial import _KIND_INDEX
+
+    a, b = doc.entities[i], doc.entities[j]
+    diag = doc.diagram_bounds.diagonal or 1.0
+    ax, ay = a.centroid
+    bx, by = b.centroid
+    offset = [(bx - ax) / diag, (by - ay) / diag]
+    distance = center_distance_normalized(a.region, b.region, doc.diagram_bounds)
+    total = a.region.area + b.region.area
+    ratio = a.region.area / total if total > 0 else 0.5
+    pair_onehot = [0.0] * 16
+    pair_onehot[_KIND_INDEX[a.kind] * 4 + _KIND_INDEX[b.kind]] = 1.0
+    return np.asarray(offset + [distance, ratio] + pair_onehot, dtype=float)
+
+
+def reference_spatial_edges(doc, config):
+    """(edges, {(i, j): e_ij for both directions of every edge})."""
+    n = len(doc.entities)
+    distances = reference_distances(doc)
+    edge_set = set()
+    for i in range(n):
+        order = sorted(range(n), key=lambda j: (distances[i, j], j))
+        for j in [j for j in order if j != i][: config.k_nn]:
+            edge_set.add((min(i, j), max(i, j)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if distances[i, j] <= config.radius:
+                edge_set.add((i, j))
+    edges = tuple(sorted(edge_set))
+    features = {}
+    for i, j in edges:
+        features[(i, j)] = reference_edge_feature(doc, i, j)
+        features[(j, i)] = reference_edge_feature(doc, j, i)
+    return edges, features
+
+
+def edge_feature_dict(graph) -> dict:
+    """The rows of ``graph.edge_features`` keyed by directed pair (i, j)."""
+    directed = sorted(list(graph.edges) + [(j, i) for i, j in graph.edges])
+    return dict(zip(directed, graph.edge_features))
+
+
+def reference_propagate(graph, layers=None):
+    """(features, scores) by one W1 @ h_j + W2 @ e_ij product per directed edge."""
+    n = len(graph.node_ids)
+    steps = graph.weights.layers if layers is None else layers
+    features = edge_feature_dict(graph)
+    adjacency = [[] for _ in range(n)]
+    for i, j in graph.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    h = np.array(graph.features, dtype=float)
+    for layer in range(steps):
+        w1 = graph.weights.w1[layer % graph.weights.layers]
+        w2 = graph.weights.w2[layer % graph.weights.layers]
+        new_h = np.zeros_like(h)
+        for i in range(n):
+            total = np.zeros(h.shape[1])
+            for j in adjacency[i]:
+                total += w1 @ h[j] + w2 @ features[(i, j)]
+            new_h[i] = np.maximum(total, 0.0)
+        h = new_h
+    scores = {}
+    for i, j in graph.edges:
+        na, nb = float(np.linalg.norm(h[i])), float(np.linalg.norm(h[j]))
+        if na == 0.0 or nb == 0.0:
+            scores[(i, j)] = 0.5
+        else:
+            cosine = float(np.dot(h[i], h[j]) / (na * nb))
+            scores[(i, j)] = min(1.0, max(0.0, (1.0 + cosine) / 2.0))
+    return h, scores
+
+
+def reference_union_find_groups(n: int, pairs) -> list[list[int]]:
+    """Components by union-find; groups in order of their smallest member."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _close_pairs(doc, threshold):
+    n = len(doc.entities)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = center_distance_normalized(
+                doc.entities[i].region, doc.entities[j].region, doc.diagram_bounds
+            )
+            if d < threshold:
+                yield i, j
+
+
+def reference_cluster_entities(doc, config):
+    groups = reference_union_find_groups(len(doc.entities), _close_pairs(doc, config.tau_cluster))
+
+    def reading_key(idx: int):
+        cx, cy = doc.entities[idx].centroid
+        return (cy, cx, doc.entities[idx].id)
+
+    for members in groups:
+        members.sort(key=reading_key)
+    ordered = sorted(groups, key=lambda members: reading_key(members[0]))
+    return tuple(tuple(doc.entities[i].id for i in members) for members in ordered)
+
+
+def reference_complexity(doc, threshold: float) -> float:
+    n = len(doc.entities)
+    if n == 0:
+        return 0.0
+    return n / len(reference_union_find_groups(n, _close_pairs(doc, threshold)))
+
+
+def reference_cluster_prompt_variables(cluster, doc, config) -> dict:
+    from rxnparse.entities import entity_to_json
+    from rxnparse.reasoning.relations import EdgeRelation
+
+    ids = list(cluster)
+    nodes = [entity_to_json(doc.entity(i)) for i in ids]
+    edges = []
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            d = center_distance_normalized(
+                doc.entity(ids[a]).region, doc.entity(ids[b]).region, doc.diagram_bounds
+            )
+            if d < config.tau_cluster:
+                edges.append(
+                    {
+                        "source": ids[a],
+                        "target": ids[b],
+                        "relation": int(EdgeRelation.NO_EDGE),
+                        "weight": round(1.0 - d, 6),
+                    }
+                )
+    return {"graph_json": json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True)}

@@ -197,7 +197,7 @@ def test_criterion_05_propagation_checks():
         node_ids=("x",),
         features=np.ones((1, dim)),
         edges=(),
-        edge_features={},
+        edge_features=np.zeros((0, EDGE_DIMS)),
         weights=SpatialWeights(
             w1=(np.eye(dim),), w2=(np.zeros((dim, EDGE_DIMS)),)
         ),
@@ -211,7 +211,7 @@ def test_criterion_05_propagation_checks():
         node_ids=("a", "b", "c"),
         features=h0,
         edges=((0, 1), (1, 2)),
-        edge_features={(0, 1): e, (1, 0): e, (1, 2): e, (2, 1): e},
+        edge_features=np.stack([e, e, e, e]),
         weights=SpatialWeights(
             w1=(np.zeros((dim, dim)),), w2=(np.zeros((dim, EDGE_DIMS)),)
         ),
@@ -231,7 +231,7 @@ def test_criterion_05_propagation_checks():
         node_ids=("a", "b"),
         features=h0,
         edges=((0, 1),),
-        edge_features={(0, 1): e01, (1, 0): e10},
+        edge_features=np.stack([e01, e10]),
         weights=SpatialWeights(w1=(w1,), w2=(w2,)),
     )
     result = propagate(graph, layers=1)

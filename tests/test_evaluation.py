@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from rxnparse import evaluation
 from rxnparse.entities import EntityKind
 from rxnparse.evaluation import (
     AlignmentError,
+    MatchingInvariantError,
     CorpusDocument,
     entities_match,
     reaction_matches_hard,
@@ -270,3 +272,18 @@ def test_report_table_shape():
     assert "hard" in table and "soft" in table
     assert "tree" in table
     assert "100.0" in table
+
+
+def test_broken_matching_invariant_raises_typed_error(monkeypatch):
+    real = evaluation._kuhn_max_matching
+    calls = []
+
+    def overstated_first(n_left, n_right, adjacency):
+        # the first call fixes the target size; claim one pair more than exists
+        calls.append(n_left)
+        matching = real(n_left, n_right, adjacency)
+        return {**matching, -1: -1} if len(calls) == 1 else matching
+
+    monkeypatch.setattr(evaluation, "_kuhn_max_matching", overstated_first)
+    with pytest.raises(MatchingInvariantError, match="maximum 2"):
+        evaluation._lexicographic_matching(1, 1, [[0]])

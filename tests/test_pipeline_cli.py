@@ -109,6 +109,43 @@ class TestRunBatch:
         produced = Path(manifest.documents[0].outputs[0])
         assert json.loads(produced.read_text()) == []
 
+    def test_same_stem_inputs_fail_instead_of_overwriting(self, tmp_path):
+        empty = json.dumps({"width": 100, "height": 100, "entities": []})
+        first, second, other = tmp_path / "x" / "doc.json", tmp_path / "y" / "doc.json", tmp_path / "other.json"
+        for path in (first, second, other):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(empty)
+        (tmp_path / "fx").mkdir()
+        out = tmp_path / "out"
+        config = PipelineConfig(fixtures_dir=str(tmp_path / "fx"), output_dir=str(out))
+        manifest = run_batch([first, other, second], config)
+        results = {d.source: d for d in manifest.documents}
+        assert [d.source for d in manifest.documents] == [str(first), str(other), str(second)]
+        assert results[str(first)].status == results[str(second)].status == "failed"
+        assert str(second) in results[str(first)].error
+        assert str(first) in results[str(second)].error
+        assert results[str(other)].status == "ok"
+        assert results[str(other)].outputs == [str(out / "other.reactions.json")]
+        # no colliding output and no leftover temporary file
+        assert sorted(p.name for p in out.iterdir()) == ["other.reactions.json"]
+        assert manifest.exit_code == 2
+
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, monkeypatch):
+        detection = tmp_path / "empty.json"
+        detection.write_text(json.dumps({"width": 100, "height": 100, "entities": []}))
+        (tmp_path / "fx").mkdir()
+        out = tmp_path / "out"
+        config = PipelineConfig(fixtures_dir=str(tmp_path / "fx"), output_dir=str(out))
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("rxnparse.pipeline.os.replace", refuse)
+        manifest = run_batch([detection], config)
+        assert manifest.documents[0].status == "failed"
+        assert "disk full" in manifest.documents[0].error
+        assert list(out.iterdir()) == []
+
     def test_vlm_planner_policy(self, corpus, tmp_path):
         """The optional VLM routing policy answers through the same client."""
         from rxnparse.agents import MockAgentClient

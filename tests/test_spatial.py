@@ -25,7 +25,7 @@ def two_node_graph(w1, w2, h0, with_edge=True):
         node_ids=("a", "b"),
         features=h0,
         edges=((0, 1),) if with_edge else (),
-        edge_features={(0, 1): e, (1, 0): e} if with_edge else {},
+        edge_features=np.stack([e, e]) if with_edge else np.zeros((0, EDGE_DIMS)),
         weights=weights,
     )
 
@@ -38,7 +38,7 @@ class TestPropagation:
             node_ids=("solo",),
             features=np.ones((1, dim)),
             edges=(),
-            edge_features={},
+            edge_features=np.zeros((0, EDGE_DIMS)),
             weights=weights,
         )
         result = propagate(graph, layers=3)
@@ -172,3 +172,15 @@ def test_scores_symmetric_by_ids():
     for (a, b), value in graph.score_by_ids().items():
         assert a <= b
         assert 0.0 <= value <= 1.0
+
+
+def test_edge_feature_rows_must_cover_both_directions():
+    weights = random_weights(1, 4, EDGE_DIMS, seed=1)
+    with pytest.raises(ValueError):
+        SpatialGraph(
+            node_ids=("a", "b"),
+            features=np.zeros((2, 4)),
+            edges=((0, 1),),
+            edge_features=np.zeros((1, EDGE_DIMS)),
+            weights=weights,
+        )
