@@ -28,9 +28,6 @@ doc = load_document(json.dumps(detection))
 
 features = extract_features(doc)
 print("entity counts:    ", features.kind_counts)
-print("arrow directions: ", features.arrow_directions)
-print("layout complexity:", round(features.complexity, 2))
-print("text density:     ", round(features.text_density, 4))
 print()
 
 for query in (

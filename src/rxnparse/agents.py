@@ -51,7 +51,7 @@ class MalformedReplyError(AgentError):
     """Live backend replied with something other than a JSON object with string ``content``."""
 
 
-AGENT_ROLES = ("planner", "molecule_recognition", "reaction_combiner")
+AGENT_ROLES = ("planner", "reaction_combiner")
 
 _VAR_OPEN = "{{"
 _VAR_CLOSE = "}}"
@@ -114,10 +114,6 @@ class AgentClient(ABC):
     def _send(self, role: str, prompt: str, image: bytes | None, key: str) -> str: ...
 
 
-def agent_request(client: AgentClient, role: str, variables: dict[str, str], image: bytes | None = None) -> str:
-    return client.request(role, variables, image)
-
-
 class MockAgentClient(AgentClient):
     """Replays recorded responses from ``fixture_dir/<role>/<hash>.txt``."""
 
@@ -151,7 +147,6 @@ class LiveBackendConfig:
     max_retries: int = 3
     timeout: float = 60.0
     max_in_flight: int = 4
-    min_interval: float = 0.0
 
 
 class LiveAgentClient(AgentClient):
@@ -161,17 +156,6 @@ class LiveAgentClient(AgentClient):
         super().__init__(templates)
         self.backend = backend
         self._gate = threading.Semaphore(backend.max_in_flight)
-        self._rate_lock = threading.Lock()
-        self._last_request = 0.0
-
-    def _throttle(self):
-        if self.backend.min_interval <= 0:
-            return
-        with self._rate_lock:
-            wait = self._last_request + self.backend.min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
 
     def _send(self, role, prompt, image, key):
         body: dict = {
@@ -191,7 +175,6 @@ class LiveAgentClient(AgentClient):
                 time.sleep(min(2.0 ** (attempt - 1) * 0.25, 5.0))
             try:
                 with self._gate:
-                    self._throttle()
                     request = urllib.request.Request(self.backend.endpoint, payload, headers)
                     with urllib.request.urlopen(request, timeout=self.backend.timeout) as reply:
                         return _reply_content(reply.read())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from .chem import FingerprintConfig
 
@@ -69,6 +69,3 @@ class ReasoningConfig:
         if unknown:
             raise ConfigError(f"unknown reasoning config keys: {sorted(unknown)}")
         return cls(**kwargs)
-
-    def updated(self, **changes) -> "ReasoningConfig":
-        return replace(self, **changes)

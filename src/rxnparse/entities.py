@@ -22,7 +22,7 @@ chemistry channel falls back to a neutral score for it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .chem import Molecule, SmilesSyntaxError, ValenceError, parse_smiles
@@ -30,7 +30,6 @@ from .geometry import (
     AxisBox,
     OrientedQuad,
     Region,
-    centroid_of,
     principal_axis,
     region_from_array,
     region_to_array,
@@ -91,7 +90,13 @@ class Entity:
 
     @property
     def centroid(self):
-        return centroid_of(self.region)
+        return self.region.centroid
+
+    @property
+    def reading_key(self) -> tuple[float, float, str]:
+        """Sort key for reading order: top to bottom, then left to right, then id."""
+        cx, cy = self.region.centroid
+        return (cy, cx, self.id)
 
     @property
     def arrow_axis(self):
@@ -267,7 +272,7 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
         except ValueError as exc:
             raise SchemaError(str(exc), pointer) from None
 
-    entities.sort(key=lambda e: (e.centroid[1], e.centroid[0], e.id))
+    entities.sort(key=lambda e: e.reading_key)
     for entity in entities:
         if entity.resolves_to is not None and entity.resolves_to not in seen_ids:
             warnings.append(
@@ -312,8 +317,3 @@ def document_to_json(doc: ReactionDocument) -> dict:
         obj["layout"] = doc.layout_class
     obj["entities"] = [entity_to_json(e) for e in doc.entities]
     return obj
-
-
-def with_entities(doc: ReactionDocument, entities) -> ReactionDocument:
-    """Copy of the document with a replaced entity tuple."""
-    return replace(doc, entities=tuple(entities))

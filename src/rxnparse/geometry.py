@@ -247,17 +247,13 @@ def region_iou(a: Region, b: Region, polygon: bool = True) -> float:
     return _polygon_iou(polygon_of(a), polygon_of(b), area_a, area_b)
 
 
-def centroid_of(region: Region) -> Point:
-    return region.centroid
-
-
 def center_distance_normalized(a: Region, b: Region, diagram: AxisBox) -> float:
     """Euclidean centroid distance scaled by the diagram diagonal."""
     diag = diagram.diagonal
     if diag <= 0.0:
         raise ValueError("diagram bounds must have a positive diagonal")
-    ax, ay = centroid_of(a)
-    bx, by = centroid_of(b)
+    ax, ay = a.centroid
+    bx, by = b.centroid
     return math.hypot(bx - ax, by - ay) / diag
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from .agents import AgentClient, LiveAgentClient, LiveBackendConfig, MockAgentClient
 from .config import ConfigError, ReasoningConfig
 from .entities import ReactionDocument, load_document
-from .planner import AgentPlan, PlanningContext, extract_features, route
+from .planner import AgentPlan, extract_features, route
 from .reactions import Reaction, reactions_to_json
 from .reasoning import (
     build_chem_graph,
@@ -61,9 +61,6 @@ class PipelineConfig:
     weights_file: str | None = None
     lexicon_file: str | None = None
     output_dir: str = "out"
-    iou_threshold: float = 0.5
-    criterion: str = "hard"
-    polygon_iou: bool = True
     max_workers: int = 1
     cluster_workers: int = 1
     query: str = DEFAULT_QUERY
@@ -77,10 +74,6 @@ class PipelineConfig:
             raise ConfigError("mock backend needs fixtures_dir")
         if self.backend == "live" and not (self.endpoint and self.model):
             raise ConfigError("live backend needs endpoint and model")
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ConfigError("iou_threshold must lie in [0, 1]")
-        if self.criterion not in ("hard", "soft"):
-            raise ConfigError(f"criterion must be 'hard' or 'soft', got {self.criterion!r}")
         if self.planner_policy not in ("rule", "vlm"):
             raise ConfigError(f"planner_policy must be 'rule' or 'vlm', got {self.planner_policy!r}")
         for name in ("fixtures_dir", "weights_file", "lexicon_file"):
@@ -198,7 +191,6 @@ class RunManifest:
 class ReasoningOutcome:
     plan: AgentPlan
     reactions: list[Reaction]
-    document: ReactionDocument
     warnings: tuple[str, ...] = ()
 
 
@@ -214,49 +206,37 @@ def run_document(
     reasoning = config.reasoning
 
     started = time.perf_counter()
-    features = extract_features(doc, reasoning.tau_cluster)
-    ctx = PlanningContext(query=config.query)
+    features = extract_features(doc)
     policy = client if config.planner_policy == "vlm" else "rule"
-    plan = route(config.query, features, ctx, policy, fallback_to_rule=config.plan_fallback)
+    plan = route(config.query, features, policy=policy, fallback_to_rule=config.plan_fallback)
     timings["plan"] = time.perf_counter() - started
 
-    warnings: tuple[str, ...] = ()
-    reactions: list[Reaction] = []
-    for role in plan.steps:
-        if role == "molecule_expert":
-            parsed = sum(1 for e in doc.entities if e.molecule is not None)
-            ctx.mark_complete(role, entities=features.kind_counts["molecule"], parsed=parsed)
-        elif role == "arrow_expert":
-            ctx.mark_complete(role, entities=features.kind_counts["arrow"])
-        elif role == "text_expert":
-            ctx.mark_complete(role, entities=features.kind_counts["text"])
-        elif role == "reaction_expert":
-            started = time.perf_counter()
-            if weights is None:
-                weights = load_pipeline_weights(config)
-            spatial = propagate(build_spatial_graph(doc, reasoning, weights))
-            chem = build_chem_graph(doc, reasoning)
-            clusters = cluster_entities(doc, reasoning)
-            hypotheses = collect_hypotheses(
-                clusters, client, doc, reasoning, max_workers=config.cluster_workers
-            )
-            fused = fuse(
-                spatial,
-                chem,
-                hypotheses,
-                FusionWeights(*reasoning.alphas),
-                reasoning.tau_fuse,
-            )
-            timings["reason"] = time.perf_counter() - started
+    if "reaction_expert" not in plan.steps:  # the perception roles' output is the loaded document itself
+        return ReasoningOutcome(plan=plan, reactions=[])
 
-            started = time.perf_counter()
-            inferred = infer_reactions(fused, doc, reasoning)
-            reactions = post_process(inferred, doc, reasoning)
-            ctx.mark_complete(role, reactions=len(reactions))
-            timings["post"] = time.perf_counter() - started
-            warnings = hypotheses.warnings
+    started = time.perf_counter()
+    if weights is None:
+        weights = load_pipeline_weights(config)
+    spatial = propagate(build_spatial_graph(doc, reasoning, weights))
+    chem = build_chem_graph(doc, reasoning)
+    clusters = cluster_entities(doc, reasoning)
+    hypotheses = collect_hypotheses(
+        clusters, client, doc, reasoning, max_workers=config.cluster_workers
+    )
+    fused = fuse(
+        spatial,
+        chem,
+        hypotheses,
+        FusionWeights(*reasoning.alphas),
+        reasoning.tau_fuse,
+    )
+    timings["reason"] = time.perf_counter() - started
 
-    return ReasoningOutcome(plan=plan, reactions=reactions, document=doc, warnings=warnings)
+    started = time.perf_counter()
+    inferred = infer_reactions(fused, doc, reasoning)
+    reactions = post_process(inferred, doc, reasoning)
+    timings["post"] = time.perf_counter() - started
+    return ReasoningOutcome(plan=plan, reactions=reactions, warnings=hypotheses.warnings)
 
 
 def _write_atomic(path: Path, text: str) -> None:

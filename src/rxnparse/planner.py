@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 
 from .agents import AgentClient
 from .entities import EntityKind, ReactionDocument
-from .reasoning.clustering import proximity_groups
 
 ROLES = ("molecule_expert", "arrow_expert", "text_expert", "reaction_expert")
-PERCEPTION_ROLES = ROLES[:3]
 
 _FULL_KEYWORDS = ("reaction", "pathway", "parse")
 _MOLECULE_KEYWORDS = ("smiles", "structure only")
@@ -31,16 +29,9 @@ class PlanParseError(ValueError):
 
 @dataclass(frozen=True)
 class DiagramFeatures:
-    """Cheap per-diagram statistics the router conditions on."""
+    """Per-diagram statistics handed to the router."""
 
     kind_counts: dict
-    arrow_directions: dict
-    complexity: float  # entities per proximity component
-    text_density: float  # text area / diagram area
-
-    @property
-    def total_entities(self) -> int:
-        return sum(self.kind_counts.values())
 
 
 @dataclass(frozen=True)
@@ -82,30 +73,12 @@ class PlanningContext:
         self.completed[role] = dict(stats)
 
 
-def extract_features(doc: ReactionDocument, proximity_threshold: float = 0.35) -> DiagramFeatures:
-    """Entity-kind counts, arrow-class histogram, layout complexity, text density."""
+def extract_features(doc: ReactionDocument) -> DiagramFeatures:
+    """Entity counts per kind."""
     kind_counts = {kind.value: 0 for kind in EntityKind}
-    arrow_directions: dict = {}
-    text_area = 0.0
     for entity in doc.entities:
         kind_counts[entity.kind.value] += 1
-        if entity.kind == EntityKind.ARROW and entity.direction is not None:
-            key = entity.direction.value
-            arrow_directions[key] = arrow_directions.get(key, 0) + 1
-        if entity.kind == EntityKind.TEXT:
-            text_area += entity.region.area
-
-    n = len(doc.entities)
-    complexity = n / len(proximity_groups(doc, proximity_threshold)) if n else 0.0
-
-    diagram_area = doc.diagram_bounds.area
-    density = text_area / diagram_area if diagram_area > 0 else 0.0
-    return DiagramFeatures(
-        kind_counts=kind_counts,
-        arrow_directions=arrow_directions,
-        complexity=complexity,
-        text_density=density,
-    )
+    return DiagramFeatures(kind_counts=kind_counts)
 
 
 def _rule_roles(query: str) -> set[str]:

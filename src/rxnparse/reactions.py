@@ -16,7 +16,7 @@ agent to document entities by best IoU.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .chem import ElementCounts
@@ -266,7 +266,3 @@ def boxed_view(reaction: Reaction, doc: ReactionDocument) -> BoxedReaction:
         conditions=role(reaction.conditions),
         arrows=role(reaction.arrows),
     )
-
-
-def with_score(reaction: Reaction, score: float) -> Reaction:
-    return replace(reaction, score=score)

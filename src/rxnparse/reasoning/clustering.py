@@ -35,19 +35,13 @@ def connected_groups(adjacency: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def proximity_groups(doc: ReactionDocument, threshold: float) -> list[list[int]]:
-    """Entity indices grouped by single links shorter than ``threshold``."""
-    centroids = [entity.centroid for entity in doc.entities]
-    return connected_groups(centroid_distances(centroids, doc.diagram_bounds) < threshold)
-
-
 def cluster_entities(doc: ReactionDocument, config: ReasoningConfig) -> tuple[tuple[str, ...], ...]:
     """Partition entity ids; clusters ordered by their top-left-most member."""
-
-    def reading_key(idx: int):
-        cx, cy = doc.entities[idx].centroid
-        return (cy, cx, doc.entities[idx].id)
-
-    groups = [sorted(members, key=reading_key) for members in proximity_groups(doc, config.tau_cluster)]
-    groups.sort(key=lambda members: reading_key(members[0]))
-    return tuple(tuple(doc.entities[i].id for i in members) for members in groups)
+    centroids = [entity.centroid for entity in doc.entities]
+    close = centroid_distances(centroids, doc.diagram_bounds) < config.tau_cluster
+    groups = [
+        sorted((doc.entities[i] for i in members), key=lambda e: e.reading_key)
+        for members in connected_groups(close)
+    ]
+    groups.sort(key=lambda members: members[0].reading_key)
+    return tuple(tuple(entity.id for entity in members) for members in groups)

@@ -43,9 +43,6 @@ class FusionWeights:
         if abs(total - 1.0) > 1e-9:
             raise WeightError(f"fusion weights must sum to 1, got {total}")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.space, self.chem, self.init)
-
 
 def fuse_score(s_space: float, s_chem: float, s_init: float, weights: FusionWeights) -> float:
     return weights.space * s_space + weights.chem * s_chem + weights.init * s_init
@@ -90,7 +87,7 @@ def fuse(
     yield a single untyped edge tagged ``NO_EDGE``.
     """
     space_scores = spatial.score_by_ids()
-    chem_scores = dict(chem.scores)
+    chem_scores = chem.scores
 
     def channels(pair: tuple[str, str]) -> tuple[float, float]:
         return (

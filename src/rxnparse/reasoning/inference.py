@@ -43,27 +43,17 @@ class ArrowAssignment:
 
 def connected_components(fused: FusedGraph) -> list[list[str]]:
     """Components of the retained edge set, in reading order of first node."""
-    adjacency: dict[str, set[str]] = {}
-    for edge in fused.edges:
-        adjacency.setdefault(edge.source, set()).add(edge.target)
-        adjacency.setdefault(edge.target, set()).add(edge.source)
-    seen: set[str] = set()
-    components: list[list[str]] = []
-    for node in fused.node_ids:
-        if node not in adjacency or node in seen:
-            continue
-        stack, members = [node], []
-        seen.add(node)
-        while stack:
-            current = stack.pop()
-            members.append(current)
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        members.sort()
-        components.append(members)
-    return components
+    index = {node: i for i, node in enumerate(fused.node_ids)}
+    sources = [index[edge.source] for edge in fused.edges]
+    targets = [index[edge.target] for edge in fused.edges]
+    adjacency = np.zeros((len(index), len(index)), dtype=bool)
+    adjacency[sources, targets] = adjacency[targets, sources] = True
+    linked = adjacency.any(axis=1)
+    return [
+        sorted(fused.node_ids[i] for i in group)
+        for group in connected_groups(adjacency)
+        if linked[group[0]]  # a node without edges forms no component
+    ]
 
 
 def _arrow_affinities(component, fused: FusedGraph, doc: ReactionDocument):
@@ -147,11 +137,6 @@ def _role_for(entity_id: str, arrow_id: str, edges, doc: ReactionDocument) -> st
     return "condition"
 
 
-def _reading_key(entity_id: str, doc: ReactionDocument):
-    cx, cy = doc.entity(entity_id).centroid
-    return (cy, cx, entity_id)
-
-
 def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningConfig) -> list[Reaction]:
     """Turn the fused graph into candidate reactions, one pass, deterministic."""
     reactions: list[Reaction] = []
@@ -164,7 +149,7 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
                 a: {"reactant": [], "product": [], "condition": []} for a in arrows
             }
             per_arrow_score: dict[str, float] = {a: 0.0 for a in arrows}
-            for entity_id in sorted(assignment.assigned, key=lambda e: _reading_key(e, doc)):
+            for entity_id in sorted(assignment.assigned, key=lambda e: doc.entity(e).reading_key):
                 arrow_id = assignment.assigned[entity_id]
                 role = _role_for(entity_id, arrow_id, edges_by_pair[(entity_id, arrow_id)], doc)
                 per_arrow[arrow_id][role].append(entity_id)
@@ -185,7 +170,7 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
                     reactions.append(candidate)
         else:
             reactions.extend(_arrowless_candidates(component, fused, doc))
-    reactions.sort(key=lambda r: (-r.score, _reading_key(r.reactants[0], doc)))
+    reactions.sort(key=lambda r: (-r.score, doc.entity(r.reactants[0]).reading_key))
     return reactions
 
 

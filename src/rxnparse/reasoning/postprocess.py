@@ -33,13 +33,8 @@ def post_process(reactions, doc: ReactionDocument, config: ReasoningConfig) -> l
     substituted = [_substitute_identifiers(r, doc) for r in merged]
     valid = [r for r in substituted if r is not None]
     flagged = [_flag_conservation(r, doc, config) for r in valid]
-    flagged.sort(key=lambda r: (-r.score, _reading_key(r.reactants[0], doc)))
+    flagged.sort(key=lambda r: (-r.score, doc.entity(r.reactants[0]).reading_key))
     return flagged
-
-
-def _reading_key(entity_id: str, doc: ReactionDocument):
-    cx, cy = doc.entity(entity_id).centroid
-    return (cy, cx, entity_id)
 
 
 def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) -> list[Reaction]:

@@ -418,7 +418,7 @@ def _close_pairs(doc, threshold):
 def reference_cluster_entities(doc, config):
     groups = reference_union_find_groups(len(doc.entities), _close_pairs(doc, config.tau_cluster))
 
-    def reading_key(idx: int):
+    def reading_key(idx: int):  # spelled out, independent of Entity.reading_key
         cx, cy = doc.entities[idx].centroid
         return (cy, cx, doc.entities[idx].id)
 
@@ -428,11 +428,29 @@ def reference_cluster_entities(doc, config):
     return tuple(tuple(doc.entities[i].id for i in members) for members in ordered)
 
 
-def reference_complexity(doc, threshold: float) -> float:
-    n = len(doc.entities)
-    if n == 0:
-        return 0.0
-    return n / len(reference_union_find_groups(n, _close_pairs(doc, threshold)))
+def reference_connected_components(fused) -> list[list[str]]:
+    """Depth-first components of a fused graph's edges, started from nodes in ``node_ids`` order."""
+    adjacency: dict[str, set[str]] = {}
+    for edge in fused.edges:
+        adjacency.setdefault(edge.source, set()).add(edge.target)
+        adjacency.setdefault(edge.target, set()).add(edge.source)
+    seen: set[str] = set()
+    components: list[list[str]] = []
+    for node in fused.node_ids:
+        if node not in adjacency or node in seen:
+            continue
+        stack, members = [node], []
+        seen.add(node)
+        while stack:
+            current = stack.pop()
+            members.append(current)
+            for neighbor in adjacency[current]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        members.sort()
+        components.append(members)
+    return components
 
 
 def reference_cluster_prompt_variables(cluster, doc, config) -> dict:

@@ -5,7 +5,6 @@ from rxnparse.agents import (
     FixtureMissingError,
     MockAgentClient,
     TemplateError,
-    agent_request,
     content_hash,
     load_default_templates,
     render_template,
@@ -72,9 +71,3 @@ def test_content_hash_stable():
     b = content_hash("planner", "prompt text")
     assert a == b
     assert content_hash("other", "prompt text") != a
-
-
-def test_agent_request_helper(tmp_path):
-    client = MockAgentClient(tmp_path)
-    client.store("planner", {"query": "q"}, "ok")
-    assert agent_request(client, "planner", {"query": "q"}) == "ok"

@@ -8,7 +8,6 @@ from rxnparse.geometry import (
     OrientedQuad,
     axis_parameter,
     center_distance_normalized,
-    centroid_of,
     iou_axis,
     iou_oriented,
     lateral_distance,
@@ -185,4 +184,4 @@ class TestDistanceAndAxis:
 
     def test_centroid_of_quad(self):
         quad = OrientedQuad(((0, 0), (2, 0), (2, 2), (0, 2)))
-        assert centroid_of(quad) == (1.0, 1.0)
+        assert quad.centroid == (1.0, 1.0)

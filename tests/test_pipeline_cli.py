@@ -57,16 +57,21 @@ class TestPipelineConfig:
     def test_hash_stable_under_key_order(self, tmp_path):
         (tmp_path / "fx").mkdir()
         a = PipelineConfig.from_dict(
-            {"fixtures_dir": str(tmp_path / "fx"), "output_dir": "o", "criterion": "hard"}
+            {"fixtures_dir": str(tmp_path / "fx"), "output_dir": "o", "query": "q"}
         )
         b = PipelineConfig.from_dict(
-            {"criterion": "hard", "output_dir": "o", "fixtures_dir": str(tmp_path / "fx")}
+            {"query": "q", "output_dir": "o", "fixtures_dir": str(tmp_path / "fx")}
         )
         assert a.config_hash() == b.config_hash()
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"frobnicator": 1})
+        # matching settings are `eval` flags; they were once accepted here and never read
+        (tmp_path / "fx").mkdir()
+        for key in ("iou_threshold", "criterion", "polygon_iou"):
+            with pytest.raises(ConfigError, match=key):
+                PipelineConfig.from_dict({"fixtures_dir": str(tmp_path / "fx"), key: 0.5})
 
 
 class TestRunBatch:
@@ -288,6 +293,27 @@ def test_own_outputs_reparse_losslessly(corpus, tmp_path):
         assert [
             (r.reactants, r.products, r.conditions, r.arrows) for r in reparsed
         ] == [(r.reactants, r.products, r.conditions, r.arrows) for r in outcome.reactions]
+
+
+def test_plan_without_reaction_expert_skips_reasoning(corpus, tmp_path):
+    """A molecule-only plan returns no reactions and makes no agent call."""
+    from rxnparse.agents import MockAgentClient
+    from rxnparse.entities import load_document
+    from rxnparse.pipeline import run_document
+
+    _root, paths, _gt = corpus
+    (tmp_path / "fx").mkdir()  # empty: any agent request raises FixtureMissingError
+    config = PipelineConfig(
+        fixtures_dir=str(tmp_path / "fx"),
+        output_dir=str(tmp_path / "out"),
+        query="convert molecule to SMILES",
+    )
+    doc = load_document(paths[0].read_bytes())
+    stages = {}
+    outcome = run_document(doc, config, MockAgentClient(tmp_path / "fx"), timings=stages)
+    assert outcome.plan.steps == ("molecule_expert",)
+    assert outcome.reactions == []
+    assert list(stages) == ["plan"]
 
 
 class TestRender:

@@ -15,8 +15,18 @@ from hypothesis import strategies as st
 
 from rxnparse.config import ReasoningConfig
 from rxnparse.geometry import AxisBox, center_distance_normalized, centroid_distances
-from rxnparse.planner import extract_features
-from rxnparse.reasoning import EDGE_DIMS, build_spatial_graph, cluster_entities, cluster_prompt_variables, propagate
+from rxnparse.reasoning import (
+    EDGE_DIMS,
+    EdgeRelation,
+    FusedEdge,
+    FusedGraph,
+    FusionWeights,
+    build_spatial_graph,
+    cluster_entities,
+    cluster_prompt_variables,
+    connected_components,
+    propagate,
+)
 from rxnparse.reasoning.clustering import connected_groups
 
 from helpers import (
@@ -24,7 +34,7 @@ from helpers import (
     make_doc,
     reference_cluster_entities,
     reference_cluster_prompt_variables,
-    reference_complexity,
+    reference_connected_components,
     reference_distances,
     reference_propagate,
     reference_spatial_edges,
@@ -145,7 +155,6 @@ def test_clusters_complexity_and_prompts_equal_reference(specs, tau):
     config = ReasoningConfig(tau_cluster=tau)
     clusters = cluster_entities(doc, config)
     assert clusters == reference_cluster_entities(doc, config)
-    assert extract_features(doc, tau).complexity == reference_complexity(doc, tau)
     everything = tuple(e.id for e in doc.entities)
     for cluster in clusters + (everything,):
         expected = reference_cluster_prompt_variables(cluster, doc, config)
@@ -163,3 +172,32 @@ def test_connected_groups_equal_union_find(n, pairs):
     for i, j in pairs:
         adjacency[i, j] = adjacency[j, i] = True
     assert connected_groups(adjacency) == reference_union_find_groups(n, pairs)
+
+
+@st.composite
+def fused_graphs(draw, max_nodes=14):
+    """Fused graphs over ids whose string order differs from their index order.
+
+    Edges repeat and come reversed; many nodes are isolated, and the edge
+    set may be empty.
+    """
+    n = draw(st.integers(0, max_nodes))
+    node_ids = tuple(draw(st.permutations([f"e{k}" for k in range(n)])))
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=3 * n))
+    relations = st.sampled_from(list(EdgeRelation))
+    edges = []
+    for i, j in pairs:
+        edge = FusedEdge(node_ids[i], node_ids[j], draw(relations), 0.9, 0.5, 0.5, 1.0)
+        edges.append(edge)
+        if draw(st.booleans()):  # a duplicate, half of them reversed
+            source, target = (edge.target, edge.source) if draw(st.booleans()) else (edge.source, edge.target)
+            edges.append(FusedEdge(source, target, edge.relation, 0.8, 0.5, 0.5, 1.0))
+    return FusedGraph(node_ids=node_ids, edges=tuple(edges), weights=FusionWeights(0.3, 0.2, 0.5), tau_fuse=0.45)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fused=fused_graphs())
+@example(fused=FusedGraph((), (), FusionWeights(0.3, 0.2, 0.5), 0.45))
+@example(fused=FusedGraph(("b", "a", "c"), (), FusionWeights(0.3, 0.2, 0.5), 0.45))
+def test_connected_components_equal_depth_first_walk(fused):
+    assert connected_components(fused) == reference_connected_components(fused)
