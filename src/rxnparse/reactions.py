@@ -96,11 +96,8 @@ def reaction_to_json(reaction: Reaction, doc: ReactionDocument) -> dict:
     }
 
 
-def reactions_to_json(reactions, doc: ReactionDocument, pretty: bool = True) -> str:
-    payload = [reaction_to_json(r, doc) for r in reactions]
-    if pretty:
-        return json.dumps(payload, indent=2)
-    return json.dumps(payload, separators=(", ", ": "))
+def reactions_to_json(reactions, doc: ReactionDocument) -> str:
+    return json.dumps([reaction_to_json(r, doc) for r in reactions], indent=2)
 
 
 def _resolve_region(kind: EntityKind, region: Region, doc: ReactionDocument) -> Entity:
@@ -158,7 +155,8 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
 
     Boxes are matched to document entities of the same kind by best IoU
     (>= 0.9, tolerating slightly perturbed echoes). Raises
-    :class:`ResponseFormatError` for malformed JSON or shapes,
+    :class:`ResponseFormatError` for malformed JSON or shapes and for a
+    ``confidence`` that is not a finite number in [0, 1],
     :class:`ConstraintError` for empty reactants/products, and
     :class:`ResolutionError` when a box cannot be grounded.
     """
@@ -185,6 +183,8 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
         confidence = obj.get("confidence", 1.0)
         if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
             raise ResponseFormatError(f"reaction {i}: confidence must be a number")
+        if not 0.0 <= confidence <= 1.0:  # also rejects NaN and the infinities
+            raise ResponseFormatError(f"reaction {i}: confidence {confidence!r} is not in [0, 1]")
         try:
             reactions.append(
                 Reaction(

@@ -8,9 +8,9 @@ edges) gets
 with non-negative weights summing to one. A channel that never scored a
 pair contributes its neutral value: 0.5 for the spatial and chemistry
 channels (ignorance) but 0 for the hypothesis channel (an edge the VLM
-did not propose is evidence of absence). Edges at or below ``tau_fuse``
-are pruned; the survivors form the sparse graph global inference
-enumerates over.
+did not propose is evidence of absence). Each candidate is pruned as it
+is scored: only edges above ``tau_fuse`` become fused edges, and they
+form the sparse graph global inference enumerates over.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class FusedEdge:
     s_chem: float
     s_init: float
 
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (min(self.source, self.target), max(self.source, self.target))
-
 
 @dataclass(frozen=True)
 class FusedGraph:
@@ -80,55 +76,28 @@ def fuse(
     weights: FusionWeights,
     tau_fuse: float,
 ) -> FusedGraph:
-    """Combine the three evidence graphs and prune weak edges.
+    """Combine the three evidence graphs, keeping only edges above ``tau_fuse``.
 
     A pair covered by hypothesis edges yields one fused edge per typed
     edge (direction preserved); pairs with only structural evidence
-    yield a single untyped edge tagged ``NO_EDGE``.
+    yield a single untyped edge tagged ``NO_EDGE``. Candidates are
+    scored in that order and pruned as they are scored.
     """
     space_scores = spatial.score_by_ids()
     chem_scores = chem.scores
+    typed = [(e.source, e.target, e.relation, e.confidence) for e in hypotheses.edges]
+    covered = {(min(source, target), max(source, target)) for source, target, _, _ in typed}
+    structural = [
+        (a, b, EdgeRelation.NO_EDGE, ABSENT_INIT_SCORE)
+        for a, b in sorted((space_scores.keys() | chem_scores.keys()) - covered)
+    ]
 
-    def channels(pair: tuple[str, str]) -> tuple[float, float]:
-        return (
-            space_scores.get(pair, NEUTRAL_SPACE_SCORE),
-            chem_scores.get(pair, NEUTRAL_CHEM_SCORE),
-        )
-
-    fused: list[FusedEdge] = []
-    pairs_with_hypothesis: set[tuple[str, str]] = set()
-    for edge in hypotheses.edges:
-        pair = (min(edge.source, edge.target), max(edge.source, edge.target))
-        pairs_with_hypothesis.add(pair)
-        s_space, s_chem = channels(pair)
-        score = fuse_score(s_space, s_chem, edge.confidence, weights)
-        fused.append(
-            FusedEdge(
-                source=edge.source,
-                target=edge.target,
-                relation=edge.relation,
-                score=score,
-                s_space=s_space,
-                s_chem=s_chem,
-                s_init=edge.confidence,
-            )
-        )
-
-    structural_pairs = set(space_scores) | set(chem_scores)
-    for pair in sorted(structural_pairs - pairs_with_hypothesis):
-        s_space, s_chem = channels(pair)
-        score = fuse_score(s_space, s_chem, ABSENT_INIT_SCORE, weights)
-        fused.append(
-            FusedEdge(
-                source=pair[0],
-                target=pair[1],
-                relation=EdgeRelation.NO_EDGE,
-                score=score,
-                s_space=s_space,
-                s_chem=s_chem,
-                s_init=ABSENT_INIT_SCORE,
-            )
-        )
-
-    kept = tuple(e for e in fused if e.score > tau_fuse)
-    return FusedGraph(node_ids=spatial.node_ids, edges=kept, weights=weights, tau_fuse=tau_fuse)
+    kept: list[FusedEdge] = []
+    for source, target, relation, s_init in typed + structural:
+        pair = (min(source, target), max(source, target))
+        s_space = space_scores.get(pair, NEUTRAL_SPACE_SCORE)
+        s_chem = chem_scores.get(pair, NEUTRAL_CHEM_SCORE)
+        score = fuse_score(s_space, s_chem, s_init, weights)
+        if score > tau_fuse:
+            kept.append(FusedEdge(source, target, relation, score, s_space, s_chem, s_init))
+    return FusedGraph(node_ids=spatial.node_ids, edges=tuple(kept), weights=weights, tau_fuse=tau_fuse)

@@ -1,9 +1,13 @@
 """Global reaction inference over the pruned fused graph.
 
-Candidates are enumerated per connected component. Inside a component,
-every arrow seeds one candidate reaction, and each non-arrow entity may
-support at most one arrow; the chosen entity-to-arrow assignment is the
-one maximizing the summed fused scores of the edges it includes. Small
+Candidates are enumerated per connected component. Each fused edge is
+put once in the bucket of its component (both ends share one), and the
+affinities, the assignment, typed-condition attachment and the arrowless
+fallback read only that bucket; affinities are computed once per
+component. Inside a component, every arrow seeds one candidate reaction,
+and each non-arrow entity may support at most one arrow; the chosen
+entity-to-arrow assignment is the one maximizing the summed fused
+scores of the edges it includes. Small
 components are solved by exhaustive enumeration, larger ones greedily
 (for this separable objective the two coincide, and the exhaustive
 search doubles as the correctness oracle in tests).
@@ -56,19 +60,18 @@ def connected_components(fused: FusedGraph) -> list[list[str]]:
     ]
 
 
-def _arrow_affinities(component, fused: FusedGraph, doc: ReactionDocument):
-    """affinity[entity][arrow] = sum of fused scores between the two."""
-    members = set(component)
-    arrows = sorted(
-        e for e in component if doc.entity(e).kind == EntityKind.ARROW
-    )
+def _arrow_affinities(component, edges, doc: ReactionDocument):
+    """affinity[entity][arrow] = sum of fused scores between the two.
+
+    ``edges`` are the fused edges inside ``component``.
+    """
+    arrows = sorted(e for e in component if doc.entity(e).kind == EntityKind.ARROW)
+    arrow_set = set(arrows)
     affinity: dict[str, dict[str, float]] = {}
     edges_by_pair: dict[tuple[str, str], list[FusedEdge]] = {}
-    for edge in fused.edges:
-        if edge.source not in members or edge.target not in members:
-            continue
+    for edge in edges:
         for entity, arrow in ((edge.source, edge.target), (edge.target, edge.source)):
-            if arrow in arrows and entity not in arrows:
+            if arrow in arrow_set and entity not in arrow_set:
                 affinity.setdefault(entity, {})
                 affinity[entity][arrow] = affinity[entity].get(arrow, 0.0) + edge.score
                 edges_by_pair.setdefault((entity, arrow), []).append(edge)
@@ -86,12 +89,19 @@ def assign_entities_to_arrows(
     Exhaustive over the full assignment space when the component is
     within ``exact_search_limit``, greedy per entity otherwise.
     """
-    arrows, affinity, _ = _arrow_affinities(component, fused, doc)
+    members = set(component)
+    edges = [e for e in fused.edges if e.source in members and e.target in members]
+    _, affinity, _ = _arrow_affinities(component, edges, doc)
+    return _best_assignment(affinity, len(component), config)
+
+
+def _best_assignment(affinity, size: int, config: ReasoningConfig) -> ArrowAssignment:
+    """The assignment maximizing summed affinity for a component of ``size`` members."""
     entities = sorted(affinity)
-    if not arrows or not entities:
+    if not entities:
         return ArrowAssignment(assigned={}, total=0.0)
 
-    if len(component) <= config.exact_search_limit:
+    if size <= config.exact_search_limit:
         options = [sorted(affinity[e]) for e in entities]
         best: dict | None = None
         best_total = float("-inf")
@@ -138,63 +148,67 @@ def _role_for(entity_id: str, arrow_id: str, edges, doc: ReactionDocument) -> st
 
 
 def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningConfig) -> list[Reaction]:
-    """Turn the fused graph into candidate reactions, one pass, deterministic."""
+    """Turn the fused graph into candidate reactions, one pass, deterministic.
+
+    Each fused edge is bucketed once by its component (both ends share
+    one), and every later step reads only its component's bucket.
+    """
+    components = connected_components(fused)
+    component_of = {node: k for k, component in enumerate(components) for node in component}
+    buckets: list[list[FusedEdge]] = [[] for _ in components]
+    for edge in fused.edges:
+        buckets[component_of[edge.source]].append(edge)
+
     reactions: list[Reaction] = []
-    for component in connected_components(fused):
-        members = set(component)
-        arrows, affinity, edges_by_pair = _arrow_affinities(component, fused, doc)
-        if arrows:
-            assignment = assign_entities_to_arrows(component, fused, doc, config)
-            per_arrow: dict[str, dict[str, list[str]]] = {
-                a: {"reactant": [], "product": [], "condition": []} for a in arrows
-            }
-            per_arrow_score: dict[str, float] = {a: 0.0 for a in arrows}
-            for entity_id in sorted(assignment.assigned, key=lambda e: doc.entity(e).reading_key):
-                arrow_id = assignment.assigned[entity_id]
-                role = _role_for(entity_id, arrow_id, edges_by_pair[(entity_id, arrow_id)], doc)
-                per_arrow[arrow_id][role].append(entity_id)
-                per_arrow_score[arrow_id] += affinity[entity_id][arrow_id]
-            for arrow_id in arrows:
-                roles = per_arrow[arrow_id]
-                candidate = _finalize_candidate(
-                    roles["reactant"],
-                    roles["product"],
-                    roles["condition"],
-                    [arrow_id],
-                    per_arrow_score[arrow_id],
-                    component,
-                    fused,
-                    doc,
-                )
-                if candidate is not None:
-                    reactions.append(candidate)
-        else:
-            reactions.extend(_arrowless_candidates(component, fused, doc))
+    for component, edges in zip(components, buckets):
+        arrows, affinity, edges_by_pair = _arrow_affinities(component, edges, doc)
+        if not arrows:
+            reactions.extend(_arrowless_candidates(edges, doc))
+            continue
+        assignment = _best_assignment(affinity, len(component), config)
+        per_arrow: dict[str, dict[str, list[str]]] = {
+            a: {"reactant": [], "product": [], "condition": []} for a in arrows
+        }
+        per_arrow_score: dict[str, float] = {a: 0.0 for a in arrows}
+        for entity_id in sorted(assignment.assigned, key=lambda e: doc.entity(e).reading_key):
+            arrow_id = assignment.assigned[entity_id]
+            role = _role_for(entity_id, arrow_id, edges_by_pair[(entity_id, arrow_id)], doc)
+            per_arrow[arrow_id][role].append(entity_id)
+            per_arrow_score[arrow_id] += affinity[entity_id][arrow_id]
+        for arrow_id in arrows:
+            roles = per_arrow[arrow_id]
+            candidate = _finalize_candidate(
+                roles["reactant"],
+                roles["product"],
+                roles["condition"],
+                [arrow_id],
+                per_arrow_score[arrow_id],
+                edges,
+                doc,
+            )
+            if candidate is not None:
+                reactions.append(candidate)
     reactions.sort(key=lambda r: (-r.score, doc.entity(r.reactants[0]).reading_key))
     return reactions
 
 
-def _finalize_candidate(
-    reactants, products, conditions, arrows, score, component, fused, doc
-) -> Reaction | None:
-    """Attach typed-condition entities, validate, and build the reaction."""
+def _finalize_candidate(reactants, products, conditions, arrows, score, edges, doc) -> Reaction | None:
+    """Attach typed-condition entities from the component's ``edges``, validate, build."""
     conditions = list(conditions)
     reactant_set = set(reactants)
     product_set = set(products)
-    for edge in fused.edges:
-        if edge.source not in component or edge.target not in component:
-            continue
+    taken = reactant_set | product_set | set(conditions)
+    for edge in edges:
         if edge.relation == EdgeRelation.REACTANT_TO_COND and edge.source in reactant_set:
             candidate = edge.target
         elif edge.relation == EdgeRelation.COND_TO_PRODUCT and edge.target in product_set:
             candidate = edge.source
         else:
             continue
-        if candidate in reactant_set or candidate in product_set or candidate in conditions:
-            continue
-        if doc.entity(candidate).kind == EntityKind.ARROW:
+        if candidate in taken or doc.entity(candidate).kind == EntityKind.ARROW:
             continue
         conditions.append(candidate)
+        taken.add(candidate)
         score += edge.score
     if not reactants or not products:
         return None
@@ -214,31 +228,24 @@ def _finalize_candidate(
         return None
 
 
-def _arrowless_candidates(component, fused: FusedGraph, doc: ReactionDocument) -> list[Reaction]:
-    """Candidates from reactant->product hypothesis edges alone.
+def _arrowless_candidates(edges, doc: ReactionDocument) -> list[Reaction]:
+    """Candidates from a component's reactant->product hypothesis edges alone.
 
     Edges group when they share a source or share a target (parallel
     chains stay separate reactions).
     """
-    members = set(component)
-    r2p = [
-        e
-        for e in fused.edges
-        if e.relation == EdgeRelation.REACTANT_TO_PRODUCT
-        and e.source in members
-        and e.target in members
-    ]
+    r2p = [e for e in edges if e.relation == EdgeRelation.REACTANT_TO_PRODUCT]
     tails = np.array([e.source for e in r2p])
     heads = np.array([e.target for e in r2p])
     shared = (tails[:, None] == tails[None, :]) | (heads[:, None] == heads[None, :])
 
     reactions = []
     for group in connected_groups(shared):
-        edges = [r2p[i] for i in group]
+        edges_in_group = [r2p[i] for i in group]
         sources: list[str] = []
         targets: list[str] = []
         score = 0.0
-        for edge in sorted(edges, key=lambda e: (e.source, e.target)):
+        for edge in sorted(edges_in_group, key=lambda e: (e.source, e.target)):
             if edge.source not in sources:
                 sources.append(edge.source)
             if edge.target not in targets:
@@ -246,7 +253,7 @@ def _arrowless_candidates(component, fused: FusedGraph, doc: ReactionDocument) -
             score += edge.score
         # an entity acting as source and target within one group stays a reactant
         targets = [t for t in targets if t not in sources]
-        candidate = _finalize_candidate(sources, targets, [], [], score, component, fused, doc)
+        candidate = _finalize_candidate(sources, targets, [], [], score, edges, doc)
         if candidate is not None:
             reactions.append(candidate)
     return reactions

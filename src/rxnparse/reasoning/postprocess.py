@@ -1,7 +1,8 @@
 """Combiner-style post-processing of inferred reactions.
 
 Four refinements, in order: merge pairs of collinear adjacent arrows
-with nothing drawn between them (one long arrow split by the detector),
+with nothing drawn between them (one long arrow split by the detector;
+one pass over the candidates, each arrow's axis computed once),
 drop structurally invalid candidates, replace identifiers by the
 molecules they resolve to (removing the duplicate representation), and
 flag conservation: reactions whose sides both consist of parsed
@@ -38,31 +39,41 @@ def post_process(reactions, doc: ReactionDocument, config: ReasoningConfig) -> l
 
 
 def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) -> list[Reaction]:
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(reactions)):
-            for j in range(len(reactions)):
-                if i == j:
-                    continue
-                merged = _try_merge(reactions[i], reactions[j], doc)
-                if merged is not None:
-                    keep = [r for k, r in enumerate(reactions) if k not in (i, j)]
-                    reactions = keep + [merged]
-                    changed = True
-                    break
-            if changed:
+    """Merge each reaction with the first unmerged partner that fits, in one pass.
+
+    Unmerged reactions keep their order; merged ones follow in the order
+    they were merged. A merged reaction holds two arrows and never merges
+    again, and a pair that fails never succeeds later, so one pass finds
+    every merge a rescan after each merge would.
+    """
+    axes = {
+        r.arrows[0]: principal_axis(doc.entity(r.arrows[0]).region)
+        for r in reactions
+        if len(r.arrows) == 1
+    }
+    used = [False] * len(reactions)
+    merged: list[Reaction] = []
+    for i, first in enumerate(reactions):
+        if used[i]:
+            continue
+        for j, second in enumerate(reactions):
+            if used[j] or j == i:
+                continue
+            combined = _try_merge(first, second, doc, axes)
+            if combined is not None:
+                used[i] = used[j] = True
+                merged.append(combined)
                 break
-    return reactions
+    return [r for r, u in zip(reactions, used) if not u] + merged
 
 
-def _try_merge(first: Reaction, second: Reaction, doc: ReactionDocument) -> Reaction | None:
+def _try_merge(first: Reaction, second: Reaction, doc: ReactionDocument, axes) -> Reaction | None:
+    """``axes`` maps each single-arrow reaction's arrow id to its (tail, head)."""
     if len(first.arrows) != 1 or len(second.arrows) != 1:
         return None
-    a1 = doc.entity(first.arrows[0])
     a2 = doc.entity(second.arrows[0])
-    tail1, head1 = principal_axis(a1.region)
-    tail2, head2 = principal_axis(a2.region)
+    tail1, head1 = axes[first.arrows[0]]
+    tail2, head2 = axes[second.arrows[0]]
     diag = doc.diagram_bounds.diagonal or 1.0
 
     v1 = (head1[0] - tail1[0], head1[1] - tail1[1])

@@ -475,3 +475,277 @@ def reference_cluster_prompt_variables(cluster, doc, config) -> dict:
                     }
                 )
     return {"graph_json": json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True)}
+
+
+# --- whole-graph references for fusion, inference and post-processing --------
+#
+# The stages as they were before each learned to walk its input once: fusion
+# builds an edge for every candidate and filters afterwards, inference filters
+# the whole fused graph per component and again per arrow, and the arrow merge
+# restarts its pair scan after every merge, computing both axes per pair.
+
+
+def reference_fuse(spatial, chem, hypotheses, weights, tau_fuse):
+    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE
+    from rxnparse.reasoning.fusion import (
+        ABSENT_INIT_SCORE,
+        NEUTRAL_SPACE_SCORE,
+        FusedEdge,
+        FusedGraph,
+        fuse_score,
+    )
+    from rxnparse.reasoning.relations import EdgeRelation
+
+    space_scores = spatial.score_by_ids()
+    chem_scores = chem.scores
+
+    def channels(pair):
+        return (
+            space_scores.get(pair, NEUTRAL_SPACE_SCORE),
+            chem_scores.get(pair, NEUTRAL_CHEM_SCORE),
+        )
+
+    fused = []
+    pairs_with_hypothesis = set()
+    for edge in hypotheses.edges:
+        pair = (min(edge.source, edge.target), max(edge.source, edge.target))
+        pairs_with_hypothesis.add(pair)
+        s_space, s_chem = channels(pair)
+        score = fuse_score(s_space, s_chem, edge.confidence, weights)
+        fused.append(
+            FusedEdge(edge.source, edge.target, edge.relation, score, s_space, s_chem, edge.confidence)
+        )
+    structural_pairs = set(space_scores) | set(chem_scores)
+    for pair in sorted(structural_pairs - pairs_with_hypothesis):
+        s_space, s_chem = channels(pair)
+        score = fuse_score(s_space, s_chem, ABSENT_INIT_SCORE, weights)
+        fused.append(
+            FusedEdge(pair[0], pair[1], EdgeRelation.NO_EDGE, score, s_space, s_chem, ABSENT_INIT_SCORE)
+        )
+    kept = tuple(e for e in fused if e.score > tau_fuse)
+    return FusedGraph(node_ids=spatial.node_ids, edges=kept, weights=weights, tau_fuse=tau_fuse)
+
+
+def _reference_arrow_affinities(component, fused, doc):
+    from rxnparse.entities import EntityKind
+
+    members = set(component)
+    arrows = sorted(e for e in component if doc.entity(e).kind == EntityKind.ARROW)
+    affinity, edges_by_pair = {}, {}
+    for edge in fused.edges:
+        if edge.source not in members or edge.target not in members:
+            continue
+        for entity, arrow in ((edge.source, edge.target), (edge.target, edge.source)):
+            if arrow in arrows and entity not in arrows:
+                affinity.setdefault(entity, {})
+                affinity[entity][arrow] = affinity[entity].get(arrow, 0.0) + edge.score
+                edges_by_pair.setdefault((entity, arrow), []).append(edge)
+    return arrows, affinity, edges_by_pair
+
+
+def reference_assign_entities_to_arrows(component, fused, doc, config):
+    from rxnparse.reasoning.inference import ArrowAssignment
+
+    arrows, affinity, _ = _reference_arrow_affinities(component, fused, doc)
+    entities = sorted(affinity)
+    if not arrows or not entities:
+        return ArrowAssignment(assigned={}, total=0.0)
+    if len(component) <= config.exact_search_limit:
+        options = [sorted(affinity[e]) for e in entities]
+        best, best_total = None, float("-inf")
+        for combo in itertools.product(*options):
+            total = sum(affinity[e][a] for e, a in zip(entities, combo))
+            if total > best_total:
+                best_total, best = total, dict(zip(entities, combo))
+        return ArrowAssignment(assigned=best or {}, total=max(best_total, 0.0))
+    assigned, total = {}, 0.0
+    for entity in entities:
+        arrow = max(sorted(affinity[entity]), key=lambda a: affinity[entity][a])
+        assigned[entity] = arrow
+        total += affinity[entity][arrow]
+    return ArrowAssignment(assigned=assigned, total=total)
+
+
+def _reference_finalize_candidate(reactants, products, conditions, arrows, score, component, fused, doc):
+    from rxnparse.entities import EntityKind
+    from rxnparse.reactions import ConstraintError, Reaction
+    from rxnparse.reasoning.relations import EdgeRelation
+
+    conditions = list(conditions)
+    reactant_set, product_set = set(reactants), set(products)
+    for edge in fused.edges:
+        if edge.source not in component or edge.target not in component:
+            continue
+        if edge.relation == EdgeRelation.REACTANT_TO_COND and edge.source in reactant_set:
+            candidate = edge.target
+        elif edge.relation == EdgeRelation.COND_TO_PRODUCT and edge.target in product_set:
+            candidate = edge.source
+        else:
+            continue
+        if candidate in reactant_set or candidate in product_set or candidate in conditions:
+            continue
+        if doc.entity(candidate).kind == EntityKind.ARROW:
+            continue
+        conditions.append(candidate)
+        score += edge.score
+    if not reactants or not products:
+        return None
+    condition_molecules = any(doc.entity(c).kind == EntityKind.MOLECULE for c in conditions)
+    try:
+        return Reaction(
+            reactants=tuple(reactants),
+            products=tuple(products),
+            conditions=tuple(conditions),
+            arrows=tuple(arrows),
+            score=score,
+            condition_molecules=condition_molecules,
+        )
+    except ConstraintError:
+        return None
+
+
+def _reference_arrowless_candidates(component, fused, doc):
+    from rxnparse.reasoning.clustering import connected_groups
+    from rxnparse.reasoning.relations import EdgeRelation
+
+    members = set(component)
+    r2p = [
+        e
+        for e in fused.edges
+        if e.relation == EdgeRelation.REACTANT_TO_PRODUCT and e.source in members and e.target in members
+    ]
+    tails = np.array([e.source for e in r2p])
+    heads = np.array([e.target for e in r2p])
+    shared = (tails[:, None] == tails[None, :]) | (heads[:, None] == heads[None, :])
+    reactions = []
+    for group in connected_groups(shared):
+        sources, targets, score = [], [], 0.0
+        for edge in sorted((r2p[i] for i in group), key=lambda e: (e.source, e.target)):
+            if edge.source not in sources:
+                sources.append(edge.source)
+            if edge.target not in targets:
+                targets.append(edge.target)
+            score += edge.score
+        targets = [t for t in targets if t not in sources]
+        candidate = _reference_finalize_candidate(sources, targets, [], [], score, component, fused, doc)
+        if candidate is not None:
+            reactions.append(candidate)
+    return reactions
+
+
+def reference_infer_reactions(fused, doc, config):
+    from rxnparse.reasoning.inference import _role_for, connected_components
+
+    reactions = []
+    for component in connected_components(fused):
+        arrows, affinity, edges_by_pair = _reference_arrow_affinities(component, fused, doc)
+        if not arrows:
+            reactions.extend(_reference_arrowless_candidates(component, fused, doc))
+            continue
+        assignment = reference_assign_entities_to_arrows(component, fused, doc, config)
+        per_arrow = {a: {"reactant": [], "product": [], "condition": []} for a in arrows}
+        per_arrow_score = {a: 0.0 for a in arrows}
+        for entity_id in sorted(assignment.assigned, key=lambda e: doc.entity(e).reading_key):
+            arrow_id = assignment.assigned[entity_id]
+            role = _role_for(entity_id, arrow_id, edges_by_pair[(entity_id, arrow_id)], doc)
+            per_arrow[arrow_id][role].append(entity_id)
+            per_arrow_score[arrow_id] += affinity[entity_id][arrow_id]
+        for arrow_id in arrows:
+            roles = per_arrow[arrow_id]
+            candidate = _reference_finalize_candidate(
+                roles["reactant"], roles["product"], roles["condition"], [arrow_id],
+                per_arrow_score[arrow_id], component, fused, doc,
+            )
+            if candidate is not None:
+                reactions.append(candidate)
+    reactions.sort(key=lambda r: (-r.score, doc.entity(r.reactants[0]).reading_key))
+    return reactions
+
+
+def _reference_try_merge(first, second, doc):
+    import math
+
+    from rxnparse.entities import EntityKind
+    from rxnparse.geometry import axis_parameter, lateral_distance, principal_axis
+    from rxnparse.reactions import ConstraintError, Reaction
+    from rxnparse.reasoning.postprocess import (
+        _GAP_BAND,
+        _MERGE_MAX_ANGLE_DEG,
+        _MERGE_MAX_GAP,
+        _MERGE_MAX_LATERAL,
+    )
+
+    if len(first.arrows) != 1 or len(second.arrows) != 1:
+        return None
+    a2 = doc.entity(second.arrows[0])
+    tail1, head1 = principal_axis(doc.entity(first.arrows[0]).region)
+    tail2, head2 = principal_axis(a2.region)
+    diag = doc.diagram_bounds.diagonal or 1.0
+    v1 = (head1[0] - tail1[0], head1[1] - tail1[1])
+    v2 = (head2[0] - tail2[0], head2[1] - tail2[1])
+    n1, n2 = math.hypot(*v1), math.hypot(*v2)
+    if n1 == 0.0 or n2 == 0.0:
+        return None
+    if abs((v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)) < math.cos(math.radians(_MERGE_MAX_ANGLE_DEG)):
+        return None
+    if axis_parameter(a2.centroid, tail1, head1) <= 1.0:
+        return None
+    if math.dist(head1, tail2) / diag > _MERGE_MAX_GAP:
+        return None
+    if lateral_distance(a2.centroid, tail1, head1) / diag > _MERGE_MAX_LATERAL:
+        return None
+    t_gap_start = axis_parameter(head1, tail1, head1)
+    t_gap_end = axis_parameter(tail2, tail1, head1)
+    lo, hi = min(t_gap_start, t_gap_end), max(t_gap_start, t_gap_end)
+    for entity in doc.entities:
+        if entity.kind == EntityKind.ARROW:
+            continue
+        t = axis_parameter(entity.centroid, tail1, head1)
+        if lo < t < hi and lateral_distance(entity.centroid, tail1, head1) / diag < _GAP_BAND:
+            return None
+
+    def union(a, b):
+        out = list(a)
+        for item in b:
+            if item not in out:
+                out.append(item)
+        return out
+
+    reactants = union(first.reactants, second.reactants)
+    products = [p for p in union(first.products, second.products) if p not in reactants]
+    conditions = [
+        c for c in union(first.conditions, second.conditions) if c not in reactants and c not in products
+    ]
+    if not reactants or not products:
+        return None
+    try:
+        return Reaction(
+            reactants=tuple(reactants),
+            products=tuple(products),
+            conditions=tuple(conditions),
+            arrows=tuple(union(first.arrows, second.arrows)),
+            score=first.score + second.score,
+            condition_molecules=first.condition_molecules or second.condition_molecules,
+        )
+    except ConstraintError:
+        return None
+
+
+def reference_merge_collinear_arrows(reactions, doc):
+    """Merge the first mergeable (i, j) pair, then rescan from the start."""
+    reactions = list(reactions)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(reactions)):
+            for j in range(len(reactions)):
+                if i == j:
+                    continue
+                merged = _reference_try_merge(reactions[i], reactions[j], doc)
+                if merged is not None:
+                    reactions = [r for k, r in enumerate(reactions) if k not in (i, j)] + [merged]
+                    changed = True
+                    break
+            if changed:
+                break
+    return reactions

@@ -98,6 +98,22 @@ class TestParseCombinerResponse:
         reactions = parse_combiner_response(json.dumps(payload), two_reaction_doc)
         assert reactions[0].score == 0.75
 
+    @pytest.mark.parametrize(
+        "confidence, accepted",
+        [("0", True), ("1", True), ("7.5", False), ("-2", False), ("NaN", False), ("Infinity", False)],
+    )
+    def test_confidence_range(self, two_reaction_doc, confidence, accepted):
+        raw = (
+            '[{"reactants": [{"label": "molecule", "bbox": [38, 2, 434, 234]}],'
+            ' "products": [{"label": "molecule", "bbox": [912, 14, 1309, 231]}],'
+            f' "conditions": [], "arrow": [], "confidence": {confidence}}}]'
+        )
+        if accepted:
+            assert parse_combiner_response(raw, two_reaction_doc)[0].score == float(confidence)
+        else:
+            with pytest.raises(ResponseFormatError, match="not in \\[0, 1\\]"):
+                parse_combiner_response(raw, two_reaction_doc)
+
 
 class TestRoundTrip:
     def test_byte_exact_bbox_arrays(self, two_reaction_json, two_reaction_doc):
