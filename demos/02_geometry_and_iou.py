@@ -38,7 +38,7 @@ tail, head = principal_axis(arrow)
 print("arrow axis tail -> head:", tail, "->", head)
 
 # Mixed comparisons: polygon mode clips exactly, axis mode falls back to
-# bounding boxes (selectable in evaluation for arrow matching).
+# bounding boxes (`rxnparse eval --axis-iou`, for members given as quads).
 diamond = OrientedQuad(((5, 0), (10, 5), (5, 10), (0, 5)))
 box = AxisBox(0, 0, 10, 10)
 print("diamond vs box, polygon IoU:", region_iou(diamond, box))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -221,6 +222,16 @@ def _cmd_score_edge(args) -> int:
     return EXIT_OK
 
 
+def _iou_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # also rejects NaN and the infinities
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number in [0, 1]")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rxnparse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -234,9 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--criterion", choices=["hard", "soft"])
-    p.add_argument("--iou", type=float, default=0.5)
+    p.add_argument("--iou", type=_iou_threshold, default=0.5, help="members match above this IoU, in [0, 1]")
     p.add_argument("--per-layout", action="store_true")
-    p.add_argument("--axis-iou", action="store_true", help="match arrows by axis-aligned hulls")
+    p.add_argument(
+        "--axis-iou",
+        action="store_true",
+        help="compare members given as 8-number quads by their bounding boxes, not as polygons",
+    )
     p.add_argument("--out", help="write the JSON report here (and a .txt table)")
     p.set_defaults(func=_cmd_eval)
 

@@ -1,25 +1,40 @@
 """Hard/Soft-match evaluation of predicted reactions against ground truth.
 
 Two entities match when their IoU strictly exceeds the threshold
-(default 0.5) and their kinds agree. A predicted reaction hard-matches
-a ground-truth reaction when its reactant, condition and product sets
-each admit a perfect one-to-one matching (equal cardinalities, every
-member paired); the soft criterion restricts both sides to
-molecule-kind reactants and products and ignores conditions entirely,
-so every hard match is also a soft match. Reaction sets are then
-aligned by maximum bipartite matching, which makes the score invariant
-to reaction ordering; precision, recall and F1 follow, with the
-conventions P=1 when nothing was predicted and nothing matched (and
-recall likewise for empty ground truth).
+(default 0.5, which must lie in [0, 1]) and their kinds agree. A
+predicted reaction hard-matches a ground-truth reaction when its
+reactant, condition and product sets each admit a perfect one-to-one
+matching (equal cardinalities, every member paired); the soft criterion
+restricts both sides to molecule-kind reactants and products and ignores
+conditions entirely, so every hard match is also a soft match. Reaction
+sets are then aligned by maximum bipartite matching, which makes the
+score invariant to reaction ordering; precision, recall and F1 follow,
+with the conventions P=1 when nothing was predicted and nothing matched
+(and recall likewise for empty ground truth).
+
+:func:`score` runs the predicate only on the reaction pairs a region
+screen leaves. The screen compares members of the same role and kind
+(under ``soft``, molecule reactants and products only) through one
+:class:`~rxnparse.geometry.RegionIndex` per such slot, and drops a pair
+whose per-slot member counts differ or in which some predicted member
+has no ground-truth member with intersecting bounds: that member scores
+IoU 0, which exceeds no threshold. The lexicographic matching then runs
+once per connected component of the compatibility graph; the maximum
+size is a sum over components, so each greedy feasibility test splits
+into one test per component and the pairs equal those of one run over
+the whole graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .reactions import BoxedMember, BoxedReaction
 from .entities import EntityKind
-from .geometry import region_iou
+from .geometry import RegionIndex, region_iou
+from .reasoning.clustering import connected_groups
 
 
 class AlignmentError(ValueError):
@@ -171,6 +186,109 @@ def _lexicographic_matching(n_gt: int, n_pred: int, adjacency) -> list[tuple[int
     return pairs
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # also rejects NaN and the infinities
+        raise ValueError(f"IoU threshold {threshold!r} is not a finite number in [0, 1]")
+
+
+# the roles each criterion compares, and the one kind it keeps (None: all)
+_SCREENED = {"hard": (("reactants", "conditions", "products"), None),
+             "soft": (("reactants", "products"), EntityKind.MOLECULE)}
+
+
+def _slots(reaction: BoxedReaction, criterion: str) -> dict:
+    """(role, kind) -> regions of the members the criterion compares."""
+    roles, kind = _SCREENED[criterion]
+    slots: dict = {}
+    for role in roles:
+        for member in getattr(reaction, role):
+            if kind is None or member.kind == kind:
+                slots.setdefault((role, member.kind), []).append(member.region)
+    return slots
+
+
+def _shape(slots: dict) -> tuple:
+    return tuple(sorted((slot, len(regions)) for slot, regions in slots.items()))
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a sorted array and how often each occurs.
+
+    Not ``np.unique``: its first call imports ``numpy.ma``, about 1 MB of
+    resident memory.
+    """
+    starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
+    ends = np.flatnonzero(np.concatenate((keys[1:] != keys[:-1], keys[:1] == keys[:1])))
+    return keys[starts], ends - starts + 1
+
+
+def _screened_pairs(gt, pred, criterion: str, polygon: bool) -> list[tuple[int, int]]:
+    """(gt, pred) index pairs that can match, in ascending order.
+
+    A pair is dropped when its per-slot member counts differ, or when a
+    pred member has no gt member in the same slot whose bounds intersect
+    its own.
+    """
+    gt_slots = [_slots(r, criterion) for r in gt]
+    pred_slots = [_slots(r, criterion) for r in pred]
+    shape_ids: dict = {}
+    gt_shape = np.array([shape_ids.setdefault(_shape(s), len(shape_ids)) for s in gt_slots], dtype=np.int64)
+    pred_shape = np.array([shape_ids.setdefault(_shape(s), len(shape_ids)) for s in pred_slots], dtype=np.int64)
+    counts = np.array([sum(map(len, s.values())) for s in pred_slots], dtype=np.int64)
+
+    by_slot: dict = {}  # slot -> (gt owners, gt regions, pred member ids, pred regions)
+    member_owner: list[int] = []  # pred member id -> pred reaction, ascending
+    for owner, slots in enumerate(gt_slots):
+        for slot, regions in slots.items():
+            entry = by_slot.setdefault(slot, ([], [], [], []))
+            entry[0].extend([owner] * len(regions))
+            entry[1].extend(regions)
+    for owner, slots in enumerate(pred_slots):
+        for slot, regions in slots.items():
+            entry = by_slot.setdefault(slot, ([], [], [], []))
+            entry[2].extend(range(len(member_owner), len(member_owner) + len(regions)))
+            entry[3].extend(regions)
+            member_owner.extend([owner] * len(regions))
+
+    stride = max(len(member_owner), 1)
+    n_pred = max(len(pred), 1)
+    keys = [np.empty(0, dtype=np.int64)]  # gt * stride + pred member, one per screened member pair
+    for gt_owners, gt_regions, pred_members, pred_regions in by_slot.values():
+        if gt_regions and pred_regions:
+            rows, cols = RegionIndex(gt_regions, polygon).overlapping(RegionIndex(pred_regions, polygon))
+            keys.append(np.array(gt_owners)[rows] * stride + np.array(pred_members)[cols])
+    g, member = np.divmod(_runs(np.sort(np.concatenate(keys)))[0], stride)
+    # member ids ascend with their owner, so these pair keys come sorted
+    pair_keys, partnered = _runs(g * n_pred + np.array(member_owner, dtype=np.int64)[member])
+    g, p = np.divmod(pair_keys, n_pred)
+    keep = (partnered == counts[p]) & (gt_shape[g] == pred_shape[p])
+    # a pred reaction without compared members pairs with every gt of its shape
+    bare = np.flatnonzero(counts == 0)
+    bare_g, bare_k = np.nonzero(gt_shape[:, None] == pred_shape[bare][None, :])
+    g, p = np.divmod(np.sort(np.concatenate([pair_keys[keep], bare_g * n_pred + bare[bare_k]])), n_pred)
+    return list(zip(g.tolist(), p.tolist()))
+
+
+def _matching_by_component(n_gt: int, adjacency) -> list[tuple[int, int]]:
+    """:func:`_lexicographic_matching` per connected component, pairs merged by gt index."""
+    gts = [g for g in range(n_gt) if adjacency[g]]
+    preds = sorted({p for g in gts for p in adjacency[g]})
+    node = {p: len(gts) + k for k, p in enumerate(preds)}
+    linked = np.zeros((len(node) + len(gts),) * 2, dtype=bool)
+    for row, g in enumerate(gts):
+        for p in adjacency[g]:
+            linked[row, node[p]] = linked[node[p], row] = True
+    pairs = []
+    for group in connected_groups(linked):
+        group_gts = [gts[i] for i in group if i < len(gts)]
+        group_preds = [preds[i - len(gts)] for i in group if i >= len(gts)]
+        local = {p: k for k, p in enumerate(group_preds)}
+        rows = [[local[p] for p in adjacency[g]] for g in group_gts]
+        for g, p in _lexicographic_matching(len(group_gts), len(group_preds), rows):
+            pairs.append((group_gts[g], group_preds[p]))
+    return sorted(pairs)
+
+
 def score(
     gt,
     pred,
@@ -179,12 +297,13 @@ def score(
     polygon: bool = True,
 ) -> MatchReport:
     """Score one document's predictions against its ground truth."""
+    _check_threshold(threshold)
     predicate = _CRITERIA[criterion]
-    adjacency = [
-        [p for p in range(len(pred)) if predicate(pred[p], gt[g], threshold, polygon)]
-        for g in range(len(gt))
-    ]
-    pairs = _lexicographic_matching(len(gt), len(pred), adjacency)
+    adjacency = [[] for _ in gt]
+    for g, p in _screened_pairs(gt, pred, criterion, polygon):
+        if predicate(pred[p], gt[g], threshold, polygon):
+            adjacency[g].append(p)
+    pairs = _matching_by_component(len(gt), adjacency)
     matched = len(pairs)
     precision, recall, f1 = _prf(len(gt), len(pred), matched)
     return MatchReport(
@@ -219,6 +338,7 @@ def score_corpus(
 
     Documents pair by position and must carry identical ids.
     """
+    _check_threshold(threshold)
     if len(gt_docs) != len(pred_docs):
         raise AlignmentError(f"{len(gt_docs)} ground-truth vs {len(pred_docs)} predicted documents")
     totals = {"gt": 0, "pred": 0, "matched": 0}

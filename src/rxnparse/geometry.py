@@ -247,6 +247,59 @@ def region_iou(a: Region, b: Region, polygon: bool = True) -> float:
     return _polygon_iou(polygon_of(a), polygon_of(b), area_a, area_b)
 
 
+_UNBOUNDED = (-math.inf, -math.inf, math.inf, math.inf)
+
+
+def _screen_bounds(region: Region, polygon: bool) -> tuple[float, float, float, float]:
+    """Bounds outside which :func:`region_iou` with ``region`` is exactly 0.
+
+    ``iou_axis`` scores closed-disjoint boxes 0 (and 1 only for identical
+    degenerate boxes, which intersect), so boxes, and quads collapsed to
+    their bounding boxes, are bounded by that box. A quad clipped as a
+    polygon is not: ``_clip_convex`` keeps points up to ``_EPS`` outside
+    an edge, so a box and a quad 1e-13 apart score 5e-14, and where a kept
+    point lies within that tolerance the crossing step ``t = d1 / (d1 - d2)``
+    leaves [0, 1] and extrapolates along the subject edge by an amount no
+    margin derived from ``_EPS`` bounds. Such a quad therefore spans the
+    whole plane and is always compared exactly.
+    """
+    if isinstance(region, AxisBox):
+        return region.x_min, region.y_min, region.x_max, region.y_max
+    if not polygon:
+        box = region.bounding_box()
+        return box.x_min, box.y_min, box.x_max, box.y_max
+    return _UNBOUNDED
+
+
+class RegionIndex:
+    """Bounding-box bounds of a set of regions, to find the pairs that can overlap.
+
+    A pair the index does not return scores ``region_iou(..., polygon)``
+    exactly 0, so a caller that needs IoU above some ``t >= 0`` may skip
+    it; every returned pair still goes to the exact IoU.
+    """
+
+    def __init__(self, regions, polygon: bool = True):
+        self.polygon = polygon
+        self.bounds = np.array([_screen_bounds(r, polygon) for r in regions], dtype=float).reshape(-1, 4)
+
+    def overlapping(self, other: "RegionIndex") -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs ``(i, j)``, ``i`` in this index and ``j`` in ``other``, whose closed bounds intersect.
+
+        Pairs come in row-major order. Only boolean n×m temporaries are made.
+        """
+        a, b = self.bounds, other.bounds
+        hit = a[:, None, 0] <= b[None, :, 2]
+        hit &= b[None, :, 0] <= a[:, None, 2]
+        hit &= a[:, None, 1] <= b[None, :, 3]
+        hit &= b[None, :, 1] <= a[:, None, 3]
+        return np.nonzero(hit)
+
+    def candidates(self, region: Region) -> np.ndarray:
+        """Ascending indices of the regions whose closed bounds intersect ``region``'s."""
+        return self.overlapping(RegionIndex([region], self.polygon))[0]
+
+
 def center_distance_normalized(a: Region, b: Region, diagram: AxisBox) -> float:
     """Euclidean centroid distance scaled by the diagram diagonal."""
     diag = diagram.diagonal

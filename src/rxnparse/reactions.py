@@ -21,7 +21,7 @@ from enum import Enum
 
 from .chem import ElementCounts
 from .entities import Entity, EntityKind, ReactionDocument
-from .geometry import Region, region_from_array, region_iou, region_to_array
+from .geometry import Region, RegionIndex, region_from_array, region_iou, region_to_array
 
 
 class ResponseFormatError(ValueError):
@@ -100,12 +100,23 @@ def reactions_to_json(reactions, doc: ReactionDocument) -> str:
     return json.dumps([reaction_to_json(r, doc) for r in reactions], indent=2)
 
 
-def _resolve_region(kind: EntityKind, region: Region, doc: ReactionDocument) -> Entity:
+def _resolve_region(kind: EntityKind, region: Region, doc: ReactionDocument, indexes: dict) -> Entity:
+    """Best-IoU entity of ``kind``; on equal IoU the smaller id wins.
+
+    ``indexes`` maps a kind to its entities and their :class:`RegionIndex`;
+    it lives for one :func:`parse_combiner_response` call, so nothing is
+    cached on the shared document. Entities the index screens out score
+    exactly 0.0, so they can neither win nor change the "best" the error
+    reports.
+    """
+    if kind not in indexes:
+        entities = doc.by_kind(kind)
+        indexes[kind] = entities, RegionIndex(e.region for e in entities)
+    entities, index = indexes[kind]
     best: Entity | None = None
     best_iou = 0.0
-    for entity in doc.entities:
-        if entity.kind != kind:
-            continue
+    for i in index.candidates(region):
+        entity = entities[i]
         iou = region_iou(entity.region, region)
         if best is None or iou > best_iou or (iou == best_iou and entity.id < best.id):
             best, best_iou = entity, iou
@@ -117,7 +128,7 @@ def _resolve_region(kind: EntityKind, region: Region, doc: ReactionDocument) -> 
     return best
 
 
-def _parse_role(items, kind_field: str, doc: ReactionDocument, allow_kinds) -> tuple[str, ...]:
+def _parse_role(items, kind_field: str, doc: ReactionDocument, indexes: dict, allow_kinds) -> tuple[str, ...]:
     if not isinstance(items, list):
         raise ResponseFormatError(f"{kind_field} must be an array")
     resolved = []
@@ -140,7 +151,7 @@ def _parse_role(items, kind_field: str, doc: ReactionDocument, allow_kinds) -> t
             region = region_from_array(bbox)
         except (TypeError, ValueError) as exc:
             raise ResponseFormatError(f"bad bbox {bbox!r}: {exc}") from None
-        entity = _resolve_region(kind, region, doc)
+        entity = _resolve_region(kind, region, doc, indexes)
         if entity.id not in resolved:
             resolved.append(entity.id)
     return tuple(resolved)
@@ -167,6 +178,7 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
     if not isinstance(data, list):
         raise ResponseFormatError("response must be a JSON array of reactions")
 
+    indexes: dict = {}
     reactions = []
     for i, obj in enumerate(data):
         if not isinstance(obj, dict):
@@ -174,10 +186,10 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
         missing = [k for k in _REQUIRED_KEYS if k not in obj]
         if missing:
             raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
-        reactants = _parse_role(obj["reactants"], "reactants", doc, _MEMBER_KINDS)
-        products = _parse_role(obj["products"], "products", doc, _MEMBER_KINDS)
-        conditions = _parse_role(obj["conditions"], "conditions", doc, _MEMBER_KINDS)
-        arrows = _parse_role(obj["arrow"], "arrow", doc, (EntityKind.ARROW,))
+        reactants = _parse_role(obj["reactants"], "reactants", doc, indexes, _MEMBER_KINDS)
+        products = _parse_role(obj["products"], "products", doc, indexes, _MEMBER_KINDS)
+        conditions = _parse_role(obj["conditions"], "conditions", doc, indexes, _MEMBER_KINDS)
+        arrows = _parse_role(obj["arrow"], "arrow", doc, indexes, (EntityKind.ARROW,))
         if not reactants or not products:
             raise ConstraintError(f"reaction {i}: reactants and products must not be empty")
         confidence = obj.get("confidence", 1.0)

@@ -51,6 +51,7 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
         for r in reactions
         if len(r.arrows) == 1
     }
+    centroids = [e.centroid for e in doc.entities if e.kind != EntityKind.ARROW]
     used = [False] * len(reactions)
     merged: list[Reaction] = []
     for i, first in enumerate(reactions):
@@ -59,7 +60,7 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
         for j, second in enumerate(reactions):
             if used[j] or j == i:
                 continue
-            combined = _try_merge(first, second, doc, axes)
+            combined = _try_merge(first, second, doc, axes, centroids)
             if combined is not None:
                 used[i] = used[j] = True
                 merged.append(combined)
@@ -67,8 +68,9 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
     return [r for r, u in zip(reactions, used) if not u] + merged
 
 
-def _try_merge(first: Reaction, second: Reaction, doc: ReactionDocument, axes) -> Reaction | None:
-    """``axes`` maps each single-arrow reaction's arrow id to its (tail, head)."""
+def _try_merge(first: Reaction, second: Reaction, doc: ReactionDocument, axes, centroids) -> Reaction | None:
+    """``axes`` maps each single-arrow reaction's arrow id to its (tail, head);
+    ``centroids`` holds the centroid of every non-arrow entity."""
     if len(first.arrows) != 1 or len(second.arrows) != 1:
         return None
     a2 = doc.entity(second.arrows[0])
@@ -99,11 +101,18 @@ def _try_merge(first: Reaction, second: Reaction, doc: ReactionDocument, axes) -
     t_gap_start = axis_parameter(head1, tail1, head1)
     t_gap_end = axis_parameter(tail2, tail1, head1)
     lo, hi = min(t_gap_start, t_gap_end), max(t_gap_start, t_gap_end)
-    for entity in doc.entities:
-        if entity.kind == EntityKind.ARROW:
+    # a centroid the test below flags projects into [lo, hi] and lies within
+    # the band of the axis, so inside the gap segment's box padded by the
+    # band; the relative slack outweighs the rounding of both tests
+    (x0, y0), (x1, y1) = ((tail1[0] + t * v1[0], tail1[1] + t * v1[1]) for t in (lo, hi))
+    pad = _GAP_BAND * diag + 1e-9 * (abs(x0) + abs(y0) + abs(x1) + abs(y1) + diag)
+    x_lo, x_hi = min(x0, x1) - pad, max(x0, x1) + pad
+    y_lo, y_hi = min(y0, y1) - pad, max(y0, y1) + pad
+    for point in centroids:
+        if not (x_lo <= point[0] <= x_hi and y_lo <= point[1] <= y_hi):
             continue
-        t = axis_parameter(entity.centroid, tail1, head1)
-        if lo < t < hi and lateral_distance(entity.centroid, tail1, head1) / diag < _GAP_BAND:
+        t = axis_parameter(point, tail1, head1)
+        if lo < t < hi and lateral_distance(point, tail1, head1) / diag < _GAP_BAND:
             return None
 
     def union(a, b):

@@ -201,9 +201,15 @@ def formula_sum(smiles_list):
 
 
 def mc_region_iou(region_a, region_b, samples: int = 1_000_000, seed: int = 0) -> float:
-    """Stratified Monte Carlo IoU, independent of the clipping code."""
-    pa = np.asarray(polygon_of(region_a))
-    pb = np.asarray(polygon_of(region_b))
+    """Stratified Monte Carlo IoU, independent of the clipping code.
+
+    The samples form a jittered side × side grid over both regions'
+    bounds, so each row of samples shares one set of ascending column
+    coordinates; a row counts the columns inside each convex polygon's
+    x-interval at the row's height with ``searchsorted``.
+    """
+    pa = np.asarray(polygon_of(region_a), dtype=float)
+    pb = np.asarray(polygon_of(region_b), dtype=float)
     xs = np.concatenate([pa[:, 0], pb[:, 0]])
     ys = np.concatenate([pa[:, 1], pb[:, 1]])
     x0, x1 = xs.min(), xs.max()
@@ -212,25 +218,34 @@ def mc_region_iou(region_a, region_b, samples: int = 1_000_000, seed: int = 0) -
     rng = np.random.default_rng(seed)
     gx = (np.arange(side) + rng.random(side)) / side
     gy = (np.arange(side) + rng.random(side)) / side
-    px = (x0 + gx * (x1 - x0))[None, :].repeat(side, axis=0).ravel()
-    py = (y0 + gy * (y1 - y0))[:, None].repeat(side, axis=1).ravel()
+    columns = x0 + gx * (x1 - x0)  # ascending
+    rows = y0 + gy * (y1 - y0)
 
-    def inside(poly):
-        ok = np.ones(px.shape, dtype=bool)
+    def x_interval(poly):
+        """Per row, the [lo, hi] a convex polygon covers (lo > hi where it misses the row)."""
+        lo = np.full(side, np.inf)
+        hi = np.full(side, -np.inf)
         n = len(poly)
         for k in range(n):
-            ax, ay = poly[k]
-            bx, by = poly[(k + 1) % n]
-            cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            ok &= cross >= 0
-        return ok
+            (ax, ay), (bx, by) = poly[k], poly[(k + 1) % n]
+            if ay == by:
+                continue  # a horizontal edge's ends are the neighbouring edges' ends
+            on = (min(ay, by) <= rows) & (rows <= max(ay, by))
+            x = ax + (rows[on] - ay) * (bx - ax) / (by - ay)
+            lo[on] = np.minimum(lo[on], x)
+            hi[on] = np.maximum(hi[on], x)
+        return lo, hi
 
-    in_a = inside(pa)
-    in_b = inside(pb)
-    union = np.count_nonzero(in_a | in_b)
+    def count(lo, hi):
+        inside = np.searchsorted(columns, hi, side="right") - np.searchsorted(columns, lo, side="left")
+        return int(np.maximum(inside, 0).sum())
+
+    (lo_a, hi_a), (lo_b, hi_b) = x_interval(pa), x_interval(pb)
+    both = count(np.maximum(lo_a, lo_b), np.minimum(hi_a, hi_b))
+    union = count(lo_a, hi_a) + count(lo_b, hi_b) - both
     if union == 0:
         return 0.0
-    return np.count_nonzero(in_a & in_b) / union
+    return both / union
 
 
 def random_axis_box(rng: random.Random, limit=1000.0) -> AxisBox:
@@ -749,3 +764,50 @@ def reference_merge_collinear_arrows(reactions, doc):
             if changed:
                 break
     return reactions
+
+
+# --- all-pairs evaluation and resolution oracles -----------------------------
+
+
+def reference_score(gt, pred, criterion="hard", threshold=0.5, polygon=True):
+    """The predicate on every gt × pred pair, one lexicographic matching over the whole graph."""
+    from rxnparse.evaluation import MatchReport, _CRITERIA, _lexicographic_matching, _prf
+
+    predicate = _CRITERIA[criterion]
+    adjacency = [
+        [p for p in range(len(pred)) if predicate(pred[p], gt[g], threshold, polygon)]
+        for g in range(len(gt))
+    ]
+    pairs = _lexicographic_matching(len(gt), len(pred), adjacency)
+    precision, recall, f1 = _prf(len(gt), len(pred), len(pairs))
+    return MatchReport(
+        criterion=criterion,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        matched_pairs=tuple(pairs),
+        gt_count=len(gt),
+        pred_count=len(pred),
+        matched=len(pairs),
+    )
+
+
+def reference_resolve_region(kind, region, doc):
+    """Best-IoU entity of ``kind`` over every entity of the document; ties to the smaller id."""
+    from rxnparse.geometry import region_iou, region_to_array
+    from rxnparse.reactions import RESOLVE_IOU, ResolutionError
+
+    best = None
+    best_iou = 0.0
+    for entity in doc.entities:
+        if entity.kind != kind:
+            continue
+        iou = region_iou(entity.region, region)
+        if best is None or iou > best_iou or (iou == best_iou and entity.id < best.id):
+            best, best_iou = entity, iou
+    if best is None or best_iou < RESOLVE_IOU:
+        raise ResolutionError(
+            f"no {kind.value} entity matches bbox {region_to_array(region)} "
+            f"at IoU >= {RESOLVE_IOU} (best {best_iou:.3f})"
+        )
+    return best
