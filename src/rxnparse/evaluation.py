@@ -196,19 +196,23 @@ _SCREENED = {"hard": (("reactants", "conditions", "products"), None),
              "soft": (("reactants", "products"), EntityKind.MOLECULE)}
 
 
-def _slots(reaction: BoxedReaction, criterion: str) -> dict:
-    """(role, kind) -> regions of the members the criterion compares."""
+def _by_slot(reactions, criterion: str) -> tuple[list[tuple], dict]:
+    """Each reaction's member count per (role, kind) slot the criterion
+    compares, and per slot the owning reaction and region of every member."""
     roles, kind = _SCREENED[criterion]
-    slots: dict = {}
-    for role in roles:
-        for member in getattr(reaction, role):
-            if kind is None or member.kind == kind:
-                slots.setdefault((role, member.kind), []).append(member.region)
-    return slots
-
-
-def _shape(slots: dict) -> tuple:
-    return tuple(sorted((slot, len(regions)) for slot, regions in slots.items()))
+    shapes, by_slot = [], {}
+    for owner, reaction in enumerate(reactions):
+        counts: dict = {}
+        for role in roles:
+            for member in getattr(reaction, role):
+                if kind is None or member.kind == kind:
+                    slot = (role, member.kind)
+                    owners, regions = by_slot.setdefault(slot, ([], []))
+                    owners.append(owner)
+                    regions.append(member.region)
+                    counts[slot] = counts.get(slot, 0) + 1
+        shapes.append(tuple(sorted(counts.items())))
+    return shapes, by_slot
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,37 +233,24 @@ def _screened_pairs(gt, pred, criterion: str, polygon: bool) -> list[tuple[int, 
     pred member has no gt member in the same slot whose bounds intersect
     its own.
     """
-    gt_slots = [_slots(r, criterion) for r in gt]
-    pred_slots = [_slots(r, criterion) for r in pred]
+    gt_shapes, gt_by = _by_slot(gt, criterion)
+    pred_shapes, pred_by = _by_slot(pred, criterion)
     shape_ids: dict = {}
-    gt_shape = np.array([shape_ids.setdefault(_shape(s), len(shape_ids)) for s in gt_slots], dtype=np.int64)
-    pred_shape = np.array([shape_ids.setdefault(_shape(s), len(shape_ids)) for s in pred_slots], dtype=np.int64)
-    counts = np.array([sum(map(len, s.values())) for s in pred_slots], dtype=np.int64)
+    gt_shape = np.array([shape_ids.setdefault(s, len(shape_ids)) for s in gt_shapes], dtype=np.int64)
+    pred_shape = np.array([shape_ids.setdefault(s, len(shape_ids)) for s in pred_shapes], dtype=np.int64)
+    counts = np.array([sum(n for _, n in s) for s in pred_shapes], dtype=np.int64)
 
-    by_slot: dict = {}  # slot -> (gt owners, gt regions, pred member ids, pred regions)
-    member_owner: list[int] = []  # pred member id -> pred reaction, ascending
-    for owner, slots in enumerate(gt_slots):
-        for slot, regions in slots.items():
-            entry = by_slot.setdefault(slot, ([], [], [], []))
-            entry[0].extend([owner] * len(regions))
-            entry[1].extend(regions)
-    for owner, slots in enumerate(pred_slots):
-        for slot, regions in slots.items():
-            entry = by_slot.setdefault(slot, ([], [], [], []))
-            entry[2].extend(range(len(member_owner), len(member_owner) + len(regions)))
-            entry[3].extend(regions)
-            member_owner.extend([owner] * len(regions))
-
-    stride = max(len(member_owner), 1)
-    n_pred = max(len(pred), 1)
+    stride, n_pred = max(int(counts.sum()), 1), max(len(pred), 1)
     keys = [np.empty(0, dtype=np.int64)]  # gt * stride + pred member, one per screened member pair
-    for gt_owners, gt_regions, pred_members, pred_regions in by_slot.values():
-        if gt_regions and pred_regions:
+    member_owner: list[int] = []  # pred member -> pred reaction
+    for slot, (pred_owners, pred_regions) in pred_by.items():
+        if slot in gt_by:
+            gt_owners, gt_regions = gt_by[slot]
             rows, cols = RegionIndex(gt_regions, polygon).overlapping(RegionIndex(pred_regions, polygon))
-            keys.append(np.array(gt_owners)[rows] * stride + np.array(pred_members)[cols])
+            keys.append(np.array(gt_owners)[rows] * stride + len(member_owner) + cols)
+        member_owner.extend(pred_owners)
     g, member = np.divmod(_runs(np.sort(np.concatenate(keys)))[0], stride)
-    # member ids ascend with their owner, so these pair keys come sorted
-    pair_keys, partnered = _runs(g * n_pred + np.array(member_owner, dtype=np.int64)[member])
+    pair_keys, partnered = _runs(np.sort(g * n_pred + np.array(member_owner, dtype=np.int64)[member]))
     g, p = np.divmod(pair_keys, n_pred)
     keep = (partnered == counts[p]) & (gt_shape[g] == pred_shape[p])
     # a pred reaction without compared members pairs with every gt of its shape

@@ -103,11 +103,10 @@ def reactions_to_json(reactions, doc: ReactionDocument) -> str:
 def _resolve_region(kind: EntityKind, region: Region, doc: ReactionDocument, indexes: dict) -> Entity:
     """Best-IoU entity of ``kind``; on equal IoU the smaller id wins.
 
-    ``indexes`` maps a kind to its entities and their :class:`RegionIndex`;
-    it lives for one :func:`parse_combiner_response` call, so nothing is
-    cached on the shared document. Entities the index screens out score
-    exactly 0.0, so they can neither win nor change the "best" the error
-    reports.
+    ``indexes`` (kind -> entities, :class:`RegionIndex`) lives for one
+    :func:`parse_combiner_response` call, so the shared document caches
+    nothing. Entities the index leaves out score exactly 0.0: they can
+    neither win nor change the "best" the error reports.
     """
     if kind not in indexes:
         entities = doc.by_kind(kind)
