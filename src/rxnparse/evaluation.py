@@ -191,7 +191,7 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"IoU threshold {threshold!r} is not a finite number in [0, 1]")
 
 
-# the roles each criterion compares, and the one kind it keeps (None: all)
+# the roles each criterion's predicate above compares, and the one kind it keeps (None: all)
 _SCREENED = {"hard": (("reactants", "conditions", "products"), None),
              "soft": (("reactants", "products"), EntityKind.MOLECULE)}
 
@@ -265,7 +265,7 @@ def _matching_by_component(n_gt: int, adjacency) -> list[tuple[int, int]]:
     gts = [g for g in range(n_gt) if adjacency[g]]
     preds = sorted({p for g in gts for p in adjacency[g]})
     node = {p: len(gts) + k for k, p in enumerate(preds)}
-    linked = np.zeros((len(node) + len(gts),) * 2, dtype=bool)
+    linked = np.zeros((len(gts) + len(preds),) * 2, dtype=bool)
     for row, g in enumerate(gts):
         for p in adjacency[g]:
             linked[row, node[p]] = linked[node[p], row] = True

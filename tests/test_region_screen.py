@@ -74,7 +74,7 @@ def documents(draw):
     return gt, pred + draw(st.lists(reactions, max_size=2))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(doc=documents())
 def test_score_equals_all_pairs_reference(doc):
     gt, pred = doc
@@ -198,7 +198,7 @@ def _outcome(resolve, *args):
         return str(exc)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(case=resolution_cases())
 def test_resolve_region_equals_full_scan(case):
     doc, queries = case
