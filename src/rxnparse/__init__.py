@@ -10,7 +10,6 @@ from .entities import (
     ArrowDirection,
     Entity,
     EntityKind,
-    PayloadError,
     ReactionDocument,
     SchemaError,
     document_to_json,

@@ -11,7 +11,7 @@ graph.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .molecule import Molecule
 
@@ -36,13 +36,6 @@ class FingerprintConfig:
     def full_tag(self) -> str:
         """Scheme identifier including the path length, e.g. ``path-v1:l5``."""
         return f"{self.algorithm_tag}:l{self.max_path_length}"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FingerprintConfig":
-        return cls(**{k: data[k] for k in ("width", "max_path_length", "algorithm_tag") if k in data})
 
 
 DEFAULT_FINGERPRINT_CONFIG = FingerprintConfig()

@@ -33,7 +33,7 @@ from .pipeline import (
     run_document,
 )
 from .planner import extract_features, plan_to_json, route
-from .reactions import boxed_reactions_from_json
+from .reactions import ResponseFormatError, boxed_reactions_from_json
 from .reasoning import (
     FusionWeights,
     build_chem_graph,
@@ -43,21 +43,8 @@ from .reasoning import (
 )
 from .render import render_svg
 
-_REASONING_FLAGS = (
-    ("k-nn", int),
-    ("radius", float),
-    ("layers", int),
-    ("dim", int),
-    ("beta", float),
-    ("tau-chem", float),
-    ("tau-cluster", float),
-    ("tau-fuse", float),
-    ("alpha-space", float),
-    ("alpha-chem", float),
-    ("alpha-init", float),
-    ("exact-search-limit", int),
-    ("conservation-penalty", float),
-)
+# flags named after PipelineConfig or ReasoningConfig fields override the config file
+_CONFIG_KEYS = {f.name for cls in (PipelineConfig, ReasoningConfig) for f in dataclasses.fields(cls)}
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -71,27 +58,12 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model")
     parser.add_argument("--query")
     parser.add_argument("--max-workers", type=int)
-    for flag, kind in _REASONING_FLAGS:
-        parser.add_argument(f"--{flag}", type=kind, dest=flag.replace("-", "_"))
+    for f in dataclasses.fields(ReasoningConfig):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
 
 
 def _build_config(args) -> PipelineConfig:
-    overrides = {}
-    for key in (
-        "fixtures_dir",
-        "weights_file",
-        "lexicon_file",
-        "output_dir",
-        "backend",
-        "endpoint",
-        "model",
-        "query",
-        "max_workers",
-    ):
-        overrides[key] = getattr(args, key, None)
-    for flag, _ in _REASONING_FLAGS:
-        key = flag.replace("-", "_")
-        overrides[key] = getattr(args, key, None)
+    overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
     if args.config:
         return PipelineConfig.from_file(args.config, overrides)
     return PipelineConfig.from_dict({}, overrides)
@@ -109,8 +81,11 @@ def _cmd_parse(args) -> int:
 
 
 def _load_eval_file(path) -> list[CorpusDocument]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(data, list) and (not data or "reactants" in data[0]):
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ResponseFormatError(f"eval file {path} is not valid JSON: {exc}") from exc
+    if isinstance(data, list) and (not data or isinstance(data[0], dict) and "reactants" in data[0]):
         # bare reaction array: one anonymous document
         return [
             CorpusDocument(
@@ -119,9 +94,11 @@ def _load_eval_file(path) -> list[CorpusDocument]:
             )
         ]
     if not isinstance(data, list):
-        raise ValueError("eval file must be a JSON array")
+        raise ResponseFormatError(f"eval file {path} must be a JSON array")
     docs = []
-    for obj in data:
+    for i, obj in enumerate(data):
+        if not isinstance(obj, dict) or "id" not in obj or "reactions" not in obj:
+            raise ResponseFormatError(f"eval file {path}: document {i} needs 'id' and 'reactions'")
         docs.append(
             CorpusDocument(
                 doc_id=str(obj["id"]),
@@ -174,8 +151,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_fingerprint(args) -> int:
     mol = parse_smiles(args.smiles)
-    config = ReasoningConfig().fingerprint
-    fp = fingerprint(mol, config)
+    fp = fingerprint(mol)
     print(
         json.dumps(
             {

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
-from .chem import FingerprintConfig
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -32,8 +30,6 @@ class ReasoningConfig:
     alpha_init: float = 0.5
     exact_search_limit: int = 12
     conservation_penalty: float = 0.9
-    weights_seed: int = 7
-    fingerprint: FingerprintConfig = field(default_factory=FingerprintConfig)
 
     def __post_init__(self):
         for name in ("tau_chem", "tau_cluster", "tau_fuse", "radius"):
@@ -55,17 +51,3 @@ class ReasoningConfig:
     @property
     def alphas(self) -> tuple[float, float, float]:
         return (self.alpha_space, self.alpha_chem, self.alpha_init)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReasoningConfig":
-        kwargs = dict(data)
-        if "fingerprint" in kwargs and isinstance(kwargs["fingerprint"], dict):
-            kwargs["fingerprint"] = FingerprintConfig.from_dict(kwargs["fingerprint"])
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ConfigError(f"unknown reasoning config keys: {sorted(unknown)}")
-        return cls(**kwargs)

@@ -24,8 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
-from .chem import Molecule, SmilesSyntaxError, ValenceError, parse_smiles
+from .chem import Fingerprint, Molecule, SmilesSyntaxError, ValenceError, fingerprint, parse_smiles
 from .geometry import (
     AxisBox,
     OrientedQuad,
@@ -43,10 +44,6 @@ class SchemaError(ValueError):
     def __init__(self, message: str, pointer: str = ""):
         super().__init__(f"{message} (at {pointer or '/'})")
         self.pointer = pointer
-
-
-class PayloadError(ValueError):
-    """A semantic payload (SMILES) could not be interpreted."""
 
 
 class EntityKind(str, Enum):
@@ -74,7 +71,6 @@ class Entity:
     region: Region
     smiles: str | None = None
     molecule: Molecule | None = None
-    parse_error: str | None = None
     text: str | None = None
     tokens: tuple[str, ...] = ()
     direction: ArrowDirection | None = None
@@ -87,6 +83,15 @@ class Entity:
                 f"entity {self.id!r}: kind {self.kind.value} requires "
                 f"{'an oriented quad' if self.kind == EntityKind.ARROW else 'an axis box'}"
             )
+
+    @cached_property
+    def fingerprint(self) -> Fingerprint | None:
+        """Path fingerprint of the parsed molecule, or None without one.
+
+        Computed on first read and kept, so every layer shares one value
+        and a loaded document holds no fingerprint until a layer asks.
+        """
+        return None if self.molecule is None else fingerprint(self.molecule)
 
     @property
     def centroid(self):
@@ -242,13 +247,11 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
         )
 
         molecule = None
-        parse_error = None
         if smiles is not None:
             try:
                 molecule = parse_smiles(smiles)
             except (SmilesSyntaxError, ValenceError) as exc:
-                parse_error = str(PayloadError(f"unparseable SMILES {smiles!r}: {exc}"))
-                warnings.append(f"entity {entity_id!r}: {parse_error}")
+                warnings.append(f"entity {entity_id!r}: unparseable SMILES {smiles!r}: {exc}")
 
         tokens: tuple[str, ...] = ()
         if text is not None and kind in (EntityKind.TEXT, EntityKind.IDENTIFIER):
@@ -262,7 +265,6 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
                     region=region,
                     smiles=smiles,
                     molecule=molecule,
-                    parse_error=parse_error,
                     text=text,
                     tokens=tokens,
                     direction=direction,

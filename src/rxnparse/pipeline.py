@@ -17,7 +17,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .agents import AgentClient, LiveAgentClient, LiveBackendConfig, MockAgentClient
@@ -49,6 +49,35 @@ EXIT_OK = 0
 EXIT_PARTIAL = 2
 EXIT_CONFIG = 3
 EXIT_FAILED = 4
+
+
+def _checked(cls, values: dict, prefix: str) -> dict:
+    """Return ``values`` once each key names a field of ``cls`` and each value has its default's type.
+
+    An int default takes an int, a float default any number, a bool
+    default a bool, a str default a str, and a None default (an optional
+    path or name) a str or None. A bool is never a number.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(prefix + key for key in set(values) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    for key, value in values.items():
+        default = defaults[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, bool):
+            ok, wanted = isinstance(value, bool), "true or false"
+        elif isinstance(default, int):
+            ok, wanted = number and isinstance(value, int), "an integer"
+        elif isinstance(default, float):
+            ok, wanted = number, "a number"
+        elif default is None:
+            ok, wanted = value is None or isinstance(value, str), "a string or null"
+        else:
+            ok, wanted = isinstance(value, str), "a string"
+        if not ok:
+            raise ConfigError(f"{prefix}{key} must be {wanted}, got {value!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -83,32 +112,33 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data, overrides)
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "PipelineConfig":
+        """Build a config from its JSON form; non-None ``overrides`` (flags) win.
+
+        Unknown keys at either level raise :class:`ConfigError`, and so
+        does a value whose type differs from its field's default.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
-        if overrides:
-            # command-line flags win over file values
-            for key, value in overrides.items():
-                if value is None:
-                    continue
-                if key in ReasoningConfig.__dataclass_fields__:
-                    data.setdefault("reasoning", {})
-                    if isinstance(data["reasoning"], dict):
-                        data["reasoning"][key] = value
-                else:
-                    data[key] = value
         reasoning = data.pop("reasoning", {})
-        if isinstance(reasoning, dict):
-            reasoning = ReasoningConfig.from_dict(reasoning)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(reasoning=reasoning, **data)
+        if not isinstance(reasoning, dict):
+            raise ConfigError(f"reasoning must be a JSON object, got {reasoning!r}")
+        reasoning = dict(reasoning)
+        for key, value in (overrides or {}).items():
+            if value is not None:
+                (reasoning if key in ReasoningConfig.__dataclass_fields__ else data)[key] = value
+        reasoning = ReasoningConfig(**_checked(ReasoningConfig, reasoning, "reasoning."))
+        return cls(reasoning=reasoning, **_checked(cls, data, ""))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -136,7 +166,6 @@ def load_pipeline_weights(config: PipelineConfig) -> SpatialWeights:
         config.reasoning.layers,
         config.reasoning.dim,
         EDGE_DIMS,
-        seed=config.reasoning.weights_seed,
     )
 
 

@@ -51,9 +51,7 @@ class Reaction:
 
     Reactants and products may hold molecule, identifier or text
     entities; ``arrows`` only arrow entities. ``score`` accumulates the
-    fused evidence supporting the reaction. ``condition_molecules``
-    flags reactions whose condition set contains molecule-kind entities
-    (species drawn above the arrow).
+    fused evidence supporting the reaction.
     """
 
     reactants: tuple[str, ...]
@@ -63,7 +61,6 @@ class Reaction:
     score: float = 1.0
     conservation: Conservation = Conservation.UNKNOWN
     residual: tuple[ElementCounts, int] | None = None
-    condition_molecules: bool = False
 
     def __post_init__(self):
         if not self.reactants or not self.products:
@@ -231,6 +228,8 @@ class BoxedReaction:
 
 
 def _boxed_role(items) -> tuple[BoxedMember, ...]:
+    if not isinstance(items, list):
+        raise ResponseFormatError("reaction roles must be arrays")
     members = []
     for item in items:
         if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
@@ -239,30 +238,45 @@ def _boxed_role(items) -> tuple[BoxedMember, ...]:
             kind = EntityKind(item["label"])
         except ValueError:
             raise ResponseFormatError(f"unknown label {item['label']!r}") from None
-        members.append(BoxedMember(kind=kind, region=region_from_array(item["bbox"])))
+        try:
+            region = region_from_array(item["bbox"])
+        except (TypeError, ValueError) as exc:
+            raise ResponseFormatError(f"bad bbox {item['bbox']!r}: {exc}") from None
+        members.append(BoxedMember(kind=kind, region=region))
     return tuple(members)
 
 
-def boxed_reaction_from_json(obj: dict) -> BoxedReaction:
-    missing = [k for k in _REQUIRED_KEYS if k not in obj]
-    if missing:
-        raise ResponseFormatError(f"reaction is missing keys {missing}")
-    return BoxedReaction(
-        reactants=_boxed_role(obj["reactants"]),
-        products=_boxed_role(obj["products"]),
-        conditions=_boxed_role(obj["conditions"]),
-        arrows=_boxed_role(obj["arrow"]),
-    )
-
-
 def boxed_reactions_from_json(text: str) -> list[BoxedReaction]:
+    """Parse a reaction array into boxed reactions, any 4- or 8-number box under any label.
+
+    Raises :class:`ResponseFormatError`, naming the reaction index, for
+    any malformed reaction, member or box.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ResponseFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ResponseFormatError("expected a JSON array of reactions")
-    return [boxed_reaction_from_json(obj) for obj in data]
+    reactions = []
+    for i, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise ResponseFormatError(f"reaction {i} is not an object")
+        missing = [k for k in _REQUIRED_KEYS if k not in obj]
+        if missing:
+            raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
+        try:
+            reactions.append(
+                BoxedReaction(
+                    reactants=_boxed_role(obj["reactants"]),
+                    products=_boxed_role(obj["products"]),
+                    conditions=_boxed_role(obj["conditions"]),
+                    arrows=_boxed_role(obj["arrow"]),
+                )
+            )
+        except ResponseFormatError as exc:
+            raise ResponseFormatError(f"reaction {i}: {exc}") from None
+    return reactions
 
 
 def boxed_view(reaction: Reaction, doc: ReactionDocument) -> BoxedReaction:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..chem import fingerprint, formal_charge_sum, tanimoto
+from ..chem import formal_charge_sum, tanimoto
 from ..config import ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 
@@ -39,19 +39,14 @@ def chem_pair_score(s_fp: float, delta_q: int, beta: float) -> float:
 
 def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGraph:
     molecules = doc.by_kind(EntityKind.MOLECULE)
-    fingerprints = {}
-    charges = {}
-    for entity in molecules:
-        if entity.molecule is not None:
-            fingerprints[entity.id] = fingerprint(entity.molecule, config.fingerprint)
-            charges[entity.id] = formal_charge_sum(entity.molecule)
+    charges = {e.id: formal_charge_sum(e.molecule) for e in molecules if e.molecule is not None}
 
     scores = {}
     for i in range(len(molecules)):
         for j in range(i + 1, len(molecules)):
             a, b = molecules[i], molecules[j]
-            if a.id in fingerprints and b.id in fingerprints:
-                s_fp = tanimoto(fingerprints[a.id], fingerprints[b.id])
+            if a.id in charges and b.id in charges:
+                s_fp = tanimoto(a.fingerprint, b.fingerprint)
                 value = chem_pair_score(s_fp, charges[a.id] - charges[b.id], config.beta)
             else:
                 value = NEUTRAL_CHEM_SCORE

@@ -212,9 +212,6 @@ def _finalize_candidate(reactants, products, conditions, arrows, score, edges, d
         score += edge.score
     if not reactants or not products:
         return None
-    condition_molecules = any(
-        doc.entity(c).kind == EntityKind.MOLECULE for c in conditions
-    )
     try:
         return Reaction(
             reactants=tuple(reactants),
@@ -222,7 +219,6 @@ def _finalize_candidate(reactants, products, conditions, arrows, score, edges, d
             conditions=tuple(conditions),
             arrows=tuple(arrows),
             score=score,
-            condition_molecules=condition_molecules,
         )
     except ConstraintError:
         return None

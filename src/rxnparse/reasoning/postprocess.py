@@ -137,7 +137,6 @@ def _try_merge(first: Reaction, second: Reaction, doc: ReactionDocument, axes, c
             conditions=tuple(conditions),
             arrows=tuple(union(first.arrows, second.arrows)),
             score=first.score + second.score,
-            condition_molecules=first.condition_molecules or second.condition_molecules,
         )
     except ConstraintError:
         return None

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..chem import bit_sketch, fingerprint
+from ..chem import bit_sketch
 from ..config import ConfigError, ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 from ..geometry import centroid_distances
@@ -144,8 +144,8 @@ def _node_features(doc: ReactionDocument, config: ReasoningConfig) -> np.ndarray
         box = entity.region if hasattr(entity.region, "width") else entity.region.bounding_box()
         geometry = [cx / width, cy / height, box.width / width, box.height / height]
         sketch = [0.0] * SKETCH_DIMS
-        if entity.molecule is not None:
-            sketch = bit_sketch(fingerprint(entity.molecule, config.fingerprint), SKETCH_DIMS)
+        if entity.fingerprint is not None:
+            sketch = bit_sketch(entity.fingerprint, SKETCH_DIMS)
         row = kind_onehot + geometry + sketch
         row.extend([0.0] * (config.dim - len(row)))
         rows.append(row)
@@ -184,7 +184,7 @@ def build_spatial_graph(
     lower index, and to every entity within ``radius``.
     """
     if weights is None:
-        weights = random_weights(config.layers, config.dim, EDGE_DIMS, seed=config.weights_seed)
+        weights = random_weights(config.layers, config.dim, EDGE_DIMS)
     weights.validate()
     if weights.dim != config.dim:
         raise ConfigError(f"weights dim {weights.dim} != config dim {config.dim}")

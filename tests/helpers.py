@@ -605,7 +605,6 @@ def _reference_finalize_candidate(reactants, products, conditions, arrows, score
         score += edge.score
     if not reactants or not products:
         return None
-    condition_molecules = any(doc.entity(c).kind == EntityKind.MOLECULE for c in conditions)
     try:
         return Reaction(
             reactants=tuple(reactants),
@@ -613,7 +612,6 @@ def _reference_finalize_candidate(reactants, products, conditions, arrows, score
             conditions=tuple(conditions),
             arrows=tuple(arrows),
             score=score,
-            condition_molecules=condition_molecules,
         )
     except ConstraintError:
         return None
@@ -740,7 +738,6 @@ def _reference_try_merge(first, second, doc):
             conditions=tuple(conditions),
             arrows=tuple(union(first.arrows, second.arrows)),
             score=first.score + second.score,
-            condition_molecules=first.condition_molecules or second.condition_molecules,
         )
     except ConstraintError:
         return None

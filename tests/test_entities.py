@@ -75,14 +75,14 @@ def test_valid_layouts(layout):
 def test_smiles_payload_parsed():
     doc = make_doc([molecule_entity("m", 0, 0, smiles="CCO")])
     assert doc.entity("m").molecule is not None
-    assert doc.entity("m").parse_error is None
+    assert doc.warnings == ()
 
 
 def test_unparseable_smiles_retained_with_warning():
     doc = make_doc([molecule_entity("m", 0, 0, smiles="C1CC")])
     entity = doc.entity("m")
     assert entity.molecule is None
-    assert entity.parse_error is not None
+    assert entity.fingerprint is None
     assert any("unparseable SMILES" in w for w in doc.warnings)
 
 

@@ -112,8 +112,7 @@ class TestSingleArrow:
             untyped("cat", "a1", 0.6),
         ]
         reactions = infer_reactions(fused_graph(doc, edges), doc, ReasoningConfig())
-        assert reactions[0].conditions == ("cat",)
-        assert reactions[0].condition_molecules is True
+        assert reactions[0].conditions == ("cat",)  # a molecule drawn above the arrow is a condition
 
 
 class TestContestedAssignment:

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from rxnparse.cli import main
-from rxnparse.config import ConfigError
+from rxnparse.cli import _build_config, build_parser, main
+from rxnparse.config import ConfigError, ReasoningConfig
 from rxnparse.pipeline import (
     EXIT_CONFIG,
+    EXIT_FAILED,
     EXIT_OK,
     PipelineConfig,
     make_client,
@@ -17,6 +19,24 @@ from rxnparse.reactions import Reaction
 
 from helpers import arrow_entity, make_doc, molecule_entity
 from synthetic import build_corpus
+
+
+# a valid value for every reasoning key, each different from its default
+CHANGED_REASONING = {
+    "k_nn": 5,
+    "radius": 0.3,
+    "layers": 3,
+    "dim": 40,
+    "beta": 0.6,
+    "tau_chem": 0.25,
+    "tau_cluster": 0.4,
+    "tau_fuse": 0.5,
+    "alpha_space": 0.25,
+    "alpha_chem": 0.25,
+    "alpha_init": 0.5,
+    "exact_search_limit": 10,
+    "conservation_penalty": 0.8,
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +73,31 @@ class TestPipelineConfig:
         )
         config = PipelineConfig.from_file(config_path, {"tau_fuse": 0.6, "query": None})
         assert config.reasoning.tau_fuse == 0.6  # flag wins over file
+
+        # every reasoning key is a `parse` flag, and each flag wins over the file
+        assert set(CHANGED_REASONING) == {f.name for f in dataclasses.fields(ReasoningConfig)}
+        config_path.write_text(
+            json.dumps({"fixtures_dir": str(tmp_path / "fx"), "reasoning": dataclasses.asdict(ReasoningConfig())})
+        )
+        flags = []
+        for key, value in CHANGED_REASONING.items():
+            flags += [f"--{key.replace('_', '-')}", str(value)]
+        args = build_parser().parse_args(["parse", "doc.json", "--config", str(config_path), *flags])
+        assert _build_config(args).reasoning == ReasoningConfig(**CHANGED_REASONING)
+
+    def test_loader_and_serialiser_agree(self, tmp_path):
+        (tmp_path / "fx").mkdir()
+        for reasoning in (ReasoningConfig(), ReasoningConfig(**CHANGED_REASONING)):
+            config = PipelineConfig(fixtures_dir=str(tmp_path / "fx"), reasoning=reasoning)
+            loaded = PipelineConfig.from_dict(config.to_dict())
+            assert loaded == config
+            assert loaded.config_hash() == config.config_hash()
+
+    @pytest.mark.parametrize("key, value", [("fingerprint", {"width": 1024}), ("weights_seed", 7)])
+    def test_removed_reasoning_keys_rejected(self, tmp_path, key, value):
+        (tmp_path / "fx").mkdir()
+        with pytest.raises(ConfigError, match=f"reasoning.{key}"):
+            PipelineConfig.from_dict({"fixtures_dir": str(tmp_path / "fx"), "reasoning": {key: value}})
 
     def test_hash_stable_under_key_order(self, tmp_path):
         (tmp_path / "fx").mkdir()
@@ -316,6 +361,44 @@ def test_plan_without_reaction_expert_skips_reasoning(corpus, tmp_path):
     assert list(stages) == ["plan"]
 
 
+def test_each_fingerprint_computed_once(monkeypatch, tmp_path):
+    """The spatial and chemistry layers share one fingerprint per parsed molecule."""
+    import rxnparse.entities
+    from rxnparse.agents import AgentClient
+    from rxnparse.pipeline import run_document
+
+    class EmptyReplies(AgentClient):
+        def _send(self, role, prompt, image, key):
+            return "[]"
+
+    calls = []
+    original = rxnparse.entities.fingerprint
+
+    def counting(molecule):
+        calls.append(molecule)
+        return original(molecule)
+
+    monkeypatch.setattr(rxnparse.entities, "fingerprint", counting)
+    doc = make_doc(
+        [
+            molecule_entity("m1", 0, 100, smiles="CCO"),
+            molecule_entity("m2", 300, 100, smiles="c1ccccc1"),
+            molecule_entity("m3", 900, 100, smiles="CC(=O)O"),
+            molecule_entity("bad", 600, 300, smiles="C1CC"),
+            molecule_entity("bare", 1200, 300),
+            arrow_entity("a1", 450, 150, 850),
+        ]
+    )
+    (tmp_path / "fx").mkdir()
+    config = PipelineConfig(fixtures_dir=str(tmp_path / "fx"), output_dir=str(tmp_path / "out"))
+    stages = {}
+    run_document(doc, config, EmptyReplies(), timings=stages)
+    assert "reason" in stages  # the chemistry and spatial layers ran
+    parsed = [e.molecule for e in doc.entities if e.molecule is not None]
+    assert len(parsed) == 3
+    assert sorted(map(id, calls)) == sorted(map(id, parsed))
+
+
 class TestRender:
     def test_svg_deterministic(self):
         doc = make_doc(
@@ -404,6 +487,50 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         code = main(["parse", "nothing.json", "--fixtures-dir", str(tmp_path / "missing")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ({"reasoning": {"k_nn": "four"}}, "reasoning.k_nn"),
+            ({"reasoning": {"layers": 2.5}}, "reasoning.layers"),
+            ({"reasoning": {"tau_fuse": True}}, "reasoning.tau_fuse"),
+            ({"reasoning": [1]}, "reasoning"),
+            ({"max_workers": "2"}, "max_workers"),
+            ({"plan_fallback": "yes"}, "plan_fallback"),
+            ({"output_dir": None}, "output_dir"),
+            ({"model": 3}, "model"),
+            ('{"fixtures_dir": "fx", "reasoning": {', "not valid JSON"),
+            ("[1, 2]", "JSON object"),
+            (None, "cannot read config file"),
+        ],
+        ids=[
+            "int-as-string", "int-as-float", "float-as-bool", "reasoning-not-object", "workers-as-string",
+            "bool-as-string", "null-output-dir", "name-as-number", "truncated", "top-level-array", "missing-file",
+        ],
+    )
+    def test_malformed_config_file_exits_3(self, tmp_path, capsys, content, named):
+        (tmp_path / "fx").mkdir()
+        config_path = tmp_path / "config.json"
+        if isinstance(content, dict):
+            content = json.dumps({"fixtures_dir": str(tmp_path / "fx"), **content})
+        if content is not None:
+            config_path.write_text(content)
+        code = main(["parse", "nothing.json", "--config", str(config_path)])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [({"reactions": []}, "document 0 needs 'id'"), ({"id": "d1"}, "document 0 needs 'id' and 'reactions'")],
+        ids=["no-id", "no-reactions"],
+    )
+    def test_malformed_eval_corpus_entry(self, tmp_path, capsys, document, message):
+        eval_file = tmp_path / "gt.json"
+        eval_file.write_text(json.dumps([document]))
+        code = main(["eval", "--gt", str(eval_file), "--pred", str(eval_file)])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILED
+        assert "ResponseFormatError" in err and message in err
 
     def test_score_edge_subcommand(self, corpus, capsys):
         root, paths, _gt = corpus

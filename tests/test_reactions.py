@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from rxnparse.entities import EntityKind
+from rxnparse.geometry import region_to_array
 from rxnparse.reactions import (
     BoxedReaction,
     ConstraintError,
@@ -154,7 +156,39 @@ class TestReactionInvariants:
             Reaction(reactants=("a", "a"), products=("b",))
 
 
+def _boxed_payload(**roles):
+    reaction = {
+        "reactants": [{"label": "molecule", "bbox": [0, 0, 10, 10]}],
+        "products": [{"label": "molecule", "bbox": [50, 0, 60, 10]}],
+        "conditions": [],
+        "arrow": [],
+    }
+    reaction.update(roles)
+    return json.dumps([reaction])
+
+
 class TestBoxedViews:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (_boxed_payload(products=[{"label": "molecule", "bbox": list(range(9))}]), "reaction 0: bad bbox"),
+            (_boxed_payload(arrow=[{"label": "arrow", "bbox": [0, 0, 1, 1, 2, 2, 3, 3]}]), "degenerate"),
+            (_boxed_payload(reactants=[{"label": "molecule", "bbox": [0, 0, "x", 1]}]), "reaction 0: bad bbox"),
+            (_boxed_payload(conditions={"label": "text"}), "reaction 0: reaction roles must be arrays"),
+            ("[3]", "reaction 0 is not an object"),
+        ],
+        ids=["nine-numbers", "degenerate-quad", "not-a-number", "role-not-array", "reaction-not-object"],
+    )
+    def test_malformed_eval_reactions_are_format_errors(self, payload, message):
+        with pytest.raises(ResponseFormatError, match=message):
+            boxed_reactions_from_json(payload)
+
+    def test_any_box_shape_under_any_label(self):
+        # eval files from other systems give arrows 4-number boxes
+        boxed = boxed_reactions_from_json(_boxed_payload(arrow=[{"label": "arrow", "bbox": [20, 4, 40, 6]}]))
+        assert boxed[0].arrows[0].kind == EntityKind.ARROW
+        assert region_to_array(boxed[0].arrows[0].region) == [20, 4, 40, 6]
+
     def test_from_json(self, two_reaction_json):
         boxed = boxed_reactions_from_json(two_reaction_json)
         assert len(boxed) == 2
