@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from .pipeline import (
     run_document,
 )
 from .planner import extract_features, plan_to_json, route
-from .reactions import ResponseFormatError, boxed_reactions_from_json
+from .reactions import ResponseFormatError, boxed_reactions_from_list
 from .reasoning import (
     FusionWeights,
     build_chem_graph,
@@ -87,12 +88,7 @@ def _load_eval_file(path) -> list[CorpusDocument]:
         raise ResponseFormatError(f"eval file {path} is not valid JSON: {exc}") from exc
     if isinstance(data, list) and (not data or isinstance(data[0], dict) and "reactants" in data[0]):
         # bare reaction array: one anonymous document
-        return [
-            CorpusDocument(
-                doc_id="<single>",
-                reactions=tuple(boxed_reactions_from_json(json.dumps(data))),
-            )
-        ]
+        return [CorpusDocument(doc_id="<single>", reactions=tuple(boxed_reactions_from_list(data)))]
     if not isinstance(data, list):
         raise ResponseFormatError(f"eval file {path} must be a JSON array")
     docs = []
@@ -102,7 +98,7 @@ def _load_eval_file(path) -> list[CorpusDocument]:
         docs.append(
             CorpusDocument(
                 doc_id=str(obj["id"]),
-                reactions=tuple(boxed_reactions_from_json(json.dumps(obj["reactions"]))),
+                reactions=tuple(boxed_reactions_from_list(obj["reactions"])),
                 layout=obj.get("layout"),
             )
         )
@@ -210,6 +206,13 @@ def _iou_threshold(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rxnparse", description=__doc__)
+    parser.add_argument(
+        "--log-level",
+        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+        default="WARNING",
+        help="least severe log record written to stderr (default WARNING)",
+    )
+    parser.add_argument("-v", dest="log_level", action="store_const", const="INFO", help="same as --log-level INFO")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse detection files into reaction JSON")
@@ -258,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -9,6 +9,11 @@ class ConfigError(ValueError):
     pass
 
 
+# the fixed part of a spatial node feature: kind one-hot + box geometry + fingerprint sketch
+SKETCH_DIMS = 16
+BASE_NODE_DIMS = 4 + 4 + SKETCH_DIMS
+
+
 @dataclass(frozen=True)
 class ReasoningConfig:
     """Knobs of the graph construction / fusion / inference stack.
@@ -43,6 +48,8 @@ class ReasoningConfig:
             raise ConfigError(f"fusion weights must be non-negative: {alphas}")
         if abs(sum(alphas) - 1.0) > 1e-9:
             raise ConfigError(f"fusion weights must sum to 1, got {sum(alphas)}")
+        if self.dim < BASE_NODE_DIMS:
+            raise ConfigError(f"dim must be >= {BASE_NODE_DIMS}, got {self.dim}")
         if self.k_nn < 0 or self.layers < 1 or self.exact_search_limit < 1:
             raise ConfigError("k_nn >= 0, layers >= 1, exact_search_limit >= 1 required")
         if not 0.0 < self.conservation_penalty <= 1.0:

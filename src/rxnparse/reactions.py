@@ -246,16 +246,12 @@ def _boxed_role(items) -> tuple[BoxedMember, ...]:
     return tuple(members)
 
 
-def boxed_reactions_from_json(text: str) -> list[BoxedReaction]:
-    """Parse a reaction array into boxed reactions, any 4- or 8-number box under any label.
+def boxed_reactions_from_list(data) -> list[BoxedReaction]:
+    """Boxed reactions from a decoded reaction array, any 4- or 8-number box under any label.
 
     Raises :class:`ResponseFormatError`, naming the reaction index, for
     any malformed reaction, member or box.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ResponseFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ResponseFormatError("expected a JSON array of reactions")
     reactions = []
@@ -277,6 +273,15 @@ def boxed_reactions_from_json(text: str) -> list[BoxedReaction]:
         except ResponseFormatError as exc:
             raise ResponseFormatError(f"reaction {i}: {exc}") from None
     return reactions
+
+
+def boxed_reactions_from_json(text: str) -> list[BoxedReaction]:
+    """:func:`boxed_reactions_from_list` of a JSON text; invalid JSON is a :class:`ResponseFormatError`."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ResponseFormatError(f"not valid JSON: {exc}") from exc
+    return boxed_reactions_from_list(data)
 
 
 def boxed_view(reaction: Reaction, doc: ReactionDocument) -> BoxedReaction:

@@ -1,5 +1,6 @@
 """Reasoning layer: evidence graphs, fusion, global inference, post-processing."""
 
+from ..config import BASE_NODE_DIMS
 from .chemgraph import ChemGraph, NEUTRAL_CHEM_SCORE, build_chem_graph, chem_pair_score
 from .clustering import cluster_entities
 from .fusion import (
@@ -29,7 +30,6 @@ from .inference import (
 from .postprocess import post_process
 from .relations import NUM_RELATIONS, EdgeRelation
 from .spatial import (
-    BASE_NODE_DIMS,
     EDGE_DIMS,
     SpatialGraph,
     SpatialWeights,

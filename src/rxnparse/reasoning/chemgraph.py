@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..chem import formal_charge_sum, tanimoto
+import numpy as np
+
+from ..chem import DEFAULT_FINGERPRINT_CONFIG, formal_charge_sum
 from ..config import ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 
@@ -38,18 +40,41 @@ def chem_pair_score(s_fp: float, delta_q: int, beta: float) -> float:
 
 
 def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGraph:
-    molecules = doc.by_kind(EntityKind.MOLECULE)
-    charges = {e.id: formal_charge_sum(e.molecule) for e in molecules if e.molecule is not None}
+    """Score every molecule pair at once; kept pairs enter the dict row by row in molecule order.
 
+    Intersections and unions are exact popcounts over the fingerprints
+    packed as uint64 words, and float division of exact integers is
+    correctly rounded, so each similarity equals ``tanimoto``'s
+    ``int / int``. The blend runs elementwise in ``chem_pair_score``'s
+    operation order, with ``exp(-|dq|)`` from a ``math.exp`` table over
+    the distinct charges, and only kept pairs become dict entries.
+    """
+    molecules = doc.by_kind(EntityKind.MOLECULE)
+    parsed = np.array([e.molecule is not None for e in molecules], dtype=bool)
+    empty = bytes(DEFAULT_FINGERPRINT_CONFIG.width // 8)
+    packed = b"".join(
+        empty if e.molecule is None else e.fingerprint.bits.to_bytes(len(empty), "little") for e in molecules
+    )
+    words = np.frombuffer(packed, dtype="<u8").reshape(len(molecules), len(empty) // 8)
+    # charges are Python ints of any size: index them, and tabulate exp(-|dq|) per pair of distinct charges
+    charges = [0 if e.molecule is None else formal_charge_sum(e.molecule) for e in molecules]
+    distinct = sorted(set(charges))
+    position = {q: k for k, q in enumerate(distinct)}
+    charge_codes = np.array([position[q] for q in charges], dtype=np.intp)
+    decay = np.array([math.exp(-abs(a - b)) for a in distinct for b in distinct]).reshape(len(distinct), len(distinct))
+
+    # m×m: a fingerprint's intersection with itself is its popcount
+    inter = np.bitwise_count(words[:, None, :] & words[None, :, :]).sum(axis=2, dtype=np.int64)
+    counts = inter.diagonal()
+    union = counts[:, None] + counts[None, :] - inter
+    s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+    values = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[:, None], charge_codes[None, :]]
+    values[~(parsed[:, None] & parsed[None, :])] = NEUTRAL_CHEM_SCORE
+    rows, cols = np.nonzero(np.triu(values > config.tau_chem, k=1))
+
+    ids = [e.id for e in molecules]
     scores = {}
-    for i in range(len(molecules)):
-        for j in range(i + 1, len(molecules)):
-            a, b = molecules[i], molecules[j]
-            if a.id in charges and b.id in charges:
-                s_fp = tanimoto(a.fingerprint, b.fingerprint)
-                value = chem_pair_score(s_fp, charges[a.id] - charges[b.id], config.beta)
-            else:
-                value = NEUTRAL_CHEM_SCORE
-            if value > config.tau_chem:
-                scores[(min(a.id, b.id), max(a.id, b.id))] = value
+    for i, j, value in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
+        a, b = ids[i], ids[j]
+        scores[(a, b) if a < b else (b, a)] = value
     return ChemGraph(scores=scores, tau_chem=config.tau_chem)

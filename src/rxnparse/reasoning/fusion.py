@@ -15,7 +15,10 @@ form the sparse graph global inference enumerates over.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .chemgraph import ChemGraph, NEUTRAL_CHEM_SCORE
 from .hypotheses import HypothesisGraph
@@ -79,25 +82,53 @@ def fuse(
     """Combine the three evidence graphs, keeping only edges above ``tau_fuse``.
 
     A pair covered by hypothesis edges yields one fused edge per typed
-    edge (direction preserved); pairs with only structural evidence
-    yield a single untyped edge tagged ``NO_EDGE``. Candidates are
-    scored in that order and pruned as they are scored.
-    """
-    space_scores = spatial.score_by_ids()
-    chem_scores = chem.scores
-    typed = [(e.source, e.target, e.relation, e.confidence) for e in hypotheses.edges]
-    covered = {(min(source, target), max(source, target)) for source, target, _, _ in typed}
-    structural = [
-        (a, b, EdgeRelation.NO_EDGE, ABSENT_INIT_SCORE)
-        for a, b in sorted((space_scores.keys() | chem_scores.keys()) - covered)
-    ]
+    edge (direction preserved), in hypothesis order; pairs with only
+    structural evidence yield a single untyped edge tagged ``NO_EDGE``,
+    ordered by id pair. Every id must be one of ``spatial.node_ids``.
 
-    kept: list[FusedEdge] = []
-    for source, target, relation, s_init in typed + structural:
-        pair = (min(source, target), max(source, target))
-        s_space = space_scores.get(pair, NEUTRAL_SPACE_SCORE)
-        s_chem = chem_scores.get(pair, NEUTRAL_CHEM_SCORE)
-        score = fuse_score(s_space, s_chem, s_init, weights)
-        if score > tau_fuse:
-            kept.append(FusedEdge(source, target, relation, score, s_space, s_chem, s_init))
-    return FusedGraph(node_ids=spatial.node_ids, edges=tuple(kept), weights=weights, tau_fuse=tau_fuse)
+    The channel scores sit in dense arrays indexed by the code
+    ``rank(a) * n + rank(b)`` of each id pair ``a < b``, so code order is
+    id-pair order. Scores are computed elementwise in ``fuse_score``'s
+    operation order, and a ``FusedEdge`` is built only for a kept row.
+    """
+    node_ids = spatial.node_ids
+    n = len(node_ids)
+    by_rank = sorted(node_ids)
+    rank_of = {node: r for r, node in enumerate(by_rank)}
+    index_rank = np.array([rank_of[node] for node in node_ids], dtype=np.intp)
+
+    space = spatial.scores or {}
+    ends = np.fromiter(itertools.chain.from_iterable(space), dtype=np.intp, count=2 * len(space))
+    ends = index_rank[ends].reshape(-1, 2)
+    space_codes = ends.min(axis=1) * n + ends.max(axis=1)
+    chem_codes = np.fromiter(
+        (rank_of[a] * n + rank_of[b] for a, b in chem.scores), dtype=np.intp, count=len(chem.scores)
+    )
+    s_space = np.full(n * n, NEUTRAL_SPACE_SCORE)
+    s_space[space_codes] = np.fromiter(space.values(), dtype=float, count=len(space))
+    s_chem = np.full(n * n, NEUTRAL_CHEM_SCORE)
+    s_chem[chem_codes] = np.fromiter(chem.scores.values(), dtype=float, count=len(chem.scores))
+
+    typed = hypotheses.edges
+    ends = np.array([(rank_of[e.source], rank_of[e.target]) for e in typed], dtype=np.intp).reshape(-1, 2)
+    typed_codes = ends.min(axis=1) * n + ends.max(axis=1)
+    structural = np.zeros(n * n, dtype=bool)
+    structural[space_codes] = structural[chem_codes] = True
+    structural[typed_codes] = False
+    codes = np.concatenate([typed_codes, np.flatnonzero(structural)])
+    s_init = np.full(len(codes), ABSENT_INIT_SCORE)
+    s_init[: len(typed)] = [e.confidence for e in typed]
+    space_at, chem_at = s_space[codes], s_chem[codes]
+    scores = (weights.space * space_at + weights.chem * chem_at) + weights.init * s_init
+
+    kept = np.flatnonzero(scores > tau_fuse)
+    edges: list[FusedEdge] = []
+    columns = (codes[kept], scores[kept], space_at[kept], chem_at[kept])
+    for k, code, score, s_sp, s_ch in zip(kept.tolist(), *(column.tolist() for column in columns)):
+        if k < len(typed):
+            e = typed[k]
+            edges.append(FusedEdge(e.source, e.target, e.relation, score, s_sp, s_ch, e.confidence))
+        else:
+            a, b = divmod(code, n)
+            edges.append(FusedEdge(by_rank[a], by_rank[b], EdgeRelation.NO_EDGE, score, s_sp, s_ch, ABSENT_INIT_SCORE))
+    return FusedGraph(node_ids=node_ids, edges=tuple(edges), weights=weights, tau_fuse=tau_fuse)

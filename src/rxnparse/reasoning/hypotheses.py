@@ -37,6 +37,13 @@ log = logging.getLogger(__name__)
 
 COMBINER_ROLE = "reaction_combiner"
 
+# a cluster graph above this many bytes (about 128k tokens at four bytes a token) is logged
+# as likely to overflow a VLM context; the prompt is still sent
+PROMPT_WARN_BYTES = 512 * 1024
+
+# one proximity edge of the cluster graph, keys in sorted order
+_PROXIMITY_EDGE = '{"relation": %d, "source": %%s, "target": %%s, "weight": %%s}' % EdgeRelation.NO_EDGE
+
 
 @dataclass(frozen=True)
 class HypothesisEdge:
@@ -65,24 +72,24 @@ def cluster_prompt_variables(cluster, doc: ReactionDocument, config: ReasoningCo
 
     The subgraph JSON lists the cluster's entities and their proximity
     links (weight = 1 - normalized distance), which is all the evidence
-    available before fusion.
+    available before fusion. It is rendered from fragments into the
+    bytes ``json.dumps({"nodes": ..., "edges": [...]}, sort_keys=True)``
+    gives: one sorted-key node per entity, each id quoted once, and one
+    format string per proximity pair with its keys in sorted order.
     """
     ids = list(cluster)
     entities = [doc.entity(i) for i in ids]
-    nodes = [entity_to_json(e) for e in entities]
     distances = centroid_distances([e.centroid for e in entities], doc.diagram_bounds)
     rows, cols = np.nonzero(np.triu(distances < config.tau_cluster, k=1))
+    weights = (1.0 - distances[rows, cols]).tolist()
+    # grid layouts repeat distances, so each distinct weight is rounded and written once
+    written = {w: repr(round(w, 6)) for w in set(weights)}
+    quoted = [json.dumps(i) for i in ids]
     edges = [
-        {
-            "source": ids[a],
-            "target": ids[b],
-            "relation": int(EdgeRelation.NO_EDGE),
-            "weight": round(1.0 - d, 6),
-        }
-        for a, b, d in zip(rows.tolist(), cols.tolist(), distances[rows, cols].tolist())
+        _PROXIMITY_EDGE % (quoted[a], quoted[b], written[w]) for a, b, w in zip(rows.tolist(), cols.tolist(), weights)
     ]
-    graph = {"nodes": nodes, "edges": edges}
-    return {"graph_json": json.dumps(graph, sort_keys=True)}
+    nodes = [json.dumps(entity_to_json(e), sort_keys=True) for e in entities]
+    return {"graph_json": '{"edges": [' + ", ".join(edges) + '], "nodes": [' + ", ".join(nodes) + "]}"}
 
 
 def edges_from_reactions(reactions, cluster) -> tuple[list[HypothesisEdge], list[str]]:
@@ -134,6 +141,12 @@ def collect_hypotheses(
 
     def run_cluster(cluster) -> tuple[list[HypothesisEdge], list[str]]:
         variables = cluster_prompt_variables(cluster, doc, config)
+        size = len(variables["graph_json"])  # ASCII: one byte per character
+        if size > PROMPT_WARN_BYTES:
+            log.warning(
+                "cluster %s...: graph_json of %d entities is %d bytes, above %d",
+                cluster[0], len(cluster), size, PROMPT_WARN_BYTES,
+            )
         raw = client.request(COMBINER_ROLE, variables)
         try:
             reactions: list[Reaction] = parse_combiner_response(raw, doc)

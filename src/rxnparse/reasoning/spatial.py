@@ -23,15 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..chem import bit_sketch
-from ..config import ConfigError, ReasoningConfig
+from ..config import SKETCH_DIMS, ConfigError, ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 from ..geometry import centroid_distances
 
 _KINDS = (EntityKind.MOLECULE, EntityKind.ARROW, EntityKind.TEXT, EntityKind.IDENTIFIER)
 _KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
 
-SKETCH_DIMS = 16
-BASE_NODE_DIMS = 4 + 4 + SKETCH_DIMS  # kind one-hot + box geometry + fp sketch
 EDGE_DIMS = 2 + 1 + 1 + 16  # offset + distance + size ratio + kind-pair one-hot
 
 
@@ -131,8 +129,6 @@ class SpatialGraph:
 
 
 def _node_features(doc: ReactionDocument, config: ReasoningConfig) -> np.ndarray:
-    if config.dim < BASE_NODE_DIMS:
-        raise ConfigError(f"dim must be >= {BASE_NODE_DIMS}, got {config.dim}")
     bounds = doc.diagram_bounds
     width = bounds.width or 1.0
     height = bounds.height or 1.0

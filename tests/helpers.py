@@ -492,6 +492,28 @@ def reference_cluster_prompt_variables(cluster, doc, config) -> dict:
     return {"graph_json": json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True)}
 
 
+def reference_build_chem_graph(doc, config):
+    """Chemistry edges one molecule pair at a time: Python ``tanimoto`` and ``math.exp`` per pair."""
+    from rxnparse.chem import formal_charge_sum, tanimoto
+    from rxnparse.entities import EntityKind
+    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, ChemGraph, chem_pair_score
+
+    molecules = doc.by_kind(EntityKind.MOLECULE)
+    charges = {e.id: formal_charge_sum(e.molecule) for e in molecules if e.molecule is not None}
+    scores = {}
+    for i in range(len(molecules)):
+        for j in range(i + 1, len(molecules)):
+            a, b = molecules[i], molecules[j]
+            if a.id in charges and b.id in charges:
+                s_fp = tanimoto(a.fingerprint, b.fingerprint)
+                value = chem_pair_score(s_fp, charges[a.id] - charges[b.id], config.beta)
+            else:
+                value = NEUTRAL_CHEM_SCORE
+            if value > config.tau_chem:
+                scores[(min(a.id, b.id), max(a.id, b.id))] = value
+    return ChemGraph(scores=scores, tau_chem=config.tau_chem)
+
+
 # --- whole-graph references for fusion, inference and post-processing --------
 #
 # The stages as they were before each learned to walk its input once: fusion

@@ -119,6 +119,29 @@ def _graph(rng, index):
     return {"width": 1500, "height": 520, "layout": "graph", "entities": entities}, reactions
 
 
+# condition texts that need JSON escapes: a quote, a backslash, non-ASCII
+ESCAPED_CONDITIONS = ['H2O "wet"', "Pd\\C", "80 °C", "rt → reflux", "Ni/Al₂O₃"]
+
+
+def grid_scheme(rows: int = 6, columns: int = 4, seed: int = 7):
+    """One large document: ``rows x columns`` reaction cells on a grid, four entities each.
+
+    Ids are ``r{row}c{column}`` plus a role suffix, so their string order
+    differs from reading order once there are ten rows or columns, and the
+    condition texts need JSON escapes. Returns (detection, GT reactions by id).
+    """
+    rng = random.Random(seed)
+    entities, reactions = [], []
+    for row in range(rows):
+        for column in range(columns):
+            cell, reaction = _row(rng, f"r{row}c{column}", 40 + 260 * row, x0=40 + 1000 * column)
+            cell[1]["text"] = rng.choice(ESCAPED_CONDITIONS)
+            entities += cell
+            reactions.append(reaction)
+    detection = {"width": 40 + 1000 * columns, "height": 300 + 260 * rows, "layout": "graph", "entities": entities}
+    return detection, reactions
+
+
 _BUILDERS = {
     "single_line": _single_line,
     "multiple_line": _multiple_line,

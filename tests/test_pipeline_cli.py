@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from rxnparse.cli import _build_config, build_parser, main
-from rxnparse.config import ConfigError, ReasoningConfig
+from rxnparse.config import BASE_NODE_DIMS, ConfigError, ReasoningConfig
 from rxnparse.pipeline import (
     EXIT_CONFIG,
     EXIT_FAILED,
@@ -20,6 +23,9 @@ from rxnparse.reactions import Reaction
 from helpers import arrow_entity, make_doc, molecule_entity
 from synthetic import build_corpus
 
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_EMPTY_REACTION = {"reactants": [], "products": [], "conditions": [], "arrow": []}
 
 # a valid value for every reasoning key, each different from its default
 CHANGED_REASONING = {
@@ -98,6 +104,16 @@ class TestPipelineConfig:
         (tmp_path / "fx").mkdir()
         with pytest.raises(ConfigError, match=f"reasoning.{key}"):
             PipelineConfig.from_dict({"fixtures_dir": str(tmp_path / "fx"), "reasoning": {key: value}})
+
+    def test_default_config_hash_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fixtures").mkdir()
+        assert PipelineConfig(fixtures_dir="fixtures").config_hash() == "fea0ba7b4dc0b6cb"
+
+    def test_dim_below_node_features_rejected(self):
+        ReasoningConfig(dim=BASE_NODE_DIMS)
+        with pytest.raises(ConfigError, match=f"dim must be >= {BASE_NODE_DIMS}, got {BASE_NODE_DIMS - 1}"):
+            ReasoningConfig(dim=BASE_NODE_DIMS - 1)
 
     def test_hash_stable_under_key_order(self, tmp_path):
         (tmp_path / "fx").mkdir()
@@ -531,6 +547,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == EXIT_FAILED
         assert "ResponseFormatError" in err and message in err
+
+    def test_dim_below_node_features_exits_3(self, corpus, tmp_path, capsys):
+        root, paths, _gt = corpus
+        args = [str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(tmp_path)]
+        code = main(["parse", *args, "--dim", "8"])
+        assert code == EXIT_CONFIG
+        assert "dim must be >= 24, got 8" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([{"id": "d1", "reactions": [_EMPTY_REACTION, {"reactants": []}]}], "reaction 1 is missing keys"),
+            ([{"id": "d1", "reactions": [{**_EMPTY_REACTION, "arrow": [{"label": "arrow", "bbox": [1, 2]}]}]}],
+             "reaction 0: bad bbox"),
+            ([_EMPTY_REACTION, _EMPTY_REACTION, {**_EMPTY_REACTION, "products": {}}], "reaction 2: reaction roles"),
+        ],
+        ids=["corpus-missing-keys", "corpus-bad-bbox", "bare-array-role-not-array"],
+    )
+    def test_malformed_eval_reactions_exit_4(self, tmp_path, capsys, content, message):
+        eval_file = tmp_path / "gt.json"
+        eval_file.write_text(json.dumps(content))
+        code = main(["eval", "--gt", str(eval_file), "--pred", str(eval_file)])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILED
+        assert "ResponseFormatError" in err and message in err
+
+    @pytest.mark.parametrize("flags", [["-v"], ["--log-level", "INFO"], []], ids=["v", "log-level", "default"])
+    def test_log_level_shows_agent_requests(self, corpus, tmp_path, flags):
+        root, paths, _gt = corpus
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        args = ["parse", str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "rxnparse", *flags, *args], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        shown = "INFO rxnparse.agents: agent request role=reaction_combiner hash=" in done.stderr
+        assert shown == bool(flags)
 
     def test_score_edge_subcommand(self, corpus, capsys):
         root, paths, _gt = corpus
