@@ -45,7 +45,6 @@ from .reactions import (
     ResolutionError,
     ResponseFormatError,
     boxed_reactions_from_json,
-    boxed_reactions_from_list,
     boxed_view,
     parse_combiner_response,
     reaction_to_json,

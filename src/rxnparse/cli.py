@@ -208,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rxnparse", description=__doc__)
     parser.add_argument(
         "--log-level",
-        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+        choices=["WARNING", "INFO"],
         default="WARNING",
-        help="least severe log record written to stderr (default WARNING)",
+        help="INFO also writes one line per agent request to stderr (default WARNING)",
     )
     parser.add_argument("-v", dest="log_level", action="store_const", const="INFO", help="same as --log-level INFO")
     sub = parser.add_subparsers(dest="command", required=True)

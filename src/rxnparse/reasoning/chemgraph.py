@@ -21,6 +21,7 @@ from ..config import ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 
 NEUTRAL_CHEM_SCORE = 0.5
+CHEM_ROW_BLOCK = 128  # rows of the pair matrix scored per numpy pass
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,16 @@ def chem_pair_score(s_fp: float, delta_q: int, beta: float) -> float:
 
 
 def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGraph:
-    """Score every molecule pair at once; kept pairs enter the dict row by row in molecule order.
+    """Score molecule pairs a block of rows at a time; kept pairs enter the dict row by row in molecule order.
 
     Intersections and unions are exact popcounts over the fingerprints
     packed as uint64 words, and float division of exact integers is
     correctly rounded, so each similarity equals ``tanimoto``'s
     ``int / int``. The blend runs elementwise in ``chem_pair_score``'s
     operation order, with ``exp(-|dq|)`` from a ``math.exp`` table over
-    the distinct charges, and only kept pairs become dict entries.
+    the distinct charges, and only kept pairs become dict entries. Rows
+    go ``CHEM_ROW_BLOCK`` at a time, so memory grows with the molecule
+    count, not with its square.
     """
     molecules = doc.by_kind(EntityKind.MOLECULE)
     parsed = np.array([e.molecule is not None for e in molecules], dtype=bool)
@@ -56,6 +59,7 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
         empty if e.molecule is None else e.fingerprint.bits.to_bytes(len(empty), "little") for e in molecules
     )
     words = np.frombuffer(packed, dtype="<u8").reshape(len(molecules), len(empty) // 8)
+    counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     # charges are Python ints of any size: index them, and tabulate exp(-|dq|) per pair of distinct charges
     charges = [0 if e.molecule is None else formal_charge_sum(e.molecule) for e in molecules]
     distinct = sorted(set(charges))
@@ -63,18 +67,18 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
     charge_codes = np.array([position[q] for q in charges], dtype=np.intp)
     decay = np.array([math.exp(-abs(a - b)) for a in distinct for b in distinct]).reshape(len(distinct), len(distinct))
 
-    # m×m: a fingerprint's intersection with itself is its popcount
-    inter = np.bitwise_count(words[:, None, :] & words[None, :, :]).sum(axis=2, dtype=np.int64)
-    counts = inter.diagonal()
-    union = counts[:, None] + counts[None, :] - inter
-    s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
-    values = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[:, None], charge_codes[None, :]]
-    values[~(parsed[:, None] & parsed[None, :])] = NEUTRAL_CHEM_SCORE
-    rows, cols = np.nonzero(np.triu(values > config.tau_chem, k=1))
-
     ids = [e.id for e in molecules]
     scores = {}
-    for i, j, value in zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist()):
-        a, b = ids[i], ids[j]
-        scores[(a, b) if a < b else (b, a)] = value
+    for start in range(0, len(molecules), CHEM_ROW_BLOCK):
+        block = slice(start, start + CHEM_ROW_BLOCK)
+        inter = np.bitwise_count(words[block, None, :] & words[None, :, :]).sum(axis=2, dtype=np.int64)
+        union = counts[block, None] + counts[None, :] - inter
+        s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+        values = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[block, None], charge_codes[None, :]]
+        values[~(parsed[block, None] & parsed[None, :])] = NEUTRAL_CHEM_SCORE
+        # column j > row start + i: the upper triangle of the whole matrix
+        rows, cols = np.nonzero(np.triu(values > config.tau_chem, k=start + 1))
+        for i, j, value in zip((rows + start).tolist(), cols.tolist(), values[rows, cols].tolist()):
+            a, b = ids[i], ids[j]
+            scores[(a, b) if a < b else (b, a)] = value
     return ChemGraph(scores=scores, tau_chem=config.tau_chem)

@@ -88,8 +88,8 @@ def fuse(
 
     The channel scores sit in dense arrays indexed by the code
     ``rank(a) * n + rank(b)`` of each id pair ``a < b``, so code order is
-    id-pair order. Scores are computed elementwise in ``fuse_score``'s
-    operation order, and a ``FusedEdge`` is built only for a kept row.
+    id-pair order. ``fuse_score`` scores the candidate arrays elementwise,
+    and a ``FusedEdge`` is built only for a kept row.
     """
     node_ids = spatial.node_ids
     n = len(node_ids)
@@ -119,7 +119,7 @@ def fuse(
     s_init = np.full(len(codes), ABSENT_INIT_SCORE)
     s_init[: len(typed)] = [e.confidence for e in typed]
     space_at, chem_at = s_space[codes], s_chem[codes]
-    scores = (weights.space * space_at + weights.chem * chem_at) + weights.init * s_init
+    scores = fuse_score(space_at, chem_at, s_init, weights)
 
     kept = np.flatnonzero(scores > tau_fuse)
     edges: list[FusedEdge] = []

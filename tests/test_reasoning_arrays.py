@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,9 +36,16 @@ from rxnparse.reasoning import (
     fuse,
     propagate,
 )
+from rxnparse.reasoning import chemgraph as chemgraph_module
 from rxnparse.reasoning import hypotheses as hypotheses_module
 
-from helpers import make_doc, reference_build_chem_graph, reference_cluster_prompt_variables, reference_fuse
+from helpers import (
+    make_doc,
+    molecule_entity,
+    reference_build_chem_graph,
+    reference_cluster_prompt_variables,
+    reference_fuse,
+)
 from synthetic import _multiple_line, grid_scheme
 
 # ids whose string order differs from their index order, and ids that need JSON escapes
@@ -145,6 +153,36 @@ def test_chem_graph_with_zero_one_and_two_molecules():
     # identical molecules score 0.5 * 1 + 0.5 * exp(0) = 1.0; an unparsed pair's neutral 0.5 sits on tau
     assert build_chem_graph(_molecules("CCO", "CCO"), config).scores == {("m0", "m1"): 1.0}
     assert build_chem_graph(_molecules("CCO", "C1CC"), config).scores == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=documents(), block=st.integers(1, 4), tau=QUARTER_TAUS)
+def test_chem_graph_row_blocks_equal_pairwise_loop(doc, block, tau):
+    """Blocks smaller than the molecule count: rows and the triangle carry across block edges."""
+    config = ReasoningConfig(beta=0.5, tau_chem=tau)
+    with mock.patch.object(chemgraph_module, "CHEM_ROW_BLOCK", block):
+        chem = build_chem_graph(doc, config)
+    assert _hex_items(chem.scores) == _hex_items(reference_build_chem_graph(doc, config).scores)
+
+
+def test_chem_graph_of_hundreds_of_molecules():
+    """300 molecules span three row blocks; ids m0..m299 sort apart from their index order."""
+    rng = random.Random(8)
+    entities = [
+        molecule_entity(f"m{k}", 20 * (k % 60), 100 * (k // 60), smiles=rng.choice(SMILES_POOL), w=10, h=10)
+        for k in range(300)
+    ]
+    doc = make_doc(entities, width=1400, height=600)
+    zero = Fingerprint(0, DEFAULT_FINGERPRINT_CONFIG.width, DEFAULT_FINGERPRINT_CONFIG.full_tag)
+    for entity in doc.entities[::7]:
+        if entity.molecule is not None:
+            entity.__dict__["fingerprint"] = zero
+    assert len(doc.entities) > 2 * chemgraph_module.CHEM_ROW_BLOCK
+    for tau in (0.5, 0.75, 0.9):
+        config = ReasoningConfig(beta=0.5, tau_chem=tau)
+        chem = build_chem_graph(doc, config)
+        assert chem.scores
+        assert _hex_items(chem.scores) == _hex_items(reference_build_chem_graph(doc, config).scores)
 
 
 # --- fusion ---------------------------------------------------------------------
