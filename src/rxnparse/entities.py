@@ -14,14 +14,17 @@ The detection file is a JSON object::
     }
 
 Arrows carry 8-number oriented boxes, everything else 4-number axis
-boxes. A SMILES payload that fails to parse does not reject the entity:
-it enters the pipeline unparsed (recorded as a document warning) and the
-chemistry channel falls back to a neutral score for it.
+boxes. Every number must be finite: ``NaN`` and ``Infinity``, which
+``json.loads`` accepts, are schema errors. A SMILES payload that fails
+to parse does not reject the entity: it enters the pipeline unparsed
+(recorded as a document warning) and the chemistry channel falls back
+to a neutral score for it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -156,7 +159,12 @@ def _require(condition: bool, message: str, pointer: str) -> None:
 
 def _number(value, pointer: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), "expected a number", pointer)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    _require(math.isfinite(number), "expected a finite number", pointer)
+    return number
 
 
 def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) -> ReactionDocument:

@@ -165,27 +165,54 @@ def _convex_hull(points) -> list[Point]:
 
 
 def _clip_convex(subject, clip):
-    """Sutherland-Hodgman clipping of one convex CCW polygon by another."""
+    """Sutherland-Hodgman clipping of one convex CCW polygon by another.
+
+    A subject vertex counts as inside a clip edge when its :func:`_cross`
+    is ``>= -_EPS``; each vertex's cross is computed once per edge.
+    """
     output = list(subject)
     n = len(clip)
     for k in range(n):
         if not output:
             return []
-        a, b = clip[k], clip[(k + 1) % n]
+        (ax, ay), (bx, by) = clip[k], clip[(k + 1) % n]
+        ex, ey = bx - ax, by - ay
         current, output = output, []
-        for idx in range(len(current)):
+        crosses = [ex * (y - ay) - ey * (x - ax) for x, y in current]  # _cross(a, b, p)
+        m = len(current)
+        for idx in range(m):
             p = current[idx]
-            q = current[(idx + 1) % len(current)]
-            p_in = _cross(a, b, p) >= -_EPS
-            q_in = _cross(a, b, q) >= -_EPS
+            d1 = crosses[idx]
+            d2 = crosses[(idx + 1) % m]
+            p_in = d1 >= -_EPS
             if p_in:
                 output.append(p)
-            if p_in != q_in:
-                d1 = _cross(a, b, p)
-                d2 = _cross(a, b, q)
+            if p_in != (d2 >= -_EPS):
+                q = current[(idx + 1) % m]
                 t = d1 / (d1 - d2)
                 output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return output
+
+
+def _clip_may_meet(hull_x: np.ndarray, hull_y: np.ndarray, clip) -> np.ndarray:
+    """False for each subject hull that :func:`_clip_convex` by ``clip`` provably clips to nothing.
+
+    ``hull_x``/``hull_y`` hold four vertices per subject, flattened, from a
+    CCW hull with a 3-vertex hull padded by repeating a vertex (a repeat is
+    inside exactly when the original is). Up to the first clip edge at
+    which not every vertex is inside, the clip keeps every vertex and makes
+    no crossing point, so the polygon is the subject itself; if no vertex is
+    inside that edge either, the clip returns ``[]``. The test uses the
+    clip's own arithmetic, one numpy ufunc per operation in :func:`_cross`'s
+    order, so it is exact, not a margin.
+    """
+    ax, ay, ex, ey = np.array(
+        [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(clip, clip[1:] + clip[:1])]
+    ).T[..., None]
+    # one byte per vertex: a subject's four inside flags read as one uint32
+    inside = (ex * (hull_y - ay) - ey * (hull_x - ax) >= -_EPS).view(np.uint32)
+    first = np.argmin(inside == 0x01010101, axis=0)  # first edge not all inside, or 0 if none
+    return inside[first, np.arange(len(first))] != 0
 
 
 def polygon_of(region: Region) -> list[Point]:
@@ -261,7 +288,8 @@ def _screen_bounds(region: Region, polygon: bool) -> tuple[float, float, float, 
     point lies within that tolerance the crossing step ``t = d1 / (d1 - d2)``
     leaves [0, 1] and extrapolates along the subject edge by an amount no
     margin derived from ``_EPS`` bounds. Such a quad therefore spans the
-    whole plane and is always compared exactly.
+    whole plane; only :meth:`RegionIndex.candidates` screens it, by the
+    clip's own first step.
     """
     if isinstance(region, AxisBox):
         return region.x_min, region.y_min, region.x_max, region.y_max
@@ -272,7 +300,7 @@ def _screen_bounds(region: Region, polygon: bool) -> tuple[float, float, float, 
 
 
 class RegionIndex:
-    """Bounding-box bounds of a set of regions, to find the pairs that can overlap.
+    """Bounds of a set of regions, to find the pairs that can overlap.
 
     A pair the index does not return scores ``region_iou(..., polygon)``
     exactly 0, so a caller that needs IoU above some ``t >= 0`` may skip
@@ -281,7 +309,9 @@ class RegionIndex:
 
     def __init__(self, regions, polygon: bool = True):
         self.polygon = polygon
-        self.bounds = np.array([_screen_bounds(r, polygon) for r in regions], dtype=float).reshape(-1, 4)
+        self.regions = tuple(regions)
+        self.bounds = np.array([_screen_bounds(r, polygon) for r in self.regions], dtype=float).reshape(-1, 4)
+        self._quad_hulls = None
 
     def overlapping(self, other: "RegionIndex") -> tuple[np.ndarray, np.ndarray]:
         """Index pairs ``(i, j)``, ``i`` in this index and ``j`` in ``other``, whose closed bounds intersect.
@@ -296,8 +326,26 @@ class RegionIndex:
         return np.nonzero(hit)
 
     def candidates(self, region: Region) -> np.ndarray:
-        """Ascending indices of the regions whose closed bounds intersect ``region``'s."""
-        return self.overlapping(RegionIndex([region], self.polygon))[0]
+        """Ascending indices ``i`` for which ``region_iou(regions[i], region, polygon)`` may be nonzero.
+
+        Boxes are screened by their closed bounds. A quad ``region``
+        compared as polygons has no bounds, so it keeps every box member
+        and leaves out a quad member only where :func:`_clip_may_meet`
+        shows that clipping the member's hull (the subject) by
+        ``region``'s (the clip) gives nothing. The hulls are gathered on
+        the first such call.
+        """
+        if not (self.polygon and isinstance(region, OrientedQuad)):
+            return self.overlapping(RegionIndex([region], self.polygon))[0]
+        if self._quad_hulls is None:
+            rows = [i for i, r in enumerate(self.regions) if isinstance(r, OrientedQuad)]
+            hulls = [self.regions[i].hull for i in rows]
+            padded = np.array([h + h[:1] * (4 - len(h)) for h in hulls], dtype=float).reshape(-1, 2)
+            self._quad_hulls = np.array(rows, dtype=np.intp), padded[:, 0].copy(), padded[:, 1].copy()
+        rows, hull_x, hull_y = self._quad_hulls
+        keep = np.ones(len(self.regions), dtype=bool)
+        keep[rows] = _clip_may_meet(hull_x, hull_y, region.hull)
+        return np.flatnonzero(keep)
 
 
 def center_distance_normalized(a: Region, b: Region, diagram: AxisBox) -> float:
@@ -403,8 +451,13 @@ def region_to_array(region: Region) -> list:
 
 
 def region_from_array(values) -> Region:
-    """Parse a 4-number box or an 8-number quad array."""
-    nums = [float(v) for v in values]
+    """Parse a 4-number box or an 8-number quad array of finite numbers."""
+    try:
+        nums = [float(v) for v in values]
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"coordinates must be finite numbers, got {values}") from None
+    if not all(map(math.isfinite, nums)):
+        raise ValueError(f"coordinates must be finite numbers, got {nums}")
     if len(nums) == 4:
         return AxisBox(*nums)
     if len(nums) == 8:

@@ -102,8 +102,9 @@ def _resolve_region(kind: EntityKind, region: Region, doc: ReactionDocument, ind
 
     ``indexes`` (kind -> entities, :class:`RegionIndex`) lives for one
     :func:`parse_combiner_response` call, so the shared document caches
-    nothing. Entities the index leaves out score exactly 0.0: they can
-    neither win nor change the "best" the error reports.
+    nothing. Entities the index leaves out (by bounds, or for a quad by the
+    clip's first step) score exactly 0.0: they can neither win nor change
+    the "best" the error reports.
     """
     if kind not in indexes:
         entities = doc.by_kind(kind)

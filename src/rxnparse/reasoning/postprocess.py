@@ -2,7 +2,8 @@
 
 Four refinements, in order: merge pairs of collinear adjacent arrows
 with nothing drawn between them (one long arrow split by the detector;
-one pass over the candidates, each arrow's axis computed once),
+one pass over the candidates, each arrow's axis computed once and the
+gap scanned only for pairs that pass the cheap alignment gates),
 drop structurally invalid candidates, replace identifiers by the
 molecules they resolve to (removing the duplicate representation), and
 flag conservation: reactions whose sides both consist of parsed
@@ -27,6 +28,7 @@ _MERGE_MAX_ANGLE_DEG = 15.0
 _MERGE_MAX_GAP = 0.20
 _MERGE_MAX_LATERAL = 0.05
 _GAP_BAND = 0.08
+_MERGE_MIN_COS = math.cos(math.radians(_MERGE_MAX_ANGLE_DEG))
 
 
 def post_process(reactions, doc: ReactionDocument, config: ReasoningConfig) -> list[Reaction]:
@@ -44,23 +46,41 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
     Unmerged reactions keep their order; merged ones follow in the order
     they were merged. A merged reaction holds two arrows and never merges
     again, and a pair that fails never succeeds later, so one pass finds
-    every merge a rescan after each merge would.
+    every merge a rescan after each merge would. Each single-arrow
+    reaction's axis is computed once, and only pairs that pass the angle,
+    ahead-of, gap and lateral gates reach the gap scan of :func:`_try_merge`.
     """
-    axes = {
-        r.arrows[0]: principal_axis(doc.entity(r.arrows[0]).region)
-        for r in reactions
-        if len(r.arrows) == 1
-    }
+    diag = doc.diagram_bounds.diagonal or 1.0
+    axes = {}  # reaction index -> (tail, head, head - tail, |head - tail|, arrow centroid)
+    for i, reaction in enumerate(reactions):
+        if len(reaction.arrows) == 1:
+            arrow = doc.entity(reaction.arrows[0])
+            tail, head = principal_axis(arrow.region)
+            v = (head[0] - tail[0], head[1] - tail[1])
+            n = math.hypot(*v)
+            if n != 0.0:  # a zero-length axis merges with nothing
+                axes[i] = (tail, head, v, n, arrow.centroid)
     centroids = [e.centroid for e in doc.entities if e.kind != EntityKind.ARROW]
     used = [False] * len(reactions)
     merged: list[Reaction] = []
-    for i, first in enumerate(reactions):
+    for i, axis1 in axes.items():
         if used[i]:
             continue
-        for j, second in enumerate(reactions):
+        tail1, head1, v1, n1, _ = axis1
+        for j, (tail2, _, v2, n2, centroid2) in axes.items():
             if used[j] or j == i:
                 continue
-            combined = _try_merge(first, second, doc, axes, centroids)
+            # the second arrow must continue the first: within the angle
+            # bound, ahead of its head, across a short gap, near its line
+            if abs((v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)) < _MERGE_MIN_COS:
+                continue
+            if axis_parameter(centroid2, tail1, head1) <= 1.0:
+                continue
+            if math.dist(head1, tail2) / diag > _MERGE_MAX_GAP:
+                continue
+            if lateral_distance(centroid2, tail1, head1) / diag > _MERGE_MAX_LATERAL:
+                continue
+            combined = _try_merge(reactions[i], reactions[j], axis1, tail2, centroids, diag)
             if combined is not None:
                 used[i] = used[j] = True
                 merged.append(combined)
@@ -68,35 +88,13 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
     return [r for r, u in zip(reactions, used) if not u] + merged
 
 
-def _try_merge(first: Reaction, second: Reaction, doc: ReactionDocument, axes, centroids) -> Reaction | None:
-    """``axes`` maps each single-arrow reaction's arrow id to its (tail, head);
-    ``centroids`` holds the centroid of every non-arrow entity."""
-    if len(first.arrows) != 1 or len(second.arrows) != 1:
-        return None
-    a2 = doc.entity(second.arrows[0])
-    tail1, head1 = axes[first.arrows[0]]
-    tail2, head2 = axes[second.arrows[0]]
-    diag = doc.diagram_bounds.diagonal or 1.0
+def _try_merge(first: Reaction, second: Reaction, axis1, tail2, centroids, diag: float) -> Reaction | None:
+    """The merge of two reactions whose arrows passed the alignment gates, or None.
 
-    v1 = (head1[0] - tail1[0], head1[1] - tail1[1])
-    v2 = (head2[0] - tail2[0], head2[1] - tail2[1])
-    n1 = math.hypot(*v1)
-    n2 = math.hypot(*v2)
-    if n1 == 0.0 or n2 == 0.0:
-        return None
-    cos_angle = abs((v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2))
-    if cos_angle < math.cos(math.radians(_MERGE_MAX_ANGLE_DEG)):
-        return None
-
-    # second arrow must sit ahead of the first along the shared axis
-    t2 = axis_parameter(a2.centroid, tail1, head1)
-    if t2 <= 1.0:
-        return None
-    if math.dist(head1, tail2) / diag > _MERGE_MAX_GAP:
-        return None
-    if lateral_distance(a2.centroid, tail1, head1) / diag > _MERGE_MAX_LATERAL:
-        return None
-
+    ``axis1`` is the first arrow's axis, ``tail2`` the second's tail;
+    ``centroids`` holds the centroid of every non-arrow entity.
+    """
+    tail1, head1, v1, _, _ = axis1
     # the gap must be empty: no non-arrow entity projected strictly inside it
     t_gap_start = axis_parameter(head1, tail1, head1)
     t_gap_end = axis_parameter(tail2, tail1, head1)

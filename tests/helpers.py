@@ -275,6 +275,35 @@ def random_quad(rng: random.Random, limit=1000.0) -> OrientedQuad:
     return OrientedQuad(tuple(points))
 
 
+# --- the polygon clip as it was: each vertex's cross recomputed -------------
+
+
+def reference_clip_convex(subject, clip):
+    """Sutherland-Hodgman clipping of one convex CCW polygon by another."""
+    from rxnparse.geometry import _EPS, _cross
+
+    output = list(subject)
+    n = len(clip)
+    for k in range(n):
+        if not output:
+            return []
+        a, b = clip[k], clip[(k + 1) % n]
+        current, output = output, []
+        for idx in range(len(current)):
+            p = current[idx]
+            q = current[(idx + 1) % len(current)]
+            p_in = _cross(a, b, p) >= -_EPS
+            q_in = _cross(a, b, q) >= -_EPS
+            if p_in:
+                output.append(p)
+            if p_in != q_in:
+                d1 = _cross(a, b, p)
+                d2 = _cross(a, b, q)
+                t = d1 / (d1 - d2)
+                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return output
+
+
 # --- brute-force matching oracle ---------------------------------------------
 
 

@@ -62,6 +62,27 @@ def test_bad_json():
         load_document(b"{not json")
 
 
+@pytest.mark.parametrize(
+    "raw, pointer",
+    [
+        ('{"width": 100, "height": Infinity, "entities": []}', "/height"),
+        ('{"width": NaN, "height": 100, "entities": []}', "/width"),
+        ('{"width": 100, "height": 100, "entities": [{"id": "m", "label": "molecule", "bbox": [0, 0, Infinity, 5]}]}',
+         "/entities/0/bbox"),
+        ('{"width": 100, "height": 100, "entities": [{"id": "a", "label": "arrow",'
+         ' "bbox": [0, 0, 9, 0, 9, NaN, 0, 2]}]}', "/entities/0/bbox"),
+        ('{"width": 100, "height": 100, "entities": [{"id": "m", "label": "molecule", "bbox": [0, 0, 1%s, 5]}]}'
+         % ("0" * 400), "/entities/0/bbox"),
+    ],
+    ids=["infinite-height", "nan-width", "infinite-box", "nan-quad", "int-beyond-float"],
+)
+def test_non_finite_numbers_rejected(raw, pointer):
+    # json.loads accepts NaN and Infinity; neither may reach the geometry or the combiner prompt
+    with pytest.raises(SchemaError, match="finite") as excinfo:
+        load_document(raw)
+    assert excinfo.value.pointer == pointer
+
+
 def test_unknown_layout():
     with pytest.raises(SchemaError):
         make_doc([], layout="spiral")

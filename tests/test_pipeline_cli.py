@@ -563,8 +563,10 @@ class TestCli:
             ([{"id": "d1", "reactions": [{**_EMPTY_REACTION, "arrow": [{"label": "arrow", "bbox": [1, 2]}]}]}],
              "reaction 0: bad bbox"),
             ([_EMPTY_REACTION, _EMPTY_REACTION, {**_EMPTY_REACTION, "products": {}}], "reaction 2: reaction roles"),
+            ([{"id": "d1", "reactions": [{**_EMPTY_REACTION, "arrow": [{"label": "arrow", "bbox": [0, 0, 1, 1e400]}]}]}],
+             "must be finite"),
         ],
-        ids=["corpus-missing-keys", "corpus-bad-bbox", "bare-array-role-not-array"],
+        ids=["corpus-missing-keys", "corpus-bad-bbox", "bare-array-role-not-array", "corpus-infinite-bbox"],
     )
     def test_malformed_eval_reactions_exit_4(self, tmp_path, capsys, content, message):
         eval_file = tmp_path / "gt.json"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -117,6 +118,31 @@ class TestParseCombinerResponse:
                 parse_combiner_response(raw, two_reaction_doc)
 
 
+    @pytest.mark.parametrize(
+        "item",
+        [
+            '{"label": "molecule", "bbox": [38, 2, NaN, 234]}',
+            '{"label": "molecule", "bbox": [38, 2, 434, Infinity]}',
+        ],
+        ids=["nan", "infinity"],
+    )
+    def test_non_finite_reply_box_is_a_format_error(self, two_reaction_doc, item):
+        # not a ResolutionError "(best 0.000)": the box is malformed, not unmatched
+        raw = (
+            f'[{{"reactants": [{item}],'
+            ' "products": [{"label": "molecule", "bbox": [912, 14, 1309, 231]}],'
+            ' "conditions": [], "arrow": []}]'
+        )
+        with pytest.raises(ResponseFormatError, match="bad bbox .*finite"):
+            parse_combiner_response(raw, two_reaction_doc)
+
+    def test_non_finite_reply_arrow_is_a_format_error(self, two_reaction_json, two_reaction_doc):
+        data = json.loads(two_reaction_json)
+        data[0]["arrow"][0]["bbox"][5] = float("nan")
+        with pytest.raises(ResponseFormatError, match="bad bbox .*finite"):
+            parse_combiner_response(json.dumps(data), two_reaction_doc)
+
+
 class TestRoundTrip:
     def test_byte_exact_bbox_arrays(self, two_reaction_json, two_reaction_doc):
         reactions = parse_combiner_response(two_reaction_json, two_reaction_doc)
@@ -176,8 +202,11 @@ class TestBoxedViews:
             (_boxed_payload(reactants=[{"label": "molecule", "bbox": [0, 0, "x", 1]}]), "reaction 0: bad bbox"),
             (_boxed_payload(conditions={"label": "text"}), "reaction 0: reaction roles must be arrays"),
             ("[3]", "reaction 0 is not an object"),
+            (_boxed_payload(reactants=[{"label": "molecule", "bbox": [math.nan, 0, 1, 1]}]), "reaction 0: bad bbox"),
+            (_boxed_payload(arrow=[{"label": "arrow", "bbox": [0, 0, 9, 0, 9, math.inf, 0, 2]}]), "finite"),
         ],
-        ids=["nine-numbers", "degenerate-quad", "not-a-number", "role-not-array", "reaction-not-object"],
+        ids=["nine-numbers", "degenerate-quad", "not-a-number", "role-not-array", "reaction-not-object",
+             "nan-box", "infinite-quad"],
     )
     def test_malformed_eval_reactions_are_format_errors(self, payload, message):
         with pytest.raises(ResponseFormatError, match=message):

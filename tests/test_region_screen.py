@@ -2,25 +2,28 @@
 
 ``score`` runs the predicate only on reaction pairs whose members can
 overlap and matches per connected component; ``_resolve_region`` runs
-IoU only on entities whose bounds meet the reply box. Both must give
-exactly what a scan of every pair gives: the same report, the same
-entity, the same error text.
+IoU only on entities whose bounds meet the reply box, or, for a reply
+arrow, on arrows the polygon clip does not provably cut to nothing. Both
+must give exactly what a scan of every pair gives: the same report, the
+same entity, the same error text. The clip itself must return the
+reference's floats bit for bit.
 """
 
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rxnparse.cli import main
 from rxnparse.entities import Entity, EntityKind, ReactionDocument
 from rxnparse.evaluation import CorpusDocument, score, score_corpus
-from rxnparse.geometry import AxisBox, OrientedQuad, RegionIndex, region_iou
+from rxnparse.geometry import AxisBox, OrientedQuad, RegionIndex, _clip_convex, region_iou
 from rxnparse.reactions import BoxedMember, BoxedReaction, ResolutionError, _resolve_region
 
-from helpers import reference_resolve_region, reference_score
+from helpers import random_quad, reference_clip_convex, reference_resolve_region, reference_score
 
 THRESHOLDS = (0.0, 0.5, 0.9, 1.0)
 MEMBER_KINDS = (EntityKind.MOLECULE, EntityKind.TEXT, EntityKind.IDENTIFIER)
@@ -35,6 +38,48 @@ quads = st.builds(
     st.integers(0, 8), st.integers(0, 8), st.integers(1, 3), st.integers(1, 3),
     st.sampled_from((0, 0, 0.5, -1)),
 )
+# offsets around the clip tolerance (_EPS = 1e-12): a vertex this far outside
+# an edge of length L has cross -L * offset, kept or not depending on L
+NUDGES = st.sampled_from((0.0, 0.0, 0.0, 1e-13, -1e-13, -5e-13, -1e-12, -0.999e-12, -1.001e-12, -2e-12, 2e-12))
+
+
+def _quad_or_reject(points):
+    try:
+        return OrientedQuad(tuple(points))
+    except ValueError:  # zero area
+        assume(False)
+
+
+@st.composite
+def tilted_quads(draw):
+    """An arrow shaped like the benchmark's: its far end drops a little, at any scale."""
+    x0, y = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    length, thickness = draw(st.integers(1, 6)), draw(st.sampled_from((0.5, 1, 2)))
+    drop = draw(st.sampled_from((0, 0.1, -0.1, 0.25)))
+    return OrientedQuad(((x0, y + thickness), (x0 + length, y + thickness - drop), (x0 + length, y - drop), (x0, y)))
+
+
+@st.composite
+def nudged_quads(draw):
+    """Grid quads with each vertex nudged around the clip tolerance, in any vertex
+    order (a crossed order is repaired by the hull); one vertex may sit inside
+    the other three's triangle, leaving a 3-vertex hull."""
+    x, y, w, h = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    corners = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+    if draw(st.booleans()):
+        corners[2] = (x + w / 4, y + h / 4)
+    points = [(px + draw(NUDGES), py + draw(NUDGES)) for px, py in corners]
+    return _quad_or_reject(draw(st.permutations(points)))
+
+
+# a vertex kept within the tolerance makes the crossing step extrapolate: clipped
+# by the unit square, an intermediate vertex lands at x = 300.5
+EXTRAPOLATING = OrientedQuad(((0.2, -1), (0.8, -1), (0.8, -0.999e-12), (0.2, -1.001e-12)))
+UNIT_SQUARE = OrientedQuad(((0, 0), (1, 0), (1, 1), (0, 1)))
+# against the unit square, its only vertex inside the first edge has cross exactly -_EPS
+AT_TOLERANCE = OrientedQuad(((0.5, -1e-12), (0.3, -1), (0.5, -2), (0.7, -1)))
+arrow_quads = st.one_of(quads, tilted_quads(), nudged_quads(), st.just(EXTRAPOLATING), st.just(UNIT_SQUARE))
+
 members = st.builds(
     BoxedMember,
     kind=st.sampled_from(MEMBER_KINDS),
@@ -161,7 +206,7 @@ def test_threshold_bounds_accepted(threshold):
 
 
 def _entity_region(kind):
-    return quads if kind == EntityKind.ARROW else boxes
+    return arrow_quads if kind == EntityKind.ARROW else boxes
 
 
 @st.composite
@@ -237,3 +282,75 @@ def test_region_index_pairs_are_closed_and_row_major():
     quad = OrientedQuad(((10, 10), (11, 10), (11, 11), (10, 11)))
     assert RegionIndex([quad]).candidates(AxisBox(0, 0, 1, 1)).tolist() == [0]
     assert RegionIndex([quad], polygon=False).candidates(AxisBox(0, 0, 1, 1)).tolist() == []
+
+
+# --- the quad screen: the clip's first step, evaluated exactly -----------------
+
+
+@st.composite
+def quad_screen_cases(draw):
+    entities = draw(st.lists(arrow_quads, min_size=1, max_size=6))
+    reply = draw(st.one_of(arrow_quads, st.sampled_from(entities)))  # identical quads too
+    return entities, reply
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=quad_screen_cases())
+@example(case=([EXTRAPOLATING], UNIT_SQUARE))
+@example(case=([UNIT_SQUARE], EXTRAPOLATING))
+@example(case=([AT_TOLERANCE], UNIT_SQUARE))
+def test_quads_the_screen_leaves_out_clip_to_nothing(case):
+    entities, reply = case
+    kept = set(RegionIndex(entities).candidates(reply).tolist())
+    for i, entity in enumerate(entities):
+        if i not in kept:
+            assert reference_clip_convex(list(entity.hull), list(reply.hull)) == []
+            assert region_iou(entity, reply) == 0.0
+
+
+@pytest.mark.parametrize(
+    "entity, reply",
+    [
+        (AT_TOLERANCE, UNIT_SQUARE),
+        # the entity's corner is 5e-13 outside the reply's unit-length edge
+        # (cross -5e-13, kept) but the reply is 5e-13 outside the entity's
+        # length-10 edge (cross -5e-12): the roles are not interchangeable
+        (
+            OrientedQuad(((0, 0), (10, 0), (10, 10), (0, 10))),
+            OrientedQuad(((10 + 5e-13, 0), (11, 0), (11, 1), (10 + 5e-13, 1))),
+        ),
+        (EXTRAPOLATING, UNIT_SQUARE),
+        (UNIT_SQUARE, EXTRAPOLATING),
+    ],
+    ids=["vertex-at-tolerance", "roles-entity-is-subject", "extrapolating-entity", "extrapolating-reply"],
+)
+def test_quads_touching_within_tolerance_are_kept(entity, reply):
+    assert region_iou(entity, reply) > 0.0
+    assert RegionIndex([entity]).candidates(reply).tolist() == [0]
+
+
+def test_quad_screen_keeps_box_members_and_leaves_out_far_quads():
+    members = [AxisBox(50, 50, 60, 60), UNIT_SQUARE, OrientedQuad(((5, 5), (6, 5), (6, 6), (5, 6)))]
+    assert RegionIndex(members).candidates(UNIT_SQUARE).tolist() == [0, 1]
+    assert RegionIndex(members, polygon=False).candidates(UNIT_SQUARE).tolist() == [1]
+
+
+def _hex(polygon):
+    return [(x.hex(), y.hex()) for x, y in polygon]
+
+
+@settings(max_examples=300, deadline=None)
+@given(subject=arrow_quads, clip=arrow_quads)
+@example(subject=EXTRAPOLATING, clip=UNIT_SQUARE)
+@example(subject=UNIT_SQUARE, clip=EXTRAPOLATING)
+def test_clip_convex_returns_the_reference_floats(subject, clip):
+    assert _hex(_clip_convex(list(subject.hull), list(clip.hull))) == _hex(
+        reference_clip_convex(list(subject.hull), list(clip.hull))
+    )
+
+
+def test_clip_convex_equals_reference_on_random_quads():
+    rng = random.Random(11)
+    rotated = [random_quad(rng, limit=200.0) for _ in range(60)]
+    for a, b in zip(rotated, rotated[1:] + rotated[:1]):
+        assert _hex(_clip_convex(list(a.hull), list(b.hull))) == _hex(reference_clip_convex(list(a.hull), list(b.hull)))

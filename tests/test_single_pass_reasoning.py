@@ -11,12 +11,17 @@ Scores are drawn from quarter steps and weights from dyadic fractions, so
 fused scores land exactly on ``tau_fuse`` often.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rxnparse.geometry
+import rxnparse.reasoning.postprocess
 from rxnparse.config import ReasoningConfig
+from rxnparse.geometry import principal_axis
 from rxnparse.reactions import Reaction
 from rxnparse.reasoning import (
     EDGE_DIMS,
@@ -33,7 +38,7 @@ from rxnparse.reasoning import (
     fuse,
     infer_reactions,
 )
-from rxnparse.reasoning.postprocess import _merge_collinear_arrows
+from rxnparse.reasoning.postprocess import _MERGE_MIN_COS, _merge_collinear_arrows
 
 from helpers import (
     arrow_entity,
@@ -322,3 +327,106 @@ def test_merge_cases_equal_reference(doc, reactions, expected_arrows):
     merged = _merge_collinear_arrows(list(reactions), doc)
     assert [r.arrows for r in merged] == expected_arrows
     assert merged == reference_merge_collinear_arrows(reactions, doc)
+
+
+# --- the merge gates at their boundaries ----------------------------------------
+#
+# A 3000 x 4000 diagram has a diagonal of exactly 5000, so the gap bound
+# (0.20 * diag) is 1000 and the lateral bound (0.05 * diag) 250. The first
+# arrow runs from (100, 1000) to (400, 1000); each case places a second
+# arrow on one side of a bound and expects the merge to happen or not, as
+# the reference decides.
+
+BOUND_WIDTH, BOUND_HEIGHT = 3000, 4000
+
+
+def _bar(eid, tail, head, half=10):
+    """An arrow whose axis runs from ``tail`` to ``head`` (the midpoints of its two vertical ends)."""
+    (xt, yt), (xh, yh) = tail, head
+    return {"id": eid, "label": "arrow", "bbox": [xt, yt - half, xh, yh - half, xh, yh + half, xt, yt + half]}
+
+
+def _bound_doc(*bars):
+    molecules = [molecule_entity("m1", 0, 3000, w=60, h=60), molecule_entity("m2", 2800, 3000, w=60, h=60)]
+    return make_doc([_bar("a", (100, 1000), (400, 1000)), *bars, *molecules], width=BOUND_WIDTH, height=BOUND_HEIGHT)
+
+
+def _merges(doc, reactions):
+    merged = _merge_collinear_arrows(list(reactions), doc)
+    assert merged == reference_merge_collinear_arrows(reactions, doc)
+    return [r.arrows for r in merged]
+
+
+def _fifteen_degree_rise():
+    """A length and rise for the second arrow whose computed |cos| with the
+    first is exactly cos(15°), searched because rounding decides it."""
+
+    def cos_with_first(length, rise):
+        doc = _bound_doc(_bar("b", (450, 1000), (450 + length, 1000 + rise)))
+        tail, head = principal_axis(doc.entity("b").region)
+        v = (head[0] - tail[0], head[1] - tail[1])
+        return abs((300.0 * v[0] + 0.0 * v[1]) / (300.0 * math.hypot(*v)))
+
+    for length in range(280, 300):
+        lo, hi = 0.0, 200.0  # |cos| falls as the rise grows
+        while math.nextafter(lo, hi) != hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if cos_with_first(length, mid) >= _MERGE_MIN_COS else (lo, mid)
+        if cos_with_first(length, lo) == _MERGE_MIN_COS:
+            return length, lo, hi
+    raise AssertionError("no arrow lands exactly on the angle bound")
+
+
+@pytest.mark.parametrize(
+    "second, merges",
+    [
+        # ahead of the head: the centroid projects to t2 == 1.0 exactly, then just past it
+        (((350, 1000), (450, 1000)), False),
+        (((350, 1000), (450.0000000001, 1000)), True),
+        # the gap from the first head to the second tail is 1000 = 0.20 * diag, then just over
+        (((1400, 1000), (1700, 1000)), True),
+        (((1400.0000001, 1000), (1700, 1000)), False),
+        # the second centroid lies 250 = 0.05 * diag off the first axis, then just over
+        (((450, 1250), (750, 1250)), True),
+        (((450, 1250.000001), (750, 1250.000001)), False),
+    ],
+    ids=["t2-is-one", "t2-past-one", "gap-at-bound", "gap-past-bound", "lateral-at-bound", "lateral-past-bound"],
+)
+def test_merge_gate_boundaries_equal_reference(second, merges):
+    doc = _bound_doc(_bar("b", *second))
+    arrows = _merges(doc, [_one("m1", "m2", "a"), _one("m1", "m2", "b")])
+    assert arrows == ([("a", "b")] if merges else [("a",), ("b",)])
+
+
+def test_merge_angle_bound_equals_reference():
+    length, at_bound, past_bound = _fifteen_degree_rise()
+    for rise, merges in ((at_bound, True), (past_bound, False)):
+        doc = _bound_doc(_bar("b", (450, 1000), (450 + length, 1000 + rise)))
+        arrows = _merges(doc, [_one("m1", "m2", "a"), _one("m1", "m2", "b")])
+        assert arrows == ([("a", "b")] if merges else [("a",), ("b",)])
+
+
+def test_zero_length_axis_never_merges(monkeypatch):
+    doc = _bound_doc(_bar("b", (450, 1000), (750, 1000)), _bar("c", (800, 1000), (1100, 1000)))
+    real_axis = rxnparse.geometry.principal_axis
+    collapsed = doc.entity("b").region
+
+    def axis(quad):
+        tail, head = real_axis(quad)
+        return (tail, tail) if quad is collapsed else (tail, head)
+
+    monkeypatch.setattr(rxnparse.geometry, "principal_axis", axis)
+    monkeypatch.setattr(rxnparse.reasoning.postprocess, "principal_axis", axis)
+    reactions = [_one("m1", "m2", "b"), _one("m1", "m2", "a"), _one("m1", "m2", "c")]
+    assert _merges(doc, reactions) == [("b",), ("a", "c")]
+
+
+@pytest.mark.parametrize(
+    "order, expected",
+    [(("a", "b", "c"), [("c",), ("a", "b")]), (("a", "c", "b"), [("b",), ("a", "c")])],
+    ids=["middle-first", "far-first"],
+)
+def test_first_fitting_partner_wins(order, expected):
+    # both later arrows continue the first; the earlier one in the list wins
+    doc = _bound_doc(_bar("b", (450, 1000), (750, 1000)), _bar("c", (800, 1000), (1100, 1000)))
+    assert _merges(doc, [_one("m1", "m2", eid) for eid in order]) == expected
