@@ -2,6 +2,7 @@
 
 from .fingerprint import (
     DEFAULT_FINGERPRINT_CONFIG,
+    SKETCH_DIMS,
     Fingerprint,
     FingerprintConfig,
     WidthMismatchError,
@@ -35,6 +36,7 @@ __all__ = [
     "FingerprintConfig",
     "MAX_LENGTH",
     "Molecule",
+    "SKETCH_DIMS",
     "SmilesSyntaxError",
     "ValenceError",
     "WidthMismatchError",

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .molecule import Molecule
 
 
+SKETCH_DIMS = 16  # stripes in a fingerprint sketch
+
+
 class WidthMismatchError(ValueError):
     """Tanimoto over fingerprints with different widths or algorithm tags."""
 
@@ -118,7 +121,7 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     return (a.bits & b.bits).bit_count() / union
 
 
-def bit_sketch(fp: Fingerprint, dims: int = 16) -> list[float]:
+def bit_sketch(fp: Fingerprint, dims: int = SKETCH_DIMS) -> list[float]:
     """Fold a fingerprint into ``dims`` stripe densities in [0, 1].
 
     Used as a compact node feature for molecules in the spatial graph.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ValenceError(ValueError):
@@ -76,7 +77,10 @@ class Molecule:
     Construction validates the graph (index bounds, no self-bonds, no
     duplicate bonds, bond orders from {1, 1.5, 2, 3}) and computes
     implied hydrogens, raising :class:`ValenceError` where an uncharged
-    atom is over-bonded.
+    atom is over-bonded. The chemistry the reasoning layers read
+    (fingerprint, sketch, atom counts, formal charge) is computed on
+    first read and kept, so a molecule shared by many entities computes
+    each once.
     """
 
     atoms: tuple[Atom, ...]
@@ -123,6 +127,30 @@ class Molecule:
     def total_hydrogens(self, idx: int) -> int:
         atom = self.atoms[idx]
         return (atom.explicit_h or 0) + self.implicit_h[idx]
+
+    @cached_property
+    def fingerprint(self):
+        """Path fingerprint under the default scheme."""
+        from .fingerprint import fingerprint  # that module imports this one
+
+        return fingerprint(self)
+
+    @cached_property
+    def sketch(self) -> tuple[float, ...]:
+        """The fingerprint folded into ``SKETCH_DIMS`` stripe densities."""
+        from .fingerprint import bit_sketch
+
+        return tuple(bit_sketch(self.fingerprint))
+
+    @cached_property
+    def atom_counts(self) -> "ElementCounts":
+        """:func:`atom_count_vector` of this molecule."""
+        return atom_count_vector(self)
+
+    @cached_property
+    def charge(self) -> int:
+        """:func:`formal_charge_sum` of this molecule."""
+        return formal_charge_sum(self)
 
 
 def _implied_hydrogens(atom: Atom, bond_sum: int) -> int:
@@ -247,12 +275,10 @@ def conservation_residual(
     """
     if not reactants or not products:
         raise ValueError("both reactant and product lists must be non-empty")
-    element = ZERO_COUNTS
-    for mol in reactants:
-        element = element + atom_count_vector(mol)
-    for mol in products:
-        element = element - atom_count_vector(mol)
-    charge = sum(formal_charge_sum(m) for m in reactants) - sum(
-        formal_charge_sum(m) for m in products
-    )
-    return element, charge
+    totals: dict[str, int] = {}
+    for sign, side in ((1, reactants), (-1, products)):
+        for mol in side:
+            for element, count in mol.atom_counts.items():
+                totals[element] = totals.get(element, 0) + sign * count
+    charge = sum(m.charge for m in reactants) - sum(m.charge for m in products)
+    return ElementCounts(totals), charge

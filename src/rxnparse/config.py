@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chem.fingerprint import SKETCH_DIMS
+
 
 class ConfigError(ValueError):
     pass
 
 
 # the fixed part of a spatial node feature: kind one-hot + box geometry + fingerprint sketch
-SKETCH_DIMS = 16
 BASE_NODE_DIMS = 4 + 4 + SKETCH_DIMS
 
 

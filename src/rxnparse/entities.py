@@ -19,6 +19,12 @@ boxes. Every number must be finite: ``NaN`` and ``Infinity``, which
 to parse does not reject the entity: it enters the pipeline unparsed
 (recorded as a document warning) and the chemistry channel falls back
 to a neutral score for it.
+
+Each distinct SMILES is parsed once per document: every entity naming
+it shares one :class:`~rxnparse.chem.Molecule`, together with the
+chemistry the molecule computes on first read (fingerprint, sketch, atom
+counts, charge). A SMILES that fails to parse warns for every entity
+naming it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .chem import Fingerprint, Molecule, SmilesSyntaxError, ValenceError, fingerprint, parse_smiles
+from .chem import Fingerprint, Molecule, SmilesSyntaxError, ValenceError, bit_sketch, parse_smiles
 from .geometry import (
     AxisBox,
     OrientedQuad,
@@ -91,10 +97,23 @@ class Entity:
     def fingerprint(self) -> Fingerprint | None:
         """Path fingerprint of the parsed molecule, or None without one.
 
-        Computed on first read and kept, so every layer shares one value
-        and a loaded document holds no fingerprint until a layer asks.
+        The molecule computes it on first read and keeps it, so the
+        entities of a document naming the same SMILES share one value,
+        and a molecule no layer has asked about holds no fingerprint.
         """
-        return None if self.molecule is None else fingerprint(self.molecule)
+        return None if self.molecule is None else self.molecule.fingerprint
+
+    @cached_property
+    def sketch(self) -> tuple[float, ...] | None:
+        """:func:`~rxnparse.chem.bit_sketch` of :attr:`fingerprint`, or None without one.
+
+        The molecule's kept sketch while this entity reads the molecule's
+        fingerprint; a fingerprint set on this entity alone gets its own.
+        """
+        fp = self.fingerprint
+        if fp is None:
+            return None
+        return self.molecule.sketch if fp is self.molecule.fingerprint else tuple(bit_sketch(fp))
 
     @property
     def centroid(self):
@@ -172,7 +191,8 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
 
     Entities are sorted by region centroid (y, x); regions falling
     outside the diagram bounds are clamped with a warning; SMILES
-    payloads are pre-parsed, failures recorded rather than raised.
+    payloads are parsed once per distinct string, failures recorded
+    rather than raised.
     """
     if isinstance(source, (bytes, str)):
         try:
@@ -202,6 +222,7 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
 
     warnings: list[str] = []
     seen_ids: set[str] = set()
+    molecules: dict[str, Molecule] = {}  # parsed SMILES of this document
     entities: list[Entity] = []
     for i, raw in enumerate(raw_entities):
         pointer = f"/entities/{i}"
@@ -230,10 +251,10 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
         except ValueError as exc:
             raise SchemaError(str(exc), f"{pointer}/bbox") from None
 
-        clamped = region.clamped_to(bounds)
-        if clamped != region:
+        # a region inside the diagram would clamp to an equal one; one that leaves it changes
+        if not bounds.contains(region if isinstance(region, AxisBox) else region.bounding_box()):
+            region = region.clamped_to(bounds)
             warnings.append(f"entity {entity_id!r}: region clamped to diagram bounds")
-            region = clamped
 
         smiles = raw.get("smiles")
         _require(smiles is None or isinstance(smiles, str), "smiles must be a string", f"{pointer}/smiles")
@@ -254,10 +275,10 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
             f"{pointer}/resolves_to",
         )
 
-        molecule = None
-        if smiles is not None:
+        molecule = None if smiles is None else molecules.get(smiles)
+        if smiles is not None and molecule is None:
             try:
-                molecule = parse_smiles(smiles)
+                molecule = molecules[smiles] = parse_smiles(smiles)
             except (SmilesSyntaxError, ValenceError) as exc:
                 warnings.append(f"entity {entity_id!r}: unparseable SMILES {smiles!r}: {exc}")
 

@@ -19,6 +19,8 @@ Point = tuple[float, float]
 
 _EPS = 1e-12
 
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
 
 @dataclass(frozen=True)
 class AxisBox:
@@ -288,7 +290,7 @@ def _screen_bounds(region: Region, polygon: bool) -> tuple[float, float, float, 
     point lies within that tolerance the crossing step ``t = d1 / (d1 - d2)``
     leaves [0, 1] and extrapolates along the subject edge by an amount no
     margin derived from ``_EPS`` bounds. Such a quad therefore spans the
-    whole plane; only :meth:`RegionIndex.candidates` screens it, by the
+    whole plane; only :meth:`RegionIndex.candidate_pairs` screens it, by the
     clip's own first step.
     """
     if isinstance(region, AxisBox):
@@ -325,27 +327,36 @@ class RegionIndex:
         hit &= b[None, :, 1] <= a[:, None, 3]
         return np.nonzero(hit)
 
-    def candidates(self, region: Region) -> np.ndarray:
-        """Ascending indices ``i`` for which ``region_iou(regions[i], region, polygon)`` may be nonzero.
+    def candidate_pairs(self, regions) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs ``(i, j)``, row-major, ``i`` in this index and ``j`` in ``regions``, for which
+        ``region_iou(self.regions[i], regions[j], polygon)`` may be nonzero.
 
-        Boxes are screened by their closed bounds. A quad ``region``
-        compared as polygons has no bounds, so it keeps every box member
-        and leaves out a quad member only where :func:`_clip_may_meet`
-        shows that clipping the member's hull (the subject) by
-        ``region``'s (the clip) gives nothing. The hulls are gathered on
-        the first such call.
+        A box query is screened by closed bounds, as in :meth:`overlapping`.
+        A quad query compared as polygons has no bounds, so it keeps every
+        box member and leaves out a quad member only where
+        :func:`_clip_may_meet` shows that clipping the member's hull (the
+        subject) by the query's (the clip) gives nothing. The member hulls
+        are gathered on the first such call.
         """
-        if not (self.polygon and isinstance(region, OrientedQuad)):
-            return self.overlapping(RegionIndex([region], self.polygon))[0]
-        if self._quad_hulls is None:
-            rows = [i for i, r in enumerate(self.regions) if isinstance(r, OrientedQuad)]
-            hulls = [self.regions[i].hull for i in rows]
-            padded = np.array([h + h[:1] * (4 - len(h)) for h in hulls], dtype=float).reshape(-1, 2)
-            self._quad_hulls = np.array(rows, dtype=np.intp), padded[:, 0].copy(), padded[:, 1].copy()
-        rows, hull_x, hull_y = self._quad_hulls
-        keep = np.ones(len(self.regions), dtype=bool)
-        keep[rows] = _clip_may_meet(hull_x, hull_y, region.hull)
-        return np.flatnonzero(keep)
+        regions = list(regions)
+        meet = np.zeros((len(self.regions), len(regions)), dtype=bool)
+        clipped = [self.polygon and isinstance(r, OrientedQuad) for r in regions]
+        bounded = [j for j, c in enumerate(clipped) if not c]
+        if bounded:
+            rows, cols = self.overlapping(RegionIndex([regions[j] for j in bounded], self.polygon))
+            meet[rows, np.array(bounded, dtype=np.intp)[cols]] = True
+        quads = [j for j, c in enumerate(clipped) if c]
+        if quads:
+            if self._quad_hulls is None:
+                rows = [i for i, r in enumerate(self.regions) if isinstance(r, OrientedQuad)]
+                hulls = [self.regions[i].hull for i in rows]
+                padded = np.array([h + h[:1] * (4 - len(h)) for h in hulls], dtype=float).reshape(-1, 2)
+                self._quad_hulls = np.array(rows, dtype=np.intp), padded[:, 0].copy(), padded[:, 1].copy()
+            rows, hull_x, hull_y = self._quad_hulls
+            meet[:, quads] = True
+            for j in quads:  # one query at a time: temporaries stay O(len(self.regions))
+                meet[rows, j] = _clip_may_meet(hull_x, hull_y, regions[j].hull)
+        return np.nonzero(meet)
 
 
 def center_distance_normalized(a: Region, b: Region, diagram: AxisBox) -> float:
@@ -451,7 +462,13 @@ def region_to_array(region: Region) -> list:
 
 
 def region_from_array(values) -> Region:
-    """Parse a 4-number box or an 8-number quad array of finite numbers."""
+    """Parse a 4-number box or an 8-number quad array of finite numbers.
+
+    Every coordinate must be exactly an ``int`` or a ``float``, the types
+    JSON numbers decode to: strings and booleans are rejected, not converted.
+    """
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, values)):
+        raise ValueError(f"coordinates must be numbers, got {values}")
     try:
         nums = [float(v) for v in values]
     except OverflowError:  # an int too large for a float

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chem import ElementCounts
-from .entities import Entity, EntityKind, ReactionDocument
+from .entities import EntityKind, ReactionDocument
 from .geometry import Region, RegionIndex, region_from_array, region_iou, region_to_array
 
 
@@ -97,65 +97,84 @@ def reactions_to_json(reactions, doc: ReactionDocument) -> str:
     return json.dumps([reaction_to_json(r, doc) for r in reactions], indent=2)
 
 
-def _resolve_region(kind: EntityKind, region: Region, doc: ReactionDocument, indexes: dict) -> Entity:
-    """Best-IoU entity of ``kind``; on equal IoU the smaller id wins.
-
-    ``indexes`` (kind -> entities, :class:`RegionIndex`) lives for one
-    :func:`parse_combiner_response` call, so the shared document caches
-    nothing. Entities the index leaves out (by bounds, or for a quad by the
-    clip's first step) score exactly 0.0: they can neither win nor change
-    the "best" the error reports.
-    """
-    if kind not in indexes:
-        entities = doc.by_kind(kind)
-        indexes[kind] = entities, RegionIndex(e.region for e in entities)
-    entities, index = indexes[kind]
-    best: Entity | None = None
-    best_iou = 0.0
-    for i in index.candidates(region):
-        entity = entities[i]
-        iou = region_iou(entity.region, region)
-        if best is None or iou > best_iou or (iou == best_iou and entity.id < best.id):
-            best, best_iou = entity, iou
-    if best is None or best_iou < RESOLVE_IOU:
-        raise ResolutionError(
-            f"no {kind.value} entity matches bbox {region_to_array(region)} "
-            f"at IoU >= {RESOLVE_IOU} (best {best_iou:.3f})"
-        )
-    return best
-
-
-def _parse_role(items, kind_field: str, doc: ReactionDocument, indexes: dict, allow_kinds) -> tuple[str, ...]:
-    if not isinstance(items, list):
-        raise ResponseFormatError(f"{kind_field} must be an array")
-    resolved = []
-    for item in items:
-        if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
-            raise ResponseFormatError(f"{kind_field} items need 'label' and 'bbox'")
-        try:
-            kind = EntityKind(item["label"])
-        except ValueError:
-            raise ResponseFormatError(f"unknown label {item['label']!r}") from None
-        if kind not in allow_kinds:
-            raise ResponseFormatError(f"label {kind.value!r} not allowed in {kind_field}")
-        bbox = item["bbox"]
-        expected = 8 if kind == EntityKind.ARROW else 4
-        if not isinstance(bbox, list) or len(bbox) != expected:
-            raise ResponseFormatError(
-                f"{kind.value} bbox must have {expected} numbers, got {bbox!r}"
-            )
-        try:
-            region = region_from_array(bbox)
-        except (TypeError, ValueError) as exc:
-            raise ResponseFormatError(f"bad bbox {bbox!r}: {exc}") from None
-        entity = _resolve_region(kind, region, doc, indexes)
-        if entity.id not in resolved:
-            resolved.append(entity.id)
-    return tuple(resolved)
-
-
 _MEMBER_KINDS = (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)
-_REQUIRED_KEYS = ("reactants", "products", "conditions", "arrow")
+# reply role key -> the entity kinds its items may name
+_ROLE_KINDS = {
+    "reactants": _MEMBER_KINDS,
+    "products": _MEMBER_KINDS,
+    "conditions": _MEMBER_KINDS,
+    "arrow": (EntityKind.ARROW,),
+}
+_REQUIRED_KEYS = tuple(_ROLE_KINDS)
+
+
+def _item_region(item, kind_field: str) -> tuple[EntityKind, Region] | ResponseFormatError:
+    """The (kind, region) a reply item names, or the format error that rejects it."""
+    if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
+        return ResponseFormatError(f"{kind_field} items need 'label' and 'bbox'")
+    try:
+        kind = EntityKind(item["label"])
+    except ValueError:
+        return ResponseFormatError(f"unknown label {item['label']!r}")
+    if kind not in _ROLE_KINDS[kind_field]:
+        return ResponseFormatError(f"label {kind.value!r} not allowed in {kind_field}")
+    bbox = item["bbox"]
+    expected = 8 if kind == EntityKind.ARROW else 4
+    if not isinstance(bbox, list) or len(bbox) != expected:
+        return ResponseFormatError(f"{kind.value} bbox must have {expected} numbers, got {bbox!r}")
+    try:
+        return kind, region_from_array(bbox)
+    except (TypeError, ValueError) as exc:
+        return ResponseFormatError(f"bad bbox {bbox!r}: {exc}")
+
+
+def _resolve_regions(queries, doc: ReactionDocument) -> dict:
+    """``(kind, region) -> (best entity or None, best IoU)`` for each distinct query.
+
+    The best entity of ``kind`` has the highest IoU with ``region``, and on
+    equal IoU the smaller id. Each kind's entities are screened once
+    against all its queries by :meth:`RegionIndex.candidate_pairs` (boxes
+    by bounds, reply arrows by the clip's first step). Entities the screen
+    leaves out score exactly 0.0, so they can neither win nor change the
+    best IoU; the exact :func:`region_iou` runs on screened pairs only.
+    """
+    by_kind: dict = {}
+    for kind, region in queries:
+        by_kind.setdefault(kind, {}).setdefault(region, None)
+    resolved = {}
+    for kind, regions in by_kind.items():
+        entities = doc.by_kind(kind)
+        regions = list(regions)
+        rows, cols = RegionIndex(e.region for e in entities).candidate_pairs(regions)
+        best: list = [None] * len(regions)
+        best_iou = [0.0] * len(regions)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            entity = entities[i]
+            iou = region_iou(entity.region, regions[j])
+            if best[j] is None or iou > best_iou[j] or (iou == best_iou[j] and entity.id < best[j].id):
+                best[j], best_iou[j] = entity, iou
+        resolved.update(((kind, region), found) for region, found in zip(regions, zip(best, best_iou)))
+    return resolved
+
+
+def _role_ids(items, kind_field: str, resolved: dict) -> tuple[str, ...]:
+    """Entity ids of one role, from its items' :func:`_item_region` results; raises the first error."""
+    if items is None:
+        raise ResponseFormatError(f"{kind_field} must be an array")
+    ids = []
+    for item in items:
+        if isinstance(item, ResponseFormatError):
+            raise item
+        kind, region = item
+        entity, iou = resolved[item]
+        if entity is None or iou < RESOLVE_IOU:
+            raise ResolutionError(
+                f"no {kind.value} entity matches bbox {region_to_array(region)} "
+                f"at IoU >= {RESOLVE_IOU} (best {iou:.3f})"
+            )
+        if entity.id not in ids:
+            ids.append(entity.id)
+    return tuple(ids)
 
 
 def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
@@ -166,7 +185,12 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
     :class:`ResponseFormatError` for malformed JSON or shapes and for a
     ``confidence`` that is not a finite number in [0, 1],
     :class:`ConstraintError` for empty reactants/products, and
-    :class:`ResolutionError` when a box cannot be grounded.
+    :class:`ResolutionError` when a box cannot be grounded; the first
+    problem in reply order is the one raised.
+
+    One lenient pass reads every item's region (roles that are not arrays
+    read as ``None``), all regions are resolved together, and a second
+    pass walks the reply in order, raising what it meets first.
     """
     try:
         data = json.loads(raw)
@@ -175,18 +199,32 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
     if not isinstance(data, list):
         raise ResponseFormatError("response must be a JSON array of reactions")
 
-    indexes: dict = {}
+    # per reaction (None if not an object), per role: the items' (kind, region) or format errors
+    parsed = [
+        {
+            key: [_item_region(item, key) for item in obj[key]] if isinstance(obj.get(key), list) else None
+            for key in _REQUIRED_KEYS
+        }
+        if isinstance(obj, dict)
+        else None
+        for obj in data
+    ]
+    resolved = _resolve_regions(
+        (item
+         for roles in parsed if roles is not None
+         for items in roles.values() if items is not None
+         for item in items if not isinstance(item, ResponseFormatError)),
+        doc,
+    )
+
     reactions = []
-    for i, obj in enumerate(data):
-        if not isinstance(obj, dict):
+    for i, (obj, roles) in enumerate(zip(data, parsed)):
+        if roles is None:
             raise ResponseFormatError(f"reaction {i} is not an object")
         missing = [k for k in _REQUIRED_KEYS if k not in obj]
         if missing:
             raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
-        reactants = _parse_role(obj["reactants"], "reactants", doc, indexes, _MEMBER_KINDS)
-        products = _parse_role(obj["products"], "products", doc, indexes, _MEMBER_KINDS)
-        conditions = _parse_role(obj["conditions"], "conditions", doc, indexes, _MEMBER_KINDS)
-        arrows = _parse_role(obj["arrow"], "arrow", doc, indexes, (EntityKind.ARROW,))
+        reactants, products, conditions, arrows = (_role_ids(roles[k], k, resolved) for k in _REQUIRED_KEYS)
         if not reactants or not products:
             raise ConstraintError(f"reaction {i}: reactants and products must not be empty")
         confidence = obj.get("confidence", 1.0)

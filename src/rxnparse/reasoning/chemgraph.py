@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chem import DEFAULT_FINGERPRINT_CONFIG, formal_charge_sum
+from ..chem import DEFAULT_FINGERPRINT_CONFIG
 from ..config import ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 
@@ -61,7 +61,7 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
     words = np.frombuffer(packed, dtype="<u8").reshape(len(molecules), len(empty) // 8)
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     # charges are Python ints of any size: index them, and tabulate exp(-|dq|) per pair of distinct charges
-    charges = [0 if e.molecule is None else formal_charge_sum(e.molecule) for e in molecules]
+    charges = [0 if e.molecule is None else e.molecule.charge for e in molecules]
     distinct = sorted(set(charges))
     position = {q: k for k, q in enumerate(distinct)}
     charge_codes = np.array([position[q] for q in charges], dtype=np.intp)

@@ -3,11 +3,11 @@
 Candidates are enumerated per connected component. Each fused edge is
 put once in the bucket of its component (both ends share one), and the
 affinities, the assignment, typed-condition attachment and the arrowless
-fallback read only that bucket; affinities are computed once per
-component. Inside a component, every arrow seeds one candidate reaction,
-and each non-arrow entity may support at most one arrow; the chosen
-entity-to-arrow assignment is the one maximizing the summed fused
-scores of the edges it includes. Small
+fallback read only that bucket; affinities and the component's
+condition edges are computed once per component. Inside a component,
+every arrow seeds one candidate reaction, and each non-arrow entity may
+support at most one arrow; the chosen entity-to-arrow assignment is the
+one maximizing the summed fused scores of the edges it includes. Small
 components are solved by exhaustive enumeration, larger ones greedily
 (for this separable objective the two coincide, and the exhaustive
 search doubles as the correctness oracle in tests).
@@ -35,6 +35,9 @@ from ..reactions import ConstraintError, Reaction
 from .clustering import connected_groups
 from .fusion import FusedEdge, FusedGraph
 from .relations import EdgeRelation
+
+# the typed edges that attach a condition to a candidate reaction
+_CONDITION_RELATIONS = (EdgeRelation.REACTANT_TO_COND, EdgeRelation.COND_TO_PRODUCT)
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,9 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
     reactions: list[Reaction] = []
     for component, edges in zip(components, buckets):
         arrows, affinity, edges_by_pair = _arrow_affinities(component, edges, doc)
+        condition_edges = [e for e in edges if e.relation in _CONDITION_RELATIONS]
         if not arrows:
-            reactions.extend(_arrowless_candidates(edges, doc))
+            reactions.extend(_arrowless_candidates(edges, condition_edges, doc))
             continue
         assignment = _best_assignment(affinity, len(component), config)
         per_arrow: dict[str, dict[str, list[str]]] = {
@@ -183,7 +187,7 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
                 roles["condition"],
                 [arrow_id],
                 per_arrow_score[arrow_id],
-                edges,
+                condition_edges,
                 doc,
             )
             if candidate is not None:
@@ -192,13 +196,17 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
     return reactions
 
 
-def _finalize_candidate(reactants, products, conditions, arrows, score, edges, doc) -> Reaction | None:
-    """Attach typed-condition entities from the component's ``edges``, validate, build."""
+def _finalize_candidate(reactants, products, conditions, arrows, score, condition_edges, doc) -> Reaction | None:
+    """Attach typed-condition entities, validate, build.
+
+    ``condition_edges`` are the component's reactant->condition and
+    condition->product edges, in the order of its fused edges.
+    """
     conditions = list(conditions)
     reactant_set = set(reactants)
     product_set = set(products)
     taken = reactant_set | product_set | set(conditions)
-    for edge in edges:
+    for edge in condition_edges:
         if edge.relation == EdgeRelation.REACTANT_TO_COND and edge.source in reactant_set:
             candidate = edge.target
         elif edge.relation == EdgeRelation.COND_TO_PRODUCT and edge.target in product_set:
@@ -224,11 +232,12 @@ def _finalize_candidate(reactants, products, conditions, arrows, score, edges, d
         return None
 
 
-def _arrowless_candidates(edges, doc: ReactionDocument) -> list[Reaction]:
+def _arrowless_candidates(edges, condition_edges, doc: ReactionDocument) -> list[Reaction]:
     """Candidates from a component's reactant->product hypothesis edges alone.
 
     Edges group when they share a source or share a target (parallel
-    chains stay separate reactions).
+    chains stay separate reactions); ``condition_edges`` are as in
+    :func:`_finalize_candidate`.
     """
     r2p = [e for e in edges if e.relation == EdgeRelation.REACTANT_TO_PRODUCT]
     tails = np.array([e.source for e in r2p])
@@ -249,7 +258,7 @@ def _arrowless_candidates(edges, doc: ReactionDocument) -> list[Reaction]:
             score += edge.score
         # an entity acting as source and target within one group stays a reactant
         targets = [t for t in targets if t not in sources]
-        candidate = _finalize_candidate(sources, targets, [], [], score, edges, doc)
+        candidate = _finalize_candidate(sources, targets, [], [], score, condition_edges, doc)
         if candidate is not None:
             reactions.append(candidate)
     return reactions

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..chem import bit_sketch
 from ..config import SKETCH_DIMS, ConfigError, ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 from ..geometry import centroid_distances
@@ -139,9 +138,7 @@ def _node_features(doc: ReactionDocument, config: ReasoningConfig) -> np.ndarray
         cx, cy = entity.centroid
         box = entity.region if hasattr(entity.region, "width") else entity.region.bounding_box()
         geometry = [cx / width, cy / height, box.width / width, box.height / height]
-        sketch = [0.0] * SKETCH_DIMS
-        if entity.fingerprint is not None:
-            sketch = bit_sketch(entity.fingerprint, SKETCH_DIMS)
+        sketch = [0.0] * SKETCH_DIMS if entity.sketch is None else list(entity.sketch)
         row = kind_onehot + geometry + sketch
         row.extend([0.0] * (config.dim - len(row)))
         rows.append(row)

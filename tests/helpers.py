@@ -859,3 +859,68 @@ def reference_resolve_region(kind, region, doc):
             f"at IoU >= {RESOLVE_IOU} (best {best_iou:.3f})"
         )
     return best
+
+
+def reference_parse_combiner_response(raw, doc):
+    """The reply parser that grounds each item as it reaches it, by :func:`reference_resolve_region`."""
+    from rxnparse.entities import EntityKind
+    from rxnparse.geometry import region_from_array
+    from rxnparse.reactions import ConstraintError, Reaction, ResponseFormatError
+
+    member_kinds = (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)
+
+    def parse_role(items, kind_field, allow_kinds):
+        if not isinstance(items, list):
+            raise ResponseFormatError(f"{kind_field} must be an array")
+        resolved = []
+        for item in items:
+            if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
+                raise ResponseFormatError(f"{kind_field} items need 'label' and 'bbox'")
+            try:
+                kind = EntityKind(item["label"])
+            except ValueError:
+                raise ResponseFormatError(f"unknown label {item['label']!r}") from None
+            if kind not in allow_kinds:
+                raise ResponseFormatError(f"label {kind.value!r} not allowed in {kind_field}")
+            bbox = item["bbox"]
+            expected = 8 if kind == EntityKind.ARROW else 4
+            if not isinstance(bbox, list) or len(bbox) != expected:
+                raise ResponseFormatError(f"{kind.value} bbox must have {expected} numbers, got {bbox!r}")
+            try:
+                region = region_from_array(bbox)
+            except (TypeError, ValueError) as exc:
+                raise ResponseFormatError(f"bad bbox {bbox!r}: {exc}") from None
+            entity = reference_resolve_region(kind, region, doc)
+            if entity.id not in resolved:
+                resolved.append(entity.id)
+        return tuple(resolved)
+
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ResponseFormatError(f"response is not valid JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise ResponseFormatError("response must be a JSON array of reactions")
+    reactions = []
+    for i, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise ResponseFormatError(f"reaction {i} is not an object")
+        missing = [k for k in ("reactants", "products", "conditions", "arrow") if k not in obj]
+        if missing:
+            raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
+        reactants = parse_role(obj["reactants"], "reactants", member_kinds)
+        products = parse_role(obj["products"], "products", member_kinds)
+        conditions = parse_role(obj["conditions"], "conditions", member_kinds)
+        arrows = parse_role(obj["arrow"], "arrow", (EntityKind.ARROW,))
+        if not reactants or not products:
+            raise ConstraintError(f"reaction {i}: reactants and products must not be empty")
+        confidence = obj.get("confidence", 1.0)
+        if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+            raise ResponseFormatError(f"reaction {i}: confidence must be a number")
+        if not 0.0 <= confidence <= 1.0:
+            raise ResponseFormatError(f"reaction {i}: confidence {confidence!r} is not in [0, 1]")
+        try:
+            reactions.append(Reaction(reactants, products, conditions, arrows, float(confidence)))
+        except ConstraintError as exc:
+            raise ConstraintError(f"reaction {i}: {exc}") from None
+    return reactions

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rxnparse.chem import DEFAULT_FINGERPRINT_CONFIG, SKETCH_DIMS, Fingerprint, bit_sketch, parse_smiles
 from rxnparse.entities import (
     EntityKind,
     SchemaError,
@@ -134,6 +135,64 @@ def test_out_of_bounds_clamped_with_warning():
     doc = make_doc([molecule_entity("m", 1350, 0, w=200, h=90)], width=1400)
     assert any("clamped" in w for w in doc.warnings)
     assert doc.entity("m").region.x_max <= 1400
+
+
+def test_region_inside_the_diagram_is_not_clamped(monkeypatch):
+    """Only a region whose bounds leave the diagram goes through ``clamped_to``; one on its edge stays."""
+    clamped = []
+    for region_type in (AxisBox, OrientedQuad):
+        original = region_type.clamped_to
+        monkeypatch.setattr(
+            region_type, "clamped_to", lambda self, bounds, original=original: clamped.append(self) or original(self, bounds)
+        )
+    inside = [
+        molecule_entity("edge", 1280, 310, w=120, h=90),  # touches the right and bottom edges
+        text_entity("t", 0, 0),
+        arrow_entity("a", 200, 200, 1000),
+    ]
+    doc = make_doc(inside, width=1400, height=400)
+    assert clamped == [] and doc.warnings == ()
+    assert document_to_json(doc)["entities"] == document_to_json(make_doc(inside))["entities"]
+    leaving = make_doc([arrow_entity("a", 1300, 200, 1500), molecule_entity("m", 0, 0)], width=1400)
+    assert len(clamped) == 1 and leaving.warnings == ("entity 'a': region clamped to diagram bounds",)
+    assert max(x for x, _ in leaving.entity("a").region.vertices) == 1400
+
+
+def test_same_smiles_shares_one_molecule_within_a_document():
+    first = make_doc(
+        [
+            molecule_entity("m", 0, 0, smiles="CCO"),
+            molecule_entity("n", 300, 0, smiles="CCO"),
+            molecule_entity("o", 600, 0, smiles="CC(=O)O"),
+        ]
+    )
+    second = make_doc([molecule_entity("x", 0, 0, smiles="CCO")])
+    molecule = first.entity("m").molecule
+    assert first.entity("n").molecule is molecule and first.entity("o").molecule is not molecule
+    assert molecule == parse_smiles("CCO") == second.entity("x").molecule
+    assert second.entity("x").molecule is not molecule  # documents do not share parsed molecules
+
+
+def test_unparseable_smiles_warns_for_each_entity_and_document():
+    for _ in range(2):
+        doc = make_doc([molecule_entity("m", 0, 0, smiles="C1CC"), molecule_entity("n", 300, 0, smiles="C1CC")])
+        assert doc.entity("m").molecule is None and doc.entity("n").molecule is None
+        assert doc.warnings == tuple(
+            f"entity {eid!r}: unparseable SMILES 'C1CC': unclosed ring closure 1 (position 1)" for eid in "mn"
+        )
+
+
+def test_entity_sketch_follows_its_own_fingerprint():
+    """Entities share their molecule's sketch; a fingerprint set on one entity gives it its own."""
+    doc = make_doc([molecule_entity("m", 0, 0, smiles="CCO"), molecule_entity("n", 300, 0, smiles="CCO")])
+    m, n = doc.entity("m"), doc.entity("n")
+    assert m.sketch is n.sketch is m.molecule.sketch == tuple(bit_sketch(m.molecule.fingerprint))
+    seeded = make_doc([molecule_entity("m", 0, 0, smiles="CCO"), molecule_entity("n", 300, 0, smiles="CCO")])
+    zero = Fingerprint(0, DEFAULT_FINGERPRINT_CONFIG.width, DEFAULT_FINGERPRINT_CONFIG.full_tag)
+    seeded.entity("m").__dict__["fingerprint"] = zero
+    assert seeded.entity("m").sketch == (0.0,) * SKETCH_DIMS
+    assert seeded.entity("n").sketch == m.sketch
+    assert make_doc([molecule_entity("b", 0, 0)]).entity("b").sketch is None
 
 
 def test_load_serialize_load_idempotent(two_reaction_doc):

@@ -140,6 +140,16 @@ class TestRegionHelpers:
         with pytest.raises(ValueError):
             region_from_array([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "values",
+        [["0", True, "1e1", 5], [0, 0, 1, True], [0, 0, "1", 1], [0, 0, None, 1], [0, 0, [1], 1],
+         [0, 0, 9, 0, 9, 2, False, 2]],
+        ids=["strings-and-bool", "bool", "string", "null", "list", "bool-in-quad"],
+    )
+    def test_only_numbers_are_coordinates(self, values):
+        with pytest.raises(ValueError, match="coordinates must be numbers"):
+            region_from_array(values)
+
 
 class TestDistanceAndAxis:
     def test_same_region_zero(self):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rxnparse.chem import (
     Atom,
@@ -9,7 +11,9 @@ from rxnparse.chem import (
     Molecule,
     ZERO_COUNTS,
     atom_count_vector,
+    bit_sketch,
     conservation_residual,
+    fingerprint,
     formal_charge_sum,
     parse_smiles,
 )
@@ -110,3 +114,34 @@ def test_aromatic_hydrogen_convention():
     # fused carbons in naphthalene carry none
     mol = parse_smiles("c1ccc2ccccc2c1")
     assert sorted(mol.implicit_h) == [0, 0, 1, 1, 1, 1, 1, 1, 1, 1]
+
+
+CHARGED_SMILES = ["[NH4+]", "[O-]S(=O)(=O)[O-]", "[Fe+3]", "CCO", "c1ccccc1", "[O-]C(=O)C", "Cl", "[H][H]"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)))
+def test_cached_chemistry_equals_a_fresh_recount(seed, sizes):
+    """Each molecule's kept counts, charge, fingerprint and sketch, and the residual built from them,
+    equal a recount; cached molecules may appear on both sides and several times."""
+    rng = random.Random(seed)
+    shared = [parse_smiles(s) for s in CHARGED_SMILES]  # one molecule per SMILES, as a loaded document holds them
+
+    def molecule():
+        if rng.random() < 0.5:
+            return rng.choice(shared)
+        return random_molecule(rng)
+
+    reactants = [molecule() for _ in range(sizes[0])]
+    products = [molecule() for _ in range(sizes[1])]
+    for mol in reactants + products:
+        assert mol.atom_counts == atom_count_vector(mol) and mol.charge == formal_charge_sum(mol)
+        assert mol.fingerprint == fingerprint(mol) and mol.sketch == tuple(bit_sketch(fingerprint(mol)))
+    element, charge = ZERO_COUNTS, 0
+    for mol in reactants:
+        element, charge = element + atom_count_vector(mol), charge + formal_charge_sum(mol)
+    for mol in products:
+        element, charge = element - atom_count_vector(mol), charge - formal_charge_sum(mol)
+    residual = conservation_residual(reactants, products)
+    assert residual == (element, charge)
+    assert list(residual[0].items()) == list(element.items())

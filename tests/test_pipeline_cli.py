@@ -378,8 +378,9 @@ def test_plan_without_reaction_expert_skips_reasoning(corpus, tmp_path):
 
 
 def test_each_fingerprint_computed_once(monkeypatch, tmp_path):
-    """The spatial and chemistry layers share one fingerprint per parsed molecule."""
-    import rxnparse.entities
+    """One fingerprint per distinct SMILES of a document, shared by both layers and by its entities."""
+    import importlib
+
     from rxnparse.agents import AgentClient
     from rxnparse.pipeline import run_document
 
@@ -387,32 +388,46 @@ def test_each_fingerprint_computed_once(monkeypatch, tmp_path):
         def _send(self, role, prompt, image, key):
             return "[]"
 
+    # the molecule computes its fingerprint through this module's function on first read
+    fingerprint_module = importlib.import_module("rxnparse.chem.fingerprint")
     calls = []
-    original = rxnparse.entities.fingerprint
+    original = fingerprint_module.fingerprint
 
     def counting(molecule):
         calls.append(molecule)
         return original(molecule)
 
-    monkeypatch.setattr(rxnparse.entities, "fingerprint", counting)
-    doc = make_doc(
-        [
-            molecule_entity("m1", 0, 100, smiles="CCO"),
-            molecule_entity("m2", 300, 100, smiles="c1ccccc1"),
-            molecule_entity("m3", 900, 100, smiles="CC(=O)O"),
-            molecule_entity("bad", 600, 300, smiles="C1CC"),
-            molecule_entity("bare", 1200, 300),
-            arrow_entity("a1", 450, 150, 850),
-        ]
-    )
+    monkeypatch.setattr(fingerprint_module, "fingerprint", counting)
+    docs = [
+        make_doc(
+            [
+                molecule_entity("m1", 0, 100, smiles="CCO"),
+                molecule_entity("m2", 300, 100, smiles="c1ccccc1"),
+                molecule_entity("m3", 900, 100, smiles="CC(=O)O"),
+                molecule_entity("bad", 600, 300, smiles="C1CC"),
+                molecule_entity("bare", 1200, 300),
+                arrow_entity("a1", 450, 150, 850),
+            ]
+        ),
+        make_doc(
+            [
+                molecule_entity("n1", 0, 100, smiles="CC(=O)O"),
+                molecule_entity("n2", 900, 100, smiles="CCO"),
+                molecule_entity("n3", 300, 300, smiles="CCO"),
+                arrow_entity("a1", 450, 150, 850),
+            ]
+        ),
+    ]
     (tmp_path / "fx").mkdir()
     config = PipelineConfig(fixtures_dir=str(tmp_path / "fx"), output_dir=str(tmp_path / "out"))
-    stages = {}
-    run_document(doc, config, EmptyReplies(), timings=stages)
-    assert "reason" in stages  # the chemistry and spatial layers ran
-    parsed = [e.molecule for e in doc.entities if e.molecule is not None]
-    assert len(parsed) == 3
-    assert sorted(map(id, calls)) == sorted(map(id, parsed))
+    for doc in docs:
+        stages = {}
+        run_document(doc, config, EmptyReplies(), timings=stages)
+        assert "reason" in stages  # the chemistry and spatial layers ran
+    parsed = {id(e.molecule): e.molecule for doc in docs for e in doc.entities if e.molecule is not None}
+    # three distinct SMILES in the first document, two in the second, although "CCO" names two entities there
+    assert sorted(m.source_text for m in parsed.values()) == ["CC(=O)O", "CC(=O)O", "CCO", "CCO", "c1ccccc1"]
+    assert sorted(map(id, calls)) == sorted(parsed)
 
 
 class TestRender:
@@ -565,8 +580,11 @@ class TestCli:
             ([_EMPTY_REACTION, _EMPTY_REACTION, {**_EMPTY_REACTION, "products": {}}], "reaction 2: reaction roles"),
             ([{"id": "d1", "reactions": [{**_EMPTY_REACTION, "arrow": [{"label": "arrow", "bbox": [0, 0, 1, 1e400]}]}]}],
              "must be finite"),
+            ([{**_EMPTY_REACTION, "reactants": [{"label": "molecule", "bbox": ["0", True, "1e1", 5]}]}],
+             "coordinates must be numbers"),
         ],
-        ids=["corpus-missing-keys", "corpus-bad-bbox", "bare-array-role-not-array", "corpus-infinite-bbox"],
+        ids=["corpus-missing-keys", "corpus-bad-bbox", "bare-array-role-not-array", "corpus-infinite-bbox",
+             "bare-array-string-and-bool-bbox"],
     )
     def test_malformed_eval_reactions_exit_4(self, tmp_path, capsys, content, message):
         eval_file = tmp_path / "gt.json"

@@ -136,6 +136,21 @@ class TestParseCombinerResponse:
         with pytest.raises(ResponseFormatError, match="bad bbox .*finite"):
             parse_combiner_response(raw, two_reaction_doc)
 
+    @pytest.mark.parametrize(
+        "bbox",
+        ['["0", true, "1e1", 5]', '[38, 2, "434", 234]', "[38, 2, 434, true]", "[38, null, 434, 234]"],
+        ids=["strings-and-bool", "string", "bool", "null"],
+    )
+    def test_non_number_reply_box_is_a_format_error(self, two_reaction_doc, bbox):
+        # a string or a boolean is not read as a coordinate, even where float() would take it
+        raw = (
+            f'[{{"reactants": [{{"label": "molecule", "bbox": {bbox}}}],'
+            ' "products": [{"label": "molecule", "bbox": [912, 14, 1309, 231]}],'
+            ' "conditions": [], "arrow": []}]'
+        )
+        with pytest.raises(ResponseFormatError, match="bad bbox .*coordinates must be numbers"):
+            parse_combiner_response(raw, two_reaction_doc)
+
     def test_non_finite_reply_arrow_is_a_format_error(self, two_reaction_json, two_reaction_doc):
         data = json.loads(two_reaction_json)
         data[0]["arrow"][0]["bbox"][5] = float("nan")
@@ -204,9 +219,13 @@ class TestBoxedViews:
             ("[3]", "reaction 0 is not an object"),
             (_boxed_payload(reactants=[{"label": "molecule", "bbox": [math.nan, 0, 1, 1]}]), "reaction 0: bad bbox"),
             (_boxed_payload(arrow=[{"label": "arrow", "bbox": [0, 0, 9, 0, 9, math.inf, 0, 2]}]), "finite"),
+            (_boxed_payload(reactants=[{"label": "molecule", "bbox": ["0", True, "1e1", 5]}]),
+             "reaction 0: bad bbox .*coordinates must be numbers"),
+            (_boxed_payload(arrow=[{"label": "arrow", "bbox": [0, 0, 9, 0, 9, 2, False, 2]}]),
+             "reaction 0: bad bbox .*coordinates must be numbers"),
         ],
         ids=["nine-numbers", "degenerate-quad", "not-a-number", "role-not-array", "reaction-not-object",
-             "nan-box", "infinite-quad"],
+             "nan-box", "infinite-quad", "strings-and-bool", "bool-in-quad"],
     )
     def test_malformed_eval_reactions_are_format_errors(self, payload, message):
         with pytest.raises(ResponseFormatError, match=message):

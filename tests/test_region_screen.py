@@ -1,8 +1,8 @@
 """The region screen against the all-pairs code it replaced.
 
 ``score`` runs the predicate only on reaction pairs whose members can
-overlap and matches per connected component; ``_resolve_region`` runs
-IoU only on entities whose bounds meet the reply box, or, for a reply
+overlap and matches per connected component; ``_resolve_regions`` runs
+IoU only on entities whose bounds meet a reply box, or, for a reply
 arrow, on arrows the polygon clip does not provably cut to nothing. Both
 must give exactly what a scan of every pair gives: the same report, the
 same entity, the same error text. The clip itself must return the
@@ -10,8 +10,10 @@ reference's floats bit for bit.
 """
 
 import itertools
+import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,10 +22,25 @@ from hypothesis import strategies as st
 from rxnparse.cli import main
 from rxnparse.entities import Entity, EntityKind, ReactionDocument
 from rxnparse.evaluation import CorpusDocument, score, score_corpus
-from rxnparse.geometry import AxisBox, OrientedQuad, RegionIndex, _clip_convex, region_iou
-from rxnparse.reactions import BoxedMember, BoxedReaction, ResolutionError, _resolve_region
+from rxnparse.geometry import AxisBox, OrientedQuad, RegionIndex, _clip_convex, region_iou, region_to_array
+from rxnparse.reactions import (
+    BoxedMember,
+    BoxedReaction,
+    ConstraintError,
+    ResolutionError,
+    ResponseFormatError,
+    _resolve_regions,
+    _role_ids,
+    parse_combiner_response,
+)
 
-from helpers import random_quad, reference_clip_convex, reference_resolve_region, reference_score
+from helpers import (
+    random_quad,
+    reference_clip_convex,
+    reference_parse_combiner_response,
+    reference_resolve_region,
+    reference_score,
+)
 
 THRESHOLDS = (0.0, 0.5, 0.9, 1.0)
 MEMBER_KINDS = (EntityKind.MOLECULE, EntityKind.TEXT, EntityKind.IDENTIFIER)
@@ -209,24 +226,32 @@ def _entity_region(kind):
     return arrow_quads if kind == EntityKind.ARROW else boxes
 
 
-@st.composite
-def resolution_cases(draw):
-    """A document, then reply regions that echo one of its entities or land anywhere."""
-    kinds = (EntityKind.MOLECULE, EntityKind.TEXT, EntityKind.ARROW)
-    numbers = draw(st.lists(st.integers(0, 30), min_size=1, max_size=10, unique=True))
+RESOLUTION_KINDS = (EntityKind.MOLECULE, EntityKind.TEXT, EntityKind.ARROW)
+
+
+def _resolution_document(draw, required=()):
+    """Entities of the ``required`` kinds, then of any; a quarter copy an earlier region of their kind."""
+    numbers = draw(st.lists(st.integers(0, 30), min_size=max(1, len(required)), max_size=10, unique=True))
     entities = []
-    for number in numbers:
-        kind = draw(st.sampled_from(kinds))
+    for k, number in enumerate(numbers):
+        kind = required[k] if k < len(required) else draw(st.sampled_from(RESOLUTION_KINDS))
         if entities and draw(st.integers(0, 3)) == 0:  # a copy of an earlier region: IoU ties across ids
             same = [e for e in entities if e.kind == kind]
             region = same[0].region if same else draw(_entity_region(kind))
         else:
             region = draw(_entity_region(kind))
         entities.append(Entity(id=f"e{number}", kind=kind, region=region))
-    doc = ReactionDocument(diagram_bounds=AxisBox(0, 0, 20, 20), entities=tuple(entities))
+    return ReactionDocument(diagram_bounds=AxisBox(0, 0, 20, 20), entities=tuple(entities))
+
+
+@st.composite
+def resolution_cases(draw):
+    """A document, then reply regions that echo one of its entities or land anywhere."""
+    doc = _resolution_document(draw)
+    entities = doc.entities
     queries = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from(RESOLUTION_KINDS))
         same = [e for e in entities if e.kind == kind]
         if same and draw(st.booleans()):
             region = same[draw(st.integers(0, len(same) - 1))].region
@@ -243,15 +268,179 @@ def _outcome(resolve, *args):
         return str(exc)
 
 
+def _screened_outcomes(queries, doc):
+    """Each query's entity id or error text, all queries resolved together as within one reply."""
+    resolved = _resolve_regions(queries, doc)
+    outcomes = []
+    for query in queries:
+        try:
+            outcomes.append(_role_ids([query], "reactants", resolved)[0])
+        except ResolutionError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=resolution_cases())
 def test_resolve_region_equals_full_scan(case):
     doc, queries = case
-    indexes = {}  # shared across the queries, as within one reply
-    for kind, region in queries:
-        assert _outcome(_resolve_region, kind, region, doc, indexes) == _outcome(
-            reference_resolve_region, kind, region, doc
-        )
+    assert _screened_outcomes(queries, doc) == [
+        _outcome(reference_resolve_region, kind, region, doc) for kind, region in queries
+    ]
+
+
+# items every role rejects, whatever precedes them
+MALFORMED_ITEMS = (
+    "molecule",
+    {"label": "molecule"},
+    {"label": "reagent", "bbox": [0, 0, 1, 1]},
+    {"label": "molecule", "bbox": [0, 0, 1]},
+    {"label": "text", "bbox": ["0", True, "1e1", 5]},
+    {"label": "molecule", "bbox": [0, 0, 1, math.inf]},
+    {"label": "arrow", "bbox": [0, 0, 1, 0, 2, 0, 3, 0]},  # zero area
+)
+
+
+@st.composite
+def reply_cases(draw):
+    """A document and a combiner reply over it: exact and perturbed echoes (IoU near the 0.9
+    bar), stray boxes, repeated items, malformed items, reactions and roles of the wrong shape."""
+    doc = _resolution_document(
+        draw, required=(EntityKind.MOLECULE, EntityKind.MOLECULE, EntityKind.ARROW, EntityKind.TEXT)
+    )
+    items = []  # drawn so far, for repeats
+
+    # rare cases take values inside the ranges: hypothesis favours the ends
+    def item(allowed, taken):
+        choice = draw(st.integers(0, 39))
+        if 10 <= choice < 14 and items:
+            return draw(st.sampled_from(items))
+        if 20 <= choice < 22:
+            return draw(st.sampled_from(MALFORMED_ITEMS))
+        kind = draw(st.sampled_from([k for k in allowed if doc.by_kind(k)] or allowed))
+        same = doc.by_kind(kind)
+        if 30 <= choice < 33 or not same:
+            bbox = region_to_array(draw(_entity_region(kind)))
+        else:  # an echo, of an entity not yet in the reaction where there is one
+            echoed = draw(st.sampled_from([e for e in same if e.id not in taken] or same))
+            taken.add(echoed.id)
+            bbox = region_to_array(echoed.region)
+            if draw(st.integers(0, 3)) == 2:
+                bbox = [v + draw(st.sampled_from((0, 0, 0.05, -0.05, 0.1, 1e-13))) for v in bbox]
+        items.append({"label": kind.value, "bbox": bbox})
+        return items[-1]
+
+    members = (EntityKind.MOLECULE, EntityKind.TEXT)
+    reply = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 29)) == 15:
+            reply.append(draw(st.sampled_from(("reaction", None, 3))))
+            continue
+        reaction, taken = {}, set()
+        for key, allowed, least in (("reactants", members, 1), ("products", members, 1),
+                                    ("conditions", members, 0), ("arrow", (EntityKind.ARROW,), 0)):
+            shape = draw(st.integers(0, 29))
+            if shape == 15:
+                continue  # a missing key
+            reaction[key] = {} if shape == 16 else [item(allowed, taken) for _ in range(draw(st.integers(least, 2)))]
+        if draw(st.integers(0, 3)) == 2:
+            reaction["confidence"] = draw(st.sampled_from((0.25, 1, 0, 1.5, True, "0.5")))
+        reply.append(reaction)
+    return doc, json.dumps(reply)
+
+
+def _reply_outcome(parse, raw, doc):
+    try:
+        reactions = parse(raw, doc)
+    except (ResponseFormatError, ConstraintError, ResolutionError) as exc:
+        return type(exc), str(exc)
+    return [(r.reactants, r.products, r.conditions, r.arrows, r.score.hex()) for r in reactions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reply_cases())
+def test_reply_resolution_equals_per_item_reference(case):
+    """All items resolved in one screen per kind give the reactions, or the first error and its text,
+    that grounding each item as the walk reaches it gives."""
+    doc, raw = case
+    assert _reply_outcome(parse_combiner_response, raw, doc) == _reply_outcome(
+        reference_parse_combiner_response, raw, doc
+    )
+
+
+def test_malformed_item_after_an_unresolvable_one():
+    """The walk raises the first problem in reply order, though the malformed item was read first."""
+    doc = ReactionDocument(
+        diagram_bounds=AxisBox(0, 0, 20, 20),
+        entities=(
+            Entity(id="m1", kind=EntityKind.MOLECULE, region=AxisBox(0, 0, 4, 4)),
+            Entity(id="m2", kind=EntityKind.MOLECULE, region=AxisBox(10, 0, 14, 4)),
+        ),
+    )
+    stray = {"label": "molecule", "bbox": [5, 10, 8, 12]}
+    malformed = {"label": "molecule", "bbox": [0, True, 4, 4]}
+    echo = {"label": "molecule", "bbox": [10, 0, 14, 4]}
+    for reactants, error in (([stray, malformed], ResolutionError), ([malformed, stray], ResponseFormatError)):
+        raw = json.dumps([{"reactants": reactants, "products": [echo], "conditions": [], "arrow": []}])
+        outcome = _reply_outcome(parse_combiner_response, raw, doc)
+        assert outcome[0] is error and outcome == _reply_outcome(reference_parse_combiner_response, raw, doc)
+
+
+def test_repeated_boxes_resolve_once_to_the_same_entity():
+    doc = ReactionDocument(
+        diagram_bounds=AxisBox(0, 0, 20, 20),
+        entities=tuple(
+            Entity(id=i, kind=EntityKind.MOLECULE, region=AxisBox(x, 0, x + 4, 4))
+            for i, x in (("m1", 0), ("m2", 10))
+        ),
+    )
+    first, second = {"label": "molecule", "bbox": [0, 0, 4, 4]}, {"label": "molecule", "bbox": [10, 0, 14, 4.1]}
+    raw = json.dumps([
+        {"reactants": [first, first], "products": [second], "conditions": [], "arrow": []},
+        {"reactants": [second], "products": [first], "conditions": [], "arrow": []},
+    ])
+    reactions = parse_combiner_response(raw, doc)
+    assert [(r.reactants, r.products) for r in reactions] == [(("m1",), ("m2",)), (("m2",), ("m1",))]
+    assert _reply_outcome(parse_combiner_response, raw, doc) == _reply_outcome(
+        reference_parse_combiner_response, raw, doc
+    )
+
+
+def test_reply_with_thousands_of_arrows_stays_in_bounded_memory():
+    """2,000 distinct reply arrows against 100 arrow entities are screened one reply arrow at a time.
+
+    Screening all of them in one step would hold (2,000 × 4 × 400) float64
+    temporaries, about 26 MB each; one at a time they take a few KB, and
+    the reply's own objects stay under the bound.
+    """
+    grid = [(100 * c, 60 * r + 30) for r in range(10) for c in range(10)]
+    entities = [
+        Entity(id="m1", kind=EntityKind.MOLECULE, region=AxisBox(0, 700, 40, 740)),
+        Entity(id="m2", kind=EntityKind.MOLECULE, region=AxisBox(100, 700, 140, 740)),
+    ] + [
+        Entity(id=f"a{k}", kind=EntityKind.ARROW, region=OrientedQuad(((x, y), (x + 80, y), (x + 80, y + 20), (x, y + 20))))
+        for k, (x, y) in enumerate(grid)
+    ]
+    doc = ReactionDocument(diagram_bounds=AxisBox(0, 0, 1000, 800), entities=tuple(entities))
+    echoes = [
+        {"label": "arrow", "bbox": [x + d, y, x + 80 + d, y, x + 80 + d, y + 20, x + d, y + 20]}
+        for d in (k / 64 for k in range(20))  # every echo distinct, each at IoU >= 0.99
+        for x, y in grid
+    ]
+    raw = json.dumps([{
+        "reactants": [{"label": "molecule", "bbox": [0, 700, 40, 740]}],
+        "products": [{"label": "molecule", "bbox": [100, 700, 140, 740]}],
+        "conditions": [],
+        "arrow": echoes,
+    }])
+    tracemalloc.start()
+    try:
+        [reaction] = parse_combiner_response(raw, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reaction.arrows == tuple(f"a{k}" for k in range(len(grid)))
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_resolution_tie_goes_to_the_smaller_id():
@@ -260,7 +449,7 @@ def test_resolution_tie_goes_to_the_smaller_id():
         diagram_bounds=AxisBox(0, 0, 20, 20),
         entities=tuple(Entity(id=i, kind=EntityKind.MOLECULE, region=region) for i in ("m9", "m10", "m2")),
     )
-    assert _resolve_region(EntityKind.MOLECULE, region, doc, {}).id == "m10"
+    assert _screened_outcomes([(EntityKind.MOLECULE, region)], doc) == ["m10"]
 
 
 def test_resolution_error_reports_best_iou_of_the_full_scan():
@@ -269,8 +458,8 @@ def test_resolution_error_reports_best_iou_of_the_full_scan():
         entities=(Entity(id="m", kind=EntityKind.MOLECULE, region=AxisBox(0, 0, 4, 4)),),
     )
     for region, best in ((AxisBox(0, 0, 4, 2), "0.500"), (AxisBox(10, 10, 12, 12), "0.000")):
-        with pytest.raises(ResolutionError, match=f"best {best}"):
-            _resolve_region(EntityKind.MOLECULE, region, doc, {})
+        [outcome] = _screened_outcomes([(EntityKind.MOLECULE, region)], doc)
+        assert outcome.endswith(f"(best {best})")
 
 
 def test_region_index_pairs_are_closed_and_row_major():
@@ -278,10 +467,10 @@ def test_region_index_pairs_are_closed_and_row_major():
     other = RegionIndex([AxisBox(1, 1, 2, 2), AxisBox(3, 3, 3, 3), AxisBox(6.5, 0, 7, 1)])
     rows, cols = index.overlapping(other)
     assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (1, 1)]
-    assert index.candidates(AxisBox(1, 0, 5, 0)).tolist() == [0, 2]
+    assert index.candidate_pairs([AxisBox(1, 0, 5, 0)])[0].tolist() == [0, 2]
     quad = OrientedQuad(((10, 10), (11, 10), (11, 11), (10, 11)))
-    assert RegionIndex([quad]).candidates(AxisBox(0, 0, 1, 1)).tolist() == [0]
-    assert RegionIndex([quad], polygon=False).candidates(AxisBox(0, 0, 1, 1)).tolist() == []
+    assert RegionIndex([quad]).candidate_pairs([AxisBox(0, 0, 1, 1)])[0].tolist() == [0]
+    assert RegionIndex([quad], polygon=False).candidate_pairs([AxisBox(0, 0, 1, 1)])[0].tolist() == []
 
 
 # --- the quad screen: the clip's first step, evaluated exactly -----------------
@@ -301,11 +490,34 @@ def quad_screen_cases(draw):
 @example(case=([AT_TOLERANCE], UNIT_SQUARE))
 def test_quads_the_screen_leaves_out_clip_to_nothing(case):
     entities, reply = case
-    kept = set(RegionIndex(entities).candidates(reply).tolist())
+    kept = set(RegionIndex(entities).candidate_pairs([reply])[0].tolist())
     for i, entity in enumerate(entities):
         if i not in kept:
             assert reference_clip_convex(list(entity.hull), list(reply.hull)) == []
             assert region_iou(entity, reply) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    members=st.lists(st.one_of(arrow_quads, boxes), min_size=1, max_size=6),
+    queries=st.lists(st.one_of(arrow_quads, arrow_quads, boxes), min_size=1, max_size=5),
+    polygon=st.booleans(),
+)
+def test_batched_screen_equals_one_query_at_a_time(members, queries, polygon):
+    """Many queries in one call (boxes and quads mixed) keep the pairs one query per call keeps,
+    and every pair left out scores IoU exactly 0."""
+    index = RegionIndex(members, polygon)
+    rows, cols = index.candidate_pairs(queries)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    assert pairs == sorted(pairs)
+    assert pairs == sorted(
+        (i, j) for j, query in enumerate(queries) for i in RegionIndex(members, polygon).candidate_pairs([query])[0].tolist()
+    )
+    kept = set(pairs)
+    for i, member in enumerate(members):
+        for j, query in enumerate(queries):
+            if (i, j) not in kept:
+                assert region_iou(member, query, polygon) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -326,13 +538,13 @@ def test_quads_the_screen_leaves_out_clip_to_nothing(case):
 )
 def test_quads_touching_within_tolerance_are_kept(entity, reply):
     assert region_iou(entity, reply) > 0.0
-    assert RegionIndex([entity]).candidates(reply).tolist() == [0]
+    assert RegionIndex([entity]).candidate_pairs([reply])[0].tolist() == [0]
 
 
 def test_quad_screen_keeps_box_members_and_leaves_out_far_quads():
     members = [AxisBox(50, 50, 60, 60), UNIT_SQUARE, OrientedQuad(((5, 5), (6, 5), (6, 6), (5, 6)))]
-    assert RegionIndex(members).candidates(UNIT_SQUARE).tolist() == [0, 1]
-    assert RegionIndex(members, polygon=False).candidates(UNIT_SQUARE).tolist() == [1]
+    assert RegionIndex(members).candidate_pairs([UNIT_SQUARE])[0].tolist() == [0, 1]
+    assert RegionIndex(members, polygon=False).candidate_pairs([UNIT_SQUARE])[0].tolist() == [1]
 
 
 def _hex(polygon):

@@ -183,9 +183,13 @@ def fused_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=fused_documents(), limit=st.integers(1, 8))
 def test_infer_reactions_equals_reference(case, limit):
+    """Typed-condition edges are filtered once per component; the reference scans every fused edge per arrow."""
     doc, fused = case
     config = ReasoningConfig(exact_search_limit=limit)
-    assert infer_reactions(fused, doc, config) == reference_infer_reactions(fused, doc, config)
+    reactions = infer_reactions(fused, doc, config)
+    expected = reference_infer_reactions(fused, doc, config)
+    assert reactions == expected
+    assert [r.score.hex() for r in reactions] == [r.score.hex() for r in expected]
     for component in connected_components(fused):
         assert assign_entities_to_arrows(component, fused, doc, config) == reference_assign_entities_to_arrows(
             component, fused, doc, config
