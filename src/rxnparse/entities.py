@@ -253,7 +253,10 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
 
         # a region inside the diagram would clamp to an equal one; one that leaves it changes
         if not bounds.contains(region if isinstance(region, AxisBox) else region.bounding_box()):
-            region = region.clamped_to(bounds)
+            try:
+                region = region.clamped_to(bounds)
+            except ValueError as exc:  # the quad's vertices clamp one by one, so they can collapse
+                raise SchemaError(f"region clamps to a {exc}", f"{pointer}/bbox") from None
             warnings.append(f"entity {entity_id!r}: region clamped to diagram bounds")
 
         smiles = raw.get("smiles")

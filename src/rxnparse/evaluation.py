@@ -13,16 +13,20 @@ with the conventions P=1 when nothing was predicted and nothing matched
 (and recall likewise for empty ground truth).
 
 :func:`score` runs the predicate only on the reaction pairs a region
-screen leaves. The screen compares members of the same role and kind
-(under ``soft``, molecule reactants and products only) through one
-:class:`~rxnparse.geometry.RegionIndex` per such slot, and drops a pair
-whose per-slot member counts differ or in which some predicted member
-has no ground-truth member with intersecting bounds: that member scores
-IoU 0, which exceeds no threshold. The lexicographic matching then runs
-once per connected component of the compatibility graph; the maximum
-size is a sum over components, so each greedy feasibility test splits
-into one test per component and the pairs equal those of one run over
-the whole graph.
+screen leaves undecided. The screen compares members of the same role
+and kind (under ``soft``, molecule reactants and products only) through
+one :class:`~rxnparse.geometry.RegionIndex` per such slot, scores every
+pair of boxes (quads too under ``polygon=False``) whose bounds meet with
+``iou_axis``'s own arithmetic, and drops a reaction pair whose per-slot
+member counts differ or in which some predicted member has no
+ground-truth member above the threshold. A pair left whose slots hold
+one box a side matches without the predicate: member edges join only
+one kind, so a role's perfect matching is its slots'. The lexicographic
+matching then runs once per connected component of the compatibility
+graph; the maximum size is a sum over components, so each greedy
+feasibility test splits into one test per component and the pairs equal
+those of one run over the whole graph. A gt and a pred compatible only
+with each other are such a component and pair directly.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .reactions import BoxedMember, BoxedReaction
 from .entities import EntityKind
-from .geometry import RegionIndex, region_iou
+from .geometry import RegionIndex, bounds_iou_above, region_iou
 from .reasoning.clustering import connected_groups
 
 
@@ -80,21 +84,26 @@ def entities_match(a, b, threshold: float = 0.5, polygon: bool = True) -> bool:
 
 
 def _kuhn_max_matching(n_left: int, n_right: int, adjacency) -> dict[int, int]:
-    """Maximum bipartite matching; returns left -> right assignment."""
+    """Maximum bipartite matching, left -> right; augmenting paths are searched on an explicit stack."""
     match_right: dict[int, int] = {}
-
-    def try_assign(left: int, seen: set[int]) -> bool:
-        for right in adjacency[left]:
-            if right in seen:
-                continue
-            seen.add(right)
-            if right not in match_right or try_assign(match_right[right], seen):
-                match_right[right] = left
-                return True
-        return False
-
-    for left in range(n_left):
-        try_assign(left, set())
+    for start in range(n_left):
+        seen: set[int] = set()
+        stack, path = [(start, iter(adjacency[start]))], []  # path[k]: the right leading to stack[k + 1]
+        while stack:
+            for right in stack[-1][1]:
+                if right not in seen:
+                    seen.add(right)
+                    path.append(right)
+                    if right not in match_right:  # augment along the path
+                        for (left, _), right in zip(stack, path):
+                            match_right[right] = left
+                        stack = []
+                    else:
+                        stack.append((match_right[right], iter(adjacency[match_right[right]])))
+                    break
+            else:
+                stack.pop()
+                del path[-1:]  # the right that led to the popped left, if any
     return {left: right for right, left in match_right.items()}
 
 
@@ -196,11 +205,11 @@ _SCREENED = {"hard": (("reactants", "conditions", "products"), None),
              "soft": (("reactants", "products"), EntityKind.MOLECULE)}
 
 
-def _by_slot(reactions, criterion: str) -> tuple[list[tuple], dict]:
-    """Each reaction's member count per (role, kind) slot the criterion
-    compares, and per slot the owning reaction and region of every member."""
+def _by_slot(reactions, criterion: str) -> tuple[list[tuple], list[bool], dict]:
+    """Each reaction's member count per (role, kind) slot the criterion compares, whether each of
+    its slots holds one member, and per slot the owning reaction and region of every member."""
     roles, kind = _SCREENED[criterion]
-    shapes, by_slot = [], {}
+    shapes, single, by_slot = [], [], {}
     for owner, reaction in enumerate(reactions):
         counts: dict = {}
         for role in roles:
@@ -212,7 +221,8 @@ def _by_slot(reactions, criterion: str) -> tuple[list[tuple], dict]:
                     regions.append(member.region)
                     counts[slot] = counts.get(slot, 0) + 1
         shapes.append(tuple(sorted(counts.items())))
-    return shapes, by_slot
+        single.append(sum(counts.values()) == len(counts))
+    return shapes, single, by_slot
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,15 +236,16 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], ends - starts + 1
 
 
-def _screened_pairs(gt, pred, criterion: str, polygon: bool) -> list[tuple[int, int]]:
-    """(gt, pred) index pairs that can match, in ascending order.
+def _screened_pairs(gt, pred, criterion: str, polygon: bool, threshold: float) -> list[tuple[int, int, bool]]:
+    """(gt, pred, decided) for the reaction pairs that can match, in ascending order.
 
     A pair is dropped when its per-slot member counts differ, or when a
-    pred member has no gt member in the same slot whose bounds intersect
-    its own.
+    pred member has no gt member in the same slot with IoU above the
+    threshold or compared as a polygon. A decided pair is a match.
     """
-    gt_shapes, gt_by = _by_slot(gt, criterion)
-    pred_shapes, pred_by = _by_slot(pred, criterion)
+    gt_shapes, gt_single, gt_by = _by_slot(gt, criterion)
+    pred_shapes, pred_single, pred_by = _by_slot(pred, criterion)
+    gt_single, pred_single = np.array(gt_single, dtype=bool), np.array(pred_single, dtype=bool)
     shape_ids: dict = {}
     gt_shape = np.array([shape_ids.setdefault(s, len(shape_ids)) for s in gt_shapes], dtype=np.int64)
     pred_shape = np.array([shape_ids.setdefault(s, len(shape_ids)) for s in pred_shapes], dtype=np.int64)
@@ -242,34 +253,47 @@ def _screened_pairs(gt, pred, criterion: str, polygon: bool) -> list[tuple[int, 
 
     stride, n_pred = max(int(counts.sum()), 1), max(len(pred), 1)
     keys = [np.empty(0, dtype=np.int64)]  # gt * stride + pred member, one per screened member pair
+    gt_bounds, pred_bounds = [np.empty((0, 4))], [np.empty((0, 4))]  # the member bounds of each such pair
     member_owner: list[int] = []  # pred member -> pred reaction
     for slot, (pred_owners, pred_regions) in pred_by.items():
         if slot in gt_by:
             gt_owners, gt_regions = gt_by[slot]
-            rows, cols = RegionIndex(gt_regions, polygon).overlapping(RegionIndex(pred_regions, polygon))
+            gt_index, pred_index = RegionIndex(gt_regions, polygon), RegionIndex(pred_regions, polygon)
+            rows, cols = gt_index.overlapping(pred_index)
             keys.append(np.array(gt_owners)[rows] * stride + len(member_owner) + cols)
+            gt_bounds.append(gt_index.bounds[rows])
+            pred_bounds.append(pred_index.bounds[cols])
         member_owner.extend(pred_owners)
-    g, member = np.divmod(_runs(np.sort(np.concatenate(keys)))[0], stride)
-    pair_keys, partnered = _runs(np.sort(g * n_pred + np.array(member_owner, dtype=np.int64)[member]))
+    keys, owner = np.concatenate(keys), np.array(member_owner, dtype=np.int64)
+    gt_bounds, pred_bounds = np.concatenate(gt_bounds), np.concatenate(pred_bounds)
+    # a member compared as a polygon is unbounded, so it meets every member of its slot on the
+    # other side: marking the reactions of its member pairs leaves each of their pairs to the predicate
+    gt_single[keys[np.isinf(gt_bounds[:, 0])] // stride] = False
+    pred_single[owner[keys[np.isinf(pred_bounds[:, 0])] % stride]] = False
+    g, member = np.divmod(_runs(np.sort(keys[bounds_iou_above(gt_bounds, pred_bounds, threshold)]))[0], stride)
+    pair_keys, partnered = _runs(np.sort(g * n_pred + owner[member]))
     g, p = np.divmod(pair_keys, n_pred)
     keep = (partnered == counts[p]) & (gt_shape[g] == pred_shape[p])
     # a pred reaction without compared members pairs with every gt of its shape
     bare = np.flatnonzero(counts == 0)
     bare_g, bare_k = np.nonzero(gt_shape[:, None] == pred_shape[bare][None, :])
     g, p = np.divmod(np.sort(np.concatenate([pair_keys[keep], bare_g * n_pred + bare[bare_k]])), n_pred)
-    return list(zip(g.tolist(), p.tolist()))
+    return list(zip(g.tolist(), p.tolist(), (gt_single[g] & pred_single[p]).tolist()))
 
 
 def _matching_by_component(n_gt: int, adjacency) -> list[tuple[int, int]]:
-    """:func:`_lexicographic_matching` per connected component, pairs merged by gt index."""
-    gts = [g for g in range(n_gt) if adjacency[g]]
+    """:func:`_lexicographic_matching` per connected component, pairs merged by gt index;
+    a gt and a pred linked only to each other pair without grouping."""
+    degree = np.bincount(np.array([p for row in adjacency for p in row], dtype=np.intp))
+    isolated = [len(row) == 1 and degree[row[0]] == 1 for row in adjacency]
+    pairs = [(g, row[0]) for g, row in enumerate(adjacency) if isolated[g]]
+    gts = [g for g in range(n_gt) if adjacency[g] and not isolated[g]]
     preds = sorted({p for g in gts for p in adjacency[g]})
     node = {p: len(gts) + k for k, p in enumerate(preds)}
     linked = np.zeros((len(gts) + len(preds),) * 2, dtype=bool)
     for row, g in enumerate(gts):
         for p in adjacency[g]:
             linked[row, node[p]] = linked[node[p], row] = True
-    pairs = []
     for group in connected_groups(linked):
         group_gts = [gts[i] for i in group if i < len(gts)]
         group_preds = [preds[i - len(gts)] for i in group if i >= len(gts)]
@@ -291,8 +315,8 @@ def score(
     _check_threshold(threshold)
     predicate = _CRITERIA[criterion]
     adjacency = [[] for _ in gt]
-    for g, p in _screened_pairs(gt, pred, criterion, polygon):
-        if predicate(pred[p], gt[g], threshold, polygon):
+    for g, p, decided in _screened_pairs(gt, pred, criterion, polygon, threshold):
+        if decided or predicate(pred[p], gt[g], threshold, polygon):
             adjacency[g].append(p)
     pairs = _matching_by_component(len(gt), adjacency)
     matched = len(pairs)

@@ -279,6 +279,17 @@ def region_iou(a: Region, b: Region, polygon: bool = True) -> float:
 _UNBOUNDED = (-math.inf, -math.inf, math.inf, math.inf)
 
 
+def bounds_iou_above(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask over pairs ``(a[k], b[k])`` of :attr:`RegionIndex.bounds` rows: ``iou_axis`` of the two boxes,
+    computed operation for operation, exceeds ``threshold``, or a row is unbounded (a quad clipped as a polygon)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # unbounded pairs are kept unread
+        inter = np.fmax(0.0, np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])).prod(axis=1)
+        union = (a[:, 2:] - a[:, :2]).prod(axis=1) + (b[:, 2:] - b[:, :2]).prod(axis=1) - inter
+        iou = np.fmin(1.0, np.fmax(0.0, inter / union))
+    above = np.where(union <= 0.0, (a == b).all(axis=1), iou) > threshold
+    return above | np.isinf(a[:, 0]) | np.isinf(b[:, 0])
+
+
 def _screen_bounds(region: Region, polygon: bool) -> tuple[float, float, float, float]:
     """Bounds outside which :func:`region_iou` with ``region`` is exactly 0.
 

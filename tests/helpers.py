@@ -840,6 +840,104 @@ def reference_score(gt, pred, criterion="hard", threshold=0.5, polygon=True):
     )
 
 
+def reference_kuhn_max_matching(n_left, n_right, adjacency):
+    """Kuhn's augmenting-path search by recursion, one call per step of a path."""
+    match_right = {}
+
+    def try_assign(left, seen):
+        for right in adjacency[left]:
+            if right in seen:
+                continue
+            seen.add(right)
+            if right not in match_right or try_assign(match_right[right], seen):
+                match_right[right] = left
+                return True
+        return False
+
+    for left in range(n_left):
+        try_assign(left, set())
+    return {left: right for right, left in match_right.items()}
+
+
+def _reference_by_slot(reactions, criterion):
+    """Each reaction's member count per (role, kind) slot the criterion
+    compares, and per slot the owning reaction and region of every member."""
+    from rxnparse.evaluation import _SCREENED
+
+    roles, kind = _SCREENED[criterion]
+    shapes, by_slot = [], {}
+    for owner, reaction in enumerate(reactions):
+        counts = {}
+        for role in roles:
+            for member in getattr(reaction, role):
+                if kind is None or member.kind == kind:
+                    slot = (role, member.kind)
+                    owners, regions = by_slot.setdefault(slot, ([], []))
+                    owners.append(owner)
+                    regions.append(member.region)
+                    counts[slot] = counts.get(slot, 0) + 1
+        shapes.append(tuple(sorted(counts.items())))
+    return shapes, by_slot
+
+
+def reference_screened_pairs(gt, pred, criterion, polygon):
+    """The bounds-only screen: (gt, pred) pairs, ascending, left after dropping
+    those whose per-slot member counts differ or in which some pred member has
+    no gt member of its slot with intersecting bounds. Every pair left goes to
+    the predicate."""
+    from rxnparse.evaluation import _runs
+    from rxnparse.geometry import RegionIndex
+
+    gt_shapes, gt_by = _reference_by_slot(gt, criterion)
+    pred_shapes, pred_by = _reference_by_slot(pred, criterion)
+    shape_ids = {}
+    gt_shape = np.array([shape_ids.setdefault(s, len(shape_ids)) for s in gt_shapes], dtype=np.int64)
+    pred_shape = np.array([shape_ids.setdefault(s, len(shape_ids)) for s in pred_shapes], dtype=np.int64)
+    counts = np.array([sum(n for _, n in s) for s in pred_shapes], dtype=np.int64)
+
+    stride, n_pred = max(int(counts.sum()), 1), max(len(pred), 1)
+    keys = [np.empty(0, dtype=np.int64)]  # gt * stride + pred member, one per screened member pair
+    member_owner = []  # pred member -> pred reaction
+    for slot, (pred_owners, pred_regions) in pred_by.items():
+        if slot in gt_by:
+            gt_owners, gt_regions = gt_by[slot]
+            rows, cols = RegionIndex(gt_regions, polygon).overlapping(RegionIndex(pred_regions, polygon))
+            keys.append(np.array(gt_owners)[rows] * stride + len(member_owner) + cols)
+        member_owner.extend(pred_owners)
+    g, member = np.divmod(_runs(np.sort(np.concatenate(keys)))[0], stride)
+    pair_keys, partnered = _runs(np.sort(g * n_pred + np.array(member_owner, dtype=np.int64)[member]))
+    g, p = np.divmod(pair_keys, n_pred)
+    keep = (partnered == counts[p]) & (gt_shape[g] == pred_shape[p])
+    # a pred reaction without compared members pairs with every gt of its shape
+    bare = np.flatnonzero(counts == 0)
+    bare_g, bare_k = np.nonzero(gt_shape[:, None] == pred_shape[bare][None, :])
+    g, p = np.divmod(np.sort(np.concatenate([pair_keys[keep], bare_g * n_pred + bare[bare_k]])), n_pred)
+    return list(zip(g.tolist(), p.tolist()))
+
+
+def reference_matching_by_component(n_gt, adjacency):
+    """The lexicographic matching per connected component of a dense (gt + pred)² matrix, every node grouped."""
+    from rxnparse.evaluation import _lexicographic_matching
+    from rxnparse.reasoning.clustering import connected_groups
+
+    gts = [g for g in range(n_gt) if adjacency[g]]
+    preds = sorted({p for g in gts for p in adjacency[g]})
+    node = {p: len(gts) + k for k, p in enumerate(preds)}
+    linked = np.zeros((len(gts) + len(preds),) * 2, dtype=bool)
+    for row, g in enumerate(gts):
+        for p in adjacency[g]:
+            linked[row, node[p]] = linked[node[p], row] = True
+    pairs = []
+    for group in connected_groups(linked):
+        group_gts = [gts[i] for i in group if i < len(gts)]
+        group_preds = [preds[i - len(gts)] for i in group if i >= len(gts)]
+        local = {p: k for k, p in enumerate(group_preds)}
+        rows = [[local[p] for p in adjacency[g]] for g in group_gts]
+        for g, p in _lexicographic_matching(len(group_gts), len(group_preds), rows):
+            pairs.append((group_gts[g], group_preds[p]))
+    return sorted(pairs)
+
+
 def reference_resolve_region(kind, region, doc):
     """Best-IoU entity of ``kind`` over every entity of the document; ties to the smaller id."""
     from rxnparse.geometry import region_iou, region_to_array

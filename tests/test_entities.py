@@ -158,6 +158,23 @@ def test_region_inside_the_diagram_is_not_clamped(monkeypatch):
     assert max(x for x, _ in leaving.entity("a").region.vertices) == 1400
 
 
+def test_arrow_wholly_outside_the_diagram_is_a_schema_error():
+    """Clamping it leaves a zero-area quad, which is reported at the entity's bbox."""
+    raw = '{"width": 100, "height": 100, "entities": [{"id": "a", "label": "arrow", "bbox": [110, 10, 150, 10, 150, 20, 110, 20]}]}'
+    with pytest.raises(SchemaError, match="clamps to a degenerate quadrilateral") as info:
+        load_document(raw)
+    assert info.value.pointer == "/entities/0/bbox"
+
+
+def test_arrow_crossing_the_diagram_can_clamp_to_a_degenerate_quad():
+    """The clamp moves each vertex on its own: this arrow passes through (50, 50), yet all four of its
+    vertices land on the segment (100, 0)-(0, 100), so the document is rejected at the arrow's bbox."""
+    raw = '{"width": 100, "height": 100, "entities": [{"id": "a", "label": "arrow", "bbox": [110, -10, 120, -10, -10, 120, -20, 120]}]}'
+    with pytest.raises(SchemaError, match="clamps to a degenerate quadrilateral") as info:
+        load_document(raw)
+    assert info.value.pointer == "/entities/0/bbox"
+
+
 def test_same_smiles_shares_one_molecule_within_a_document():
     first = make_doc(
         [

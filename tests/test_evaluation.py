@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rxnparse import evaluation
 from rxnparse.entities import EntityKind
@@ -18,7 +20,7 @@ from rxnparse.evaluation import (
 from rxnparse.geometry import AxisBox
 from rxnparse.reactions import BoxedMember, BoxedReaction
 
-from helpers import brute_force_max_matching
+from helpers import brute_force_max_matching, reference_kuhn_max_matching
 
 
 def member(kind, x, y, w=100, h=80):
@@ -287,3 +289,20 @@ def test_broken_matching_invariant_raises_typed_error(monkeypatch):
     monkeypatch.setattr(evaluation, "_kuhn_max_matching", overstated_first)
     with pytest.raises(MatchingInvariantError, match="maximum 2"):
         evaluation._lexicographic_matching(1, 1, [[0]])
+
+
+def test_augmenting_path_as_long_as_the_graph():
+    # the last left reaches a free right only through every other left
+    adjacency = [[i, i + 1] for i in range(5000)] + [[0]]
+    matching = evaluation._kuhn_max_matching(5001, 5001, adjacency)
+    assert matching == {**{i: i + 1 for i in range(5000)}, 5000: 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n_right: st.tuples(
+    st.just(n_right), st.lists(st.lists(st.integers(0, n_right - 1), max_size=4, unique=True), max_size=6)
+)))
+def test_kuhn_matching_equals_the_recursive_search(graph):
+    n_right, adjacency = graph
+    expected = reference_kuhn_max_matching(len(adjacency), n_right, adjacency)
+    assert evaluation._kuhn_max_matching(len(adjacency), n_right, adjacency) == expected

@@ -1,7 +1,8 @@
 """The region screen against the all-pairs code it replaced.
 
 ``score`` runs the predicate only on reaction pairs whose members can
-overlap and matches per connected component; ``_resolve_regions`` runs
+match and that the screen's own box IoU leaves undecided, and matches
+per connected component; ``_resolve_regions`` runs
 IoU only on entities whose bounds meet a reply box, or, for a reply
 arrow, on arrows the polygon clip does not provably cut to nothing. Both
 must give exactly what a scan of every pair gives: the same report, the
@@ -15,14 +16,24 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rxnparse import evaluation
 from rxnparse.cli import main
 from rxnparse.entities import Entity, EntityKind, ReactionDocument
 from rxnparse.evaluation import CorpusDocument, score, score_corpus
-from rxnparse.geometry import AxisBox, OrientedQuad, RegionIndex, _clip_convex, region_iou, region_to_array
+from rxnparse.geometry import (
+    AxisBox,
+    OrientedQuad,
+    RegionIndex,
+    _clip_convex,
+    bounds_iou_above,
+    region_iou,
+    region_to_array,
+)
 from rxnparse.reactions import (
     BoxedMember,
     BoxedReaction,
@@ -37,9 +48,11 @@ from rxnparse.reactions import (
 from helpers import (
     random_quad,
     reference_clip_convex,
+    reference_matching_by_component,
     reference_parse_combiner_response,
     reference_resolve_region,
     reference_score,
+    reference_screened_pairs,
 )
 
 THRESHOLDS = (0.0, 0.5, 0.9, 1.0)
@@ -112,15 +125,29 @@ reactions = st.builds(BoxedReaction, reactants=_role(1), products=_role(1), cond
 
 
 @st.composite
+def screening_group(draw):
+    """One molecule reactant/product box pair repeated 2-8 times, as the benchmark's screening groups."""
+    reaction = BoxedReaction(
+        reactants=(BoxedMember(EntityKind.MOLECULE, draw(boxes)),),
+        products=(BoxedMember(EntityKind.MOLECULE, draw(boxes)),),
+    )
+    return [reaction] * draw(st.integers(2, 8))
+
+
+@st.composite
 def documents(draw):
-    """Ground truth from a small pool of reactions, and predictions that
-    keep, edit or drop each of them in shuffled order, plus a few others.
+    """Ground truth from a small pool of reactions and maybe a screening
+    group, and predictions that keep, edit or drop each of them in
+    shuffled order, plus a few others.
 
     Repeats make components of the compatibility graph hold gt indices
-    on both sides of another component's.
+    on both sides of another component's, and a screening group makes a
+    component of several nodes on each side.
     """
     pool = draw(st.lists(reactions, min_size=1, max_size=3))
     gt = draw(st.lists(st.sampled_from(pool), max_size=6))
+    if draw(st.booleans()):
+        gt = draw(st.permutations(gt + draw(screening_group())))
     pred = []
     for base in draw(st.permutations(gt)):
         choice = draw(st.integers(0, 3))
@@ -143,6 +170,73 @@ def test_score_equals_all_pairs_reference(doc):
     for criterion, polygon, threshold in itertools.product(("hard", "soft"), (True, False), THRESHOLDS):
         expected = reference_score(gt, pred, criterion, threshold, polygon)
         assert score(gt, pred, criterion, threshold, polygon) == expected, (criterion, polygon, threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=documents())
+def test_screen_and_components_equal_the_bounds_only_oracles(doc):
+    """The IoU screen keeps a subset of the bounds-only screen's pairs, loses
+    none the predicate accepts, and decides only pairs the predicate accepts;
+    the component matching equals the one that groups every node."""
+    gt, pred = doc
+    for criterion, polygon, threshold in itertools.product(("hard", "soft"), (True, False), THRESHOLDS):
+        predicate = evaluation._CRITERIA[criterion]
+        screened = evaluation._screened_pairs(gt, pred, criterion, polygon, threshold)
+        bounded = reference_screened_pairs(gt, pred, criterion, polygon)
+        assert {(g, p) for g, p, _ in screened} <= set(bounded)
+        assert all(predicate(pred[p], gt[g], threshold, polygon) for g, p, decided in screened if decided)
+        compatible = [(g, p) for g, p, d in screened if d or predicate(pred[p], gt[g], threshold, polygon)]
+        assert compatible == [(g, p) for g, p in bounded if predicate(pred[p], gt[g], threshold, polygon)]
+        adjacency = [[p for h, p in compatible if h == g] for g in range(len(gt))]
+        assert evaluation._matching_by_component(len(gt), adjacency) == reference_matching_by_component(len(gt), adjacency)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n_pred: st.lists(
+    st.lists(st.integers(0, n_pred - 1), max_size=3, unique=True).map(sorted), max_size=7
+)))
+def test_isolated_pairs_match_as_the_grouped_oracle(adjacency):
+    assert evaluation._matching_by_component(len(adjacency), adjacency) == reference_matching_by_component(
+        len(adjacency), adjacency
+    )
+
+
+# quarter units: IoU lands exactly on 0, 0.5 and 1, and boxes touch, nest, repeat or have no width or height
+quarter_boxes = st.builds(
+    lambda x, y, w, h: AxisBox(x / 4, y / 4, (x + w) / 4, (y + h) / 4),
+    st.integers(0, 12), st.integers(0, 12), st.integers(0, 8), st.integers(0, 8),
+)
+quarter_quads = st.builds(
+    lambda x, y, w, h, shear: OrientedQuad(((x, y), (x + w, y + shear), (x + w, y + h + shear), (x, y + h))),
+    st.integers(0, 12).map(lambda v: v / 4), st.integers(0, 12).map(lambda v: v / 4),
+    st.integers(1, 8).map(lambda v: v / 4), st.integers(1, 8).map(lambda v: v / 4),
+    st.sampled_from((0, 0, 0.25, -0.5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    regions=st.lists(st.one_of(quarter_boxes, quarter_boxes, quarter_quads), min_size=1, max_size=6).flatmap(
+        lambda rs: st.lists(st.sampled_from(rs), min_size=len(rs), max_size=2 * len(rs))  # repeats: identical pairs
+    ),
+    threshold=st.sampled_from((0.0, 0.5, 1.0)),
+    polygon=st.booleans(),
+)
+@example(regions=[AxisBox(0, 0, 1, 1), AxisBox(0, 0, 1, 2)], threshold=0.5, polygon=True)  # IoU exactly 0.5
+@example(regions=[AxisBox(1, 1, 1, 1), AxisBox(1, 1, 1, 1)], threshold=0.0, polygon=True)  # same point: IoU 1
+@example(regions=[AxisBox(1, 1, 1, 2), AxisBox(1, 1, 1, 2)], threshold=1.0, polygon=True)  # same segment at t = 1
+@example(regions=[AxisBox(0, 0, 1, 1), AxisBox(1, 0, 2, 1), AxisBox(1, 1, 2, 2)], threshold=0.0, polygon=True)
+@example(regions=[AxisBox(0, 0, 2, 2), AxisBox(1, 0, 1, 2), AxisBox(0, 1, 2, 1)], threshold=0.0, polygon=False)
+def test_screen_iou_decision_equals_region_iou(regions, threshold, polygon):
+    """Every pair of regions compared as boxes is kept exactly when ``region_iou > t``; a pair with a
+    quad compared as a polygon is kept."""
+    bounds = RegionIndex(regions, polygon).bounds
+    rows, cols = (a.ravel() for a in np.indices((len(regions), len(regions))))
+    kept = bounds_iou_above(bounds[rows], bounds[cols], threshold)
+    clipped = [polygon and isinstance(r, OrientedQuad) for r in regions]
+    expected = [clipped[i] or clipped[j] or region_iou(regions[i], regions[j], polygon) > threshold
+                for i, j in zip(rows, cols)]
+    assert kept.tolist() == expected
 
 
 def _reaction(reactant, product):
@@ -183,6 +277,19 @@ def test_degenerate_and_touching_boxes(a, b, matched, threshold):
     report = score(gt, pred, "hard", threshold)
     assert report == reference_score(gt, pred, "hard", threshold)
     assert report.matched == (matched if threshold < 1.0 else 0)
+
+
+@pytest.mark.parametrize("polygon", [True, False])
+def test_two_members_partnered_by_one_are_left_to_the_predicate(polygon):
+    # each pred reactant meets the first gt reactant, so the screen keeps the pair; no perfect matching exists
+    a, b = AxisBox(0, 0, 4, 4), AxisBox(20, 0, 24, 4)
+    product = (BoxedMember(EntityKind.MOLECULE, AxisBox(50, 50, 54, 54)),)
+    gt = [BoxedReaction(reactants=(BoxedMember(EntityKind.MOLECULE, a), BoxedMember(EntityKind.MOLECULE, b)), products=product)]
+    pred = [BoxedReaction(reactants=(BoxedMember(EntityKind.MOLECULE, a),) * 2, products=product)]
+    for criterion in ("hard", "soft"):
+        assert evaluation._screened_pairs(gt, pred, criterion, polygon, 0.5) == [(0, 0, False)]
+        assert score(gt, pred, criterion, 0.5, polygon) == reference_score(gt, pred, criterion, 0.5, polygon)
+        assert score(gt, pred, criterion, 0.5, polygon).matched == 0
 
 
 def test_matched_pairs_merge_across_components_in_gt_order():
