@@ -17,8 +17,6 @@ import json
 import logging
 import threading
 import time
-import urllib.error
-import urllib.request
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import resources
@@ -158,6 +156,9 @@ class LiveAgentClient(AgentClient):
         self._gate = threading.Semaphore(backend.max_in_flight)
 
     def _send(self, role, prompt, image, key):
+        import urllib.error  # with urllib.request, loads http.client and ssl: only this backend needs them
+        import urllib.request
+
         body: dict = {
             "model": self.backend.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -12,21 +12,25 @@ score invariant to reaction ordering; precision, recall and F1 follow,
 with the conventions P=1 when nothing was predicted and nothing matched
 (and recall likewise for empty ground truth).
 
-:func:`score` runs the predicate only on the reaction pairs a region
-screen leaves undecided. The screen compares members of the same role
-and kind (under ``soft``, molecule reactants and products only) through
-one :class:`~rxnparse.geometry.RegionIndex` per such slot, scores every
-pair of boxes (quads too under ``polygon=False``) whose bounds meet with
-``iou_axis``'s own arithmetic, and drops a reaction pair whose per-slot
-member counts differ or in which some predicted member has no
+Members arrive as :class:`~rxnparse.reactions.BoxedMember` values: a
+kind and validated coordinates, with the region built only when read.
+:func:`score` runs the predicate, which reads regions, only on the
+reaction pairs a screen over the coordinates leaves undecided. One pass
+per reaction list gathers the members the criterion compares (same role
+and kind; under ``soft``, molecule reactants and products only) with
+their slot and their bounds: a box's own, a quad's bounding box under
+``polygon=False``, and unbounded for a quad clipped as a polygon. Within
+each slot, every pair of members whose bounds meet is scored with
+``iou_axis``'s own arithmetic, and a reaction pair is dropped when its
+per-slot member counts differ or some predicted member has no
 ground-truth member above the threshold. A pair left whose slots hold
-one box a side matches without the predicate: member edges join only
-one kind, so a role's perfect matching is its slots'. The lexicographic
-matching then runs once per connected component of the compatibility
-graph; the maximum size is a sum over components, so each greedy
-feasibility test splits into one test per component and the pairs equal
-those of one run over the whole graph. A gt and a pred compatible only
-with each other are such a component and pair directly.
+one bounded member a side matches without the predicate: member edges
+join only one kind, so a role's perfect matching is its slots'. The
+lexicographic matching then runs once per connected component of the
+compatibility graph; the maximum size is a sum over components, so each
+greedy feasibility test splits into one test per component and the
+pairs equal those of one run over the whole graph. A gt and a pred
+compatible only with each other are such a component and pair directly.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from .reactions import BoxedMember, BoxedReaction
 from .entities import EntityKind
-from .geometry import RegionIndex, bounds_iou_above, region_iou
+from .geometry import bounds_iou_above, bounds_overlap, coords_bounds, region_iou
 from .reasoning.clustering import connected_groups
 
 
@@ -162,36 +166,83 @@ def _prf(gt_count: int, pred_count: int, matched: int) -> tuple[float, float, fl
     return precision, recall, f1
 
 
+def _augment(sources, adjacency, match_gt: dict, match_pred: dict, seen: set) -> bool:
+    """Flip the first augmenting path found from a free gt of ``sources`` to a free pred not in ``seen``.
+
+    One depth-first search, preds marked in ``seen`` as it reaches them,
+    shared by all sources; each gt reached first looks for a free pred
+    among its own. Returns whether a path was found.
+    """
+    for source in sources:
+        stack, path = [source], []  # path[k]: the pred leading from stack[k] to stack[k + 1]
+        rows = [iter(adjacency[source])]
+        while stack:
+            free = next((p for p in adjacency[stack[-1]] if p not in seen and p not in match_pred), None)
+            if free is not None:
+                for gt, pred in zip(stack, path + [free]):
+                    match_gt[gt], match_pred[pred] = pred, gt
+                return True
+            for pred in rows[-1]:
+                if pred not in seen:
+                    seen.add(pred)
+                    path.append(pred)
+                    stack.append(match_pred[pred])
+                    rows.append(iter(adjacency[stack[-1]]))
+                    break
+            else:
+                stack.pop()
+                rows.pop()
+                del path[-1:]  # the pred that led to the popped gt, if any
+    return False
+
+
+def _take(g: int, p: int, n_gt: int, adjacency, match_gt: dict, match_pred: dict, taken: set) -> bool:
+    """Whether a maximum matching of the gts from ``g`` on and the preds not ``taken`` pairs ``g`` with
+    ``p``; if so, the kept maximum matching ``match_gt``/``match_pred`` becomes one that does."""
+    own, holder = match_gt.get(g), match_pred.get(p)
+    if own == p:
+        return True
+    if own is not None:
+        del match_pred[own]
+    if holder is not None:
+        del match_gt[holder]
+    match_gt[g], match_pred[p] = p, g
+    if own is None or holder is None:  # one pair given up for one
+        return True
+    # two pairs given up for one: the size comes back only by an augmenting path avoiding g and p,
+    # from the freed holder or a gt the matching leaves free; it may end at the freed own pred
+    sources = [holder] + [u for u in range(g + 1, n_gt) if u not in match_gt]
+    if _augment(sources, adjacency, match_gt, match_pred, taken | {p}):
+        return True
+    match_gt[g], match_pred[own], match_gt[holder], match_pred[p] = own, g, p, holder
+    return False
+
+
 def _lexicographic_matching(n_gt: int, n_pred: int, adjacency) -> list[tuple[int, int]]:
-    """A maximum matching whose pair list is lexicographically smallest."""
+    """A maximum matching whose pair list is lexicographically smallest.
 
-    def max_size(rows, banned_right) -> int:
-        adj = [[r for r in rows[i] if r not in banned_right] for i in range(len(rows))]
-        return len(_kuhn_max_matching(len(rows), n_pred, adj))
-
-    target = max_size(adjacency, set())
+    Each gt in turn takes the first pred of its row that some maximum
+    matching pairs it with, given the pairs taken before, or stays
+    unmatched. One maximum matching of what is left to decide is kept, so
+    each tried pair costs at most one :func:`_augment` search, not a new
+    maximum matching.
+    """
+    match_gt = _kuhn_max_matching(n_gt, n_pred, adjacency)
+    target = len(match_gt)
+    match_pred = {p: g for g, p in match_gt.items()}
     pairs: list[tuple[int, int]] = []
-    used_right: set[int] = set()
-    remaining = list(range(n_gt))
-    for gt_index in range(n_gt):
-        remaining = [i for i in remaining if i != gt_index]
-        chosen = None
-        for pred_index in adjacency[gt_index]:
-            if pred_index in used_right:
-                continue
-            rest_rows = [adjacency[i] for i in remaining]
-            rest = max_size(rest_rows, used_right | {pred_index})
-            if len(pairs) + 1 + rest == target:
-                chosen = pred_index
+    taken: set[int] = set()
+    for g in range(n_gt):
+        for p in adjacency[g]:
+            if p not in taken and _take(g, p, n_gt, adjacency, match_gt, match_pred, taken):
+                pairs.append((g, p))
+                taken.add(p)
                 break
-        if chosen is not None:
-            pairs.append((gt_index, chosen))
-            used_right.add(chosen)
         else:
-            rest_rows = [adjacency[i] for i in remaining]
-            # skipping this gt must still reach the target
-            if len(pairs) + max_size(rest_rows, used_right) != target:
-                raise MatchingInvariantError(f"skipping gt {gt_index} loses a pair of the maximum {target}")
+            if g in match_gt:  # its pred would have been feasible
+                raise MatchingInvariantError(f"skipping gt {g} loses a pair of the maximum {target}")
+    if len(pairs) != target:
+        raise MatchingInvariantError(f"{len(pairs)} pairs kept of the maximum {target}")
     return pairs
 
 
@@ -203,26 +254,30 @@ def _check_threshold(threshold: float) -> None:
 # the roles each criterion's predicate above compares, and the one kind it keeps (None: all)
 _SCREENED = {"hard": (("reactants", "conditions", "products"), None),
              "soft": (("reactants", "products"), EntityKind.MOLECULE)}
+_KIND_SLOTS = {kind: k for k, kind in enumerate(EntityKind)}
 
 
-def _by_slot(reactions, criterion: str) -> tuple[list[tuple], list[bool], dict]:
-    """Each reaction's member count per (role, kind) slot the criterion compares, whether each of
-    its slots holds one member, and per slot the owning reaction and region of every member."""
+def _slot_members(reactions, criterion: str, polygon: bool):
+    """The members the criterion compares, gathered in one pass: each one's reaction, slot (a role
+    and kind pair, numbered) and :func:`~rxnparse.geometry.coords_bounds` row; and per reaction, its
+    member count per slot and whether the screen can decide it (one member per slot, none unbounded)."""
     roles, kind = _SCREENED[criterion]
-    shapes, single, by_slot = [], [], {}
-    for owner, reaction in enumerate(reactions):
-        counts: dict = {}
-        for role in roles:
-            for member in getattr(reaction, role):
-                if kind is None or member.kind == kind:
-                    slot = (role, member.kind)
-                    owners, regions = by_slot.setdefault(slot, ([], []))
-                    owners.append(owner)
-                    regions.append(member.region)
-                    counts[slot] = counts.get(slot, 0) + 1
-        shapes.append(tuple(sorted(counts.items())))
-        single.append(sum(counts.values()) == len(counts))
-    return shapes, single, by_slot
+    n_slots = len(roles) * len(_KIND_SLOTS)
+    role_slots = [(role, r * len(_KIND_SLOTS)) for r, role in enumerate(roles)]
+    found = [
+        (owner, first + _KIND_SLOTS[member.kind], member.coords)
+        for owner, reaction in enumerate(reactions)
+        for role, first in role_slots
+        for member in getattr(reaction, role)
+        if kind is None or member.kind is kind
+    ]
+    owners, slots, coords = zip(*found) if found else ((), (), ())
+    owners, slots = np.array(owners, dtype=np.int64), np.array(slots, dtype=np.int64)
+    bounds = coords_bounds(coords, polygon)
+    counts = np.bincount(owners * n_slots + slots, minlength=len(reactions) * n_slots).reshape(-1, n_slots)
+    decidable = counts.max(axis=1, initial=0) <= 1
+    decidable[owners[np.isinf(bounds[:, 0])]] = False
+    return owners, slots, bounds, counts, decidable
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,42 +298,35 @@ def _screened_pairs(gt, pred, criterion: str, polygon: bool, threshold: float) -
     pred member has no gt member in the same slot with IoU above the
     threshold or compared as a polygon. A decided pair is a match.
     """
-    gt_shapes, gt_single, gt_by = _by_slot(gt, criterion)
-    pred_shapes, pred_single, pred_by = _by_slot(pred, criterion)
-    gt_single, pred_single = np.array(gt_single, dtype=bool), np.array(pred_single, dtype=bool)
-    shape_ids: dict = {}
-    gt_shape = np.array([shape_ids.setdefault(s, len(shape_ids)) for s in gt_shapes], dtype=np.int64)
-    pred_shape = np.array([shape_ids.setdefault(s, len(shape_ids)) for s in pred_shapes], dtype=np.int64)
-    counts = np.array([sum(n for _, n in s) for s in pred_shapes], dtype=np.int64)
+    gt_owner, gt_slot, gt_bounds, gt_counts, gt_decidable = _slot_members(gt, criterion, polygon)
+    pred_owner, pred_slot, pred_bounds, pred_counts, pred_decidable = _slot_members(pred, criterion, polygon)
+    # the member pairs of each slot whose bounds meet
+    gt_order, pred_order = np.argsort(gt_slot, kind="stable"), np.argsort(pred_slot, kind="stable")
+    edges = np.arange(gt_counts.shape[1] + 1)  # slot k's members sit between cuts k and k + 1
+    gt_cuts = np.searchsorted(gt_slot[gt_order], edges).tolist()
+    pred_cuts = np.searchsorted(pred_slot[pred_order], edges).tolist()
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for slot in range(len(edges) - 1):
+        a = gt_order[gt_cuts[slot]:gt_cuts[slot + 1]]
+        b = pred_order[pred_cuts[slot]:pred_cuts[slot + 1]]
+        if len(a) and len(b):
+            r, c = bounds_overlap(gt_bounds[a], pred_bounds[b])
+            rows.append(a[r])
+            cols.append(b[c])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    kept = bounds_iou_above(gt_bounds[rows], pred_bounds[cols], threshold)
 
-    stride, n_pred = max(int(counts.sum()), 1), max(len(pred), 1)
-    keys = [np.empty(0, dtype=np.int64)]  # gt * stride + pred member, one per screened member pair
-    gt_bounds, pred_bounds = [np.empty((0, 4))], [np.empty((0, 4))]  # the member bounds of each such pair
-    member_owner: list[int] = []  # pred member -> pred reaction
-    for slot, (pred_owners, pred_regions) in pred_by.items():
-        if slot in gt_by:
-            gt_owners, gt_regions = gt_by[slot]
-            gt_index, pred_index = RegionIndex(gt_regions, polygon), RegionIndex(pred_regions, polygon)
-            rows, cols = gt_index.overlapping(pred_index)
-            keys.append(np.array(gt_owners)[rows] * stride + len(member_owner) + cols)
-            gt_bounds.append(gt_index.bounds[rows])
-            pred_bounds.append(pred_index.bounds[cols])
-        member_owner.extend(pred_owners)
-    keys, owner = np.concatenate(keys), np.array(member_owner, dtype=np.int64)
-    gt_bounds, pred_bounds = np.concatenate(gt_bounds), np.concatenate(pred_bounds)
-    # a member compared as a polygon is unbounded, so it meets every member of its slot on the
-    # other side: marking the reactions of its member pairs leaves each of their pairs to the predicate
-    gt_single[keys[np.isinf(gt_bounds[:, 0])] // stride] = False
-    pred_single[owner[keys[np.isinf(pred_bounds[:, 0])] % stride]] = False
-    g, member = np.divmod(_runs(np.sort(keys[bounds_iou_above(gt_bounds, pred_bounds, threshold)]))[0], stride)
-    pair_keys, partnered = _runs(np.sort(g * n_pred + owner[member]))
+    stride, n_pred = max(len(pred_owner), 1), max(len(pred), 1)
+    g, member = np.divmod(_runs(np.sort(gt_owner[rows[kept]] * stride + cols[kept]))[0], stride)
+    pair_keys, partnered = _runs(np.sort(g * n_pred + pred_owner[member]))
     g, p = np.divmod(pair_keys, n_pred)
-    keep = (partnered == counts[p]) & (gt_shape[g] == pred_shape[p])
-    # a pred reaction without compared members pairs with every gt of its shape
-    bare = np.flatnonzero(counts == 0)
-    bare_g, bare_k = np.nonzero(gt_shape[:, None] == pred_shape[bare][None, :])
-    g, p = np.divmod(np.sort(np.concatenate([pair_keys[keep], bare_g * n_pred + bare[bare_k]])), n_pred)
-    return list(zip(g.tolist(), p.tolist(), (gt_single[g] & pred_single[p]).tolist()))
+    members = pred_counts.sum(axis=1)
+    keep = (partnered == members[p]) & (gt_counts[g] == pred_counts[p]).all(axis=1)
+    # a pred reaction without compared members pairs with every gt without any
+    bare_g, bare_p = np.flatnonzero(gt_counts.sum(axis=1) == 0), np.flatnonzero(members == 0)
+    bare = (bare_g[:, None] * n_pred + bare_p[None, :]).ravel()
+    g, p = np.divmod(np.sort(np.concatenate([pair_keys[keep], bare])), n_pred)
+    return list(zip(g.tolist(), p.tolist(), (gt_decidable[g] & pred_decidable[p]).tolist()))
 
 
 def _matching_by_component(n_gt: int, adjacency) -> list[tuple[int, int]]:

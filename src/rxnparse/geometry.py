@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -280,7 +281,7 @@ _UNBOUNDED = (-math.inf, -math.inf, math.inf, math.inf)
 
 
 def bounds_iou_above(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
-    """Mask over pairs ``(a[k], b[k])`` of :attr:`RegionIndex.bounds` rows: ``iou_axis`` of the two boxes,
+    """Mask over pairs ``(a[k], b[k])`` of :func:`coords_bounds` rows: ``iou_axis`` of the two boxes,
     computed operation for operation, exceeds ``threshold``, or a row is unbounded (a quad clipped as a polygon)."""
     with np.errstate(divide="ignore", invalid="ignore"):  # unbounded pairs are kept unread
         inter = np.fmax(0.0, np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])).prod(axis=1)
@@ -290,8 +291,21 @@ def bounds_iou_above(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarr
     return above | np.isinf(a[:, 0]) | np.isinf(b[:, 0])
 
 
-def _screen_bounds(region: Region, polygon: bool) -> tuple[float, float, float, float]:
-    """Bounds outside which :func:`region_iou` with ``region`` is exactly 0.
+def bounds_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)`` of rows ``a[i]`` and ``b[j]`` of bounds whose closed boxes intersect.
+
+    Pairs come in row-major order. Only boolean n×m temporaries are made.
+    """
+    hit = a[:, None, 0] <= b[None, :, 2]
+    hit &= b[None, :, 0] <= a[:, None, 2]
+    hit &= a[:, None, 1] <= b[None, :, 3]
+    hit &= b[None, :, 1] <= a[:, None, 3]
+    return np.nonzero(hit)
+
+
+def coords_bounds(coords, polygon: bool = True) -> np.ndarray:
+    """n×4 bounds of the regions given by :func:`region_coords`, outside which :func:`region_iou`
+    with the region is exactly 0.
 
     ``iou_axis`` scores closed-disjoint boxes 0 (and 1 only for identical
     degenerate boxes, which intersect), so boxes, and quads collapsed to
@@ -304,12 +318,20 @@ def _screen_bounds(region: Region, polygon: bool) -> tuple[float, float, float, 
     whole plane; only :meth:`RegionIndex.candidate_pairs` screens it, by the
     clip's own first step.
     """
-    if isinstance(region, AxisBox):
-        return region.x_min, region.y_min, region.x_max, region.y_max
-    if not polygon:
-        box = region.bounding_box()
-        return box.x_min, box.y_min, box.x_max, box.y_max
-    return _UNBOUNDED
+    sizes = set(map(len, coords))
+    if 8 not in sizes:
+        return np.array(coords, dtype=float).reshape(-1, 4)
+    if polygon and 4 not in sizes:
+        return np.array([_UNBOUNDED] * len(coords)).reshape(-1, 4)
+    quad = np.fromiter(map(len, coords), np.intp, len(coords)) == 8
+    bounds = np.empty((len(coords), 4))
+    bounds[~quad] = np.array([c for c in coords if len(c) == 4], dtype=float).reshape(-1, 4)
+    if polygon:
+        bounds[quad] = _UNBOUNDED
+    else:
+        xy = np.array([c for c in coords if len(c) == 8], dtype=float).reshape(-1, 4, 2)
+        bounds[quad] = np.concatenate((xy.min(axis=1), xy.max(axis=1)), axis=1)
+    return bounds
 
 
 class RegionIndex:
@@ -323,20 +345,12 @@ class RegionIndex:
     def __init__(self, regions, polygon: bool = True):
         self.polygon = polygon
         self.regions = tuple(regions)
-        self.bounds = np.array([_screen_bounds(r, polygon) for r in self.regions], dtype=float).reshape(-1, 4)
+        self.bounds = coords_bounds([region_coords(r) for r in self.regions], polygon)
         self._quad_hulls = None
 
     def overlapping(self, other: "RegionIndex") -> tuple[np.ndarray, np.ndarray]:
-        """Index pairs ``(i, j)``, ``i`` in this index and ``j`` in ``other``, whose closed bounds intersect.
-
-        Pairs come in row-major order. Only boolean n×m temporaries are made.
-        """
-        a, b = self.bounds, other.bounds
-        hit = a[:, None, 0] <= b[None, :, 2]
-        hit &= b[None, :, 0] <= a[:, None, 2]
-        hit &= a[:, None, 1] <= b[None, :, 3]
-        hit &= b[None, :, 1] <= a[:, None, 3]
-        return np.nonzero(hit)
+        """:func:`bounds_overlap` of this index's bounds and ``other``'s."""
+        return bounds_overlap(self.bounds, other.bounds)
 
     def candidate_pairs(self, regions) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs ``(i, j)``, row-major, ``i`` in this index and ``j`` in ``regions``, for which
@@ -472,6 +486,77 @@ def region_to_array(region: Region) -> list:
     return flat
 
 
+def region_coords(region: Region) -> tuple[float, ...]:
+    """The region's coordinates as floats: a box's 4 numbers or a quad's 8, as in :func:`region_to_array`."""
+    if isinstance(region, AxisBox):
+        return float(region.x_min), float(region.y_min), float(region.x_max), float(region.y_max)
+    return tuple(chain.from_iterable(region.vertices))
+
+
+def region_from_coords(coords) -> Region:
+    """The region of 4 or 8 finite float coordinates that :func:`region_from_array` accepts."""
+    if len(coords) == 4:
+        return AxisBox(*coords)
+    return OrientedQuad(tuple(zip(coords[::2], coords[1::2])))
+
+
+# rounding in OrientedQuad's hull and area, and in the triangles below, stays about
+# 2**-46 times the squared largest |coordinate|, far under this slack
+_AREA_SLACK = 2.0**-40
+
+
+def quads_clearly_valid(quads: np.ndarray) -> np.ndarray:
+    """Mask over rows of 8 finite quad coordinates: the row surely builds an :class:`OrientedQuad`.
+
+    A quad's hull holds each triangle of its vertices, so its area is at
+    least the largest one's. A row is in the mask when that triangle's
+    area exceeds ``_EPS`` by a slack scaled to the square of the largest
+    coordinate magnitude, which covers the rounding of the hull, its
+    shoelace area and the triangles. Rows out of the mask, including those
+    whose products overflow, need the exact check of the constructor.
+    """
+    quads = np.asarray(quads, dtype=float).reshape(-1, 8)
+    x, y = quads[:, 0::2].T, quads[:, 1::2].T
+    scale = np.abs(quads).max(axis=1, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN compare False below
+        twice = np.max([np.abs((x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i]))
+                        for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))], axis=0)
+        return twice > 2.0 * (_EPS + _AREA_SLACK * scale * scale)
+
+
+def coords_from_arrays(arrays) -> tuple[list | None, np.ndarray]:
+    """:func:`region_from_array`'s checks, together, for lists of 4 or 8 values.
+
+    Returns the lists' coordinates as float tuples and the indices of the
+    lists the bulk checks do not pass: a box with corners out of order, or
+    a quad :func:`quads_clearly_valid` leaves out. When some value is not
+    an ``int`` or ``float``, or does not convert to a finite float, there
+    are no coordinates and every index is returned. Only
+    :func:`region_from_array` tells, for an index returned, whether the
+    list is valid and what is wrong with it.
+    """
+    everything = np.arange(len(arrays))
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(arrays))):
+        return None, everything
+    try:
+        values = np.fromiter(chain.from_iterable(arrays), float)  # rounds each int as float() does
+    except OverflowError:  # an int too large for a float
+        return None, everything
+    if not np.isfinite(values).all():
+        return None, everything
+    sizes = np.fromiter(map(len, arrays), np.intp, len(arrays))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    box = sizes == 4
+    corners = values[starts[box, None] + np.arange(4)]
+    passed = np.empty(len(arrays), dtype=bool)
+    passed[box] = (corners[:, 0] <= corners[:, 2]) & (corners[:, 1] <= corners[:, 3])
+    passed[~box] = quads_clearly_valid(values[starts[~box, None] + np.arange(8)])
+    floats = values.tolist()
+    coords = list(map(tuple, map(floats.__getitem__, map(slice, starts.tolist(), ends.tolist()))))
+    return coords, np.flatnonzero(~passed)
+
+
 def region_from_array(values) -> Region:
     """Parse a 4-number box or an 8-number quad array of finite numbers.
 
@@ -486,8 +571,6 @@ def region_from_array(values) -> Region:
         raise ValueError(f"coordinates must be finite numbers, got {values}") from None
     if not all(map(math.isfinite, nums)):
         raise ValueError(f"coordinates must be finite numbers, got {nums}")
-    if len(nums) == 4:
-        return AxisBox(*nums)
-    if len(nums) == 8:
-        return OrientedQuad(tuple((nums[i], nums[i + 1]) for i in range(0, 8, 2)))
-    raise ValueError(f"expected 4 or 8 coordinates, got {len(nums)}")
+    if len(nums) not in (4, 8):
+        raise ValueError(f"expected 4 or 8 coordinates, got {len(nums)}")
+    return region_from_coords(nums)

@@ -10,18 +10,30 @@ stay integers. ``reactants`` and ``products`` must not be empty;
 Inside the pipeline a reaction references document entities by id; the
 serializer materializes labels and boxes from the document, and
 :func:`parse_combiner_response` resolves boxes coming back from an
-agent to document entities by best IoU.
+agent to document entities by best IoU. The evaluation harness reads
+reaction files into :class:`BoxedReaction` values, whose members hold
+validated coordinates and build their regions only when read.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
 from .chem import ElementCounts
 from .entities import EntityKind, ReactionDocument
-from .geometry import Region, RegionIndex, region_from_array, region_iou, region_to_array
+from .geometry import (
+    Region,
+    RegionIndex,
+    coords_from_arrays,
+    region_coords,
+    region_from_array,
+    region_from_coords,
+    region_iou,
+    region_to_array,
+)
 
 
 class ResponseFormatError(ValueError):
@@ -250,15 +262,43 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
 # --- region-level view used by the evaluation harness ---------------------
 
 
-@dataclass(frozen=True)
 class BoxedMember:
-    kind: EntityKind
-    region: Region
+    """A reaction member as its kind and validated coordinates, 4 floats for a box and 8 for a quad.
+
+    ``region`` is built from the coordinates on first read. Members equal
+    and hash by kind and coordinates, as their regions compare.
+    """
+
+    __slots__ = ("kind", "coords", "_region")
+
+    def __init__(self, kind: EntityKind, region: Region):
+        self.kind = kind
+        self.coords = region_coords(region)
+        self._region = region
+
+    @property
+    def region(self) -> Region:
+        try:
+            return self._region
+        except AttributeError:  # a loaded member: unset until first read
+            self._region = region_from_coords(self.coords)
+            return self._region
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.kind, self.coords))
+
+    def __repr__(self):
+        return f"BoxedMember(kind={self.kind!r}, coords={self.coords!r})"
 
 
 @dataclass(frozen=True)
 class BoxedReaction:
-    """A reaction as bare (kind, region) members, no document needed."""
+    """A reaction as bare (kind, coordinates) members, no document needed."""
 
     reactants: tuple[BoxedMember, ...]
     products: tuple[BoxedMember, ...]
@@ -266,51 +306,92 @@ class BoxedReaction:
     arrows: tuple[BoxedMember, ...] = ()
 
 
-def _boxed_role(items) -> tuple[BoxedMember, ...]:
-    if not isinstance(items, list):
-        raise ResponseFormatError("reaction roles must be arrays")
-    members = []
-    for item in items:
-        if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
-            raise ResponseFormatError("reaction items need 'label' and 'bbox'")
-        try:
-            kind = EntityKind(item["label"])
-        except ValueError:
-            raise ResponseFormatError(f"unknown label {item['label']!r}") from None
-        try:
-            region = region_from_array(item["bbox"])
-        except (TypeError, ValueError) as exc:
-            raise ResponseFormatError(f"bad bbox {item['bbox']!r}: {exc}") from None
-        members.append(BoxedMember(kind=kind, region=region))
-    return tuple(members)
+_LABELS = {kind.value: kind for kind in EntityKind}
+
+
+def _checked_member(item) -> BoxedMember:
+    """One reaction item checked in full; raises its first problem."""
+    if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
+        raise ResponseFormatError("reaction items need 'label' and 'bbox'")
+    try:
+        kind = EntityKind(item["label"])
+    except ValueError:
+        raise ResponseFormatError(f"unknown label {item['label']!r}") from None
+    try:
+        region = region_from_array(item["bbox"])
+    except (TypeError, ValueError) as exc:
+        raise ResponseFormatError(f"bad bbox {item['bbox']!r}: {exc}") from None
+    return BoxedMember(kind, region)
 
 
 def boxed_reactions_from_list(data) -> list[BoxedReaction]:
     """Boxed reactions from a decoded reaction array, any 4- or 8-number box under any label.
 
     Raises :class:`ResponseFormatError`, naming the reaction index, for
-    any malformed reaction, member or box.
+    the first malformed reaction, member or box in document order.
+
+    One pass reads the structure. A dict item with a known label and a
+    list of 4 or 8 values waits for its coordinates; any other item is
+    checked in full at once, and the pass stops at the first problem. The
+    waiting boxes, all before that problem, are then checked together by
+    :func:`~rxnparse.geometry.coords_from_arrays`, and those its bulk
+    checks do not pass are checked in full, in document order.
     """
     if not isinstance(data, list):
         raise ResponseFormatError("expected a JSON array of reactions")
     reactions = []
-    for i, obj in enumerate(data):
-        if not isinstance(obj, dict):
-            raise ResponseFormatError(f"reaction {i} is not an object")
-        missing = [k for k in _REQUIRED_KEYS if k not in obj]
-        if missing:
-            raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
+    waiting, bboxes = [], []  # members awaiting their coordinates, and their bboxes
+    firsts = []  # per reaction, the index in waiting of its first member there
+    problem = None
+    try:
+        for i, obj in enumerate(data):
+            if not isinstance(obj, dict):
+                raise ResponseFormatError(f"reaction {i} is not an object")
+            missing = [k for k in _REQUIRED_KEYS if k not in obj]
+            if missing:
+                raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
+            firsts.append(len(waiting))
+            roles = []
+            for key in _REQUIRED_KEYS:
+                items = obj[key]
+                if not isinstance(items, list):
+                    raise ResponseFormatError(f"reaction {i}: reaction roles must be arrays")
+                role = []
+                for item in items:
+                    if type(item) is dict:
+                        try:
+                            kind, bbox = _LABELS[item["label"]], item["bbox"]
+                        except (KeyError, TypeError):  # a missing key, or an unknown or unhashable label
+                            kind = bbox = None
+                        if type(bbox) is list and (len(bbox) == 4 or len(bbox) == 8):
+                            member = object.__new__(BoxedMember)
+                            member.kind = kind
+                            role.append(member)
+                            waiting.append(member)
+                            bboxes.append(bbox)
+                            continue
+                    try:
+                        role.append(_checked_member(item))
+                    except ResponseFormatError as exc:
+                        raise ResponseFormatError(f"reaction {i}: {exc}") from None
+                roles.append(tuple(role))
+            reactions.append(BoxedReaction(*roles))
+    except ResponseFormatError as exc:
+        problem = exc
+
+    coords, unpassed = coords_from_arrays(bboxes)
+    coords = coords or [None] * len(bboxes)
+    for k in unpassed.tolist():
         try:
-            reactions.append(
-                BoxedReaction(
-                    reactants=_boxed_role(obj["reactants"]),
-                    products=_boxed_role(obj["products"]),
-                    conditions=_boxed_role(obj["conditions"]),
-                    arrows=_boxed_role(obj["arrow"]),
-                )
-            )
-        except ResponseFormatError as exc:
-            raise ResponseFormatError(f"reaction {i}: {exc}") from None
+            region = region_from_array(bboxes[k])
+        except (TypeError, ValueError) as exc:
+            owner = bisect_right(firsts, k) - 1
+            raise ResponseFormatError(f"reaction {owner}: bad bbox {bboxes[k]!r}: {exc}") from None
+        waiting[k]._region, coords[k] = region, region_coords(region)
+    if problem is not None:
+        raise problem
+    for member, member_coords in zip(waiting, coords):
+        member.coords = member_coords
     return reactions
 
 

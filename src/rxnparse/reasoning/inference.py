@@ -8,9 +8,14 @@ condition edges are computed once per component. Inside a component,
 every arrow seeds one candidate reaction, and each non-arrow entity may
 support at most one arrow; the chosen entity-to-arrow assignment is the
 one maximizing the summed fused scores of the edges it includes. Small
-components are solved by exhaustive enumeration, larger ones greedily
-(for this separable objective the two coincide, and the exhaustive
-search doubles as the correctness oracle in tests).
+components are solved by exhaustive enumeration, larger ones greedily.
+The objective is separable, so both reach the same rounded total, but
+they can pick different assignments when two combinations tie on it
+exactly: greedy takes each entity's first best arrow, while exhaustive
+keeps the first combination, in product order, whose rounded total
+equals the maximum. For ``{'a': {'x': 1.0, 'y': 0.2}, 'b': {'x': 0.3,
+'y': nextafter(0.3, 1)}}`` both totals are 1.3, and exhaustive assigns
+b to x where greedy assigns it to y.
 
 Roles come from the typed edges where available and from geometry
 otherwise: an untyped neighbour is projected onto the arrow's
@@ -90,7 +95,8 @@ def assign_entities_to_arrows(
     """Pick the support-maximizing entity-to-arrow assignment.
 
     Exhaustive over the full assignment space when the component is
-    within ``exact_search_limit``, greedy per entity otherwise.
+    within ``exact_search_limit``, greedy per entity otherwise; the two
+    may differ on exact rounded-total ties (see the module docstring).
     """
     members = set(component)
     edges = [e for e in fused.edges if e.source in members and e.target in members]
@@ -99,7 +105,13 @@ def assign_entities_to_arrows(
 
 
 def _best_assignment(affinity, size: int, config: ReasoningConfig) -> ArrowAssignment:
-    """The assignment maximizing summed affinity for a component of ``size`` members."""
+    """The assignment maximizing summed affinity for a component of ``size`` members.
+
+    Exhaustive search keeps the first combination in product order whose
+    rounded total is the largest; greedy takes each entity's first best
+    arrow. Their totals agree, but on an exact tie between rounded totals
+    their assignments need not.
+    """
     entities = sorted(affinity)
     if not entities:
         return ArrowAssignment(assigned={}, total=0.0)

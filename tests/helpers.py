@@ -819,14 +819,14 @@ def reference_merge_collinear_arrows(reactions, doc):
 
 def reference_score(gt, pred, criterion="hard", threshold=0.5, polygon=True):
     """The predicate on every gt × pred pair, one lexicographic matching over the whole graph."""
-    from rxnparse.evaluation import MatchReport, _CRITERIA, _lexicographic_matching, _prf
+    from rxnparse.evaluation import MatchReport, _CRITERIA, _prf
 
     predicate = _CRITERIA[criterion]
     adjacency = [
         [p for p in range(len(pred)) if predicate(pred[p], gt[g], threshold, polygon)]
         for g in range(len(gt))
     ]
-    pairs = _lexicographic_matching(len(gt), len(pred), adjacency)
+    pairs = reference_lexicographic_matching(len(gt), len(pred), adjacency)
     precision, recall, f1 = _prf(len(gt), len(pred), len(pairs))
     return MatchReport(
         criterion=criterion,
@@ -857,6 +857,40 @@ def reference_kuhn_max_matching(n_left, n_right, adjacency):
     for left in range(n_left):
         try_assign(left, set())
     return {left: right for right, left in match_right.items()}
+
+
+def reference_lexicographic_matching(n_gt, n_pred, adjacency):
+    """The lexicographic matching by a new maximum matching for every tried pair."""
+    from rxnparse.evaluation import MatchingInvariantError
+
+    def max_size(rows, banned_right):
+        adj = [[r for r in rows[i] if r not in banned_right] for i in range(len(rows))]
+        return len(reference_kuhn_max_matching(len(rows), n_pred, adj))
+
+    target = max_size(adjacency, set())
+    pairs = []
+    used_right = set()
+    remaining = list(range(n_gt))
+    for gt_index in range(n_gt):
+        remaining = [i for i in remaining if i != gt_index]
+        chosen = None
+        for pred_index in adjacency[gt_index]:
+            if pred_index in used_right:
+                continue
+            rest_rows = [adjacency[i] for i in remaining]
+            rest = max_size(rest_rows, used_right | {pred_index})
+            if len(pairs) + 1 + rest == target:
+                chosen = pred_index
+                break
+        if chosen is not None:
+            pairs.append((gt_index, chosen))
+            used_right.add(chosen)
+        else:
+            rest_rows = [adjacency[i] for i in remaining]
+            # skipping this gt must still reach the target
+            if len(pairs) + max_size(rest_rows, used_right) != target:
+                raise MatchingInvariantError(f"skipping gt {gt_index} loses a pair of the maximum {target}")
+    return pairs
 
 
 def _reference_by_slot(reactions, criterion):
@@ -917,7 +951,6 @@ def reference_screened_pairs(gt, pred, criterion, polygon):
 
 def reference_matching_by_component(n_gt, adjacency):
     """The lexicographic matching per connected component of a dense (gt + pred)² matrix, every node grouped."""
-    from rxnparse.evaluation import _lexicographic_matching
     from rxnparse.reasoning.clustering import connected_groups
 
     gts = [g for g in range(n_gt) if adjacency[g]]
@@ -933,7 +966,7 @@ def reference_matching_by_component(n_gt, adjacency):
         group_preds = [preds[i - len(gts)] for i in group if i >= len(gts)]
         local = {p: k for k, p in enumerate(group_preds)}
         rows = [[local[p] for p in adjacency[g]] for g in group_gts]
-        for g, p in _lexicographic_matching(len(group_gts), len(group_preds), rows):
+        for g, p in reference_lexicographic_matching(len(group_gts), len(group_preds), rows):
             pairs.append((group_gts[g], group_preds[p]))
     return sorted(pairs)
 
@@ -1021,4 +1054,51 @@ def reference_parse_combiner_response(raw, doc):
             reactions.append(Reaction(reactants, products, conditions, arrows, float(confidence)))
         except ConstraintError as exc:
             raise ConstraintError(f"reaction {i}: {exc}") from None
+    return reactions
+
+
+def reference_boxed_reactions_from_list(data):
+    """The reaction loader that builds and checks each member's region as it reaches it."""
+    from rxnparse.entities import EntityKind
+    from rxnparse.geometry import region_from_array
+    from rxnparse.reactions import BoxedMember, BoxedReaction, ResponseFormatError
+
+    def boxed_role(items):
+        if not isinstance(items, list):
+            raise ResponseFormatError("reaction roles must be arrays")
+        members = []
+        for item in items:
+            if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
+                raise ResponseFormatError("reaction items need 'label' and 'bbox'")
+            try:
+                kind = EntityKind(item["label"])
+            except ValueError:
+                raise ResponseFormatError(f"unknown label {item['label']!r}") from None
+            try:
+                region = region_from_array(item["bbox"])
+            except (TypeError, ValueError) as exc:
+                raise ResponseFormatError(f"bad bbox {item['bbox']!r}: {exc}") from None
+            members.append(BoxedMember(kind=kind, region=region))
+        return tuple(members)
+
+    if not isinstance(data, list):
+        raise ResponseFormatError("expected a JSON array of reactions")
+    reactions = []
+    for i, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise ResponseFormatError(f"reaction {i} is not an object")
+        missing = [k for k in ("reactants", "products", "conditions", "arrow") if k not in obj]
+        if missing:
+            raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
+        try:
+            reactions.append(
+                BoxedReaction(
+                    reactants=boxed_role(obj["reactants"]),
+                    products=boxed_role(obj["products"]),
+                    conditions=boxed_role(obj["conditions"]),
+                    arrows=boxed_role(obj["arrow"]),
+                )
+            )
+        except ResponseFormatError as exc:
+            raise ResponseFormatError(f"reaction {i}: {exc}") from None
     return reactions

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from rxnparse.evaluation import (
 from rxnparse.geometry import AxisBox
 from rxnparse.reactions import BoxedMember, BoxedReaction
 
-from helpers import brute_force_max_matching, reference_kuhn_max_matching
+from helpers import brute_force_max_matching, reference_kuhn_max_matching, reference_lexicographic_matching
 
 
 def member(kind, x, y, w=100, h=80):
@@ -306,3 +307,23 @@ def test_kuhn_matching_equals_the_recursive_search(graph):
     n_right, adjacency = graph
     expected = reference_kuhn_max_matching(len(adjacency), n_right, adjacency)
     assert evaluation._kuhn_max_matching(len(adjacency), n_right, adjacency) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n_pred: st.tuples(st.just(max(n_pred, 1)), st.lists(
+    st.lists(st.integers(0, max(n_pred, 1) - 1), max_size=5, unique=True), max_size=8))))
+def test_lexicographic_matching_equals_the_rerun_reference(graph):
+    n_pred, adjacency = graph
+    expected = reference_lexicographic_matching(len(adjacency), n_pred, adjacency)
+    assert evaluation._lexicographic_matching(len(adjacency), n_pred, adjacency) == expected
+
+
+def test_dense_screening_group_of_200_matches_quickly():
+    reaction = BoxedReaction(
+        reactants=(BoxedMember(EntityKind.MOLECULE, AxisBox(0, 0, 10, 10)),),
+        products=(BoxedMember(EntityKind.MOLECULE, AxisBox(50, 0, 60, 10)),),
+    )
+    started = time.perf_counter()
+    report = score([reaction] * 200, [reaction] * 200, "soft")
+    assert time.perf_counter() - started < 0.5
+    assert report.matched_pairs == tuple((i, i) for i in range(200))

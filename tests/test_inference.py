@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from rxnparse.config import ReasoningConfig
 from rxnparse.reactions import Reaction
 from rxnparse.reasoning.fusion import FusedEdge, FusedGraph, FusionWeights
 from rxnparse.reasoning.inference import (
+    _best_assignment,
     assign_entities_to_arrows,
     connected_components,
     infer_reactions,
@@ -184,6 +186,16 @@ class TestContestedAssignment:
             assignment = assign_entities_to_arrows(component, fused, doc, config)
             expected = brute_force_assignment(sorted(affinity), arrow_ids, affinity)
             assert assignment.total == pytest.approx(expected, abs=1e-9)
+
+    def test_exhaustive_and_greedy_differ_on_an_exact_rounded_tie(self):
+        # both totals round to 1.3: exhaustive keeps b -> x, the first in product order;
+        # greedy takes b's own best arrow, y
+        affinity = {"a": {"x": 1.0, "y": 0.2}, "b": {"x": 0.3, "y": math.nextafter(0.3, 1)}}
+        exhaustive = _best_assignment(affinity, 2, ReasoningConfig())
+        greedy = _best_assignment(affinity, 2, ReasoningConfig(exact_search_limit=1))
+        assert exhaustive.assigned == {"a": "x", "b": "x"}
+        assert greedy.assigned == {"a": "x", "b": "y"}
+        assert exhaustive.total == greedy.total == 1.3
 
 
 class TestArrowless:

@@ -5,12 +5,17 @@ background thread, so the fixture never starts more than one thread.
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import rxnparse
 from rxnparse import agents
 from rxnparse.agents import (
     BackendRejectedError,
@@ -137,3 +142,10 @@ def test_malformed_reply_raises_agent_error(backend, sleeps, body):
         make_client(url_of(backend)).request("planner", {"query": "q"})
     assert len(backend.requests) == 1
     assert sleeps == []
+
+
+def test_import_leaves_the_http_stack_unloaded():
+    code = "import sys, rxnparse; print(sorted(m for m in ('ssl', 'http.client') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(rxnparse.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
