@@ -167,6 +167,12 @@ def _cmd_fingerprint(args) -> int:
     return EXIT_OK
 
 
+def _channel_score(graph, i: int, j: int) -> float:
+    """The score of a channel graph's edge between positions ``i < j``, or the neutral 0.5."""
+    edges = list(zip(graph.rows.tolist(), graph.cols.tolist()))
+    return graph.values[edges.index((i, j))].item() if (i, j) in edges else 0.5
+
+
 def _cmd_score_edge(args) -> int:
     config = _build_config(args)
     doc = load_document(Path(args.input).read_bytes())
@@ -174,9 +180,8 @@ def _cmd_score_edge(args) -> int:
     spatial = propagate(build_spatial_graph(doc, reasoning, load_pipeline_weights(config)))
     chem = build_chem_graph(doc, reasoning)
     pair = (min(args.a, args.b), max(args.a, args.b))
-    s_space = spatial.score_by_ids().get(pair, 0.5)
-    s_chem = chem.score(*pair)
-    s_chem = 0.5 if s_chem is None else s_chem
+    i, j = sorted(spatial.table.position.get(entity_id, -1) for entity_id in pair)  # an unknown id matches no edge
+    s_space, s_chem = _channel_score(spatial, i, j), _channel_score(chem, i, j)
     weights = FusionWeights(*reasoning.alphas)
     print(
         json.dumps(

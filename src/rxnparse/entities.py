@@ -24,22 +24,27 @@ Each distinct SMILES is parsed once per document: every entity naming
 it shares one :class:`~rxnparse.chem.Molecule`, together with the
 chemistry the molecule computes on first read (fingerprint, sketch, atom
 counts, charge). A SMILES that fails to parse warns for every entity
-naming it.
+naming it. Every reasoning layer reads the entities through the
+document's one :class:`EntityTable`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+
+import numpy as np
 
 from .chem import Fingerprint, Molecule, SmilesSyntaxError, ValenceError, bit_sketch, parse_smiles
 from .geometry import (
     AxisBox,
     OrientedQuad,
     Region,
+    centroid_distances,
     principal_axis,
     region_from_array,
     region_to_array,
@@ -69,6 +74,7 @@ class ArrowDirection(str, Enum):
 
 
 LAYOUT_CLASSES = ("single_line", "multiple_line", "tree", "graph")
+KIND_CODES = {kind: code for code, kind in enumerate(EntityKind)}  # molecule 0, arrow 1, text 2, identifier 3
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,7 @@ class ReactionDocument:
     layout_class: str | None = None
     warnings: tuple[str, ...] = ()
     _index: dict = field(init=False, repr=False, compare=False)
+    _table: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {}
@@ -169,6 +176,69 @@ class ReactionDocument:
 
     def by_kind(self, kind: EntityKind) -> tuple[Entity, ...]:
         return tuple(e for e in self.entities if e.kind == kind)
+
+    @property
+    def table(self) -> "EntityTable":
+        """The document's entity table, built on first read and shared while any reader holds it.
+
+        The document keeps only a weak reference, so documents kept after
+        their reasoning pass do not keep their n×n distance matrices.
+        """
+        table = None if self._table is None else self._table()
+        if table is None:
+            table = EntityTable.of(self)
+            object.__setattr__(self, "_table", weakref.ref(table))
+        return table
+
+
+@dataclass(frozen=True, eq=False)
+class EntityTable:
+    """Read-only arrays over a document's entities, row ``i`` for ``doc.entities[i]`` (its position).
+
+    Centroids, box sizes and areas are the floats the regions compute,
+    and ``distances`` is :func:`~rxnparse.geometry.centroid_distances` of
+    the centroids, computed once per table. Writing into an array raises
+    ``ValueError``, so no layer can change what another reads.
+    """
+
+    ids: tuple[str, ...]
+    position: dict  # id -> position
+    sorted_ids: tuple[str, ...]
+    ranks: np.ndarray  # rank of each id in sorted_ids
+    reading: np.ndarray  # rank in reading order (y, then x, then id)
+    kinds: np.ndarray  # KIND_CODES
+    centroids: np.ndarray  # (n, 2)
+    sizes: np.ndarray  # (n, 2) width and height of each bounding box
+    areas: np.ndarray
+    distances: np.ndarray  # (n, n) centroid distances over the diagram diagonal
+
+    @classmethod
+    def of(cls, doc: ReactionDocument) -> "EntityTable":
+        ids = tuple(e.id for e in doc.entities)
+        rows = []  # cx, cy, box width, box height, area, kind code
+        for entity in doc.entities:
+            region = entity.region
+            box = region if isinstance(region, AxisBox) else region.bounding_box()
+            rows.append((*region.centroid, box.width, box.height, region.area, KIND_CODES[entity.kind]))
+        columns = np.array(rows, dtype=float).reshape(len(ids), 6)
+        by_id = sorted(range(len(ids)), key=ids.__getitem__)
+        by_reading = sorted(range(len(ids)), key=[(cy, cx, i) for (cx, cy, *_), i in zip(rows, ids)].__getitem__)
+        ranks, reading = np.empty(len(ids), dtype=np.intp), np.empty(len(ids), dtype=np.intp)
+        ranks[by_id] = reading[by_reading] = np.arange(len(ids))
+        centroids = columns[:, 0:2].copy()
+        arrays = dict(
+            ranks=ranks, reading=reading, kinds=columns[:, 5].astype(np.intp),
+            centroids=centroids, sizes=columns[:, 2:4].copy(), areas=columns[:, 4].copy(),
+            distances=centroid_distances(centroids, doc.diagram_bounds),
+        )
+        for array in arrays.values():
+            array.flags.writeable = False
+        return cls(ids, dict(zip(ids, range(len(ids)))), tuple(ids[i] for i in by_id), **arrays)
+
+    def by_id_pairs(self, rows, cols, values) -> dict:
+        """``{(id_a, id_b): values[k]}`` with ``id_a < id_b`` for the edges ``(rows[k], cols[k])``, in edge order."""
+        pairs = ((self.ids[i], self.ids[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+        return {(min(a, b), max(a, b)): value for (a, b), value in zip(pairs, values.tolist())}
 
 
 def _require(condition: bool, message: str, pointer: str) -> None:

@@ -105,8 +105,35 @@ def reaction_to_json(reaction: Reaction, doc: ReactionDocument) -> dict:
     }
 
 
+# one reaction and one role member as json.dumps(..., indent=2) writes them at their depth in the output
+_REACTION_JSON = '  {\n    "reactants": %s,\n    "products": %s,\n    "conditions": %s,\n    "arrow": %s\n  }'
+_MEMBER_JSON = '      {\n        "label": %s,\n        "bbox": [\n          %s\n        ]\n      }'
+
+
 def reactions_to_json(reactions, doc: ReactionDocument) -> str:
-    return json.dumps([reaction_to_json(r, doc) for r in reactions], indent=2)
+    """The bytes ``json.dumps([reaction_to_json(r, doc) for r in reactions], indent=2)`` gives.
+
+    Each member's block is rendered once per call, its numbers the
+    ``repr`` of :func:`~rxnparse.geometry.region_to_array`'s ints and
+    floats as ``json`` writes them; blocks join per role, and an empty
+    role or reaction list is written ``[]``.
+    """
+    blocks: dict[str, str] = {}
+
+    def role(ids) -> str:
+        if not ids:
+            return "[]"
+        for entity_id in ids:
+            if entity_id not in blocks:
+                entity = doc.entity(entity_id)
+                numbers = ",\n          ".join(map(repr, region_to_array(entity.region)))
+                blocks[entity_id] = _MEMBER_JSON % (json.dumps(entity.kind.value), numbers)
+        return "[\n" + ",\n".join(blocks[entity_id] for entity_id in ids) + "\n    ]"
+
+    if not reactions:
+        return "[]"
+    written = (_REACTION_JSON % tuple(map(role, (r.reactants, r.products, r.conditions, r.arrows))) for r in reactions)
+    return "[\n" + ",\n".join(written) + "\n]"
 
 
 _MEMBER_KINDS = (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..chem import DEFAULT_FINGERPRINT_CONFIG
 from ..config import ReasoningConfig
-from ..entities import EntityKind, ReactionDocument
+from ..entities import KIND_CODES, EntityKind, EntityTable, ReactionDocument
 
 NEUTRAL_CHEM_SCORE = 0.5
 CHEM_ROW_BLOCK = 128  # rows of the pair matrix scored per numpy pass
@@ -26,13 +26,18 @@ CHEM_ROW_BLOCK = 128  # rows of the pair matrix scored per numpy pass
 
 @dataclass(frozen=True)
 class ChemGraph:
-    """Thresholded chemistry edges over molecule entities, keyed by id pair."""
+    """Thresholded chemistry edges: positions ``rows[k] < cols[k]`` of ``table`` score ``values[k]``."""
 
-    scores: dict  # (id_a, id_b) with id_a < id_b -> float in [0, 1]
+    table: EntityTable
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray  # floats in [0, 1]
     tau_chem: float
 
-    def score(self, a: str, b: str) -> float | None:
-        return self.scores.get((min(a, b), max(a, b)))
+    @property
+    def scores(self) -> dict:
+        """A view built on read, for the benchmark tracer (bench/tracing.py) to count from; no layer reads it."""
+        return self.table.by_id_pairs(self.rows, self.cols, self.values)
 
 
 def chem_pair_score(s_fp: float, delta_q: int, beta: float) -> float:
@@ -41,18 +46,20 @@ def chem_pair_score(s_fp: float, delta_q: int, beta: float) -> float:
 
 
 def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGraph:
-    """Score molecule pairs a block of rows at a time; kept pairs enter the dict row by row in molecule order.
+    """Score molecule pairs a block of rows at a time; kept pairs become edges row by row in molecule order.
 
     Intersections and unions are exact popcounts over the fingerprints
     packed as uint64 words, and float division of exact integers is
     correctly rounded, so each similarity equals ``tanimoto``'s
     ``int / int``. The blend runs elementwise in ``chem_pair_score``'s
     operation order, with ``exp(-|dq|)`` from a ``math.exp`` table over
-    the distinct charges, and only kept pairs become dict entries. Rows
+    the distinct charges, and only kept pairs are gathered. Rows
     go ``CHEM_ROW_BLOCK`` at a time, so memory grows with the molecule
     count, not with its square.
     """
+    table = doc.table
     molecules = doc.by_kind(EntityKind.MOLECULE)
+    at = np.flatnonzero(table.kinds == KIND_CODES[EntityKind.MOLECULE])  # their positions
     parsed = np.array([e.molecule is not None for e in molecules], dtype=bool)
     empty = bytes(DEFAULT_FINGERPRINT_CONFIG.width // 8)
     packed = b"".join(
@@ -67,18 +74,17 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
     charge_codes = np.array([position[q] for q in charges], dtype=np.intp)
     decay = np.array([math.exp(-abs(a - b)) for a in distinct for b in distinct]).reshape(len(distinct), len(distinct))
 
-    ids = [e.id for e in molecules]
-    scores = {}
+    rows, cols, values = [at[:0]], [at[:0]], [np.zeros(0)]
     for start in range(0, len(molecules), CHEM_ROW_BLOCK):
         block = slice(start, start + CHEM_ROW_BLOCK)
         inter = np.bitwise_count(words[block, None, :] & words[None, :, :]).sum(axis=2, dtype=np.int64)
         union = counts[block, None] + counts[None, :] - inter
         s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
-        values = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[block, None], charge_codes[None, :]]
-        values[~(parsed[block, None] & parsed[None, :])] = NEUTRAL_CHEM_SCORE
+        scored = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[block, None], charge_codes[None, :]]
+        scored[~(parsed[block, None] & parsed[None, :])] = NEUTRAL_CHEM_SCORE
         # column j > row start + i: the upper triangle of the whole matrix
-        rows, cols = np.nonzero(np.triu(values > config.tau_chem, k=start + 1))
-        for i, j, value in zip((rows + start).tolist(), cols.tolist(), values[rows, cols].tolist()):
-            a, b = ids[i], ids[j]
-            scores[(a, b) if a < b else (b, a)] = value
-    return ChemGraph(scores=scores, tau_chem=config.tau_chem)
+        i, j = np.nonzero(np.triu(scored > config.tau_chem, k=start + 1))
+        rows.append(at[i + start])
+        cols.append(at[j])
+        values.append(scored[i, j])
+    return ChemGraph(table, np.concatenate(rows), np.concatenate(cols), np.concatenate(values), config.tau_chem)

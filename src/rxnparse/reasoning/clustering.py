@@ -13,7 +13,6 @@ import numpy as np
 
 from ..config import ReasoningConfig
 from ..entities import ReactionDocument
-from ..geometry import centroid_distances
 
 
 def connected_groups(adjacency: np.ndarray) -> list[list[int]]:
@@ -36,12 +35,10 @@ def connected_groups(adjacency: np.ndarray) -> list[list[int]]:
 
 
 def cluster_entities(doc: ReactionDocument, config: ReasoningConfig) -> tuple[tuple[str, ...], ...]:
-    """Partition entity ids; clusters ordered by their top-left-most member."""
-    centroids = [entity.centroid for entity in doc.entities]
-    close = centroid_distances(centroids, doc.diagram_bounds) < config.tau_cluster
-    groups = [
-        sorted((doc.entities[i] for i in members), key=lambda e: e.reading_key)
-        for members in connected_groups(close)
-    ]
-    groups.sort(key=lambda members: members[0].reading_key)
-    return tuple(tuple(entity.id for entity in members) for members in groups)
+    """Partition entity ids: members in reading order, clusters by their top-left-most member."""
+    table = doc.table
+    reading = table.reading.tolist()
+    close = table.distances < config.tau_cluster
+    groups = [sorted(members, key=reading.__getitem__) for members in connected_groups(close)]
+    groups.sort(key=lambda members: reading[members[0]])
+    return tuple(tuple(table.ids[i] for i in members) for members in groups)

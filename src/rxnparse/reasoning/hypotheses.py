@@ -22,7 +22,6 @@ import numpy as np
 
 from ..agents import AgentClient
 from ..entities import ReactionDocument, entity_to_json
-from ..geometry import centroid_distances
 from ..reactions import (
     ConstraintError,
     Reaction,
@@ -41,8 +40,8 @@ COMBINER_ROLE = "reaction_combiner"
 # as likely to overflow a VLM context; the prompt is still sent
 PROMPT_WARN_BYTES = 512 * 1024
 
-# one proximity edge of the cluster graph, keys in sorted order
-_PROXIMITY_EDGE = '{"relation": %d, "source": %%s, "target": %%s, "weight": %%s}' % EdgeRelation.NO_EDGE
+# the head of one proximity edge of the cluster graph, keys in sorted order; target and weight follow
+_PROXIMITY_SOURCE = '{"relation": %d, "source": ' % EdgeRelation.NO_EDGE
 
 
 @dataclass(frozen=True)
@@ -71,23 +70,28 @@ def cluster_prompt_variables(cluster, doc: ReactionDocument, config: ReasoningCo
     """Deterministic prompt variables for one cluster.
 
     The subgraph JSON lists the cluster's entities and their proximity
-    links (weight = 1 - normalized distance), which is all the evidence
-    available before fusion. It is rendered from fragments into the
-    bytes ``json.dumps({"nodes": ..., "edges": [...]}, sort_keys=True)``
-    gives: one sorted-key node per entity, each id quoted once, and one
-    format string per proximity pair with its keys in sorted order.
+    links (weight = 1 - normalized distance, from the document's distance
+    matrix), which is all the evidence available before fusion. It is
+    rendered from fragments into the bytes
+    ``json.dumps({"nodes": ..., "edges": [...]}, sort_keys=True)``
+    gives: one sorted-key node per entity, each id quoted once, and each
+    proximity pair joined from its source's head, its target and its
+    weight, keys in sorted order.
     """
     ids = list(cluster)
     entities = [doc.entity(i) for i in ids]
-    distances = centroid_distances([e.centroid for e in entities], doc.diagram_bounds)
+    table = doc.table
+    at = [table.position[i] for i in ids]
+    # a cluster of the whole document in document order (one big scheme) reads the matrix itself
+    distances = table.distances if at == list(range(len(table.ids))) else table.distances[np.ix_(at, at)]
     rows, cols = np.nonzero(np.triu(distances < config.tau_cluster, k=1))
     weights = (1.0 - distances[rows, cols]).tolist()
     # grid layouts repeat distances, so each distinct weight is rounded and written once
-    written = {w: repr(round(w, 6)) for w in set(weights)}
+    written = {w: repr(round(w, 6)) + "}" for w in set(weights)}
     quoted = [json.dumps(i) for i in ids]
-    edges = [
-        _PROXIMITY_EDGE % (quoted[a], quoted[b], written[w]) for a, b, w in zip(rows.tolist(), cols.tolist(), weights)
-    ]
+    sources = [_PROXIMITY_SOURCE + q + ', "target": ' for q in quoted]
+    targets = [q + ', "weight": ' for q in quoted]
+    edges = [sources[a] + targets[b] + written[w] for a, b, w in zip(rows.tolist(), cols.tolist(), weights)]
     nodes = [json.dumps(entity_to_json(e), sort_keys=True) for e in entities]
     return {"graph_json": '{"edges": [' + ", ".join(edges) + '], "nodes": [' + ", ".join(nodes) + "]}"}
 

@@ -16,20 +16,15 @@ zero embedding on either end scores the neutral 0.5.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..config import SKETCH_DIMS, ConfigError, ReasoningConfig
-from ..entities import EntityKind, ReactionDocument
-from ..geometry import centroid_distances
+from ..entities import EntityTable, ReactionDocument
 
-_KINDS = (EntityKind.MOLECULE, EntityKind.ARROW, EntityKind.TEXT, EntityKind.IDENTIFIER)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
-
-EDGE_DIMS = 2 + 1 + 1 + 16  # offset + distance + size ratio + kind-pair one-hot
+EDGE_DIMS = 2 + 1 + 1 + 16  # offset + distance + size ratio + kind-pair one-hot (KIND_CODES order)
 
 
 @dataclass(frozen=True)
@@ -102,47 +97,50 @@ def load_weights(path) -> SpatialWeights:
 
 @dataclass(frozen=True)
 class SpatialGraph:
-    """Entity graph with node embeddings and per-edge spatial scores."""
+    """Entity graph with node embeddings; edge ``k`` joins positions ``rows[k] < cols[k]`` of ``table``."""
 
-    node_ids: tuple[str, ...]
+    table: EntityTable
     features: np.ndarray  # (n, dim)
-    edges: tuple[tuple[int, int], ...]  # undirected, i < j
-    # (2 * len(edges), EDGE_DIMS): e_ij for both directions (i, j) and (j, i) of every edge, rows sorted
+    rows: np.ndarray
+    cols: np.ndarray
+    # (2 * len(rows), EDGE_DIMS): e_ij for both directions (i, j) and (j, i) of every edge, rows sorted
     edge_features: np.ndarray
     weights: SpatialWeights
-    scores: dict | None = None  # (i, j) i < j -> float, set by propagate
+    values: np.ndarray | None = None  # edge scores, set by propagate
 
     def __post_init__(self):
-        if len(self.edge_features) != 2 * len(self.edges):
-            raise ValueError(f"{len(self.edges)} edges need {2 * len(self.edges)} edge-feature rows")
+        if len(self.edge_features) != 2 * len(self.rows):
+            raise ValueError(f"{len(self.rows)} edges need {2 * len(self.rows)} edge-feature rows")
+
+    @property
+    def node_ids(self) -> tuple[str, ...]:
+        return self.table.ids
+
+    # views built on read, for the benchmark tracer (bench/tracing.py) to count from; no layer reads them
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist()))
 
     def score_by_ids(self) -> dict:
-        """Edge scores keyed by (entity_id, entity_id), smaller id first."""
-        if self.scores is None:
-            return {}
-        out = {}
-        for (i, j), value in self.scores.items():
-            a, b = self.node_ids[i], self.node_ids[j]
-            out[(min(a, b), max(a, b))] = value
-        return out
+        """Edge scores keyed by (entity_id, entity_id), smaller id first; empty before :func:`propagate`."""
+        return {} if self.values is None else self.table.by_id_pairs(self.rows, self.cols, self.values)
 
 
 def _node_features(doc: ReactionDocument, config: ReasoningConfig) -> np.ndarray:
+    """Kind one-hot, centroid and box size over the diagram's size, then the molecule sketch."""
+    table = doc.table
+    n = len(table.ids)
     bounds = doc.diagram_bounds
-    width = bounds.width or 1.0
-    height = bounds.height or 1.0
-    rows = []
-    for entity in doc.entities:
-        kind_onehot = [0.0] * 4
-        kind_onehot[_KIND_INDEX[entity.kind]] = 1.0
-        cx, cy = entity.centroid
-        box = entity.region if hasattr(entity.region, "width") else entity.region.bounding_box()
-        geometry = [cx / width, cy / height, box.width / width, box.height / height]
-        sketch = [0.0] * SKETCH_DIMS if entity.sketch is None else list(entity.sketch)
-        row = kind_onehot + geometry + sketch
-        row.extend([0.0] * (config.dim - len(row)))
-        rows.append(row)
-    return np.asarray(rows, dtype=float) if rows else np.zeros((0, config.dim))
+    scale = np.array([bounds.width or 1.0, bounds.height or 1.0])
+    features = np.zeros((n, config.dim))
+    features[np.arange(n), table.kinds] = 1.0
+    features[:, 4:6] = table.centroids / scale
+    features[:, 6:8] = table.sizes / scale
+    parsed = [i for i, e in enumerate(doc.entities) if e.molecule is not None]
+    if parsed:
+        features[parsed, 8 : 8 + SKETCH_DIMS] = [doc.entities[i].sketch for i in parsed]
+    return features
 
 
 def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -152,15 +150,14 @@ def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return adjacency
 
 
-def _edge_features(doc: ReactionDocument, centroids, distances, receivers, senders) -> np.ndarray:
+def _edge_features(table: EntityTable, diag: float, receivers, senders) -> np.ndarray:
     """Feature e_ij of each directed edge (i = receiver, j = sender)."""
-    diag = doc.diagram_bounds.diagonal or 1.0
-    areas = np.array([e.region.area for e in doc.entities], dtype=float)
-    kinds = np.array([_KIND_INDEX[e.kind] for e in doc.entities], dtype=np.intp)
+    areas, kinds = table.areas, table.kinds
     total = areas[receivers] + areas[senders]
     features = np.zeros((len(receivers), EDGE_DIMS))
-    features[:, 0:2] = (centroids[senders] - centroids[receivers]) / diag
-    features[:, 2] = distances[receivers, senders]
+    # np.take gathers rows several times faster than fancy indexing does
+    features[:, 0:2] = (np.take(table.centroids, senders, axis=0) - np.take(table.centroids, receivers, axis=0)) / diag
+    features[:, 2] = table.distances[receivers, senders]
     features[:, 3] = np.divide(areas[receivers], total, out=np.full(len(total), 0.5), where=total > 0)
     features[np.arange(len(receivers)), 4 + kinds[receivers] * 4 + kinds[senders]] = 1.0
     return features
@@ -171,7 +168,7 @@ def build_spatial_graph(
     config: ReasoningConfig,
     weights: SpatialWeights | None = None,
 ) -> SpatialGraph:
-    """Assemble nodes, kNN/radius edges and initial features.
+    """Assemble nodes, kNN/radius edges and initial features from the document's entity table.
 
     Each entity links to its ``k_nn`` nearest others, ties broken by the
     lower index, and to every entity within ``radius``.
@@ -184,10 +181,10 @@ def build_spatial_graph(
     if weights.edge_dim != EDGE_DIMS:
         raise ConfigError(f"weights edge dim {weights.edge_dim} != {EDGE_DIMS}")
 
-    n = len(doc.entities)
+    table = doc.table
+    n = len(table.ids)
     features = _node_features(doc, config)
-    centroids = np.array([e.centroid for e in doc.entities], dtype=float).reshape(-1, 2)
-    distances = centroid_distances(centroids, doc.diagram_bounds)
+    distances = table.distances
 
     # a stable sort keeps (distance, index) order; a row's own index goes
     # explicitly, since another entity may share its centroid
@@ -196,11 +193,13 @@ def build_spatial_graph(
     linked = distances <= config.radius
     linked[np.repeat(np.arange(n), min(config.k_nn, max(n - 1, 0))), others[:, : config.k_nn].ravel()] = True
     rows, cols = np.nonzero(np.triu(linked | linked.T, k=1))
+    receivers, senders = np.nonzero(_adjacency(rows, cols, n))
     return SpatialGraph(
-        node_ids=tuple(e.id for e in doc.entities),
+        table=table,
         features=features,
-        edges=tuple(zip(rows.tolist(), cols.tolist())),
-        edge_features=_edge_features(doc, centroids, distances, *np.nonzero(_adjacency(rows, cols, n))),
+        rows=rows,
+        cols=cols,
+        edge_features=_edge_features(table, doc.diagram_bounds.diagonal or 1.0, receivers, senders),
         weights=weights,
     )
 
@@ -215,9 +214,7 @@ def propagate(graph: SpatialGraph, layers: int | None = None) -> SpatialGraph:
     n = len(graph.node_ids)
     steps = graph.weights.layers if layers is None else layers
     h = np.array(graph.features, dtype=float)
-    flat = itertools.chain.from_iterable(graph.edges)
-    rows, cols = np.fromiter(flat, dtype=np.intp, count=2 * len(graph.edges)).reshape(-1, 2).T
-    adjacency = _adjacency(rows, cols, n)
+    adjacency = _adjacency(graph.rows, graph.cols, n)
     # edge_features rows follow the nonzero entries of the adjacency in row-major order
     receivers, _ = np.nonzero(adjacency)
     nodes, starts = np.unique(receivers, return_index=True)
@@ -229,8 +226,7 @@ def propagate(graph: SpatialGraph, layers: int | None = None) -> SpatialGraph:
         w2 = graph.weights.w2[layer % graph.weights.layers]
         h = np.maximum((adjacency @ h) @ w1.T + edge_sums @ w2.T, 0.0)
 
-    scores = _shifted_cosines(h, rows, cols)
-    return replace(graph, features=h, scores=dict(zip(graph.edges, scores.tolist())))
+    return replace(graph, features=h, values=_shifted_cosines(h, graph.rows, graph.cols))
 
 
 def _shifted_cosines(h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -67,6 +67,35 @@ def arrow_entity(eid, x0, y, x1, direction="forward"):
     }
 
 
+# --- hand-built channel graphs ----------------------------------------------
+
+
+def table_of(ids):
+    """The entity table of a document whose entities carry ``ids`` in that order (unit boxes in a row)."""
+    doc = make_doc([molecule_entity(eid, 10 * k, 0, w=1, h=1) for k, eid in enumerate(ids)], width=10 * len(ids) + 10)
+    table = doc.table
+    assert table.ids == tuple(ids)
+    return table
+
+
+def spatial_graph(node_ids, features, edges, edge_features, weights, scores=None):
+    """A ``SpatialGraph`` over ``table_of(node_ids)``: ``edges`` are (i, j) positions, ``scores`` keyed by them."""
+    from rxnparse.reasoning import SpatialGraph
+
+    rows, cols = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    values = None if scores is None else np.array([scores[edge] for edge in edges], dtype=float)
+    return SpatialGraph(table_of(node_ids), features, rows, cols, edge_features, weights, values)
+
+
+def chem_graph(table, scores, tau_chem=0.3):
+    """A ``ChemGraph`` over ``table`` whose ``scores`` view is ``scores`` ((id_a, id_b) -> value)."""
+    from rxnparse.reasoning import ChemGraph
+
+    ends = [sorted((table.position[a], table.position[b])) for a, b in scores]
+    rows, cols = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    return ChemGraph(table, rows, cols, np.array(list(scores.values()), dtype=float), tau_chem)
+
+
 # --- random molecules -------------------------------------------------------
 
 
@@ -356,8 +385,28 @@ def reference_distances(doc) -> np.ndarray:
     return distances
 
 
+def reference_node_features(doc, config) -> np.ndarray:
+    """One row per entity: kind one-hot, centroid and box size over the diagram's size, sketch, zero padding."""
+    from rxnparse.config import SKETCH_DIMS
+    from rxnparse.entities import KIND_CODES
+
+    width = doc.diagram_bounds.width or 1.0
+    height = doc.diagram_bounds.height or 1.0
+    rows = []
+    for entity in doc.entities:
+        kind_onehot = [0.0] * 4
+        kind_onehot[KIND_CODES[entity.kind]] = 1.0
+        cx, cy = entity.centroid
+        box = entity.region if hasattr(entity.region, "width") else entity.region.bounding_box()
+        geometry = [cx / width, cy / height, box.width / width, box.height / height]
+        sketch = [0.0] * SKETCH_DIMS if entity.sketch is None else list(entity.sketch)
+        row = kind_onehot + geometry + sketch
+        rows.append(row + [0.0] * (config.dim - len(row)))
+    return np.asarray(rows, dtype=float) if rows else np.zeros((0, config.dim))
+
+
 def reference_edge_feature(doc, i: int, j: int) -> np.ndarray:
-    from rxnparse.reasoning.spatial import _KIND_INDEX
+    from rxnparse.entities import KIND_CODES
 
     a, b = doc.entities[i], doc.entities[j]
     diag = doc.diagram_bounds.diagonal or 1.0
@@ -368,7 +417,7 @@ def reference_edge_feature(doc, i: int, j: int) -> np.ndarray:
     total = a.region.area + b.region.area
     ratio = a.region.area / total if total > 0 else 0.5
     pair_onehot = [0.0] * 16
-    pair_onehot[_KIND_INDEX[a.kind] * 4 + _KIND_INDEX[b.kind]] = 1.0
+    pair_onehot[KIND_CODES[a.kind] * 4 + KIND_CODES[b.kind]] = 1.0
     return np.asarray(offset + [distance, ratio] + pair_onehot, dtype=float)
 
 
@@ -525,7 +574,7 @@ def reference_build_chem_graph(doc, config):
     """Chemistry edges one molecule pair at a time: Python ``tanimoto`` and ``math.exp`` per pair."""
     from rxnparse.chem import formal_charge_sum, tanimoto
     from rxnparse.entities import EntityKind
-    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, ChemGraph, chem_pair_score
+    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, chem_pair_score
 
     molecules = doc.by_kind(EntityKind.MOLECULE)
     charges = {e.id: formal_charge_sum(e.molecule) for e in molecules if e.molecule is not None}
@@ -540,7 +589,17 @@ def reference_build_chem_graph(doc, config):
                 value = NEUTRAL_CHEM_SCORE
             if value > config.tau_chem:
                 scores[(min(a.id, b.id), max(a.id, b.id))] = value
-    return ChemGraph(scores=scores, tau_chem=config.tau_chem)
+    return chem_graph(doc.table, scores, config.tau_chem)
+
+
+# --- the output file as one json.dumps ---------------------------------------
+
+
+def reference_reactions_to_json(reactions, doc) -> str:
+    """The output text as ``json.dumps`` writes the reaction dicts with ``indent=2``."""
+    from rxnparse.reactions import reaction_to_json
+
+    return json.dumps([reaction_to_json(r, doc) for r in reactions], indent=2)
 
 
 # --- whole-graph references for fusion, inference and post-processing --------

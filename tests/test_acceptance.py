@@ -41,7 +41,7 @@ from rxnparse.reasoning import (
 from rxnparse.reasoning.fusion import FusedEdge, FusedGraph
 from rxnparse.reasoning.inference import assign_entities_to_arrows
 from rxnparse.reasoning.relations import EdgeRelation
-from rxnparse.reasoning.spatial import EDGE_DIMS, SpatialGraph, SpatialWeights, propagate
+from rxnparse.reasoning.spatial import EDGE_DIMS, SpatialWeights, propagate
 from rxnparse.render import render_svg
 from rxnparse.entities import load_document
 
@@ -58,6 +58,7 @@ from helpers import (
     random_axis_box,
     random_molecule,
     random_quad,
+    spatial_graph,
 )
 from synthetic import build_corpus
 from test_evaluation import perturb, random_boxed_reaction
@@ -193,7 +194,7 @@ def test_criterion_05_propagation_checks():
     started = time.perf_counter()
     dim = 4
     # empty neighbourhood lands on the zero vector
-    lonely = SpatialGraph(
+    lonely = spatial_graph(
         node_ids=("x",),
         features=np.ones((1, dim)),
         edges=(),
@@ -207,7 +208,7 @@ def test_criterion_05_propagation_checks():
     # zero weights: every embedding zero, every score the neutral 0.5
     h0 = np.random.default_rng(1).normal(size=(3, dim))
     e = np.zeros(EDGE_DIMS)
-    zero_graph = SpatialGraph(
+    zero_graph = spatial_graph(
         node_ids=("a", "b", "c"),
         features=h0,
         edges=((0, 1), (1, 2)),
@@ -218,7 +219,7 @@ def test_criterion_05_propagation_checks():
     )
     result = propagate(zero_graph, layers=1)
     assert np.all(result.features == 0.0)
-    assert all(s == 0.5 for s in result.scores.values())
+    assert result.values.tolist() == [0.5, 0.5]
 
     # two-node hand case against direct matrix evaluation
     rng = np.random.default_rng(7)
@@ -227,7 +228,7 @@ def test_criterion_05_propagation_checks():
     w2 = rng.normal(size=(dim, EDGE_DIMS))
     e01 = rng.normal(size=EDGE_DIMS)
     e10 = rng.normal(size=EDGE_DIMS)
-    graph = SpatialGraph(
+    graph = spatial_graph(
         node_ids=("a", "b"),
         features=h0,
         edges=((0, 1),),

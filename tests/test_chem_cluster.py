@@ -18,7 +18,7 @@ class TestChemGraph:
             ]
         )
         graph = build_chem_graph(doc, ReasoningConfig())
-        assert graph.score("m1", "m2") == pytest.approx(1.0)
+        assert graph.scores[("m1", "m2")] == pytest.approx(1.0)
 
     def test_disjoint_fingerprints_floor(self):
         # score collapses to (1 - beta) when tanimoto = 0 and charges agree
@@ -40,8 +40,8 @@ class TestChemGraph:
             ]
         )
         graph = build_chem_graph(doc, ReasoningConfig())
-        assert graph.score("bad", "good") == NEUTRAL_CHEM_SCORE
-        assert graph.score("good", "none") == NEUTRAL_CHEM_SCORE
+        assert graph.scores[("bad", "good")] == NEUTRAL_CHEM_SCORE
+        assert graph.scores[("good", "none")] == NEUTRAL_CHEM_SCORE
 
     def test_threshold_prunes(self):
         doc = make_doc(
@@ -51,7 +51,7 @@ class TestChemGraph:
             ]
         )
         graph = build_chem_graph(doc, ReasoningConfig(tau_chem=1.0))
-        assert graph.score("m1", "m2") is None
+        assert graph.scores == {}
 
     def test_non_molecules_excluded(self):
         doc = make_doc(

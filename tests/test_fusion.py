@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rxnparse.config import ReasoningConfig
-from rxnparse.reasoning.chemgraph import ChemGraph
 from rxnparse.reasoning.fusion import (
     FusionWeights,
     WeightError,
@@ -16,7 +15,7 @@ from rxnparse.reasoning.relations import EdgeRelation
 from rxnparse.reasoning.spatial import build_spatial_graph, propagate, random_weights
 from rxnparse.reasoning.spatial import EDGE_DIMS
 
-from helpers import arrow_entity, make_doc, molecule_entity
+from helpers import arrow_entity, chem_graph, make_doc, molecule_entity
 
 
 def build_fused(doc, hypothesis_edges, config=None, tau=None):
@@ -24,7 +23,7 @@ def build_fused(doc, hypothesis_edges, config=None, tau=None):
     spatial = propagate(
         build_spatial_graph(doc, config, random_weights(config.layers, config.dim, EDGE_DIMS, 1))
     )
-    chem = ChemGraph(scores={}, tau_chem=config.tau_chem)
+    chem = chem_graph(doc.table, {}, config.tau_chem)
     hyp = HypothesisGraph(clusters=(tuple(e.id for e in doc.entities),), edges=tuple(hypothesis_edges))
     return fuse(
         spatial,
@@ -137,7 +136,7 @@ class TestFusedGraph:
             build_spatial_graph(far_doc, config, random_weights(config.layers, config.dim, EDGE_DIMS, 1))
         )
         assert ("m1", "m3") not in spatial.score_by_ids()
-        chem = ChemGraph(scores={}, tau_chem=config.tau_chem)
+        chem = chem_graph(far_doc.table, {}, config.tau_chem)
         hyp = HypothesisGraph(clusters=(("m1", "m2", "m3", "m4"),), edges=tuple(edges))
         fused = fuse(spatial, chem, hyp, FusionWeights(0.3, 0.2, 0.5), 0.0)
         edge = next(e for e in fused.edges if e.relation == EdgeRelation.REACTANT_TO_PRODUCT)

@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rxnparse.entities import EntityKind
-from rxnparse.geometry import region_to_array
+from rxnparse.entities import Entity, EntityKind, ReactionDocument
+from rxnparse.geometry import AxisBox, OrientedQuad, region_to_array
 from rxnparse.reactions import (
     BoxedReaction,
     ConstraintError,
@@ -18,7 +20,7 @@ from rxnparse.reactions import (
     reactions_to_json,
 )
 
-from helpers import make_doc, molecule_entity
+from helpers import make_doc, molecule_entity, reference_reactions_to_json
 
 
 class TestParseCombinerResponse:
@@ -268,3 +270,62 @@ class TestBoxedViews:
         reactions = parse_combiner_response(json.dumps(payload), doc)
         assert reactions[0].reactants == ("small",)
         assert reactions[0].products == ("big",)
+
+
+# --- the emitter against one json.dumps -----------------------------------------
+
+# negative, fractional and integral coordinates, and integral floats too large for an int64
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 0.5, -2.25, 1e300, -1e300, 2.0**53, 1e22, 1e16 + 2]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.integers(-(10**6), 10**6).map(float),
+)
+MEMBER_KINDS = (EntityKind.MOLECULE, EntityKind.TEXT, EntityKind.IDENTIFIER)
+
+
+@st.composite
+def emitted_documents(draw):
+    """(reactions, doc): documents built directly, so no coordinate is clamped to the diagram."""
+    entities = []
+    for k in range(draw(st.integers(2, 8))):
+        a, b = sorted(draw(st.tuples(COORDINATES, COORDINATES)))
+        c, d = sorted(draw(st.tuples(COORDINATES, COORDINATES)))
+        entities.append(Entity(f"e{k}", draw(st.sampled_from(MEMBER_KINDS)), AxisBox(a, c, b, d)))
+    for k in range(draw(st.integers(0, 3))):
+        x, y = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
+        w, h = draw(st.sampled_from([1.0, 2.5, 40.0])), draw(st.sampled_from([0.75, 3.0, 20.0]))
+        skew = draw(st.sampled_from([0.0, 0.5, -1.25]))
+        quad = OrientedQuad(((x, y), (x + w, y + skew), (x + w, y + skew + h), (x, y + h)))
+        entities.append(Entity(f"a{k}", EntityKind.ARROW, quad))
+    doc = ReactionDocument(AxisBox(0.0, 0.0, 100.0, 100.0), tuple(entities))
+    members = [e.id for e in entities if e.kind != EntityKind.ARROW]
+    arrows = [e.id for e in entities if e.kind == EntityKind.ARROW]
+    reactions = []
+    for _ in range(draw(st.integers(0, 4))):
+        order = draw(st.permutations(members))
+        first = draw(st.integers(1, len(order) - 1))
+        second = draw(st.integers(first + 1, len(order)))
+        reaction_arrows = draw(st.lists(st.sampled_from(arrows), unique=True, max_size=2)) if arrows else []
+        roles = (order[:first], order[first:second], order[second:], reaction_arrows)
+        reactions.append(Reaction(*map(tuple, roles)))
+    return reactions, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=emitted_documents())
+def test_emitted_bytes_equal_one_json_dumps(case):
+    reactions, doc = case
+    assert reactions_to_json(reactions, doc) == reference_reactions_to_json(reactions, doc)
+
+
+def test_emitted_integral_floats_are_int_digits():
+    doc = ReactionDocument(AxisBox(0.0, 0.0, 1.0, 1.0), (
+        Entity("m", EntityKind.MOLECULE, AxisBox(-1e300, -0.5, 1e300, 2.0)),
+        Entity("t", EntityKind.TEXT, AxisBox(0.25, 0.0, 3.0, 1e22)),
+    ))
+    reactions = [Reaction(("m",), ("t",)), Reaction(("t",), ("m",))]
+    emitted = reactions_to_json(reactions, doc)
+    assert emitted == reference_reactions_to_json(reactions, doc)
+    assert f"\n          -{int(1e300)},\n" in emitted and "e+" not in emitted
+    assert '"conditions": [],' in emitted and '"arrow": []\n' in emitted
+    assert reactions_to_json([], doc) == reference_reactions_to_json([], doc) == "[]"

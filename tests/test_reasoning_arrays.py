@@ -16,6 +16,7 @@ import logging
 import random
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,7 @@ def test_chem_graph_equals_pairwise_loop(doc, beta, tau):
     chem, expected = build_chem_graph(doc, config), reference_build_chem_graph(doc, config)
     assert _hex_items(chem.scores) == _hex_items(expected.scores)
     assert chem.tau_chem == expected.tau_chem
+    assert np.all(chem.rows < chem.cols)  # entity positions, each pair once
 
 
 def _molecules(*smiles):
@@ -192,14 +194,16 @@ WEIGHTS = st.sampled_from([(0.5, 0.25, 0.25), (0.25, 0.25, 0.5), (0.0, 0.5, 0.5)
 
 
 @settings(max_examples=200, deadline=None)
-@given(doc=documents(), weights=WEIGHTS, data=st.data())
-def test_fuse_of_real_graphs_equals_reference(doc, weights, data):
+@given(doc=documents(), weights=WEIGHTS, propagated=st.booleans(), data=st.data())
+def test_fuse_of_real_graphs_equals_reference(doc, weights, propagated, data):
     """Spatial and chemistry graphs built from a document, typed edges either way round and repeated.
 
-    ``tau_fuse`` is often one of the candidates' own scores, so a score lands exactly on it.
+    ``tau_fuse`` is often one of the candidates' own scores, so a score lands exactly on it. A
+    spatial graph not yet propagated has no scores and adds no spatial candidates.
     """
     config = ReasoningConfig(tau_chem=0.25)
-    spatial = propagate(build_spatial_graph(doc, config))
+    spatial = build_spatial_graph(doc, config)
+    spatial = propagate(spatial) if propagated else spatial
     chem = build_chem_graph(doc, config)
     ids = [e.id for e in doc.entities]
     typed = []

@@ -25,14 +25,12 @@ from rxnparse.geometry import principal_axis
 from rxnparse.reactions import Reaction
 from rxnparse.reasoning import (
     EDGE_DIMS,
-    ChemGraph,
     EdgeRelation,
     FusedEdge,
     FusedGraph,
     FusionWeights,
     HypothesisEdge,
     HypothesisGraph,
-    SpatialGraph,
     assign_entities_to_arrows,
     connected_components,
     fuse,
@@ -42,12 +40,14 @@ from rxnparse.reasoning.postprocess import _MERGE_MIN_COS, _merge_collinear_arro
 
 from helpers import (
     arrow_entity,
+    chem_graph,
     make_doc,
     molecule_entity,
     reference_assign_entities_to_arrows,
     reference_fuse,
     reference_infer_reactions,
     reference_merge_collinear_arrows,
+    spatial_graph,
     text_entity,
 )
 
@@ -71,7 +71,7 @@ def evidence_graphs(draw):
     ids = draw(st.lists(st.sampled_from(NODE_POOL), min_size=0, max_size=len(NODE_POOL), unique=True))
     pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
     space_pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    space = SpatialGraph(
+    space = spatial_graph(
         node_ids=tuple(ids),
         features=np.zeros((len(ids), 1)),
         edges=tuple(space_pairs),
@@ -80,9 +80,7 @@ def evidence_graphs(draw):
         scores={pair: draw(QUARTERS) for pair in space_pairs},
     )
     chem_pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    chem = ChemGraph(
-        scores={_ordered(ids[i], ids[j]): draw(QUARTERS) for i, j in chem_pairs}, tau_chem=0.3
-    )
+    chem = chem_graph(space.table, {_ordered(ids[i], ids[j]): draw(QUARTERS) for i, j in chem_pairs})
     typed = []
     if pairs:
         for i, j in draw(st.lists(st.sampled_from(space_pairs + chem_pairs + pairs), max_size=12)):
@@ -103,7 +101,7 @@ def test_fuse_equals_reference(graphs, weights, tau):
 
 def test_fuse_prunes_a_score_exactly_at_tau():
     ids = ("a", "b", "c")
-    spatial = SpatialGraph(
+    spatial = spatial_graph(
         node_ids=ids,
         features=np.zeros((3, 1)),
         edges=((0, 1), (1, 2)),
@@ -111,7 +109,7 @@ def test_fuse_prunes_a_score_exactly_at_tau():
         weights=None,
         scores={(0, 1): 0.5, (1, 2): 0.75},
     )
-    chem = ChemGraph(scores={("a", "c"): 1.0}, tau_chem=0.3)
+    chem = chem_graph(spatial.table, {("a", "c"): 1.0})
     hypotheses = HypothesisGraph(
         clusters=(ids,), edges=(HypothesisEdge("b", "a", EdgeRelation.REACTANT_TO_ARROW, 0.5),)
     )

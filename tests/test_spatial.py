@@ -4,7 +4,6 @@ import pytest
 from rxnparse.config import ConfigError, ReasoningConfig
 from rxnparse.reasoning.spatial import (
     EDGE_DIMS,
-    SpatialGraph,
     SpatialWeights,
     build_spatial_graph,
     load_weights,
@@ -13,7 +12,7 @@ from rxnparse.reasoning.spatial import (
     save_weights,
 )
 
-from helpers import arrow_entity, make_doc, molecule_entity, text_entity
+from helpers import arrow_entity, make_doc, molecule_entity, spatial_graph, text_entity
 
 
 def two_node_graph(w1, w2, h0, with_edge=True):
@@ -21,7 +20,7 @@ def two_node_graph(w1, w2, h0, with_edge=True):
     dim = h0.shape[1]
     e = np.zeros(EDGE_DIMS)
     weights = SpatialWeights(w1=(w1,), w2=(w2,))
-    return SpatialGraph(
+    return spatial_graph(
         node_ids=("a", "b"),
         features=h0,
         edges=((0, 1),) if with_edge else (),
@@ -34,7 +33,7 @@ class TestPropagation:
     def test_isolated_node_lands_on_zero(self):
         dim = 6
         weights = random_weights(1, dim, EDGE_DIMS, seed=3)
-        graph = SpatialGraph(
+        graph = spatial_graph(
             node_ids=("solo",),
             features=np.ones((1, dim)),
             edges=(),
@@ -59,8 +58,8 @@ class TestPropagation:
         )
         graph = propagate(build_spatial_graph(doc, config, zero))
         assert np.all(graph.features == 0.0)
-        assert graph.scores
-        assert all(s == 0.5 for s in graph.scores.values())
+        assert graph.values.size
+        assert all(s == 0.5 for s in graph.values.tolist())
 
     def test_two_node_hand_case(self):
         dim = 4
@@ -70,7 +69,7 @@ class TestPropagation:
         graph = propagate(two_node_graph(w1, w2, h0), layers=1)
         # expected by direct evaluation: relu(I @ h_other + 0) = h_other
         assert np.allclose(graph.features, h0, atol=1e-12)
-        assert graph.scores[(0, 1)] == pytest.approx(1.0, abs=1e-12)
+        assert graph.score_by_ids()[("a", "b")] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_case_matches_matrix_evaluation(self):
         rng = np.random.default_rng(0)
@@ -177,7 +176,7 @@ def test_scores_symmetric_by_ids():
 def test_edge_feature_rows_must_cover_both_directions():
     weights = random_weights(1, 4, EDGE_DIMS, seed=1)
     with pytest.raises(ValueError):
-        SpatialGraph(
+        spatial_graph(
             node_ids=("a", "b"),
             features=np.zeros((2, 4)),
             edges=((0, 1),),

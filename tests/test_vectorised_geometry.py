@@ -140,9 +140,10 @@ def test_propagation_matches_per_edge_loop(specs, k_nn, radius, layers):
     features, scores = reference_propagate(graph, layers=layers)
     assert result.features.shape == features.shape
     assert np.all(np.abs(result.features - features) <= 1e-12)
-    assert result.scores.keys() == scores.keys()
+    result_scores = dict(zip(result.edges, result.values.tolist()))
+    assert result_scores.keys() == scores.keys()
     for pair, value in scores.items():
-        assert abs(result.scores[pair] - value) <= 1e-12
+        assert abs(result_scores[pair] - value) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
