@@ -190,6 +190,9 @@ class ReactionDocument:
             object.__setattr__(self, "_table", weakref.ref(table))
         return table
 
+    def __getstate__(self):
+        return {**self.__dict__, "_table": None}  # a weak reference does not pickle
+
 
 @dataclass(frozen=True, eq=False)
 class EntityTable:

@@ -9,6 +9,7 @@ offset apart, so the squared offsets underflow and the distances come
 from ``np.hypot``. Chemistry and fusion are compared with their oracles
 in ``test_reasoning_arrays``."""
 
+import pickle
 import random
 import sys
 
@@ -204,11 +205,13 @@ def test_table_arrays_are_read_only():
 
 
 def test_document_keeps_its_table_while_a_reader_holds_it():
-    """Documents kept after their pass (a batch's inputs, say) do not keep their distance matrices."""
+    """Documents kept after their pass (a batch's inputs, say) do not keep their distance matrices, and still pickle."""
     detection, _ = _multiple_line(random.Random(0), 0)
     doc = load_document(detection)
     table = doc.table
     assert doc.table is table and build_spatial_graph(doc, ReasoningConfig()).table is table
+    copy = pickle.loads(pickle.dumps(doc))
+    assert copy == doc and copy.table.ids == table.ids
     del table
     assert doc._table() is None
     assert doc.table.ids == tuple(e.id for e in doc.entities)
