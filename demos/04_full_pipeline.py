@@ -63,6 +63,7 @@ answer = json.dumps(
         }
     ]
 )
+table = doc.table  # held for the loop, so every cluster's prompt reads the one entity table
 for cluster in cluster_entities(doc, config.reasoning):
     client.store(COMBINER_ROLE, cluster_prompt_variables(cluster, doc, config.reasoning), answer)
 

@@ -18,6 +18,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .agents import FixtureMissingError
 from .chem import atom_count_vector, fingerprint, formal_charge_sum, parse_smiles
 from .config import ConfigError, ReasoningConfig
@@ -169,8 +171,8 @@ def _cmd_fingerprint(args) -> int:
 
 def _channel_score(graph, i: int, j: int) -> float:
     """The score of a channel graph's edge between positions ``i < j``, or the neutral 0.5."""
-    edges = list(zip(graph.rows.tolist(), graph.cols.tolist()))
-    return graph.values[edges.index((i, j))].item() if (i, j) in edges else 0.5
+    k = np.flatnonzero((graph.rows == i) & (graph.cols == j))
+    return graph.values[k[0]].item() if k.size else 0.5
 
 
 def _cmd_score_edge(args) -> int:

@@ -182,7 +182,9 @@ class ReactionDocument:
         """The document's entity table, built on first read and shared while any reader holds it.
 
         The document keeps only a weak reference, so documents kept after
-        their reasoning pass do not keep their n×n distance matrices.
+        their reasoning pass do not keep their n×n distance matrices. A
+        caller looping over clusters (``cluster_prompt_variables`` for
+        each) should hold the table for the loop, or each cluster rebuilds it.
         """
         table = None if self._table is None else self._table()
         if table is None:

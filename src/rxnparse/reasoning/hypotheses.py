@@ -82,8 +82,7 @@ def cluster_prompt_variables(cluster, doc: ReactionDocument, config: ReasoningCo
     entities = [doc.entity(i) for i in ids]
     table = doc.table
     at = [table.position[i] for i in ids]
-    # a cluster of the whole document in document order (one big scheme) reads the matrix itself
-    distances = table.distances if at == list(range(len(table.ids))) else table.distances[np.ix_(at, at)]
+    distances = table.distances[np.ix_(at, at)]
     rows, cols = np.nonzero(np.triu(distances < config.tau_cluster, k=1))
     weights = (1.0 - distances[rows, cols]).tolist()
     # grid layouts repeat distances, so each distinct weight is rounded and written once
@@ -142,6 +141,8 @@ def collect_hypotheses(
     Results merge in cluster order regardless of worker count, so
     concurrency never changes the output.
     """
+    table = doc.table  # held for the loop, so every cluster reads the one table
+
 
     def run_cluster(cluster) -> tuple[list[HypothesisEdge], list[str]]:
         variables = cluster_prompt_variables(cluster, doc, config)

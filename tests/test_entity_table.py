@@ -34,6 +34,7 @@ from rxnparse.reasoning import (
     build_spatial_graph,
     cluster_entities,
     cluster_prompt_variables,
+    collect_hypotheses,
     fuse,
     propagate,
 )
@@ -171,8 +172,9 @@ class _EmptyReplies(AgentClient):
         return "[]"
 
 
-def test_one_distance_matrix_per_document(monkeypatch, tmp_path):
-    """A whole reasoning pass over a two-cluster document computes the centroid distances once."""
+@pytest.fixture
+def distance_calls(monkeypatch):
+    """The number of points of each ``centroid_distances`` call made in any ``rxnparse`` module."""
     calls = []
 
     def counting(points, diagram):
@@ -183,7 +185,12 @@ def test_one_distance_matrix_per_document(monkeypatch, tmp_path):
         if name.startswith("rxnparse") and getattr(module, "centroid_distances", None) is centroid_distances:
             monkeypatch.setattr(module, "centroid_distances", counting)
     assert rxnparse.geometry.centroid_distances is counting
+    return calls
 
+
+def test_one_distance_matrix_per_document(distance_calls, tmp_path):
+    """A whole reasoning pass over a two-cluster document computes the centroid distances once."""
+    calls = distance_calls
     detection, _ = _multiple_line(random.Random(0), 0)
     doc = load_document(detection)
     config = PipelineConfig(fixtures_dir=str(tmp_path), output_dir=str(tmp_path / "out"))
@@ -193,6 +200,18 @@ def test_one_distance_matrix_per_document(monkeypatch, tmp_path):
     run_document(doc, config, _EmptyReplies(), timings=stages)
     assert "reason" in stages
     assert calls == [len(doc.entities)]
+
+
+def test_hypotheses_of_every_cluster_share_one_table(distance_calls, tmp_path):
+    """Collecting hypotheses with no graph holding the table still builds it once for all clusters."""
+    detection, _ = _multiple_line(random.Random(0), 0)
+    doc = load_document(detection)
+    config = ReasoningConfig()
+    clusters = cluster_entities(doc, config)
+    assert len(clusters) > 1
+    distance_calls.clear()
+    collect_hypotheses(clusters, _EmptyReplies(), doc, config)
+    assert distance_calls == [len(doc.entities)]
 
 
 def test_table_arrays_are_read_only():

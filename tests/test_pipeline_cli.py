@@ -9,14 +9,17 @@ import pytest
 
 from rxnparse.cli import _build_config, build_parser, main
 from rxnparse.config import BASE_NODE_DIMS, ConfigError, ReasoningConfig
+from rxnparse.entities import load_document
 from rxnparse.pipeline import (
     EXIT_CONFIG,
     EXIT_FAILED,
     EXIT_OK,
     PipelineConfig,
+    load_pipeline_weights,
     make_client,
     run_batch,
 )
+from rxnparse.reasoning import build_chem_graph, build_spatial_graph, propagate
 from rxnparse.render import UnknownEntityError, render_svg
 from rxnparse.reactions import Reaction
 
@@ -607,16 +610,22 @@ class TestCli:
         assert shown == bool(flags)
 
     def test_score_edge_subcommand(self, corpus, capsys):
+        """Every pair prints its channel scores as the graphs' views give them, 0.5 where a channel has no edge."""
         root, paths, _gt = corpus
-        detection = json.loads(paths[0].read_text())
-        ids = [e["id"] for e in detection["entities"][:2]]
-        code = main(
-            ["score-edge", str(paths[0]), ids[0], ids[1], "--fixtures-dir", str(root / "fixtures")]
-        )
-        data = json.loads(capsys.readouterr().out)
-        assert code == EXIT_OK
-        assert 0.0 <= data["s_space"] <= 1.0
-        assert 0.0 <= data["s_chem"] <= 1.0
+        doc = load_document(paths[0].read_bytes())
+        fixtures = ["--fixtures-dir", str(root / "fixtures")]
+        config = _build_config(build_parser().parse_args(["score-edge", str(paths[0]), "a", "b", *fixtures]))
+        spatial = propagate(build_spatial_graph(doc, config.reasoning, load_pipeline_weights(config)))
+        space, chem = spatial.score_by_ids(), build_chem_graph(doc, config.reasoning).scores
+        ids = [e.id for e in doc.entities] + ["no-such-entity"]
+        pairs = [(a, b) for a in ids for b in ids if a != b]
+        assert any(pair in space for pair in pairs) and any(pair in chem for pair in pairs)
+        for a, b in pairs:
+            assert main(["score-edge", str(paths[0]), a, b, *fixtures]) == EXIT_OK
+            data = json.loads(capsys.readouterr().out)
+            pair = (min(a, b), max(a, b))
+            assert (data["s_space"], data["s_chem"]) == (space.get(pair, 0.5), chem.get(pair, 0.5))
+            assert 0.0 <= data["s_space"] <= 1.0 and 0.0 <= data["s_chem"] <= 1.0
 
     def test_render_subcommand(self, corpus, tmp_path, capsys):
         root, paths, _gt = corpus
