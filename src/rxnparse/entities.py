@@ -200,10 +200,12 @@ class ReactionDocument:
 class EntityTable:
     """Read-only arrays over a document's entities, row ``i`` for ``doc.entities[i]`` (its position).
 
-    Centroids, box sizes and areas are the floats the regions compute,
-    and ``distances`` is :func:`~rxnparse.geometry.centroid_distances` of
-    the centroids, computed once per table. Writing into an array raises
-    ``ValueError``, so no layer can change what another reads.
+    Centroids, bounds, box sizes and areas are the floats the regions
+    compute, ``hulls`` the arrows' hulls that reply arrows are screened
+    against, and ``distances`` is
+    :func:`~rxnparse.geometry.centroid_distances` of the centroids,
+    computed once per table. Writing into an array raises ``ValueError``,
+    so no layer can change what another reads.
     """
 
     ids: tuple[str, ...]
@@ -213,27 +215,35 @@ class EntityTable:
     reading: np.ndarray  # rank in reading order (y, then x, then id)
     kinds: np.ndarray  # KIND_CODES
     centroids: np.ndarray  # (n, 2)
+    bounds: np.ndarray  # (n, 4) x_min, y_min, x_max, y_max of each bounding box
     sizes: np.ndarray  # (n, 2) width and height of each bounding box
     areas: np.ndarray
+    hulls: np.ndarray  # (arrows, 4, 2) the hull of each arrow row in row order, 3 vertices padded by the first
     distances: np.ndarray  # (n, n) centroid distances over the diagram diagonal
 
     @classmethod
     def of(cls, doc: ReactionDocument) -> "EntityTable":
         ids = tuple(e.id for e in doc.entities)
-        rows = []  # cx, cy, box width, box height, area, kind code
+        rows = []  # cx, cy, area, kind code, then the bounding box
+        hulls = []
         for entity in doc.entities:
             region = entity.region
-            box = region if isinstance(region, AxisBox) else region.bounding_box()
-            rows.append((*region.centroid, box.width, box.height, region.area, KIND_CODES[entity.kind]))
-        columns = np.array(rows, dtype=float).reshape(len(ids), 6)
+            if isinstance(region, AxisBox):
+                box = region
+            else:
+                box, hull = region.bounding_box(), region.hull
+                hulls.append(hull + hull[:1] * (4 - len(hull)))
+            rows.append((*region.centroid, region.area, KIND_CODES[entity.kind], box.x_min, box.y_min, box.x_max, box.y_max))
+        columns = np.array(rows, dtype=float).reshape(len(ids), 8)
         by_id = sorted(range(len(ids)), key=ids.__getitem__)
         by_reading = sorted(range(len(ids)), key=[(cy, cx, i) for (cx, cy, *_), i in zip(rows, ids)].__getitem__)
         ranks, reading = np.empty(len(ids), dtype=np.intp), np.empty(len(ids), dtype=np.intp)
         ranks[by_id] = reading[by_reading] = np.arange(len(ids))
-        centroids = columns[:, 0:2].copy()
+        centroids, bounds = columns[:, 0:2].copy(), columns[:, 4:8].copy()
         arrays = dict(
-            ranks=ranks, reading=reading, kinds=columns[:, 5].astype(np.intp),
-            centroids=centroids, sizes=columns[:, 2:4].copy(), areas=columns[:, 4].copy(),
+            ranks=ranks, reading=reading, kinds=columns[:, 3].astype(np.intp),
+            centroids=centroids, bounds=bounds, sizes=bounds[:, 2:] - bounds[:, :2], areas=columns[:, 2].copy(),
+            hulls=np.array(hulls, dtype=float).reshape(-1, 4, 2),
             distances=centroid_distances(centroids, doc.diagram_bounds),
         )
         for array in arrays.values():
@@ -280,7 +290,8 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
 
     width = _number(data.get("width"), "/width")
     height = _number(data.get("height"), "/height")
-    _require(width > 0 and height > 0, "width and height must be positive", "/width")
+    _require(width > 0, "width must be positive", "/width")
+    _require(height > 0, "height must be positive", "/height")
     bounds = AxisBox(0.0, 0.0, width, height)
 
     image_ref = data.get("image")
@@ -322,7 +333,7 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
             f"{pointer}/bbox",
         )
         try:
-            region = region_from_array([_number(v, f"{pointer}/bbox") for v in bbox])
+            region = region_from_array(bbox)
         except ValueError as exc:
             raise SchemaError(str(exc), f"{pointer}/bbox") from None
 

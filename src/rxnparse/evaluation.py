@@ -42,7 +42,6 @@ import numpy as np
 from .reactions import BoxedMember, BoxedReaction
 from .entities import EntityKind
 from .geometry import bounds_iou_above, bounds_overlap, coords_bounds, region_iou
-from .reasoning.clustering import connected_groups
 
 
 class AlignmentError(ValueError):
@@ -331,20 +330,36 @@ def _screened_pairs(gt, pred, criterion: str, polygon: bool, threshold: float) -
 
 def _matching_by_component(n_gt: int, adjacency) -> list[tuple[int, int]]:
     """:func:`_lexicographic_matching` per connected component, pairs merged by gt index;
-    a gt and a pred linked only to each other pair without grouping."""
+    a gt and a pred linked only to each other pair without grouping.
+
+    A component grows from its smallest gt along the adjacency lists and
+    the gts linked to each pred; its gts and preds are numbered ascending.
+    """
     degree = np.bincount(np.array([p for row in adjacency for p in row], dtype=np.intp))
     isolated = [len(row) == 1 and degree[row[0]] == 1 for row in adjacency]
     pairs = [(g, row[0]) for g, row in enumerate(adjacency) if isolated[g]]
     gts = [g for g in range(n_gt) if adjacency[g] and not isolated[g]]
-    preds = sorted({p for g in gts for p in adjacency[g]})
-    node = {p: len(gts) + k for k, p in enumerate(preds)}
-    linked = np.zeros((len(gts) + len(preds),) * 2, dtype=bool)
-    for row, g in enumerate(gts):
+    linked: dict = {}  # pred -> the gts linked to it
+    for g in gts:
         for p in adjacency[g]:
-            linked[row, node[p]] = linked[node[p], row] = True
-    for group in connected_groups(linked):
-        group_gts = [gts[i] for i in group if i < len(gts)]
-        group_preds = [preds[i - len(gts)] for i in group if i >= len(gts)]
+            linked.setdefault(p, []).append(g)
+    grouped = set()
+    for start in gts:
+        if start in grouped:
+            continue
+        grouped.add(start)
+        group_gts, group_preds, stack = [], set(), [start]
+        while stack:
+            g = stack.pop()
+            group_gts.append(g)
+            for p in adjacency[g]:
+                if p not in group_preds:
+                    group_preds.add(p)
+                    reached = [h for h in linked[p] if h not in grouped]
+                    grouped.update(reached)
+                    stack.extend(reached)
+        group_gts.sort()
+        group_preds = sorted(group_preds)
         local = {p: k for k, p in enumerate(group_preds)}
         rows = [[local[p] for p in adjacency[g]] for g in group_gts]
         for g, p in _lexicographic_matching(len(group_gts), len(group_preds), rows):

@@ -315,8 +315,8 @@ def coords_bounds(coords, polygon: bool = True) -> np.ndarray:
     point lies within that tolerance the crossing step ``t = d1 / (d1 - d2)``
     leaves [0, 1] and extrapolates along the subject edge by an amount no
     margin derived from ``_EPS`` bounds. Such a quad therefore spans the
-    whole plane; only :meth:`RegionIndex.candidate_pairs` screens it, by the
-    clip's own first step.
+    whole plane; only :func:`_clip_may_meet` screens it, by the clip's own
+    first step.
     """
     sizes = set(map(len, coords))
     if 8 not in sizes:
@@ -332,56 +332,6 @@ def coords_bounds(coords, polygon: bool = True) -> np.ndarray:
         xy = np.array([c for c in coords if len(c) == 8], dtype=float).reshape(-1, 4, 2)
         bounds[quad] = np.concatenate((xy.min(axis=1), xy.max(axis=1)), axis=1)
     return bounds
-
-
-class RegionIndex:
-    """Bounds of a set of regions, to find the pairs that can overlap.
-
-    A pair the index does not return scores ``region_iou(..., polygon)``
-    exactly 0, so a caller that needs IoU above some ``t >= 0`` may skip
-    it; every returned pair still goes to the exact IoU.
-    """
-
-    def __init__(self, regions, polygon: bool = True):
-        self.polygon = polygon
-        self.regions = tuple(regions)
-        self.bounds = coords_bounds([region_coords(r) for r in self.regions], polygon)
-        self._quad_hulls = None
-
-    def overlapping(self, other: "RegionIndex") -> tuple[np.ndarray, np.ndarray]:
-        """:func:`bounds_overlap` of this index's bounds and ``other``'s."""
-        return bounds_overlap(self.bounds, other.bounds)
-
-    def candidate_pairs(self, regions) -> tuple[np.ndarray, np.ndarray]:
-        """Index pairs ``(i, j)``, row-major, ``i`` in this index and ``j`` in ``regions``, for which
-        ``region_iou(self.regions[i], regions[j], polygon)`` may be nonzero.
-
-        A box query is screened by closed bounds, as in :meth:`overlapping`.
-        A quad query compared as polygons has no bounds, so it keeps every
-        box member and leaves out a quad member only where
-        :func:`_clip_may_meet` shows that clipping the member's hull (the
-        subject) by the query's (the clip) gives nothing. The member hulls
-        are gathered on the first such call.
-        """
-        regions = list(regions)
-        meet = np.zeros((len(self.regions), len(regions)), dtype=bool)
-        clipped = [self.polygon and isinstance(r, OrientedQuad) for r in regions]
-        bounded = [j for j, c in enumerate(clipped) if not c]
-        if bounded:
-            rows, cols = self.overlapping(RegionIndex([regions[j] for j in bounded], self.polygon))
-            meet[rows, np.array(bounded, dtype=np.intp)[cols]] = True
-        quads = [j for j, c in enumerate(clipped) if c]
-        if quads:
-            if self._quad_hulls is None:
-                rows = [i for i, r in enumerate(self.regions) if isinstance(r, OrientedQuad)]
-                hulls = [self.regions[i].hull for i in rows]
-                padded = np.array([h + h[:1] * (4 - len(h)) for h in hulls], dtype=float).reshape(-1, 2)
-                self._quad_hulls = np.array(rows, dtype=np.intp), padded[:, 0].copy(), padded[:, 1].copy()
-            rows, hull_x, hull_y = self._quad_hulls
-            meet[:, quads] = True
-            for j in quads:  # one query at a time: temporaries stay O(len(self.regions))
-                meet[rows, j] = _clip_may_meet(hull_x, hull_y, regions[j].hull)
-        return np.nonzero(meet)
 
 
 def center_distance_normalized(a: Region, b: Region, diagram: AxisBox) -> float:

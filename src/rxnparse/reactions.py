@@ -8,11 +8,15 @@ stay integers. ``reactants`` and ``products`` must not be empty;
 ``conditions`` and ``arrow`` may be.
 
 Inside the pipeline a reaction references document entities by id; the
-serializer materializes labels and boxes from the document, and
-:func:`parse_combiner_response` resolves boxes coming back from an
-agent to document entities by best IoU. The evaluation harness reads
-reaction files into :class:`BoxedReaction` values, whose members hold
-validated coordinates and build their regions only when read.
+serializer materializes labels and boxes from the document. One reader
+takes the wire format in: a structural pass over the decoded array,
+with every box's coordinates checked in bulk, gives
+:class:`BoxedMember` values that hold validated coordinates and build
+their regions only when read. The evaluation harness reads reaction
+files with it into :class:`BoxedReaction` values;
+:func:`parse_combiner_response` reads an agent's reply with it, under
+each role's kinds and box length, and resolves the boxes to
+document entities by best IoU against the document's entity table.
 """
 
 from __future__ import annotations
@@ -22,11 +26,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .chem import ElementCounts
-from .entities import EntityKind, ReactionDocument
+from .entities import KIND_CODES, EntityKind, ReactionDocument
 from .geometry import (
     Region,
-    RegionIndex,
+    _clip_may_meet,
+    bounds_overlap,
     coords_from_arrays,
     region_coords,
     region_from_array,
@@ -136,84 +143,66 @@ def reactions_to_json(reactions, doc: ReactionDocument) -> str:
     return "[\n" + ",\n".join(written) + "\n]"
 
 
-_MEMBER_KINDS = (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)
-# reply role key -> the entity kinds its items may name
-_ROLE_KINDS = {
-    "reactants": _MEMBER_KINDS,
-    "products": _MEMBER_KINDS,
-    "conditions": _MEMBER_KINDS,
-    "arrow": (EntityKind.ARROW,),
+_MEMBER_KINDS = {kind.value: kind for kind in (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)}
+# per reply role key: label -> kind for the kinds it takes, and the bbox lengths it takes as a pair
+# (a file's roles take (4, 8); a reply role one length, twice)
+_REPLY_ROLES = {
+    "reactants": (_MEMBER_KINDS, (4, 4)),
+    "products": (_MEMBER_KINDS, (4, 4)),
+    "conditions": (_MEMBER_KINDS, (4, 4)),
+    "arrow": ({EntityKind.ARROW.value: EntityKind.ARROW}, (8, 8)),
 }
-_REQUIRED_KEYS = tuple(_ROLE_KINDS)
+_REQUIRED_KEYS = tuple(_REPLY_ROLES)
 
 
-def _item_region(item, kind_field: str) -> tuple[EntityKind, Region] | ResponseFormatError:
-    """The (kind, region) a reply item names, or the format error that rejects it."""
-    if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
-        return ResponseFormatError(f"{kind_field} items need 'label' and 'bbox'")
-    try:
-        kind = EntityKind(item["label"])
-    except ValueError:
-        return ResponseFormatError(f"unknown label {item['label']!r}")
-    if kind not in _ROLE_KINDS[kind_field]:
-        return ResponseFormatError(f"label {kind.value!r} not allowed in {kind_field}")
-    bbox = item["bbox"]
-    expected = 8 if kind == EntityKind.ARROW else 4
-    if not isinstance(bbox, list) or len(bbox) != expected:
-        return ResponseFormatError(f"{kind.value} bbox must have {expected} numbers, got {bbox!r}")
-    try:
-        return kind, region_from_array(bbox)
-    except (TypeError, ValueError) as exc:
-        return ResponseFormatError(f"bad bbox {bbox!r}: {exc}")
+def _table_screen(table, kind: EntityKind, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(row, j)``, row-major, of a table row of ``kind`` and ``queries[j]``, members of that kind,
+    whose :func:`region_iou` may be nonzero: a box's bounds meet the row's, or for a reply arrow
+    (a quad has no bounds), :func:`~rxnparse.geometry._clip_may_meet` keeps the row's hull."""
+    rows = np.flatnonzero(table.kinds == KIND_CODES[kind])
+    if kind == EntityKind.ARROW:  # the table's hulls are those of its arrow rows, in row order
+        hull_x, hull_y = table.hulls[..., 0].ravel(), table.hulls[..., 1].ravel()
+        meet = np.array([_clip_may_meet(hull_x, hull_y, query.region.hull) for query in queries], dtype=bool)
+        found, cols = np.nonzero(meet.reshape(len(queries), len(rows)).T)
+    else:
+        found, cols = bounds_overlap(table.bounds[rows], np.array([query.coords for query in queries]))
+    return rows[found], cols
 
 
-def _resolve_regions(queries, doc: ReactionDocument) -> dict:
-    """``(kind, region) -> (best entity or None, best IoU)`` for each distinct query.
+def _resolve(members, doc: ReactionDocument) -> dict:
+    """``member -> id of its entity``, or the :class:`ResolutionError` saying why none, for each distinct member.
 
-    The best entity of ``kind`` has the highest IoU with ``region``, and on
-    equal IoU the smaller id. Each kind's entities are screened once
-    against all its queries by :meth:`RegionIndex.candidate_pairs` (boxes
-    by bounds, reply arrows by the clip's first step). Entities the screen
-    leaves out score exactly 0.0, so they can neither win nor change the
-    best IoU; the exact :func:`region_iou` runs on screened pairs only.
+    A member's entity is the one of its kind with the highest IoU, and on
+    equal IoU the smaller id, if that IoU reaches :data:`RESOLVE_IOU`. Each
+    kind's members are screened together against the document's
+    :class:`~rxnparse.entities.EntityTable` by :func:`_table_screen`.
+    Entities the screen leaves out score exactly 0.0, so they can neither
+    win nor change the best IoU; the exact :func:`region_iou` runs on
+    screened pairs only.
     """
     by_kind: dict = {}
-    for kind, region in queries:
-        by_kind.setdefault(kind, {}).setdefault(region, None)
+    for member in members:
+        by_kind.setdefault(member.kind, {}).setdefault(member, None)
+    table = doc.table
     resolved = {}
-    for kind, regions in by_kind.items():
-        entities = doc.by_kind(kind)
-        regions = list(regions)
-        rows, cols = RegionIndex(e.region for e in entities).candidate_pairs(regions)
-        best: list = [None] * len(regions)
-        best_iou = [0.0] * len(regions)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            entity = entities[i]
-            iou = region_iou(entity.region, regions[j])
+    for kind, queries in by_kind.items():
+        queries = list(queries)
+        best: list = [None] * len(queries)
+        best_iou = [0.0] * len(queries)
+        for i, j in zip(*(a.tolist() for a in _table_screen(table, kind, queries))):
+            entity = doc.entities[i]
+            iou = region_iou(entity.region, queries[j].region)
             if best[j] is None or iou > best_iou[j] or (iou == best_iou[j] and entity.id < best[j].id):
                 best[j], best_iou[j] = entity, iou
-        resolved.update(((kind, region), found) for region, found in zip(regions, zip(best, best_iou)))
+        for query, entity, iou in zip(queries, best, best_iou):
+            if entity is None or iou < RESOLVE_IOU:
+                resolved[query] = ResolutionError(
+                    f"no {kind.value} entity matches bbox {region_to_array(query.region)} "
+                    f"at IoU >= {RESOLVE_IOU} (best {iou:.3f})"
+                )
+            else:
+                resolved[query] = entity.id
     return resolved
-
-
-def _role_ids(items, kind_field: str, resolved: dict) -> tuple[str, ...]:
-    """Entity ids of one role, from its items' :func:`_item_region` results; raises the first error."""
-    if items is None:
-        raise ResponseFormatError(f"{kind_field} must be an array")
-    ids = []
-    for item in items:
-        if isinstance(item, ResponseFormatError):
-            raise item
-        kind, region = item
-        entity, iou = resolved[item]
-        if entity is None or iou < RESOLVE_IOU:
-            raise ResolutionError(
-                f"no {kind.value} entity matches bbox {region_to_array(region)} "
-                f"at IoU >= {RESOLVE_IOU} (best {iou:.3f})"
-            )
-        if entity.id not in ids:
-            ids.append(entity.id)
-    return tuple(ids)
 
 
 def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
@@ -221,49 +210,41 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
 
     Boxes are matched to document entities of the same kind by best IoU
     (>= 0.9, tolerating slightly perturbed echoes). Raises
-    :class:`ResponseFormatError` for malformed JSON or shapes and for a
+    :class:`ResponseFormatError` for malformed JSON or shapes, for a label
+    its role does not take, a bbox not of its role's length, and for a
     ``confidence`` that is not a finite number in [0, 1],
     :class:`ConstraintError` for empty reactants/products, and
     :class:`ResolutionError` when a box cannot be grounded; the first
-    problem in reply order is the one raised.
+    problem in reply order is the one raised, naming its reaction.
 
-    One lenient pass reads every item's region (roles that are not arrays
-    read as ``None``), all regions are resolved together, and a second
-    pass walks the reply in order, raising what it meets first.
+    The reaction-file reader's structural pass reads the reply, the
+    members it read are resolved together by :func:`_resolve`, and a walk
+    over the reply in order raises what it meets first.
     """
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ResponseFormatError(f"response is not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ResponseFormatError("response must be a JSON array of reactions")
-
-    # per reaction (None if not an object), per role: the items' (kind, region) or format errors
-    parsed = [
-        {
-            key: [_item_region(item, key) for item in obj[key]] if isinstance(obj.get(key), list) else None
-            for key in _REQUIRED_KEYS
-        }
-        if isinstance(obj, dict)
-        else None
-        for obj in data
-    ]
-    resolved = _resolve_regions(
-        (item
-         for roles in parsed if roles is not None
-         for items in roles.values() if items is not None
-         for item in items if not isinstance(item, ResponseFormatError)),
-        doc,
-    )
+    data = _loads(raw)
+    read, problem, (owner, at) = _read_reactions(data, _REPLY_ROLES)
+    members = []  # those before the problem
+    for member in (m for roles in read for role in roles for m in role):
+        if member is at:
+            break
+        members.append(member)
+    resolved = _resolve(members, doc)
 
     reactions = []
-    for i, (obj, roles) in enumerate(zip(data, parsed)):
-        if roles is None:
-            raise ResponseFormatError(f"reaction {i} is not an object")
-        missing = [k for k in _REQUIRED_KEYS if k not in obj]
-        if missing:
-            raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
-        reactants, products, conditions, arrows = (_role_ids(roles[k], k, resolved) for k in _REQUIRED_KEYS)
+    for i, (obj, roles) in enumerate(zip(data, read)):
+        ids = ([], [], [], [])
+        for role, role_ids in zip(roles, ids):
+            for member in role:
+                if member is at:
+                    raise problem
+                found = resolved[member]
+                if isinstance(found, ResolutionError):
+                    raise ResolutionError(f"reaction {i}: {found}")
+                if found not in role_ids:
+                    role_ids.append(found)
+        if i == owner:
+            raise problem
+        reactants, products, conditions, arrows = map(tuple, ids)
         if not reactants or not products:
             raise ConstraintError(f"reaction {i}: reactants and products must not be empty")
         confidence = obj.get("confidence", 1.0)
@@ -283,6 +264,8 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
             )
         except ConstraintError as exc:
             raise ConstraintError(f"reaction {i}: {exc}") from None
+    if problem is not None:  # a reaction that is not an object, or lacks a role
+        raise problem
     return reactions
 
 
@@ -333,43 +316,53 @@ class BoxedReaction:
     arrows: tuple[BoxedMember, ...] = ()
 
 
+# a reaction file's roles take any kind in either shape
 _LABELS = {kind.value: kind for kind in EntityKind}
+_FILE_ROLES = dict.fromkeys(_REQUIRED_KEYS, (_LABELS, (4, 8)))
 
 
-def _checked_member(item) -> BoxedMember:
-    """One reaction item checked in full; raises its first problem."""
+def _read_item(item, key: str, labels: dict, lengths: tuple) -> BoxedMember:
+    """One item of role ``key`` checked in full against the role's ``labels`` and bbox ``lengths``;
+    raises its first problem.
+
+    Under a reply's labels, a kind the role does not take, and a bbox that
+    is not a list of the role's length, are rejected before the coordinates.
+    """
     if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
         raise ResponseFormatError("reaction items need 'label' and 'bbox'")
     try:
         kind = EntityKind(item["label"])
     except ValueError:
         raise ResponseFormatError(f"unknown label {item['label']!r}") from None
+    bbox = item["bbox"]
+    if labels is not _LABELS:
+        if kind.value not in labels:
+            raise ResponseFormatError(f"label {kind.value!r} not allowed in {key}")
+        if not isinstance(bbox, list) or len(bbox) not in lengths:
+            raise ResponseFormatError(f"{kind.value} bbox must have {lengths[0]} numbers, got {bbox!r}")
     try:
-        region = region_from_array(item["bbox"])
+        return BoxedMember(kind, region_from_array(bbox))
     except (TypeError, ValueError) as exc:
-        raise ResponseFormatError(f"bad bbox {item['bbox']!r}: {exc}") from None
-    return BoxedMember(kind, region)
+        raise ResponseFormatError(f"bad bbox {bbox!r}: {exc}") from None
 
 
-def boxed_reactions_from_list(data) -> list[BoxedReaction]:
-    """Boxed reactions from a decoded reaction array, any 4- or 8-number box under any label.
+def _read_reactions(data, roles: dict) -> tuple[list, ResponseFormatError | None, tuple]:
+    """Per reaction read, its roles as :class:`BoxedMember` lists; the first problem, naming its reaction,
+    or None; and where it sits: ``(reaction index, member)``, the member None for the reaction's own shape.
 
-    Raises :class:`ResponseFormatError`, naming the reaction index, for
-    the first malformed reaction, member or box in document order.
-
-    One pass reads the structure. A dict item with a known label and a
-    list of 4 or 8 values waits for its coordinates; any other item is
-    checked in full at once, and the pass stops at the first problem. The
-    waiting boxes, all before that problem, are then checked together by
-    :func:`~rxnparse.geometry.coords_from_arrays`, and those its bulk
-    checks do not pass are checked in full, in document order.
+    A dict item whose role takes its label and bbox length waits for its
+    coordinates; any other item is checked in full at once, and the pass
+    stops at the first problem. The waiting boxes, all before it, are then
+    checked together by :func:`~rxnparse.geometry.coords_from_arrays`, and
+    those its bulk checks do not pass in full, in document order. Members
+    from the problem on are not to be read.
     """
     if not isinstance(data, list):
         raise ResponseFormatError("expected a JSON array of reactions")
     reactions = []
     waiting, bboxes = [], []  # members awaiting their coordinates, and their bboxes
     firsts = []  # per reaction, the index in waiting of its first member there
-    problem = None
+    problem, at = None, (None, None)
     try:
         for i, obj in enumerate(data):
             if not isinstance(obj, dict):
@@ -378,19 +371,22 @@ def boxed_reactions_from_list(data) -> list[BoxedReaction]:
             if missing:
                 raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
             firsts.append(len(waiting))
-            roles = []
+            read = []
+            reactions.append(read)
             for key in _REQUIRED_KEYS:
                 items = obj[key]
                 if not isinstance(items, list):
                     raise ResponseFormatError(f"reaction {i}: reaction roles must be arrays")
+                labels, (short, long) = roles[key]
                 role = []
+                read.append(role)
                 for item in items:
                     if type(item) is dict:
                         try:
-                            kind, bbox = _LABELS[item["label"]], item["bbox"]
-                        except (KeyError, TypeError):  # a missing key, or an unknown or unhashable label
+                            kind, bbox = labels[item["label"]], item["bbox"]
+                        except (KeyError, TypeError):  # a missing key, or a label not taken or unhashable
                             kind = bbox = None
-                        if type(bbox) is list and (len(bbox) == 4 or len(bbox) == 8):
+                        if type(bbox) is list and (len(bbox) == short or len(bbox) == long):
                             member = object.__new__(BoxedMember)
                             member.kind = kind
                             role.append(member)
@@ -398,13 +394,11 @@ def boxed_reactions_from_list(data) -> list[BoxedReaction]:
                             bboxes.append(bbox)
                             continue
                     try:
-                        role.append(_checked_member(item))
+                        role.append(_read_item(item, key, labels, (short, long)))
                     except ResponseFormatError as exc:
                         raise ResponseFormatError(f"reaction {i}: {exc}") from None
-                roles.append(tuple(role))
-            reactions.append(BoxedReaction(*roles))
     except ResponseFormatError as exc:
-        problem = exc
+        problem, at = exc, (i, None)
 
     coords, unpassed = coords_from_arrays(bboxes)
     coords = coords or [None] * len(bboxes)
@@ -413,22 +407,38 @@ def boxed_reactions_from_list(data) -> list[BoxedReaction]:
             region = region_from_array(bboxes[k])
         except (TypeError, ValueError) as exc:
             owner = bisect_right(firsts, k) - 1
-            raise ResponseFormatError(f"reaction {owner}: bad bbox {bboxes[k]!r}: {exc}") from None
+            problem = ResponseFormatError(f"reaction {owner}: bad bbox {bboxes[k]!r}: {exc}")
+            at = owner, waiting[k]
+            break
         waiting[k]._region, coords[k] = region, region_coords(region)
-    if problem is not None:
-        raise problem
     for member, member_coords in zip(waiting, coords):
         member.coords = member_coords
-    return reactions
+    return reactions, problem, at
+
+
+def boxed_reactions_from_list(data) -> list[BoxedReaction]:
+    """Boxed reactions from a decoded reaction array, any 4- or 8-number box under any label.
+
+    Raises :class:`ResponseFormatError`, naming the reaction index, for
+    the first malformed reaction, member or box in document order, as
+    :func:`_read_reactions` finds it.
+    """
+    reactions, problem, _ = _read_reactions(data, _FILE_ROLES)
+    if problem is not None:
+        raise problem
+    return [BoxedReaction(*map(tuple, roles)) for roles in reactions]
+
+
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ResponseFormatError(f"not valid JSON: {exc}") from exc
 
 
 def boxed_reactions_from_json(text: str) -> list[BoxedReaction]:
     """:func:`boxed_reactions_from_list` of a JSON text; invalid JSON is a :class:`ResponseFormatError`."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ResponseFormatError(f"not valid JSON: {exc}") from exc
-    return boxed_reactions_from_list(data)
+    return boxed_reactions_from_list(_loads(text))
 
 
 def boxed_view(reaction: Reaction, doc: ReactionDocument) -> BoxedReaction:

@@ -979,7 +979,10 @@ def reference_screened_pairs(gt, pred, criterion, polygon):
     no gt member of its slot with intersecting bounds. Every pair left goes to
     the predicate."""
     from rxnparse.evaluation import _runs
-    from rxnparse.geometry import RegionIndex
+    from rxnparse.geometry import bounds_overlap, coords_bounds, region_coords
+
+    def bounds(regions):
+        return coords_bounds([region_coords(r) for r in regions], polygon)
 
     gt_shapes, gt_by = _reference_by_slot(gt, criterion)
     pred_shapes, pred_by = _reference_by_slot(pred, criterion)
@@ -994,7 +997,7 @@ def reference_screened_pairs(gt, pred, criterion, polygon):
     for slot, (pred_owners, pred_regions) in pred_by.items():
         if slot in gt_by:
             gt_owners, gt_regions = gt_by[slot]
-            rows, cols = RegionIndex(gt_regions, polygon).overlapping(RegionIndex(pred_regions, polygon))
+            rows, cols = bounds_overlap(bounds(gt_regions), bounds(pred_regions))
             keys.append(np.array(gt_owners)[rows] * stride + len(member_owner) + cols)
         member_owner.extend(pred_owners)
     g, member = np.divmod(_runs(np.sort(np.concatenate(keys)))[0], stride)
@@ -1055,17 +1058,17 @@ def reference_parse_combiner_response(raw, doc):
     """The reply parser that grounds each item as it reaches it, by :func:`reference_resolve_region`."""
     from rxnparse.entities import EntityKind
     from rxnparse.geometry import region_from_array
-    from rxnparse.reactions import ConstraintError, Reaction, ResponseFormatError
+    from rxnparse.reactions import ConstraintError, Reaction, ResolutionError, ResponseFormatError
 
     member_kinds = (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)
 
     def parse_role(items, kind_field, allow_kinds):
         if not isinstance(items, list):
-            raise ResponseFormatError(f"{kind_field} must be an array")
+            raise ResponseFormatError("reaction roles must be arrays")
         resolved = []
         for item in items:
             if not isinstance(item, dict) or "label" not in item or "bbox" not in item:
-                raise ResponseFormatError(f"{kind_field} items need 'label' and 'bbox'")
+                raise ResponseFormatError("reaction items need 'label' and 'bbox'")
             try:
                 kind = EntityKind(item["label"])
             except ValueError:
@@ -1088,9 +1091,9 @@ def reference_parse_combiner_response(raw, doc):
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ResponseFormatError(f"response is not valid JSON: {exc}") from exc
+        raise ResponseFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, list):
-        raise ResponseFormatError("response must be a JSON array of reactions")
+        raise ResponseFormatError("expected a JSON array of reactions")
     reactions = []
     for i, obj in enumerate(data):
         if not isinstance(obj, dict):
@@ -1098,10 +1101,13 @@ def reference_parse_combiner_response(raw, doc):
         missing = [k for k in ("reactants", "products", "conditions", "arrow") if k not in obj]
         if missing:
             raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
-        reactants = parse_role(obj["reactants"], "reactants", member_kinds)
-        products = parse_role(obj["products"], "products", member_kinds)
-        conditions = parse_role(obj["conditions"], "conditions", member_kinds)
-        arrows = parse_role(obj["arrow"], "arrow", (EntityKind.ARROW,))
+        try:
+            reactants = parse_role(obj["reactants"], "reactants", member_kinds)
+            products = parse_role(obj["products"], "products", member_kinds)
+            conditions = parse_role(obj["conditions"], "conditions", member_kinds)
+            arrows = parse_role(obj["arrow"], "arrow", (EntityKind.ARROW,))
+        except (ResponseFormatError, ResolutionError) as exc:
+            raise type(exc)(f"reaction {i}: {exc}") from None
         if not reactants or not products:
             raise ConstraintError(f"reaction {i}: reactants and products must not be empty")
         confidence = obj.get("confidence", 1.0)

@@ -63,20 +63,19 @@ def test_bad_json():
         load_document(b"{not json")
 
 
-@pytest.mark.parametrize(
-    "raw, pointer",
-    [
-        ('{"width": 100, "height": Infinity, "entities": []}', "/height"),
-        ('{"width": NaN, "height": 100, "entities": []}', "/width"),
-        ('{"width": 100, "height": 100, "entities": [{"id": "m", "label": "molecule", "bbox": [0, 0, Infinity, 5]}]}',
-         "/entities/0/bbox"),
-        ('{"width": 100, "height": 100, "entities": [{"id": "a", "label": "arrow",'
-         ' "bbox": [0, 0, 9, 0, 9, NaN, 0, 2]}]}', "/entities/0/bbox"),
-        ('{"width": 100, "height": 100, "entities": [{"id": "m", "label": "molecule", "bbox": [0, 0, 1%s, 5]}]}'
-         % ("0" * 400), "/entities/0/bbox"),
-    ],
-    ids=["infinite-height", "nan-width", "infinite-box", "nan-quad", "int-beyond-float"],
-)
+NON_FINITE = [
+    pytest.param('{"width": 100, "height": Infinity, "entities": []}', "/height", id="infinite-height"),
+    pytest.param('{"width": NaN, "height": 100, "entities": []}', "/width", id="nan-width"),
+    pytest.param('{"width": 100, "height": 100, "entities": [{"id": "m", "label": "molecule", "bbox": [0, 0, Infinity, 5]}]}',
+                 "/entities/0/bbox", id="infinite-box"),
+    pytest.param('{"width": 100, "height": 100, "entities": [{"id": "a", "label": "arrow",'
+                 ' "bbox": [0, 0, 9, 0, 9, NaN, 0, 2]}]}', "/entities/0/bbox", id="nan-quad"),
+    pytest.param('{"width": 100, "height": 100, "entities": [{"id": "m", "label": "molecule", "bbox": [0, 0, 1%s, 5]}]}'
+                 % ("0" * 400), "/entities/0/bbox", id="int-beyond-float"),
+]
+
+
+@pytest.mark.parametrize("raw, pointer", NON_FINITE)
 def test_non_finite_numbers_rejected(raw, pointer):
     # json.loads accepts NaN and Infinity; neither may reach the geometry or the combiner prompt
     with pytest.raises(SchemaError, match="finite") as excinfo:
@@ -232,3 +231,39 @@ def test_arrow_axis_anchor_points():
     assert tail[0] < head[0]
     with pytest.raises(ValueError):
         _ = make_doc([molecule_entity("m", 0, 0)]).entity("m").arrow_axis
+
+
+def _detection(entities, width=100, height=100, **fields):
+    return json.dumps({"width": width, "height": height, **fields, "entities": entities})
+
+
+_MOLECULE = {"id": "m", "label": "molecule", "bbox": [0, 0, 10, 10]}
+
+# the malformed detection files of this module, and where each is rejected
+MALFORMED = NON_FINITE + [
+    pytest.param(_detection([_MOLECULE, _MOLECULE]), "/entities/1/id", id="duplicate-id"),
+    pytest.param(_detection([{"id": "a", "label": "arrow", "bbox": [0, 0, 10, 10]}]), "/entities/0/bbox", id="arrow-box"),
+    pytest.param(_detection([{**_MOLECULE, "bbox": [0, 0, 10, 10, 20, 20, 30, 30]}]), "/entities/0/bbox", id="molecule-quad"),
+    pytest.param(_detection([{**_MOLECULE, "label": "wizard"}]), "/entities/0/label", id="unknown-label"),
+    pytest.param("{not json", "", id="bad-json"),
+    pytest.param(_detection([], layout="spiral"), "/layout", id="unknown-layout"),
+    pytest.param(_detection([{**_MOLECULE, "direction": "forward"}]), "/entities/0/direction", id="direction-on-molecule"),
+    pytest.param(_detection([{"id": "a", "label": "arrow", "bbox": [110, 10, 150, 10, 150, 20, 110, 20]}]),
+                 "/entities/0/bbox", id="arrow-outside"),
+    pytest.param(_detection([{"id": "a", "label": "arrow", "bbox": [110, -10, 120, -10, -10, 120, -20, 120]}]),
+                 "/entities/0/bbox", id="arrow-crossing"),
+    pytest.param(_detection([{**_MOLECULE, "bbox": [0, "0", 10, 10]}]), "/entities/0/bbox", id="string-coordinate"),
+    pytest.param(_detection([{**_MOLECULE, "bbox": [0, True, 10, 10]}]), "/entities/0/bbox", id="bool-coordinate"),
+    pytest.param(_detection([], height=0), "/height", id="zero-height"),
+    pytest.param(_detection([], width=0), "/width", id="zero-width"),
+]
+
+
+@pytest.mark.parametrize("raw, pointer", MALFORMED)
+def test_schema_error_names_its_pointer_once(raw, pointer):
+    with pytest.raises(SchemaError) as info:
+        load_document(raw)
+    message = str(info.value)
+    assert info.value.pointer == pointer
+    assert message.endswith(f" (at {pointer or '/'})") and message.count(" (at ") == 1, message
+

@@ -2,9 +2,10 @@
 
 ``score`` runs the predicate only on reaction pairs whose members can
 match and that the screen's own box IoU leaves undecided, and matches
-per connected component; ``_resolve_regions`` runs
-IoU only on entities whose bounds meet a reply box, or, for a reply
-arrow, on arrows the polygon clip does not provably cut to nothing. Both
+per connected component; ``_resolve`` runs IoU only on the entities
+the entity table's screen keeps: those whose bounds meet a reply box,
+or, for a reply arrow, arrows the polygon clip does not provably cut to
+nothing. Both
 must give exactly what a scan of every pair gives: the same report, the
 same entity, the same error text. The clip itself must return the
 reference's floats bit for bit.
@@ -28,9 +29,11 @@ from rxnparse.evaluation import CorpusDocument, score, score_corpus
 from rxnparse.geometry import (
     AxisBox,
     OrientedQuad,
-    RegionIndex,
     _clip_convex,
     bounds_iou_above,
+    bounds_overlap,
+    coords_bounds,
+    region_coords,
     region_iou,
     region_to_array,
 )
@@ -40,8 +43,8 @@ from rxnparse.reactions import (
     ConstraintError,
     ResolutionError,
     ResponseFormatError,
-    _resolve_regions,
-    _role_ids,
+    _resolve,
+    _table_screen,
     parse_combiner_response,
 )
 
@@ -230,7 +233,7 @@ quarter_quads = st.builds(
 def test_screen_iou_decision_equals_region_iou(regions, threshold, polygon):
     """Every pair of regions compared as boxes is kept exactly when ``region_iou > t``; a pair with a
     quad compared as a polygon is kept."""
-    bounds = RegionIndex(regions, polygon).bounds
+    bounds = coords_bounds([region_coords(r) for r in regions], polygon)
     rows, cols = (a.ravel() for a in np.indices((len(regions), len(regions))))
     kept = bounds_iou_above(bounds[rows], bounds[cols], threshold)
     clipped = [polygon and isinstance(r, OrientedQuad) for r in regions]
@@ -377,14 +380,9 @@ def _outcome(resolve, *args):
 
 def _screened_outcomes(queries, doc):
     """Each query's entity id or error text, all queries resolved together as within one reply."""
-    resolved = _resolve_regions(queries, doc)
-    outcomes = []
-    for query in queries:
-        try:
-            outcomes.append(_role_ids([query], "reactants", resolved)[0])
-        except ResolutionError as exc:
-            outcomes.append(str(exc))
-    return outcomes
+    members = [BoxedMember(kind, region) for kind, region in queries]
+    resolved = _resolve(members, doc)
+    return [str(resolved[member]) for member in members]
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,6 +403,9 @@ MALFORMED_ITEMS = (
     {"label": "text", "bbox": ["0", True, "1e1", 5]},
     {"label": "molecule", "bbox": [0, 0, 1, math.inf]},
     {"label": "arrow", "bbox": [0, 0, 1, 0, 2, 0, 3, 0]},  # zero area
+    {"label": "arrow", "bbox": [0, 0, 1, 1]},  # an arrow's box in any role: wrong kind or wrong length
+    {"label": "molecule", "bbox": [0, 0, 1, 0, 1, 1, 0, 1]},  # a quad under a box kind
+    {"label": "molecule", "bbox": [0, 0, 1, 0, 1, math.nan, 0, 1]},  # the length is checked before the values
 )
 
 
@@ -569,15 +570,34 @@ def test_resolution_error_reports_best_iou_of_the_full_scan():
         assert outcome.endswith(f"(best {best})")
 
 
-def test_region_index_pairs_are_closed_and_row_major():
-    index = RegionIndex([AxisBox(0, 0, 1, 1), AxisBox(3, 3, 3, 3), AxisBox(5, 0, 6, 1)])
-    other = RegionIndex([AxisBox(1, 1, 2, 2), AxisBox(3, 3, 3, 3), AxisBox(6.5, 0, 7, 1)])
-    rows, cols = index.overlapping(other)
+def _member(region):
+    """A reply member of ``region``: a quad as an arrow, a box as a molecule."""
+    return BoxedMember(EntityKind.ARROW if isinstance(region, OrientedQuad) else EntityKind.MOLECULE, region)
+
+
+def _table(regions):
+    """The entity table of a document of ``regions`` in that order, kinds as :func:`_member` gives them."""
+    entities = (Entity(id=f"e{k}", kind=_member(r).kind, region=r) for k, r in enumerate(regions))
+    return ReactionDocument(diagram_bounds=AxisBox(0, 0, 20, 20), entities=tuple(entities)).table
+
+
+def _kept(regions, reply):
+    """The rows of a table of ``regions`` that the screen keeps for one ``reply`` region."""
+    member = _member(reply)
+    return _table_screen(_table(regions), member.kind, [member])[0].tolist()
+
+
+def test_table_screen_pairs_are_closed_and_row_major():
+    regions = [AxisBox(0, 0, 1, 1), AxisBox(3, 3, 3, 3), AxisBox(5, 0, 6, 1)]
+    others = [AxisBox(1, 1, 2, 2), AxisBox(3, 3, 3, 3), AxisBox(6.5, 0, 7, 1)]
+    table = _table(regions)
+    rows, cols = bounds_overlap(table.bounds, coords_bounds([region_coords(r) for r in others]))
     assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (1, 1)]
-    assert index.candidate_pairs([AxisBox(1, 0, 5, 0)])[0].tolist() == [0, 2]
-    quad = OrientedQuad(((10, 10), (11, 10), (11, 11), (10, 11)))
-    assert RegionIndex([quad]).candidate_pairs([AxisBox(0, 0, 1, 1)])[0].tolist() == [0]
-    assert RegionIndex([quad], polygon=False).candidate_pairs([AxisBox(0, 0, 1, 1)])[0].tolist() == []
+    rows, cols = _table_screen(table, EntityKind.MOLECULE, [_member(AxisBox(1, 0, 5, 0)), _member(AxisBox(3, 3, 3, 3))])
+    assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (1, 1), (2, 0)]
+    # a reply box is screened against the rows of its own kind only
+    quad = OrientedQuad(((0, 0), (1, 0), (1, 1), (0, 1)))
+    assert _kept([quad, AxisBox(0, 0, 1, 1)], AxisBox(0, 0, 1, 1)) == [1]
 
 
 # --- the quad screen: the clip's first step, evaluated exactly -----------------
@@ -597,7 +617,7 @@ def quad_screen_cases(draw):
 @example(case=([AT_TOLERANCE], UNIT_SQUARE))
 def test_quads_the_screen_leaves_out_clip_to_nothing(case):
     entities, reply = case
-    kept = set(RegionIndex(entities).candidate_pairs([reply])[0].tolist())
+    kept = set(_kept(entities, reply))
     for i, entity in enumerate(entities):
         if i not in kept:
             assert reference_clip_convex(list(entity.hull), list(reply.hull)) == []
@@ -608,23 +628,27 @@ def test_quads_the_screen_leaves_out_clip_to_nothing(case):
 @given(
     members=st.lists(st.one_of(arrow_quads, boxes), min_size=1, max_size=6),
     queries=st.lists(st.one_of(arrow_quads, arrow_quads, boxes), min_size=1, max_size=5),
-    polygon=st.booleans(),
 )
-def test_batched_screen_equals_one_query_at_a_time(members, queries, polygon):
-    """Many queries in one call (boxes and quads mixed) keep the pairs one query per call keeps,
-    and every pair left out scores IoU exactly 0."""
-    index = RegionIndex(members, polygon)
-    rows, cols = index.candidate_pairs(queries)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    assert pairs == sorted(pairs)
-    assert pairs == sorted(
-        (i, j) for j, query in enumerate(queries) for i in RegionIndex(members, polygon).candidate_pairs([query])[0].tolist()
-    )
-    kept = set(pairs)
-    for i, member in enumerate(members):
-        for j, query in enumerate(queries):
-            if (i, j) not in kept:
-                assert region_iou(member, query, polygon) == 0.0
+def test_batched_screen_equals_one_query_at_a_time(members, queries):
+    """A kind's many queries in one call keep the pairs one query per call keeps, all rows of that kind,
+    and every pair of that kind left out scores IoU exactly 0."""
+    table = _table(members)
+    for kind in (EntityKind.MOLECULE, EntityKind.ARROW):
+        batch = [m for m in map(_member, queries) if m.kind == kind]
+        if not batch:
+            continue
+        rows, cols = _table_screen(table, kind, batch)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        assert pairs == sorted(pairs)
+        assert pairs == sorted(
+            (i, j) for j, query in enumerate(batch) for i in _table_screen(table, kind, [query])[0].tolist()
+        )
+        assert all(_member(members[i]).kind == kind for i, _ in pairs)
+        kept = set(pairs)
+        for i, member in enumerate(members):
+            for j, query in enumerate(batch):
+                if (i, j) not in kept and _member(member).kind == kind:
+                    assert region_iou(member, query.region) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -645,13 +669,12 @@ def test_batched_screen_equals_one_query_at_a_time(members, queries, polygon):
 )
 def test_quads_touching_within_tolerance_are_kept(entity, reply):
     assert region_iou(entity, reply) > 0.0
-    assert RegionIndex([entity]).candidate_pairs([reply])[0].tolist() == [0]
+    assert _kept([entity], reply) == [0]
 
 
-def test_quad_screen_keeps_box_members_and_leaves_out_far_quads():
-    members = [AxisBox(50, 50, 60, 60), UNIT_SQUARE, OrientedQuad(((5, 5), (6, 5), (6, 6), (5, 6)))]
-    assert RegionIndex(members).candidate_pairs([UNIT_SQUARE])[0].tolist() == [0, 1]
-    assert RegionIndex(members, polygon=False).candidate_pairs([UNIT_SQUARE])[0].tolist() == [1]
+def test_arrow_screen_leaves_out_far_arrows_and_every_box():
+    members = [AxisBox(0, 0, 1, 1), UNIT_SQUARE, OrientedQuad(((5, 5), (6, 5), (6, 6), (5, 6)))]
+    assert _kept(members, UNIT_SQUARE) == [1]
 
 
 def _hex(polygon):
