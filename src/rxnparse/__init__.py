@@ -36,7 +36,7 @@ from .geometry import (
     region_to_array,
 )
 from .pipeline import PipelineConfig, RunManifest, run_batch, run_document
-from .planner import AgentPlan, DiagramFeatures, PlanningContext, extract_features, plan_from_json, plan_to_json, route
+from .planner import AgentPlan, DiagramFeatures, extract_features, plan_from_json, plan_to_json, route
 from .reactions import (
     BoxedReaction,
     Conservation,

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chem import Fingerprint, Molecule, SmilesSyntaxError, ValenceError, bit_sketch, parse_smiles
+from .chem import Molecule, SmilesSyntaxError, ValenceError, parse_smiles
 from .geometry import (
     AxisBox,
     OrientedQuad,
@@ -99,37 +99,9 @@ class Entity:
                 f"{'an oriented quad' if self.kind == EntityKind.ARROW else 'an axis box'}"
             )
 
-    @cached_property
-    def fingerprint(self) -> Fingerprint | None:
-        """Path fingerprint of the parsed molecule, or None without one.
-
-        The molecule computes it on first read and keeps it, so the
-        entities of a document naming the same SMILES share one value,
-        and a molecule no layer has asked about holds no fingerprint.
-        """
-        return None if self.molecule is None else self.molecule.fingerprint
-
-    @cached_property
-    def sketch(self) -> tuple[float, ...] | None:
-        """:func:`~rxnparse.chem.bit_sketch` of :attr:`fingerprint`, or None without one.
-
-        The molecule's kept sketch while this entity reads the molecule's
-        fingerprint; a fingerprint set on this entity alone gets its own.
-        """
-        fp = self.fingerprint
-        if fp is None:
-            return None
-        return self.molecule.sketch if fp is self.molecule.fingerprint else tuple(bit_sketch(fp))
-
     @property
     def centroid(self):
         return self.region.centroid
-
-    @property
-    def reading_key(self) -> tuple[float, float, str]:
-        """Sort key for reading order: top to bottom, then left to right, then id."""
-        cx, cy = self.region.centroid
-        return (cy, cx, self.id)
 
     @property
     def arrow_axis(self):
@@ -146,7 +118,11 @@ class Entity:
 
 @dataclass(frozen=True)
 class ReactionDocument:
-    """Entity set of one diagram, sorted by reading order (y, then x)."""
+    """Entity set of one diagram; an entity's position is its reading order.
+
+    :func:`load_document` sorts the entities top to bottom, then left to
+    right, then by id; a document built by hand is read in its given order.
+    """
 
     diagram_bounds: AxisBox
     entities: tuple[Entity, ...]
@@ -201,25 +177,25 @@ class EntityTable:
     """Read-only arrays over a document's entities, row ``i`` for ``doc.entities[i]`` (its position).
 
     Centroids, bounds, box sizes and areas are the floats the regions
-    compute, ``hulls`` the arrows' hulls that reply arrows are screened
-    against, and ``distances`` is
+    compute, and ``hulls`` the arrows' hulls that reply arrows are
+    screened against. ``distances`` is
     :func:`~rxnparse.geometry.centroid_distances` of the centroids,
-    computed once per table. Writing into an array raises ``ValueError``,
-    so no layer can change what another reads.
+    computed on first read, so a table read only for its bounds builds no
+    n×n matrix. Writing into an array raises ``ValueError``, so no layer
+    can change what another reads.
     """
 
     ids: tuple[str, ...]
     position: dict  # id -> position
     sorted_ids: tuple[str, ...]
     ranks: np.ndarray  # rank of each id in sorted_ids
-    reading: np.ndarray  # rank in reading order (y, then x, then id)
     kinds: np.ndarray  # KIND_CODES
     centroids: np.ndarray  # (n, 2)
     bounds: np.ndarray  # (n, 4) x_min, y_min, x_max, y_max of each bounding box
     sizes: np.ndarray  # (n, 2) width and height of each bounding box
     areas: np.ndarray
     hulls: np.ndarray  # (arrows, 4, 2) the hull of each arrow row in row order, 3 vertices padded by the first
-    distances: np.ndarray  # (n, n) centroid distances over the diagram diagonal
+    diagram: AxisBox  # the document's diagram bounds
 
     @classmethod
     def of(cls, doc: ReactionDocument) -> "EntityTable":
@@ -236,19 +212,25 @@ class EntityTable:
             rows.append((*region.centroid, region.area, KIND_CODES[entity.kind], box.x_min, box.y_min, box.x_max, box.y_max))
         columns = np.array(rows, dtype=float).reshape(len(ids), 8)
         by_id = sorted(range(len(ids)), key=ids.__getitem__)
-        by_reading = sorted(range(len(ids)), key=[(cy, cx, i) for (cx, cy, *_), i in zip(rows, ids)].__getitem__)
-        ranks, reading = np.empty(len(ids), dtype=np.intp), np.empty(len(ids), dtype=np.intp)
-        ranks[by_id] = reading[by_reading] = np.arange(len(ids))
+        ranks = np.empty(len(ids), dtype=np.intp)
+        ranks[by_id] = np.arange(len(ids))
         centroids, bounds = columns[:, 0:2].copy(), columns[:, 4:8].copy()
         arrays = dict(
-            ranks=ranks, reading=reading, kinds=columns[:, 3].astype(np.intp),
+            ranks=ranks, kinds=columns[:, 3].astype(np.intp),
             centroids=centroids, bounds=bounds, sizes=bounds[:, 2:] - bounds[:, :2], areas=columns[:, 2].copy(),
             hulls=np.array(hulls, dtype=float).reshape(-1, 4, 2),
-            distances=centroid_distances(centroids, doc.diagram_bounds),
         )
         for array in arrays.values():
             array.flags.writeable = False
-        return cls(ids, dict(zip(ids, range(len(ids)))), tuple(ids[i] for i in by_id), **arrays)
+        position = dict(zip(ids, range(len(ids))))
+        return cls(ids, position, tuple(ids[i] for i in by_id), **arrays, diagram=doc.diagram_bounds)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """(n, n) centroid distances over the diagram diagonal, read-only."""
+        distances = centroid_distances(self.centroids, self.diagram)
+        distances.flags.writeable = False
+        return distances
 
     def by_id_pairs(self, rows, cols, values) -> dict:
         """``{(id_a, id_b): values[k]}`` with ``id_a < id_b`` for the edges ``(rows[k], cols[k])``, in edge order."""
@@ -274,10 +256,10 @@ def _number(value, pointer: str) -> float:
 def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) -> ReactionDocument:
     """Parse a detection file into a :class:`ReactionDocument`.
 
-    Entities are sorted by region centroid (y, x); regions falling
-    outside the diagram bounds are clamped with a warning; SMILES
-    payloads are parsed once per distinct string, failures recorded
-    rather than raised.
+    Entities are sorted by region centroid (y, then x, then id), so
+    position is reading order; regions falling outside the diagram
+    bounds are clamped with a warning; SMILES payloads are parsed once
+    per distinct string, failures recorded rather than raised.
     """
     if isinstance(source, (bytes, str)):
         try:
@@ -392,7 +374,7 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
         except ValueError as exc:
             raise SchemaError(str(exc), pointer) from None
 
-    entities.sort(key=lambda e: e.reading_key)
+    entities.sort(key=lambda e: (e.centroid[::-1], e.id))  # reading order: (cy, cx), then id
     for entity in entities:
         if entity.resolves_to is not None and entity.resolves_to not in seen_ids:
             warnings.append(

@@ -25,12 +25,7 @@ each slot, every pair of members whose bounds meet is scored with
 per-slot member counts differ or some predicted member has no
 ground-truth member above the threshold. A pair left whose slots hold
 one bounded member a side matches without the predicate: member edges
-join only one kind, so a role's perfect matching is its slots'. The
-lexicographic matching then runs once per connected component of the
-compatibility graph; the maximum size is a sum over components, so each
-greedy feasibility test splits into one test per component and the
-pairs equal those of one run over the whole graph. A gt and a pred
-compatible only with each other are such a component and pair directly.
+join only one kind, so a role's perfect matching is its slots'.
 """
 
 from __future__ import annotations
@@ -86,30 +81,6 @@ def entities_match(a, b, threshold: float = 0.5, polygon: bool = True) -> bool:
     return region_iou(a, b, polygon=polygon) > threshold
 
 
-def _kuhn_max_matching(n_left: int, n_right: int, adjacency) -> dict[int, int]:
-    """Maximum bipartite matching, left -> right; augmenting paths are searched on an explicit stack."""
-    match_right: dict[int, int] = {}
-    for start in range(n_left):
-        seen: set[int] = set()
-        stack, path = [(start, iter(adjacency[start]))], []  # path[k]: the right leading to stack[k + 1]
-        while stack:
-            for right in stack[-1][1]:
-                if right not in seen:
-                    seen.add(right)
-                    path.append(right)
-                    if right not in match_right:  # augment along the path
-                        for (left, _), right in zip(stack, path):
-                            match_right[right] = left
-                        stack = []
-                    else:
-                        stack.append((match_right[right], iter(adjacency[match_right[right]])))
-                    break
-            else:
-                stack.pop()
-                del path[-1:]  # the right that led to the popped left, if any
-    return {left: right for right, left in match_right.items()}
-
-
 def _role_saturating_match(pred_members, gt_members, threshold: float, polygon: bool) -> bool:
     """Perfect one-to-one matchability of two member sets."""
     if len(pred_members) != len(gt_members):
@@ -125,8 +96,7 @@ def _role_saturating_match(pred_members, gt_members, threshold: float, polygon: 
             and entities_match(p.region, gt_members[g].region, threshold, polygon)
         ]
         adjacency.append(row)
-    matching = _kuhn_max_matching(len(pred_members), len(gt_members), adjacency)
-    return len(matching) == len(pred_members)
+    return len(_max_matching(len(pred_members), adjacency)) == len(pred_members)
 
 
 def reaction_matches_hard(
@@ -195,6 +165,15 @@ def _augment(sources, adjacency, match_gt: dict, match_pred: dict, seen: set) ->
     return False
 
 
+def _max_matching(n_left: int, adjacency) -> dict[int, int]:
+    """Maximum bipartite matching, left -> right: one :func:`_augment` search from each left in turn."""
+    match_left: dict[int, int] = {}
+    match_right: dict[int, int] = {}
+    for left in range(n_left):
+        _augment([left], adjacency, match_left, match_right, set())
+    return match_left
+
+
 def _take(g: int, p: int, n_gt: int, adjacency, match_gt: dict, match_pred: dict, taken: set) -> bool:
     """Whether a maximum matching of the gts from ``g`` on and the preds not ``taken`` pairs ``g`` with
     ``p``; if so, the kept maximum matching ``match_gt``/``match_pred`` becomes one that does."""
@@ -217,7 +196,7 @@ def _take(g: int, p: int, n_gt: int, adjacency, match_gt: dict, match_pred: dict
     return False
 
 
-def _lexicographic_matching(n_gt: int, n_pred: int, adjacency) -> list[tuple[int, int]]:
+def _lexicographic_matching(n_gt: int, adjacency) -> list[tuple[int, int]]:
     """A maximum matching whose pair list is lexicographically smallest.
 
     Each gt in turn takes the first pred of its row that some maximum
@@ -226,7 +205,7 @@ def _lexicographic_matching(n_gt: int, n_pred: int, adjacency) -> list[tuple[int
     each tried pair costs at most one :func:`_augment` search, not a new
     maximum matching.
     """
-    match_gt = _kuhn_max_matching(n_gt, n_pred, adjacency)
+    match_gt = _max_matching(n_gt, adjacency)
     target = len(match_gt)
     match_pred = {p: g for g, p in match_gt.items()}
     pairs: list[tuple[int, int]] = []
@@ -328,45 +307,6 @@ def _screened_pairs(gt, pred, criterion: str, polygon: bool, threshold: float) -
     return list(zip(g.tolist(), p.tolist(), (gt_decidable[g] & pred_decidable[p]).tolist()))
 
 
-def _matching_by_component(n_gt: int, adjacency) -> list[tuple[int, int]]:
-    """:func:`_lexicographic_matching` per connected component, pairs merged by gt index;
-    a gt and a pred linked only to each other pair without grouping.
-
-    A component grows from its smallest gt along the adjacency lists and
-    the gts linked to each pred; its gts and preds are numbered ascending.
-    """
-    degree = np.bincount(np.array([p for row in adjacency for p in row], dtype=np.intp))
-    isolated = [len(row) == 1 and degree[row[0]] == 1 for row in adjacency]
-    pairs = [(g, row[0]) for g, row in enumerate(adjacency) if isolated[g]]
-    gts = [g for g in range(n_gt) if adjacency[g] and not isolated[g]]
-    linked: dict = {}  # pred -> the gts linked to it
-    for g in gts:
-        for p in adjacency[g]:
-            linked.setdefault(p, []).append(g)
-    grouped = set()
-    for start in gts:
-        if start in grouped:
-            continue
-        grouped.add(start)
-        group_gts, group_preds, stack = [], set(), [start]
-        while stack:
-            g = stack.pop()
-            group_gts.append(g)
-            for p in adjacency[g]:
-                if p not in group_preds:
-                    group_preds.add(p)
-                    reached = [h for h in linked[p] if h not in grouped]
-                    grouped.update(reached)
-                    stack.extend(reached)
-        group_gts.sort()
-        group_preds = sorted(group_preds)
-        local = {p: k for k, p in enumerate(group_preds)}
-        rows = [[local[p] for p in adjacency[g]] for g in group_gts]
-        for g, p in _lexicographic_matching(len(group_gts), len(group_preds), rows):
-            pairs.append((group_gts[g], group_preds[p]))
-    return sorted(pairs)
-
-
 def score(
     gt,
     pred,
@@ -381,7 +321,7 @@ def score(
     for g, p, decided in _screened_pairs(gt, pred, criterion, polygon, threshold):
         if decided or predicate(pred[p], gt[g], threshold, polygon):
             adjacency[g].append(p)
-    pairs = _matching_by_component(len(gt), adjacency)
+    pairs = _lexicographic_matching(len(gt), adjacency)
     matched = len(pairs)
     precision, recall, f1 = _prf(len(gt), len(pred), matched)
     return MatchReport(

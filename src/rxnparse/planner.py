@@ -1,17 +1,17 @@
-"""Context-conditioned agent routing.
+"""Query-conditioned agent routing.
 
-The router maps (query, diagram features, evolving context) to an
-ordered plan over the four expert roles. The default policy is a
-deterministic keyword rule set so the pipeline runs offline; a VLM
-policy delegates the decision to the planner agent and parses its JSON
-plan. Either way the emitted plan is canonical: perception roles in
-fixed order, ``reaction_expert`` always last.
+The router maps (query, diagram features) to an ordered plan over the
+four expert roles. The default policy is a deterministic keyword rule
+set so the pipeline runs offline; a VLM policy delegates the decision
+to the planner agent and parses its JSON plan. Either way the emitted
+plan is canonical: perception roles in fixed order, ``reaction_expert``
+always last.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .agents import AgentClient
 from .entities import EntityKind, ReactionDocument
@@ -58,21 +58,6 @@ class AgentPlan:
         return cls(steps=ordered, provenance=provenance)
 
 
-@dataclass
-class PlanningContext:
-    """Evolving per-document state the router may consult between steps."""
-
-    query: str = ""
-    completed: dict = field(default_factory=dict)  # role -> summary stats
-
-    @property
-    def step_index(self) -> int:
-        return len(self.completed)
-
-    def mark_complete(self, role: str, **stats) -> None:
-        self.completed[role] = dict(stats)
-
-
 def extract_features(doc: ReactionDocument) -> DiagramFeatures:
     """Entity counts per kind."""
     kind_counts = {kind.value: 0 for kind in EntityKind}
@@ -98,7 +83,6 @@ def _rule_roles(query: str) -> set[str]:
 def route(
     query: str,
     features: DiagramFeatures,
-    ctx: PlanningContext | None = None,
     policy: str | AgentClient = "rule",
     fallback_to_rule: bool = False,
 ) -> AgentPlan:
@@ -108,35 +92,19 @@ def route(
     :class:`~rxnparse.agents.AgentClient` whose planner role answers with
     the plan JSON. A malformed VLM plan raises :class:`PlanParseError`
     unless ``fallback_to_rule`` is set.
-
-    Re-planning hook: when ``ctx`` records completed roles, they are
-    dropped from the emitted plan, so calling ``route`` between steps
-    yields the remaining schedule.
     """
     if not query:
         raise ValueError("query must be non-empty")
     if isinstance(policy, AgentClient):
         raw = policy.request("planner", {"query": query})
         try:
-            plan = plan_from_json(raw, provenance="vlm-policy")
+            return plan_from_json(raw, provenance="vlm-policy")
         except PlanParseError:
             if not fallback_to_rule:
                 raise
-            plan = AgentPlan.from_roles(_rule_roles(query))
-        roles = plan.steps
-        provenance = plan.provenance
-    elif policy == "rule":
-        roles = tuple(_rule_roles(query))
-        provenance = "rule-policy"
-    else:
+    elif policy != "rule":
         raise ValueError(f"unknown policy {policy!r}")
-
-    if ctx is not None and ctx.completed:
-        remaining = [r for r in roles if r not in ctx.completed]
-        if not remaining:
-            raise ValueError("all planned roles already completed")
-        roles = remaining
-    return AgentPlan.from_roles(roles, provenance=provenance)
+    return AgentPlan.from_roles(_rule_roles(query))
 
 
 def plan_to_json(plan: AgentPlan) -> str:

@@ -35,10 +35,7 @@ def connected_groups(adjacency: np.ndarray) -> list[list[int]]:
 
 
 def cluster_entities(doc: ReactionDocument, config: ReasoningConfig) -> tuple[tuple[str, ...], ...]:
-    """Partition entity ids: members in reading order, clusters by their top-left-most member."""
+    """Partition entity ids: members by position (reading order), clusters by their first member."""
     table = doc.table
-    reading = table.reading.tolist()
-    close = table.distances < config.tau_cluster
-    groups = [sorted(members, key=reading.__getitem__) for members in connected_groups(close)]
-    groups.sort(key=lambda members: reading[members[0]])
+    groups = connected_groups(table.distances < config.tau_cluster)
     return tuple(tuple(table.ids[i] for i in members) for members in groups)

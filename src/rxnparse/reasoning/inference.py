@@ -168,6 +168,7 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
     Each fused edge is bucketed once by its component (both ends share
     one), and every later step reads only its component's bucket.
     """
+    table = doc.table
     components = connected_components(fused)
     component_of = {node: k for k, component in enumerate(components) for node in component}
     buckets: list[list[FusedEdge]] = [[] for _ in components]
@@ -186,7 +187,7 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
             a: {"reactant": [], "product": [], "condition": []} for a in arrows
         }
         per_arrow_score: dict[str, float] = {a: 0.0 for a in arrows}
-        for entity_id in sorted(assignment.assigned, key=lambda e: doc.entity(e).reading_key):
+        for entity_id in sorted(assignment.assigned, key=table.position.__getitem__):
             arrow_id = assignment.assigned[entity_id]
             role = _role_for(entity_id, arrow_id, edges_by_pair[(entity_id, arrow_id)], doc)
             per_arrow[arrow_id][role].append(entity_id)
@@ -204,7 +205,7 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
             )
             if candidate is not None:
                 reactions.append(candidate)
-    reactions.sort(key=lambda r: (-r.score, doc.entity(r.reactants[0]).reading_key))
+    reactions.sort(key=lambda r: (-r.score, table.position[r.reactants[0]]))
     return reactions
 
 

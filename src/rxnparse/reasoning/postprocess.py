@@ -36,7 +36,8 @@ def post_process(reactions, doc: ReactionDocument, config: ReasoningConfig) -> l
     substituted = [_substitute_identifiers(r, doc) for r in merged]
     valid = [r for r in substituted if r is not None]
     flagged = [_flag_conservation(r, doc, config) for r in valid]
-    flagged.sort(key=lambda r: (-r.score, doc.entity(r.reactants[0]).reading_key))
+    table = doc.table
+    flagged.sort(key=lambda r: (-r.score, table.position[r.reactants[0]]))
     return flagged
 
 

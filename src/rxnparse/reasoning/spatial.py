@@ -139,7 +139,7 @@ def _node_features(doc: ReactionDocument, config: ReasoningConfig) -> np.ndarray
     features[:, 6:8] = table.sizes / scale
     parsed = [i for i, e in enumerate(doc.entities) if e.molecule is not None]
     if parsed:
-        features[parsed, 8 : 8 + SKETCH_DIMS] = [doc.entities[i].sketch for i in parsed]
+        features[parsed, 8 : 8 + SKETCH_DIMS] = [doc.entities[i].molecule.sketch for i in parsed]
     return features
 
 

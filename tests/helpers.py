@@ -399,7 +399,7 @@ def reference_node_features(doc, config) -> np.ndarray:
         cx, cy = entity.centroid
         box = entity.region if hasattr(entity.region, "width") else entity.region.bounding_box()
         geometry = [cx / width, cy / height, box.width / width, box.height / height]
-        sketch = [0.0] * SKETCH_DIMS if entity.sketch is None else list(entity.sketch)
+        sketch = [0.0] * SKETCH_DIMS if entity.molecule is None else list(entity.molecule.sketch)
         row = kind_onehot + geometry + sketch
         rows.append(row + [0.0] * (config.dim - len(row)))
     return np.asarray(rows, dtype=float) if rows else np.zeros((0, config.dim))
@@ -511,7 +511,7 @@ def _close_pairs(doc, threshold):
 def reference_cluster_entities(doc, config):
     groups = reference_union_find_groups(len(doc.entities), _close_pairs(doc, config.tau_cluster))
 
-    def reading_key(idx: int):  # spelled out, independent of Entity.reading_key
+    def reading_key(idx: int):  # spelled out, independent of the entity positions
         cx, cy = doc.entities[idx].centroid
         return (cy, cx, doc.entities[idx].id)
 
@@ -583,7 +583,7 @@ def reference_build_chem_graph(doc, config):
         for j in range(i + 1, len(molecules)):
             a, b = molecules[i], molecules[j]
             if a.id in charges and b.id in charges:
-                s_fp = tanimoto(a.fingerprint, b.fingerprint)
+                s_fp = tanimoto(a.molecule.fingerprint, b.molecule.fingerprint)
                 value = chem_pair_score(s_fp, charges[a.id] - charges[b.id], config.beta)
             else:
                 value = NEUTRAL_CHEM_SCORE
@@ -759,6 +759,10 @@ def _reference_arrowless_candidates(component, fused, doc):
 def reference_infer_reactions(fused, doc, config):
     from rxnparse.reasoning.inference import _role_for, connected_components
 
+    def reading_key(entity_id):  # spelled out, independent of the entity positions
+        cx, cy = doc.entity(entity_id).centroid
+        return (cy, cx, entity_id)
+
     reactions = []
     for component in connected_components(fused):
         arrows, affinity, edges_by_pair = _reference_arrow_affinities(component, fused, doc)
@@ -768,7 +772,7 @@ def reference_infer_reactions(fused, doc, config):
         assignment = reference_assign_entities_to_arrows(component, fused, doc, config)
         per_arrow = {a: {"reactant": [], "product": [], "condition": []} for a in arrows}
         per_arrow_score = {a: 0.0 for a in arrows}
-        for entity_id in sorted(assignment.assigned, key=lambda e: doc.entity(e).reading_key):
+        for entity_id in sorted(assignment.assigned, key=reading_key):
             arrow_id = assignment.assigned[entity_id]
             role = _role_for(entity_id, arrow_id, edges_by_pair[(entity_id, arrow_id)], doc)
             per_arrow[arrow_id][role].append(entity_id)
@@ -781,7 +785,7 @@ def reference_infer_reactions(fused, doc, config):
             )
             if candidate is not None:
                 reactions.append(candidate)
-    reactions.sort(key=lambda r: (-r.score, doc.entity(r.reactants[0]).reading_key))
+    reactions.sort(key=lambda r: (-r.score, reading_key(r.reactants[0])))
     return reactions
 
 

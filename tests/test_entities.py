@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rxnparse.chem import DEFAULT_FINGERPRINT_CONFIG, SKETCH_DIMS, Fingerprint, bit_sketch, parse_smiles
+from rxnparse.chem import bit_sketch, parse_smiles
 from rxnparse.entities import (
     EntityKind,
     SchemaError,
@@ -103,7 +103,6 @@ def test_unparseable_smiles_retained_with_warning():
     doc = make_doc([molecule_entity("m", 0, 0, smiles="C1CC")])
     entity = doc.entity("m")
     assert entity.molecule is None
-    assert entity.fingerprint is None
     assert any("unparseable SMILES" in w for w in doc.warnings)
 
 
@@ -199,16 +198,11 @@ def test_unparseable_smiles_warns_for_each_entity_and_document():
 
 
 def test_entity_sketch_follows_its_own_fingerprint():
-    """Entities share their molecule's sketch; a fingerprint set on one entity gives it its own."""
+    """Entities naming one SMILES share its molecule, and with it the molecule's fingerprint and sketch."""
     doc = make_doc([molecule_entity("m", 0, 0, smiles="CCO"), molecule_entity("n", 300, 0, smiles="CCO")])
     m, n = doc.entity("m"), doc.entity("n")
-    assert m.sketch is n.sketch is m.molecule.sketch == tuple(bit_sketch(m.molecule.fingerprint))
-    seeded = make_doc([molecule_entity("m", 0, 0, smiles="CCO"), molecule_entity("n", 300, 0, smiles="CCO")])
-    zero = Fingerprint(0, DEFAULT_FINGERPRINT_CONFIG.width, DEFAULT_FINGERPRINT_CONFIG.full_tag)
-    seeded.entity("m").__dict__["fingerprint"] = zero
-    assert seeded.entity("m").sketch == (0.0,) * SKETCH_DIMS
-    assert seeded.entity("n").sketch == m.sketch
-    assert make_doc([molecule_entity("b", 0, 0)]).entity("b").sketch is None
+    assert m.molecule is n.molecule and m.molecule.sketch == tuple(bit_sketch(m.molecule.fingerprint))
+    assert make_doc([molecule_entity("b", 0, 0)]).entity("b").molecule is None
 
 
 def test_load_serialize_load_idempotent(two_reaction_doc):

@@ -24,6 +24,7 @@ from rxnparse.config import BASE_NODE_DIMS, ReasoningConfig
 from rxnparse.entities import load_document
 from rxnparse.geometry import centroid_distances
 from rxnparse.pipeline import PipelineConfig, run_document
+from rxnparse.reactions import Reaction, parse_combiner_response, reactions_to_json
 from rxnparse.reasoning import (
     EdgeRelation,
     FusionWeights,
@@ -214,10 +215,22 @@ def test_hypotheses_of_every_cluster_share_one_table(distance_calls, tmp_path):
     assert distance_calls == [len(doc.entities)]
 
 
+def test_reply_grounded_on_a_table_nobody_holds_builds_no_distance_matrix(distance_calls):
+    """Grounding a combiner reply reads the table's bounds and hulls only, so it computes no centroid distances."""
+    detection, truth = _multiple_line(random.Random(0), 0)
+    doc = load_document(detection)
+    reactions = [
+        Reaction(tuple(r["reactants"]), tuple(r["products"]), tuple(r["conditions"]), tuple(r["arrow"])) for r in truth
+    ]
+    parsed = parse_combiner_response(reactions_to_json(reactions, doc), doc)
+    assert [(r.reactants, r.products, r.arrows) for r in parsed] == [(r.reactants, r.products, r.arrows) for r in reactions]
+    assert distance_calls == [] and doc._table() is None
+
+
 def test_table_arrays_are_read_only():
     detection, _ = _multiple_line(random.Random(0), 0)
     table = load_document(detection).table
-    for name in ("ranks", "kinds", "centroids", "sizes", "areas", "reading", "distances"):
+    for name in ("ranks", "kinds", "centroids", "sizes", "areas", "distances"):
         array = getattr(table, name)
         with pytest.raises(ValueError):
             array[0] = array[0]

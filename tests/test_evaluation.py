@@ -278,24 +278,24 @@ def test_report_table_shape():
 
 
 def test_broken_matching_invariant_raises_typed_error(monkeypatch):
-    real = evaluation._kuhn_max_matching
+    real = evaluation._max_matching
     calls = []
 
-    def overstated_first(n_left, n_right, adjacency):
+    def overstated_first(n_left, adjacency):
         # the first call fixes the target size; claim one pair more than exists
         calls.append(n_left)
-        matching = real(n_left, n_right, adjacency)
+        matching = real(n_left, adjacency)
         return {**matching, -1: -1} if len(calls) == 1 else matching
 
-    monkeypatch.setattr(evaluation, "_kuhn_max_matching", overstated_first)
+    monkeypatch.setattr(evaluation, "_max_matching", overstated_first)
     with pytest.raises(MatchingInvariantError, match="maximum 2"):
-        evaluation._lexicographic_matching(1, 1, [[0]])
+        evaluation._lexicographic_matching(1, [[0]])
 
 
 def test_augmenting_path_as_long_as_the_graph():
     # the last left reaches a free right only through every other left
     adjacency = [[i, i + 1] for i in range(5000)] + [[0]]
-    matching = evaluation._kuhn_max_matching(5001, 5001, adjacency)
+    matching = evaluation._max_matching(5001, adjacency)
     assert matching == {**{i: i + 1 for i in range(5000)}, 5000: 0}
 
 
@@ -304,9 +304,13 @@ def test_augmenting_path_as_long_as_the_graph():
     st.just(n_right), st.lists(st.lists(st.integers(0, n_right - 1), max_size=4, unique=True), max_size=6)
 )))
 def test_kuhn_matching_equals_the_recursive_search(graph):
+    """Same size as the recursive search, and a matching of the graph."""
     n_right, adjacency = graph
     expected = reference_kuhn_max_matching(len(adjacency), n_right, adjacency)
-    assert evaluation._kuhn_max_matching(len(adjacency), n_right, adjacency) == expected
+    matching = evaluation._max_matching(len(adjacency), adjacency)
+    assert len(matching) == len(expected)
+    assert all(right in adjacency[left] for left, right in matching.items())
+    assert len(set(matching.values())) == len(matching)
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,7 +319,15 @@ def test_kuhn_matching_equals_the_recursive_search(graph):
 def test_lexicographic_matching_equals_the_rerun_reference(graph):
     n_pred, adjacency = graph
     expected = reference_lexicographic_matching(len(adjacency), n_pred, adjacency)
-    assert evaluation._lexicographic_matching(len(adjacency), n_pred, adjacency) == expected
+    assert evaluation._lexicographic_matching(len(adjacency), adjacency) == expected
+
+
+def test_complete_group_of_400_matches_quickly():
+    adjacency = [list(range(400))] * 400
+    started = time.perf_counter()
+    pairs = evaluation._lexicographic_matching(400, adjacency)
+    assert time.perf_counter() - started < 0.1
+    assert pairs == [(i, i) for i in range(400)]
 
 
 def test_dense_screening_group_of_200_matches_quickly():

@@ -6,7 +6,6 @@ import pytest
 from rxnparse.agents import MockAgentClient
 from rxnparse.planner import (
     AgentPlan,
-    PlanningContext,
     PlanParseError,
     ROLES,
     extract_features,
@@ -162,22 +161,3 @@ class TestPlanInvariants:
             AgentPlan(steps=("sommelier",))
 
 
-def test_planning_context_tracks_steps():
-    ctx = PlanningContext(query="extract all reactions")
-    assert ctx.step_index == 0
-    ctx.mark_complete("molecule_expert", entities=3)
-    ctx.mark_complete("arrow_expert", entities=1)
-    assert ctx.step_index == 2
-    assert ctx.completed["molecule_expert"] == {"entities": 3}
-
-
-def test_replanning_drops_completed_roles(features):
-    ctx = PlanningContext(query="extract all reactions")
-    ctx.mark_complete("molecule_expert", entities=2)
-    ctx.mark_complete("arrow_expert", entities=1)
-    plan = route("extract all reactions", features, ctx)
-    assert plan.steps == ("text_expert", "reaction_expert")
-    ctx.mark_complete("text_expert")
-    ctx.mark_complete("reaction_expert", reactions=1)
-    with pytest.raises(ValueError):
-        route("extract all reactions", features, ctx)

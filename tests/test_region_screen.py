@@ -180,7 +180,7 @@ def test_score_equals_all_pairs_reference(doc):
 def test_screen_and_components_equal_the_bounds_only_oracles(doc):
     """The IoU screen keeps a subset of the bounds-only screen's pairs, loses
     none the predicate accepts, and decides only pairs the predicate accepts;
-    the component matching equals the one that groups every node."""
+    the whole-graph matching equals the one run per component of every node."""
     gt, pred = doc
     for criterion, polygon, threshold in itertools.product(("hard", "soft"), (True, False), THRESHOLDS):
         predicate = evaluation._CRITERIA[criterion]
@@ -191,7 +191,7 @@ def test_screen_and_components_equal_the_bounds_only_oracles(doc):
         compatible = [(g, p) for g, p, d in screened if d or predicate(pred[p], gt[g], threshold, polygon)]
         assert compatible == [(g, p) for g, p in bounded if predicate(pred[p], gt[g], threshold, polygon)]
         adjacency = [[p for h, p in compatible if h == g] for g in range(len(gt))]
-        assert evaluation._matching_by_component(len(gt), adjacency) == reference_matching_by_component(len(gt), adjacency)
+        assert evaluation._lexicographic_matching(len(gt), adjacency) == reference_matching_by_component(len(gt), adjacency)
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,7 +199,7 @@ def test_screen_and_components_equal_the_bounds_only_oracles(doc):
     st.lists(st.integers(0, n_pred - 1), max_size=3, unique=True).map(sorted), max_size=7
 )))
 def test_isolated_pairs_match_as_the_grouped_oracle(adjacency):
-    assert evaluation._matching_by_component(len(adjacency), adjacency) == reference_matching_by_component(
+    assert evaluation._lexicographic_matching(len(adjacency), adjacency) == reference_matching_by_component(
         len(adjacency), adjacency
     )
 
