@@ -45,7 +45,6 @@ from .geometry import (
     OrientedQuad,
     Region,
     centroid_distances,
-    principal_axis,
     region_from_array,
     region_to_array,
 )
@@ -102,18 +101,6 @@ class Entity:
     @property
     def centroid(self):
         return self.region.centroid
-
-    @property
-    def arrow_axis(self):
-        """(tail, head) anchor points along an arrow's long axis.
-
-        The head is the endpoint later in reading order; reversible and
-        resonance arrows are symmetric, so the orientation is a
-        convention rather than chemistry.
-        """
-        if self.kind != EntityKind.ARROW:
-            raise ValueError(f"entity {self.id!r} is not an arrow")
-        return principal_axis(self.region)
 
 
 @dataclass(frozen=True)

@@ -191,20 +191,7 @@ class RunManifest:
     documents: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "documents": [
-                {
-                    "source": d.source,
-                    "status": d.status,
-                    "error": d.error,
-                    "stages": d.stages,
-                    "outputs": d.outputs,
-                    "warnings": d.warnings,
-                }
-                for d in self.documents
-            ],
-        }
+        return {"config_hash": self.config_hash, "documents": [asdict(d) for d in self.documents]}
 
     @property
     def exit_code(self) -> int:

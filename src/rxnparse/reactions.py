@@ -55,6 +55,10 @@ class ResolutionError(ValueError):
     """A response bbox matches no document entity at the required IoU."""
 
 
+# what parse_combiner_response raises for a reply it rejects
+REPLY_ERRORS = (ResponseFormatError, ConstraintError, ResolutionError)
+
+
 class Conservation(str, Enum):
     BALANCED = "balanced"
     UNBALANCED = "unbalanced"
@@ -93,6 +97,21 @@ class Reaction:
 
     def member_ids(self) -> tuple[str, ...]:
         return self.reactants + self.products + self.conditions + self.arrows
+
+
+def reaction_or_none(reactants, products, conditions=(), arrows=(), score: float = 1.0) -> Reaction | None:
+    """The :class:`Reaction` of a candidate's roles, or None when reactants or products come out empty.
+
+    Each role keeps its first occurrences in order; products drop the
+    reactants, and conditions drop both. A reaction built from roles so
+    normalised cannot raise :class:`ConstraintError`.
+    """
+    reactants = dict.fromkeys(reactants)
+    products = {p: None for p in products if p not in reactants}
+    conditions = {c: None for c in conditions if c not in reactants and c not in products}
+    if not reactants or not products:
+        return None
+    return Reaction(tuple(reactants), tuple(products), tuple(conditions), tuple(dict.fromkeys(arrows)), score)
 
 
 def _role_to_json(ids, doc: ReactionDocument) -> list[dict]:

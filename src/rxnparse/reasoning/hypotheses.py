@@ -22,13 +22,7 @@ import numpy as np
 
 from ..agents import AgentClient
 from ..entities import ReactionDocument, entity_to_json
-from ..reactions import (
-    ConstraintError,
-    Reaction,
-    ResolutionError,
-    ResponseFormatError,
-    parse_combiner_response,
-)
+from ..reactions import REPLY_ERRORS, Reaction, parse_combiner_response
 from ..config import ReasoningConfig
 from .relations import EdgeRelation
 
@@ -155,7 +149,7 @@ def collect_hypotheses(
         raw = client.request(COMBINER_ROLE, variables)
         try:
             reactions: list[Reaction] = parse_combiner_response(raw, doc)
-        except (ResponseFormatError, ConstraintError, ResolutionError) as exc:
+        except REPLY_ERRORS as exc:
             message = f"cluster {cluster[0]}...: discarded response ({exc})"
             log.warning(message)
             return [], [message]

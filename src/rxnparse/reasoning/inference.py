@@ -23,7 +23,8 @@ tail-to-head axis; behind the tail means reactant, past the head means
 product, and over the arrow span means condition. Condition entities
 also attach through typed reactant->condition / condition->product
 edges. Components with no arrow fall back to reactant->product
-hypothesis edges alone.
+hypothesis edges alone. Every candidate is built by
+:func:`~rxnparse.reactions.reaction_or_none`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from ..config import ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 from ..geometry import axis_parameter, principal_axis
-from ..reactions import ConstraintError, Reaction
+from ..reactions import Reaction, reaction_or_none
 from .clustering import connected_groups
 from .fusion import FusedEdge, FusedGraph
 from .relations import EdgeRelation
@@ -210,14 +211,15 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
 
 
 def _finalize_candidate(reactants, products, conditions, arrows, score, condition_edges, doc) -> Reaction | None:
-    """Attach typed-condition entities, validate, build.
+    """Attach typed-condition entities, then build through :func:`reaction_or_none`.
 
     ``condition_edges`` are the component's reactant->condition and
-    condition->product edges, in the order of its fused edges.
+    condition->product edges, in the order of its fused edges. An entity
+    among both reactants and products stays a reactant.
     """
     conditions = list(conditions)
     reactant_set = set(reactants)
-    product_set = set(products)
+    product_set = set(products) - reactant_set
     taken = reactant_set | product_set | set(conditions)
     for edge in condition_edges:
         if edge.relation == EdgeRelation.REACTANT_TO_COND and edge.source in reactant_set:
@@ -231,18 +233,7 @@ def _finalize_candidate(reactants, products, conditions, arrows, score, conditio
         conditions.append(candidate)
         taken.add(candidate)
         score += edge.score
-    if not reactants or not products:
-        return None
-    try:
-        return Reaction(
-            reactants=tuple(reactants),
-            products=tuple(products),
-            conditions=tuple(conditions),
-            arrows=tuple(arrows),
-            score=score,
-        )
-    except ConstraintError:
-        return None
+    return reaction_or_none(reactants, products, conditions, arrows, score)
 
 
 def _arrowless_candidates(edges, condition_edges, doc: ReactionDocument) -> list[Reaction]:
@@ -259,18 +250,12 @@ def _arrowless_candidates(edges, condition_edges, doc: ReactionDocument) -> list
 
     reactions = []
     for group in connected_groups(shared):
-        edges_in_group = [r2p[i] for i in group]
-        sources: list[str] = []
-        targets: list[str] = []
+        edges_in_group = sorted((r2p[i] for i in group), key=lambda e: (e.source, e.target))
         score = 0.0
-        for edge in sorted(edges_in_group, key=lambda e: (e.source, e.target)):
-            if edge.source not in sources:
-                sources.append(edge.source)
-            if edge.target not in targets:
-                targets.append(edge.target)
+        for edge in edges_in_group:
             score += edge.score
-        # an entity acting as source and target within one group stays a reactant
-        targets = [t for t in targets if t not in sources]
+        sources = [edge.source for edge in edges_in_group]
+        targets = [edge.target for edge in edges_in_group]
         candidate = _finalize_candidate(sources, targets, [], [], score, condition_edges, doc)
         if candidate is not None:
             reactions.append(candidate)

@@ -1,14 +1,16 @@
 """Combiner-style post-processing of inferred reactions.
 
-Four refinements, in order: merge pairs of collinear adjacent arrows
+Three refinements, in order: merge pairs of collinear adjacent arrows
 with nothing drawn between them (one long arrow split by the detector;
 one pass over the candidates, each arrow's axis computed once and the
 gap scanned only for pairs that pass the cheap alignment gates),
-drop structurally invalid candidates, replace identifiers by the
-molecules they resolve to (removing the duplicate representation), and
-flag conservation: reactions whose sides both consist of parsed
-molecules get their element/charge residual computed, and unbalanced
-ones are kept but score-penalized for ranking.
+replace identifiers by the molecules they resolve to (removing the
+duplicate representation), and flag conservation: reactions whose sides
+both consist of parsed molecules get their element/charge residual
+computed, and unbalanced ones are kept but score-penalized for ranking.
+Merged and substituted reactions are built by
+:func:`~rxnparse.reactions.reaction_or_none`, which drops a candidate
+that is structurally invalid: reactants or products come out empty.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..chem import conservation_residual
 from ..config import ReasoningConfig
 from ..entities import EntityKind, ReactionDocument
 from ..geometry import axis_parameter, lateral_distance, principal_axis
-from ..reactions import Conservation, ConstraintError, Reaction
+from ..reactions import Conservation, Reaction, reaction_or_none
 
 # geometric tolerances for the arrow-merge heuristic, as fractions of the
 # diagram diagonal (gap / lateral) or an angle bound
@@ -113,65 +115,32 @@ def _try_merge(first: Reaction, second: Reaction, axis1, tail2, centroids, diag:
         t = axis_parameter(point, tail1, head1)
         if lo < t < hi and lateral_distance(point, tail1, head1) / diag < _GAP_BAND:
             return None
-
-    def union(a, b):
-        out = list(a)
-        for item in b:
-            if item not in out:
-                out.append(item)
-        return out
-
-    reactants = union(first.reactants, second.reactants)
-    products = [p for p in union(first.products, second.products) if p not in reactants]
-    conditions = [
-        c for c in union(first.conditions, second.conditions)
-        if c not in reactants and c not in products
-    ]
-    if not reactants or not products:
-        return None
-    try:
-        return Reaction(
-            reactants=tuple(reactants),
-            products=tuple(products),
-            conditions=tuple(conditions),
-            arrows=tuple(union(first.arrows, second.arrows)),
-            score=first.score + second.score,
-        )
-    except ConstraintError:
-        return None
+    return reaction_or_none(
+        first.reactants + second.reactants,
+        first.products + second.products,
+        first.conditions + second.conditions,
+        first.arrows + second.arrows,
+        first.score + second.score,
+    )
 
 
 def _substitute_identifiers(reaction: Reaction, doc: ReactionDocument) -> Reaction | None:
-    def resolve(ids):
-        out = []
-        for entity_id in ids:
-            entity = doc.entity(entity_id)
-            replacement = entity_id
-            if (
-                entity.kind == EntityKind.IDENTIFIER
-                and entity.resolves_to is not None
-                and doc.has_entity(entity.resolves_to)
-                and doc.entity(entity.resolves_to).kind == EntityKind.MOLECULE
-            ):
-                replacement = entity.resolves_to
-            if replacement not in out:
-                out.append(replacement)
-        return out
+    """The reaction with identifiers replaced by the molecules they resolve to; this runs before
+    conservation is flagged, so rebuilding the reaction loses no field."""
 
-    reactants = resolve(reaction.reactants)
-    products = [p for p in resolve(reaction.products) if p not in reactants]
-    conditions = [c for c in resolve(reaction.conditions) if c not in reactants and c not in products]
-    if not reactants or not products:
-        return None
-    try:
-        return replace(
-            reaction,
-            reactants=tuple(reactants),
-            products=tuple(products),
-            conditions=tuple(conditions),
-        )
-    except ConstraintError:
-        return None
+    def resolve(entity_id):
+        entity = doc.entity(entity_id)
+        if (
+            entity.kind == EntityKind.IDENTIFIER
+            and entity.resolves_to is not None
+            and doc.has_entity(entity.resolves_to)
+            and doc.entity(entity.resolves_to).kind == EntityKind.MOLECULE
+        ):
+            return entity.resolves_to
+        return entity_id
+
+    roles = (map(resolve, ids) for ids in (reaction.reactants, reaction.products, reaction.conditions))
+    return reaction_or_none(*roles, reaction.arrows, reaction.score)
 
 
 def _flag_conservation(reaction: Reaction, doc: ReactionDocument, config: ReasoningConfig) -> Reaction:

@@ -219,14 +219,6 @@ def test_resolves_to_unknown_warns():
     assert any("resolves_to" in w for w in doc.warnings)
 
 
-def test_arrow_axis_anchor_points():
-    doc = make_doc([arrow_entity("a", 100, 50, 500)])
-    tail, head = doc.entity("a").arrow_axis
-    assert tail[0] < head[0]
-    with pytest.raises(ValueError):
-        _ = make_doc([molecule_entity("m", 0, 0)]).entity("m").arrow_axis
-
-
 def _detection(entities, width=100, height=100, **fields):
     return json.dumps({"width": width, "height": height, **fields, "entities": entities})
 

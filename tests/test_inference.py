@@ -234,6 +234,26 @@ class TestArrowless:
         assert reactions[0].reactants == ("m1",)
         assert set(reactions[0].products) == {"p1", "p2"}
 
+    def test_entity_on_both_sides_stays_a_reactant_and_takes_no_product_condition(self):
+        doc = make_doc(
+            [
+                molecule_entity("a", 0, 100, smiles="CCO"),
+                molecule_entity("b", 300, 100, smiles="C=C"),
+                molecule_entity("c", 600, 100, smiles="CC"),
+                text_entity("t", 0, 400, "heat"),
+                text_entity("u", 300, 400, "THF"),
+            ]
+        )
+        edges = [
+            typed("a", "b", EdgeRelation.REACTANT_TO_PRODUCT, 0.9),
+            typed("c", "b", EdgeRelation.REACTANT_TO_PRODUCT, 0.8),
+            typed("c", "a", EdgeRelation.REACTANT_TO_PRODUCT, 0.7),
+            typed("t", "a", EdgeRelation.COND_TO_PRODUCT, 0.6),
+            typed("u", "b", EdgeRelation.COND_TO_PRODUCT, 0.5),
+        ]
+        (reaction,) = infer_reactions(fused_graph(doc, edges), doc, ReasoningConfig())
+        assert (reaction.reactants, reaction.products, reaction.conditions) == (("a", "c"), ("b",), ("u",))
+
     def test_structural_only_component_yields_nothing(self):
         doc = make_doc(
             [

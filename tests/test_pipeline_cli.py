@@ -166,6 +166,26 @@ class TestRunBatch:
             outputs.append(blob)
         assert outputs[0] == outputs[1]
 
+    def test_document_pool_matches_serial_run(self, tmp_path):
+        root = tmp_path / "corpus"
+        paths, _gt = build_corpus(root, per_layout=6)
+        runs = []
+        for workers in (1, 4):
+            config = PipelineConfig(
+                fixtures_dir=str(root / "fixtures"),
+                output_dir=str(tmp_path / f"workers{workers}"),
+                max_workers=workers,
+                cluster_workers=workers,
+            )
+            documents = run_batch(paths, config).to_dict()["documents"]
+            for document in documents:
+                del document["stages"]  # wall-clock times
+                document["outputs"] = [Path(produced).read_bytes() for produced in document["outputs"]]
+            runs.append(documents)
+        assert len(runs[0]) >= 20
+        assert all(document["status"] == "ok" for document in runs[0])
+        assert runs[1] == runs[0]
+
     def test_empty_document_ok(self, tmp_path):
         detection = tmp_path / "empty.json"
         detection.write_text(json.dumps({"width": 100, "height": 100, "entities": []}))
@@ -500,6 +520,11 @@ class TestCli:
         )
         assert code == EXIT_OK
         capsys.readouterr()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert list(manifest) == ["config_hash", "documents"]
+        assert [list(document) for document in manifest["documents"]] == [
+            ["source", "status", "error", "stages", "outputs", "warnings"]
+        ] * len(paths)
 
         # self-eval of produced outputs scores 1.0 under both criteria
         produced = []

@@ -16,6 +16,7 @@ from rxnparse.reactions import (
     boxed_reactions_from_json,
     boxed_view,
     parse_combiner_response,
+    reaction_or_none,
     reaction_to_json,
     reactions_to_json,
 )
@@ -197,6 +198,44 @@ class TestReactionInvariants:
     def test_duplicates_rejected(self):
         with pytest.raises(ConstraintError):
             Reaction(reactants=("a", "a"), products=("b",))
+
+
+def _first_occurrences(ids, excluded=()):
+    out = []
+    for entity_id in ids:
+        if entity_id not in out and entity_id not in excluded:
+            out.append(entity_id)
+    return out
+
+
+_role_lists = st.lists(st.sampled_from("abcde"), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_role_lists, _role_lists, _role_lists, _role_lists, st.floats(allow_nan=False))
+def test_reaction_or_none_matches_spelled_out_roles(reactants, products, conditions, arrows, score):
+    """Each role keeps its first occurrences, products drop reactants, conditions drop both,
+    and an empty side gives None instead of an error."""
+    expected_reactants = _first_occurrences(reactants)
+    expected_products = _first_occurrences(products, expected_reactants)
+    expected_conditions = _first_occurrences(conditions, expected_reactants + expected_products)
+    built = reaction_or_none(reactants, products, conditions, arrows, score)
+    if not expected_reactants or not expected_products:
+        assert built is None
+        return
+    assert built == Reaction(
+        reactants=tuple(expected_reactants),
+        products=tuple(expected_products),
+        conditions=tuple(expected_conditions),
+        arrows=tuple(_first_occurrences(arrows)),
+        score=score,
+    )
+
+
+def test_reaction_or_none_takes_iterators_and_defaults():
+    built = reaction_or_none(iter("aba"), iter("bc"))
+    assert built == Reaction(reactants=("a", "b"), products=("c",))
+    assert reaction_or_none(["a"], ["a"], ["b"]) is None
 
 
 def _boxed_payload(**roles):
