@@ -15,6 +15,7 @@ import base64
 import hashlib
 import json
 import logging
+import re
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -51,8 +52,8 @@ class MalformedReplyError(AgentError):
 
 AGENT_ROLES = ("planner", "reaction_combiner")
 
-_VAR_OPEN = "{{"
-_VAR_CLOSE = "}}"
+# a ``{{`` with no ``}}`` before the next brace matches without a name, and is an error
+_PLACEHOLDER = re.compile(r"\{\{(?:([^{}]*)\}\})?")
 
 
 def load_default_templates() -> dict[str, str]:
@@ -64,16 +65,20 @@ def load_default_templates() -> dict[str, str]:
 
 
 def render_template(template: str, variables: dict[str, str]) -> str:
-    """Substitute ``{{name}}`` placeholders; any leftover placeholder is an error."""
-    rendered = template
-    for name, value in variables.items():
-        rendered = rendered.replace(_VAR_OPEN + name + _VAR_CLOSE, str(value))
-    if _VAR_OPEN in rendered:
-        start = rendered.index(_VAR_OPEN)
-        end = rendered.find(_VAR_CLOSE, start)
-        name = rendered[start + 2 : end if end > 0 else start + 32]
-        raise TemplateError(f"unbound template variable {{{{{name}}}}}")
-    return rendered
+    """Substitute ``{{name}}`` placeholders in one pass over ``template``.
+
+    Values are inserted verbatim, so a ``{{`` inside a value is text. A
+    placeholder with no variable, or a ``{{`` that opens none, is an error.
+    """
+
+    def substitute(match: re.Match) -> str:
+        name = match.group(1)
+        if name not in variables:
+            shown = template[match.start() : match.start() + 32] if name is None else match.group(0)
+            raise TemplateError(f"unbound template variable {shown}")
+        return str(variables[name])
+
+    return _PLACEHOLDER.sub(substitute, template)
 
 
 def content_hash(role: str, prompt: str, image: bytes | None = None) -> str:

@@ -54,7 +54,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="pipeline config JSON file")
     parser.add_argument("--fixtures-dir", help="mock agent fixture directory")
     parser.add_argument("--weights-file", help="spatial weights JSON file")
-    parser.add_argument("--lexicon-file", help="synonym lexicon JSON file")
     parser.add_argument("--output-dir", help="where outputs are written")
     parser.add_argument("--backend", choices=["mock", "live"])
     parser.add_argument("--endpoint")

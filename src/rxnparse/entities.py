@@ -48,7 +48,6 @@ from .geometry import (
     region_from_array,
     region_to_array,
 )
-from .textnorm import Lexicon, normalize_text
 
 
 class SchemaError(ValueError):
@@ -86,7 +85,6 @@ class Entity:
     smiles: str | None = None
     molecule: Molecule | None = None
     text: str | None = None
-    tokens: tuple[str, ...] = ()
     direction: ArrowDirection | None = None
     resolves_to: str | None = None
 
@@ -240,7 +238,7 @@ def _number(value, pointer: str) -> float:
     return number
 
 
-def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) -> ReactionDocument:
+def load_document(source: bytes | str | dict) -> ReactionDocument:
     """Parse a detection file into a :class:`ReactionDocument`.
 
     Entities are sorted by region centroid (y, then x, then id), so
@@ -340,10 +338,6 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
             except (SmilesSyntaxError, ValenceError) as exc:
                 warnings.append(f"entity {entity_id!r}: unparseable SMILES {smiles!r}: {exc}")
 
-        tokens: tuple[str, ...] = ()
-        if text is not None and kind in (EntityKind.TEXT, EntityKind.IDENTIFIER):
-            tokens = tuple(normalize_text(text, lexicon))
-
         try:
             entities.append(
                 Entity(
@@ -353,7 +347,6 @@ def load_document(source: bytes | str | dict, lexicon: Lexicon | None = None) ->
                     smiles=smiles,
                     molecule=molecule,
                     text=text,
-                    tokens=tokens,
                     direction=direction,
                     resolves_to=resolves_to,
                 )

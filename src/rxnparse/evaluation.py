@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reactions import BoxedMember, BoxedReaction
-from .entities import EntityKind
+from .entities import KIND_CODES, EntityKind
 from .geometry import bounds_iou_above, bounds_overlap, coords_bounds, region_iou
 
 
@@ -232,7 +232,6 @@ def _check_threshold(threshold: float) -> None:
 # the roles each criterion's predicate above compares, and the one kind it keeps (None: all)
 _SCREENED = {"hard": (("reactants", "conditions", "products"), None),
              "soft": (("reactants", "products"), EntityKind.MOLECULE)}
-_KIND_SLOTS = {kind: k for k, kind in enumerate(EntityKind)}
 
 
 def _slot_members(reactions, criterion: str, polygon: bool):
@@ -240,10 +239,10 @@ def _slot_members(reactions, criterion: str, polygon: bool):
     and kind pair, numbered) and :func:`~rxnparse.geometry.coords_bounds` row; and per reaction, its
     member count per slot and whether the screen can decide it (one member per slot, none unbounded)."""
     roles, kind = _SCREENED[criterion]
-    n_slots = len(roles) * len(_KIND_SLOTS)
-    role_slots = [(role, r * len(_KIND_SLOTS)) for r, role in enumerate(roles)]
+    n_slots = len(roles) * len(KIND_CODES)
+    role_slots = [(role, r * len(KIND_CODES)) for r, role in enumerate(roles)]
     found = [
-        (owner, first + _KIND_SLOTS[member.kind], member.coords)
+        (owner, first + KIND_CODES[member.kind], member.coords)
         for owner, reaction in enumerate(reactions)
         for role, first in role_slots
         for member in getattr(reaction, role)

@@ -39,7 +39,6 @@ from .reasoning import (
     random_weights,
 )
 from .reasoning.spatial import EDGE_DIMS, SpatialWeights
-from .textnorm import Lexicon, default_lexicon
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +87,6 @@ class PipelineConfig:
     endpoint: str | None = None
     model: str | None = None
     weights_file: str | None = None
-    lexicon_file: str | None = None
     output_dir: str = "out"
     max_workers: int = 1
     cluster_workers: int = 1
@@ -105,7 +103,7 @@ class PipelineConfig:
             raise ConfigError("live backend needs endpoint and model")
         if self.planner_policy not in ("rule", "vlm"):
             raise ConfigError(f"planner_policy must be 'rule' or 'vlm', got {self.planner_policy!r}")
-        for name in ("fixtures_dir", "weights_file", "lexicon_file"):
+        for name in ("fixtures_dir", "weights_file"):
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{name} does not exist: {value}")
@@ -169,10 +167,8 @@ def load_pipeline_weights(config: PipelineConfig) -> SpatialWeights:
     )
 
 
-def load_pipeline_lexicon(config: PipelineConfig) -> Lexicon:
-    if config.lexicon_file:
-        return Lexicon.from_file(config.lexicon_file)
-    return default_lexicon()
+def load_pipeline_lexicon(config: PipelineConfig) -> None:
+    """A no-op, kept for callers written when entities carried lexicon-normalised text tokens."""
 
 
 @dataclass
@@ -268,7 +264,6 @@ def _write_atomic(path: Path, text: str) -> None:
 def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None) -> RunManifest:
     """Process detection files into reaction JSON files plus a manifest."""
     client = client or make_client(config)
-    lexicon = load_pipeline_lexicon(config)
     weights = load_pipeline_weights(config)
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -282,7 +277,7 @@ def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None)
             return result
         try:
             started = time.perf_counter()
-            doc = load_document(path.read_bytes(), lexicon)
+            doc = load_document(path.read_bytes())
             result.stages["load"] = time.perf_counter() - started
             outcome = run_document(doc, config, client, weights, result.stages)
             started = time.perf_counter()

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rxnparse.agents import (
@@ -20,6 +22,22 @@ def test_default_templates_cover_all_roles():
 
 def test_render_template():
     assert render_template("hello {{name}}!", {"name": "world"}) == "hello world!"
+
+
+def test_render_template_inserts_values_verbatim():
+    assert render_template("text: {{x}}", {"x": "{{y}}"}) == "text: {{y}}"
+    # one pass: a value is never searched for another variable's placeholder
+    assert render_template("{{a}}|{{b}}", {"a": "{{b}}", "b": "x"}) == "{{b}}|x"
+
+
+@pytest.mark.parametrize(
+    "template, shown",
+    [("hello {{name}}!", "{{name}}"), ("{{a}} and {{ unclosed", "{{ unclosed"), ("{{a}}{{", "{{")],
+    ids=["no-variable", "unclosed", "trailing-open"],
+)
+def test_render_template_rejects_unbound_placeholders(template, shown):
+    with pytest.raises(TemplateError, match=re.escape(f"unbound template variable {shown}")):
+        render_template(template, {"a": "1"})
 
 
 def test_unbound_variable_raises_before_io(tmp_path):

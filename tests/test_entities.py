@@ -106,11 +106,6 @@ def test_unparseable_smiles_retained_with_warning():
     assert any("unparseable SMILES" in w for w in doc.warnings)
 
 
-def test_text_normalized_at_load():
-    doc = make_doc([text_entity("t", 0, 0, text="ferric chloride")])
-    assert doc.entity("t").tokens == ("FeCl3",)
-
-
 def test_direction_only_on_arrows():
     with pytest.raises(SchemaError):
         make_doc([{**molecule_entity("m", 0, 0), "direction": "forward"}])

@@ -111,7 +111,7 @@ class TestPipelineConfig:
     def test_default_config_hash_pinned(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "fixtures").mkdir()
-        assert PipelineConfig(fixtures_dir="fixtures").config_hash() == "fea0ba7b4dc0b6cb"
+        assert PipelineConfig(fixtures_dir="fixtures").config_hash() == "1e0aabba597add36"
 
     def test_dim_below_node_features_rejected(self):
         ReasoningConfig(dim=BASE_NODE_DIMS)
@@ -131,11 +131,15 @@ class TestPipelineConfig:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"frobnicator": 1})
-        # matching settings are `eval` flags; they were once accepted here and never read
+        # matching settings are `eval` flags and the lexicon fed text tokens no output read;
+        # each was once accepted here
         (tmp_path / "fx").mkdir()
-        for key in ("iou_threshold", "criterion", "polygon_iou"):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"FeCl3": ["ferric chloride"]}))
+        removed = {"iou_threshold": 0.5, "criterion": "soft", "polygon_iou": True, "lexicon_file": str(lexicon)}
+        for key, value in removed.items():
             with pytest.raises(ConfigError, match=key):
-                PipelineConfig.from_dict({"fixtures_dir": str(tmp_path / "fx"), key: 0.5})
+                PipelineConfig.from_dict({"fixtures_dir": str(tmp_path / "fx"), key: value})
 
 
 class TestRunBatch:
@@ -275,6 +279,39 @@ class TestRunBatch:
         manifest = run_batch([detection], config)
         assert manifest.documents[0].status == "failed"
         assert "FixtureMissing" in manifest.documents[0].error
+
+
+    def test_braces_in_entity_text_reach_the_prompt_verbatim(self, tmp_path):
+        """Entity text is outside input: a ``{{`` in it is prompt text, not a placeholder."""
+        from rxnparse.agents import MockAgentClient
+        from rxnparse.reasoning import COMBINER_ROLE, cluster_entities, cluster_prompt_variables
+
+        entities = [
+            {"id": "m1", "label": "molecule", "bbox": [0, 100, 140, 200], "smiles": "CCO"},
+            {"id": "a1", "label": "arrow", "bbox": [180, 140, 420, 140, 420, 160, 180, 160]},
+            {"id": "t1", "label": "text", "bbox": [220, 90, 380, 130], "text": "reflux {{2 h}}"},
+            {"id": "m2", "label": "molecule", "bbox": [460, 100, 600, 200], "smiles": "CC=O"},
+        ]
+        detection = {"width": 700, "height": 300, "entities": entities}
+        detection_path = tmp_path / "braces.json"
+        detection_path.write_text(json.dumps(detection))
+        boxes = {e["id"]: {"label": e["label"], "bbox": e["bbox"]} for e in entities}
+        reply = [
+            {"reactants": [boxes["m1"]], "products": [boxes["m2"]], "conditions": [boxes["t1"]], "arrow": [boxes["a1"]]}
+        ]
+        (tmp_path / "fx").mkdir()
+        config = PipelineConfig(fixtures_dir=str(tmp_path / "fx"), output_dir=str(tmp_path / "out"))
+        client = MockAgentClient(tmp_path / "fx")
+        doc = load_document(json.dumps(detection))
+        for cluster in cluster_entities(doc, config.reasoning):
+            variables = cluster_prompt_variables(cluster, doc, config.reasoning)
+            assert "reflux {{2 h}}" in variables["graph_json"]
+            client.store(COMBINER_ROLE, variables, json.dumps(reply))
+
+        manifest = run_batch([detection_path], config)
+        assert manifest.documents[0].status == "ok", manifest.documents[0].error
+        emitted = json.loads((tmp_path / "out" / "braces.reactions.json").read_text())
+        assert [_role_sorted(r) for r in emitted] == [_role_sorted(reply[0])]
 
 
 def _role_sorted(reaction_obj):
@@ -546,6 +583,16 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         code = main(["parse", "nothing.json", "--fixtures-dir", str(tmp_path / "missing")])
         assert code == EXIT_CONFIG
+
+    def test_lexicon_file_flag_is_a_usage_error(self, corpus, tmp_path):
+        root, paths, _gt = corpus
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"FeCl3": ["ferric chloride"]}))
+        args = [str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["parse", *args, "--lexicon-file", str(lexicon)])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "content, named",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rxnparse.chem import ElementCounts
 from rxnparse.chem.fingerprint import Fingerprint, tanimoto
 from rxnparse.geometry import AxisBox, OrientedQuad, iou_axis, region_iou
-from rxnparse.textnorm import normalize_text
 
 coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 
@@ -92,15 +91,3 @@ def test_tanimoto_bounds_and_symmetry(a_bits, b_bits):
     assert 0.0 <= value <= 1.0
     assert value == tanimoto(b, a)
     assert tanimoto(a, a) == 1.0
-
-
-printable = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=60
-)
-
-
-@settings(max_examples=300)
-@given(printable)
-def test_normalize_idempotent(raw):
-    once = normalize_text(raw)
-    assert normalize_text(" ".join(once)) == once
