@@ -14,7 +14,6 @@ from rxnparse.geometry import (
     OrientedQuad,
     center_distance_normalized,
     iou_axis,
-    iou_oriented,
     principal_axis,
     region_iou,
 )
@@ -28,7 +27,7 @@ print("half-overlapping boxes:", round(iou_axis(a, b), 4))  # exactly 1/3
 square = OrientedQuad(((0, 0), (1, 0), (1, 1), (0, 1)))
 c, r = 0.5, math.sqrt(2) / 2
 rotated = OrientedQuad(((c, c - r), (c + r, c), (c, c + r), (c - r, c)))
-print("rotated square IoU:", round(iou_oriented(square, rotated), 6))
+print("rotated square IoU:", round(region_iou(square, rotated), 6))
 print("expected 1/sqrt(2):", round(1 / math.sqrt(2), 6))
 
 # Detector outputs sometimes list quad vertices in a crossed order; the

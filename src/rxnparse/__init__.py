@@ -30,7 +30,6 @@ from .geometry import (
     OrientedQuad,
     center_distance_normalized,
     iou_axis,
-    iou_oriented,
     region_from_array,
     region_iou,
     region_to_array,

@@ -1,11 +1,11 @@
 """Chemistry primitives: SMILES parsing, atom counts, charges, fingerprints."""
 
 from .fingerprint import (
-    DEFAULT_FINGERPRINT_CONFIG,
+    FINGERPRINT_TAG,
+    FINGERPRINT_WIDTH,
+    MAX_PATH_LENGTH,
     SKETCH_DIMS,
     Fingerprint,
-    FingerprintConfig,
-    WidthMismatchError,
     bit_sketch,
     fingerprint,
     tanimoto,
@@ -30,16 +30,16 @@ __all__ = [
     "ORGANIC_SUBSET",
     "VALENCES",
     "Bond",
-    "DEFAULT_FINGERPRINT_CONFIG",
     "ElementCounts",
+    "FINGERPRINT_TAG",
+    "FINGERPRINT_WIDTH",
     "Fingerprint",
-    "FingerprintConfig",
     "MAX_LENGTH",
+    "MAX_PATH_LENGTH",
     "Molecule",
     "SKETCH_DIMS",
     "SmilesSyntaxError",
     "ValenceError",
-    "WidthMismatchError",
     "ZERO_COUNTS",
     "atom_count_vector",
     "bit_sketch",

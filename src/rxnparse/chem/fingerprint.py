@@ -1,11 +1,11 @@
 """Hashed linear-path fingerprints and Tanimoto similarity.
 
-Every simple path of up to ``max_path_length`` bonds (single atoms
-included) is labelled by its element/bond sequence; the label, read in
-whichever direction sorts first, is hashed into a fixed-width bit
-vector with BLAKE2, so fingerprints are stable across processes and
-platforms and invariant under any atom reindexing that preserves the
-graph.
+The scheme is fixed: every simple path of up to ``MAX_PATH_LENGTH``
+bonds (single atoms included) is labelled by its element/bond sequence;
+the label, read in whichever direction sorts first, is hashed into a
+``FINGERPRINT_WIDTH``-bit vector with BLAKE2, so fingerprints are stable
+across processes and platforms and invariant under any atom reindexing
+that preserves the graph. ``FINGERPRINT_TAG`` names the scheme.
 """
 
 from __future__ import annotations
@@ -16,48 +16,24 @@ from dataclasses import dataclass
 from .molecule import Molecule
 
 
+FINGERPRINT_WIDTH = 2048  # bits
+MAX_PATH_LENGTH = 5  # bonds
+FINGERPRINT_TAG = f"path-v1:l{MAX_PATH_LENGTH}"
 SKETCH_DIMS = 16  # stripes in a fingerprint sketch
-
-
-class WidthMismatchError(ValueError):
-    """Tanimoto over fingerprints with different widths or algorithm tags."""
-
-
-@dataclass(frozen=True)
-class FingerprintConfig:
-    width: int = 2048
-    max_path_length: int = 5
-    algorithm_tag: str = "path-v1"
-
-    def __post_init__(self):
-        if self.width < 256 or self.width & (self.width - 1):
-            raise ValueError("fingerprint width must be a power of two >= 256")
-        if not 1 <= self.max_path_length <= 7:
-            raise ValueError("max_path_length must lie in [1, 7]")
-
-    @property
-    def full_tag(self) -> str:
-        """Scheme identifier including the path length, e.g. ``path-v1:l5``."""
-        return f"{self.algorithm_tag}:l{self.max_path_length}"
-
-
-DEFAULT_FINGERPRINT_CONFIG = FingerprintConfig()
 
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Fixed-width bit vector stored as an int bitmask."""
+    """A ``FINGERPRINT_WIDTH``-bit vector stored as an int bitmask."""
 
     bits: int
-    width: int
-    algorithm_tag: str
 
     @property
     def popcount(self) -> int:
         return self.bits.bit_count()
 
     def active_bits(self) -> list[int]:
-        return [i for i in range(self.width) if self.bits >> i & 1]
+        return [i for i in range(FINGERPRINT_WIDTH) if self.bits >> i & 1]
 
 
 _BOND_SYMBOLS = {1.0: "-", 1.5: ":", 2.0: "=", 3.0: "#"}
@@ -96,25 +72,21 @@ def _path_labels(mol: Molecule, max_len: int) -> set[str]:
     return labels
 
 
-def _bit_for(label: str, width: int) -> int:
+def _bit_for(label: str) -> int:
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % width
+    return int.from_bytes(digest, "big") % FINGERPRINT_WIDTH
 
 
-def fingerprint(mol: Molecule, config: FingerprintConfig = DEFAULT_FINGERPRINT_CONFIG) -> Fingerprint:
+def fingerprint(mol: Molecule) -> Fingerprint:
     """Hash all simple paths of the molecule into a bit vector."""
     bits = 0
-    for label in _path_labels(mol, config.max_path_length):
-        bits |= 1 << _bit_for(label, config.width)
-    return Fingerprint(bits=bits, width=config.width, algorithm_tag=config.full_tag)
+    for label in _path_labels(mol, MAX_PATH_LENGTH):
+        bits |= 1 << _bit_for(label)
+    return Fingerprint(bits=bits)
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
     """|a & b| / |a | b|; two all-zero fingerprints score 1.0."""
-    if a.width != b.width or a.algorithm_tag != b.algorithm_tag:
-        raise WidthMismatchError(
-            f"incompatible fingerprints: {a.width}/{a.algorithm_tag} vs {b.width}/{b.algorithm_tag}"
-        )
     union = (a.bits | b.bits).bit_count()
     if union == 0:
         return 1.0
@@ -126,7 +98,7 @@ def bit_sketch(fp: Fingerprint, dims: int = SKETCH_DIMS) -> list[float]:
 
     Used as a compact node feature for molecules in the spatial graph.
     """
-    stripe = fp.width // dims
+    stripe = FINGERPRINT_WIDTH // dims
     sketch = []
     for d in range(dims):
         mask = ((1 << stripe) - 1) << (d * stripe)

@@ -130,7 +130,7 @@ class Molecule:
 
     @cached_property
     def fingerprint(self):
-        """Path fingerprint under the default scheme."""
+        """Path fingerprint under the fixed scheme."""
         from .fingerprint import fingerprint  # that module imports this one
 
         return fingerprint(self)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import FixtureMissingError
-from .chem import atom_count_vector, fingerprint, formal_charge_sum, parse_smiles
+from .chem import FINGERPRINT_TAG, FINGERPRINT_WIDTH, atom_count_vector, fingerprint, formal_charge_sum, parse_smiles
 from .config import ConfigError, ReasoningConfig
 from .entities import load_document
 from .evaluation import CorpusDocument, report_table, score_corpus
@@ -38,7 +38,6 @@ from .pipeline import (
 from .planner import extract_features, plan_to_json, route
 from .reactions import ResponseFormatError, boxed_reactions_from_list
 from .reasoning import (
-    FusionWeights,
     build_chem_graph,
     build_spatial_graph,
     fuse_score,
@@ -156,8 +155,8 @@ def _cmd_fingerprint(args) -> int:
                 "atom_counts": atom_count_vector(mol).as_dict(),
                 "formal_charge": formal_charge_sum(mol),
                 "fingerprint": {
-                    "tag": fp.algorithm_tag,
-                    "width": fp.width,
+                    "tag": FINGERPRINT_TAG,
+                    "width": FINGERPRINT_WIDTH,
                     "popcount": fp.popcount,
                     "bits": fp.active_bits()[:32],
                 },
@@ -183,15 +182,14 @@ def _cmd_score_edge(args) -> int:
     pair = (min(args.a, args.b), max(args.a, args.b))
     i, j = sorted(spatial.table.position.get(entity_id, -1) for entity_id in pair)  # an unknown id matches no edge
     s_space, s_chem = _channel_score(spatial, i, j), _channel_score(chem, i, j)
-    weights = FusionWeights(*reasoning.alphas)
     print(
         json.dumps(
             {
                 "pair": list(pair),
                 "s_space": s_space,
                 "s_chem": s_chem,
-                "s_fuse_without_hypothesis": fuse_score(s_space, s_chem, 0.0, weights),
-                "s_fuse_with_unit_hypothesis": fuse_score(s_space, s_chem, 1.0, weights),
+                "s_fuse_without_hypothesis": fuse_score(s_space, s_chem, 0.0, reasoning),
+                "s_fuse_with_unit_hypothesis": fuse_score(s_space, s_chem, 1.0, reasoning),
                 "tau_fuse": reasoning.tau_fuse,
             },
             indent=2,

@@ -55,7 +55,3 @@ class ReasoningConfig:
             raise ConfigError("k_nn >= 0, layers >= 1, exact_search_limit >= 1 required")
         if not 0.0 < self.conservation_penalty <= 1.0:
             raise ConfigError("conservation_penalty must lie in (0, 1]")
-
-    @property
-    def alphas(self) -> tuple[float, float, float]:
-        return (self.alpha_space, self.alpha_chem, self.alpha_init)

@@ -212,8 +212,10 @@ def _clip_may_meet(hull_x: np.ndarray, hull_y: np.ndarray, clip) -> np.ndarray:
     ax, ay, ex, ey = np.array(
         [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(clip, clip[1:] + clip[:1])]
     ).T[..., None]
-    # one byte per vertex: a subject's four inside flags read as one uint32
-    inside = (ex * (hull_y - ay) - ey * (hull_x - ax) >= -_EPS).view(np.uint32)
+    # one byte per vertex: a subject's four inside flags read as one uint32; an overflow
+    # gives the same inf or nan that the clip's Python floats give, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = (ex * (hull_y - ay) - ey * (hull_x - ax) >= -_EPS).view(np.uint32)
     first = np.argmin(inside == 0x01010101, axis=0)  # first edge not all inside, or 0 if none
     return inside[first, np.arange(len(first))] != 0
 
@@ -239,11 +241,6 @@ def iou_axis(a: AxisBox, b: AxisBox) -> float:
     if union <= 0.0:
         return 1.0 if a == b else 0.0
     return min(1.0, max(0.0, inter / union))
-
-
-def iou_oriented(a: OrientedQuad, b: OrientedQuad) -> float:
-    """IoU of two oriented quads via convex polygon clipping."""
-    return _polygon_iou(list(a.hull), list(b.hull), a.area, b.area)
 
 
 def _polygon_iou(pa, pb, area_a, area_b) -> float:

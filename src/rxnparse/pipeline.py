@@ -31,14 +31,13 @@ from .reasoning import (
     cluster_entities,
     collect_hypotheses,
     fuse,
-    FusionWeights,
     infer_reactions,
     load_weights,
     post_process,
     propagate,
     random_weights,
 )
-from .reasoning.spatial import EDGE_DIMS, SpatialWeights
+from .reasoning.spatial import SpatialWeights
 
 log = logging.getLogger(__name__)
 
@@ -160,11 +159,7 @@ def make_client(config: PipelineConfig) -> AgentClient:
 def load_pipeline_weights(config: PipelineConfig) -> SpatialWeights:
     if config.weights_file:
         return load_weights(config.weights_file)
-    return random_weights(
-        config.reasoning.layers,
-        config.reasoning.dim,
-        EDGE_DIMS,
-    )
+    return random_weights(config.reasoning.layers, config.reasoning.dim)
 
 
 def load_pipeline_lexicon(config: PipelineConfig) -> None:
@@ -235,13 +230,7 @@ def run_document(
     hypotheses = collect_hypotheses(
         clusters, client, doc, reasoning, max_workers=config.cluster_workers
     )
-    fused = fuse(
-        spatial,
-        chem,
-        hypotheses,
-        FusionWeights(*reasoning.alphas),
-        reasoning.tau_fuse,
-    )
+    fused = fuse(spatial, chem, hypotheses, reasoning)
     timings["reason"] = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -8,8 +8,6 @@ from .fusion import (
     NEUTRAL_SPACE_SCORE,
     FusedEdge,
     FusedGraph,
-    FusionWeights,
-    WeightError,
     fuse,
     fuse_score,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "EdgeRelation",
     "FusedEdge",
     "FusedGraph",
-    "FusionWeights",
     "HypothesisEdge",
     "HypothesisGraph",
     "NEUTRAL_CHEM_SCORE",
@@ -58,7 +55,6 @@ __all__ = [
     "NUM_RELATIONS",
     "SpatialGraph",
     "SpatialWeights",
-    "WeightError",
     "assign_entities_to_arrows",
     "build_chem_graph",
     "build_spatial_graph",

@@ -6,7 +6,10 @@ similarity with a charge-difference decay:
     e_chem = beta * tanimoto(fp_i, fp_j) + (1 - beta) * exp(-|q_i - q_j|)
 
 Pairs where either SMILES is missing or failed to parse get the neutral
-0.5 (ignorance, not evidence). Edges survive only above ``tau_chem``.
+0.5 (ignorance, not evidence). Edges survive only above ``tau_chem``;
+``beta`` and ``tau_chem`` come from the ``ReasoningConfig``, and the
+fingerprints are the fixed ``FINGERPRINT_WIDTH``-bit path scheme of
+``rxnparse.chem.fingerprint``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chem import DEFAULT_FINGERPRINT_CONFIG
+from ..chem import FINGERPRINT_WIDTH
 from ..config import ReasoningConfig
 from ..entities import KIND_CODES, EntityKind, EntityTable, ReactionDocument
 
@@ -32,7 +35,6 @@ class ChemGraph:
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray  # floats in [0, 1]
-    tau_chem: float
 
     @property
     def scores(self) -> dict:
@@ -61,7 +63,7 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
     molecules = doc.by_kind(EntityKind.MOLECULE)
     at = np.flatnonzero(table.kinds == KIND_CODES[EntityKind.MOLECULE])  # their positions
     parsed = np.array([e.molecule is not None for e in molecules], dtype=bool)
-    empty = bytes(DEFAULT_FINGERPRINT_CONFIG.width // 8)
+    empty = bytes(FINGERPRINT_WIDTH // 8)
     packed = b"".join(
         empty if e.molecule is None else e.molecule.fingerprint.bits.to_bytes(len(empty), "little") for e in molecules
     )
@@ -87,4 +89,4 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
         rows.append(at[i + start])
         cols.append(at[j])
         values.append(scored[i, j])
-    return ChemGraph(table, np.concatenate(rows), np.concatenate(cols), np.concatenate(values), config.tau_chem)
+    return ChemGraph(table, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))

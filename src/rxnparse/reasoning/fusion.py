@@ -3,14 +3,16 @@
 Every candidate edge (the union of spatial, chemistry and hypothesis
 edges) gets
 
-    s_fuse = a_space * s_space + a_chem * s_chem + a_init * s_init
+    s_fuse = alpha_space * s_space + alpha_chem * s_chem + alpha_init * s_init
 
-with non-negative weights summing to one. A channel that never scored a
-pair contributes its neutral value: 0.5 for the spatial and chemistry
-channels (ignorance) but 0 for the hypothesis channel (an edge the VLM
-did not propose is evidence of absence). Each candidate is pruned as it
-is scored: only edges above ``tau_fuse`` become fused edges, and they
-form the sparse graph global inference enumerates over.
+with the weights and ``tau_fuse`` read from the ``ReasoningConfig``,
+which checks that the weights are non-negative and sum to one. A
+channel that never scored a pair contributes its neutral value: 0.5 for
+the spatial and chemistry channels (ignorance) but 0 for the hypothesis
+channel (an edge the VLM did not propose is evidence of absence). Each
+candidate is pruned as it is scored: only edges above ``tau_fuse``
+become fused edges, and they form the sparse graph global inference
+enumerates over.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import ReasoningConfig
 from .chemgraph import ChemGraph, NEUTRAL_CHEM_SCORE
 from .hypotheses import HypothesisGraph
 from .relations import EdgeRelation
@@ -28,26 +31,8 @@ NEUTRAL_SPACE_SCORE = 0.5
 ABSENT_INIT_SCORE = 0.0
 
 
-class WeightError(ValueError):
-    """Fusion weights are negative or do not sum to one."""
-
-
-@dataclass(frozen=True)
-class FusionWeights:
-    space: float
-    chem: float
-    init: float
-
-    def __post_init__(self):
-        if min(self.space, self.chem, self.init) < 0:
-            raise WeightError(f"fusion weights must be non-negative: {self}")
-        total = self.space + self.chem + self.init
-        if abs(total - 1.0) > 1e-9:
-            raise WeightError(f"fusion weights must sum to 1, got {total}")
-
-
-def fuse_score(s_space: float, s_chem: float, s_init: float, weights: FusionWeights) -> float:
-    return weights.space * s_space + weights.chem * s_chem + weights.init * s_init
+def fuse_score(s_space: float, s_chem: float, s_init: float, config: ReasoningConfig) -> float:
+    return config.alpha_space * s_space + config.alpha_chem * s_chem + config.alpha_init * s_init
 
 
 @dataclass(frozen=True)
@@ -67,18 +52,15 @@ class FusedEdge:
 class FusedGraph:
     node_ids: tuple[str, ...]
     edges: tuple[FusedEdge, ...]
-    weights: FusionWeights
-    tau_fuse: float
 
 
 def fuse(
     spatial: SpatialGraph,
     chem: ChemGraph,
     hypotheses: HypothesisGraph,
-    weights: FusionWeights,
-    tau_fuse: float,
+    config: ReasoningConfig,
 ) -> FusedGraph:
-    """Combine the three evidence graphs, keeping only edges above ``tau_fuse``.
+    """Combine the three evidence graphs, keeping only edges above ``config.tau_fuse``.
 
     A pair covered by hypothesis edges yields one fused edge per typed
     edge (direction preserved), in hypothesis order; pairs with only
@@ -108,9 +90,9 @@ def fuse(
     s_init[: len(typed)] = [e.confidence for e in typed]
     space_at = _scores_at(space_codes, space_values, codes, NEUTRAL_SPACE_SCORE)
     chem_at = _scores_at(chem_codes, chem_values, codes, NEUTRAL_CHEM_SCORE)
-    scores = fuse_score(space_at, chem_at, s_init, weights)
+    scores = fuse_score(space_at, chem_at, s_init, config)
 
-    kept = np.flatnonzero(scores > tau_fuse)
+    kept = np.flatnonzero(scores > config.tau_fuse)
     edges: list[FusedEdge] = []
     columns = (codes[kept], scores[kept], space_at[kept], chem_at[kept])
     for k, code, score, s_sp, s_ch in zip(kept.tolist(), *(column.tolist() for column in columns)):
@@ -120,7 +102,7 @@ def fuse(
         else:
             a, b = divmod(code, n)
             edges.append(FusedEdge(by_rank[a], by_rank[b], EdgeRelation.NO_EDGE, score, s_sp, s_ch, ABSENT_INIT_SCORE))
-    return FusedGraph(node_ids=table.ids, edges=tuple(edges), weights=weights, tau_fuse=tau_fuse)
+    return FusedGraph(node_ids=table.ids, edges=tuple(edges))
 
 
 def _channel(table, rows, cols, values) -> tuple[np.ndarray, np.ndarray]:

@@ -48,9 +48,8 @@ class HypothesisEdge:
 
 @dataclass(frozen=True)
 class HypothesisGraph:
-    """Cluster partition plus per-cluster directed typed edges."""
+    """Directed typed edges from every cluster's reply, with the replies' warnings."""
 
-    clusters: tuple[tuple[str, ...], ...]
     edges: tuple[HypothesisEdge, ...]
     warnings: tuple[str, ...] = ()
 
@@ -166,4 +165,4 @@ def collect_hypotheses(
     for cluster_edges, cluster_warnings in results:
         edges.extend(cluster_edges)
         warnings.extend(cluster_warnings)
-    return HypothesisGraph(clusters=tuple(clusters), edges=tuple(edges), warnings=tuple(warnings))
+    return HypothesisGraph(edges=tuple(edges), warnings=tuple(warnings))

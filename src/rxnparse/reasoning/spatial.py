@@ -58,12 +58,12 @@ class SpatialWeights:
                 raise ConfigError(f"W2 must be {d}x{e}, got {b.shape}")
 
 
-def random_weights(layers: int, dim: int, edge_dim: int = EDGE_DIMS, seed: int = 7) -> SpatialWeights:
+def random_weights(layers: int, dim: int, seed: int = 7) -> SpatialWeights:
     """Seeded fallback weights for offline runs and tests."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
     w1 = tuple(rng.normal(0.0, scale, size=(dim, dim)) for _ in range(layers))
-    w2 = tuple(rng.normal(0.0, scale, size=(dim, edge_dim)) for _ in range(layers))
+    w2 = tuple(rng.normal(0.0, scale, size=(dim, EDGE_DIMS)) for _ in range(layers))
     return SpatialWeights(w1=w1, w2=w2)
 
 
@@ -174,7 +174,7 @@ def build_spatial_graph(
     lower index, and to every entity within ``radius``.
     """
     if weights is None:
-        weights = random_weights(config.layers, config.dim, EDGE_DIMS)
+        weights = random_weights(config.layers, config.dim)
     weights.validate()
     if weights.dim != config.dim:
         raise ConfigError(f"weights dim {weights.dim} != config dim {config.dim}")

@@ -87,13 +87,21 @@ def spatial_graph(node_ids, features, edges, edge_features, weights, scores=None
     return SpatialGraph(table_of(node_ids), features, rows, cols, edge_features, weights, values)
 
 
-def chem_graph(table, scores, tau_chem=0.3):
+def chem_graph(table, scores):
     """A ``ChemGraph`` over ``table`` whose ``scores`` view is ``scores`` ((id_a, id_b) -> value)."""
     from rxnparse.reasoning import ChemGraph
 
     ends = [sorted((table.position[a], table.position[b])) for a, b in scores]
     rows, cols = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-    return ChemGraph(table, rows, cols, np.array(list(scores.values()), dtype=float), tau_chem)
+    return ChemGraph(table, rows, cols, np.array(list(scores.values()), dtype=float))
+
+
+def fusion_config(alphas, tau_fuse=0.45):
+    """A ``ReasoningConfig`` fusing with ``alphas`` (space, chem, init) and keeping scores above ``tau_fuse``."""
+    from rxnparse.config import ReasoningConfig
+
+    space, chem, init = alphas
+    return ReasoningConfig(alpha_space=space, alpha_chem=chem, alpha_init=init, tau_fuse=tau_fuse)
 
 
 # --- random molecules -------------------------------------------------------
@@ -589,7 +597,7 @@ def reference_build_chem_graph(doc, config):
                 value = NEUTRAL_CHEM_SCORE
             if value > config.tau_chem:
                 scores[(min(a.id, b.id), max(a.id, b.id))] = value
-    return chem_graph(doc.table, scores, config.tau_chem)
+    return chem_graph(doc.table, scores)
 
 
 # --- the output file as one json.dumps ---------------------------------------
@@ -610,7 +618,7 @@ def reference_reactions_to_json(reactions, doc) -> str:
 # restarts its pair scan after every merge, computing both axes per pair.
 
 
-def reference_fuse(spatial, chem, hypotheses, weights, tau_fuse):
+def reference_fuse(spatial, chem, hypotheses, config):
     from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE
     from rxnparse.reasoning.fusion import (
         ABSENT_INIT_SCORE,
@@ -636,19 +644,19 @@ def reference_fuse(spatial, chem, hypotheses, weights, tau_fuse):
         pair = (min(edge.source, edge.target), max(edge.source, edge.target))
         pairs_with_hypothesis.add(pair)
         s_space, s_chem = channels(pair)
-        score = fuse_score(s_space, s_chem, edge.confidence, weights)
+        score = fuse_score(s_space, s_chem, edge.confidence, config)
         fused.append(
             FusedEdge(edge.source, edge.target, edge.relation, score, s_space, s_chem, edge.confidence)
         )
     structural_pairs = set(space_scores) | set(chem_scores)
     for pair in sorted(structural_pairs - pairs_with_hypothesis):
         s_space, s_chem = channels(pair)
-        score = fuse_score(s_space, s_chem, ABSENT_INIT_SCORE, weights)
+        score = fuse_score(s_space, s_chem, ABSENT_INIT_SCORE, config)
         fused.append(
             FusedEdge(pair[0], pair[1], EdgeRelation.NO_EDGE, score, s_space, s_chem, ABSENT_INIT_SCORE)
         )
-    kept = tuple(e for e in fused if e.score > tau_fuse)
-    return FusedGraph(node_ids=spatial.node_ids, edges=kept, weights=weights, tau_fuse=tau_fuse)
+    kept = tuple(e for e in fused if e.score > config.tau_fuse)
+    return FusedGraph(node_ids=spatial.node_ids, edges=kept)
 
 
 def _reference_arrow_affinities(component, fused, doc):

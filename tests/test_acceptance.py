@@ -30,14 +30,11 @@ from rxnparse.evaluation import (
     score,
     score_corpus,
 )
-from rxnparse.geometry import AxisBox, OrientedQuad, iou_axis, iou_oriented
+from rxnparse.geometry import AxisBox, OrientedQuad, iou_axis, region_iou
 from rxnparse.pipeline import PipelineConfig, run_batch
 from rxnparse.planner import AgentPlan, ROLES, plan_from_json, plan_to_json, route, extract_features
 from rxnparse.reactions import boxed_reactions_from_json, parse_combiner_response, reactions_to_json
-from rxnparse.reasoning import (
-    FusionWeights,
-    fuse_score,
-)
+from rxnparse.reasoning import fuse_score
 from rxnparse.reasoning.fusion import FusedEdge, FusedGraph
 from rxnparse.reasoning.inference import assign_entities_to_arrows
 from rxnparse.reasoning.relations import EdgeRelation
@@ -51,6 +48,7 @@ from helpers import (
     arrow_entity,
     brute_force_max_matching,
     formula_sum,
+    fusion_config,
     make_doc,
     mc_region_iou,
     molecule_entity,
@@ -118,7 +116,7 @@ def test_criterion_03_geometry_oracle():
     for pair_index in range(200):
         if pair_index % 2 == 0:
             a, b = random_quad(rng), random_quad(rng)
-            analytic = iou_oriented(a, b)
+            analytic = region_iou(a, b)
         else:
             box_a, box_b = random_axis_box(rng), random_axis_box(rng)
             # overlap half the time so nonzero IoUs are exercised
@@ -137,7 +135,7 @@ def test_criterion_03_geometry_oracle():
     square = OrientedQuad(((0, 0), (1, 0), (1, 1), (0, 1)))
     c, r = 0.5, math.sqrt(2) / 2
     rotated = OrientedQuad(((c, c - r), (c + r, c), (c, c + r), (c - r, c)))
-    assert iou_oriented(square, rotated) == pytest.approx(math.sqrt(2) / 2, abs=1e-3)
+    assert region_iou(square, rotated) == pytest.approx(math.sqrt(2) / 2, abs=1e-3)
     _report(3, f"{checked} IoU pairs agree with seeded Monte Carlo at 1e-3", started, 60.0)
 
 
@@ -246,12 +244,12 @@ def test_criterion_05_propagation_checks():
 def test_criterion_06_fusion_properties():
     started = time.perf_counter()
     rng = random.Random(90210)
-    unit_weights = [FusionWeights(1, 0, 0), FusionWeights(0, 1, 0), FusionWeights(0, 0, 1)]
+    unit_weights = [fusion_config((1, 0, 0)), fusion_config((0, 1, 0)), fusion_config((0, 0, 1))]
     channels = []
     for _ in range(10_000):
         raw = [rng.random() for _ in range(3)]
         total = sum(raw) or 1.0
-        weights = FusionWeights(*(v / total for v in raw))
+        weights = fusion_config([v / total for v in raw])
         base = (rng.random(), rng.random(), rng.random())
         channels.append(base)
         base_score = fuse_score(*base, weights)
@@ -286,11 +284,8 @@ def test_criterion_06_fusion_properties():
     spatial = propagate(build_spatial_graph(doc, config))
     chem = build_chem_graph(doc, config)
     for tau in (0.0, 0.3, 0.45, 0.7, 1.0):
-        hyp = HypothesisGraph(
-            clusters=(("m1", "m2", "a1"),),
-            edges=(HypothesisEdge("m1", "a1", EdgeRelation.REACTANT_TO_ARROW, rng.random()),),
-        )
-        fused = fuse(spatial, chem, hyp, FusionWeights(*config.alphas), tau)
+        hyp = HypothesisGraph(edges=(HypothesisEdge("m1", "a1", EdgeRelation.REACTANT_TO_ARROW, rng.random()),))
+        fused = fuse(spatial, chem, hyp, ReasoningConfig(tau_fuse=tau))
         assert all(e.score > tau for e in fused.edges)
     _report(6, "monotonicity, degenerate argsort and pruning over 10^4 draws", started, 10.0)
 
@@ -348,8 +343,6 @@ def test_criterion_07_inference_optimality():
         fused = FusedGraph(
             node_ids=tuple(arrow_ids + entity_ids),
             edges=tuple(edges),
-            weights=FusionWeights(*config.alphas),
-            tau_fuse=0.0,
         )
         component = sorted(set(arrow_ids) | set(affinity))
         emitted = assign_entities_to_arrows(component, fused, doc, config)

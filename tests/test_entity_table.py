@@ -27,7 +27,6 @@ from rxnparse.pipeline import PipelineConfig, run_document
 from rxnparse.reactions import Reaction, parse_combiner_response, reactions_to_json
 from rxnparse.reasoning import (
     EdgeRelation,
-    FusionWeights,
     HypothesisEdge,
     HypothesisGraph,
     SpatialWeights,
@@ -41,6 +40,7 @@ from rxnparse.reasoning import (
 )
 
 from helpers import (
+    fusion_config,
     make_doc,
     reference_cluster_entities,
     reference_cluster_prompt_variables,
@@ -160,9 +160,9 @@ def test_document_without_molecules():
     chem = build_chem_graph(doc, config)
     assert chem.scores == {} and chem.rows.size == chem.cols.size == chem.values.size == 0
     spatial = propagate(build_spatial_graph(doc, config))
-    hypotheses = HypothesisGraph(clusters=(), edges=(HypothesisEdge("t1", "t2", EdgeRelation.REACTANT_TO_PRODUCT),))
-    weights = FusionWeights(0.3, 0.2, 0.5)
-    assert fuse(spatial, chem, hypotheses, weights, 0.0) == reference_fuse(spatial, chem, hypotheses, weights, 0.0)
+    hypotheses = HypothesisGraph(edges=(HypothesisEdge("t1", "t2", EdgeRelation.REACTANT_TO_PRODUCT),))
+    config = fusion_config((0.3, 0.2, 0.5), 0.0)
+    assert fuse(spatial, chem, hypotheses, config) == reference_fuse(spatial, chem, hypotheses, config)
 
 
 # --- one table per document ------------------------------------------------------

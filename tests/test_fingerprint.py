@@ -1,16 +1,15 @@
 import random
 
-import pytest
-
 from rxnparse.chem import (
-    FingerprintConfig,
-    WidthMismatchError,
+    FINGERPRINT_TAG,
+    FINGERPRINT_WIDTH,
+    MAX_PATH_LENGTH,
     bit_sketch,
     fingerprint,
     parse_smiles,
     tanimoto,
 )
-from rxnparse.chem.fingerprint import Fingerprint
+from rxnparse.chem.fingerprint import Fingerprint, _bit_for, _path_labels
 
 from helpers import permuted, random_molecule
 
@@ -48,52 +47,31 @@ def test_tanimoto_identity_and_bounds():
 
 
 def test_tanimoto_set_arithmetic():
-    a = Fingerprint(bits=(1 << 1) | (1 << 2) | (1 << 3), width=256, algorithm_tag="t")
-    b = Fingerprint(bits=(1 << 3) | (1 << 4), width=256, algorithm_tag="t")
+    a = Fingerprint(bits=(1 << 1) | (1 << 2) | (1 << 3))
+    b = Fingerprint(bits=(1 << 3) | (1 << 4))
     assert tanimoto(a, b) == 0.25
-    disjoint = Fingerprint(bits=(1 << 9), width=256, algorithm_tag="t")
+    disjoint = Fingerprint(bits=(1 << 9))
     assert tanimoto(a, disjoint) == 0.0
 
 
 def test_tanimoto_empty_convention():
-    empty = Fingerprint(bits=0, width=256, algorithm_tag="t")
+    empty = Fingerprint(bits=0)
     assert tanimoto(empty, empty) == 1.0
 
 
-def test_width_and_tag_mismatch():
-    a = Fingerprint(bits=1, width=256, algorithm_tag="t")
-    b = Fingerprint(bits=1, width=512, algorithm_tag="t")
-    with pytest.raises(WidthMismatchError):
-        tanimoto(a, b)
-    c = Fingerprint(bits=1, width=256, algorithm_tag="other")
-    with pytest.raises(WidthMismatchError):
-        tanimoto(a, c)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FingerprintConfig(width=300)
-    with pytest.raises(ValueError):
-        FingerprintConfig(width=128)
-    with pytest.raises(ValueError):
-        FingerprintConfig(max_path_length=0)
-    with pytest.raises(ValueError):
-        FingerprintConfig(max_path_length=8)
-
-
 def test_config_tag_includes_path_length():
-    config = FingerprintConfig(width=512, max_path_length=3)
-    fp = fingerprint(parse_smiles("CCO"), config)
-    assert fp.algorithm_tag == "path-v1:l3"
-    assert fp.width == 512
+    assert (FINGERPRINT_TAG, FINGERPRINT_WIDTH, MAX_PATH_LENGTH) == ("path-v1:l5", 2048, 5)
+    rng = random.Random(3)
+    for _ in range(50):
+        assert fingerprint(random_molecule(rng)).bits < 1 << FINGERPRINT_WIDTH
 
 
 def test_path_length_changes_fingerprint():
+    """Paths up to ``MAX_PATH_LENGTH`` bonds are hashed, not only the one-bond ones."""
     mol = parse_smiles("CCCCCC")
-    short = fingerprint(mol, FingerprintConfig(max_path_length=1))
-    long = fingerprint(mol, FingerprintConfig(max_path_length=5))
-    assert short != long
-    assert short.popcount < long.popcount
+    short = _path_labels(mol, 1)
+    assert short < _path_labels(mol, MAX_PATH_LENGTH)
+    assert fingerprint(mol).popcount > len({_bit_for(label) for label in short})
 
 
 def test_charged_atoms_distinguished():

@@ -3,63 +3,49 @@ import random
 import numpy as np
 import pytest
 
-from rxnparse.config import ReasoningConfig
-from rxnparse.reasoning.fusion import (
-    FusionWeights,
-    WeightError,
-    fuse,
-    fuse_score,
-)
+from rxnparse.config import ConfigError, ReasoningConfig
+from rxnparse.reasoning.fusion import fuse, fuse_score
 from rxnparse.reasoning.hypotheses import HypothesisEdge, HypothesisGraph
 from rxnparse.reasoning.relations import EdgeRelation
 from rxnparse.reasoning.spatial import build_spatial_graph, propagate, random_weights
-from rxnparse.reasoning.spatial import EDGE_DIMS
 
-from helpers import arrow_entity, chem_graph, make_doc, molecule_entity
+from helpers import arrow_entity, chem_graph, fusion_config, make_doc, molecule_entity
+
+UNIT_WEIGHTS = [fusion_config((1, 0, 0)), fusion_config((0, 1, 0)), fusion_config((0, 0, 1))]
 
 
-def build_fused(doc, hypothesis_edges, config=None, tau=None):
-    config = config or ReasoningConfig()
-    spatial = propagate(
-        build_spatial_graph(doc, config, random_weights(config.layers, config.dim, EDGE_DIMS, 1))
-    )
-    chem = chem_graph(doc.table, {}, config.tau_chem)
-    hyp = HypothesisGraph(clusters=(tuple(e.id for e in doc.entities),), edges=tuple(hypothesis_edges))
-    return fuse(
-        spatial,
-        chem,
-        hyp,
-        FusionWeights(*config.alphas),
-        config.tau_fuse if tau is None else tau,
-    )
+def build_fused(doc, hypothesis_edges, tau=None):
+    config = ReasoningConfig() if tau is None else ReasoningConfig(tau_fuse=tau)
+    spatial = propagate(build_spatial_graph(doc, config, random_weights(config.layers, config.dim, 1)))
+    chem = chem_graph(doc.table, {})
+    return fuse(spatial, chem, HypothesisGraph(edges=tuple(hypothesis_edges)), config)
 
 
 class TestFuseScore:
     def test_equal_weights_mean(self):
-        weights = FusionWeights(1 / 3, 1 / 3, 1 / 3)
+        weights = fusion_config((1 / 3, 1 / 3, 1 / 3))
         assert fuse_score(0.9, 0.6, 0.3, weights) == pytest.approx(0.6)
 
     def test_degenerate_weights_reproduce_channel(self):
-        for index, weights in enumerate(
-            [FusionWeights(1, 0, 0), FusionWeights(0, 1, 0), FusionWeights(0, 0, 1)]
-        ):
+        for index, weights in enumerate(UNIT_WEIGHTS):
             channels = (0.9, 0.4, 0.7)
             assert fuse_score(*channels, weights) == pytest.approx(channels[index])
 
     def test_invalid_weights(self):
-        with pytest.raises(WeightError):
-            FusionWeights(0.5, 0.5, 0.5)
-        with pytest.raises(WeightError):
-            FusionWeights(-0.2, 0.7, 0.5)
+        """The weights are checked once, by the ``ReasoningConfig`` fusion reads them from."""
+        with pytest.raises(ConfigError, match="sum to 1"):
+            fusion_config((0.5, 0.5, 0.5))
+        with pytest.raises(ConfigError, match="non-negative"):
+            fusion_config((-0.2, 0.7, 0.5))
         # a tiny numeric slack is fine
-        FusionWeights(0.3, 0.2, 0.5 + 1e-12)
+        fusion_config((0.3, 0.2, 0.5 + 1e-12))
 
     def test_monotone_in_each_channel(self):
         rng = random.Random(31)
         for _ in range(2000):
             raw = [rng.random() for _ in range(3)]
             total = sum(raw) or 1.0
-            weights = FusionWeights(*(v / total for v in raw))
+            weights = fusion_config([v / total for v in raw])
             base = [rng.random() for _ in range(3)]
             score = fuse_score(*base, weights)
             for channel in range(3):
@@ -70,9 +56,7 @@ class TestFuseScore:
     def test_degenerate_weight_argsort_matches_channel(self):
         rng = random.Random(77)
         channels = [tuple(rng.random() for _ in range(3)) for _ in range(200)]
-        for index, weights in enumerate(
-            [FusionWeights(1, 0, 0), FusionWeights(0, 1, 0), FusionWeights(0, 0, 1)]
-        ):
+        for index, weights in enumerate(UNIT_WEIGHTS):
             fused = [fuse_score(*c, weights) for c in channels]
             by_channel = np.argsort([c[index] for c in channels], kind="stable")
             by_fused = np.argsort(fused, kind="stable")
@@ -113,7 +97,7 @@ class TestFusedGraph:
 
     def test_threshold_filter_example(self):
         # scores {0.6, 0.5, 0.7} against tau 0.55 keep exactly two edges
-        weights = FusionWeights(0, 0, 1)
+        weights = fusion_config((0, 0, 1))
         scores = [0.6, 0.5, 0.7]
         kept = [s for s in scores if fuse_score(0.5, 0.5, s, weights) > 0.55]
         assert len(kept) == 2
@@ -133,12 +117,11 @@ class TestFusedGraph:
         config = ReasoningConfig(k_nn=1, radius=0.01)
         edges = [HypothesisEdge("m1", "m3", EdgeRelation.REACTANT_TO_PRODUCT, 1.0)]
         spatial = propagate(
-            build_spatial_graph(far_doc, config, random_weights(config.layers, config.dim, EDGE_DIMS, 1))
+            build_spatial_graph(far_doc, config, random_weights(config.layers, config.dim, 1))
         )
         assert ("m1", "m3") not in spatial.score_by_ids()
-        chem = chem_graph(far_doc.table, {}, config.tau_chem)
-        hyp = HypothesisGraph(clusters=(("m1", "m2", "m3", "m4"),), edges=tuple(edges))
-        fused = fuse(spatial, chem, hyp, FusionWeights(0.3, 0.2, 0.5), 0.0)
+        chem = chem_graph(far_doc.table, {})
+        fused = fuse(spatial, chem, HypothesisGraph(edges=tuple(edges)), fusion_config((0.3, 0.2, 0.5), 0.0))
         edge = next(e for e in fused.edges if e.relation == EdgeRelation.REACTANT_TO_PRODUCT)
         assert edge.s_space == 0.5
         assert edge.s_chem == 0.5

@@ -9,7 +9,6 @@ from rxnparse.geometry import (
     axis_parameter,
     center_distance_normalized,
     iou_axis,
-    iou_oriented,
     lateral_distance,
     principal_axis,
     region_from_array,
@@ -72,18 +71,18 @@ class TestAxisIoU:
 class TestOrientedIoU:
     def test_identical(self):
         q = random_quad(random.Random(3))
-        assert iou_oriented(q, q) == pytest.approx(1.0)
+        assert region_iou(q, q) == pytest.approx(1.0)
 
     def test_far_apart(self):
         a = OrientedQuad(((0, 0), (10, 0), (10, 5), (0, 5)))
         b = OrientedQuad(((1000, 1000), (1010, 1000), (1010, 1005), (1000, 1005)))
-        assert iou_oriented(a, b) == 0.0
+        assert region_iou(a, b) == 0.0
 
     def test_rotated_square(self):
         square = OrientedQuad(((0, 0), (1, 0), (1, 1), (0, 1)))
         rotated = rotated_unit_square(math.pi / 4)
         expected = math.sqrt(2) / 2  # octagon intersection 2(sqrt(2)-1) over union
-        assert iou_oriented(square, rotated) == pytest.approx(expected, abs=1e-9)
+        assert region_iou(square, rotated) == pytest.approx(expected, abs=1e-9)
 
     def test_axis_aligned_quads_agree_with_boxes(self):
         rng = random.Random(17)
@@ -91,12 +90,12 @@ class TestOrientedIoU:
             a, b = random_axis_box(rng), random_axis_box(rng)
             qa = OrientedQuad(tuple(a.corners()))
             qb = OrientedQuad(tuple(b.corners()))
-            assert iou_oriented(qa, qb) == pytest.approx(iou_axis(a, b), abs=1e-9)
+            assert region_iou(qa, qb) == pytest.approx(iou_axis(a, b), abs=1e-9)
 
     def test_crossed_vertex_order_repaired(self):
         straight = OrientedQuad(((0, 0), (10, 0), (10, 10), (0, 10)))
         crossed = OrientedQuad(((0, 0), (10, 10), (10, 0), (0, 10)))
-        assert iou_oriented(straight, crossed) == pytest.approx(1.0)
+        assert region_iou(straight, crossed) == pytest.approx(1.0)
 
     def test_degenerate_quad_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +105,7 @@ class TestOrientedIoU:
         rng = random.Random(23)
         for i in range(10):
             a, b = random_quad(rng), random_quad(rng)
-            analytic = iou_oriented(a, b)
+            analytic = region_iou(a, b)
             sampled = mc_region_iou(a, b, samples=250_000, seed=i)
             assert analytic == pytest.approx(sampled, abs=2e-3)
 

@@ -5,7 +5,7 @@ import pytest
 
 from rxnparse.config import ReasoningConfig
 from rxnparse.reactions import Reaction
-from rxnparse.reasoning.fusion import FusedEdge, FusedGraph, FusionWeights
+from rxnparse.reasoning.fusion import FusedEdge, FusedGraph
 from rxnparse.reasoning.inference import (
     _best_assignment,
     assign_entities_to_arrows,
@@ -16,16 +16,8 @@ from rxnparse.reasoning.relations import EdgeRelation
 
 from helpers import arrow_entity, brute_force_assignment, make_doc, molecule_entity, text_entity
 
-WEIGHTS = FusionWeights(0.3, 0.2, 0.5)
-
-
 def fused_graph(doc, edges):
-    return FusedGraph(
-        node_ids=tuple(e.id for e in doc.entities),
-        edges=tuple(edges),
-        weights=WEIGHTS,
-        tau_fuse=0.0,
-    )
+    return FusedGraph(node_ids=tuple(e.id for e in doc.entities), edges=tuple(edges))
 
 
 def typed(source, target, relation, score):

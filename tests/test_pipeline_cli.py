@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,30 @@ class TestRunBatch:
         assert len(runs[0]) >= 20
         assert all(document["status"] == "ok" for document in runs[0])
         assert runs[1] == runs[0]
+
+    def test_entity_order_does_not_change_outputs(self, tmp_path):
+        """Shuffling each document's ``entities`` array leaves every reaction file byte-identical."""
+        root = tmp_path / "corpus"
+        paths, _gt = build_corpus(root, per_layout=5)
+        shuffled_dir = tmp_path / "shuffled"
+        shuffled_dir.mkdir()
+        rng = random.Random(8)
+        shuffled, moved = [], 0
+        for path in paths:
+            detection = json.loads(path.read_text(encoding="utf-8"))
+            order = [entity["id"] for entity in detection["entities"]]
+            rng.shuffle(detection["entities"])
+            moved += order != [entity["id"] for entity in detection["entities"]]
+            shuffled.append(shuffled_dir / path.name)
+            shuffled[-1].write_text(json.dumps(detection), encoding="utf-8")
+        assert moved == len(paths)
+        outputs = []
+        for name, batch in (("given", paths), ("shuffled", shuffled)):
+            config = PipelineConfig(fixtures_dir=str(root / "fixtures"), output_dir=str(tmp_path / name))
+            assert run_batch(batch, config).exit_code == EXIT_OK
+            outputs.append({out.name: out.read_bytes() for out in (tmp_path / name).glob("*.reactions.json")})
+        assert len(outputs[0]) == len(paths)
+        assert outputs[1] == outputs[0]
 
     def test_empty_document_ok(self, tmp_path):
         detection = tmp_path / "empty.json"
@@ -539,8 +564,12 @@ class TestCli:
         code = main(["fingerprint", "CCO"])
         data = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
-        assert data["atom_counts"] == {"C": 2, "H": 6, "O": 1}
-        assert data["fingerprint"]["popcount"] >= 1
+        assert data == {
+            "smiles": "CCO",
+            "atom_counts": {"C": 2, "H": 6, "O": 1},
+            "formal_charge": 0,
+            "fingerprint": {"tag": "path-v1:l5", "width": 2048, "popcount": 5, "bits": [759, 867, 1035, 1697, 2020]},
+        }
 
     def test_parse_and_eval_roundtrip(self, corpus, tmp_path, capsys):
         root, paths, gt = corpus

@@ -85,8 +85,8 @@ bitmasks = st.integers(min_value=0, max_value=(1 << 256) - 1)
 
 @given(bitmasks, bitmasks)
 def test_tanimoto_bounds_and_symmetry(a_bits, b_bits):
-    a = Fingerprint(bits=a_bits, width=256, algorithm_tag="t")
-    b = Fingerprint(bits=b_bits, width=256, algorithm_tag="t")
+    a = Fingerprint(bits=a_bits)
+    b = Fingerprint(bits=b_bits)
     value = tanimoto(a, b)
     assert 0.0 <= value <= 1.0
     assert value == tanimoto(b, a)

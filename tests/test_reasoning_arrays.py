@@ -20,13 +20,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxnparse.chem import DEFAULT_FINGERPRINT_CONFIG, Fingerprint
+from rxnparse.chem import Fingerprint
 from rxnparse.config import ReasoningConfig
 from rxnparse.entities import load_document
 from rxnparse.geometry import center_distance_normalized
 from rxnparse.reasoning import (
     EdgeRelation,
-    FusionWeights,
     HypothesisEdge,
     HypothesisGraph,
     build_chem_graph,
@@ -41,6 +40,7 @@ from rxnparse.reasoning import chemgraph as chemgraph_module
 from rxnparse.reasoning import hypotheses as hypotheses_module
 
 from helpers import (
+    fusion_config,
     make_doc,
     molecule_entity,
     reference_build_chem_graph,
@@ -113,9 +113,7 @@ def documents(draw, max_entities=11):
     for entity in doc.entities:
         if entity.molecule is not None and draw(st.booleans()):
             # no molecule hashes to zero bits; seed the cached value to reach the empty union
-            entity.__dict__["fingerprint"] = Fingerprint(
-                0, DEFAULT_FINGERPRINT_CONFIG.width, DEFAULT_FINGERPRINT_CONFIG.full_tag
-            )
+            entity.__dict__["fingerprint"] = Fingerprint(0)
     return doc
 
 
@@ -132,7 +130,6 @@ def test_chem_graph_equals_pairwise_loop(doc, beta, tau):
     config = ReasoningConfig(beta=beta, tau_chem=tau)
     chem, expected = build_chem_graph(doc, config), reference_build_chem_graph(doc, config)
     assert _hex_items(chem.scores) == _hex_items(expected.scores)
-    assert chem.tau_chem == expected.tau_chem
     assert np.all(chem.rows < chem.cols)  # entity positions, each pair once
 
 
@@ -175,7 +172,7 @@ def test_chem_graph_of_hundreds_of_molecules():
         for k in range(300)
     ]
     doc = make_doc(entities, width=1400, height=600)
-    zero = Fingerprint(0, DEFAULT_FINGERPRINT_CONFIG.width, DEFAULT_FINGERPRINT_CONFIG.full_tag)
+    zero = Fingerprint(0)
     for entity in doc.entities[::7]:
         if entity.molecule is not None:
             entity.__dict__["fingerprint"] = zero
@@ -217,14 +214,14 @@ def test_fuse_of_real_graphs_equals_reference(doc, weights, propagated, data):
                 source, target, data.draw(st.sampled_from(relations)), data.draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))
             )
             typed += [edge] * data.draw(st.integers(1, 2))
-    hypotheses = HypothesisGraph(clusters=(tuple(ids),), edges=tuple(typed))
-    weights = FusionWeights(*weights)
-    everything = reference_fuse(spatial, chem, hypotheses, weights, -1.0).edges
-    tau = data.draw(st.sampled_from([e.score for e in everything])) if everything else 0.45
-    expected = reference_fuse(spatial, chem, hypotheses, weights, tau)
-    fused = fuse(spatial, chem, hypotheses, weights, tau)
+    hypotheses = HypothesisGraph(edges=tuple(typed))
+    # every candidate scores above 0: alpha_chem > 0, and a chemistry score is 0.5 or above tau_chem
+    everything = reference_fuse(spatial, chem, hypotheses, fusion_config(weights, 0.0)).edges
+    config = fusion_config(weights, data.draw(st.sampled_from([e.score for e in everything])) if everything else 0.45)
+    expected = reference_fuse(spatial, chem, hypotheses, config)
+    fused = fuse(spatial, chem, hypotheses, config)
     assert _fused_hex(fused) == _fused_hex(expected)
-    assert (fused.node_ids, fused.weights, fused.tau_fuse) == (expected.node_ids, expected.weights, expected.tau_fuse)
+    assert fused.node_ids == expected.node_ids
 
 
 # --- the combiner prompt --------------------------------------------------------

@@ -677,6 +677,18 @@ def test_arrow_screen_leaves_out_far_arrows_and_every_box():
     assert _kept(members, UNIT_SQUARE) == [1]
 
 
+@pytest.mark.parametrize("vertex", range(8))
+def test_reply_arrow_at_the_float_limit_is_a_typed_error(two_reaction_json, two_reaction_doc, vertex):
+    """A vertex at -1e308 overflows the screen's cross products to the inf and nan the clip's Python
+    floats reach too: the reply fails with the reference's ``ResolutionError``, not a numpy warning."""
+    data = json.loads(two_reaction_json)
+    data[0]["arrow"][0]["bbox"][vertex] = -1e308
+    raw = json.dumps(data)
+    outcome = _reply_outcome(parse_combiner_response, raw, two_reaction_doc)
+    assert outcome[0] is ResolutionError
+    assert outcome == _reply_outcome(reference_parse_combiner_response, raw, two_reaction_doc)
+
+
 def _hex(polygon):
     return [(x.hex(), y.hex()) for x, y in polygon]
 

@@ -28,7 +28,6 @@ from rxnparse.reasoning import (
     EdgeRelation,
     FusedEdge,
     FusedGraph,
-    FusionWeights,
     HypothesisEdge,
     HypothesisGraph,
     assign_entities_to_arrows,
@@ -41,6 +40,7 @@ from rxnparse.reasoning.postprocess import _MERGE_MIN_COS, _merge_collinear_arro
 from helpers import (
     arrow_entity,
     chem_graph,
+    fusion_config,
     make_doc,
     molecule_entity,
     reference_assign_entities_to_arrows,
@@ -88,15 +88,15 @@ def evidence_graphs(draw):
             typed.append(
                 HypothesisEdge(source, target, draw(st.sampled_from(TYPED_RELATIONS)), draw(QUARTERS))
             )
-    return space, chem, HypothesisGraph(clusters=(tuple(ids),), edges=tuple(typed))
+    return space, chem, HypothesisGraph(edges=tuple(typed))
 
 
 @settings(max_examples=300, deadline=None)
 @given(graphs=evidence_graphs(), weights=DYADIC_WEIGHTS, tau=TAUS)
 def test_fuse_equals_reference(graphs, weights, tau):
     spatial, chem, hypotheses = graphs
-    weights = FusionWeights(*weights)
-    assert fuse(spatial, chem, hypotheses, weights, tau) == reference_fuse(spatial, chem, hypotheses, weights, tau)
+    config = fusion_config(weights, tau)
+    assert fuse(spatial, chem, hypotheses, config) == reference_fuse(spatial, chem, hypotheses, config)
 
 
 def test_fuse_prunes_a_score_exactly_at_tau():
@@ -110,19 +110,18 @@ def test_fuse_prunes_a_score_exactly_at_tau():
         scores={(0, 1): 0.5, (1, 2): 0.75},
     )
     chem = chem_graph(spatial.table, {("a", "c"): 1.0})
-    hypotheses = HypothesisGraph(
-        clusters=(ids,), edges=(HypothesisEdge("b", "a", EdgeRelation.REACTANT_TO_ARROW, 0.5),)
-    )
-    weights = FusionWeights(0.5, 0.25, 0.25)
+    hypotheses = HypothesisGraph(edges=(HypothesisEdge("b", "a", EdgeRelation.REACTANT_TO_ARROW, 0.5),))
+    weights = (0.5, 0.25, 0.25)
     # b->a scores 0.5 exactly; (b, c) 0.5 and (a, c) 0.5 exactly as well
-    assert fuse(spatial, chem, hypotheses, weights, 0.5).edges == ()
-    kept = fuse(spatial, chem, hypotheses, weights, 0.375).edges
+    assert fuse(spatial, chem, hypotheses, fusion_config(weights, 0.5)).edges == ()
+    config = fusion_config(weights, 0.375)
+    kept = fuse(spatial, chem, hypotheses, config).edges
     assert [(e.source, e.target, e.relation) for e in kept] == [
         ("b", "a", EdgeRelation.REACTANT_TO_ARROW),
         ("a", "c", EdgeRelation.NO_EDGE),
         ("b", "c", EdgeRelation.NO_EDGE),
     ]
-    assert kept == reference_fuse(spatial, chem, hypotheses, weights, 0.375).edges
+    assert kept == reference_fuse(spatial, chem, hypotheses, config).edges
 
 
 # --- inference ------------------------------------------------------------------
@@ -174,7 +173,7 @@ def fused_documents(draw):
             if relation == EdgeRelation.NO_EDGE:
                 source, target = _ordered(source, target)
             edges.append(FusedEdge(source, target, relation, draw(scores), 0.5, 0.5, 0.0))
-    fused = FusedGraph(node_ids=node_ids, edges=tuple(edges), weights=FusionWeights(0.3, 0.2, 0.5), tau_fuse=0.0)
+    fused = FusedGraph(node_ids=node_ids, edges=tuple(edges))
     return doc, fused
 
 
@@ -219,7 +218,7 @@ def test_infer_reactions_over_several_components_equals_reference():
         FusedEdge("t2", "m4", EdgeRelation.COND_TO_PRODUCT, 0.55, 0.5, 0.5, 1.0),
         FusedEdge("m4", "m5", EdgeRelation.REACTANT_TO_PRODUCT, 0.65, 0.5, 0.5, 1.0),
     )
-    fused = FusedGraph(tuple(e.id for e in doc.entities), edges, FusionWeights(0.3, 0.2, 0.5), 0.0)
+    fused = FusedGraph(tuple(e.id for e in doc.entities), edges)
     for limit in (1, 12):
         config = ReasoningConfig(exact_search_limit=limit)
         reactions = infer_reactions(fused, doc, config)

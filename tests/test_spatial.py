@@ -32,7 +32,7 @@ def two_node_graph(w1, w2, h0, with_edge=True):
 class TestPropagation:
     def test_isolated_node_lands_on_zero(self):
         dim = 6
-        weights = random_weights(1, dim, EDGE_DIMS, seed=3)
+        weights = random_weights(1, dim, seed=3)
         graph = spatial_graph(
             node_ids=("solo",),
             features=np.ones((1, dim)),
@@ -129,14 +129,14 @@ class TestBuild:
 
     def test_weights_dim_mismatch(self):
         doc = make_doc([molecule_entity("m", 0, 0)])
-        weights = random_weights(2, 48, EDGE_DIMS, seed=1)
+        weights = random_weights(2, 48, seed=1)
         with pytest.raises(ConfigError):
             build_spatial_graph(doc, ReasoningConfig(dim=32), weights)
 
 
 class TestWeightsIO:
     def test_save_load_roundtrip(self, tmp_path):
-        weights = random_weights(2, 32, EDGE_DIMS, seed=11)
+        weights = random_weights(2, 32, seed=11)
         path = tmp_path / "weights.json"
         save_weights(weights, path)
         loaded = load_weights(path)
@@ -153,8 +153,8 @@ class TestWeightsIO:
             load_weights(path)
 
     def test_seeded_random_weights_reproducible(self):
-        a = random_weights(2, 32, EDGE_DIMS, seed=5)
-        b = random_weights(2, 32, EDGE_DIMS, seed=5)
+        a = random_weights(2, 32, seed=5)
+        b = random_weights(2, 32, seed=5)
         for x, y in zip(a.w1, b.w1):
             assert np.array_equal(x, y)
 
@@ -174,7 +174,7 @@ def test_scores_symmetric_by_ids():
 
 
 def test_edge_feature_rows_must_cover_both_directions():
-    weights = random_weights(1, 4, EDGE_DIMS, seed=1)
+    weights = random_weights(1, 4, seed=1)
     with pytest.raises(ValueError):
         spatial_graph(
             node_ids=("a", "b"),
