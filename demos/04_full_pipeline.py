@@ -19,8 +19,6 @@ from rxnparse.reactions import reactions_to_json
 from rxnparse.reasoning import COMBINER_ROLE, cluster_entities, cluster_prompt_variables
 from rxnparse.render import render_svg
 
-workdir = Path(tempfile.mkdtemp(prefix="rxnparse_demo_"))
-
 # One esterification row: ethanol + acetic acid -> ethyl acetate (+ water,
 # drawn as a second product), with conditions above and below the arrow.
 detection = {
@@ -40,8 +38,6 @@ detection = {
     ],
 }
 doc = load_document(json.dumps(detection))
-config = PipelineConfig(fixtures_dir=str(workdir), output_dir=str(workdir))
-client = MockAgentClient(workdir)
 
 # Record what the combiner agent would answer for each entity cluster.
 answer = json.dumps(
@@ -63,24 +59,29 @@ answer = json.dumps(
         }
     ]
 )
-table = doc.table  # held for the loop, so every cluster's prompt reads the one entity table
-for cluster in cluster_entities(doc, config.reasoning):
-    client.store(COMBINER_ROLE, cluster_prompt_variables(cluster, doc, config.reasoning), answer)
 
-outcome = run_document(doc, config, client)
-print("plan:", " -> ".join(outcome.plan.steps))
-for reaction in outcome.reactions:
-    print("reaction:")
-    print("  reactants: ", reaction.reactants)
-    print("  products:  ", reaction.products)
-    print("  conditions:", reaction.conditions)
-    print("  arrows:    ", reaction.arrows)
-    print("  balance:   ", reaction.conservation.value)
-    print("  score:     ", round(reaction.score, 3))
+# Fixtures and outputs go to a temporary directory, removed when the block ends.
+with tempfile.TemporaryDirectory(prefix="rxnparse_demo_") as tmp:
+    workdir = Path(tmp)
+    config = PipelineConfig(fixtures_dir=str(workdir), output_dir=str(workdir))
+    client = MockAgentClient(workdir)
+    table = doc.table  # held for the loop, so every cluster's prompt reads the one entity table
+    for cluster in cluster_entities(doc, config.reasoning):
+        client.store(COMBINER_ROLE, cluster_prompt_variables(cluster, doc, config.reasoning), answer)
 
-out_json = workdir / "esterification.reactions.json"
-out_json.write_text(reactions_to_json(outcome.reactions, doc) + "\n")
-out_svg = workdir / "esterification.svg"
-out_svg.write_text(render_svg(doc, outcome.reactions))
-print("\nwrote", out_json)
-print("wrote", out_svg)
+    outcome = run_document(doc, config, client)
+    print("plan:", " -> ".join(outcome.plan.steps))
+    for reaction in outcome.reactions:
+        print("reaction:")
+        print("  reactants: ", reaction.reactants)
+        print("  products:  ", reaction.products)
+        print("  conditions:", reaction.conditions)
+        print("  arrows:    ", reaction.arrows)
+        print("  balance:   ", reaction.conservation.value)
+        print("  score:     ", round(reaction.score, 3))
+
+    out_json = workdir / "esterification.reactions.json"
+    out_json.write_text(reactions_to_json(outcome.reactions, doc) + "\n")
+    out_svg = workdir / "esterification.svg"
+    out_svg.write_text(render_svg(doc, outcome.reactions))
+    print(f"\nwrote {out_json.name} ({out_json.stat().st_size} bytes) and {out_svg.name} ({out_svg.stat().st_size} bytes)")

@@ -44,7 +44,6 @@ from .reactions import (
     ResolutionError,
     ResponseFormatError,
     boxed_reactions_from_json,
-    boxed_view,
     parse_combiner_response,
     reaction_to_json,
     reactions_to_json,

@@ -157,9 +157,17 @@ def make_client(config: PipelineConfig) -> AgentClient:
 
 
 def load_pipeline_weights(config: PipelineConfig) -> SpatialWeights:
-    if config.weights_file:
-        return load_weights(config.weights_file)
-    return random_weights(config.reasoning.layers, config.reasoning.dim)
+    """The weights file, which must match the config's ``layers`` and ``dim``, or the seeded fallback without one."""
+    reasoning = config.reasoning
+    if not config.weights_file:
+        return random_weights(reasoning.layers, reasoning.dim)
+    weights = load_weights(config.weights_file)
+    if (weights.layers, weights.dim) != (reasoning.layers, reasoning.dim):
+        raise ConfigError(
+            f"weights file {config.weights_file} has layers {weights.layers} and dim {weights.dim}, "
+            f"the config layers {reasoning.layers} and dim {reasoning.dim}"
+        )
+    return weights
 
 
 def load_pipeline_lexicon(config: PipelineConfig) -> None:

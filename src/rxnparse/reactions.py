@@ -7,8 +7,9 @@ each holding ``{"label": ..., "bbox": [...]}`` items; boxes are
 stay integers. ``reactants`` and ``products`` must not be empty;
 ``conditions`` and ``arrow`` may be.
 
-Inside the pipeline a reaction references document entities by id; the
-serializer materializes labels and boxes from the document. One reader
+Inside the pipeline a :class:`Reaction` references document entities by
+id and carries its fused score and conservation status; the serializer
+materializes labels and boxes from the document. One reader
 takes the wire format in: a structural pass over the decoded array,
 with every box's coordinates checked in bulk, gives
 :class:`BoxedMember` values that hold validated coordinates and build
@@ -28,7 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from .chem import ElementCounts
 from .entities import KIND_CODES, EntityKind, ReactionDocument
 from .geometry import (
     Region,
@@ -83,7 +83,6 @@ class Reaction:
     arrows: tuple[str, ...] = ()
     score: float = 1.0
     conservation: Conservation = Conservation.UNKNOWN
-    residual: tuple[ElementCounts, int] | None = None
 
     def __post_init__(self):
         if not self.reactants or not self.products:
@@ -264,8 +263,6 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
         if i == owner:
             raise problem
         reactants, products, conditions, arrows = map(tuple, ids)
-        if not reactants or not products:
-            raise ConstraintError(f"reaction {i}: reactants and products must not be empty")
         confidence = obj.get("confidence", 1.0)
         if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
             raise ResponseFormatError(f"reaction {i}: confidence must be a number")
@@ -459,16 +456,3 @@ def boxed_reactions_from_json(text: str) -> list[BoxedReaction]:
     """:func:`boxed_reactions_from_list` of a JSON text; invalid JSON is a :class:`ResponseFormatError`."""
     return boxed_reactions_from_list(_loads(text))
 
-
-def boxed_view(reaction: Reaction, doc: ReactionDocument) -> BoxedReaction:
-    def role(ids):
-        return tuple(
-            BoxedMember(kind=doc.entity(i).kind, region=doc.entity(i).region) for i in ids
-        )
-
-    return BoxedReaction(
-        reactants=role(reaction.reactants),
-        products=role(reaction.products),
-        conditions=role(reaction.conditions),
-        arrows=role(reaction.arrows),
-    )

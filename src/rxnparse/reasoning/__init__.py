@@ -20,13 +20,11 @@ from .hypotheses import (
     edges_from_reactions,
 )
 from .inference import (
-    ArrowAssignment,
-    assign_entities_to_arrows,
     connected_components,
     infer_reactions,
 )
 from .postprocess import post_process
-from .relations import NUM_RELATIONS, EdgeRelation
+from .relations import EdgeRelation
 from .spatial import (
     EDGE_DIMS,
     SpatialGraph,
@@ -40,7 +38,6 @@ from .spatial import (
 
 __all__ = [
     "ABSENT_INIT_SCORE",
-    "ArrowAssignment",
     "BASE_NODE_DIMS",
     "COMBINER_ROLE",
     "ChemGraph",
@@ -52,10 +49,8 @@ __all__ = [
     "HypothesisGraph",
     "NEUTRAL_CHEM_SCORE",
     "NEUTRAL_SPACE_SCORE",
-    "NUM_RELATIONS",
     "SpatialGraph",
     "SpatialWeights",
-    "assign_entities_to_arrows",
     "build_chem_graph",
     "build_spatial_graph",
     "chem_pair_score",

@@ -6,8 +6,8 @@ affinities, the assignment, typed-condition attachment and the arrowless
 fallback read only that bucket; affinities and the component's
 condition edges are computed once per component. Inside a component,
 every arrow seeds one candidate reaction, and each non-arrow entity may
-support at most one arrow; the chosen entity-to-arrow assignment is the
-one maximizing the summed fused scores of the edges it includes. Small
+support at most one arrow; the chosen ``{entity: arrow}`` assignment is
+the one maximizing the summed fused scores of the edges it includes. Small
 components are solved by exhaustive enumeration, larger ones greedily.
 The objective is separable, so both reach the same rounded total, but
 they can pick different assignments when two combinations tie on it
@@ -30,7 +30,6 @@ hypothesis edges alone. Every candidate is built by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +43,6 @@ from .relations import EdgeRelation
 
 # the typed edges that attach a condition to a candidate reaction
 _CONDITION_RELATIONS = (EdgeRelation.REACTANT_TO_COND, EdgeRelation.COND_TO_PRODUCT)
-
-
-@dataclass(frozen=True)
-class ArrowAssignment:
-    """One component's entity-to-arrow assignment and its total support."""
-
-    assigned: dict  # entity id -> arrow id
-    total: float
 
 
 def connected_components(fused: FusedGraph) -> list[list[str]]:
@@ -87,35 +78,19 @@ def _arrow_affinities(component, edges, doc: ReactionDocument):
     return arrows, affinity, edges_by_pair
 
 
-def assign_entities_to_arrows(
-    component,
-    fused: FusedGraph,
-    doc: ReactionDocument,
-    config: ReasoningConfig,
-) -> ArrowAssignment:
-    """Pick the support-maximizing entity-to-arrow assignment.
+def _best_assignment(affinity, size: int, config: ReasoningConfig) -> dict:
+    """``{entity: arrow}`` maximizing summed affinity for a component of ``size`` members.
 
     Exhaustive over the full assignment space when the component is
-    within ``exact_search_limit``, greedy per entity otherwise; the two
-    may differ on exact rounded-total ties (see the module docstring).
-    """
-    members = set(component)
-    edges = [e for e in fused.edges if e.source in members and e.target in members]
-    _, affinity, _ = _arrow_affinities(component, edges, doc)
-    return _best_assignment(affinity, len(component), config)
-
-
-def _best_assignment(affinity, size: int, config: ReasoningConfig) -> ArrowAssignment:
-    """The assignment maximizing summed affinity for a component of ``size`` members.
-
-    Exhaustive search keeps the first combination in product order whose
-    rounded total is the largest; greedy takes each entity's first best
-    arrow. Their totals agree, but on an exact tie between rounded totals
-    their assignments need not.
+    within ``exact_search_limit``, keeping the first combination in
+    product order whose rounded total is the largest; greedy otherwise,
+    taking each entity's first best arrow. Their totals agree, but on an
+    exact tie between rounded totals their assignments need not (see the
+    module docstring).
     """
     entities = sorted(affinity)
     if not entities:
-        return ArrowAssignment(assigned={}, total=0.0)
+        return {}
 
     if size <= config.exact_search_limit:
         options = [sorted(affinity[e]) for e in entities]
@@ -126,15 +101,12 @@ def _best_assignment(affinity, size: int, config: ReasoningConfig) -> ArrowAssig
             if total > best_total:
                 best_total = total
                 best = dict(zip(entities, combo))
-        return ArrowAssignment(assigned=best or {}, total=max(best_total, 0.0))
+        return best or {}
 
     assigned = {}
-    total = 0.0
     for entity in entities:
-        arrow = max(sorted(affinity[entity]), key=lambda a: affinity[entity][a])
-        assigned[entity] = arrow
-        total += affinity[entity][arrow]
-    return ArrowAssignment(assigned=assigned, total=total)
+        assigned[entity] = max(sorted(affinity[entity]), key=lambda a: affinity[entity][a])
+    return assigned
 
 
 def _role_for(entity_id: str, arrow_id: str, edges, doc: ReactionDocument) -> str:
@@ -183,13 +155,13 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
         if not arrows:
             reactions.extend(_arrowless_candidates(edges, condition_edges, doc))
             continue
-        assignment = _best_assignment(affinity, len(component), config)
+        assigned = _best_assignment(affinity, len(component), config)
         per_arrow: dict[str, dict[str, list[str]]] = {
             a: {"reactant": [], "product": [], "condition": []} for a in arrows
         }
         per_arrow_score: dict[str, float] = {a: 0.0 for a in arrows}
-        for entity_id in sorted(assignment.assigned, key=table.position.__getitem__):
-            arrow_id = assignment.assigned[entity_id]
+        for entity_id in sorted(assigned, key=table.position.__getitem__):
+            arrow_id = assigned[entity_id]
             role = _role_for(entity_id, arrow_id, edges_by_pair[(entity_id, arrow_id)], doc)
             per_arrow[arrow_id][role].append(entity_id)
             per_arrow_score[arrow_id] += affinity[entity_id][arrow_id]

@@ -150,15 +150,14 @@ def _flag_conservation(reaction: Reaction, doc: ReactionDocument, config: Reason
         for entity_id in ids:
             entity = doc.entity(entity_id)
             if entity.kind != EntityKind.MOLECULE or entity.molecule is None:
-                return replace(reaction, conservation=Conservation.UNKNOWN, residual=None)
+                return replace(reaction, conservation=Conservation.UNKNOWN)
             molecules.append(entity.molecule)
         sides.append(molecules)
-    residual = conservation_residual(sides[0], sides[1])
-    if residual[0].is_zero and residual[1] == 0:
-        return replace(reaction, conservation=Conservation.BALANCED, residual=residual)
+    elements, charge = conservation_residual(sides[0], sides[1])
+    if elements.is_zero and charge == 0:
+        return replace(reaction, conservation=Conservation.BALANCED)
     return replace(
         reaction,
         conservation=Conservation.UNBALANCED,
-        residual=residual,
         score=reaction.score * config.conservation_penalty,
     )

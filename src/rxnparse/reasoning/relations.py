@@ -1,15 +1,13 @@
 """Edge relation codes of the reaction-graph wire protocol.
 
 The numeric codes are fixed by the combiner prompt's mapping and must
-not be renumbered: 4 is a reserved count marker in that listing, which
-is why the two arrow relations sit at 5 and 6.
+not be renumbered: 4 is the listing's ``NUM_RELATIONS`` count marker,
+no relation, which is why the two arrow relations sit at 5 and 6.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-
-NUM_RELATIONS = 4
 
 
 class EdgeRelation(IntEnum):

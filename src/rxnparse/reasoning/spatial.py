@@ -9,9 +9,9 @@ feature, through a ReLU:
     h_i <- relu( sum_j ( W1 @ h_j + W2 @ e_ij ) )
 
 A node with no neighbours therefore lands exactly on the zero vector.
-After the configured number of layers, each edge is scored by shifted
-cosine similarity of its endpoint embeddings, mapped into [0, 1]; a
-zero embedding on either end scores the neutral 0.5.
+After one layer per (W1, W2) pair of the weights, each edge is scored by
+shifted cosine similarity of its endpoint embeddings, mapped into
+[0, 1]; a zero embedding on either end scores the neutral 0.5.
 """
 
 from __future__ import annotations
@@ -29,10 +29,21 @@ EDGE_DIMS = 2 + 1 + 1 + 16  # offset + distance + size ratio + kind-pair one-hot
 
 @dataclass(frozen=True)
 class SpatialWeights:
-    """Per-layer (W1, W2) pairs; loaded from file, never learned here."""
+    """Per-layer (W1, W2) pairs, W1 dim x dim and W2 dim x EDGE_DIMS, checked when built; loaded from file,
+    never learned here. :func:`rxnparse.pipeline.load_pipeline_weights` matches them to the config."""
 
     w1: tuple[np.ndarray, ...]
     w2: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if len(self.w1) != len(self.w2) or not self.w1:
+            raise ConfigError("weights need matching, non-empty W1/W2 lists")
+        d = self.w1[0].shape[0] if self.w1[0].ndim else 0
+        for a, b in zip(self.w1, self.w2):
+            if a.shape != (d, d):
+                raise ConfigError(f"W1 must be {d}x{d}, got {a.shape}")
+            if b.shape != (d, EDGE_DIMS):
+                raise ConfigError(f"W2 must be {d}x{EDGE_DIMS}, got {b.shape}")
 
     @property
     def layers(self) -> int:
@@ -41,21 +52,6 @@ class SpatialWeights:
     @property
     def dim(self) -> int:
         return self.w1[0].shape[0]
-
-    @property
-    def edge_dim(self) -> int:
-        return self.w2[0].shape[1]
-
-    def validate(self) -> None:
-        if len(self.w1) != len(self.w2) or not self.w1:
-            raise ConfigError("weights need matching, non-empty W1/W2 lists")
-        d = self.w1[0].shape[0]
-        e = self.w2[0].shape[1]
-        for a, b in zip(self.w1, self.w2):
-            if a.shape != (d, d):
-                raise ConfigError(f"W1 must be {d}x{d}, got {a.shape}")
-            if b.shape != (d, e):
-                raise ConfigError(f"W2 must be {d}x{e}, got {b.shape}")
 
 
 def random_weights(layers: int, dim: int, seed: int = 7) -> SpatialWeights:
@@ -71,7 +67,7 @@ def save_weights(weights: SpatialWeights, path) -> None:
     payload = {
         "layers": weights.layers,
         "dim": weights.dim,
-        "edge_dim": weights.edge_dim,
+        "edge_dim": EDGE_DIMS,
         "weights": [
             {"W1": a.tolist(), "W2": b.tolist()} for a, b in zip(weights.w1, weights.w2)
         ],
@@ -81,15 +77,15 @@ def save_weights(weights: SpatialWeights, path) -> None:
 
 
 def load_weights(path) -> SpatialWeights:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
     try:
-        w1 = tuple(np.asarray(layer["W1"], dtype=float) for layer in payload["weights"])
-        w2 = tuple(np.asarray(layer["W2"], dtype=float) for layer in payload["weights"])
-    except (KeyError, TypeError) as exc:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        weights = SpatialWeights(
+            w1=tuple(np.asarray(layer["W1"], dtype=float) for layer in payload["weights"]),
+            w2=tuple(np.asarray(layer["W2"], dtype=float) for layer in payload["weights"]),
+        )
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError: invalid JSON, a ragged matrix, a bad shape
         raise ConfigError(f"malformed weights file {path}: {exc}") from exc
-    weights = SpatialWeights(w1=w1, w2=w2)
-    weights.validate()
     if weights.layers != payload.get("layers") or weights.dim != payload.get("dim"):
         raise ConfigError(f"weights file {path} disagrees with its own shape header")
     return weights
@@ -175,12 +171,6 @@ def build_spatial_graph(
     """
     if weights is None:
         weights = random_weights(config.layers, config.dim)
-    weights.validate()
-    if weights.dim != config.dim:
-        raise ConfigError(f"weights dim {weights.dim} != config dim {config.dim}")
-    if weights.edge_dim != EDGE_DIMS:
-        raise ConfigError(f"weights edge dim {weights.edge_dim} != {EDGE_DIMS}")
-
     table = doc.table
     n = len(table.ids)
     features = _node_features(doc, config)
@@ -204,15 +194,14 @@ def build_spatial_graph(
     )
 
 
-def propagate(graph: SpatialGraph, layers: int | None = None) -> SpatialGraph:
-    """Run message passing and score edges; returns a new graph.
+def propagate(graph: SpatialGraph) -> SpatialGraph:
+    """Run one message-passing step per weights layer and score edges; returns a new graph.
 
     Neighbour sums are taken before the weights apply, so each layer
     costs two small matrix products: ``relu(W1 @ sum_j h_j + W2 @ sum_j e_ij)``.
     The edge-feature sums are the same in every layer.
     """
     n = len(graph.node_ids)
-    steps = graph.weights.layers if layers is None else layers
     h = np.array(graph.features, dtype=float)
     adjacency = _adjacency(graph.rows, graph.cols, n)
     # edge_features rows follow the nonzero entries of the adjacency in row-major order
@@ -221,9 +210,7 @@ def propagate(graph: SpatialGraph, layers: int | None = None) -> SpatialGraph:
     edge_sums = np.zeros((n, graph.edge_features.shape[1]))
     edge_sums[nodes] = np.add.reduceat(graph.edge_features, starts, axis=0)
 
-    for layer in range(steps):
-        w1 = graph.weights.w1[layer % graph.weights.layers]
-        w2 = graph.weights.w2[layer % graph.weights.layers]
+    for w1, w2 in zip(graph.weights.w1, graph.weights.w2):
         h = np.maximum((adjacency @ h) @ w1.T + edge_sums @ w2.T, 0.0)
 
     return replace(graph, features=h, values=_shifted_cosines(h, graph.rows, graph.cols))

@@ -456,19 +456,16 @@ def edge_feature_dict(graph) -> dict:
     return dict(zip(directed, graph.edge_features))
 
 
-def reference_propagate(graph, layers=None):
+def reference_propagate(graph):
     """(features, scores) by one W1 @ h_j + W2 @ e_ij product per directed edge."""
     n = len(graph.node_ids)
-    steps = graph.weights.layers if layers is None else layers
     features = edge_feature_dict(graph)
     adjacency = [[] for _ in range(n)]
     for i, j in graph.edges:
         adjacency[i].append(j)
         adjacency[j].append(i)
     h = np.array(graph.features, dtype=float)
-    for layer in range(steps):
-        w1 = graph.weights.w1[layer % graph.weights.layers]
-        w2 = graph.weights.w2[layer % graph.weights.layers]
+    for w1, w2 in zip(graph.weights.w1, graph.weights.w2):
         new_h = np.zeros_like(h)
         for i in range(n):
             total = np.zeros(h.shape[1])
@@ -677,12 +674,11 @@ def _reference_arrow_affinities(component, fused, doc):
 
 
 def reference_assign_entities_to_arrows(component, fused, doc, config):
-    from rxnparse.reasoning.inference import ArrowAssignment
-
+    """The ``{entity: arrow}`` assignment, exhaustive within ``exact_search_limit`` and greedy beyond it."""
     arrows, affinity, _ = _reference_arrow_affinities(component, fused, doc)
     entities = sorted(affinity)
     if not arrows or not entities:
-        return ArrowAssignment(assigned={}, total=0.0)
+        return {}
     if len(component) <= config.exact_search_limit:
         options = [sorted(affinity[e]) for e in entities]
         best, best_total = None, float("-inf")
@@ -690,13 +686,20 @@ def reference_assign_entities_to_arrows(component, fused, doc, config):
             total = sum(affinity[e][a] for e, a in zip(entities, combo))
             if total > best_total:
                 best_total, best = total, dict(zip(entities, combo))
-        return ArrowAssignment(assigned=best or {}, total=max(best_total, 0.0))
-    assigned, total = {}, 0.0
-    for entity in entities:
-        arrow = max(sorted(affinity[entity]), key=lambda a: affinity[entity][a])
-        assigned[entity] = arrow
-        total += affinity[entity][arrow]
-    return ArrowAssignment(assigned=assigned, total=total)
+        return best or {}
+    return {entity: max(sorted(affinity[entity]), key=lambda a: affinity[entity][a]) for entity in entities}
+
+
+def component_assignment(component, fused, doc, config):
+    """``inference._best_assignment`` on the affinities of the fused edges inside ``component``,
+    and the summed affinity of the assignment it returns."""
+    from rxnparse.reasoning.inference import _arrow_affinities, _best_assignment
+
+    members = set(component)
+    edges = [e for e in fused.edges if e.source in members and e.target in members]
+    _, affinity, _ = _arrow_affinities(component, edges, doc)
+    assigned = _best_assignment(affinity, len(component), config)
+    return assigned, sum(affinity[e][a] for e, a in assigned.items())
 
 
 def _reference_finalize_candidate(reactants, products, conditions, arrows, score, component, fused, doc):
@@ -777,11 +780,11 @@ def reference_infer_reactions(fused, doc, config):
         if not arrows:
             reactions.extend(_reference_arrowless_candidates(component, fused, doc))
             continue
-        assignment = reference_assign_entities_to_arrows(component, fused, doc, config)
+        assigned = reference_assign_entities_to_arrows(component, fused, doc, config)
         per_arrow = {a: {"reactant": [], "product": [], "condition": []} for a in arrows}
         per_arrow_score = {a: 0.0 for a in arrows}
-        for entity_id in sorted(assignment.assigned, key=reading_key):
-            arrow_id = assignment.assigned[entity_id]
+        for entity_id in sorted(assigned, key=reading_key):
+            arrow_id = assigned[entity_id]
             role = _role_for(entity_id, arrow_id, edges_by_pair[(entity_id, arrow_id)], doc)
             per_arrow[arrow_id][role].append(entity_id)
             per_arrow_score[arrow_id] += affinity[entity_id][arrow_id]

@@ -166,11 +166,22 @@ def _reaction_json(reaction_ids, doc):
     }
 
 
-def build_corpus(root: Path, per_layout: int = 5, seed: int = 2024, config: ReasoningConfig | None = None):
+def scaled(detection: dict, factor: float) -> dict:
+    """``detection`` with its width, height and every bbox coordinate multiplied by ``factor``."""
+    entities = [{**entity, "bbox": [v * factor for v in entity["bbox"]]} for entity in detection["entities"]]
+    return {**detection, "width": detection["width"] * factor, "height": detection["height"] * factor,
+            "entities": entities}
+
+
+def build_corpus(
+    root: Path, per_layout: int = 5, seed: int = 2024, config: ReasoningConfig | None = None, scale: float = 1.0
+):
     """Write detection files and matching fixtures under ``root``.
 
-    Returns (detection paths, ground-truth corpus entries). Ground truth
-    is a list of {"id", "layout", "reactions"} dicts in the wire format.
+    Every coordinate of the documents, and so of the stored replies, is
+    multiplied by ``scale``. Returns (detection paths, ground-truth
+    corpus entries). Ground truth is a list of {"id", "layout",
+    "reactions"} dicts in the wire format.
     """
     config = config or ReasoningConfig()
     rng = random.Random(seed)
@@ -186,6 +197,8 @@ def build_corpus(root: Path, per_layout: int = 5, seed: int = 2024, config: Reas
         for index in range(per_layout):
             name = f"{layout}_{index:02d}"
             detection, gt_reactions = builder(rng, index)
+            if scale != 1.0:
+                detection = scaled(detection, scale)
             detection["image"] = f"{name}.png"
             doc = load_document(json.dumps(detection))
 

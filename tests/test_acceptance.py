@@ -36,7 +36,6 @@ from rxnparse.planner import AgentPlan, ROLES, plan_from_json, plan_to_json, rou
 from rxnparse.reactions import boxed_reactions_from_json, parse_combiner_response, reactions_to_json
 from rxnparse.reasoning import fuse_score
 from rxnparse.reasoning.fusion import FusedEdge, FusedGraph
-from rxnparse.reasoning.inference import assign_entities_to_arrows
 from rxnparse.reasoning.relations import EdgeRelation
 from rxnparse.reasoning.spatial import EDGE_DIMS, SpatialWeights, propagate
 from rxnparse.render import render_svg
@@ -47,6 +46,7 @@ from helpers import (
     FORMULAS,
     arrow_entity,
     brute_force_max_matching,
+    component_assignment,
     formula_sum,
     fusion_config,
     make_doc,
@@ -198,10 +198,10 @@ def test_criterion_05_propagation_checks():
         edges=(),
         edge_features=np.zeros((0, EDGE_DIMS)),
         weights=SpatialWeights(
-            w1=(np.eye(dim),), w2=(np.zeros((dim, EDGE_DIMS)),)
+            w1=(np.eye(dim),) * 2, w2=(np.zeros((dim, EDGE_DIMS)),) * 2
         ),
     )
-    assert np.all(propagate(lonely, layers=2).features == 0.0)
+    assert np.all(propagate(lonely).features == 0.0)
 
     # zero weights: every embedding zero, every score the neutral 0.5
     h0 = np.random.default_rng(1).normal(size=(3, dim))
@@ -215,7 +215,7 @@ def test_criterion_05_propagation_checks():
             w1=(np.zeros((dim, dim)),), w2=(np.zeros((dim, EDGE_DIMS)),)
         ),
     )
-    result = propagate(zero_graph, layers=1)
+    result = propagate(zero_graph)
     assert np.all(result.features == 0.0)
     assert result.values.tolist() == [0.5, 0.5]
 
@@ -233,7 +233,7 @@ def test_criterion_05_propagation_checks():
         edge_features=np.stack([e01, e10]),
         weights=SpatialWeights(w1=(w1,), w2=(w2,)),
     )
-    result = propagate(graph, layers=1)
+    result = propagate(graph)
     expected0 = np.maximum(w1 @ h0[1] + w2 @ e01, 0.0)
     expected1 = np.maximum(w1 @ h0[0] + w2 @ e10, 0.0)
     assert np.allclose(result.features[0], expected0, atol=1e-12)
@@ -345,7 +345,7 @@ def test_criterion_07_inference_optimality():
             edges=tuple(edges),
         )
         component = sorted(set(arrow_ids) | set(affinity))
-        emitted = assign_entities_to_arrows(component, fused, doc, config)
+        _, emitted = component_assignment(component, fused, doc, config)
 
         # exhaustive oracle over every entity-to-arrow choice; affinities are
         # positive, so leaving an entity unassigned never beats assigning it
@@ -353,7 +353,7 @@ def test_criterion_07_inference_optimality():
         best = 0.0
         for combo in itertools.product(*[sorted(affinity[e]) for e in contenders]):
             best = max(best, sum(affinity[e][a] for e, a in zip(contenders, combo)))
-        assert emitted.total == pytest.approx(best, abs=0.0), f"component {component_index}"
+        assert emitted == pytest.approx(best, abs=0.0), f"component {component_index}"
     _report(7, "300 random components match exhaustive assignment search", started, 120.0)
 
 

@@ -132,7 +132,7 @@ DYADIC = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(1, 6), layers=st.integers(0, 3), dim=st.integers(1, 4))
+@given(data=st.data(), n=st.integers(1, 6), layers=st.integers(1, 3), dim=st.integers(1, 4))
 def test_propagate_of_dyadic_graphs_equals_per_edge_loop(data, n, layers, dim):
     """Dyadic features, edge features and weights keep every sum exact, so the per-edge loop agrees bit for bit."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -141,10 +141,12 @@ def test_propagate_of_dyadic_graphs_equals_per_edge_loop(data, n, layers, dim):
     def matrix(rows, cols):
         return np.array(data.draw(st.lists(DYADIC, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
 
-    weights = SpatialWeights(w1=(matrix(dim, dim),), w2=(matrix(dim, 20),))
+    weights = SpatialWeights(
+        w1=tuple(matrix(dim, dim) for _ in range(layers)), w2=tuple(matrix(dim, 20) for _ in range(layers))
+    )
     graph = spatial_graph([f"n{k}" for k in range(n)], matrix(n, dim), edges, matrix(2 * len(edges), 20), weights)
-    result = propagate(graph, layers=layers)
-    features, scores = reference_propagate(graph, layers=layers)
+    result = propagate(graph)
+    features, scores = reference_propagate(graph)
     assert _hex(result.features) == _hex(features)
     assert result.edges == tuple(scores)
     assert _hex(result.values) == _hex(list(scores.values()))

@@ -8,13 +8,12 @@ from rxnparse.reactions import Reaction
 from rxnparse.reasoning.fusion import FusedEdge, FusedGraph
 from rxnparse.reasoning.inference import (
     _best_assignment,
-    assign_entities_to_arrows,
     connected_components,
     infer_reactions,
 )
 from rxnparse.reasoning.relations import EdgeRelation
 
-from helpers import arrow_entity, brute_force_assignment, make_doc, molecule_entity, text_entity
+from helpers import arrow_entity, brute_force_assignment, component_assignment, make_doc, molecule_entity, text_entity
 
 def fused_graph(doc, edges):
     return FusedGraph(node_ids=tuple(e.id for e in doc.entities), edges=tuple(edges))
@@ -128,10 +127,8 @@ class TestContestedAssignment:
             typed("a2", "m3", EdgeRelation.ARROW_TO_PRODUCT, 0.9),
         ]
         fused = fused_graph(doc, edges)
-        assignment = assign_entities_to_arrows(
-            ["m1", "shared", "m3", "a1", "a2"], fused, doc, ReasoningConfig()
-        )
-        assert assignment.assigned["shared"] == "a2"
+        assigned, _ = component_assignment(["m1", "shared", "m3", "a1", "a2"], fused, doc, ReasoningConfig())
+        assert assigned["shared"] == "a2"
         reactions = infer_reactions(fused, doc, ReasoningConfig())
         # a1 loses its only product, so only a2's reaction survives
         assert len(reactions) == 1
@@ -175,9 +172,9 @@ class TestContestedAssignment:
                         affinity[entity_id][arrow_id] = affinity[entity_id].get(arrow_id, 0.0) + score
             fused = fused_graph(doc, edges)
             component = sorted(set(arrow_ids) | set(affinity))
-            assignment = assign_entities_to_arrows(component, fused, doc, config)
+            _, total = component_assignment(component, fused, doc, config)
             expected = brute_force_assignment(sorted(affinity), arrow_ids, affinity)
-            assert assignment.total == pytest.approx(expected, abs=1e-9)
+            assert total == pytest.approx(expected, abs=1e-9)
 
     def test_exhaustive_and_greedy_differ_on_an_exact_rounded_tie(self):
         # both totals round to 1.3: exhaustive keeps b -> x, the first in product order;
@@ -185,9 +182,10 @@ class TestContestedAssignment:
         affinity = {"a": {"x": 1.0, "y": 0.2}, "b": {"x": 0.3, "y": math.nextafter(0.3, 1)}}
         exhaustive = _best_assignment(affinity, 2, ReasoningConfig())
         greedy = _best_assignment(affinity, 2, ReasoningConfig(exact_search_limit=1))
-        assert exhaustive.assigned == {"a": "x", "b": "x"}
-        assert greedy.assigned == {"a": "x", "b": "y"}
-        assert exhaustive.total == greedy.total == 1.3
+        assert exhaustive == {"a": "x", "b": "x"}
+        assert greedy == {"a": "x", "b": "y"}
+        totals = [sum(affinity[e][a] for e, a in assigned.items()) for assigned in (exhaustive, greedy)]
+        assert totals == [1.3, 1.3]
 
 
 class TestArrowless:

@@ -20,7 +20,7 @@ from rxnparse.pipeline import (
     make_client,
     run_batch,
 )
-from rxnparse.reasoning import build_chem_graph, build_spatial_graph, propagate
+from rxnparse.reasoning import build_chem_graph, build_spatial_graph, propagate, random_weights, save_weights
 from rxnparse.render import UnknownEntityError, render_svg
 from rxnparse.reactions import Reaction
 
@@ -674,6 +674,48 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "dim must be >= 24, got 8" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_weights_file_of_the_fallback_weights_writes_the_same_bytes(self, corpus, tmp_path, capsys):
+        """The seeded fallback is ``random_weights(layers, dim)`` with seed 7; saved to a file, it is the same run."""
+        root, paths, _gt = corpus
+        weights_file = tmp_path / "weights.json"
+        save_weights(random_weights(2, 32), weights_file)
+        written = {}
+        for name, flags in (("none", []), ("file", ["--weights-file", str(weights_file)])):
+            out_dir = tmp_path / name
+            args = [*map(str, paths), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(out_dir)]
+            assert main(["parse", *args, *flags]) == EXIT_OK
+            written[name] = {path.name: path.read_bytes() for path in out_dir.glob("*.reactions.json")}
+        capsys.readouterr()
+        assert len(written["none"]) == len(paths)
+        assert written["file"] == written["none"]
+
+    @pytest.mark.parametrize(
+        "layers, dim, w2_columns, message",
+        [
+            (2, 48, 20, "has layers 2 and dim 48, the config layers 2 and dim 32"),
+            (3, 32, 20, "has layers 3 and dim 32, the config layers 2 and dim 32"),
+            (2, 32, 5, "W2 must be 32x20, got (32, 5)"),
+        ],
+        ids=["dim-48", "layers-3", "w2-5-columns"],
+    )
+    def test_mismatched_weights_file_exits_3_before_any_document(
+        self, corpus, tmp_path, capsys, layers, dim, w2_columns, message
+    ):
+        root, paths, _gt = corpus
+        weights_file = tmp_path / "weights.json"
+        save_weights(random_weights(layers, dim), weights_file)
+        payload = json.loads(weights_file.read_text())
+        for layer in payload["weights"]:
+            layer["W2"] = [row[:w2_columns] for row in layer["W2"]]
+        weights_file.write_text(json.dumps(payload))
+        out_dir = tmp_path / "out"
+        args = [str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(out_dir)]
+        code = main(["parse", *args, "--weights-file", str(weights_file)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and message in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "content, message",

@@ -1,5 +1,6 @@
 import pytest
 
+from rxnparse.chem import conservation_residual
 from rxnparse.config import ReasoningConfig
 from rxnparse.reactions import Conservation, Reaction
 from rxnparse.reasoning.postprocess import post_process
@@ -116,7 +117,8 @@ class TestConservation:
         reaction = Reaction(reactants=("r1",), products=("p0",), arrows=("a1",), score=2.0)
         result = post_process([reaction], doc, CONFIG)
         assert result[0].conservation == Conservation.UNBALANCED
-        assert result[0].residual[0].as_dict() == {"H": 2}
+        elements, charge = conservation_residual([doc.entity("r1").molecule], [doc.entity("p0").molecule])
+        assert (elements.as_dict(), charge) == ({"H": 2}, 0)
         assert result[0].score == pytest.approx(2.0 * CONFIG.conservation_penalty)
 
     def test_unknown_when_member_not_molecule(self):

@@ -14,7 +14,6 @@ from rxnparse.reactions import (
     ResolutionError,
     ResponseFormatError,
     boxed_reactions_from_json,
-    boxed_view,
     parse_combiner_response,
     reaction_or_none,
     reaction_to_json,
@@ -283,12 +282,6 @@ class TestBoxedViews:
         assert len(boxed) == 2
         assert isinstance(boxed[0], BoxedReaction)
         assert len(boxed[1].reactants) == 2
-
-    def test_boxed_view_matches_json_view(self, two_reaction_json, two_reaction_doc):
-        reactions = parse_combiner_response(two_reaction_json, two_reaction_doc)
-        from_doc = boxed_view(reactions[0], two_reaction_doc)
-        from_json = boxed_reactions_from_json(two_reaction_json)[0]
-        assert from_doc == from_json
 
     def test_resolution_prefers_exact_match(self):
         # two overlapping molecules: the box must resolve to the exact one

@@ -30,7 +30,6 @@ from rxnparse.reasoning import (
     FusedGraph,
     HypothesisEdge,
     HypothesisGraph,
-    assign_entities_to_arrows,
     connected_components,
     fuse,
     infer_reactions,
@@ -40,6 +39,7 @@ from rxnparse.reasoning.postprocess import _MERGE_MIN_COS, _merge_collinear_arro
 from helpers import (
     arrow_entity,
     chem_graph,
+    component_assignment,
     fusion_config,
     make_doc,
     molecule_entity,
@@ -188,9 +188,8 @@ def test_infer_reactions_equals_reference(case, limit):
     assert reactions == expected
     assert [r.score.hex() for r in reactions] == [r.score.hex() for r in expected]
     for component in connected_components(fused):
-        assert assign_entities_to_arrows(component, fused, doc, config) == reference_assign_entities_to_arrows(
-            component, fused, doc, config
-        )
+        assigned, _ = component_assignment(component, fused, doc, config)
+        assert assigned == reference_assign_entities_to_arrows(component, fused, doc, config)
 
 
 def test_infer_reactions_over_several_components_equals_reference():

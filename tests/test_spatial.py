@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from rxnparse.config import ConfigError, ReasoningConfig
+from rxnparse.pipeline import PipelineConfig, load_pipeline_weights
 from rxnparse.reasoning.spatial import (
     EDGE_DIMS,
     SpatialWeights,
@@ -32,7 +35,7 @@ def two_node_graph(w1, w2, h0, with_edge=True):
 class TestPropagation:
     def test_isolated_node_lands_on_zero(self):
         dim = 6
-        weights = random_weights(1, dim, seed=3)
+        weights = random_weights(3, dim, seed=3)
         graph = spatial_graph(
             node_ids=("solo",),
             features=np.ones((1, dim)),
@@ -40,7 +43,7 @@ class TestPropagation:
             edge_features=np.zeros((0, EDGE_DIMS)),
             weights=weights,
         )
-        result = propagate(graph, layers=3)
+        result = propagate(graph)
         assert np.all(result.features == 0.0)
 
     def test_zero_weights_give_neutral_scores(self):
@@ -66,7 +69,7 @@ class TestPropagation:
         h0 = np.array([[1.0, 0.0, 2.0, 0.5], [1.0, 0.0, 2.0, 0.5]])
         w1 = np.eye(dim)
         w2 = np.zeros((dim, EDGE_DIMS))
-        graph = propagate(two_node_graph(w1, w2, h0), layers=1)
+        graph = propagate(two_node_graph(w1, w2, h0))
         # expected by direct evaluation: relu(I @ h_other + 0) = h_other
         assert np.allclose(graph.features, h0, atol=1e-12)
         assert graph.score_by_ids()[("a", "b")] == pytest.approx(1.0, abs=1e-12)
@@ -77,7 +80,7 @@ class TestPropagation:
         h0 = rng.normal(size=(2, dim))
         w1 = rng.normal(size=(dim, dim))
         w2 = rng.normal(size=(dim, EDGE_DIMS))
-        graph = propagate(two_node_graph(w1, w2, h0), layers=1)
+        graph = propagate(two_node_graph(w1, w2, h0))
         e = np.zeros(EDGE_DIMS)
         expected_0 = np.maximum(w1 @ h0[1] + w2 @ e, 0.0)
         expected_1 = np.maximum(w1 @ h0[0] + w2 @ e, 0.0)
@@ -127,11 +130,13 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_spatial_graph(doc, ReasoningConfig(dim=8))
 
-    def test_weights_dim_mismatch(self):
-        doc = make_doc([molecule_entity("m", 0, 0)])
-        weights = random_weights(2, 48, seed=1)
-        with pytest.raises(ConfigError):
-            build_spatial_graph(doc, ReasoningConfig(dim=32), weights)
+    def test_weights_dim_mismatch(self, tmp_path):
+        """A weights file meets the config in ``load_pipeline_weights``, once per run."""
+        path = tmp_path / "weights.json"
+        save_weights(random_weights(2, 48, seed=1), path)
+        config = PipelineConfig(fixtures_dir=str(tmp_path), weights_file=str(path))
+        with pytest.raises(ConfigError, match="has layers 2 and dim 48, the config layers 2 and dim 32"):
+            load_pipeline_weights(config)
 
 
 class TestWeightsIO:
@@ -151,6 +156,37 @@ class TestWeightsIO:
         path.write_text('{"weights": [{"W1": 3}]}')
         with pytest.raises(ConfigError):
             load_weights(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"weights": [{"W1": 3, "W2": 3}]}',
+            '{"weights": [{"W1": [[1, 2], [3]], "W2": [[1]]}]}',
+            '{"weights": [',
+            '{"layers": 1, "dim": 1, "weights": []}',
+        ],
+        ids=["scalars", "ragged", "truncated", "no-layers"],
+    )
+    def test_malformed_file_is_a_config_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        with pytest.raises(ConfigError, match="malformed weights file"):
+            load_weights(path)
+
+    def test_unreadable_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="malformed weights file"):
+            load_weights(tmp_path)  # a directory
+
+    def test_shapes_checked_when_built(self):
+        w1, w2 = np.zeros((4, 4)), np.zeros((4, EDGE_DIMS))
+        for bad_w1, bad_w2, message in [
+            ((), (), "non-empty"),
+            ((w1, w1), (w2,), "matching"),
+            ((w1, np.zeros((4, 3))), (w2, w2), "W1 must be 4x4, got (4, 3)"),
+            ((w1,), (np.zeros((4, 5)),), f"W2 must be 4x{EDGE_DIMS}, got (4, 5)"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                SpatialWeights(w1=bad_w1, w2=bad_w2)
 
     def test_seeded_random_weights_reproducible(self):
         a = random_weights(2, 32, seed=5)

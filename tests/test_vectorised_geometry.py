@@ -128,15 +128,15 @@ def test_spatial_edges_and_features_equal_reference(specs, k_nn, radius):
 
 
 @settings(max_examples=80, deadline=None)
-@given(specs=entity_specs(), k_nn=st.integers(0, 14), radius=radii, layers=st.integers(0, 3))
+@given(specs=entity_specs(), k_nn=st.integers(0, 14), radius=radii, layers=st.integers(1, 3))
 @example(specs=[], k_nn=4, radius=0.25, layers=2)
 @example(specs=[("arrow", 100, 100, 30, 5)], k_nn=4, radius=0.25, layers=2)
 @example(specs=_DUPLICATES, k_nn=4, radius=1.0, layers=2)
 def test_propagation_matches_per_edge_loop(specs, k_nn, radius, layers):
     doc = build_doc(specs)
-    graph = build_spatial_graph(doc, ReasoningConfig(k_nn=k_nn, radius=radius))
-    result = propagate(graph, layers=layers)
-    features, scores = reference_propagate(graph, layers=layers)
+    graph = build_spatial_graph(doc, ReasoningConfig(k_nn=k_nn, radius=radius, layers=layers))
+    result = propagate(graph)
+    features, scores = reference_propagate(graph)
     assert result.features.shape == features.shape
     assert np.all(np.abs(result.features - features) <= 1e-12)
     result_scores = dict(zip(result.edges, result.values.tolist()))
