@@ -3,14 +3,13 @@ Chemistry primitives
 ====================
 
 Parse SMILES strings into molecular graphs, count atoms and charges,
-compare molecules by fingerprint, and check reaction balance.
+compare molecules by fingerprint, and check reaction balance. A
+molecule's atom counts (a dict), charge (an int) and fingerprint (an
+int bit mask) are cached properties, computed on first read.
 """
 
 from rxnparse.chem import (
-    atom_count_vector,
     conservation_residual,
-    fingerprint,
-    formal_charge_sum,
     parse_smiles,
     tanimoto,
     write_smiles,
@@ -20,20 +19,20 @@ from rxnparse.chem import (
 # implied by the standard valence table.
 ethanol = parse_smiles("CCO")
 print("ethanol atoms:", [a.element for a in ethanol.atoms])
-print("ethanol formula:", atom_count_vector(ethanol).as_dict())
+print("ethanol formula:", ethanol.atom_counts)
 
 # Bracket atoms carry exact hydrogen counts and formal charges.
 ammonium = parse_smiles("[NH4+]")
-print("ammonium formula:", atom_count_vector(ammonium).as_dict())
-print("ammonium charge:", formal_charge_sum(ammonium))
+print("ammonium formula:", ammonium.atom_counts)
+print("ammonium charge:", ammonium.charge)
 
 # Serialization is not canonical but preserves the atom inventory.
 print("re-serialized:", write_smiles(ethanol))
 
 # Fingerprints hash all short element/bond paths; Tanimoto compares them.
-fp_ethanol = fingerprint(ethanol)
-fp_propanol = fingerprint(parse_smiles("CCCO"))
-fp_benzene = fingerprint(parse_smiles("c1ccccc1"))
+fp_ethanol = ethanol.fingerprint
+fp_propanol = parse_smiles("CCCO").fingerprint
+fp_benzene = parse_smiles("c1ccccc1").fingerprint
 print("ethanol ~ propanol:", round(tanimoto(fp_ethanol, fp_propanol), 3))
 print("ethanol ~ benzene: ", round(tanimoto(fp_ethanol, fp_benzene), 3))
 
@@ -42,7 +41,7 @@ print("ethanol ~ benzene: ", round(tanimoto(fp_ethanol, fp_benzene), 3))
 balanced = conservation_residual(
     [parse_smiles("CCO")], [parse_smiles("C=C"), parse_smiles("O")]
 )
-print("CCO -> C=C + O residual:", balanced[0].as_dict(), "charge:", balanced[1])
+print("CCO -> C=C + O residual:", balanced[0], "charge:", balanced[1])
 
 unbalanced = conservation_residual([parse_smiles("CCO")], [parse_smiles("C=C")])
-print("CCO -> C=C residual:   ", unbalanced[0].as_dict(), "charge:", unbalanced[1])
+print("CCO -> C=C residual:   ", unbalanced[0], "charge:", unbalanced[1])

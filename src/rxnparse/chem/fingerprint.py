@@ -3,37 +3,26 @@
 The scheme is fixed: every simple path of up to ``MAX_PATH_LENGTH``
 bonds (single atoms included) is labelled by its element/bond sequence;
 the label, read in whichever direction sorts first, is hashed into a
-``FINGERPRINT_WIDTH``-bit vector with BLAKE2, so fingerprints are stable
-across processes and platforms and invariant under any atom reindexing
-that preserves the graph. ``FINGERPRINT_TAG`` names the scheme.
+``FINGERPRINT_WIDTH``-bit int mask with BLAKE2, so fingerprints are
+stable across processes and platforms and invariant under any atom
+reindexing that preserves the graph. ``FINGERPRINT_TAG`` names the
+scheme. ``Molecule.fingerprint`` and ``Molecule.sketch`` call the
+private helpers here and cache what they return.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .molecule import Molecule
+if TYPE_CHECKING:
+    from .molecule import Molecule
 
 
 FINGERPRINT_WIDTH = 2048  # bits
 MAX_PATH_LENGTH = 5  # bonds
 FINGERPRINT_TAG = f"path-v1:l{MAX_PATH_LENGTH}"
 SKETCH_DIMS = 16  # stripes in a fingerprint sketch
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """A ``FINGERPRINT_WIDTH``-bit vector stored as an int bitmask."""
-
-    bits: int
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def active_bits(self) -> list[int]:
-        return [i for i in range(FINGERPRINT_WIDTH) if self.bits >> i & 1]
 
 
 _BOND_SYMBOLS = {1.0: "-", 1.5: ":", 2.0: "=", 3.0: "#"}
@@ -77,30 +66,30 @@ def _bit_for(label: str) -> int:
     return int.from_bytes(digest, "big") % FINGERPRINT_WIDTH
 
 
-def fingerprint(mol: Molecule) -> Fingerprint:
-    """Hash all simple paths of the molecule into a bit vector."""
+def _path_bits(mol: Molecule) -> int:
+    """Hash all simple paths of the molecule into a bit mask."""
     bits = 0
     for label in _path_labels(mol, MAX_PATH_LENGTH):
         bits |= 1 << _bit_for(label)
-    return Fingerprint(bits=bits)
+    return bits
 
 
-def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    """|a & b| / |a | b|; two all-zero fingerprints score 1.0."""
-    union = (a.bits | b.bits).bit_count()
+def tanimoto(a: int, b: int) -> float:
+    """|a & b| / |a | b| of two fingerprint masks; two empty masks score 1.0."""
+    union = (a | b).bit_count()
     if union == 0:
         return 1.0
-    return (a.bits & b.bits).bit_count() / union
+    return (a & b).bit_count() / union
 
 
-def bit_sketch(fp: Fingerprint, dims: int = SKETCH_DIMS) -> list[float]:
-    """Fold a fingerprint into ``dims`` stripe densities in [0, 1].
+def _stripe_densities(bits: int) -> tuple[float, ...]:
+    """Fold a fingerprint into ``SKETCH_DIMS`` stripe densities in [0, 1].
 
     Used as a compact node feature for molecules in the spatial graph.
     """
-    stripe = FINGERPRINT_WIDTH // dims
+    stripe = FINGERPRINT_WIDTH // SKETCH_DIMS
     sketch = []
-    for d in range(dims):
+    for d in range(SKETCH_DIMS):
         mask = ((1 << stripe) - 1) << (d * stripe)
-        sketch.append((fp.bits & mask).bit_count() / stripe)
-    return sketch
+        sketch.append((bits & mask).bit_count() / stripe)
+    return tuple(sketch)

@@ -1,8 +1,11 @@
 """Molecular graph types and the conservation arithmetic built on them.
 
-A molecule is an immutable graph of atoms and bonds. Hydrogen counts for
-bare organic-subset atoms are implied by a fixed valence convention so
-that atom-count vectors are deterministic:
+A molecule is an immutable graph of atoms and bonds. Each quantity the
+reasoning layers read from it is one cached property of a built-in
+type: ``fingerprint`` (an int bit mask), ``sketch`` (a tuple of
+floats), ``atom_counts`` (a dict sorted by element) and ``charge`` (an
+int). Hydrogen counts for bare organic-subset atoms are implied by a
+fixed valence convention so that atom counts are deterministic:
 
 * valence table B:3, C:4, N:3, O:2, F/Cl/Br/I:1, P:{3,5}, S:{2,4,6};
   the smallest tabulated valence >= the atom's bond-order sum applies;
@@ -15,9 +18,10 @@ that atom-count vectors are deterministic:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+
+from .fingerprint import _path_bits, _stripe_densities
 
 
 class ValenceError(ValueError):
@@ -129,28 +133,31 @@ class Molecule:
         return (atom.explicit_h or 0) + self.implicit_h[idx]
 
     @cached_property
-    def fingerprint(self):
-        """Path fingerprint under the fixed scheme."""
-        from .fingerprint import fingerprint  # that module imports this one
-
-        return fingerprint(self)
+    def fingerprint(self) -> int:
+        """Path fingerprint under the fixed scheme, as a ``FINGERPRINT_WIDTH``-bit int mask."""
+        return _path_bits(self)
 
     @cached_property
     def sketch(self) -> tuple[float, ...]:
         """The fingerprint folded into ``SKETCH_DIMS`` stripe densities."""
-        from .fingerprint import bit_sketch
-
-        return tuple(bit_sketch(self.fingerprint))
+        return _stripe_densities(self.fingerprint)
 
     @cached_property
-    def atom_counts(self) -> "ElementCounts":
-        """:func:`atom_count_vector` of this molecule."""
-        return atom_count_vector(self)
+    def atom_counts(self) -> dict[str, int]:
+        """Atoms by element, sorted by element, hydrogens (explicit plus implied) under H; do not mutate."""
+        counts: dict[str, int] = {}
+        hydrogens = 0
+        for idx, atom in enumerate(self.atoms):
+            counts[atom.element] = counts.get(atom.element, 0) + 1
+            hydrogens += self.total_hydrogens(idx)
+        if hydrogens:
+            counts["H"] = counts.get("H", 0) + hydrogens
+        return dict(sorted(counts.items()))
 
     @cached_property
     def charge(self) -> int:
-        """:func:`formal_charge_sum` of this molecule."""
-        return formal_charge_sum(self)
+        """The sum of the atoms' formal charges."""
+        return sum(atom.charge for atom in self.atoms)
 
 
 def _implied_hydrogens(atom: Atom, bond_sum: int) -> int:
@@ -185,93 +192,16 @@ def _check_valence(atom: Atom, occupied: int) -> None:
         )
 
 
-class ElementCounts(Mapping):
-    """Per-element atom tallies with element-wise +/- arithmetic.
-
-    Zero entries are dropped, so the empty mapping is both the additive
-    identity and the unique representation of a balanced difference.
-    Values may be negative in signed differences.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, counts: Mapping[str, int] | None = None):
-        items = {}
-        for element, value in (counts or {}).items():
-            value = int(value)
-            if value != 0:
-                items[element] = value
-        self._items = dict(sorted(items.items()))
-
-    def __getitem__(self, element: str) -> int:
-        return self._items.get(element, 0)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __add__(self, other: "ElementCounts") -> "ElementCounts":
-        merged = dict(self._items)
-        for element, value in other._items.items():
-            merged[element] = merged.get(element, 0) + value
-        return ElementCounts(merged)
-
-    def __sub__(self, other: "ElementCounts") -> "ElementCounts":
-        return self + (-other)
-
-    def __neg__(self) -> "ElementCounts":
-        return ElementCounts({element: -value for element, value in self._items.items()})
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ElementCounts):
-            return self._items == other._items
-        if isinstance(other, Mapping):
-            return self._items == {k: v for k, v in other.items() if v != 0}
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._items.items()))
-
-    def __repr__(self) -> str:
-        return f"ElementCounts({self._items!r})"
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._items
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._items)
-
-
-ZERO_COUNTS = ElementCounts()
-
-
-def atom_count_vector(mol: Molecule) -> ElementCounts:
-    """Count every atom by element, hydrogens (explicit plus implied) under H."""
-    counts: dict[str, int] = {}
-    hydrogens = 0
-    for idx, atom in enumerate(mol.atoms):
-        counts[atom.element] = counts.get(atom.element, 0) + 1
-        hydrogens += mol.total_hydrogens(idx)
-    if hydrogens:
-        counts["H"] = counts.get("H", 0) + hydrogens
-    return ElementCounts(counts)
-
-
-def formal_charge_sum(mol: Molecule) -> int:
-    return sum(atom.charge for atom in mol.atoms)
-
-
 def conservation_residual(
     reactants: list[Molecule], products: list[Molecule]
-) -> tuple[ElementCounts, int]:
+) -> tuple[dict[str, int], int]:
     """Signed element and charge difference between the two sides.
 
-    Returns ``(sum(a(r)) - sum(a(p)), sum(q(r)) - sum(q(p)))``; a zero
-    residual means the reaction is balanced. Real diagrams routinely
-    violate balance, so callers treat this as a soft signal.
+    Returns ``(sum(a(r)) - sum(a(p)), sum(q(r)) - sum(q(p)))``: the
+    nonzero element differences sorted by element, and the charge
+    difference. An empty dict and a zero charge mean the reaction is
+    balanced. Real diagrams routinely violate balance, so callers treat
+    this as a soft signal.
     """
     if not reactants or not products:
         raise ValueError("both reactant and product lists must be non-empty")
@@ -281,4 +211,4 @@ def conservation_residual(
             for element, count in mol.atom_counts.items():
                 totals[element] = totals.get(element, 0) + sign * count
     charge = sum(m.charge for m in reactants) - sum(m.charge for m in products)
-    return ElementCounts(totals), charge
+    return {element: count for element, count in sorted(totals.items()) if count}, charge

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import FixtureMissingError
-from .chem import FINGERPRINT_TAG, FINGERPRINT_WIDTH, atom_count_vector, fingerprint, formal_charge_sum, parse_smiles
+from .chem import FINGERPRINT_TAG, FINGERPRINT_WIDTH, parse_smiles
 from .config import ConfigError, ReasoningConfig
 from .entities import load_document
 from .evaluation import CorpusDocument, report_table, score_corpus
@@ -95,11 +95,14 @@ def _load_eval_file(path) -> list[CorpusDocument]:
     for i, obj in enumerate(data):
         if not isinstance(obj, dict) or "id" not in obj or "reactions" not in obj:
             raise ResponseFormatError(f"eval file {path}: document {i} needs 'id' and 'reactions'")
+        layout = obj.get("layout")
+        if layout is not None and not isinstance(layout, str):
+            raise ResponseFormatError(f"eval file {path}: document {i} 'layout' must be a string, got {layout!r}")
         docs.append(
             CorpusDocument(
                 doc_id=str(obj["id"]),
                 reactions=tuple(boxed_reactions_from_list(obj["reactions"])),
-                layout=obj.get("layout"),
+                layout=layout,
             )
         )
     return docs
@@ -147,18 +150,18 @@ def _cmd_render(args) -> int:
 
 def _cmd_fingerprint(args) -> int:
     mol = parse_smiles(args.smiles)
-    fp = fingerprint(mol)
+    fp = mol.fingerprint
     print(
         json.dumps(
             {
                 "smiles": args.smiles,
-                "atom_counts": atom_count_vector(mol).as_dict(),
-                "formal_charge": formal_charge_sum(mol),
+                "atom_counts": mol.atom_counts,
+                "formal_charge": mol.charge,
                 "fingerprint": {
                     "tag": FINGERPRINT_TAG,
                     "width": FINGERPRINT_WIDTH,
-                    "popcount": fp.popcount,
-                    "bits": fp.active_bits()[:32],
+                    "popcount": fp.bit_count(),
+                    "bits": [i for i in range(FINGERPRINT_WIDTH) if fp >> i & 1][:32],
                 },
             },
             indent=2,

@@ -45,9 +45,9 @@ class ReasoningConfig:
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         alphas = (self.alpha_space, self.alpha_chem, self.alpha_init)
-        if any(a < 0 for a in alphas):
+        if not all(a >= 0 for a in alphas):  # written so that NaN fails
             raise ConfigError(f"fusion weights must be non-negative: {alphas}")
-        if abs(sum(alphas) - 1.0) > 1e-9:
+        if not abs(sum(alphas) - 1.0) <= 1e-9:
             raise ConfigError(f"fusion weights must sum to 1, got {sum(alphas)}")
         if self.dim < BASE_NODE_DIMS:
             raise ConfigError(f"dim must be >= {BASE_NODE_DIMS}, got {self.dim}")

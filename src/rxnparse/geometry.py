@@ -223,8 +223,7 @@ def _clip_may_meet(hull_x: np.ndarray, hull_y: np.ndarray, clip) -> np.ndarray:
 def polygon_of(region: Region) -> list[Point]:
     """CCW convex polygon for either region family."""
     if isinstance(region, AxisBox):
-        hull = _convex_hull(tuple(region.corners()))
-        return hull if len(hull) >= 3 else list(region.corners())
+        return region.corners()
     return list(region.hull)
 
 

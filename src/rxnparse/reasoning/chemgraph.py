@@ -65,7 +65,7 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
     parsed = np.array([e.molecule is not None for e in molecules], dtype=bool)
     empty = bytes(FINGERPRINT_WIDTH // 8)
     packed = b"".join(
-        empty if e.molecule is None else e.molecule.fingerprint.bits.to_bytes(len(empty), "little") for e in molecules
+        empty if e.molecule is None else e.molecule.fingerprint.to_bytes(len(empty), "little") for e in molecules
     )
     words = np.frombuffer(packed, dtype="<u8").reshape(len(molecules), len(empty) // 8)
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)

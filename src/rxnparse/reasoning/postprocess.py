@@ -154,7 +154,7 @@ def _flag_conservation(reaction: Reaction, doc: ReactionDocument, config: Reason
             molecules.append(entity.molecule)
         sides.append(molecules)
     elements, charge = conservation_residual(sides[0], sides[1])
-    if elements.is_zero and charge == 0:
+    if not elements and charge == 0:
         return replace(reaction, conservation=Conservation.BALANCED)
     return replace(
         reaction,

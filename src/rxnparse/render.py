@@ -8,6 +8,8 @@ fixed inputs: no timestamps, fixed float formatting.
 
 from __future__ import annotations
 
+from html import escape
+
 from .entities import EntityKind, ReactionDocument
 from .geometry import AxisBox, OrientedQuad, principal_axis
 
@@ -71,7 +73,7 @@ def render_svg(doc: ReactionDocument, reactions=()) -> str:
         cx, cy = entity.centroid
         lines.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="9" fill="{color}" '
-            f'text-anchor="middle">{entity.id}</text>'
+            f'text-anchor="middle">{escape(entity.id, quote=False)}</text>'
         )
 
     for index, reaction in enumerate(reactions):

@@ -577,12 +577,12 @@ def reference_cluster_prompt_variables(cluster, doc, config) -> dict:
 
 def reference_build_chem_graph(doc, config):
     """Chemistry edges one molecule pair at a time: Python ``tanimoto`` and ``math.exp`` per pair."""
-    from rxnparse.chem import formal_charge_sum, tanimoto
+    from rxnparse.chem import tanimoto
     from rxnparse.entities import EntityKind
     from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, chem_pair_score
 
     molecules = doc.by_kind(EntityKind.MOLECULE)
-    charges = {e.id: formal_charge_sum(e.molecule) for e in molecules if e.molecule is not None}
+    charges = {e.id: sum(a.charge for a in e.molecule.atoms) for e in molecules if e.molecule is not None}
     scores = {}
     for i in range(len(molecules)):
         for j in range(i + 1, len(molecules)):

@@ -17,7 +17,6 @@ import pytest
 from rxnparse.agents import MockAgentClient
 from rxnparse.chem import (
     conservation_residual,
-    fingerprint,
     parse_smiles,
     tanimoto,
 )
@@ -153,7 +152,7 @@ def test_criterion_04_conservation_suite():
         element, charge = conservation_residual(
             [parse_smiles(s) for s in reactants], [parse_smiles(s) for s in products]
         )
-        assert element.is_zero and charge == 0
+        assert element == {} and charge == 0
 
     rng = random.Random(60601)
     mutated = 0
@@ -171,7 +170,7 @@ def test_criterion_04_conservation_suite():
         element, _charge = conservation_residual(
             [parse_smiles(s) for s in reactants], [parse_smiles(s) for s in new_products]
         )
-        assert element.as_dict() == {k: v for k, v in sorted(expected.items()) if v}, (
+        assert list(element.items()) == [(k, v) for k, v in sorted(expected.items()) if v], (
             reactants,
             new_products,
         )
@@ -181,10 +180,10 @@ def test_criterion_04_conservation_suite():
         side_a = [random_molecule(rng) for _ in range(rng.randint(1, 4))]
         side_b = [random_molecule(rng) for _ in range(rng.randint(1, 4))]
         same = conservation_residual(side_a, side_a)
-        assert same[0].is_zero and same[1] == 0
+        assert same == ({}, 0)
         ab = conservation_residual(side_a, side_b)
         ba = conservation_residual(side_b, side_a)
-        assert ab[0] == -ba[0] and ab[1] == -ba[1]
+        assert ab[0] == {k: -v for k, v in ba[0].items()} and ab[1] == -ba[1]
     _report(4, "50 balanced + 50 mutated fixtures, 1000 random property checks", started, 10.0)
 
 
@@ -444,10 +443,10 @@ def test_criterion_10_fingerprint_properties():
     started = time.perf_counter()
     rng = random.Random(808)
     pool = [random_molecule(rng) for _ in range(250)]
-    prints = [fingerprint(m) for m in pool]
+    prints = [m.fingerprint for m in pool]
     for fp in prints:
         assert tanimoto(fp, fp) == 1.0
-        assert fp.popcount >= 1
+        assert fp.bit_count() >= 1
     for _ in range(10_000):
         a, b = rng.choice(prints), rng.choice(prints)
         value = tanimoto(a, b)
@@ -455,5 +454,5 @@ def test_criterion_10_fingerprint_properties():
         assert value == tanimoto(b, a)
     for k in range(100):
         mol = pool[k % len(pool)]
-        assert fingerprint(permuted(mol, rng)) == fingerprint(mol)
+        assert permuted(mol, rng).fingerprint == mol.fingerprint
     _report(10, "10^4 tanimoto pairs and 100 reindexing checks", started, 30.0)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rxnparse.chem import bit_sketch, parse_smiles
+from rxnparse.chem import parse_smiles
 from rxnparse.entities import (
     EntityKind,
     SchemaError,
@@ -196,7 +196,7 @@ def test_entity_sketch_follows_its_own_fingerprint():
     """Entities naming one SMILES share its molecule, and with it the molecule's fingerprint and sketch."""
     doc = make_doc([molecule_entity("m", 0, 0, smiles="CCO"), molecule_entity("n", 300, 0, smiles="CCO")])
     m, n = doc.entity("m"), doc.entity("n")
-    assert m.molecule is n.molecule and m.molecule.sketch == tuple(bit_sketch(m.molecule.fingerprint))
+    assert m.molecule is n.molecule and m.molecule.sketch == parse_smiles("CCO").sketch
     assert make_doc([molecule_entity("b", 0, 0)]).entity("b").molecule is None
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,8 @@ from hypothesis import strategies as st
 from rxnparse.chem import (
     Atom,
     Bond,
-    ElementCounts,
     Molecule,
-    ZERO_COUNTS,
-    atom_count_vector,
-    bit_sketch,
     conservation_residual,
-    fingerprint,
-    formal_charge_sum,
     parse_smiles,
 )
 
@@ -23,7 +18,8 @@ from helpers import BALANCED_REACTIONS, FORMULAS, formula_sum, random_molecule
 
 @pytest.mark.parametrize("smiles,formula", sorted(FORMULAS.items()))
 def test_atom_counts_against_hand_table(smiles, formula):
-    assert atom_count_vector(parse_smiles(smiles)).as_dict() == formula
+    counts = parse_smiles(smiles).atom_counts
+    assert type(counts) is dict and list(counts.items()) == sorted(formula.items())
 
 
 @pytest.mark.parametrize(
@@ -31,22 +27,18 @@ def test_atom_counts_against_hand_table(smiles, formula):
     [("[NH4+]", 1), ("CCO", 0), ("[O-]S(=O)(=O)[O-]", -2), ("[Fe+3]", 3), ("[O-]", -1)],
 )
 def test_formal_charge_sum(smiles, charge):
-    assert formal_charge_sum(parse_smiles(smiles)) == charge
-
-
-def test_element_counts_arithmetic():
-    a = ElementCounts({"C": 2, "H": 6})
-    b = ElementCounts({"C": 1, "H": 2, "O": 1})
-    assert (a + b).as_dict() == {"C": 3, "H": 8, "O": 1}
-    assert (a - a).is_zero
-    assert a + ZERO_COUNTS == a
-    assert (-b).as_dict() == {"C": -1, "H": -2, "O": -1}
-    assert (a - b) == -(b - a)
+    assert parse_smiles(smiles).charge == charge
 
 
 def test_element_counts_drops_zeros():
-    assert ElementCounts({"C": 0, "H": 2}).as_dict() == {"H": 2}
-    assert ElementCounts({"C": 1}) - ElementCounts({"C": 1}) == ZERO_COUNTS
+    """A residual keeps only the elements whose counts differ, sorted by element."""
+    assert conservation_residual([parse_smiles("CCO")], [parse_smiles("OCC")]) == ({}, 0)
+    rng = random.Random(77)
+    for _ in range(200):
+        side_a = [random_molecule(rng) for _ in range(rng.randint(1, 3))]
+        side_b = [random_molecule(rng) for _ in range(rng.randint(1, 3))]
+        element, _charge = conservation_residual(side_a, side_b)
+        assert 0 not in element.values() and list(element) == sorted(element)
 
 
 def test_balanced_reaction_examples():
@@ -55,14 +47,14 @@ def test_balanced_reaction_examples():
         element, charge = conservation_residual(
             [parse_smiles(s) for s in reactants], [parse_smiles(s) for s in products]
         )
-        assert element.is_zero and charge == 0, (reactants, products, element.as_dict())
+        assert element == {} and charge == 0, (reactants, products, element)
 
 
 def test_specific_residual():
     element, charge = conservation_residual(
         [parse_smiles("CCO")], [parse_smiles("CC=O")]
     )
-    assert element.as_dict() == {"H": 2}
+    assert element == {"H": 2}
     assert charge == 0
 
 
@@ -70,7 +62,7 @@ def test_charge_residual():
     element, charge = conservation_residual(
         [parse_smiles("[NH4+]")], [parse_smiles("N")]
     )
-    assert element.as_dict() == {"H": 1}
+    assert element == {"H": 1}
     assert charge == 1
 
 
@@ -80,10 +72,10 @@ def test_residual_identity_and_antisymmetry():
         side_a = [random_molecule(rng) for _ in range(rng.randint(1, 4))]
         side_b = [random_molecule(rng) for _ in range(rng.randint(1, 4))]
         element_same, charge_same = conservation_residual(side_a, side_a)
-        assert element_same.is_zero and charge_same == 0
+        assert element_same == {} and charge_same == 0
         ab = conservation_residual(side_a, side_b)
         ba = conservation_residual(side_b, side_a)
-        assert ab[0] == -ba[0]
+        assert ab[0] == {element: -count for element, count in ba[0].items()}
         assert ab[1] == -ba[1]
 
 
@@ -122,8 +114,8 @@ CHARGED_SMILES = ["[NH4+]", "[O-]S(=O)(=O)[O-]", "[Fe+3]", "CCO", "c1ccccc1", "[
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)))
 def test_cached_chemistry_equals_a_fresh_recount(seed, sizes):
-    """Each molecule's kept counts, charge, fingerprint and sketch, and the residual built from them,
-    equal a recount; cached molecules may appear on both sides and several times."""
+    """The residual built from each molecule's kept counts and charge equals a recount from the atoms;
+    cached molecules may appear on both sides and several times."""
     rng = random.Random(seed)
     shared = [parse_smiles(s) for s in CHARGED_SMILES]  # one molecule per SMILES, as a loaded document holds them
 
@@ -134,14 +126,14 @@ def test_cached_chemistry_equals_a_fresh_recount(seed, sizes):
 
     reactants = [molecule() for _ in range(sizes[0])]
     products = [molecule() for _ in range(sizes[1])]
-    for mol in reactants + products:
-        assert mol.atom_counts == atom_count_vector(mol) and mol.charge == formal_charge_sum(mol)
-        assert mol.fingerprint == fingerprint(mol) and mol.sketch == tuple(bit_sketch(fingerprint(mol)))
-    element, charge = ZERO_COUNTS, 0
-    for mol in reactants:
-        element, charge = element + atom_count_vector(mol), charge + formal_charge_sum(mol)
-    for mol in products:
-        element, charge = element - atom_count_vector(mol), charge - formal_charge_sum(mol)
+    element, charge = Counter(), 0
+    for sign, side in ((1, reactants), (-1, products)):
+        for mol in side:
+            for idx, atom in enumerate(mol.atoms):
+                element[atom.element] += sign
+                element["H"] += sign * mol.total_hydrogens(idx)
+                charge += sign * atom.charge
+    expected = {e: n for e, n in sorted(element.items()) if n}
     residual = conservation_residual(reactants, products)
-    assert residual == (element, charge)
-    assert list(residual[0].items()) == list(element.items())
+    assert residual == (expected, charge)
+    assert list(residual[0].items()) == list(expected.items())

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -473,16 +475,16 @@ def test_each_fingerprint_computed_once(monkeypatch, tmp_path):
         def _send(self, role, prompt, image, key):
             return "[]"
 
-    # the molecule computes its fingerprint through this module's function on first read
-    fingerprint_module = importlib.import_module("rxnparse.chem.fingerprint")
+    # the molecule computes its fingerprint through this private helper, looked up in its own module, on first read
+    molecule_module = importlib.import_module("rxnparse.chem.molecule")
     calls = []
-    original = fingerprint_module.fingerprint
+    original = molecule_module._path_bits
 
     def counting(molecule):
         calls.append(molecule)
         return original(molecule)
 
-    monkeypatch.setattr(fingerprint_module, "fingerprint", counting)
+    monkeypatch.setattr(molecule_module, "_path_bits", counting)
     docs = [
         make_doc(
             [
@@ -544,6 +546,13 @@ class TestRender:
         svg = render_svg(doc)
         assert "reaction-0" not in svg
         assert "rect" in svg
+
+    def test_ids_needing_escapes_give_well_formed_svg(self):
+        doc = make_doc([molecule_entity("R&D<1>", 0, 100), molecule_entity("m2", 900, 100)])
+        svg = render_svg(doc, [Reaction(reactants=("R&D<1>",), products=("m2",))])
+        labels = [node.firstChild.data for node in minidom.parseString(svg).getElementsByTagName("text")]
+        assert labels[:2] == ["R&D<1>", "m2"]
+        assert ">R&amp;D&lt;1&gt;</text>" in svg
 
     def test_dangling_reference_rejected(self):
         doc = make_doc([molecule_entity("m1", 0, 100), molecule_entity("m2", 900, 100)])
@@ -655,17 +664,36 @@ class TestCli:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "document, message",
-        [({"reactions": []}, "document 0 needs 'id'"), ({"id": "d1"}, "document 0 needs 'id' and 'reactions'")],
-        ids=["no-id", "no-reactions"],
+        "documents, message",
+        [
+            ([{"reactions": []}], "document 0 needs 'id'"),
+            ([{"id": "d1"}], "document 0 needs 'id' and 'reactions'"),
+            ([{"id": "d0", "reactions": []}, {"id": "d1", "reactions": [], "layout": ["tree"]}],
+             "document 1 'layout' must be a string"),
+            ([{"id": "d0", "reactions": [], "layout": 3}, {"id": "d1", "reactions": [], "layout": "tree"}],
+             "document 0 'layout' must be a string"),
+        ],
+        ids=["no-id", "no-reactions", "list-layout", "int-and-string-layouts"],
     )
-    def test_malformed_eval_corpus_entry(self, tmp_path, capsys, document, message):
+    def test_malformed_eval_corpus_entry(self, tmp_path, capsys, documents, message):
         eval_file = tmp_path / "gt.json"
-        eval_file.write_text(json.dumps([document]))
+        eval_file.write_text(json.dumps(documents))
         code = main(["eval", "--gt", str(eval_file), "--pred", str(eval_file)])
         err = capsys.readouterr().err
         assert code == EXIT_FAILED
         assert "ResponseFormatError" in err and message in err
+
+    @pytest.mark.parametrize("key", ["alpha_space", "alpha_chem", "alpha_init"])
+    def test_nan_fusion_weight_exits_3(self, corpus, tmp_path, capsys, key):
+        root, paths, _gt = corpus
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"fixtures_dir": str(root / "fixtures"), "reasoning": {key: math.nan}}))
+        out_dir = tmp_path / "out"
+        code = main(["parse", *map(str, paths), "--config", str(config_path), "--output-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: fusion weights must be non-negative")
+        assert not out_dir.exists()
 
     def test_dim_below_node_features_exits_3(self, corpus, tmp_path, capsys):
         root, paths, _gt = corpus

@@ -118,7 +118,7 @@ class TestConservation:
         result = post_process([reaction], doc, CONFIG)
         assert result[0].conservation == Conservation.UNBALANCED
         elements, charge = conservation_residual([doc.entity("r1").molecule], [doc.entity("p0").molecule])
-        assert (elements.as_dict(), charge) == ({"H": 2}, 0)
+        assert (elements, charge) == ({"H": 2}, 0)
         assert result[0].score == pytest.approx(2.0 * CONFIG.conservation_penalty)
 
     def test_unknown_when_member_not_molecule(self):

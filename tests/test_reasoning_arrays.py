@@ -20,7 +20,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxnparse.chem import Fingerprint
 from rxnparse.config import ReasoningConfig
 from rxnparse.entities import load_document
 from rxnparse.geometry import center_distance_normalized
@@ -113,7 +112,7 @@ def documents(draw, max_entities=11):
     for entity in doc.entities:
         if entity.molecule is not None and draw(st.booleans()):
             # no molecule hashes to zero bits; seed the cached value to reach the empty union
-            entity.__dict__["fingerprint"] = Fingerprint(0)
+            entity.molecule.__dict__["fingerprint"] = 0
     return doc
 
 
@@ -172,10 +171,9 @@ def test_chem_graph_of_hundreds_of_molecules():
         for k in range(300)
     ]
     doc = make_doc(entities, width=1400, height=600)
-    zero = Fingerprint(0)
     for entity in doc.entities[::7]:
         if entity.molecule is not None:
-            entity.__dict__["fingerprint"] = zero
+            entity.molecule.__dict__["fingerprint"] = 0
     assert len(doc.entities) > 2 * chemgraph_module.CHEM_ROW_BLOCK
     for tau in (0.5, 0.75, 0.9):
         config = ReasoningConfig(beta=0.5, tau_chem=tau)
