@@ -12,7 +12,7 @@ import math
 from rxnparse.geometry import (
     AxisBox,
     OrientedQuad,
-    center_distance_normalized,
+    centroid_distances,
     iou_axis,
     principal_axis,
     region_iou,
@@ -45,8 +45,8 @@ print("diamond vs box, axis IoU:   ", region_iou(diamond, box, polygon=False))
 
 # Distances are normalized by the diagram diagonal so thresholds are
 # resolution-independent.
+# `centroid_distances` gives every pair's distance at once, as a matrix.
 diagram = AxisBox(0, 0, 100, 100)
-print(
-    "normalized centre distance:",
-    round(center_distance_normalized(AxisBox(0, 0, 0, 0), AxisBox(3, 4, 3, 4), diagram), 5),
-)
+distances = centroid_distances([(0, 0), (3, 4), (100, 100)], diagram)
+print("normalized centre distances:")
+print(distances.round(5))

@@ -5,7 +5,7 @@ Subcommands: ``parse`` (detection files -> reaction JSON), ``eval``
 (annotated SVG), ``fingerprint`` (debug: counts and fingerprint of a
 SMILES) and ``score-edge`` (debug: the three channel scores plus the
 fused score for an entity pair). Exit codes: 0 all ok, 2 some documents
-failed, 3 configuration error, 4 nothing succeeded.
+failed or partial, 3 configuration error, 4 nothing succeeded.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ from .pipeline import (
     EXIT_CONFIG,
     EXIT_FAILED,
     EXIT_OK,
+    EXIT_PARTIAL,
     PipelineConfig,
     load_pipeline_weights,
     make_client,
     run_batch,
     run_document,
+    write_atomic,
 )
 from .planner import extract_features, plan_to_json, route
 from .reactions import ResponseFormatError, boxed_reactions_from_list
@@ -74,7 +76,7 @@ def _cmd_parse(args) -> int:
     config = _build_config(args)
     manifest = run_batch(args.inputs, config)
     manifest_path = Path(config.output_dir) / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_atomic(manifest_path, json.dumps(manifest.to_dict(), indent=2) + "\n")
     for doc in manifest.documents:
         print(f"{doc.status:<8} {doc.source}" + (f"  ({doc.error})" if doc.error else ""))
     print(f"manifest: {manifest_path}")
@@ -122,8 +124,8 @@ def _cmd_eval(args) -> int:
     print(table)
     if args.out:
         payload = [r.to_dict() for r in reports]
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        Path(args.out).with_suffix(".txt").write_text(table + "\n", encoding="utf-8")
+        write_atomic(Path(args.out), json.dumps(payload, indent=2) + "\n")
+        write_atomic(Path(args.out).with_suffix(".txt"), table + "\n")
     return EXIT_OK
 
 
@@ -145,7 +147,9 @@ def _cmd_render(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")
     print(out)
-    return EXIT_OK
+    for warning in (*doc.warnings, *outcome.warnings):
+        print(f"warning: {warning}", file=sys.stderr)
+    return EXIT_PARTIAL if outcome.warnings else EXIT_OK  # the status rule of run_batch
 
 
 def _cmd_fingerprint(args) -> int:
@@ -179,11 +183,14 @@ def _channel_score(graph, i: int, j: int) -> float:
 def _cmd_score_edge(args) -> int:
     config = _build_config(args)
     doc = load_document(Path(args.input).read_bytes())
+    unknown = [entity_id for entity_id in (args.a, args.b) if not doc.has_entity(entity_id)]
+    if unknown:
+        raise LookupError(f"{args.input} has no entity {', '.join(map(repr, unknown))}")
     reasoning = config.reasoning
     spatial = propagate(build_spatial_graph(doc, reasoning, load_pipeline_weights(config)))
     chem = build_chem_graph(doc, reasoning)
     pair = (min(args.a, args.b), max(args.a, args.b))
-    i, j = sorted(spatial.table.position.get(entity_id, -1) for entity_id in pair)  # an unknown id matches no edge
+    i, j = sorted(spatial.table.position[entity_id] for entity_id in pair)
     s_space, s_chem = _channel_score(spatial, i, j), _channel_score(chem, i, j)
     print(
         json.dumps(

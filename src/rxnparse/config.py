@@ -38,12 +38,10 @@ class ReasoningConfig:
     conservation_penalty: float = 0.9
 
     def __post_init__(self):
-        for name in ("tau_chem", "tau_cluster", "tau_fuse", "radius"):
+        for name in ("tau_chem", "tau_cluster", "tau_fuse", "radius", "beta"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         alphas = (self.alpha_space, self.alpha_chem, self.alpha_init)
         if not all(a >= 0 for a in alphas):  # written so that NaN fails
             raise ConfigError(f"fusion weights must be non-negative: {alphas}")

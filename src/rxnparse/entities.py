@@ -125,10 +125,6 @@ class ReactionDocument:
             index[entity.id] = entity
         object.__setattr__(self, "_index", index)
 
-    @property
-    def id(self) -> str:
-        return self.image_ref or "<document>"
-
     def entity(self, entity_id: str) -> Entity:
         return self._index[entity_id]
 
@@ -384,18 +380,4 @@ def entity_to_json(entity: Entity) -> dict:
         obj["direction"] = entity.direction.value
     if entity.resolves_to is not None:
         obj["resolves_to"] = entity.resolves_to
-    return obj
-
-
-def document_to_json(doc: ReactionDocument) -> dict:
-    """Inverse of :func:`load_document`; load(serialize(load(x))) == load(x)."""
-    obj: dict = {
-        "width": doc.diagram_bounds.x_max - doc.diagram_bounds.x_min,
-        "height": doc.diagram_bounds.y_max - doc.diagram_bounds.y_min,
-    }
-    if doc.image_ref is not None:
-        obj["image"] = doc.image_ref
-    if doc.layout_class is not None:
-        obj["layout"] = doc.layout_class
-    obj["entities"] = [entity_to_json(e) for e in doc.entities]
     return obj

@@ -330,18 +330,8 @@ def coords_bounds(coords, polygon: bool = True) -> np.ndarray:
     return bounds
 
 
-def center_distance_normalized(a: Region, b: Region, diagram: AxisBox) -> float:
-    """Euclidean centroid distance scaled by the diagram diagonal."""
-    diag = diagram.diagonal
-    if diag <= 0.0:
-        raise ValueError("diagram bounds must have a positive diagonal")
-    ax, ay = a.centroid
-    bx, by = b.centroid
-    return math.hypot(bx - ax, by - ay) / diag
-
-
 def centroid_distances(points, diagram: AxisBox) -> np.ndarray:
-    """n×n matrix of :func:`center_distance_normalized` between centroid points.
+    """n×n matrix of Euclidean distances between centroid points, scaled by the diagram diagonal.
 
     ``sqrt(dx*dx + dy*dy)`` is bit-equal to ``math.hypot`` where the squared
     offsets are exact (integer, half- and quarter-unit centroids) and within

@@ -102,6 +102,11 @@ class PipelineConfig:
             raise ConfigError("live backend needs endpoint and model")
         if self.planner_policy not in ("rule", "vlm"):
             raise ConfigError(f"planner_policy must be 'rule' or 'vlm', got {self.planner_policy!r}")
+        if not self.query:
+            raise ConfigError("query must be non-empty")
+        for name in ("max_workers", "cluster_workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("fixtures_dir", "weights_file"):
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
@@ -248,7 +253,7 @@ def run_document(
     return ReasoningOutcome(plan=plan, reactions=reactions, warnings=hypotheses.warnings)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str) -> None:
     """Write a temporary sibling, then rename it over ``path``: no reader sees a partial file."""
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # output names are unique per batch
     try:
@@ -279,7 +284,7 @@ def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None)
             outcome = run_document(doc, config, client, weights, result.stages)
             started = time.perf_counter()
             out_path = output_dir / f"{path.stem}.reactions.json"
-            _write_atomic(out_path, reactions_to_json(outcome.reactions, doc) + "\n")
+            write_atomic(out_path, reactions_to_json(outcome.reactions, doc) + "\n")
             result.stages["emit"] = time.perf_counter() - started
             result.outputs.append(str(out_path))
             result.warnings.extend(doc.warnings)

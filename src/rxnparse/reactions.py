@@ -113,30 +113,13 @@ def reaction_or_none(reactants, products, conditions=(), arrows=(), score: float
     return Reaction(tuple(reactants), tuple(products), tuple(conditions), tuple(dict.fromkeys(arrows)), score)
 
 
-def _role_to_json(ids, doc: ReactionDocument) -> list[dict]:
-    items = []
-    for entity_id in ids:
-        entity = doc.entity(entity_id)
-        items.append({"label": entity.kind.value, "bbox": region_to_array(entity.region)})
-    return items
-
-
-def reaction_to_json(reaction: Reaction, doc: ReactionDocument) -> dict:
-    return {
-        "reactants": _role_to_json(reaction.reactants, doc),
-        "products": _role_to_json(reaction.products, doc),
-        "conditions": _role_to_json(reaction.conditions, doc),
-        "arrow": _role_to_json(reaction.arrows, doc),
-    }
-
-
 # one reaction and one role member as json.dumps(..., indent=2) writes them at their depth in the output
 _REACTION_JSON = '  {\n    "reactants": %s,\n    "products": %s,\n    "conditions": %s,\n    "arrow": %s\n  }'
 _MEMBER_JSON = '      {\n        "label": %s,\n        "bbox": [\n          %s\n        ]\n      }'
 
 
 def reactions_to_json(reactions, doc: ReactionDocument) -> str:
-    """The bytes ``json.dumps([reaction_to_json(r, doc) for r in reactions], indent=2)`` gives.
+    """The bytes ``json.dumps(..., indent=2)`` gives for the reactions' dicts of ``{"label", "bbox"}`` members.
 
     Each member's block is rendered once per call, its numbers the
     ``repr`` of :func:`~rxnparse.geometry.region_to_array`'s ints and

@@ -1,11 +1,8 @@
 """Reasoning layer: evidence graphs, fusion, global inference, post-processing."""
 
-from ..config import BASE_NODE_DIMS
-from .chemgraph import ChemGraph, NEUTRAL_CHEM_SCORE, build_chem_graph, chem_pair_score
+from .chemgraph import ChemGraph, build_chem_graph
 from .clustering import cluster_entities
 from .fusion import (
-    ABSENT_INIT_SCORE,
-    NEUTRAL_SPACE_SCORE,
     FusedEdge,
     FusedGraph,
     fuse,
@@ -17,7 +14,6 @@ from .hypotheses import (
     HypothesisGraph,
     cluster_prompt_variables,
     collect_hypotheses,
-    edges_from_reactions,
 )
 from .inference import (
     connected_components,
@@ -37,8 +33,6 @@ from .spatial import (
 )
 
 __all__ = [
-    "ABSENT_INIT_SCORE",
-    "BASE_NODE_DIMS",
     "COMBINER_ROLE",
     "ChemGraph",
     "EDGE_DIMS",
@@ -47,18 +41,14 @@ __all__ = [
     "FusedGraph",
     "HypothesisEdge",
     "HypothesisGraph",
-    "NEUTRAL_CHEM_SCORE",
-    "NEUTRAL_SPACE_SCORE",
     "SpatialGraph",
     "SpatialWeights",
     "build_chem_graph",
     "build_spatial_graph",
-    "chem_pair_score",
     "cluster_entities",
     "cluster_prompt_variables",
     "collect_hypotheses",
     "connected_components",
-    "edges_from_reactions",
     "fuse",
     "fuse_score",
     "infer_reactions",

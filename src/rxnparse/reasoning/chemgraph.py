@@ -42,19 +42,14 @@ class ChemGraph:
         return self.table.by_id_pairs(self.rows, self.cols, self.values)
 
 
-def chem_pair_score(s_fp: float, delta_q: int, beta: float) -> float:
-    """Convex blend of fingerprint similarity and charge agreement."""
-    return beta * s_fp + (1.0 - beta) * math.exp(-abs(delta_q))
-
-
 def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGraph:
     """Score molecule pairs a block of rows at a time; kept pairs become edges row by row in molecule order.
 
     Intersections and unions are exact popcounts over the fingerprints
     packed as uint64 words, and float division of exact integers is
     correctly rounded, so each similarity equals ``tanimoto``'s
-    ``int / int``. The blend runs elementwise in ``chem_pair_score``'s
-    operation order, with ``exp(-|dq|)`` from a ``math.exp`` table over
+    ``int / int``. The blend runs elementwise in the operation order of
+    the formula above, with ``exp(-|dq|)`` from a ``math.exp`` table over
     the distinct charges, and only kept pairs are gathered. Rows
     go ``CHEM_ROW_BLOCK`` at a time, so memory grows with the molecule
     count, not with its square.

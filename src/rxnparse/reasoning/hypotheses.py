@@ -136,7 +136,6 @@ def collect_hypotheses(
     """
     table = doc.table  # held for the loop, so every cluster reads the one table
 
-
     def run_cluster(cluster) -> tuple[list[HypothesisEdge], list[str]]:
         variables = cluster_prompt_variables(cluster, doc, config)
         size = len(variables["graph_json"])  # ASCII: one byte per character

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
 
 from rxnparse.chem import Atom, Bond, Molecule, VALENCES
-from rxnparse.entities import load_document
-from rxnparse.geometry import AxisBox, OrientedQuad, center_distance_normalized, polygon_of
+from rxnparse.entities import entity_to_json, load_document
+from rxnparse.geometry import AxisBox, OrientedQuad, polygon_of, region_to_array
 
 
 # --- documents -------------------------------------------------------------
@@ -38,6 +39,20 @@ def make_doc(entities, width=1400, height=400, layout=None, image=None):
     if image:
         data["image"] = image
     return load_document(json.dumps(data))
+
+
+def document_to_json(doc) -> dict:
+    """Inverse of :func:`load_document`; load(serialize(load(x))) == load(x)."""
+    obj: dict = {
+        "width": doc.diagram_bounds.x_max - doc.diagram_bounds.x_min,
+        "height": doc.diagram_bounds.y_max - doc.diagram_bounds.y_min,
+    }
+    if doc.image_ref is not None:
+        obj["image"] = doc.image_ref
+    if doc.layout_class is not None:
+        obj["layout"] = doc.layout_class
+    obj["entities"] = [entity_to_json(e) for e in doc.entities]
+    return obj
 
 
 def molecule_entity(eid, x, y, smiles=None, w=120, h=90):
@@ -293,8 +308,6 @@ def random_axis_box(rng: random.Random, limit=1000.0) -> AxisBox:
 
 def random_quad(rng: random.Random, limit=1000.0) -> OrientedQuad:
     """Random convex quad: a rotated rectangle with mild vertex jitter."""
-    import math
-
     cx = rng.uniform(limit * 0.2, limit * 0.8)
     cy = rng.uniform(limit * 0.2, limit * 0.8)
     w = rng.uniform(20, limit * 0.25)
@@ -379,6 +392,16 @@ def brute_force_assignment(entities, arrows, affinity) -> float:
 # spirit: one center_distance_normalized call per pair, kNN by sorting each
 # row on (distance, index), union-find over every close pair, and one
 # matrix-vector product per directed edge in message passing.
+
+
+def center_distance_normalized(a, b, diagram: AxisBox) -> float:
+    """Euclidean centroid distance scaled by the diagram diagonal."""
+    diag = diagram.diagonal
+    if diag <= 0.0:
+        raise ValueError("diagram bounds must have a positive diagonal")
+    ax, ay = a.centroid
+    bx, by = b.centroid
+    return math.hypot(bx - ax, by - ay) / diag
 
 
 def reference_distances(doc) -> np.ndarray:
@@ -552,7 +575,6 @@ def reference_connected_components(fused) -> list[list[str]]:
 
 
 def reference_cluster_prompt_variables(cluster, doc, config) -> dict:
-    from rxnparse.entities import entity_to_json
     from rxnparse.reasoning.relations import EdgeRelation
 
     ids = list(cluster)
@@ -576,10 +598,14 @@ def reference_cluster_prompt_variables(cluster, doc, config) -> dict:
 
 
 def reference_build_chem_graph(doc, config):
-    """Chemistry edges one molecule pair at a time: Python ``tanimoto`` and ``math.exp`` per pair."""
+    """Chemistry edges one molecule pair at a time: Python ``tanimoto`` and ``math.exp`` per pair.
+
+    A pair scores ``beta * tanimoto + (1 - beta) * exp(-|dq|)``, the convex
+    blend of fingerprint similarity and charge agreement.
+    """
     from rxnparse.chem import tanimoto
     from rxnparse.entities import EntityKind
-    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, chem_pair_score
+    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE
 
     molecules = doc.by_kind(EntityKind.MOLECULE)
     charges = {e.id: sum(a.charge for a in e.molecule.atoms) for e in molecules if e.molecule is not None}
@@ -589,7 +615,8 @@ def reference_build_chem_graph(doc, config):
             a, b = molecules[i], molecules[j]
             if a.id in charges and b.id in charges:
                 s_fp = tanimoto(a.molecule.fingerprint, b.molecule.fingerprint)
-                value = chem_pair_score(s_fp, charges[a.id] - charges[b.id], config.beta)
+                delta_q = charges[a.id] - charges[b.id]
+                value = config.beta * s_fp + (1.0 - config.beta) * math.exp(-abs(delta_q))
             else:
                 value = NEUTRAL_CHEM_SCORE
             if value > config.tau_chem:
@@ -602,9 +629,20 @@ def reference_build_chem_graph(doc, config):
 
 def reference_reactions_to_json(reactions, doc) -> str:
     """The output text as ``json.dumps`` writes the reaction dicts with ``indent=2``."""
-    from rxnparse.reactions import reaction_to_json
 
-    return json.dumps([reaction_to_json(r, doc) for r in reactions], indent=2)
+    def role(ids) -> list[dict]:
+        return [{"label": doc.entity(i).kind.value, "bbox": region_to_array(doc.entity(i).region)} for i in ids]
+
+    reaction_dicts = [
+        {
+            "reactants": role(r.reactants),
+            "products": role(r.products),
+            "conditions": role(r.conditions),
+            "arrow": role(r.arrows),
+        }
+        for r in reactions
+    ]
+    return json.dumps(reaction_dicts, indent=2)
 
 
 # --- whole-graph references for fusion, inference and post-processing --------
@@ -801,8 +839,6 @@ def reference_infer_reactions(fused, doc, config):
 
 
 def _reference_try_merge(first, second, doc):
-    import math
-
     from rxnparse.entities import EntityKind
     from rxnparse.geometry import axis_parameter, lateral_distance, principal_axis
     from rxnparse.reactions import ConstraintError, Reaction

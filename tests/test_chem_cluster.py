@@ -3,10 +3,16 @@ import math
 import pytest
 
 from rxnparse.config import ReasoningConfig
-from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, build_chem_graph, chem_pair_score
+from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, build_chem_graph
 from rxnparse.reasoning.clustering import cluster_entities
 
 from helpers import make_doc, molecule_entity, text_entity
+
+
+def pair_score(smiles_a: str, smiles_b: str, beta: float = 0.7) -> float:
+    """The chemistry score of two molecules, with no threshold pruning it."""
+    doc = make_doc([molecule_entity("m1", 0, 0, smiles=smiles_a), molecule_entity("m2", 300, 0, smiles=smiles_b)])
+    return build_chem_graph(doc, ReasoningConfig(beta=beta, tau_chem=0.0)).scores[("m1", "m2")]
 
 
 class TestChemGraph:
@@ -22,14 +28,15 @@ class TestChemGraph:
 
     def test_disjoint_fingerprints_floor(self):
         # score collapses to (1 - beta) when tanimoto = 0 and charges agree
-        assert chem_pair_score(0.0, 0, beta=0.7) == pytest.approx(0.3)
+        assert pair_score("C", "O") == pytest.approx(0.3)
 
     def test_large_charge_gap_limit(self):
-        assert chem_pair_score(1.0, 50, beta=0.7) == pytest.approx(0.7, abs=1e-6)
+        # tanimoto 2/5; a charge gap of 50 leaves only beta * tanimoto
+        assert pair_score("CC", "CC[N+50]") == pytest.approx(0.7 * 0.4, abs=1e-6)
 
     def test_formula(self):
         expected = 0.7 * 0.4 + 0.3 * math.exp(-2)
-        assert chem_pair_score(0.4, 2, beta=0.7) == pytest.approx(expected)
+        assert pair_score("CC", "CC[N+2]") == pytest.approx(expected)
 
     def test_unparsed_smiles_gets_neutral(self):
         doc = make_doc(

@@ -6,12 +6,11 @@ from rxnparse.chem import parse_smiles
 from rxnparse.entities import (
     EntityKind,
     SchemaError,
-    document_to_json,
     load_document,
 )
 from rxnparse.geometry import AxisBox, OrientedQuad
 
-from helpers import arrow_entity, make_doc, molecule_entity, text_entity
+from helpers import arrow_entity, document_to_json, make_doc, molecule_entity, text_entity
 
 
 def test_load_example_coordinates():

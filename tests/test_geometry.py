@@ -7,7 +7,6 @@ from rxnparse.geometry import (
     AxisBox,
     OrientedQuad,
     axis_parameter,
-    center_distance_normalized,
     iou_axis,
     lateral_distance,
     principal_axis,
@@ -16,7 +15,7 @@ from rxnparse.geometry import (
     region_to_array,
 )
 
-from helpers import mc_region_iou, random_axis_box, random_quad
+from helpers import center_distance_normalized, mc_region_iou, random_axis_box, random_quad
 
 
 def rotated_unit_square(angle):
@@ -180,6 +179,12 @@ class TestDistanceAndAxis:
         assert tail[0] < head[0]
         assert tail[0] == pytest.approx(513)
         assert head[0] == pytest.approx(880)
+
+    def test_principal_axis_of_a_triangular_hull_joins_its_farthest_vertices(self):
+        # (5, 2) lies inside the triangle of the other three, so the hull has 3 vertices
+        quad = OrientedQuad(((0, 0), (5, 2), (12, 0), (5, 10)))
+        assert len(quad.hull) == 3
+        assert principal_axis(quad) == ((5.0, 10.0), (12.0, 0.0))
 
     def test_axis_parameter_sides(self):
         tail, head = (0.0, 0.0), (10.0, 0.0)

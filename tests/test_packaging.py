@@ -1,15 +1,20 @@
-"""What the package ships and exports.
+"""What the package ships, exports and loads.
 
 The package-data globs in ``pyproject.toml`` against the files they ship:
 an editable install reads data files from the source tree, so a file no
 glob matches is missed only by a wheel, and a glob that matches nothing
-is never noticed at all. And every exported name against the package: a
+is never noticed at all. Every exported name against the package: a
 name left in an ``__all__`` after its definition went fails only a
-star import.
+star import. And what an import loads, each in a fresh interpreter: a
+module loads only the modules it uses, so scoring a corpus never loads
+the pipeline.
 """
 
-import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,18 +59,25 @@ def test_every_name_in_all_resolves(module):
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
-def test_every_name_the_package_imports_resolves():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = {
-        f"{'.' * node.level}{node.module}": [alias.name for alias in node.names]
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-    }
-    assert imported
-    unresolved = [
-        f"{module}.{name}"
-        for module, names in imported.items()
-        for name in names
-        if not hasattr(importlib.import_module(module, "rxnparse"), name)
-    ]
-    assert unresolved == []
+def _loaded_after(module: str) -> list[str]:
+    """The modules a fresh interpreter holds after importing ``module``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert [name for name in _loaded_after("rxnparse") if name.startswith("rxnparse.")] == []
+
+
+def test_chemistry_loads_without_numpy():
+    loaded = _loaded_after("rxnparse.chem")
+    assert "rxnparse.chem.smiles" in loaded and "numpy" not in loaded
+
+
+def test_evaluation_loads_no_pipeline_layer():
+    loaded = _loaded_after("rxnparse.evaluation")
+    layers = ("rxnparse.pipeline", "rxnparse.agents", "rxnparse.planner", "rxnparse.render", "rxnparse.reasoning")
+    assert "rxnparse.evaluation" in loaded and [name for name in layers if name in loaded] == []

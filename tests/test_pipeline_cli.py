@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +18,14 @@ from rxnparse.pipeline import (
     EXIT_CONFIG,
     EXIT_FAILED,
     EXIT_OK,
+    EXIT_PARTIAL,
     PipelineConfig,
     load_pipeline_weights,
     make_client,
     run_batch,
 )
 from rxnparse.reasoning import build_chem_graph, build_spatial_graph, propagate, random_weights, save_weights
+from rxnparse.reasoning.hypotheses import COMBINER_ROLE
 from rxnparse.render import UnknownEntityError, render_svg
 from rxnparse.reactions import Reaction
 
@@ -56,6 +59,27 @@ def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     paths, gt = build_corpus(root, per_layout=1)
     return root, paths, gt
+
+
+def break_write_text(monkeypatch):
+    """Make ``Path.write_text`` write the first half of its text, then raise."""
+    write_text = Path.write_text
+
+    def write_half(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half)
+
+
+@pytest.fixture(scope="module")
+def discarded(tmp_path_factory):
+    """A corpus whose every combiner reply is not JSON, so each document's replies are discarded."""
+    root = tmp_path_factory.mktemp("discarded")
+    paths, _gt = build_corpus(root, per_layout=1)
+    for fixture in (root / "fixtures" / COMBINER_ROLE).glob("*.txt"):
+        fixture.write_text("not json", encoding="utf-8")
+    return root, paths
 
 
 class TestPipelineConfig:
@@ -120,6 +144,37 @@ class TestPipelineConfig:
         ReasoningConfig(dim=BASE_NODE_DIMS)
         with pytest.raises(ConfigError, match=f"dim must be >= {BASE_NODE_DIMS}, got {BASE_NODE_DIMS - 1}"):
             ReasoningConfig(dim=BASE_NODE_DIMS - 1)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"tau_fuse": 1.5}, "tau_fuse must lie in [0, 1], got 1.5"),
+            ({"radius": -0.1}, "radius must lie in [0, 1], got -0.1"),
+            ({"beta": 2.0}, "beta must lie in [0, 1], got 2.0"),
+            ({"k_nn": -1}, "k_nn >= 0, layers >= 1, exact_search_limit >= 1 required"),
+            ({"layers": 0}, "k_nn >= 0, layers >= 1, exact_search_limit >= 1 required"),
+            ({"exact_search_limit": 0}, "k_nn >= 0, layers >= 1, exact_search_limit >= 1 required"),
+            ({"conservation_penalty": 0.0}, "conservation_penalty must lie in (0, 1]"),
+            ({"conservation_penalty": 1.5}, "conservation_penalty must lie in (0, 1]"),
+        ],
+        ids=["tau", "radius", "beta", "k-nn", "layers", "exact-search-limit", "penalty-zero", "penalty-above-one"],
+    )
+    def test_reasoning_value_out_of_range_rejected(self, values, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ReasoningConfig(**values)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"backend": "remote"}, "backend must be 'mock' or 'live', got 'remote'"),
+            ({"planner_policy": "llm"}, "planner_policy must be 'rule' or 'vlm', got 'llm'"),
+        ],
+        ids=["backend", "planner-policy"],
+    )
+    def test_unknown_backend_or_policy_rejected(self, tmp_path, values, message):
+        (tmp_path / "fx").mkdir()
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            PipelineConfig(fixtures_dir=str(tmp_path / "fx"), **values)
 
     def test_hash_stable_under_key_order(self, tmp_path):
         (tmp_path / "fx").mkdir()
@@ -228,6 +283,25 @@ class TestRunBatch:
         assert manifest.documents[0].status == "ok"
         produced = Path(manifest.documents[0].outputs[0])
         assert json.loads(produced.read_text()) == []
+
+    def test_discarded_reply_makes_the_document_partial(self, discarded, tmp_path):
+        root, paths = discarded
+        config = PipelineConfig(fixtures_dir=str(root / "fixtures"), output_dir=str(tmp_path / "out"))
+        manifest = run_batch(paths, config)
+        assert [d.status for d in manifest.documents] == ["partial"] * len(paths)
+        assert all(any("discarded response" in w for w in d.warnings) for d in manifest.documents)
+        assert all(Path(d.outputs[0]).exists() for d in manifest.documents)
+        assert manifest.exit_code == EXIT_PARTIAL
+
+    def test_batch_where_every_document_fails_exits_4(self, tmp_path):
+        broken = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in broken:
+            path.write_text("{not json")
+        (tmp_path / "fx").mkdir()
+        config = PipelineConfig(fixtures_dir=str(tmp_path / "fx"), output_dir=str(tmp_path / "out"))
+        manifest = run_batch(broken, config)
+        assert [d.status for d in manifest.documents] == ["failed", "failed"]
+        assert manifest.exit_code == EXIT_FAILED
 
     def test_same_stem_inputs_fail_instead_of_overwriting(self, tmp_path):
         empty = json.dumps({"width": 100, "height": 100, "entities": []})
@@ -703,6 +777,71 @@ class TestCli:
         assert "dim must be >= 24, got 8" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, named",
+        [
+            (["--query", ""], None, "query must be non-empty"),
+            (["--max-workers", "0"], None, "max_workers must be >= 1, got 0"),
+            (["--max-workers", "-3"], None, "max_workers must be >= 1, got -3"),
+            ([], {"cluster_workers": 0}, "cluster_workers must be >= 1, got 0"),
+        ],
+        ids=["empty-query", "no-workers", "negative-workers", "no-cluster-workers-in-file"],
+    )
+    def test_unusable_run_setting_exits_3(self, corpus, tmp_path, capsys, flags, config, named):
+        root, paths, _gt = corpus
+        out_dir = tmp_path / "out"
+        args = [str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(out_dir), *flags]
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            args += ["--config", str(config_path)]
+        code = main(["parse", *args])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and named in err
+        assert not out_dir.exists()
+
+    def test_failed_manifest_write_keeps_the_previous_manifest(self, corpus, tmp_path, capsys, monkeypatch):
+        root, paths, _gt = corpus
+        out_dir = tmp_path / "out"
+        args = ["parse", str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(out_dir)]
+        assert main(args) == EXIT_OK
+        written = sorted(out_dir.iterdir())
+        before = (out_dir / "manifest.json").read_bytes()
+        break_write_text(monkeypatch)
+        code = main(args)
+        monkeypatch.undo()
+        assert code == EXIT_FAILED
+        assert "OSError: disk full" in capsys.readouterr().err
+        assert (out_dir / "manifest.json").read_bytes() == before
+        assert sorted(out_dir.iterdir()) == written  # and no temporary file
+
+    def test_failed_report_write_keeps_the_previous_report(self, tmp_path, capsys, monkeypatch):
+        eval_file, report = tmp_path / "gt.json", tmp_path / "report.json"
+        eval_file.write_text(json.dumps([_EMPTY_REACTION]))
+        args = ["eval", "--gt", str(eval_file), "--pred", str(eval_file), "--out", str(report)]
+        assert main(args) == EXIT_OK
+        written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        break_write_text(monkeypatch)
+        code = main(args)
+        monkeypatch.undo()
+        assert code == EXIT_FAILED
+        assert "OSError: disk full" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [("{not json", "is not valid JSON"), ('{"id": "d1", "reactions": []}', "must be a JSON array")],
+        ids=["not-json", "not-an-array"],
+    )
+    def test_eval_file_that_is_not_a_json_array_exits_4(self, tmp_path, capsys, content, message):
+        eval_file = tmp_path / "gt.json"
+        eval_file.write_text(content)
+        code = main(["eval", "--gt", str(eval_file), "--pred", str(eval_file)])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILED
+        assert "ResponseFormatError" in err and message in err
+
     def test_weights_file_of_the_fallback_weights_writes_the_same_bytes(self, corpus, tmp_path, capsys):
         """The seeded fallback is ``random_weights(layers, dim)`` with seed 7; saved to a file, it is the same run."""
         root, paths, _gt = corpus
@@ -788,7 +927,7 @@ class TestCli:
         config = _build_config(build_parser().parse_args(["score-edge", str(paths[0]), "a", "b", *fixtures]))
         spatial = propagate(build_spatial_graph(doc, config.reasoning, load_pipeline_weights(config)))
         space, chem = spatial.score_by_ids(), build_chem_graph(doc, config.reasoning).scores
-        ids = [e.id for e in doc.entities] + ["no-such-entity"]
+        ids = [e.id for e in doc.entities]
         pairs = [(a, b) for a in ids for b in ids if a != b]
         assert any(pair in space for pair in pairs) and any(pair in chem for pair in pairs)
         for a, b in pairs:
@@ -797,6 +936,23 @@ class TestCli:
             pair = (min(a, b), max(a, b))
             assert (data["s_space"], data["s_chem"]) == (space.get(pair, 0.5), chem.get(pair, 0.5))
             assert 0.0 <= data["s_space"] <= 1.0 and 0.0 <= data["s_chem"] <= 1.0
+
+    def test_score_edge_of_an_unknown_id_exits_4(self, corpus, capsys):
+        root, paths, _gt = corpus
+        code = main(["score-edge", str(paths[0]), "nosuch", "alsonot", "--fixtures-dir", str(root / "fixtures")])
+        captured = capsys.readouterr()
+        assert code == EXIT_FAILED and captured.out == ""
+        assert "has no entity 'nosuch', 'alsonot'" in captured.err
+
+    def test_render_of_a_discarded_reply_exits_2_and_writes_the_svg(self, discarded, tmp_path, capsys):
+        root, paths = discarded
+        out = tmp_path / "doc.svg"
+        args = [str(paths[0]), "--out", str(out), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(tmp_path)]
+        code = main(["render", *args])
+        assert code == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "warning: cluster " in err and "discarded response" in err
+        assert out.read_text().startswith("<?xml")
 
     def test_render_subcommand(self, corpus, tmp_path, capsys):
         root, paths, _gt = corpus

@@ -16,7 +16,6 @@ from rxnparse.reactions import (
     boxed_reactions_from_json,
     parse_combiner_response,
     reaction_or_none,
-    reaction_to_json,
     reactions_to_json,
 )
 
@@ -171,7 +170,7 @@ class TestRoundTrip:
 
     def test_key_order(self, two_reaction_json, two_reaction_doc):
         reactions = parse_combiner_response(two_reaction_json, two_reaction_doc)
-        obj = reaction_to_json(reactions[0], two_reaction_doc)
+        obj = json.loads(reactions_to_json(reactions, two_reaction_doc))[0]
         assert list(obj) == ["reactants", "products", "conditions", "arrow"]
 
     def test_reparse_of_own_output(self, two_reaction_json, two_reaction_doc):

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from rxnparse.config import ReasoningConfig
 from rxnparse.entities import load_document
-from rxnparse.geometry import center_distance_normalized
 from rxnparse.reasoning import (
     EdgeRelation,
     HypothesisEdge,
@@ -39,6 +38,7 @@ from rxnparse.reasoning import chemgraph as chemgraph_module
 from rxnparse.reasoning import hypotheses as hypotheses_module
 
 from helpers import (
+    center_distance_normalized,
     fusion_config,
     make_doc,
     molecule_entity,

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -171,6 +172,15 @@ class TestWeightsIO:
         path = tmp_path / "bad.json"
         path.write_text(content)
         with pytest.raises(ConfigError, match="malformed weights file"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("key, value", [("layers", 3), ("dim", 16)])
+    def test_header_that_disagrees_with_the_matrices_is_a_config_error(self, tmp_path, key, value):
+        path = tmp_path / "weights.json"
+        save_weights(random_weights(2, 32), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(ConfigError, match="disagrees with its own shape header"):
             load_weights(path)
 
     def test_unreadable_file_is_a_config_error(self, tmp_path):

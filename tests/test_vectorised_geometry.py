@@ -3,7 +3,7 @@
 Documents place entities at centres on a quarter-unit grid drawn from a
 small pool, so duplicate centroids and distance ties are common. On such
 centroids the squared offsets are exact, and the vectorised distances
-must equal ``center_distance_normalized`` bit for bit; on arbitrary
+must equal the pairwise ``center_distance_normalized`` bit for bit; on arbitrary
 floats they may differ in the last place, which one test bounds.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rxnparse.config import ReasoningConfig
-from rxnparse.geometry import AxisBox, center_distance_normalized, centroid_distances
+from rxnparse.geometry import AxisBox, centroid_distances
 from rxnparse.reasoning import (
     EDGE_DIMS,
     EdgeRelation,
@@ -29,6 +29,7 @@ from rxnparse.reasoning import (
 from rxnparse.reasoning.clustering import connected_groups
 
 from helpers import (
+    center_distance_normalized,
     edge_feature_dict,
     make_doc,
     reference_cluster_entities,
