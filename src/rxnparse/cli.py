@@ -18,37 +18,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .agents import FixtureMissingError
-from .chem import FINGERPRINT_TAG, FINGERPRINT_WIDTH, parse_smiles
 from .config import ConfigError, ReasoningConfig
-from .entities import load_document
-from .evaluation import CorpusDocument, report_table, score_corpus
-from .pipeline import (
-    EXIT_CONFIG,
-    EXIT_FAILED,
-    EXIT_OK,
-    EXIT_PARTIAL,
-    PipelineConfig,
-    load_pipeline_weights,
-    make_client,
-    run_batch,
-    run_document,
-    write_atomic,
-)
-from .planner import extract_features, plan_to_json, route
-from .reactions import ResponseFormatError, boxed_reactions_from_list
-from .reasoning import (
-    build_chem_graph,
-    build_spatial_graph,
-    fuse_score,
-    propagate,
-)
-from .render import render_svg
+from .outputs import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_PARTIAL, write_atomic
 
-# flags named after PipelineConfig or ReasoningConfig fields override the config file
-_CONFIG_KEYS = {f.name for cls in (PipelineConfig, ReasoningConfig) for f in dataclasses.fields(cls)}
+# each command imports the modules it runs, so ``eval`` loads no pipeline and ``fingerprint`` no numpy
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -65,14 +39,20 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
 
 
-def _build_config(args) -> PipelineConfig:
-    overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
+def _build_config(args):
+    from .pipeline import PipelineConfig
+
+    # flags named after PipelineConfig or ReasoningConfig fields override the config file
+    keys = {f.name for cls in (PipelineConfig, ReasoningConfig) for f in dataclasses.fields(cls)}
+    overrides = {key: value for key, value in vars(args).items() if key in keys}
     if args.config:
         return PipelineConfig.from_file(args.config, overrides)
     return PipelineConfig.from_dict({}, overrides)
 
 
 def _cmd_parse(args) -> int:
+    from .pipeline import run_batch
+
     config = _build_config(args)
     manifest = run_batch(args.inputs, config)
     manifest_path = Path(config.output_dir) / "manifest.json"
@@ -83,7 +63,10 @@ def _cmd_parse(args) -> int:
     return manifest.exit_code
 
 
-def _load_eval_file(path) -> list[CorpusDocument]:
+def _load_eval_file(path) -> list:
+    from .evaluation import CorpusDocument
+    from .reactions import ResponseFormatError, boxed_reactions_from_list
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -111,6 +94,8 @@ def _load_eval_file(path) -> list[CorpusDocument]:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import report_table, score_corpus
+
     gt = _load_eval_file(args.gt)
     pred = _load_eval_file(args.pred)
     criteria = [args.criterion] if args.criterion else ["hard", "soft"]
@@ -130,6 +115,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .entities import load_document
+    from .planner import extract_features, plan_to_json, route
+
+    if not args.query:
+        raise ConfigError("query must be non-empty")
     doc = load_document(Path(args.input).read_bytes())
     features = extract_features(doc)
     plan = route(args.query, features)
@@ -138,6 +128,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .entities import load_document
+    from .pipeline import make_client, run_document
+    from .render import render_svg
+
     config = _build_config(args)
     doc = load_document(Path(args.input).read_bytes())
     client = make_client(config)
@@ -153,6 +147,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
+    from .chem import FINGERPRINT_TAG, FINGERPRINT_WIDTH, parse_smiles
+
     mol = parse_smiles(args.smiles)
     fp = mol.fingerprint
     print(
@@ -176,11 +172,15 @@ def _cmd_fingerprint(args) -> int:
 
 def _channel_score(graph, i: int, j: int) -> float:
     """The score of a channel graph's edge between positions ``i < j``, or the neutral 0.5."""
-    k = np.flatnonzero((graph.rows == i) & (graph.cols == j))
+    k = ((graph.rows == i) & (graph.cols == j)).nonzero()[0]
     return graph.values[k[0]].item() if k.size else 0.5
 
 
 def _cmd_score_edge(args) -> int:
+    from .entities import load_document
+    from .pipeline import load_pipeline_weights
+    from .reasoning import build_chem_graph, build_spatial_graph, fuse_score, propagate
+
     config = _build_config(args)
     doc = load_document(Path(args.input).read_bytes())
     unknown = [entity_id for entity_id in (args.a, args.b) if not doc.has_entity(entity_id)]

@@ -36,6 +36,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -153,6 +154,10 @@ class ReactionDocument:
         return {**self.__dict__, "_table": None}  # a weak reference does not pickle
 
 
+_NAN_KEY = 0x7FF8000000000000  # kNN keys: the bits of a positive quiet NaN order after +inf's,
+_TAKEN = np.iinfo(np.int64).max  # and a taken entry's, or a row's own, after every distance's
+
+
 @dataclass(frozen=True, eq=False)
 class EntityTable:
     """Read-only arrays over a document's entities, row ``i`` for ``doc.entities[i]`` (its position).
@@ -160,12 +165,14 @@ class EntityTable:
     Centroids, bounds, box sizes and areas are the floats the regions
     compute, and ``hulls`` the arrows' hulls that reply arrows are
     screened against. ``distances`` is
-    :func:`~rxnparse.geometry.centroid_distances` of the centroids,
-    computed on first read, so a table read only for its bounds builds no
-    n×n matrix. Writing into an array raises ``ValueError``, so no layer
-    can change what another reads.
+    :func:`~rxnparse.geometry.centroid_distances` of the centroids; it, the
+    kNN links and each row's JSON text are computed on first read, so a
+    table read only for its bounds builds no n×n matrix and writes no text.
+    Writing into an array raises ``ValueError``, so no layer can change
+    what another reads.
     """
 
+    entities: tuple[Entity, ...]
     ids: tuple[str, ...]
     position: dict  # id -> position
     sorted_ids: tuple[str, ...]
@@ -177,6 +184,7 @@ class EntityTable:
     areas: np.ndarray
     hulls: np.ndarray  # (arrows, 4, 2) the hull of each arrow row in row order, 3 vertices padded by the first
     diagram: AxisBox  # the document's diagram bounds
+    _links: dict = field(default_factory=dict, init=False, repr=False)  # k -> knn_links(k)
 
     @classmethod
     def of(cls, doc: ReactionDocument) -> "EntityTable":
@@ -204,7 +212,7 @@ class EntityTable:
         for array in arrays.values():
             array.flags.writeable = False
         position = dict(zip(ids, range(len(ids))))
-        return cls(ids, position, tuple(ids[i] for i in by_id), **arrays, diagram=doc.diagram_bounds)
+        return cls(doc.entities, ids, position, tuple(ids[i] for i in by_id), **arrays, diagram=doc.diagram_bounds)
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -212,6 +220,42 @@ class EntityTable:
         distances = centroid_distances(self.centroids, self.diagram)
         distances.flags.writeable = False
         return distances
+
+    def knn_links(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only rows ``(i, j)``, ``i < j``, row-major, where one is among the other's ``k`` nearest others.
+
+        Others come in stable (distance, index) order, NaN last, a row's own
+        index left out (another entity may share its centroid): each pass takes
+        every row's first smallest distance bits. Computed once per ``k``."""
+        if k not in self._links:
+            n = len(self.ids)
+            rows = np.arange(n)
+            keys = np.where(np.isnan(self.distances), _NAN_KEY, (self.distances + 0.0).view(np.int64))  # no -0.0
+            keys[rows, rows] = _TAKEN
+            codes = []
+            for _ in range(min(k, n - 1)):
+                nearest = keys.argmin(axis=1)
+                codes.append(np.minimum(rows, nearest) * n + np.maximum(rows, nearest))
+                keys[rows, nearest] = _TAKEN
+            self._links[k] = np.divmod(np.unique(np.concatenate(codes or [rows[:0]])), max(n, 1))
+            for array in self._links[k]:
+                array.flags.writeable = False
+        return self._links[k]
+
+    @cached_property
+    def numbers(self) -> tuple[tuple[str, ...], ...]:
+        """Each row's bbox numbers as JSON writes them: the ``repr`` of :func:`region_to_array`'s ints and floats."""
+        return tuple(tuple(map(repr, region_to_array(e.region))) for e in self.entities)
+
+    @cached_property
+    def nodes(self) -> tuple[str, ...]:
+        """Each row's JSON object, its bbox and fields, as ``json.dumps(..., sort_keys=True)`` writes it."""
+        return tuple(
+            '{"bbox": [' + ", ".join(numbers) + "], "  # "bbox" sorts before every other key
+            + ", ".join(f'"{key}": {encode_basestring_ascii(value)}' for key, value in sorted(_fields(e).items()))
+            + "}"
+            for e, numbers in zip(self.entities, self.numbers)
+        )
 
     def by_id_pairs(self, rows, cols, values) -> dict:
         """``{(id_a, id_b): values[k]}`` with ``id_a < id_b`` for the edges ``(rows[k], cols[k])``, in edge order."""
@@ -366,18 +410,10 @@ def load_document(source: bytes | str | dict) -> ReactionDocument:
     )
 
 
-def entity_to_json(entity: Entity) -> dict:
-    obj: dict = {
-        "id": entity.id,
-        "label": entity.kind.value,
-        "bbox": region_to_array(entity.region),
-    }
-    if entity.smiles is not None:
-        obj["smiles"] = entity.smiles
-    if entity.text is not None:
-        obj["text"] = entity.text
-    if entity.direction is not None:
-        obj["direction"] = entity.direction.value
-    if entity.resolves_to is not None:
-        obj["resolves_to"] = entity.resolves_to
-    return obj
+def _fields(entity: Entity) -> dict:
+    """The entity's detection-file fields other than its bbox."""
+    direction = None if entity.direction is None else entity.direction.value
+    fields = dict(id=entity.id, label=entity.kind.value, smiles=entity.smiles, text=entity.text,
+                  direction=direction, resolves_to=entity.resolves_to)
+    return {key: value for key, value in fields.items() if value is not None}
+

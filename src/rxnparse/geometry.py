@@ -197,27 +197,30 @@ def _clip_convex(subject, clip):
     return output
 
 
-def _clip_may_meet(hull_x: np.ndarray, hull_y: np.ndarray, clip) -> np.ndarray:
-    """False for each subject hull that :func:`_clip_convex` by ``clip`` provably clips to nothing.
+def _clip_may_meet(hull_x: np.ndarray, hull_y: np.ndarray, clips: np.ndarray) -> np.ndarray:
+    """(clips, subjects) mask: False where :func:`_clip_convex` of the subject hull by the clip provably gives nothing.
 
-    ``hull_x``/``hull_y`` hold four vertices per subject, flattened, from a
-    CCW hull with a 3-vertex hull padded by repeating a vertex (a repeat is
-    inside exactly when the original is). Up to the first clip edge at
-    which not every vertex is inside, the clip keeps every vertex and makes
-    no crossing point, so the polygon is the subject itself; if no vertex is
-    inside that edge either, the clip returns ``[]``. The test uses the
-    clip's own arithmetic, one numpy ufunc per operation in :func:`_cross`'s
-    order, so it is exact, not a margin.
+    ``hull_x``/``hull_y`` hold four vertices per subject, flattened, and
+    ``clips`` four (x, y) per clip, each a CCW hull, a 3-vertex one padded
+    by its first vertex (a repeated subject vertex is inside exactly when the
+    original is; a clip's padded edge keeps every vertex). Up to the first clip
+    edge at which not every vertex is inside, the clip keeps every vertex
+    and makes no crossing point, so the polygon is the subject itself; if
+    no vertex is inside that edge either, the clip returns ``[]``. The test
+    uses the clip's own arithmetic, one numpy ufunc per operation in
+    :func:`_cross`'s order, so it is exact, not a margin.
     """
-    ax, ay, ex, ey = np.array(
-        [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(clip, clip[1:] + clip[:1])]
-    ).T[..., None]
+    a = np.asarray(clips, dtype=float).reshape(-1, 4, 2).transpose(1, 0, 2)[..., None]  # (edge, clip, xy, 1)
+    ax, ay = a[:, :, 0], a[:, :, 1]
+    ex, ey = np.roll(a, -1, axis=0)[:, :, 0] - ax, np.roll(a, -1, axis=0)[:, :, 1] - ay
     # one byte per vertex: a subject's four inside flags read as one uint32; an overflow
     # gives the same inf or nan that the clip's Python floats give, silently
     with np.errstate(over="ignore", invalid="ignore"):
         inside = (ex * (hull_y - ay) - ey * (hull_x - ax) >= -_EPS).view(np.uint32)
+    padded = (ex[3, :, 0] == 0.0) & (ey[3, :, 0] == 0.0)
+    inside[3, padded] = 0x01010101
     first = np.argmin(inside == 0x01010101, axis=0)  # first edge not all inside, or 0 if none
-    return inside[first, np.arange(len(first))] != 0
+    return np.take_along_axis(inside, first[None], axis=0)[0] != 0
 
 
 def polygon_of(region: Region) -> list[Point]:
@@ -276,15 +279,22 @@ def region_iou(a: Region, b: Region, polygon: bool = True) -> float:
 _UNBOUNDED = (-math.inf, -math.inf, math.inf, math.inf)
 
 
+def bounds_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou_axis` of each pair of boxes ``(a[k], b[k])`` given as rows of bounds, operation for operation:
+    the same floats, a zero-area union included."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero-area union is decided by equality
+        ix, iy = (np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])).T
+        inter = np.where(ix > 0.0, ix, 0.0) * np.where(iy > 0.0, iy, 0.0)  # max(0.0, ...), never -0.0
+        union = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]) + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) - inter
+        iou = inter / union
+    iou = np.where(iou > 0.0, np.where(iou < 1.0, iou, 1.0), 0.0)
+    return np.where(union <= 0.0, (a == b).all(axis=1), iou)
+
+
 def bounds_iou_above(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
-    """Mask over pairs ``(a[k], b[k])`` of :func:`coords_bounds` rows: ``iou_axis`` of the two boxes,
-    computed operation for operation, exceeds ``threshold``, or a row is unbounded (a quad clipped as a polygon)."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # unbounded pairs are kept unread
-        inter = np.fmax(0.0, np.minimum(a[:, 2:], b[:, 2:]) - np.maximum(a[:, :2], b[:, :2])).prod(axis=1)
-        union = (a[:, 2:] - a[:, :2]).prod(axis=1) + (b[:, 2:] - b[:, :2]).prod(axis=1) - inter
-        iou = np.fmin(1.0, np.fmax(0.0, inter / union))
-    above = np.where(union <= 0.0, (a == b).all(axis=1), iou) > threshold
-    return above | np.isinf(a[:, 0]) | np.isinf(b[:, 0])
+    """Mask over pairs ``(a[k], b[k])`` of :func:`coords_bounds` rows: their :func:`bounds_iou`
+    exceeds ``threshold``, or a row is unbounded (a quad clipped as a polygon)."""
+    return (bounds_iou(a, b) > threshold) | np.isinf(a[:, 0]) | np.isinf(b[:, 0])
 
 
 def bounds_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,22 +414,9 @@ def lateral_distance(point: Point, tail: Point, head: Point) -> float:
     return abs(dx * (point[1] - tail[1]) - dy * (point[0] - tail[0])) / length
 
 
-def json_number(value: float):
-    """Render a coordinate for JSON: integral floats become ints."""
-    value = float(value)
-    if value.is_integer():
-        return int(value)
-    return value
-
-
 def region_to_array(region: Region) -> list:
-    if isinstance(region, AxisBox):
-        return [json_number(v) for v in (region.x_min, region.y_min, region.x_max, region.y_max)]
-    flat = []
-    for x, y in region.vertices:
-        flat.append(json_number(x))
-        flat.append(json_number(y))
-    return flat
+    """The region's coordinates for JSON, integral floats as ints."""
+    return [int(v) if v.is_integer() else v for v in region_coords(region)]
 
 
 def region_coords(region: Region) -> tuple[float, ...]:

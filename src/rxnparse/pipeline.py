@@ -18,11 +18,13 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 from .agents import AgentClient, LiveAgentClient, LiveBackendConfig, MockAgentClient
 from .config import ConfigError, ReasoningConfig
 from .entities import ReactionDocument, load_document
+from .outputs import EXIT_FAILED, EXIT_OK, EXIT_PARTIAL, write_atomic
 from .planner import AgentPlan, extract_features, route
 from .reactions import Reaction, reactions_to_json
 from .reasoning import (
@@ -42,11 +44,6 @@ from .reasoning.spatial import SpatialWeights
 log = logging.getLogger(__name__)
 
 DEFAULT_QUERY = "extract all reactions"
-
-EXIT_OK = 0
-EXIT_PARTIAL = 2
-EXIT_CONFIG = 3
-EXIT_FAILED = 4
 
 
 def _checked(cls, values: dict, prefix: str) -> dict:
@@ -145,6 +142,7 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @lru_cache(maxsize=16)  # a pure function of the frozen config, computed once per distinct config
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -253,16 +251,6 @@ def run_document(
     return ReasoningOutcome(plan=plan, reactions=reactions, warnings=hypotheses.warnings)
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write a temporary sibling, then rename it over ``path``: no reader sees a partial file."""
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # output names are unique per batch
-    try:
-        temporary.write_text(text, encoding="utf-8")
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
-
-
 def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None) -> RunManifest:
     """Process detection files into reaction JSON files plus a manifest."""
     client = client or make_client(config)
@@ -281,6 +269,7 @@ def run_batch(inputs, config: PipelineConfig, client: AgentClient | None = None)
             started = time.perf_counter()
             doc = load_document(path.read_bytes())
             result.stages["load"] = time.perf_counter() - started
+            table = doc.table  # the document holds its table weakly: held here, emit reads the one reasoning built
             outcome = run_document(doc, config, client, weights, result.stages)
             started = time.perf_counter()
             out_path = output_dir / f"{path.stem}.reactions.json"

@@ -33,6 +33,7 @@ from .entities import KIND_CODES, EntityKind, ReactionDocument
 from .geometry import (
     Region,
     _clip_may_meet,
+    bounds_iou,
     bounds_overlap,
     coords_from_arrays,
     region_coords,
@@ -66,6 +67,7 @@ class Conservation(str, Enum):
 
 
 RESOLVE_IOU = 0.9
+_SCREEN_FLOATS = 2**17  # 1 MiB of float64: the largest temporary of a reply-arrow screen
 
 
 @dataclass(frozen=True)
@@ -116,16 +118,17 @@ def reaction_or_none(reactants, products, conditions=(), arrows=(), score: float
 # one reaction and one role member as json.dumps(..., indent=2) writes them at their depth in the output
 _REACTION_JSON = '  {\n    "reactants": %s,\n    "products": %s,\n    "conditions": %s,\n    "arrow": %s\n  }'
 _MEMBER_JSON = '      {\n        "label": %s,\n        "bbox": [\n          %s\n        ]\n      }'
+_QUOTED_LABELS = {kind: json.dumps(kind.value) for kind in EntityKind}
 
 
 def reactions_to_json(reactions, doc: ReactionDocument) -> str:
     """The bytes ``json.dumps(..., indent=2)`` gives for the reactions' dicts of ``{"label", "bbox"}`` members.
 
-    Each member's block is rendered once per call, its numbers the
-    ``repr`` of :func:`~rxnparse.geometry.region_to_array`'s ints and
-    floats as ``json`` writes them; blocks join per role, and an empty
-    role or reaction list is written ``[]``.
+    Each member's block is rendered once per call from the numbers the
+    document's :class:`~rxnparse.entities.EntityTable` wrote for its row;
+    blocks join per role, and an empty role or reaction list is written ``[]``.
     """
+    table = doc.table
     blocks: dict[str, str] = {}
 
     def role(ids) -> str:
@@ -133,9 +136,9 @@ def reactions_to_json(reactions, doc: ReactionDocument) -> str:
             return "[]"
         for entity_id in ids:
             if entity_id not in blocks:
-                entity = doc.entity(entity_id)
-                numbers = ",\n          ".join(map(repr, region_to_array(entity.region)))
-                blocks[entity_id] = _MEMBER_JSON % (json.dumps(entity.kind.value), numbers)
+                row = table.position[entity_id]
+                numbers = ",\n          ".join(table.numbers[row])
+                blocks[entity_id] = _MEMBER_JSON % (_QUOTED_LABELS[table.entities[row].kind], numbers)
         return "[\n" + ",\n".join(blocks[entity_id] for entity_id in ids) + "\n    ]"
 
     if not reactions:
@@ -159,11 +162,14 @@ _REQUIRED_KEYS = tuple(_REPLY_ROLES)
 def _table_screen(table, kind: EntityKind, queries) -> tuple[np.ndarray, np.ndarray]:
     """Pairs ``(row, j)``, row-major, of a table row of ``kind`` and ``queries[j]``, members of that kind,
     whose :func:`region_iou` may be nonzero: a box's bounds meet the row's, or for a reply arrow
-    (a quad has no bounds), :func:`~rxnparse.geometry._clip_may_meet` keeps the row's hull."""
+    (a quad has no bounds), :func:`~rxnparse.geometry._clip_may_meet` keeps the row's hull; reply arrows
+    go in blocks that keep each temporary under :data:`_SCREEN_FLOATS` floats."""
     rows = np.flatnonzero(table.kinds == KIND_CODES[kind])
     if kind == EntityKind.ARROW:  # the table's hulls are those of its arrow rows, in row order
         hull_x, hull_y = table.hulls[..., 0].ravel(), table.hulls[..., 1].ravel()
-        meet = np.array([_clip_may_meet(hull_x, hull_y, query.region.hull) for query in queries], dtype=bool)
+        clips = [hull + hull[:1] * (4 - len(hull)) for hull in (query.region.hull for query in queries)]
+        step = max(1, _SCREEN_FLOATS // (16 * len(rows) or 1))  # 4 clip edges by 4 hull vertices per row
+        meet = np.concatenate([_clip_may_meet(hull_x, hull_y, clips[k : k + step]) for k in range(0, len(clips), step)])
         found, cols = np.nonzero(meet.reshape(len(queries), len(rows)).T)
     else:
         found, cols = bounds_overlap(table.bounds[rows], np.array([query.coords for query in queries]))
@@ -178,8 +184,10 @@ def _resolve(members, doc: ReactionDocument) -> dict:
     kind's members are screened together against the document's
     :class:`~rxnparse.entities.EntityTable` by :func:`_table_screen`.
     Entities the screen leaves out score exactly 0.0, so they can neither
-    win nor change the best IoU; the exact :func:`region_iou` runs on
-    screened pairs only.
+    win nor change the best IoU. Screened boxes get :func:`bounds_iou`,
+    the floats of ``iou_axis``, all at once; each screened arrow pair gets
+    the exact :func:`region_iou`, and a reply arrow whose numbers equal an
+    entity arrow's reads that entity's quad.
     """
     by_kind: dict = {}
     for member in members:
@@ -188,21 +196,29 @@ def _resolve(members, doc: ReactionDocument) -> dict:
     resolved = {}
     for kind, queries in by_kind.items():
         queries = list(queries)
-        best: list = [None] * len(queries)
-        best_iou = [0.0] * len(queries)
-        for i, j in zip(*(a.tolist() for a in _table_screen(table, kind, queries))):
-            entity = doc.entities[i]
-            iou = region_iou(entity.region, queries[j].region)
-            if best[j] is None or iou > best_iou[j] or (iou == best_iou[j] and entity.id < best[j].id):
-                best[j], best_iou[j] = entity, iou
-        for query, entity, iou in zip(queries, best, best_iou):
-            if entity is None or iou < RESOLVE_IOU:
+        if kind == EntityKind.ARROW:
+            quads = {region_coords(e.region): e.region for e in doc.by_kind(kind)}
+            for query in queries:
+                query._region = quads.get(query.coords) or query.region
+        rows, cols = _table_screen(table, kind, queries)
+        if kind == EntityKind.ARROW:
+            pairs = zip(rows.tolist(), cols.tolist())
+            ious = np.array([region_iou(table.entities[i].region, queries[j].region) for i, j in pairs])
+        else:
+            ious = bounds_iou(table.bounds[rows], np.array([query.coords for query in queries]).reshape(-1, 4)[cols])
+        # per query, the pair of highest IoU, then of the smaller id
+        order = np.lexsort((table.ranks[rows], -ious, cols))
+        firsts = order[np.diff(cols[order], prepend=-1) != 0]
+        best = dict(zip(cols[firsts].tolist(), zip(rows[firsts].tolist(), ious[firsts].tolist())))
+        for j, query in enumerate(queries):
+            row, iou = best.get(j, (None, 0.0))
+            if row is None or iou < RESOLVE_IOU:
                 resolved[query] = ResolutionError(
                     f"no {kind.value} entity matches bbox {region_to_array(query.region)} "
                     f"at IoU >= {RESOLVE_IOU} (best {iou:.3f})"
                 )
             else:
-                resolved[query] = entity.id
+                resolved[query] = table.ids[row]
     return resolved
 
 

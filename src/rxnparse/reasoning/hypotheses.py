@@ -13,15 +13,15 @@ propagate.
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from ..agents import AgentClient
-from ..entities import ReactionDocument, entity_to_json
+from ..entities import ReactionDocument
 from ..reactions import REPLY_ERRORS, Reaction, parse_combiner_response
 from ..config import ReasoningConfig
 from .relations import EdgeRelation
@@ -64,28 +64,37 @@ def cluster_prompt_variables(cluster, doc: ReactionDocument, config: ReasoningCo
 
     The subgraph JSON lists the cluster's entities and their proximity
     links (weight = 1 - normalized distance, from the document's distance
-    matrix), which is all the evidence available before fusion. It is
-    rendered from fragments into the bytes
+    matrix), which is all the evidence available before fusion: a pair
+    closer than ``tau_cluster`` that is a kNN link of the spatial graph, so
+    n entities list at most ``k_nn * n`` edges. The JSON is rendered from
+    fragments into the bytes
     ``json.dumps({"nodes": ..., "edges": [...]}, sort_keys=True)``
-    gives: one sorted-key node per entity, each id quoted once, and each
-    proximity pair joined from its source's head, its target and its
-    weight, keys in sorted order.
+    gives: the table's sorted-key node of each entity, and each proximity
+    pair joined from its source's head, its target and its weight, keys in
+    sorted order.
     """
     ids = list(cluster)
-    entities = [doc.entity(i) for i in ids]
     table = doc.table
     at = [table.position[i] for i in ids]
-    distances = table.distances[np.ix_(at, at)]
-    rows, cols = np.nonzero(np.triu(distances < config.tau_cluster, k=1))
-    weights = (1.0 - distances[rows, cols]).tolist()
+    local = np.full(len(table.ids), -1)
+    local[at] = np.arange(len(at))  # each document row's place in the cluster
+    a, b = table.knn_links(config.k_nn)
+    close = table.distances[a, b]
+    inside = (local[a] >= 0) & (local[b] >= 0) & (close < config.tau_cluster)
+    ends, close = np.sort([local[a][inside], local[b][inside]], axis=0), close[inside]
+    order = np.lexsort(ends[::-1])  # row-major over the cluster's order
+    rows, cols = ends[:, order]
+    weights = (1.0 - close[order]).tolist()
     # grid layouts repeat distances, so each distinct weight is rounded and written once
     written = {w: repr(round(w, 6)) + "}" for w in set(weights)}
-    quoted = [json.dumps(i) for i in ids]
-    sources = [_PROXIMITY_SOURCE + q + ', "target": ' for q in quoted]
-    targets = [q + ', "weight": ' for q in quoted]
-    edges = [sources[a] + targets[b] + written[w] for a, b, w in zip(rows.tolist(), cols.tolist(), weights)]
-    nodes = [json.dumps(entity_to_json(e), sort_keys=True) for e in entities]
-    return {"graph_json": '{"edges": [' + ", ".join(edges) + '], "nodes": [' + ", ".join(nodes) + "]}"}
+    quoted = list(map(encode_basestring_ascii, ids))  # json.dumps of a str
+    fragments = np.full((len(weights), 4), ", ", dtype=object)  # source head, target, weight, separator
+    fragments[:, 0] = np.array([_PROXIMITY_SOURCE + q + ', "target": ' for q in quoted], dtype=object)[rows]
+    fragments[:, 1] = np.array([q + ', "weight": ' for q in quoted], dtype=object)[cols]
+    fragments[:, 2] = [written[w] for w in weights]
+    fragments[-1:, 3] = ""
+    nodes = ", ".join(table.nodes[p] for p in at)
+    return {"graph_json": '{"edges": [' + "".join(fragments.ravel().tolist()) + '], "nodes": [' + nodes + "]}"}
 
 
 def edges_from_reactions(reactions, cluster) -> tuple[list[HypothesisEdge], list[str]]:

@@ -41,10 +41,6 @@ from .clustering import connected_groups
 from .fusion import FusedEdge, FusedGraph
 from .relations import EdgeRelation
 
-# the typed edges that attach a condition to a candidate reaction
-_CONDITION_RELATIONS = (EdgeRelation.REACTANT_TO_COND, EdgeRelation.COND_TO_PRODUCT)
-
-
 def connected_components(fused: FusedGraph) -> list[list[str]]:
     """Components of the retained edge set, in reading order of first node."""
     index = {node: i for i, node in enumerate(fused.node_ids)}
@@ -151,7 +147,7 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
     reactions: list[Reaction] = []
     for component, edges in zip(components, buckets):
         arrows, affinity, edges_by_pair = _arrow_affinities(component, edges, doc)
-        condition_edges = [e for e in edges if e.relation in _CONDITION_RELATIONS]
+        condition_edges = _condition_index(edges)
         if not arrows:
             reactions.extend(_arrowless_candidates(edges, condition_edges, doc))
             continue
@@ -182,24 +178,37 @@ def infer_reactions(fused: FusedGraph, doc: ReactionDocument, config: ReasoningC
     return reactions
 
 
+def _condition_index(edges) -> tuple[dict, dict]:
+    """A component's reactant->condition edges by source and condition->product edges by target,
+    each as ``(position among the component's edges, edge)`` in edge order."""
+    by_source: dict = {}
+    by_target: dict = {}
+    for k, edge in enumerate(edges):
+        if edge.relation == EdgeRelation.REACTANT_TO_COND:
+            by_source.setdefault(edge.source, []).append((k, edge))
+        elif edge.relation == EdgeRelation.COND_TO_PRODUCT:
+            by_target.setdefault(edge.target, []).append((k, edge))
+    return by_source, by_target
+
+
 def _finalize_candidate(reactants, products, conditions, arrows, score, condition_edges, doc) -> Reaction | None:
     """Attach typed-condition entities, then build through :func:`reaction_or_none`.
 
-    ``condition_edges`` are the component's reactant->condition and
-    condition->product edges, in the order of its fused edges. An entity
-    among both reactants and products stays a reactant.
+    ``condition_edges`` is the component's :func:`_condition_index`; the
+    edges from a reactant and those into a product are walked in the order
+    of the component's fused edges. An entity among both reactants and
+    products stays a reactant.
     """
+    by_source, by_target = condition_edges
     conditions = list(conditions)
     reactant_set = set(reactants)
     product_set = set(products) - reactant_set
     taken = reactant_set | product_set | set(conditions)
-    for edge in condition_edges:
-        if edge.relation == EdgeRelation.REACTANT_TO_COND and edge.source in reactant_set:
-            candidate = edge.target
-        elif edge.relation == EdgeRelation.COND_TO_PRODUCT and edge.target in product_set:
-            candidate = edge.source
-        else:
-            continue
+    found = [item for r in reactant_set for item in by_source.get(r, ())]
+    found += [item for p in product_set for item in by_target.get(p, ())]
+    found.sort(key=lambda item: item[0])
+    for _, edge in found:
+        candidate = edge.target if edge.relation == EdgeRelation.REACTANT_TO_COND else edge.source
         if candidate in taken or doc.entity(candidate).kind == EntityKind.ARROW:
             continue
         conditions.append(candidate)
@@ -212,8 +221,8 @@ def _arrowless_candidates(edges, condition_edges, doc: ReactionDocument) -> list
     """Candidates from a component's reactant->product hypothesis edges alone.
 
     Edges group when they share a source or share a target (parallel
-    chains stay separate reactions); ``condition_edges`` are as in
-    :func:`_finalize_candidate`.
+    chains stay separate reactions); ``condition_edges`` is the
+    component's :func:`_condition_index`.
     """
     r2p = [e for e in edges if e.relation == EdgeRelation.REACTANT_TO_PRODUCT]
     tails = np.array([e.source for e in r2p])

@@ -16,11 +16,14 @@ that is structurally invalid: reactants or products come out empty.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import replace
+
+import numpy as np
 
 from ..chem import conservation_residual
 from ..config import ReasoningConfig
-from ..entities import EntityKind, ReactionDocument
+from ..entities import KIND_CODES, EntityKind, ReactionDocument
 from ..geometry import axis_parameter, lateral_distance, principal_axis
 from ..reactions import Conservation, Reaction, reaction_or_none
 
@@ -50,8 +53,10 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
     they were merged. A merged reaction holds two arrows and never merges
     again, and a pair that fails never succeeds later, so one pass finds
     every merge a rescan after each merge would. Each single-arrow
-    reaction's axis is computed once, and only pairs that pass the angle,
-    ahead-of, gap and lateral gates reach the gap scan of :func:`_try_merge`.
+    reaction's axis is computed once, and :func:`_merge_screen` keeps the
+    pairs that may pass the angle, ahead-of, gap and lateral gates; the
+    gates themselves decide, in order, and only pairs that pass them reach
+    the gap test of :func:`_try_merge`.
     """
     diag = doc.diagram_bounds.diagonal or 1.0
     axes = {}  # reaction index -> (tail, head, head - tail, |head - tail|, arrow centroid)
@@ -63,16 +68,21 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
             n = math.hypot(*v)
             if n != 0.0:  # a zero-length axis merges with nothing
                 axes[i] = (tail, head, v, n, arrow.centroid)
-    centroids = [e.centroid for e in doc.entities if e.kind != EntityKind.ARROW]
+    if len(axes) < 2:
+        return reactions
+    table = doc.table
+    keys = list(axes)
+    partners, bands = _merge_screen(list(axes.values()), table.centroids[table.kinds != KIND_CODES[EntityKind.ARROW]], diag)
     used = [False] * len(reactions)
     merged: list[Reaction] = []
-    for i, axis1 in axes.items():
+    for i, axis1, kept, band in zip(keys, axes.values(), partners, bands):
         if used[i]:
             continue
         tail1, head1, v1, n1, _ = axis1
-        for j, (tail2, _, v2, n2, centroid2) in axes.items():
-            if used[j] or j == i:
+        for j in (keys[k] for k in kept):
+            if used[j]:
                 continue
+            tail2, _, v2, n2, centroid2 = axes[j]
             # the second arrow must continue the first: within the angle
             # bound, ahead of its head, across a short gap, near its line
             if abs((v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)) < _MERGE_MIN_COS:
@@ -83,7 +93,7 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
                 continue
             if lateral_distance(centroid2, tail1, head1) / diag > _MERGE_MAX_LATERAL:
                 continue
-            combined = _try_merge(reactions[i], reactions[j], axis1, tail2, centroids, diag)
+            combined = _try_merge(reactions[i], reactions[j], axis1, tail2, band)
             if combined is not None:
                 used[i] = used[j] = True
                 merged.append(combined)
@@ -91,30 +101,48 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
     return [r for r, u in zip(reactions, used) if not u] + merged
 
 
-def _try_merge(first: Reaction, second: Reaction, axis1, tail2, centroids, diag: float) -> Reaction | None:
+def _merge_screen(axes, centroids: np.ndarray, diag: float) -> tuple[list, list]:
+    """Per axis, the other axes that may pass the merge gates after it, ascending, and the sorted axis
+    parameters of the non-arrow ``centroids`` within its gap band, for :func:`_try_merge`.
+
+    ``axis_parameter`` and ``lateral_distance`` run one numpy operation per
+    Python one, in order, so the gates and the band read the Python floats;
+    only the gap, where ``np.hypot`` stands for ``math.dist``, gets a relative
+    slack far above their rounding. NaN passes a gate, as in Python.
+    """
+    tail, head, v, n, ends = (np.array(column, dtype=float) for column in zip(*axes))
+    points = np.concatenate((ends, centroids))
+    vx, vy, m = v[:, 0, None], v[:, 1, None], len(axes)
+    ox, oy = points[:, 0] - tail[:, 0, None], points[:, 1] - tail[:, 1, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as Python's floats overflow, silently
+        denom = vx * vx + vy * vy
+        t = np.where(denom <= 0.0, 0.0, (ox * vx + oy * vy) / denom)
+        lateral = np.abs(vx * oy - vy * ox) / n[:, None] / diag
+        cosine = np.abs((vx * v[:, 0] + vy * v[:, 1]) / (n[:, None] * n))
+        gap = np.hypot(head[:, 0, None] - tail[:, 0], head[:, 1, None] - tail[:, 1]) / diag
+    kept = ~(cosine < _MERGE_MIN_COS) & ~(t[:, :m] <= 1.0) & ~(lateral[:, :m] > _MERGE_MAX_LATERAL)
+    kept &= ~(gap > _MERGE_MAX_GAP * (1.0 + 1e-9))
+    np.fill_diagonal(kept, False)
+    within = (lateral[:, m:] < _GAP_BAND) & ~np.isnan(t[:, m:])  # a NaN parameter is inside no gap, and would unsort
+    bands = np.sort(np.where(within, t[:, m:], np.inf), axis=1).tolist()  # each band first, ascending
+    return [np.flatnonzero(row).tolist() for row in kept], [b[:k] for b, k in zip(bands, within.sum(axis=1).tolist())]
+
+
+def _try_merge(first: Reaction, second: Reaction, axis1, tail2, band: list) -> Reaction | None:
     """The merge of two reactions whose arrows passed the alignment gates, or None.
 
-    ``axis1`` is the first arrow's axis, ``tail2`` the second's tail;
-    ``centroids`` holds the centroid of every non-arrow entity.
+    ``axis1`` is the first arrow's axis, ``tail2`` the second's tail, and
+    ``band`` the sorted axis parameters of the non-arrow centroids within
+    the first axis's gap band.
     """
-    tail1, head1, v1, _, _ = axis1
-    # the gap must be empty: no non-arrow entity projected strictly inside it
+    tail1, head1, _, _, _ = axis1
+    # the gap must be empty: no non-arrow centroid of the band projects strictly inside it
     t_gap_start = axis_parameter(head1, tail1, head1)
     t_gap_end = axis_parameter(tail2, tail1, head1)
     lo, hi = min(t_gap_start, t_gap_end), max(t_gap_start, t_gap_end)
-    # a centroid the test below flags projects into [lo, hi] and lies within
-    # the band of the axis, so inside the gap segment's box padded by the
-    # band; the relative slack outweighs the rounding of both tests
-    (x0, y0), (x1, y1) = ((tail1[0] + t * v1[0], tail1[1] + t * v1[1]) for t in (lo, hi))
-    pad = _GAP_BAND * diag + 1e-9 * (abs(x0) + abs(y0) + abs(x1) + abs(y1) + diag)
-    x_lo, x_hi = min(x0, x1) - pad, max(x0, x1) + pad
-    y_lo, y_hi = min(y0, y1) - pad, max(y0, y1) + pad
-    for point in centroids:
-        if not (x_lo <= point[0] <= x_hi and y_lo <= point[1] <= y_hi):
-            continue
-        t = axis_parameter(point, tail1, head1)
-        if lo < t < hi and lateral_distance(point, tail1, head1) / diag < _GAP_BAND:
-            return None
+    after = bisect_right(band, lo)
+    if after < len(band) and band[after] < hi:
+        return None
     return reaction_or_none(
         first.reactants + second.reactants,
         first.products + second.products,

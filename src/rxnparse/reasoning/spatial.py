@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,12 +55,15 @@ class SpatialWeights:
         return self.w1[0].shape[0]
 
 
+@lru_cache(maxsize=16)
 def random_weights(layers: int, dim: int, seed: int = 7) -> SpatialWeights:
-    """Seeded fallback weights for offline runs and tests."""
+    """Seeded fallback weights for offline runs and tests, generated once per shape and seed and shared read-only."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
     w1 = tuple(rng.normal(0.0, scale, size=(dim, dim)) for _ in range(layers))
     w2 = tuple(rng.normal(0.0, scale, size=(dim, EDGE_DIMS)) for _ in range(layers))
+    for array in w1 + w2:
+        array.flags.writeable = False
     return SpatialWeights(w1=w1, w2=w2)
 
 
@@ -167,23 +171,17 @@ def build_spatial_graph(
     """Assemble nodes, kNN/radius edges and initial features from the document's entity table.
 
     Each entity links to its ``k_nn`` nearest others, ties broken by the
-    lower index, and to every entity within ``radius``.
+    lower index (the table's :meth:`~rxnparse.entities.EntityTable.knn_links`),
+    and to every entity within ``radius``.
     """
     if weights is None:
         weights = random_weights(config.layers, config.dim)
     table = doc.table
-    n = len(table.ids)
     features = _node_features(doc, config)
-    distances = table.distances
-
-    # a stable sort keeps (distance, index) order; a row's own index goes
-    # explicitly, since another entity may share its centroid
-    order = np.argsort(distances, axis=1, kind="stable")
-    others = order[order != np.arange(n)[:, None]].reshape(n, max(n - 1, 0))
-    linked = distances <= config.radius
-    linked[np.repeat(np.arange(n), min(config.k_nn, max(n - 1, 0))), others[:, : config.k_nn].ravel()] = True
-    rows, cols = np.nonzero(np.triu(linked | linked.T, k=1))
-    receivers, senders = np.nonzero(_adjacency(rows, cols, n))
+    linked = table.distances <= config.radius
+    linked[table.knn_links(config.k_nn)] = True
+    rows, cols = np.nonzero(np.triu(linked, k=1))
+    receivers, senders = np.nonzero(_adjacency(rows, cols, len(table.ids)))
     return SpatialGraph(
         table=table,
         features=features,

@@ -16,7 +16,7 @@ import random
 import numpy as np
 
 from rxnparse.chem import Atom, Bond, Molecule, VALENCES
-from rxnparse.entities import entity_to_json, load_document
+from rxnparse.entities import load_document
 from rxnparse.geometry import AxisBox, OrientedQuad, polygon_of, region_to_array
 
 
@@ -39,6 +39,24 @@ def make_doc(entities, width=1400, height=400, layout=None, image=None):
     if image:
         data["image"] = image
     return load_document(json.dumps(data))
+
+
+def entity_to_json(entity) -> dict:
+    """An entity as its detection-file object, fields in file order."""
+    obj: dict = {
+        "id": entity.id,
+        "label": entity.kind.value,
+        "bbox": region_to_array(entity.region),
+    }
+    if entity.smiles is not None:
+        obj["smiles"] = entity.smiles
+    if entity.text is not None:
+        obj["text"] = entity.text
+    if entity.direction is not None:
+        obj["direction"] = entity.direction.value
+    if entity.resolves_to is not None:
+        obj["resolves_to"] = entity.resolves_to
+    return obj
 
 
 def document_to_json(doc) -> dict:
@@ -452,14 +470,19 @@ def reference_edge_feature(doc, i: int, j: int) -> np.ndarray:
     return np.asarray(offset + [distance, ratio] + pair_onehot, dtype=float)
 
 
+def reference_nearest(distances, k: int) -> list[list[int]]:
+    """Per row, its ``k`` nearest other rows, sorted on (distance, index)."""
+    n = len(distances)
+    return [sorted((j for j in range(n) if j != i), key=lambda j: (distances[i, j], j))[:k] for i in range(n)]
+
+
 def reference_spatial_edges(doc, config):
     """(edges, {(i, j): e_ij for both directions of every edge})."""
     n = len(doc.entities)
     distances = reference_distances(doc)
     edge_set = set()
-    for i in range(n):
-        order = sorted(range(n), key=lambda j: (distances[i, j], j))
-        for j in [j for j in order if j != i][: config.k_nn]:
+    for i, nearest in enumerate(reference_nearest(distances, config.k_nn)):
+        for j in nearest:
             edge_set.add((min(i, j), max(i, j)))
     for i in range(n):
         for j in range(i + 1, n):
@@ -575,17 +598,21 @@ def reference_connected_components(fused) -> list[list[str]]:
 
 
 def reference_cluster_prompt_variables(cluster, doc, config) -> dict:
+    """The prompt as one ``json.dumps``: a pair is an edge when closer than ``tau_cluster`` and a kNN link,
+    one end among the other's ``k_nn`` nearest entities of the document."""
     from rxnparse.reasoning.relations import EdgeRelation
 
     ids = list(cluster)
+    position = {e.id: p for p, e in enumerate(doc.entities)}
+    distances = reference_distances(doc)
+    nearest = reference_nearest(distances, config.k_nn)
     nodes = [entity_to_json(doc.entity(i)) for i in ids]
     edges = []
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            d = center_distance_normalized(
-                doc.entity(ids[a]).region, doc.entity(ids[b]).region, doc.diagram_bounds
-            )
-            if d < config.tau_cluster:
+            pa, pb = position[ids[a]], position[ids[b]]
+            d = float(distances[pa, pb])  # a Python float, so that round is Python's
+            if d < config.tau_cluster and (pb in nearest[pa] or pa in nearest[pb]):
                 edges.append(
                     {
                         "source": ids[a],
@@ -1218,3 +1245,174 @@ def reference_boxed_reactions_from_list(data):
         except ResponseFormatError as exc:
             raise ResponseFormatError(f"reaction {i}: {exc}") from None
     return reactions
+
+
+# --- the per-item loops that grounding, the arrow merge, condition attachment and kNN replaced -------
+#
+# Reply grounding screened one reply arrow per numpy pass and ran the exact
+# region_iou on every screened pair, boxes included; the arrow merge ran its
+# gates pair by pair and scanned the gap over every centroid in the padded
+# gap box; condition attachment scanned every condition edge per candidate;
+# kNN sorted every row of the distance matrix.
+
+
+def reference_clip_may_meet(hull_x, hull_y, clip):
+    """The quad screen of one clip polygon: False for each subject hull its first step clips to nothing."""
+    from rxnparse.geometry import _EPS
+
+    ax, ay, ex, ey = np.array(
+        [(a[0], a[1], b[0] - a[0], b[1] - a[1]) for a, b in zip(clip, clip[1:] + clip[:1])]
+    ).T[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = (ex * (hull_y - ay) - ey * (hull_x - ax) >= -_EPS).view(np.uint32)
+    first = np.argmin(inside == 0x01010101, axis=0)
+    return inside[first, np.arange(len(first))] != 0
+
+
+def reference_table_screen(table, kind, queries):
+    """The entity-table screen, one reply arrow per numpy pass."""
+    from rxnparse.entities import KIND_CODES, EntityKind
+    from rxnparse.geometry import bounds_overlap
+
+    rows = np.flatnonzero(table.kinds == KIND_CODES[kind])
+    if kind == EntityKind.ARROW:
+        hull_x, hull_y = table.hulls[..., 0].ravel(), table.hulls[..., 1].ravel()
+        meet = np.array([reference_clip_may_meet(hull_x, hull_y, query.region.hull) for query in queries], dtype=bool)
+        found, cols = np.nonzero(meet.reshape(len(queries), len(rows)).T)
+    else:
+        found, cols = bounds_overlap(table.bounds[rows], np.array([query.coords for query in queries]))
+    return rows[found], cols
+
+
+def reference_resolve(members, doc) -> dict:
+    """``member -> entity id or ResolutionError``: the exact region_iou on every screened pair, one by one."""
+    from rxnparse.geometry import region_iou
+    from rxnparse.reactions import RESOLVE_IOU, ResolutionError
+
+    by_kind: dict = {}
+    for member in members:
+        by_kind.setdefault(member.kind, {}).setdefault(member, None)
+    resolved = {}
+    for kind, queries in by_kind.items():
+        queries = list(queries)
+        best: list = [None] * len(queries)
+        best_iou = [0.0] * len(queries)
+        for i, j in zip(*(a.tolist() for a in reference_table_screen(doc.table, kind, queries))):
+            entity = doc.entities[i]
+            iou = region_iou(entity.region, queries[j].region)
+            if best[j] is None or iou > best_iou[j] or (iou == best_iou[j] and entity.id < best[j].id):
+                best[j], best_iou[j] = entity, iou
+        for query, entity, iou in zip(queries, best, best_iou):
+            if entity is None or iou < RESOLVE_IOU:
+                resolved[query] = ResolutionError(
+                    f"no {kind.value} entity matches bbox {region_to_array(query.region)} "
+                    f"at IoU >= {RESOLVE_IOU} (best {iou:.3f})"
+                )
+            else:
+                resolved[query] = entity.id
+    return resolved
+
+
+def reference_one_pass_merge(reactions, doc):
+    """The one-pass arrow merge with its gates run pair by pair and the gap scanned point by point."""
+    from rxnparse.entities import EntityKind
+    from rxnparse.geometry import axis_parameter, lateral_distance, principal_axis
+    from rxnparse.reactions import reaction_or_none
+    from rxnparse.reasoning.postprocess import _GAP_BAND, _MERGE_MAX_GAP, _MERGE_MAX_LATERAL, _MERGE_MIN_COS
+
+    diag = doc.diagram_bounds.diagonal or 1.0
+    axes = {}
+    for i, reaction in enumerate(reactions):
+        if len(reaction.arrows) == 1:
+            arrow = doc.entity(reaction.arrows[0])
+            tail, head = principal_axis(arrow.region)
+            v = (head[0] - tail[0], head[1] - tail[1])
+            n = math.hypot(*v)
+            if n != 0.0:
+                axes[i] = (tail, head, v, n, arrow.centroid)
+    centroids = [e.centroid for e in doc.entities if e.kind != EntityKind.ARROW]
+
+    def gap_is_empty(axis1, tail2):
+        tail1, head1, v1, _, _ = axis1
+        t_gap_start = axis_parameter(head1, tail1, head1)
+        t_gap_end = axis_parameter(tail2, tail1, head1)
+        lo, hi = min(t_gap_start, t_gap_end), max(t_gap_start, t_gap_end)
+        (x0, y0), (x1, y1) = ((tail1[0] + t * v1[0], tail1[1] + t * v1[1]) for t in (lo, hi))
+        pad = _GAP_BAND * diag + 1e-9 * (abs(x0) + abs(y0) + abs(x1) + abs(y1) + diag)
+        x_lo, x_hi = min(x0, x1) - pad, max(x0, x1) + pad
+        y_lo, y_hi = min(y0, y1) - pad, max(y0, y1) + pad
+        for point in centroids:
+            if not (x_lo <= point[0] <= x_hi and y_lo <= point[1] <= y_hi):
+                continue
+            t = axis_parameter(point, tail1, head1)
+            if lo < t < hi and lateral_distance(point, tail1, head1) / diag < _GAP_BAND:
+                return False
+        return True
+
+    used = [False] * len(reactions)
+    merged = []
+    for i, axis1 in axes.items():
+        if used[i]:
+            continue
+        tail1, head1, v1, n1, _ = axis1
+        for j, (tail2, _, v2, n2, centroid2) in axes.items():
+            if used[j] or j == i:
+                continue
+            if abs((v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)) < _MERGE_MIN_COS:
+                continue
+            if axis_parameter(centroid2, tail1, head1) <= 1.0:
+                continue
+            if math.dist(head1, tail2) / diag > _MERGE_MAX_GAP:
+                continue
+            if lateral_distance(centroid2, tail1, head1) / diag > _MERGE_MAX_LATERAL:
+                continue
+            first, second = reactions[i], reactions[j]
+            combined = None
+            if gap_is_empty(axis1, tail2):
+                combined = reaction_or_none(
+                    first.reactants + second.reactants,
+                    first.products + second.products,
+                    first.conditions + second.conditions,
+                    first.arrows + second.arrows,
+                    first.score + second.score,
+                )
+            if combined is not None:
+                used[i] = used[j] = True
+                merged.append(combined)
+                break
+    return [r for r, u in zip(reactions, used) if not u] + merged
+
+
+def reference_finalize_candidate(reactants, products, conditions, arrows, score, condition_edges, doc):
+    """Condition attachment by a scan of the component's condition edges, in edge order."""
+    from rxnparse.entities import EntityKind
+    from rxnparse.reactions import reaction_or_none
+    from rxnparse.reasoning.relations import EdgeRelation
+
+    conditions = list(conditions)
+    reactant_set = set(reactants)
+    product_set = set(products) - reactant_set
+    taken = reactant_set | product_set | set(conditions)
+    for edge in condition_edges:
+        if edge.relation == EdgeRelation.REACTANT_TO_COND and edge.source in reactant_set:
+            candidate = edge.target
+        elif edge.relation == EdgeRelation.COND_TO_PRODUCT and edge.target in product_set:
+            candidate = edge.source
+        else:
+            continue
+        if candidate in taken or doc.entity(candidate).kind == EntityKind.ARROW:
+            continue
+        conditions.append(candidate)
+        taken.add(candidate)
+        score += edge.score
+    return reaction_or_none(reactants, products, conditions, arrows, score)
+
+
+def reference_knn_links(distances, k: int) -> np.ndarray:
+    """Symmetric kNN links from a stable argsort of each row, the row's own index removed."""
+    n = len(distances)
+    order = np.argsort(distances, axis=1, kind="stable")
+    nearest = order[order != np.arange(n)[:, None]].reshape(n, max(n - 1, 0))[:, :k]
+    links = np.zeros((n, n), dtype=bool)
+    links[np.repeat(np.arange(n), nearest.shape[1]), nearest.ravel()] = True
+    return links | links.T

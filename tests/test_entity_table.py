@@ -117,8 +117,9 @@ def test_table_and_spatial_features_and_edges_equal_reference(doc, k_nn, radius,
 @settings(max_examples=200, deadline=None)
 @given(doc=any_documents, tau=st.sampled_from([0.0, 0.1, 0.35, 1.0]), data=st.data())
 def test_clusters_and_prompts_of_random_subsets_equal_reference(doc, tau, data):
-    """Clusters, and prompts of clusters and of random id subsets in any order (the subset reads a submatrix)."""
-    config = ReasoningConfig(tau_cluster=tau)
+    """Clusters, and prompts of clusters and of random id subsets in any order (the subset reads a submatrix
+    and the document's kNN links)."""
+    config = ReasoningConfig(tau_cluster=tau, k_nn=data.draw(st.integers(0, 6)))
     clusters = cluster_entities(doc, config)
     assert clusters == reference_cluster_entities(doc, config)
     ids = [e.id for e in doc.entities]

@@ -81,3 +81,35 @@ def test_evaluation_loads_no_pipeline_layer():
     loaded = _loaded_after("rxnparse.evaluation")
     layers = ("rxnparse.pipeline", "rxnparse.agents", "rxnparse.planner", "rxnparse.render", "rxnparse.reasoning")
     assert "rxnparse.evaluation" in loaded and [name for name in layers if name in loaded] == []
+
+
+def _loaded_after_running(argv: list[str]) -> list[str]:
+    """The modules a fresh interpreter holds after ``rxnparse.cli.main(argv)`` returns 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import json, sys\nfrom rxnparse.cli import main\n"
+        f"code = main({argv!r})\nprint(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    exit_code, loaded = json.loads(done.stderr.strip().splitlines()[-1])
+    assert exit_code == 0, done.stderr
+    return loaded
+
+
+def test_the_fingerprint_command_loads_no_numpy():
+    loaded = _loaded_after_running(["fingerprint", "CCO"])
+    assert "rxnparse.chem.fingerprint" in loaded and "numpy" not in loaded
+
+
+def test_the_eval_command_loads_no_pipeline_layer(tmp_path):
+    reactions = [{
+        "reactants": [{"label": "molecule", "bbox": [0, 0, 10, 10]}],
+        "products": [{"label": "molecule", "bbox": [20, 0, 30, 10]}],
+        "conditions": [],
+        "arrow": [],
+    }]
+    path = tmp_path / "reactions.json"
+    path.write_text(json.dumps(reactions), encoding="utf-8")
+    loaded = _loaded_after_running(["eval", "--gt", str(path), "--pred", str(path)])
+    layers = ("rxnparse.pipeline", "rxnparse.planner", "rxnparse.reasoning", "rxnparse.render")
+    assert "rxnparse.evaluation" in loaded and [name for name in layers if name in loaded] == []

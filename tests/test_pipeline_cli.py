@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,22 +10,15 @@ import sys
 from pathlib import Path
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 from rxnparse.cli import _build_config, build_parser, main
 from rxnparse.config import BASE_NODE_DIMS, ConfigError, ReasoningConfig
 from rxnparse.entities import load_document
-from rxnparse.pipeline import (
-    EXIT_CONFIG,
-    EXIT_FAILED,
-    EXIT_OK,
-    EXIT_PARTIAL,
-    PipelineConfig,
-    load_pipeline_weights,
-    make_client,
-    run_batch,
-)
-from rxnparse.reasoning import build_chem_graph, build_spatial_graph, propagate, random_weights, save_weights
+from rxnparse.outputs import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_PARTIAL
+from rxnparse.pipeline import PipelineConfig, load_pipeline_weights, make_client, run_batch
+from rxnparse.reasoning import EDGE_DIMS, build_chem_graph, build_spatial_graph, propagate, random_weights, save_weights
 from rxnparse.reasoning.hypotheses import COMBINER_ROLE
 from rxnparse.render import UnknownEntityError, render_svg
 from rxnparse.reactions import Reaction
@@ -139,6 +133,24 @@ class TestPipelineConfig:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "fixtures").mkdir()
         assert PipelineConfig(fixtures_dir="fixtures").config_hash() == "1e0aabba597add36"
+
+    def test_config_hash_and_seeded_weights_are_computed_once_and_equal_fresh_ones(self, tmp_path):
+        (tmp_path / "fx").mkdir()
+        config = PipelineConfig(fixtures_dir=str(tmp_path / "fx"))
+        fresh = hashlib.sha256(json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()[:16]
+        assert config.config_hash() == fresh
+        assert PipelineConfig(fixtures_dir=str(tmp_path / "fx")).config_hash() is config.config_hash()
+
+        weights = load_pipeline_weights(config)
+        assert load_pipeline_weights(config) is weights
+        rng = np.random.default_rng(7)  # random_weights' seed, drawn as it draws
+        scale = 1.0 / np.sqrt(config.reasoning.dim)
+        w1 = [rng.normal(0.0, scale, size=(32, 32)) for _ in range(2)]
+        w2 = [rng.normal(0.0, scale, size=(32, EDGE_DIMS)) for _ in range(2)]
+        for shared, drawn in zip(weights.w1 + weights.w2, w1 + w2):
+            assert np.array_equal(shared, drawn)
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 1.0
 
     def test_dim_below_node_features_rejected(self):
         ReasoningConfig(dim=BASE_NODE_DIMS)
@@ -642,6 +654,11 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert code == EXIT_OK
         assert json.loads(out)["plan"]["reaction_expert"] is True
+
+    def test_plan_with_an_empty_query_is_a_config_error_before_the_document_loads(self, tmp_path, capsys):
+        code = main(["plan", str(tmp_path / "never-read.json"), "--query", ""])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: query must be non-empty\n"
 
     def test_fingerprint_subcommand(self, capsys):
         code = main(["fingerprint", "CCO"])

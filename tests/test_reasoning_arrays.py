@@ -231,7 +231,7 @@ def test_prompt_bytes_equal_pairwise_loop(doc, data):
     """Byte-equal graph JSON for every cluster and for the whole document.
 
     ``tau_cluster`` is often a pair's own distance, so that pair ties and
-    is left out.
+    is left out; ``k_nn`` runs from no links to more than any document has.
     """
     entities = doc.entities
     pairs = [(a, b) for i, a in enumerate(entities) for b in entities[i + 1 :]]
@@ -240,7 +240,7 @@ def test_prompt_bytes_equal_pairwise_loop(doc, data):
         tau = min(1.0, center_distance_normalized(a.region, b.region, doc.diagram_bounds))
     else:
         tau = data.draw(st.one_of(st.sampled_from([0.0, 0.35, 1.0]), st.floats(0.0, 1.0)))
-    config = ReasoningConfig(tau_cluster=tau)
+    config = ReasoningConfig(tau_cluster=tau, k_nn=data.draw(st.integers(0, 12)))
     for cluster in cluster_entities(doc, config) + (tuple(e.id for e in entities),):
         expected = reference_cluster_prompt_variables(cluster, doc, config)["graph_json"]
         assert cluster_prompt_variables(cluster, doc, config)["graph_json"] == expected
@@ -267,10 +267,10 @@ def test_prompt_weight_is_pythons_round():
     assert graph_json == reference_cluster_prompt_variables(("b", "a"), doc, ReasoningConfig())["graph_json"]
 
 
-# sha256 of each cluster's graph_json, computed with the per-pair dict loop and one json.dumps,
-# before the prompt was built from fragments
+# sha256 of each cluster's graph_json, computed with the per-pair dict loop and one json.dumps; the
+# 4-entity clusters list every close pair, as before proximity edges were limited to kNN links
 PINNED_GRAPH_JSON = {
-    "grid_scheme(12, 3)": ["5670e2dff9f58eda9c5f88cf8cc9bd0f74eca256c0950a34309b8c9c561dad58"],
+    "grid_scheme(12, 3)": ["18f1ed02bfe9e87506ca2a34cab6d1cc1b4de8116386c7eb1adaf299035187d7"],
     "multiple_line": [
         "66eeb2037ca5615d9f3e11dc3c772583f42cc966a26f1b2117c9a9e266b3a737",
         "d9de6f5b886dbb5a52337d034945501f234603ef4ce144c9c8054f43f022a7e2",
@@ -322,3 +322,20 @@ def test_large_prompt_logged_not_a_document_warning(monkeypatch, caplog):
     assert record.levelno == logging.WARNING
     assert f"cluster {biggest[0]}..." in record.getMessage()
     assert f"{len(biggest)} entities" in record.getMessage() and f"{max(sizes)} bytes" in record.getMessage()
+
+
+def test_large_grid_prompts_list_at_most_k_nn_edges_per_entity(caplog):
+    """On a 208-entity grid every cluster prompt lists kNN links only, so none is logged as oversize."""
+    detection, _ = grid_scheme(13, 4)
+    doc = load_document(json.dumps(detection))
+    assert len(doc.entities) >= 200
+    config = ReasoningConfig()
+    clusters = cluster_entities(doc, config)
+    assert max(map(len, clusters)) >= 200
+    for cluster in clusters:
+        graph = json.loads(cluster_prompt_variables(cluster, doc, config)["graph_json"])
+        assert len(graph["nodes"]) == len(cluster)
+        assert len(graph["edges"]) <= config.k_nn * len(cluster)
+    caplog.set_level(logging.WARNING, logger=hypotheses_module.__name__)
+    graph = collect_hypotheses(clusters, _EmptyReplies(), doc, config)
+    assert graph.warnings == () and caplog.records == []

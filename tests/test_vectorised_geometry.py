@@ -147,13 +147,14 @@ def test_propagation_matches_per_edge_loop(specs, k_nn, radius, layers):
 
 
 @settings(max_examples=150, deadline=None)
-@given(specs=entity_specs(), tau=thresholds)
-@example(specs=[], tau=0.35)
-@example(specs=[("identifier", 50, 50, 5, 5)], tau=0.35)
-@example(specs=_DUPLICATES, tau=0.0)
-def test_clusters_complexity_and_prompts_equal_reference(specs, tau):
+@given(specs=entity_specs(), tau=thresholds, k_nn=st.integers(0, 6))
+@example(specs=[], tau=0.35, k_nn=4)
+@example(specs=[("identifier", 50, 50, 5, 5)], tau=0.35, k_nn=4)
+@example(specs=_DUPLICATES, tau=0.0, k_nn=4)
+@example(specs=_DUPLICATES, tau=1.0, k_nn=1)
+def test_clusters_complexity_and_prompts_equal_reference(specs, tau, k_nn):
     doc = build_doc(specs)
-    config = ReasoningConfig(tau_cluster=tau)
+    config = ReasoningConfig(tau_cluster=tau, k_nn=k_nn)
     clusters = cluster_entities(doc, config)
     assert clusters == reference_cluster_entities(doc, config)
     everything = tuple(e.id for e in doc.entities)
