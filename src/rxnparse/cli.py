@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .agents import FixtureMissingError
-from .config import ConfigError, ReasoningConfig
+from .config import DEFAULT_QUERY, ConfigError, ReasoningConfig
 from .outputs import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_PARTIAL, write_atomic
 
 # each command imports the modules it runs, so ``eval`` loads no pipeline and ``fingerprint`` no numpy
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="print the routing plan for a document and query")
     p.add_argument("input")
-    p.add_argument("--query", default="extract all reactions")
+    p.add_argument("--query", default=DEFAULT_QUERY)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("render", help="render a parsed document to SVG")

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chem.fingerprint import SKETCH_DIMS
-
 
 class ConfigError(ValueError):
     pass
 
 
-# the fixed part of a spatial node feature: kind one-hot + box geometry + fingerprint sketch
-BASE_NODE_DIMS = 4 + 4 + SKETCH_DIMS
+# the query a run and ``rxnparse plan`` answer when none is given
+DEFAULT_QUERY = "extract all reactions"
 
 
 @dataclass(frozen=True)
@@ -25,8 +23,6 @@ class ReasoningConfig:
 
     k_nn: int = 4
     radius: float = 0.25
-    layers: int = 2
-    dim: int = 32
     beta: float = 0.7
     tau_chem: float = 0.3
     tau_cluster: float = 0.35
@@ -47,9 +43,7 @@ class ReasoningConfig:
             raise ConfigError(f"fusion weights must be non-negative: {alphas}")
         if not abs(sum(alphas) - 1.0) <= 1e-9:
             raise ConfigError(f"fusion weights must sum to 1, got {sum(alphas)}")
-        if self.dim < BASE_NODE_DIMS:
-            raise ConfigError(f"dim must be >= {BASE_NODE_DIMS}, got {self.dim}")
-        if self.k_nn < 0 or self.layers < 1 or self.exact_search_limit < 1:
-            raise ConfigError("k_nn >= 0, layers >= 1, exact_search_limit >= 1 required")
+        if self.k_nn < 0 or self.exact_search_limit < 1:
+            raise ConfigError("k_nn >= 0 and exact_search_limit >= 1 required")
         if not 0.0 < self.conservation_penalty <= 1.0:
             raise ConfigError("conservation_penalty must lie in (0, 1]")

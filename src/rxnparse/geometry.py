@@ -404,16 +404,6 @@ def axis_parameter(point: Point, tail: Point, head: Point) -> float:
     return ((point[0] - tail[0]) * dx + (point[1] - tail[1]) * dy) / denom
 
 
-def lateral_distance(point: Point, tail: Point, head: Point) -> float:
-    """Perpendicular distance from a point to the tail-to-head line."""
-    dx = head[0] - tail[0]
-    dy = head[1] - tail[1]
-    length = math.hypot(dx, dy)
-    if length <= 0.0:
-        return math.dist(point, tail)
-    return abs(dx * (point[1] - tail[1]) - dy * (point[0] - tail[0])) / length
-
-
 def region_to_array(region: Region) -> list:
     """The region's coordinates for JSON, integral floats as ints."""
     return [int(v) if v.is_integer() else v for v in region_coords(region)]

@@ -22,7 +22,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .agents import AgentClient, LiveAgentClient, LiveBackendConfig, MockAgentClient
-from .config import ConfigError, ReasoningConfig
+from .config import DEFAULT_QUERY, ConfigError, ReasoningConfig
 from .entities import ReactionDocument, load_document
 from .outputs import EXIT_FAILED, EXIT_OK, EXIT_PARTIAL, write_atomic
 from .planner import AgentPlan, extract_features, route
@@ -42,8 +42,6 @@ from .reasoning import (
 from .reasoning.spatial import SpatialWeights
 
 log = logging.getLogger(__name__)
-
-DEFAULT_QUERY = "extract all reactions"
 
 
 def _checked(cls, values: dict, prefix: str) -> dict:
@@ -84,8 +82,7 @@ class PipelineConfig:
     model: str | None = None
     weights_file: str | None = None
     output_dir: str = "out"
-    max_workers: int = 1
-    cluster_workers: int = 1
+    max_workers: int = 1  # threads overlapping agent waits, for documents and for each document's clusters
     query: str = DEFAULT_QUERY
     planner_policy: str = "rule"  # "rule" | "vlm"
     plan_fallback: bool = False  # fall back to the rule policy on bad VLM plans
@@ -101,9 +98,8 @@ class PipelineConfig:
             raise ConfigError(f"planner_policy must be 'rule' or 'vlm', got {self.planner_policy!r}")
         if not self.query:
             raise ConfigError("query must be non-empty")
-        for name in ("max_workers", "cluster_workers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_workers < 1:
+            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
         for name in ("fixtures_dir", "weights_file"):
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
@@ -160,17 +156,8 @@ def make_client(config: PipelineConfig) -> AgentClient:
 
 
 def load_pipeline_weights(config: PipelineConfig) -> SpatialWeights:
-    """The weights file, which must match the config's ``layers`` and ``dim``, or the seeded fallback without one."""
-    reasoning = config.reasoning
-    if not config.weights_file:
-        return random_weights(reasoning.layers, reasoning.dim)
-    weights = load_weights(config.weights_file)
-    if (weights.layers, weights.dim) != (reasoning.layers, reasoning.dim):
-        raise ConfigError(
-            f"weights file {config.weights_file} has layers {weights.layers} and dim {weights.dim}, "
-            f"the config layers {reasoning.layers} and dim {reasoning.dim}"
-        )
-    return weights
+    """The weights file's weights, whose shape sets the spatial layer's, or the seeded 2 x 32 fallback without one."""
+    return load_weights(config.weights_file) if config.weights_file else random_weights()
 
 
 def load_pipeline_lexicon(config: PipelineConfig) -> None:
@@ -238,9 +225,7 @@ def run_document(
     spatial = propagate(build_spatial_graph(doc, reasoning, weights))
     chem = build_chem_graph(doc, reasoning)
     clusters = cluster_entities(doc, reasoning)
-    hypotheses = collect_hypotheses(
-        clusters, client, doc, reasoning, max_workers=config.cluster_workers
-    )
+    hypotheses = collect_hypotheses(clusters, client, doc, reasoning, max_workers=config.max_workers)
     fused = fuse(spatial, chem, hypotheses, reasoning)
     timings["reason"] = time.perf_counter() - started
 

@@ -24,7 +24,7 @@ import numpy as np
 from ..chem import conservation_residual
 from ..config import ReasoningConfig
 from ..entities import KIND_CODES, EntityKind, ReactionDocument
-from ..geometry import axis_parameter, lateral_distance, principal_axis
+from ..geometry import axis_parameter, principal_axis
 from ..reactions import Conservation, Reaction, reaction_or_none
 
 # geometric tolerances for the arrow-merge heuristic, as fractions of the
@@ -53,10 +53,10 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
     they were merged. A merged reaction holds two arrows and never merges
     again, and a pair that fails never succeeds later, so one pass finds
     every merge a rescan after each merge would. Each single-arrow
-    reaction's axis is computed once, and :func:`_merge_screen` keeps the
-    pairs that may pass the angle, ahead-of, gap and lateral gates; the
-    gates themselves decide, in order, and only pairs that pass them reach
-    the gap test of :func:`_try_merge`.
+    reaction's axis is computed once, and :func:`_merge_screen` decides
+    the angle, ahead-of and lateral gates; of its pairs, only those whose
+    gap passes the exact gate here reach the empty-gap test of
+    :func:`_try_merge`.
     """
     diag = doc.diagram_bounds.diagonal or 1.0
     axes = {}  # reaction index -> (tail, head, head - tail, |head - tail|, arrow centroid)
@@ -78,20 +78,10 @@ def _merge_collinear_arrows(reactions: list[Reaction], doc: ReactionDocument) ->
     for i, axis1, kept, band in zip(keys, axes.values(), partners, bands):
         if used[i]:
             continue
-        tail1, head1, v1, n1, _ = axis1
+        head1 = axis1[1]
         for j in (keys[k] for k in kept):
-            if used[j]:
-                continue
-            tail2, _, v2, n2, centroid2 = axes[j]
-            # the second arrow must continue the first: within the angle
-            # bound, ahead of its head, across a short gap, near its line
-            if abs((v1[0] * v2[0] + v1[1] * v2[1]) / (n1 * n2)) < _MERGE_MIN_COS:
-                continue
-            if axis_parameter(centroid2, tail1, head1) <= 1.0:
-                continue
-            if math.dist(head1, tail2) / diag > _MERGE_MAX_GAP:
-                continue
-            if lateral_distance(centroid2, tail1, head1) / diag > _MERGE_MAX_LATERAL:
+            tail2 = axes[j][0]
+            if used[j] or math.dist(head1, tail2) / diag > _MERGE_MAX_GAP:
                 continue
             combined = _try_merge(reactions[i], reactions[j], axis1, tail2, band)
             if combined is not None:
@@ -105,10 +95,14 @@ def _merge_screen(axes, centroids: np.ndarray, diag: float) -> tuple[list, list]
     """Per axis, the other axes that may pass the merge gates after it, ascending, and the sorted axis
     parameters of the non-arrow ``centroids`` within its gap band, for :func:`_try_merge`.
 
-    ``axis_parameter`` and ``lateral_distance`` run one numpy operation per
-    Python one, in order, so the gates and the band read the Python floats;
-    only the gap, where ``np.hypot`` stands for ``math.dist``, gets a relative
-    slack far above their rounding. NaN passes a gate, as in Python.
+    The second arrow must continue the first: within the angle bound, ahead
+    of its head, near its line and across a short gap. The angle, ahead-of
+    and lateral gates run one numpy operation per operation of
+    :func:`~rxnparse.geometry.axis_parameter` and of the perpendicular
+    distance, in order, so they read the Python floats and decide. The gap,
+    where ``np.hypot`` stands for ``math.dist``, only screens, with a
+    relative slack far above their rounding; the caller decides it exactly.
+    NaN passes a gate, as in Python.
     """
     tail, head, v, n, ends = (np.array(column, dtype=float) for column in zip(*axes))
     points = np.concatenate((ends, centroids))

@@ -22,16 +22,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..config import SKETCH_DIMS, ConfigError, ReasoningConfig
+from ..chem.fingerprint import SKETCH_DIMS
+from ..config import ConfigError, ReasoningConfig
 from ..entities import EntityTable, ReactionDocument
 
 EDGE_DIMS = 2 + 1 + 1 + 16  # offset + distance + size ratio + kind-pair one-hot (KIND_CODES order)
+# the fixed part of a spatial node feature: kind one-hot + box geometry + fingerprint sketch
+BASE_NODE_DIMS = 4 + 4 + SKETCH_DIMS
 
 
 @dataclass(frozen=True)
 class SpatialWeights:
     """Per-layer (W1, W2) pairs, W1 dim x dim and W2 dim x EDGE_DIMS, checked when built; loaded from file,
-    never learned here. :func:`rxnparse.pipeline.load_pipeline_weights` matches them to the config."""
+    never learned here. They set the spatial layer's shape: one message-passing step per pair, node
+    embeddings ``dim`` wide."""
 
     w1: tuple[np.ndarray, ...]
     w2: tuple[np.ndarray, ...]
@@ -56,7 +60,7 @@ class SpatialWeights:
 
 
 @lru_cache(maxsize=16)
-def random_weights(layers: int, dim: int, seed: int = 7) -> SpatialWeights:
+def random_weights(layers: int = 2, dim: int = 32, seed: int = 7) -> SpatialWeights:
     """Seeded fallback weights for offline runs and tests, generated once per shape and seed and shared read-only."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
@@ -81,6 +85,7 @@ def save_weights(weights: SpatialWeights, path) -> None:
 
 
 def load_weights(path) -> SpatialWeights:
+    """The weights of a file :func:`save_weights` wrote, at least ``BASE_NODE_DIMS`` wide."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -92,6 +97,8 @@ def load_weights(path) -> SpatialWeights:
         raise ConfigError(f"malformed weights file {path}: {exc}") from exc
     if weights.layers != payload.get("layers") or weights.dim != payload.get("dim"):
         raise ConfigError(f"weights file {path} disagrees with its own shape header")
+    if weights.dim < BASE_NODE_DIMS:
+        raise ConfigError(f"weights file {path} has dim {weights.dim}, below the {BASE_NODE_DIMS} node features")
     return weights
 
 
@@ -127,13 +134,13 @@ class SpatialGraph:
         return {} if self.values is None else self.table.by_id_pairs(self.rows, self.cols, self.values)
 
 
-def _node_features(doc: ReactionDocument, config: ReasoningConfig) -> np.ndarray:
-    """Kind one-hot, centroid and box size over the diagram's size, then the molecule sketch."""
+def _node_features(doc: ReactionDocument, dim: int) -> np.ndarray:
+    """Kind one-hot, centroid and box size over the diagram's size, then the molecule sketch, zero-padded to ``dim``."""
     table = doc.table
     n = len(table.ids)
     bounds = doc.diagram_bounds
     scale = np.array([bounds.width or 1.0, bounds.height or 1.0])
-    features = np.zeros((n, config.dim))
+    features = np.zeros((n, dim))
     features[np.arange(n), table.kinds] = 1.0
     features[:, 4:6] = table.centroids / scale
     features[:, 6:8] = table.sizes / scale
@@ -175,9 +182,9 @@ def build_spatial_graph(
     and to every entity within ``radius``.
     """
     if weights is None:
-        weights = random_weights(config.layers, config.dim)
+        weights = random_weights()
     table = doc.table
-    features = _node_features(doc, config)
+    features = _node_features(doc, weights.dim)
     linked = table.distances <= config.radius
     linked[table.knn_links(config.k_nn)] = True
     rows, cols = np.nonzero(np.triu(linked, k=1))

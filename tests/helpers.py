@@ -434,9 +434,9 @@ def reference_distances(doc) -> np.ndarray:
     return distances
 
 
-def reference_node_features(doc, config) -> np.ndarray:
+def reference_node_features(doc, dim: int) -> np.ndarray:
     """One row per entity: kind one-hot, centroid and box size over the diagram's size, sketch, zero padding."""
-    from rxnparse.config import SKETCH_DIMS
+    from rxnparse.chem.fingerprint import SKETCH_DIMS
     from rxnparse.entities import KIND_CODES
 
     width = doc.diagram_bounds.width or 1.0
@@ -450,8 +450,8 @@ def reference_node_features(doc, config) -> np.ndarray:
         geometry = [cx / width, cy / height, box.width / width, box.height / height]
         sketch = [0.0] * SKETCH_DIMS if entity.molecule is None else list(entity.molecule.sketch)
         row = kind_onehot + geometry + sketch
-        rows.append(row + [0.0] * (config.dim - len(row)))
-    return np.asarray(rows, dtype=float) if rows else np.zeros((0, config.dim))
+        rows.append(row + [0.0] * (dim - len(row)))
+    return np.asarray(rows, dtype=float) if rows else np.zeros((0, dim))
 
 
 def reference_edge_feature(doc, i: int, j: int) -> np.ndarray:
@@ -865,9 +865,19 @@ def reference_infer_reactions(fused, doc, config):
     return reactions
 
 
+def lateral_distance(point, tail, head) -> float:
+    """Perpendicular distance from a point to the tail-to-head line; the arrow merge's lateral gate."""
+    dx = head[0] - tail[0]
+    dy = head[1] - tail[1]
+    length = math.hypot(dx, dy)
+    if length <= 0.0:
+        return math.dist(point, tail)
+    return abs(dx * (point[1] - tail[1]) - dy * (point[0] - tail[0])) / length
+
+
 def _reference_try_merge(first, second, doc):
     from rxnparse.entities import EntityKind
-    from rxnparse.geometry import axis_parameter, lateral_distance, principal_axis
+    from rxnparse.geometry import axis_parameter, principal_axis
     from rxnparse.reactions import ConstraintError, Reaction
     from rxnparse.reasoning.postprocess import (
         _GAP_BAND,
@@ -1316,7 +1326,7 @@ def reference_resolve(members, doc) -> dict:
 def reference_one_pass_merge(reactions, doc):
     """The one-pass arrow merge with its gates run pair by pair and the gap scanned point by point."""
     from rxnparse.entities import EntityKind
-    from rxnparse.geometry import axis_parameter, lateral_distance, principal_axis
+    from rxnparse.geometry import axis_parameter, principal_axis
     from rxnparse.reactions import reaction_or_none
     from rxnparse.reasoning.postprocess import _GAP_BAND, _MERGE_MAX_GAP, _MERGE_MAX_LATERAL, _MERGE_MIN_COS
 

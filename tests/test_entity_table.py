@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import rxnparse.geometry
 from rxnparse.agents import AgentClient
-from rxnparse.config import BASE_NODE_DIMS, ReasoningConfig
+from rxnparse.config import ReasoningConfig
 from rxnparse.entities import load_document
 from rxnparse.geometry import centroid_distances
 from rxnparse.pipeline import PipelineConfig, run_document
@@ -37,7 +37,9 @@ from rxnparse.reasoning import (
     collect_hypotheses,
     fuse,
     propagate,
+    random_weights,
 )
+from rxnparse.reasoning.spatial import BASE_NODE_DIMS
 
 from helpers import (
     fusion_config,
@@ -105,9 +107,9 @@ def test_table_and_spatial_features_and_edges_equal_reference(doc, k_nn, radius,
     assert _hex(table.distances) == _hex(reference_distances(doc))
     assert _hex(table.distances) == _hex(centroid_distances([e.centroid for e in doc.entities], doc.diagram_bounds))
 
-    config = ReasoningConfig(k_nn=k_nn, radius=radius, dim=dim)
-    graph = build_spatial_graph(doc, config)
-    assert _hex(graph.features) == _hex(reference_node_features(doc, config))
+    config = ReasoningConfig(k_nn=k_nn, radius=radius)
+    graph = build_spatial_graph(doc, config, random_weights(2, dim))
+    assert _hex(graph.features) == _hex(reference_node_features(doc, dim))
     edges, features = reference_spatial_edges(doc, config)
     assert graph.edges == edges
     directed = sorted(list(edges) + [(j, i) for i, j in edges])

@@ -16,7 +16,7 @@ UNIT_WEIGHTS = [fusion_config((1, 0, 0)), fusion_config((0, 1, 0)), fusion_confi
 
 def build_fused(doc, hypothesis_edges, tau=None):
     config = ReasoningConfig() if tau is None else ReasoningConfig(tau_fuse=tau)
-    spatial = propagate(build_spatial_graph(doc, config, random_weights(config.layers, config.dim, 1)))
+    spatial = propagate(build_spatial_graph(doc, config, random_weights(seed=1)))
     chem = chem_graph(doc.table, {})
     return fuse(spatial, chem, HypothesisGraph(edges=tuple(hypothesis_edges)), config)
 
@@ -116,9 +116,7 @@ class TestFusedGraph:
         )
         config = ReasoningConfig(k_nn=1, radius=0.01)
         edges = [HypothesisEdge("m1", "m3", EdgeRelation.REACTANT_TO_PRODUCT, 1.0)]
-        spatial = propagate(
-            build_spatial_graph(far_doc, config, random_weights(config.layers, config.dim, 1))
-        )
+        spatial = propagate(build_spatial_graph(far_doc, config, random_weights(seed=1)))
         assert ("m1", "m3") not in spatial.score_by_ids()
         chem = chem_graph(far_doc.table, {})
         fused = fuse(spatial, chem, HypothesisGraph(edges=tuple(edges)), fusion_config((0.3, 0.2, 0.5), 0.0))

@@ -8,14 +8,13 @@ from rxnparse.geometry import (
     OrientedQuad,
     axis_parameter,
     iou_axis,
-    lateral_distance,
     principal_axis,
     region_from_array,
     region_iou,
     region_to_array,
 )
 
-from helpers import center_distance_normalized, mc_region_iou, random_axis_box, random_quad
+from helpers import center_distance_normalized, lateral_distance, mc_region_iou, random_axis_box, random_quad
 
 
 def rotated_unit_square(angle):

@@ -14,14 +14,23 @@ import numpy as np
 import pytest
 
 from rxnparse.cli import _build_config, build_parser, main
-from rxnparse.config import BASE_NODE_DIMS, ConfigError, ReasoningConfig
+from rxnparse.config import DEFAULT_QUERY, ConfigError, ReasoningConfig
 from rxnparse.entities import load_document
 from rxnparse.outputs import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_PARTIAL
-from rxnparse.pipeline import PipelineConfig, load_pipeline_weights, make_client, run_batch
-from rxnparse.reasoning import EDGE_DIMS, build_chem_graph, build_spatial_graph, propagate, random_weights, save_weights
+from rxnparse.pipeline import PipelineConfig, load_pipeline_weights, make_client, run_batch, run_document
+from rxnparse.reasoning import (
+    EDGE_DIMS,
+    build_chem_graph,
+    build_spatial_graph,
+    cluster_entities,
+    propagate,
+    random_weights,
+    save_weights,
+)
 from rxnparse.reasoning.hypotheses import COMBINER_ROLE
+from rxnparse.reasoning.spatial import BASE_NODE_DIMS
 from rxnparse.render import UnknownEntityError, render_svg
-from rxnparse.reactions import Reaction
+from rxnparse.reactions import Reaction, reactions_to_json
 
 from helpers import arrow_entity, make_doc, molecule_entity
 from synthetic import build_corpus
@@ -34,8 +43,6 @@ _EMPTY_REACTION = {"reactants": [], "products": [], "conditions": [], "arrow": [
 CHANGED_REASONING = {
     "k_nn": 5,
     "radius": 0.3,
-    "layers": 3,
-    "dim": 40,
     "beta": 0.6,
     "tau_chem": 0.25,
     "tau_cluster": 0.4,
@@ -132,7 +139,7 @@ class TestPipelineConfig:
     def test_default_config_hash_pinned(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "fixtures").mkdir()
-        assert PipelineConfig(fixtures_dir="fixtures").config_hash() == "1e0aabba597add36"
+        assert PipelineConfig(fixtures_dir="fixtures").config_hash() == "bbd13856e58662d9"
 
     def test_config_hash_and_seeded_weights_are_computed_once_and_equal_fresh_ones(self, tmp_path):
         (tmp_path / "fx").mkdir()
@@ -144,7 +151,7 @@ class TestPipelineConfig:
         weights = load_pipeline_weights(config)
         assert load_pipeline_weights(config) is weights
         rng = np.random.default_rng(7)  # random_weights' seed, drawn as it draws
-        scale = 1.0 / np.sqrt(config.reasoning.dim)
+        scale = 1.0 / np.sqrt(32)
         w1 = [rng.normal(0.0, scale, size=(32, 32)) for _ in range(2)]
         w2 = [rng.normal(0.0, scale, size=(32, EDGE_DIMS)) for _ in range(2)]
         for shared, drawn in zip(weights.w1 + weights.w2, w1 + w2):
@@ -152,24 +159,18 @@ class TestPipelineConfig:
             with pytest.raises(ValueError, match="read-only"):
                 shared[0, 0] = 1.0
 
-    def test_dim_below_node_features_rejected(self):
-        ReasoningConfig(dim=BASE_NODE_DIMS)
-        with pytest.raises(ConfigError, match=f"dim must be >= {BASE_NODE_DIMS}, got {BASE_NODE_DIMS - 1}"):
-            ReasoningConfig(dim=BASE_NODE_DIMS - 1)
-
     @pytest.mark.parametrize(
         "values, message",
         [
             ({"tau_fuse": 1.5}, "tau_fuse must lie in [0, 1], got 1.5"),
             ({"radius": -0.1}, "radius must lie in [0, 1], got -0.1"),
             ({"beta": 2.0}, "beta must lie in [0, 1], got 2.0"),
-            ({"k_nn": -1}, "k_nn >= 0, layers >= 1, exact_search_limit >= 1 required"),
-            ({"layers": 0}, "k_nn >= 0, layers >= 1, exact_search_limit >= 1 required"),
-            ({"exact_search_limit": 0}, "k_nn >= 0, layers >= 1, exact_search_limit >= 1 required"),
+            ({"k_nn": -1}, "k_nn >= 0 and exact_search_limit >= 1 required"),
+            ({"exact_search_limit": 0}, "k_nn >= 0 and exact_search_limit >= 1 required"),
             ({"conservation_penalty": 0.0}, "conservation_penalty must lie in (0, 1]"),
             ({"conservation_penalty": 1.5}, "conservation_penalty must lie in (0, 1]"),
         ],
-        ids=["tau", "radius", "beta", "k-nn", "layers", "exact-search-limit", "penalty-zero", "penalty-above-one"],
+        ids=["tau", "radius", "beta", "k-nn", "exact-search-limit", "penalty-zero", "penalty-above-one"],
     )
     def test_reasoning_value_out_of_range_rejected(self, values, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -244,12 +245,11 @@ class TestRunBatch:
         root = tmp_path / "corpus"
         paths, _gt = build_corpus(root, per_layout=6)
         runs = []
-        for workers in (1, 4):
+        for workers in (1, 2):  # two threads for the documents and two more for each document's clusters
             config = PipelineConfig(
                 fixtures_dir=str(root / "fixtures"),
                 output_dir=str(tmp_path / f"workers{workers}"),
                 max_workers=workers,
-                cluster_workers=workers,
             )
             documents = run_batch(paths, config).to_dict()["documents"]
             for document in documents:
@@ -258,6 +258,8 @@ class TestRunBatch:
             runs.append(documents)
         assert len(runs[0]) >= 20
         assert all(document["status"] == "ok" for document in runs[0])
+        clusters = [len(cluster_entities(load_document(path.read_bytes()), ReasoningConfig())) for path in paths]
+        assert max(clusters) > 1  # the cluster threads ran too
         assert runs[1] == runs[0]
 
     def test_entity_order_does_not_change_outputs(self, tmp_path):
@@ -355,7 +357,6 @@ class TestRunBatch:
     def test_vlm_planner_policy(self, corpus, tmp_path):
         """The optional VLM routing policy answers through the same client."""
         from rxnparse.agents import MockAgentClient
-        from rxnparse.pipeline import DEFAULT_QUERY
 
         root, paths, _gt = corpus
         client = MockAgentClient(root / "fixtures")
@@ -727,7 +728,7 @@ class TestCli:
         "content, named",
         [
             ({"reasoning": {"k_nn": "four"}}, "reasoning.k_nn"),
-            ({"reasoning": {"layers": 2.5}}, "reasoning.layers"),
+            ({"reasoning": {"exact_search_limit": 2.5}}, "reasoning.exact_search_limit"),
             ({"reasoning": {"tau_fuse": True}}, "reasoning.tau_fuse"),
             ({"reasoning": [1]}, "reasoning"),
             ({"max_workers": "2"}, "max_workers"),
@@ -737,10 +738,15 @@ class TestCli:
             ('{"fixtures_dir": "fx", "reasoning": {', "not valid JSON"),
             ("[1, 2]", "JSON object"),
             (None, "cannot read config file"),
+            # max_workers is the one thread count, and the weights file alone sets the spatial shape
+            ({"cluster_workers": 2}, "unknown config keys: ['cluster_workers']"),
+            ({"reasoning": {"layers": 2}}, "unknown config keys: ['reasoning.layers']"),
+            ({"reasoning": {"dim": 32}}, "unknown config keys: ['reasoning.dim']"),
         ],
         ids=[
             "int-as-string", "int-as-float", "float-as-bool", "reasoning-not-object", "workers-as-string",
             "bool-as-string", "null-output-dir", "name-as-number", "truncated", "top-level-array", "missing-file",
+            "removed-cluster-workers", "removed-layers", "removed-dim",
         ],
     )
     def test_malformed_config_file_exits_3(self, tmp_path, capsys, content, named):
@@ -787,31 +793,36 @@ class TestCli:
         assert not out_dir.exists()
 
     def test_dim_below_node_features_exits_3(self, corpus, tmp_path, capsys):
+        """A weights file narrower than the node features is a config error naming it, before any output."""
         root, paths, _gt = corpus
-        args = [str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(tmp_path)]
-        code = main(["parse", *args, "--dim", "8"])
+        weights_file = tmp_path / "weights.json"
+        save_weights(random_weights(2, BASE_NODE_DIMS - 1), weights_file)
+        out_dir = tmp_path / "out"
+        args = [str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(out_dir)]
+        code = main(["parse", *args, "--weights-file", str(weights_file)])
         assert code == EXIT_CONFIG
-        assert "dim must be >= 24, got 8" in capsys.readouterr().err
-        assert not (tmp_path / "manifest.json").exists()
+        assert f"config error: weights file {weights_file} has dim 23, below the 24" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--layers", "--dim"])
+    def test_removed_flag_is_a_usage_error(self, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["parse", "doc.json", flag, "2"])
+        assert exit_info.value.code == 2
 
     @pytest.mark.parametrize(
-        "flags, config, named",
+        "flags, named",
         [
-            (["--query", ""], None, "query must be non-empty"),
-            (["--max-workers", "0"], None, "max_workers must be >= 1, got 0"),
-            (["--max-workers", "-3"], None, "max_workers must be >= 1, got -3"),
-            ([], {"cluster_workers": 0}, "cluster_workers must be >= 1, got 0"),
+            (["--query", ""], "query must be non-empty"),
+            (["--max-workers", "0"], "max_workers must be >= 1, got 0"),
+            (["--max-workers", "-3"], "max_workers must be >= 1, got -3"),
         ],
-        ids=["empty-query", "no-workers", "negative-workers", "no-cluster-workers-in-file"],
+        ids=["empty-query", "no-workers", "negative-workers"],
     )
-    def test_unusable_run_setting_exits_3(self, corpus, tmp_path, capsys, flags, config, named):
+    def test_unusable_run_setting_exits_3(self, corpus, tmp_path, capsys, flags, named):
         root, paths, _gt = corpus
         out_dir = tmp_path / "out"
         args = [str(paths[0]), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(out_dir), *flags]
-        if config is not None:
-            config_path = tmp_path / "config.json"
-            config_path.write_text(json.dumps(config))
-            args += ["--config", str(config_path)]
         code = main(["parse", *args])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
@@ -860,7 +871,7 @@ class TestCli:
         assert "ResponseFormatError" in err and message in err
 
     def test_weights_file_of_the_fallback_weights_writes_the_same_bytes(self, corpus, tmp_path, capsys):
-        """The seeded fallback is ``random_weights(layers, dim)`` with seed 7; saved to a file, it is the same run."""
+        """The seeded fallback is ``random_weights()``, 2 x 32 with seed 7; saved to a file, it is the same run."""
         root, paths, _gt = corpus
         weights_file = tmp_path / "weights.json"
         save_weights(random_weights(2, 32), weights_file)
@@ -874,14 +885,27 @@ class TestCli:
         assert len(written["none"]) == len(paths)
         assert written["file"] == written["none"]
 
+    def test_weights_file_sets_the_spatial_shape(self, corpus, tmp_path, capsys):
+        """A 3 x 48 weights file runs as ``run_document`` given those weights: the file alone sets the shape."""
+        root, paths, _gt = corpus
+        weights = random_weights(3, 48)
+        weights_file = tmp_path / "weights.json"
+        save_weights(weights, weights_file)
+        out_dir = tmp_path / "out"
+        args = [*map(str, paths), "--fixtures-dir", str(root / "fixtures"), "--output-dir", str(out_dir)]
+        assert main(["parse", *args, "--weights-file", str(weights_file)]) == EXIT_OK
+        capsys.readouterr()
+        config = PipelineConfig(fixtures_dir=str(root / "fixtures"))
+        client = make_client(config)
+        for path in paths:
+            doc = load_document(path.read_bytes())
+            expected = reactions_to_json(run_document(doc, config, client, weights).reactions, doc) + "\n"
+            assert (out_dir / f"{path.stem}.reactions.json").read_text(encoding="utf-8") == expected
+
     @pytest.mark.parametrize(
         "layers, dim, w2_columns, message",
-        [
-            (2, 48, 20, "has layers 2 and dim 48, the config layers 2 and dim 32"),
-            (3, 32, 20, "has layers 3 and dim 32, the config layers 2 and dim 32"),
-            (2, 32, 5, "W2 must be 32x20, got (32, 5)"),
-        ],
-        ids=["dim-48", "layers-3", "w2-5-columns"],
+        [(2, 32, 5, "W2 must be 32x20, got (32, 5)")],
+        ids=["w2-5-columns"],
     )
     def test_mismatched_weights_file_exits_3_before_any_document(
         self, corpus, tmp_path, capsys, layers, dim, w2_columns, message

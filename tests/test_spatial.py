@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rxnparse.config import ConfigError, ReasoningConfig
-from rxnparse.pipeline import PipelineConfig, load_pipeline_weights
 from rxnparse.reasoning.spatial import (
+    BASE_NODE_DIMS,
     EDGE_DIMS,
     SpatialWeights,
     build_spatial_graph,
@@ -55,12 +55,8 @@ class TestPropagation:
                 text_entity("t", 150, 10),
             ]
         )
-        config = ReasoningConfig()
-        zero = SpatialWeights(
-            w1=tuple(np.zeros((config.dim, config.dim)) for _ in range(config.layers)),
-            w2=tuple(np.zeros((config.dim, EDGE_DIMS)) for _ in range(config.layers)),
-        )
-        graph = propagate(build_spatial_graph(doc, config, zero))
+        zero = SpatialWeights(w1=(np.zeros((32, 32)),) * 2, w2=(np.zeros((32, EDGE_DIMS)),) * 2)
+        graph = propagate(build_spatial_graph(doc, ReasoningConfig(), zero))
         assert np.all(graph.features == 0.0)
         assert graph.values.size
         assert all(s == 0.5 for s in graph.values.tolist())
@@ -126,18 +122,14 @@ class TestBuild:
             nearest = {j for _, j in dists[:2]}
             assert nearest <= adjacency[i]
 
-    def test_dim_too_small_rejected(self):
-        doc = make_doc([molecule_entity("m", 0, 0)])
-        with pytest.raises(ConfigError):
-            build_spatial_graph(doc, ReasoningConfig(dim=8))
-
-    def test_weights_dim_mismatch(self, tmp_path):
-        """A weights file meets the config in ``load_pipeline_weights``, once per run."""
+    def test_dim_too_small_rejected(self, tmp_path):
+        """A weights file narrower than the fixed node features is refused where it is loaded."""
         path = tmp_path / "weights.json"
-        save_weights(random_weights(2, 48, seed=1), path)
-        config = PipelineConfig(fixtures_dir=str(tmp_path), weights_file=str(path))
-        with pytest.raises(ConfigError, match="has layers 2 and dim 48, the config layers 2 and dim 32"):
-            load_pipeline_weights(config)
+        save_weights(random_weights(1, BASE_NODE_DIMS), path)
+        assert load_weights(path).dim == BASE_NODE_DIMS
+        save_weights(random_weights(1, BASE_NODE_DIMS - 1), path)
+        with pytest.raises(ConfigError, match=re.escape(f"weights file {path} has dim {BASE_NODE_DIMS - 1}, below")):
+            load_weights(path)
 
 
 class TestWeightsIO:

@@ -25,6 +25,7 @@ from rxnparse.reasoning import (
     cluster_prompt_variables,
     connected_components,
     propagate,
+    random_weights,
 )
 from rxnparse.reasoning.clustering import connected_groups
 
@@ -135,7 +136,7 @@ def test_spatial_edges_and_features_equal_reference(specs, k_nn, radius):
 @example(specs=_DUPLICATES, k_nn=4, radius=1.0, layers=2)
 def test_propagation_matches_per_edge_loop(specs, k_nn, radius, layers):
     doc = build_doc(specs)
-    graph = build_spatial_graph(doc, ReasoningConfig(k_nn=k_nn, radius=radius, layers=layers))
+    graph = build_spatial_graph(doc, ReasoningConfig(k_nn=k_nn, radius=radius), random_weights(layers))
     result = propagate(graph)
     features, scores = reference_propagate(graph)
     assert result.features.shape == features.shape
