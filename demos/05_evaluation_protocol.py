@@ -9,9 +9,14 @@ and products. Dropping a condition box therefore breaks hard match but
 leaves soft match intact.
 """
 
+import json
+import tempfile
+from pathlib import Path
+
 from rxnparse.entities import EntityKind
 from rxnparse.evaluation import (
     CorpusDocument,
+    load_corpus,
     reaction_matches_hard,
     reaction_matches_soft,
     report_table,
@@ -62,3 +67,24 @@ reports = [
     score_corpus(gt_docs, pred_docs, criterion) for criterion in ("hard", "soft")
 ]
 print(report_table(reports))
+
+# `rxnparse eval` reads the same corpus from files: one JSON array of
+# {"id", "reactions", "layout"} documents, each member a label and a bbox.
+
+
+def wire(reaction):
+    roles = (reaction.reactants, reaction.products, reaction.conditions, reaction.arrows)
+    return {key: [{"label": m.kind.value, "bbox": list(m.coords)} for m in role]
+            for key, role in zip(("reactants", "products", "conditions", "arrow"), roles)}
+
+
+with tempfile.TemporaryDirectory() as folder:
+    loaded = []
+    for name, docs in (("gt", gt_docs), ("pred", pred_docs)):
+        path = Path(folder) / f"{name}.json"
+        path.write_text(json.dumps([{"id": d.doc_id, "layout": d.layout, "reactions": [wire(r) for r in d.reactions]}
+                                    for d in docs]))
+        loaded.append(load_corpus(path))
+print()
+print("read from corpus files, the same scores:",
+      [score_corpus(*loaded, criterion) for criterion in ("hard", "soft")] == reports)

@@ -63,41 +63,11 @@ def _cmd_parse(args) -> int:
     return manifest.exit_code
 
 
-def _load_eval_file(path) -> list:
-    from .evaluation import CorpusDocument
-    from .reactions import ResponseFormatError, boxed_reactions_from_list
-
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ResponseFormatError(f"eval file {path} is not valid JSON: {exc}") from exc
-    if isinstance(data, list) and (not data or isinstance(data[0], dict) and "reactants" in data[0]):
-        # bare reaction array: one anonymous document
-        return [CorpusDocument(doc_id="<single>", reactions=tuple(boxed_reactions_from_list(data)))]
-    if not isinstance(data, list):
-        raise ResponseFormatError(f"eval file {path} must be a JSON array")
-    docs = []
-    for i, obj in enumerate(data):
-        if not isinstance(obj, dict) or "id" not in obj or "reactions" not in obj:
-            raise ResponseFormatError(f"eval file {path}: document {i} needs 'id' and 'reactions'")
-        layout = obj.get("layout")
-        if layout is not None and not isinstance(layout, str):
-            raise ResponseFormatError(f"eval file {path}: document {i} 'layout' must be a string, got {layout!r}")
-        docs.append(
-            CorpusDocument(
-                doc_id=str(obj["id"]),
-                reactions=tuple(boxed_reactions_from_list(obj["reactions"])),
-                layout=layout,
-            )
-        )
-    return docs
-
-
 def _cmd_eval(args) -> int:
-    from .evaluation import report_table, score_corpus
+    from .evaluation import load_corpus, report_table, score_corpus
 
-    gt = _load_eval_file(args.gt)
-    pred = _load_eval_file(args.pred)
+    gt = load_corpus(args.gt)
+    pred = load_corpus(args.pred)
     criteria = [args.criterion] if args.criterion else ["hard", "soft"]
     reports = []
     for criterion in criteria:

@@ -12,31 +12,36 @@ score invariant to reaction ordering; precision, recall and F1 follow,
 with the conventions P=1 when nothing was predicted and nothing matched
 (and recall likewise for empty ground truth).
 
-Members arrive as :class:`~rxnparse.reactions.BoxedMember` values: a
-kind and validated coordinates, with the region built only when read.
+A reaction list arrives as :class:`~rxnparse.reactions.MemberColumns`,
+the reader's own or gathered from a hand-built list in one pass.
 :func:`score` runs the predicate, which reads regions, only on the
-reaction pairs a screen over the coordinates leaves undecided. One pass
-per reaction list gathers the members the criterion compares (same role
-and kind; under ``soft``, molecule reactants and products only) with
-their slot and their bounds: a box's own, a quad's bounding box under
-``polygon=False``, and unbounded for a quad clipped as a polygon. Within
-each slot, every pair of members whose bounds meet is scored with
-``iou_axis``'s own arithmetic, and a reaction pair is dropped when its
-per-slot member counts differ or some predicted member has no
-ground-truth member above the threshold. A pair left whose slots hold
-one bounded member a side matches without the predicate: member edges
-join only one kind, so a role's perfect matching is its slots'.
+reaction pairs a screen over the coordinates leaves undecided. The
+screen scores, with ``iou_axis``'s own arithmetic, the member pairs of
+one role and kind in the three roles the hard criterion compares whose
+bounds meet (a box's own, a quad's bounding box under ``polygon=False``,
+unbounded for a quad clipped as a polygon); the ground truth's columns
+keep it for the last predicted columns, threshold and polygon met, and
+each criterion filters it to the members it compares. A reaction pair is
+dropped when its per-slot (role and kind) member counts differ or some
+predicted member has no ground-truth member above the threshold. A pair
+left whose slots hold one bounded member a side matches without the
+predicate: member edges join only one kind, so a role's perfect
+matching is its slots'.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import is_
+from pathlib import Path
 
 import numpy as np
 
-from .reactions import BoxedMember, BoxedReaction
+from .reactions import BoxedMember, BoxedReaction, MemberColumns, ResponseFormatError, boxed_reactions_from_list
 from .entities import KIND_CODES, EntityKind
-from .geometry import bounds_iou_above, bounds_overlap, coords_bounds, region_iou
+from .geometry import bounds_iou_above, bounds_overlap, coords_bounds, coords_from_arrays, region_iou
 
 
 class AlignmentError(ValueError):
@@ -229,32 +234,24 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"IoU threshold {threshold!r} is not a finite number in [0, 1]")
 
 
-# the roles each criterion's predicate above compares, and the one kind it keeps (None: all)
-_SCREENED = {"hard": (("reactants", "conditions", "products"), None),
+# the roles each criterion's predicate above compares, a prefix of the wire order, and the one kind it
+# keeps (None: all)
+_SCREENED = {"hard": (("reactants", "products", "conditions"), None),
              "soft": (("reactants", "products"), EntityKind.MOLECULE)}
+_N_KINDS = len(KIND_CODES)
+_N_SLOTS = len(_SCREENED["hard"][0]) * _N_KINDS  # slot: role index * _N_KINDS + kind code
 
 
-def _slot_members(reactions, criterion: str, polygon: bool):
-    """The members the criterion compares, gathered in one pass: each one's reaction, slot (a role
-    and kind pair, numbered) and :func:`~rxnparse.geometry.coords_bounds` row; and per reaction, its
-    member count per slot and whether the screen can decide it (one member per slot, none unbounded)."""
-    roles, kind = _SCREENED[criterion]
-    n_slots = len(roles) * len(KIND_CODES)
-    role_slots = [(role, r * len(KIND_CODES)) for r, role in enumerate(roles)]
-    found = [
-        (owner, first + KIND_CODES[member.kind], member.coords)
-        for owner, reaction in enumerate(reactions)
-        for role, first in role_slots
-        for member in getattr(reaction, role)
-        if kind is None or member.kind is kind
-    ]
-    owners, slots, coords = zip(*found) if found else ((), (), ())
-    owners, slots = np.array(owners, dtype=np.int64), np.array(slots, dtype=np.int64)
-    bounds = coords_bounds(coords, polygon)
-    counts = np.bincount(owners * n_slots + slots, minlength=len(reactions) * n_slots).reshape(-1, n_slots)
-    decidable = counts.max(axis=1, initial=0) <= 1
-    decidable[owners[np.isinf(bounds[:, 0])]] = False
-    return owners, slots, bounds, counts, decidable
+def _columns(reactions) -> MemberColumns:
+    """The list's :class:`~rxnparse.reactions.MemberColumns`: those the reader built, when the list
+    is the reader's reactions, all and in order; else gathered from the members in one pass."""
+    columns = getattr(reactions[0], "_columns", None) if reactions else None
+    if columns is not None and len(columns.views) == len(reactions) and all(map(is_, reactions, columns.views)):
+        return columns
+    roles = [role for r in reactions for role in (r.reactants, r.products, r.conditions, r.arrows)]
+    members = [member for role in roles for member in role]
+    kinds, coords = [KIND_CODES[m.kind] for m in members], coords_from_arrays([m.coords for m in members])[0]
+    return MemberColumns(kinds, coords, [0, *accumulate(map(len, roles))])
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,35 +265,66 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], ends - starts + 1
 
 
-def _screened_pairs(gt, pred, criterion: str, polygon: bool, threshold: float) -> list[tuple[int, int, bool]]:
+def _member_pairs(gt: MemberColumns, pred: MemberColumns, polygon: bool, threshold: float) -> np.ndarray:
+    """Sorted distinct keys ``gt reaction * len(pred.kinds) + pred row`` of the member pairs, in the roles
+    the hard criterion compares, that share a role and kind and whose bounds IoU exceeds the threshold or
+    that compare a polygon; kept on ``gt`` for the last pred columns, threshold and polygon it met."""
+    kept = gt.screen
+    if kept is not None and kept[0] is pred and kept[1] == threshold and kept[2] == polygon:
+        return kept[3]
+    gt_bounds, pred_bounds = coords_bounds(gt.coords, polygon), coords_bounds(pred.coords, polygon)
+    gt_slot, pred_slot = gt.roles * _N_KINDS + gt.kinds, pred.roles * _N_KINDS + pred.kinds
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    shared = set(gt_slot.tolist()) & set(pred_slot.tolist())
+    for slot in (s for s in shared if s < _N_SLOTS):
+        a, b = np.flatnonzero(gt_slot == slot), np.flatnonzero(pred_slot == slot)
+        r, c = bounds_overlap(gt_bounds[a], pred_bounds[b])
+        rows.append(a[r])
+        cols.append(b[c])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    kept = bounds_iou_above(gt_bounds[rows], pred_bounds[cols], threshold)
+    keys = _runs(np.sort(gt.owners[rows[kept]] * max(len(pred.kinds), 1) + cols[kept]))[0]
+    gt.screen = (pred, threshold, polygon, keys)
+    return keys
+
+
+def _compared(columns: MemberColumns, criterion: str) -> np.ndarray:
+    """Mask of the rows the criterion's predicate compares."""
+    roles, kind = _SCREENED[criterion]
+    compared = columns.roles < len(roles)
+    return compared if kind is None else compared & (columns.kinds == KIND_CODES[kind])
+
+
+def _slot_counts(columns: MemberColumns, compared: np.ndarray, polygon: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per reaction, its count of ``compared`` rows per slot (a role and kind pair, numbered) and whether
+    the screen can decide it: one such row per slot, none a quad compared as a polygon."""
+    owners = columns.owners[compared]
+    slots = columns.roles[compared] * _N_KINDS + columns.kinds[compared]
+    counts = np.bincount(owners * _N_SLOTS + slots, minlength=len(columns) * _N_SLOTS).reshape(-1, _N_SLOTS)
+    decidable = counts.max(axis=1, initial=0) <= 1
+    if polygon:
+        decidable[owners[columns.quads[compared]]] = False
+    return counts, decidable
+
+
+def _screened_pairs(
+    gt: MemberColumns, pred: MemberColumns, criterion: str, polygon: bool, threshold: float
+) -> list[tuple[int, int, bool]]:
     """(gt, pred, decided) for the reaction pairs that can match, in ascending order.
 
     A pair is dropped when its per-slot member counts differ, or when a
-    pred member has no gt member in the same slot with IoU above the
-    threshold or compared as a polygon. A decided pair is a match.
+    pred member the criterion compares has no gt member in the same slot
+    in :func:`_member_pairs`. A decided pair is a match.
     """
-    gt_owner, gt_slot, gt_bounds, gt_counts, gt_decidable = _slot_members(gt, criterion, polygon)
-    pred_owner, pred_slot, pred_bounds, pred_counts, pred_decidable = _slot_members(pred, criterion, polygon)
-    # the member pairs of each slot whose bounds meet
-    gt_order, pred_order = np.argsort(gt_slot, kind="stable"), np.argsort(pred_slot, kind="stable")
-    edges = np.arange(gt_counts.shape[1] + 1)  # slot k's members sit between cuts k and k + 1
-    gt_cuts = np.searchsorted(gt_slot[gt_order], edges).tolist()
-    pred_cuts = np.searchsorted(pred_slot[pred_order], edges).tolist()
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for slot in range(len(edges) - 1):
-        a = gt_order[gt_cuts[slot]:gt_cuts[slot + 1]]
-        b = pred_order[pred_cuts[slot]:pred_cuts[slot + 1]]
-        if len(a) and len(b):
-            r, c = bounds_overlap(gt_bounds[a], pred_bounds[b])
-            rows.append(a[r])
-            cols.append(b[c])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    kept = bounds_iou_above(gt_bounds[rows], pred_bounds[cols], threshold)
-
-    stride, n_pred = max(len(pred_owner), 1), max(len(pred), 1)
-    g, member = np.divmod(_runs(np.sort(gt_owner[rows[kept]] * stride + cols[kept]))[0], stride)
-    pair_keys, partnered = _runs(np.sort(g * n_pred + pred_owner[member]))
+    compared = _compared(gt, criterion), _compared(pred, criterion)
+    keys = _member_pairs(gt, pred, polygon, threshold)
+    g, member = np.divmod(keys, max(len(pred.kinds), 1))
+    g, member = g[compared[1][member]], member[compared[1][member]]
+    n_pred = max(len(pred), 1)
+    pair_keys, partnered = _runs(g * n_pred + pred.owners[member])  # sorted: pred rows run in reaction order
     g, p = np.divmod(pair_keys, n_pred)
+    gt_counts, gt_decidable = _slot_counts(gt, compared[0], polygon)
+    pred_counts, pred_decidable = _slot_counts(pred, compared[1], polygon)
     members = pred_counts.sum(axis=1)
     keep = (partnered == members[p]) & (gt_counts[g] == pred_counts[p]).all(axis=1)
     # a pred reaction without compared members pairs with every gt without any
@@ -317,7 +345,7 @@ def score(
     _check_threshold(threshold)
     predicate = _CRITERIA[criterion]
     adjacency = [[] for _ in gt]
-    for g, p, decided in _screened_pairs(gt, pred, criterion, polygon, threshold):
+    for g, p, decided in _screened_pairs(_columns(gt), _columns(pred), criterion, polygon, threshold):
         if decided or predicate(pred[p], gt[g], threshold, polygon):
             adjacency[g].append(p)
     pairs = _lexicographic_matching(len(gt), adjacency)
@@ -342,6 +370,34 @@ class CorpusDocument:
     doc_id: str
     reactions: tuple[BoxedReaction, ...]
     layout: str | None = None
+
+
+def load_corpus(path) -> list[CorpusDocument]:
+    """The documents of a corpus file, a JSON array of ``{"id", "reactions", "layout"?}`` objects, or a
+    bare reaction array as one document ``"<single>"``; a malformed file is a ResponseFormatError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ResponseFormatError(f"eval file {path} is not valid JSON: {exc}") from exc
+    if isinstance(data, list) and (not data or isinstance(data[0], dict) and "reactants" in data[0]):
+        return [CorpusDocument(doc_id="<single>", reactions=tuple(boxed_reactions_from_list(data)))]
+    if not isinstance(data, list):
+        raise ResponseFormatError(f"eval file {path} must be a JSON array")
+    docs = []
+    for i, obj in enumerate(data):
+        if not isinstance(obj, dict) or "id" not in obj or "reactions" not in obj:
+            raise ResponseFormatError(f"eval file {path}: document {i} needs 'id' and 'reactions'")
+        layout = obj.get("layout")
+        if layout is not None and not isinstance(layout, str):
+            raise ResponseFormatError(f"eval file {path}: document {i} 'layout' must be a string, got {layout!r}")
+        docs.append(
+            CorpusDocument(
+                doc_id=str(obj["id"]),
+                reactions=tuple(boxed_reactions_from_list(obj["reactions"])),
+                layout=layout,
+            )
+        )
+    return docs
 
 
 def score_corpus(

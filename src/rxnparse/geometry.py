@@ -309,9 +309,9 @@ def bounds_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.nonzero(hit)
 
 
-def coords_bounds(coords, polygon: bool = True) -> np.ndarray:
-    """n×4 bounds of the regions given by :func:`region_coords`, outside which :func:`region_iou`
-    with the region is exactly 0.
+def coords_bounds(coords: np.ndarray, polygon: bool = True) -> np.ndarray:
+    """n×4 bounds of the regions given by rows of :func:`coords_from_arrays` coordinates, outside
+    which :func:`region_iou` with the region is exactly 0.
 
     ``iou_axis`` scores closed-disjoint boxes 0 (and 1 only for identical
     degenerate boxes, which intersect), so boxes, and quads collapsed to
@@ -324,18 +324,12 @@ def coords_bounds(coords, polygon: bool = True) -> np.ndarray:
     whole plane; only :func:`_clip_may_meet` screens it, by the clip's own
     first step.
     """
-    sizes = set(map(len, coords))
-    if 8 not in sizes:
-        return np.array(coords, dtype=float).reshape(-1, 4)
-    if polygon and 4 not in sizes:
-        return np.array([_UNBOUNDED] * len(coords)).reshape(-1, 4)
-    quad = np.fromiter(map(len, coords), np.intp, len(coords)) == 8
-    bounds = np.empty((len(coords), 4))
-    bounds[~quad] = np.array([c for c in coords if len(c) == 4], dtype=float).reshape(-1, 4)
+    bounds = coords[:, :4].copy()
+    quad = ~np.isnan(coords[:, 4])
     if polygon:
         bounds[quad] = _UNBOUNDED
-    else:
-        xy = np.array([c for c in coords if len(c) == 8], dtype=float).reshape(-1, 4, 2)
+    elif quad.any():
+        xy = coords[quad].reshape(-1, 4, 2)
         bounds[quad] = np.concatenate((xy.min(axis=1), xy.max(axis=1)), axis=1)
     return bounds
 
@@ -426,6 +420,7 @@ def region_from_coords(coords) -> Region:
 # rounding in OrientedQuad's hull and area, and in the triangles below, stays about
 # 2**-46 times the squared largest |coordinate|, far under this slack
 _AREA_SLACK = 2.0**-40
+_TRIANGLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T  # vertex i, j, k of each triangle
 
 
 def quads_clearly_valid(quads: np.ndarray) -> np.ndarray:
@@ -439,44 +434,43 @@ def quads_clearly_valid(quads: np.ndarray) -> np.ndarray:
     whose products overflow, need the exact check of the constructor.
     """
     quads = np.asarray(quads, dtype=float).reshape(-1, 8)
-    x, y = quads[:, 0::2].T, quads[:, 1::2].T
+    (xi, xj, xk), (yi, yj, yk) = quads[:, 0::2].T[_TRIANGLES], quads[:, 1::2].T[_TRIANGLES]  # (triangle, row)
     scale = np.abs(quads).max(axis=1, initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN compare False below
-        twice = np.max([np.abs((x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i]))
-                        for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))], axis=0)
+        twice = np.abs((xj - xi) * (yk - yi) - (yj - yi) * (xk - xi)).max(axis=0)
         return twice > 2.0 * (_EPS + _AREA_SLACK * scale * scale)
 
 
-def coords_from_arrays(arrays) -> tuple[list | None, np.ndarray]:
+def coords_from_arrays(arrays) -> tuple[np.ndarray, np.ndarray]:
     """:func:`region_from_array`'s checks, together, for lists of 4 or 8 values.
 
-    Returns the lists' coordinates as float tuples and the indices of the
-    lists the bulk checks do not pass: a box with corners out of order, or
-    a quad :func:`quads_clearly_valid` leaves out. When some value is not
-    an ``int`` or ``float``, or does not convert to a finite float, there
-    are no coordinates and every index is returned. Only
-    :func:`region_from_array` tells, for an index returned, whether the
-    list is valid and what is wrong with it.
+    Returns the lists' coordinates as one n×8 float array, a quad's 8 in
+    its row and a box's 4 followed by NaN, and the indices of the lists
+    the bulk checks do not pass: a box with corners out of order, or a quad
+    :func:`quads_clearly_valid` leaves out. When some value is not an
+    ``int`` or ``float``, or does not convert to a finite float, every row
+    is NaN and every index is returned. Only :func:`region_from_array`
+    tells, for an index returned, whether the list is valid and what is
+    wrong with it.
     """
-    everything = np.arange(len(arrays))
-    if not _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(arrays))):
-        return None, everything
+    unread = np.full((len(arrays), 8), np.nan), np.arange(len(arrays))
+    flat = list(chain.from_iterable(arrays))
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, flat)):
+        return unread
     try:
-        values = np.fromiter(chain.from_iterable(arrays), float)  # rounds each int as float() does
+        values = np.array(flat, dtype=float)  # rounds each int as float() does
     except OverflowError:  # an int too large for a float
-        return None, everything
+        return unread
     if not np.isfinite(values).all():
-        return None, everything
+        return unread
     sizes = np.fromiter(map(len, arrays), np.intp, len(arrays))
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    starts = np.cumsum(sizes) - sizes
+    coords = values[np.minimum(starts[:, None] + np.arange(8), len(values) - 1)]  # a box's row reads on past it
     box = sizes == 4
-    corners = values[starts[box, None] + np.arange(4)]
+    coords[box, 4:] = np.nan
     passed = np.empty(len(arrays), dtype=bool)
-    passed[box] = (corners[:, 0] <= corners[:, 2]) & (corners[:, 1] <= corners[:, 3])
-    passed[~box] = quads_clearly_valid(values[starts[~box, None] + np.arange(8)])
-    floats = values.tolist()
-    coords = list(map(tuple, map(floats.__getitem__, map(slice, starts.tolist(), ends.tolist()))))
+    passed[box] = (coords[box, 0] <= coords[box, 2]) & (coords[box, 1] <= coords[box, 3])
+    passed[~box] = quads_clearly_valid(coords[~box])
     return coords, np.flatnonzero(~passed)
 
 

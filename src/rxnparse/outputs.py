@@ -15,5 +15,6 @@ def write_atomic(path: Path, text: str) -> None:
     try:
         temporary.write_text(text, encoding="utf-8")
         os.replace(temporary, path)
-    finally:
+    except BaseException:
         temporary.unlink(missing_ok=True)
+        raise

@@ -12,12 +12,14 @@ id and carries its fused score and conservation status; the serializer
 materializes labels and boxes from the document. One reader
 takes the wire format in: a structural pass over the decoded array,
 with every box's coordinates checked in bulk, gives
-:class:`BoxedMember` values that hold validated coordinates and build
-their regions only when read. The evaluation harness reads reaction
-files with it into :class:`BoxedReaction` values;
-:func:`parse_combiner_response` reads an agent's reply with it, under
-each role's kinds and box length, and resolves the boxes to
-document entities by best IoU against the document's entity table.
+:class:`MemberColumns`, each member's reaction, role, kind code and row
+of validated coordinates. The evaluation harness reads reaction files
+with it into :class:`BoxedReaction` views over those columns, whose
+:class:`BoxedMember` values are made when a role is first read and build
+their regions only when read; :func:`parse_combiner_response` reads an
+agent's reply with it, under each role's kinds and box length, and
+resolves the rows to document entities by best IoU against the
+document's entity table.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -147,37 +150,39 @@ def reactions_to_json(reactions, doc: ReactionDocument) -> str:
     return "[\n" + ",\n".join(written) + "\n]"
 
 
-_MEMBER_KINDS = {kind.value: kind for kind in (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)}
-# per reply role key: label -> kind for the kinds it takes, and the bbox lengths it takes as a pair
+_KINDS = tuple(EntityKind)  # by KIND_CODES
+_MEMBER_KINDS = {kind.value: KIND_CODES[kind] for kind in (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)}
+# per reply role key: label -> kind code for the kinds it takes, and the bbox lengths it takes as a pair
 # (a file's roles take (4, 8); a reply role one length, twice)
 _REPLY_ROLES = {
     "reactants": (_MEMBER_KINDS, (4, 4)),
     "products": (_MEMBER_KINDS, (4, 4)),
     "conditions": (_MEMBER_KINDS, (4, 4)),
-    "arrow": ({EntityKind.ARROW.value: EntityKind.ARROW}, (8, 8)),
+    "arrow": ({EntityKind.ARROW.value: KIND_CODES[EntityKind.ARROW]}, (8, 8)),
 }
 _REQUIRED_KEYS = tuple(_REPLY_ROLES)
 
 
 def _table_screen(table, kind: EntityKind, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``(row, j)``, row-major, of a table row of ``kind`` and ``queries[j]``, members of that kind,
-    whose :func:`region_iou` may be nonzero: a box's bounds meet the row's, or for a reply arrow
-    (a quad has no bounds), :func:`~rxnparse.geometry._clip_may_meet` keeps the row's hull; reply arrows
-    go in blocks that keep each temporary under :data:`_SCREEN_FLOATS` floats."""
+    """Pairs ``(row, j)``, row-major, of a table row of ``kind`` and ``queries[j]`` whose :func:`region_iou`
+    may be nonzero. Queries of a box kind are m×4 bounds, kept where they meet the row's; reply arrows
+    (a quad has no bounds) are quads, kept where :func:`~rxnparse.geometry._clip_may_meet` keeps the
+    row's hull, in blocks that keep each temporary under :data:`_SCREEN_FLOATS` floats."""
     rows = np.flatnonzero(table.kinds == KIND_CODES[kind])
     if kind == EntityKind.ARROW:  # the table's hulls are those of its arrow rows, in row order
         hull_x, hull_y = table.hulls[..., 0].ravel(), table.hulls[..., 1].ravel()
-        clips = [hull + hull[:1] * (4 - len(hull)) for hull in (query.region.hull for query in queries)]
+        clips = [hull + hull[:1] * (4 - len(hull)) for hull in (query.hull for query in queries)]
         step = max(1, _SCREEN_FLOATS // (16 * len(rows) or 1))  # 4 clip edges by 4 hull vertices per row
         meet = np.concatenate([_clip_may_meet(hull_x, hull_y, clips[k : k + step]) for k in range(0, len(clips), step)])
         found, cols = np.nonzero(meet.reshape(len(queries), len(rows)).T)
     else:
-        found, cols = bounds_overlap(table.bounds[rows], np.array([query.coords for query in queries]))
+        found, cols = bounds_overlap(table.bounds[rows], queries)
     return rows[found], cols
 
 
-def _resolve(members, doc: ReactionDocument) -> dict:
-    """``member -> id of its entity``, or the :class:`ResolutionError` saying why none, for each distinct member.
+def _resolve(kinds: np.ndarray, coords: np.ndarray, doc: ReactionDocument) -> list:
+    """Per member, given as a kind code and a row of :class:`MemberColumns` coordinates: the id of its
+    entity, or the :class:`ResolutionError` saying why none.
 
     A member's entity is the one of its kind with the highest IoU, and on
     equal IoU the smaller id, if that IoU reaches :data:`RESOLVE_IOU`. Each
@@ -185,40 +190,39 @@ def _resolve(members, doc: ReactionDocument) -> dict:
     :class:`~rxnparse.entities.EntityTable` by :func:`_table_screen`.
     Entities the screen leaves out score exactly 0.0, so they can neither
     win nor change the best IoU. Screened boxes get :func:`bounds_iou`,
-    the floats of ``iou_axis``, all at once; each screened arrow pair gets
-    the exact :func:`region_iou`, and a reply arrow whose numbers equal an
-    entity arrow's reads that entity's quad.
+    the floats of ``iou_axis``, all at once, on bounds read from the
+    coordinates; each screened arrow pair gets the exact :func:`region_iou`,
+    and a reply arrow whose numbers equal an entity arrow's reads that
+    entity's quad, so only the others build one.
     """
-    by_kind: dict = {}
-    for member in members:
-        by_kind.setdefault(member.kind, {}).setdefault(member, None)
     table = doc.table
-    resolved = {}
-    for kind, queries in by_kind.items():
-        queries = list(queries)
+    resolved = [None] * len(kinds)
+    for code in set(kinds.tolist()):
+        kind, members = _KINDS[code], np.flatnonzero(kinds == code)
         if kind == EntityKind.ARROW:
             quads = {region_coords(e.region): e.region for e in doc.by_kind(kind)}
-            for query in queries:
-                query._region = quads.get(query.coords) or query.region
-        rows, cols = _table_screen(table, kind, queries)
-        if kind == EntityKind.ARROW:
+            queries = [quads.get(c) or region_from_coords(c) for c in map(tuple, coords[members].tolist())]
+            rows, cols = _table_screen(table, kind, queries)
             pairs = zip(rows.tolist(), cols.tolist())
-            ious = np.array([region_iou(table.entities[i].region, queries[j].region) for i, j in pairs])
+            ious = np.array([region_iou(table.entities[i].region, queries[j]) for i, j in pairs])
         else:
-            ious = bounds_iou(table.bounds[rows], np.array([query.coords for query in queries]).reshape(-1, 4)[cols])
+            queries = coords[members, :4]
+            rows, cols = _table_screen(table, kind, queries)
+            ious = bounds_iou(table.bounds[rows], queries[cols])
         # per query, the pair of highest IoU, then of the smaller id
         order = np.lexsort((table.ranks[rows], -ious, cols))
         firsts = order[np.diff(cols[order], prepend=-1) != 0]
         best = dict(zip(cols[firsts].tolist(), zip(rows[firsts].tolist(), ious[firsts].tolist())))
-        for j, query in enumerate(queries):
+        for j, k in enumerate(members.tolist()):
             row, iou = best.get(j, (None, 0.0))
             if row is None or iou < RESOLVE_IOU:
-                resolved[query] = ResolutionError(
-                    f"no {kind.value} entity matches bbox {region_to_array(query.region)} "
+                region = queries[j] if kind == EntityKind.ARROW else region_from_coords(queries[j].tolist())
+                resolved[k] = ResolutionError(
+                    f"no {kind.value} entity matches bbox {region_to_array(region)} "
                     f"at IoU >= {RESOLVE_IOU} (best {iou:.3f})"
                 )
             else:
-                resolved[query] = table.ids[row]
+                resolved[k] = table.ids[row]
     return resolved
 
 
@@ -234,33 +238,31 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
     :class:`ResolutionError` when a box cannot be grounded; the first
     problem in reply order is the one raised, naming its reaction.
 
-    The reaction-file reader's structural pass reads the reply, the
-    members it read are resolved together by :func:`_resolve`, and a walk
-    over the reply in order raises what it meets first.
+    The reaction-file reader reads the reply into :class:`MemberColumns`,
+    the members it read before any problem are resolved together by
+    :func:`_resolve`, and a walk over the reply in order raises what it
+    meets first.
     """
     data = _loads(raw)
-    read, problem, (owner, at) = _read_reactions(data, _REPLY_ROLES)
-    members = []  # those before the problem
-    for member in (m for roles in read for role in roles for m in role):
-        if member is at:
-            break
-        members.append(member)
-    resolved = _resolve(members, doc)
+    columns, problem, (owner, at) = _read_reactions(data, _REPLY_ROLES)
+    resolved = _resolve(columns.kinds[:at], columns.coords[:at], doc)
 
     reactions = []
-    for i, (obj, roles) in enumerate(zip(data, read)):
+    cuts = columns.cuts
+    for i in range(len(columns)):
         ids = ([], [], [], [])
-        for role, role_ids in zip(roles, ids):
-            for member in role:
-                if member is at:
+        for r, role_ids in enumerate(ids):
+            for k in range(cuts[4 * i + r], cuts[4 * i + r + 1]):
+                if k == at:
                     raise problem
-                found = resolved[member]
+                found = resolved[k]
                 if isinstance(found, ResolutionError):
                     raise ResolutionError(f"reaction {i}: {found}")
                 if found not in role_ids:
                     role_ids.append(found)
         if i == owner:
             raise problem
+        obj = data[i]
         reactants, products, conditions, arrows = map(tuple, ids)
         confidence = obj.get("confidence", 1.0)
         if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
@@ -317,22 +319,76 @@ class BoxedMember:
     def __hash__(self):
         return hash((self.kind, self.coords))
 
+    @classmethod
+    def loaded(cls, kind: EntityKind, coords: tuple[float, ...]) -> BoxedMember:
+        """A member of validated coordinates whose region is built on first read."""
+        member = cls.__new__(cls)
+        member.kind, member.coords = kind, coords
+        return member
+
     def __repr__(self):
         return f"BoxedMember(kind={self.kind!r}, coords={self.coords!r})"
 
 
-@dataclass(frozen=True)
 class BoxedReaction:
-    """A reaction as bare (kind, coordinates) members, no document needed."""
+    """A reaction as bare (kind, coordinates) members, no document needed; equal and hashed by its roles.
 
-    reactants: tuple[BoxedMember, ...]
-    products: tuple[BoxedMember, ...]
-    conditions: tuple[BoxedMember, ...] = ()
-    arrows: tuple[BoxedMember, ...] = ()
+    The reader's reactions are views over their list's :class:`MemberColumns`,
+    whose roles are made when first read.
+    """
+
+    _columns = None  # a view's are its list's
+
+    def __init__(self, reactants, products, conditions=(), arrows=()):
+        self.reactants, self.products, self.conditions, self.arrows = reactants, products, conditions, arrows
+
+    reactants, products, conditions, arrows = (
+        cached_property(lambda self, r=r: self._columns.role(self._index, r)) for r in range(4)
+    )
+
+    def _roles(self) -> tuple:
+        return self.reactants, self.products, self.conditions, self.arrows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._roles() == other._roles()
+
+    def __hash__(self):
+        return hash(self._roles())
+
+    def __repr__(self):
+        return "BoxedReaction(reactants=%r, products=%r, conditions=%r, arrows=%r)" % self._roles()
+
+
+class MemberColumns:
+    """A reaction list's members, a row each in document order, roles in wire order: each row's
+    reaction (``owners``), role index, :data:`~rxnparse.entities.KIND_CODES` and coordinates, a quad's 8
+    or a box's 4 then NaN. Reaction ``i``'s role ``r`` is rows ``cuts[4 * i + r]`` up to the next cut.
+    ``views`` are the reader's reactions over the columns, and ``screen`` the evaluation's member-pair
+    screen against the last predicted list met."""
+
+    __slots__ = ("kinds", "coords", "quads", "cuts", "owners", "roles", "views", "screen")
+
+    def __init__(self, kinds, coords: np.ndarray, cuts: list):
+        self.kinds, self.coords, self.cuts = np.array(kinds, dtype=np.int64), coords, cuts
+        self.quads = ~np.isnan(coords[:, 4])
+        sizes, slots = np.diff(cuts), np.arange(len(cuts) - 1)
+        self.owners, self.roles = np.repeat(slots // 4, sizes), np.repeat(slots % 4, sizes)
+        self.views, self.screen = (), None
+
+    def __len__(self) -> int:  # the number of reactions
+        return len(self.cuts) // 4
+
+    def role(self, i: int, r: int) -> tuple[BoxedMember, ...]:
+        """Reaction ``i``'s role ``r`` as :class:`BoxedMember` values, their regions not yet built."""
+        rows = slice(self.cuts[4 * i + r], self.cuts[4 * i + r + 1])
+        found = zip(self.kinds[rows].tolist(), self.coords[rows].tolist(), self.quads[rows].tolist())
+        return tuple(BoxedMember.loaded(_KINDS[code], tuple(row if quad else row[:4])) for code, row, quad in found)
 
 
 # a reaction file's roles take any kind in either shape
-_LABELS = {kind.value: kind for kind in EntityKind}
+_LABELS = {kind.value: code for kind, code in KIND_CODES.items()}
 _FILE_ROLES = dict.fromkeys(_REQUIRED_KEYS, (_LABELS, (4, 8)))
 
 
@@ -361,22 +417,21 @@ def _read_item(item, key: str, labels: dict, lengths: tuple) -> BoxedMember:
         raise ResponseFormatError(f"bad bbox {bbox!r}: {exc}") from None
 
 
-def _read_reactions(data, roles: dict) -> tuple[list, ResponseFormatError | None, tuple]:
-    """Per reaction read, its roles as :class:`BoxedMember` lists; the first problem, naming its reaction,
-    or None; and where it sits: ``(reaction index, member)``, the member None for the reaction's own shape.
+def _read_reactions(data, roles: dict) -> tuple[MemberColumns, ResponseFormatError | None, tuple]:
+    """The members read, as :class:`MemberColumns`; the first problem, naming its reaction, or None;
+    and where it sits: ``(reaction index, member row)``, the row None for the reaction's own shape.
 
-    A dict item whose role takes its label and bbox length waits for its
-    coordinates; any other item is checked in full at once, and the pass
-    stops at the first problem. The waiting boxes, all before it, are then
-    checked together by :func:`~rxnparse.geometry.coords_from_arrays`, and
-    those its bulk checks do not pass in full, in document order. Members
+    One structural pass records each member's kind code and bbox, checking
+    in full at once only an item whose role does not take its label or bbox
+    length, and stops at the first problem. The bboxes, all before it, are
+    then checked together by :func:`~rxnparse.geometry.coords_from_arrays`,
+    and those its bulk checks do not pass in full, in document order. Rows
     from the problem on are not to be read.
     """
     if not isinstance(data, list):
         raise ResponseFormatError("expected a JSON array of reactions")
-    reactions = []
-    waiting, bboxes = [], []  # members awaiting their coordinates, and their bboxes
-    firsts = []  # per reaction, the index in waiting of its first member there
+    kinds, bboxes, cuts = [], [], [0]
+    started = 0  # reactions whose roles the pass began to read
     problem, at = None, (None, None)
     try:
         for i, obj in enumerate(data):
@@ -385,50 +440,44 @@ def _read_reactions(data, roles: dict) -> tuple[list, ResponseFormatError | None
             missing = [k for k in _REQUIRED_KEYS if k not in obj]
             if missing:
                 raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
-            firsts.append(len(waiting))
-            read = []
-            reactions.append(read)
+            started += 1
             for key in _REQUIRED_KEYS:
                 items = obj[key]
                 if not isinstance(items, list):
                     raise ResponseFormatError(f"reaction {i}: reaction roles must be arrays")
-                labels, (short, long) = roles[key]
-                role = []
-                read.append(role)
+                labels, lengths = roles[key]
                 for item in items:
                     if type(item) is dict:
                         try:
-                            kind, bbox = labels[item["label"]], item["bbox"]
+                            code, bbox = labels[item["label"]], item["bbox"]
                         except (KeyError, TypeError):  # a missing key, or a label not taken or unhashable
-                            kind = bbox = None
-                        if type(bbox) is list and (len(bbox) == short or len(bbox) == long):
-                            member = object.__new__(BoxedMember)
-                            member.kind = kind
-                            role.append(member)
-                            waiting.append(member)
+                            code = bbox = None
+                        if type(bbox) is list and len(bbox) in lengths:
+                            kinds.append(code)
                             bboxes.append(bbox)
                             continue
                     try:
-                        role.append(_read_item(item, key, labels, (short, long)))
+                        member = _read_item(item, key, labels, lengths)
                     except ResponseFormatError as exc:
                         raise ResponseFormatError(f"reaction {i}: {exc}") from None
+                    kinds.append(KIND_CODES[member.kind])
+                    bboxes.append(member.coords)
+                cuts.append(len(kinds))
     except ResponseFormatError as exc:
         problem, at = exc, (i, None)
+    cuts += [len(kinds)] * (4 * started + 1 - len(cuts))  # the roles a problem left unread, empty
 
     coords, unpassed = coords_from_arrays(bboxes)
-    coords = coords or [None] * len(bboxes)
     for k in unpassed.tolist():
         try:
             region = region_from_array(bboxes[k])
         except (TypeError, ValueError) as exc:
-            owner = bisect_right(firsts, k) - 1
+            owner = (bisect_right(cuts, k) - 1) // 4
             problem = ResponseFormatError(f"reaction {owner}: bad bbox {bboxes[k]!r}: {exc}")
-            at = owner, waiting[k]
+            at = owner, k
             break
-        waiting[k]._region, coords[k] = region, region_coords(region)
-    for member, member_coords in zip(waiting, coords):
-        member.coords = member_coords
-    return reactions, problem, at
+        coords[k, : len(bboxes[k])] = region_coords(region)
+    return MemberColumns(kinds, coords, cuts), problem, at
 
 
 def boxed_reactions_from_list(data) -> list[BoxedReaction]:
@@ -436,12 +485,17 @@ def boxed_reactions_from_list(data) -> list[BoxedReaction]:
 
     Raises :class:`ResponseFormatError`, naming the reaction index, for
     the first malformed reaction, member or box in document order, as
-    :func:`_read_reactions` finds it.
+    :func:`_read_reactions` finds it. The reactions are views over one
+    :class:`MemberColumns`.
     """
-    reactions, problem, _ = _read_reactions(data, _FILE_ROLES)
+    columns, problem, _ = _read_reactions(data, _FILE_ROLES)
     if problem is not None:
         raise problem
-    return [BoxedReaction(*map(tuple, roles)) for roles in reactions]
+    views = [BoxedReaction.__new__(BoxedReaction) for _ in range(len(columns))]
+    for i, view in enumerate(views):
+        view._columns, view._index = columns, i
+    columns.views = tuple(views)
+    return views
 
 
 def _loads(text: str):

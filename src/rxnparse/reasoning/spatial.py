@@ -179,10 +179,13 @@ def build_spatial_graph(
 
     Each entity links to its ``k_nn`` nearest others, ties broken by the
     lower index (the table's :meth:`~rxnparse.entities.EntityTable.knn_links`),
-    and to every entity within ``radius``.
+    and to every entity within ``radius``. Weights narrower than the
+    ``BASE_NODE_DIMS`` node features are a :class:`ConfigError`.
     """
     if weights is None:
         weights = random_weights()
+    if weights.dim < BASE_NODE_DIMS:
+        raise ConfigError(f"spatial weights have dim {weights.dim}, below the {BASE_NODE_DIMS} node features")
     table = doc.table
     features = _node_features(doc, weights.dim)
     linked = table.distances <= config.radius

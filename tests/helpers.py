@@ -1061,16 +1061,104 @@ def _reference_by_slot(reactions, criterion):
     return shapes, by_slot
 
 
+def reference_coords_bounds(coords, polygon=True) -> np.ndarray:
+    """The bounds of coordinate tuples, 4 or 8 floats each, gathered by length as the tuple path did."""
+    sizes = set(map(len, coords))
+    if 8 not in sizes:
+        return np.array(coords, dtype=float).reshape(-1, 4)
+    unbounded = (-math.inf, -math.inf, math.inf, math.inf)
+    if polygon and 4 not in sizes:
+        return np.array([unbounded] * len(coords)).reshape(-1, 4)
+    quad = np.fromiter(map(len, coords), np.intp, len(coords)) == 8
+    bounds = np.empty((len(coords), 4))
+    bounds[~quad] = np.array([c for c in coords if len(c) == 4], dtype=float).reshape(-1, 4)
+    if polygon:
+        bounds[quad] = unbounded
+    else:
+        xy = np.array([c for c in coords if len(c) == 8], dtype=float).reshape(-1, 4, 2)
+        bounds[quad] = np.concatenate((xy.min(axis=1), xy.max(axis=1)), axis=1)
+    return bounds
+
+
+def reference_slot_members(reactions, criterion, polygon):
+    """The per-criterion gather the member columns replaced: the members the criterion compares, each
+    one's reaction, slot (its role's place in the criterion's roles times the kind count, plus its kind
+    code) and bounds; and per reaction, its member count per slot and whether the screen can decide it
+    (one member per slot, none unbounded)."""
+    from rxnparse.entities import KIND_CODES
+    from rxnparse.evaluation import _SCREENED
+
+    roles, kind = _SCREENED[criterion]
+    n_slots = len(roles) * len(KIND_CODES)
+    role_slots = [(role, r * len(KIND_CODES)) for r, role in enumerate(roles)]
+    found = [
+        (owner, first + KIND_CODES[member.kind], member.coords)
+        for owner, reaction in enumerate(reactions)
+        for role, first in role_slots
+        for member in getattr(reaction, role)
+        if kind is None or member.kind is kind
+    ]
+    owners, slots, coords = zip(*found) if found else ((), (), ())
+    owners, slots = np.array(owners, dtype=np.int64), np.array(slots, dtype=np.int64)
+    bounds = reference_coords_bounds(coords, polygon)
+    counts = np.bincount(owners * n_slots + slots, minlength=len(reactions) * n_slots).reshape(-1, n_slots)
+    decidable = counts.max(axis=1, initial=0) <= 1
+    decidable[owners[np.isinf(bounds[:, 0])]] = False
+    return owners, slots, bounds, counts, decidable
+
+
+def member_rows(members):
+    """The kind codes and coordinate rows of :class:`BoxedMember` values, as member columns hold them."""
+    from rxnparse.entities import KIND_CODES
+    from rxnparse.geometry import coords_from_arrays
+
+    return np.array([KIND_CODES[m.kind] for m in members], dtype=np.int64), coords_from_arrays([m.coords for m in members])[0]
+
+
+def resolve_members(members, doc) -> dict:
+    """``member -> entity id or ResolutionError``: ``_resolve`` of the members' rows."""
+    from rxnparse.reactions import _resolve
+
+    return dict(zip(members, _resolve(*member_rows(members), doc)))
+
+
+def table_screen_members(table, kind, members):
+    """``_table_screen`` of members of ``kind``: their box rows, or for arrows their quads."""
+    from rxnparse.entities import EntityKind
+    from rxnparse.reactions import _table_screen
+
+    if kind == EntityKind.ARROW:
+        return _table_screen(table, kind, [m.region for m in members])
+    return _table_screen(table, kind, np.array([m.coords for m in members], dtype=float).reshape(-1, 4))
+
+
+def regions_bounds(regions, polygon=True) -> np.ndarray:
+    """``coords_bounds`` of regions, through the rows ``coords_from_arrays`` gives their coordinates."""
+    from rxnparse.geometry import coords_bounds, coords_from_arrays, region_coords
+
+    return coords_bounds(coords_from_arrays([region_coords(r) for r in regions])[0], polygon)
+
+
+def wire_reactions(reactions) -> list:
+    """The wire-format array of :class:`BoxedReaction` values: each member's label and its coordinates."""
+    keys = ("reactants", "products", "conditions", "arrow")
+    roles = ("reactants", "products", "conditions", "arrows")
+    return [
+        {key: [{"label": m.kind.value, "bbox": list(m.coords)} for m in getattr(r, role)] for key, role in zip(keys, roles)}
+        for r in reactions
+    ]
+
+
 def reference_screened_pairs(gt, pred, criterion, polygon):
     """The bounds-only screen: (gt, pred) pairs, ascending, left after dropping
     those whose per-slot member counts differ or in which some pred member has
     no gt member of its slot with intersecting bounds. Every pair left goes to
     the predicate."""
     from rxnparse.evaluation import _runs
-    from rxnparse.geometry import bounds_overlap, coords_bounds, region_coords
+    from rxnparse.geometry import bounds_overlap, region_coords
 
     def bounds(regions):
-        return coords_bounds([region_coords(r) for r in regions], polygon)
+        return reference_coords_bounds([region_coords(r) for r in regions], polygon)
 
     gt_shapes, gt_by = _reference_by_slot(gt, criterion)
     pred_shapes, pred_by = _reference_by_slot(pred, criterion)

@@ -16,9 +16,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rxnparse import reactions
 from rxnparse.entities import Entity, EntityKind, ReactionDocument
-from rxnparse.geometry import AxisBox, OrientedQuad, axis_parameter, principal_axis, region_to_array
-from rxnparse.reactions import REPLY_ERRORS, BoxedMember, Reaction, _resolve, parse_combiner_response
+from rxnparse.geometry import AxisBox, OrientedQuad, axis_parameter, principal_axis, region_from_coords, region_to_array
+from rxnparse.reactions import REPLY_ERRORS, BoxedMember, Reaction, parse_combiner_response
 from rxnparse.reasoning.fusion import FusedEdge
 from rxnparse.reasoning.inference import _condition_index, _finalize_candidate
 from rxnparse.reasoning.postprocess import _GAP_BAND, _merge_collinear_arrows
@@ -33,6 +34,7 @@ from helpers import (
     reference_one_pass_merge,
     reference_parse_combiner_response,
     reference_resolve,
+    resolve_members,
     table_of,
 )
 
@@ -118,9 +120,7 @@ def _outcomes(resolved, members):
 @given(case=grounding_cases())
 def test_resolve_equals_pair_by_pair_reference(case):
     doc, members = case
-    expected = _outcomes(reference_resolve(members, doc), members)
-    fresh = [BoxedMember(m.kind, m.region) for m in members]  # _resolve may hand an arrow its entity's quad
-    assert _outcomes(_resolve(fresh, doc), fresh) == expected
+    assert _outcomes(resolve_members(members, doc), members) == _outcomes(reference_resolve(members, doc), members)
 
 
 def test_degenerate_boxes_resolve_only_to_the_same_point():
@@ -130,19 +130,21 @@ def test_degenerate_boxes_resolve_only_to_the_same_point():
         entities=(Entity(id="p", kind=EntityKind.TEXT, region=point), Entity(id="q", kind=EntityKind.TEXT, region=AxisBox(3, 3, 3, 5))),
     )
     same, other = BoxedMember(EntityKind.TEXT, point), BoxedMember(EntityKind.TEXT, AxisBox(3, 4, 3, 4))
-    resolved = _resolve([same, other], doc)
+    resolved = resolve_members([same, other], doc)
     assert resolved[same] == "p"
     assert str(resolved[other]) == "no text entity matches bbox [3, 4, 3, 4] at IoU >= 0.9 (best 0.000)"
     assert _outcomes(resolved, [same, other]) == _outcomes(reference_resolve([same, other], doc), [same, other])
 
 
-def test_reply_arrow_equal_to_an_entity_arrow_reads_its_quad():
+def test_reply_arrow_equal_to_an_entity_arrow_reads_its_quad(monkeypatch):
     quad = OrientedQuad(((1, 1), (6, 1), (6, 3), (1, 3)))
     doc = ReactionDocument(diagram_bounds=AxisBox(0, 0, 20, 20), entities=(Entity(id="a", kind=EntityKind.ARROW, region=quad),))
-    echo = BoxedMember(EntityKind.ARROW, OrientedQuad(quad.vertices))
-    assert echo.region is not quad
-    assert _resolve([echo], doc)[echo] == "a"
-    assert echo.region is quad
+    echo, other = BoxedMember(EntityKind.ARROW, OrientedQuad(quad.vertices)), BoxedMember(EntityKind.ARROW, OrientedQuad(((1, 1), (6, 1), (6, 4), (1, 3))))
+    built = []
+    monkeypatch.setattr(reactions, "region_from_coords", lambda coords: built.append(coords) or region_from_coords(coords))
+    resolved = resolve_members([echo, other], doc)
+    assert resolved[echo] == "a" and isinstance(resolved[other], reactions.ResolutionError)
+    assert built == [other.coords]  # only the arrow that matches no entity arrow builds a quad
 
 
 def _reply(doc, members):

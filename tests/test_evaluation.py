@@ -1,4 +1,6 @@
+import json
 import random
+import re
 import time
 
 import pytest
@@ -19,7 +21,7 @@ from rxnparse.evaluation import (
     score_corpus,
 )
 from rxnparse.geometry import AxisBox
-from rxnparse.reactions import BoxedMember, BoxedReaction
+from rxnparse.reactions import BoxedMember, BoxedReaction, ResponseFormatError
 
 from helpers import brute_force_max_matching, reference_kuhn_max_matching, reference_lexicographic_matching
 
@@ -339,3 +341,35 @@ def test_dense_screening_group_of_200_matches_quickly():
     report = score([reaction] * 200, [reaction] * 200, "soft")
     assert time.perf_counter() - started < 0.5
     assert report.matched_pairs == tuple((i, i) for i in range(200))
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{not json", "is not valid JSON"),
+        ('{"id": "d1", "reactions": []}', "must be a JSON array"),
+        ('[{"reactions": []}]', "document 0 needs 'id'"),
+        ('[{"id": "d1"}]', "document 0 needs 'id' and 'reactions'"),
+        ('[{"id": "d0", "reactions": []}, {"id": "d1", "reactions": [], "layout": ["tree"]}]',
+         "document 1 'layout' must be a string"),
+        ('[{"id": "d0", "reactions": [{"reactants": []}]}]', "reaction 0 is missing keys"),
+    ],
+    ids=["not-json", "not-an-array", "no-id", "no-reactions", "list-layout", "malformed-reaction"],
+)
+def test_malformed_corpus_is_a_format_error(tmp_path, content, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ResponseFormatError, match=re.escape(message)):
+        evaluation.load_corpus(path)
+
+
+def test_corpus_reads_documents_or_one_bare_reaction_array(tmp_path):
+    reaction = {"reactants": [{"label": "molecule", "bbox": [0, 0, 2, 2]}], "products": [], "conditions": [], "arrow": []}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([{"id": 7, "reactions": [reaction], "layout": "tree"}, {"id": "b", "reactions": []}]))
+    first, second = evaluation.load_corpus(path)
+    assert (first.doc_id, first.layout, second.doc_id, second.layout, second.reactions) == ("7", "tree", "b", None, ())
+    assert first.reactions == (BoxedReaction((BoxedMember(EntityKind.MOLECULE, AxisBox(0, 0, 2, 2)),), ()),)
+    path.write_text(json.dumps([reaction]))
+    [single] = evaluation.load_corpus(path)
+    assert single.doc_id == "<single>" and single.reactions == first.reactions

@@ -16,7 +16,7 @@ import pytest
 from rxnparse.cli import _build_config, build_parser, main
 from rxnparse.config import DEFAULT_QUERY, ConfigError, ReasoningConfig
 from rxnparse.entities import load_document
-from rxnparse.outputs import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_PARTIAL
+from rxnparse.outputs import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_PARTIAL, write_atomic
 from rxnparse.pipeline import PipelineConfig, load_pipeline_weights, make_client, run_batch, run_document
 from rxnparse.reasoning import (
     EDGE_DIMS,
@@ -804,6 +804,14 @@ class TestCli:
         assert f"config error: weights file {weights_file} has dim 23, below the 24" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_run_document_given_narrow_weights_is_a_config_error(self, corpus):
+        """Weights narrower than the node features fail as a ConfigError where they are built, not in numpy."""
+        root, paths, _gt = corpus
+        config = PipelineConfig(fixtures_dir=str(root / "fixtures"))
+        doc = load_document(paths[0].read_bytes())
+        with pytest.raises(ConfigError, match="spatial weights have dim 12"):
+            run_document(doc, config, make_client(config), weights=random_weights(1, 12))
+
     @pytest.mark.parametrize("flag", ["--layers", "--dim"])
     def test_removed_flag_is_a_usage_error(self, flag):
         with pytest.raises(SystemExit) as exit_info:
@@ -1013,3 +1021,29 @@ class TestCli:
         capsys.readouterr()
         assert code == EXIT_OK
         assert out.read_text().startswith("<?xml")
+
+
+def test_write_atomic_leaves_only_the_target(tmp_path, monkeypatch):
+    """A write that succeeds renames its temporary away and makes no unlink call."""
+    unlinked, unlink = [], Path.unlink
+    monkeypatch.setattr(Path, "unlink", lambda self, *args, **kwargs: unlinked.append(self) or unlink(self, *args, **kwargs))
+    target = tmp_path / "out.json"
+    write_atomic(target, "text")
+    assert target.read_text(encoding="utf-8") == "text"
+    assert list(tmp_path.iterdir()) == [target]
+    assert unlinked == []
+
+
+def test_write_atomic_whose_rename_fails_leaves_no_temporary(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("before", encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_atomic(target, "after")
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text(encoding="utf-8") == "before"

@@ -32,8 +32,6 @@ from rxnparse.geometry import (
     _clip_convex,
     bounds_iou_above,
     bounds_overlap,
-    coords_bounds,
-    region_coords,
     region_iou,
     region_to_array,
 )
@@ -43,8 +41,6 @@ from rxnparse.reactions import (
     ConstraintError,
     ResolutionError,
     ResponseFormatError,
-    _resolve,
-    _table_screen,
     parse_combiner_response,
 )
 
@@ -56,6 +52,9 @@ from helpers import (
     reference_resolve_region,
     reference_score,
     reference_screened_pairs,
+    regions_bounds,
+    resolve_members,
+    table_screen_members,
 )
 
 THRESHOLDS = (0.0, 0.5, 0.9, 1.0)
@@ -184,7 +183,7 @@ def test_screen_and_components_equal_the_bounds_only_oracles(doc):
     gt, pred = doc
     for criterion, polygon, threshold in itertools.product(("hard", "soft"), (True, False), THRESHOLDS):
         predicate = evaluation._CRITERIA[criterion]
-        screened = evaluation._screened_pairs(gt, pred, criterion, polygon, threshold)
+        screened = evaluation._screened_pairs(evaluation._columns(gt), evaluation._columns(pred), criterion, polygon, threshold)
         bounded = reference_screened_pairs(gt, pred, criterion, polygon)
         assert {(g, p) for g, p, _ in screened} <= set(bounded)
         assert all(predicate(pred[p], gt[g], threshold, polygon) for g, p, decided in screened if decided)
@@ -233,7 +232,7 @@ quarter_quads = st.builds(
 def test_screen_iou_decision_equals_region_iou(regions, threshold, polygon):
     """Every pair of regions compared as boxes is kept exactly when ``region_iou > t``; a pair with a
     quad compared as a polygon is kept."""
-    bounds = coords_bounds([region_coords(r) for r in regions], polygon)
+    bounds = regions_bounds(regions, polygon)
     rows, cols = (a.ravel() for a in np.indices((len(regions), len(regions))))
     kept = bounds_iou_above(bounds[rows], bounds[cols], threshold)
     clipped = [polygon and isinstance(r, OrientedQuad) for r in regions]
@@ -290,7 +289,8 @@ def test_two_members_partnered_by_one_are_left_to_the_predicate(polygon):
     gt = [BoxedReaction(reactants=(BoxedMember(EntityKind.MOLECULE, a), BoxedMember(EntityKind.MOLECULE, b)), products=product)]
     pred = [BoxedReaction(reactants=(BoxedMember(EntityKind.MOLECULE, a),) * 2, products=product)]
     for criterion in ("hard", "soft"):
-        assert evaluation._screened_pairs(gt, pred, criterion, polygon, 0.5) == [(0, 0, False)]
+        columns = evaluation._columns(gt), evaluation._columns(pred)
+        assert evaluation._screened_pairs(*columns, criterion, polygon, 0.5) == [(0, 0, False)]
         assert score(gt, pred, criterion, 0.5, polygon) == reference_score(gt, pred, criterion, 0.5, polygon)
         assert score(gt, pred, criterion, 0.5, polygon).matched == 0
 
@@ -381,7 +381,7 @@ def _outcome(resolve, *args):
 def _screened_outcomes(queries, doc):
     """Each query's entity id or error text, all queries resolved together as within one reply."""
     members = [BoxedMember(kind, region) for kind, region in queries]
-    resolved = _resolve(members, doc)
+    resolved = resolve_members(members, doc)
     return [str(resolved[member]) for member in members]
 
 
@@ -584,16 +584,16 @@ def _table(regions):
 def _kept(regions, reply):
     """The rows of a table of ``regions`` that the screen keeps for one ``reply`` region."""
     member = _member(reply)
-    return _table_screen(_table(regions), member.kind, [member])[0].tolist()
+    return table_screen_members(_table(regions), member.kind, [member])[0].tolist()
 
 
 def test_table_screen_pairs_are_closed_and_row_major():
     regions = [AxisBox(0, 0, 1, 1), AxisBox(3, 3, 3, 3), AxisBox(5, 0, 6, 1)]
     others = [AxisBox(1, 1, 2, 2), AxisBox(3, 3, 3, 3), AxisBox(6.5, 0, 7, 1)]
     table = _table(regions)
-    rows, cols = bounds_overlap(table.bounds, coords_bounds([region_coords(r) for r in others]))
+    rows, cols = bounds_overlap(table.bounds, regions_bounds(others))
     assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (1, 1)]
-    rows, cols = _table_screen(table, EntityKind.MOLECULE, [_member(AxisBox(1, 0, 5, 0)), _member(AxisBox(3, 3, 3, 3))])
+    rows, cols = table_screen_members(table, EntityKind.MOLECULE, [_member(AxisBox(1, 0, 5, 0)), _member(AxisBox(3, 3, 3, 3))])
     assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (1, 1), (2, 0)]
     # a reply box is screened against the rows of its own kind only
     quad = OrientedQuad(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -637,11 +637,11 @@ def test_batched_screen_equals_one_query_at_a_time(members, queries):
         batch = [m for m in map(_member, queries) if m.kind == kind]
         if not batch:
             continue
-        rows, cols = _table_screen(table, kind, batch)
+        rows, cols = table_screen_members(table, kind, batch)
         pairs = list(zip(rows.tolist(), cols.tolist()))
         assert pairs == sorted(pairs)
         assert pairs == sorted(
-            (i, j) for j, query in enumerate(batch) for i in _table_screen(table, kind, [query])[0].tolist()
+            (i, j) for j, query in enumerate(batch) for i in table_screen_members(table, kind, [query])[0].tolist()
         )
         assert all(_member(members[i]).kind == kind for i, _ in pairs)
         kept = set(pairs)
@@ -675,6 +675,20 @@ def test_quads_touching_within_tolerance_are_kept(entity, reply):
 def test_arrow_screen_leaves_out_far_arrows_and_every_box():
     members = [AxisBox(0, 0, 1, 1), UNIT_SQUARE, OrientedQuad(((5, 5), (6, 5), (6, 6), (5, 6)))]
     assert _kept(members, UNIT_SQUARE) == [1]
+
+
+@pytest.mark.parametrize("role", ["reactants", "products", "conditions", "arrow"])
+@pytest.mark.parametrize("bad", MALFORMED_ITEMS[:4], ids=["string", "no-bbox", "unknown-label", "short-bbox"])
+def test_an_ungrounded_member_before_a_malformed_one_in_its_role_is_raised_first(two_reaction_json, two_reaction_doc, role, bad):
+    """The members a role read before its malformed item are grounded, and the first problem in reply order wins."""
+    data = json.loads(two_reaction_json)
+    stray = {"label": "arrow", "bbox": [900, 900, 950, 900, 950, 910, 900, 910]} if role == "arrow" else \
+        {"label": "molecule", "bbox": [900, 900, 950, 950]}
+    data[1][role] = [stray, bad]
+    raw = json.dumps(data)
+    outcome = _reply_outcome(parse_combiner_response, raw, two_reaction_doc)
+    assert outcome[0] is ResolutionError and outcome[1].startswith("reaction 1: ")
+    assert outcome == _reply_outcome(reference_parse_combiner_response, raw, two_reaction_doc)
 
 
 @pytest.mark.parametrize("vertex", range(8))

@@ -131,6 +131,15 @@ class TestBuild:
         with pytest.raises(ConfigError, match=re.escape(f"weights file {path} has dim {BASE_NODE_DIMS - 1}, below")):
             load_weights(path)
 
+    def test_narrow_weights_are_refused_before_the_features(self, monkeypatch):
+        """In-memory weights narrower than the node features are a ConfigError before any document array is
+        made; narrow weights still serve graphs built by hand."""
+        doc = make_doc([molecule_entity("m1", 0, 0), molecule_entity("m2", 300, 0)])
+        monkeypatch.setattr(type(doc), "table", property(lambda self: pytest.fail("the table was read")))
+        message = f"spatial weights have dim 12, below the {BASE_NODE_DIMS} node features"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_spatial_graph(doc, ReasoningConfig(), random_weights(1, 12))
+
 
 class TestWeightsIO:
     def test_save_load_roundtrip(self, tmp_path):
