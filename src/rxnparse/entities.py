@@ -263,18 +263,20 @@ class EntityTable:
         return {(min(a, b), max(a, b)): value for (a, b), value in zip(pairs, values.tolist())}
 
 
-def _require(condition: bool, message: str, pointer: str) -> None:
+def _require(condition: bool, message: str, *path) -> None:
+    """Raise a :class:`SchemaError` at the JSON pointer of ``path``'s parts when ``condition`` fails; the
+    pointer is formatted only then."""
     if not condition:
-        raise SchemaError(message, pointer)
+        raise SchemaError(message, "".join(f"/{part}" for part in path))
 
 
-def _number(value, pointer: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), "expected a number", pointer)
+def _number(value, key: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), "expected a number", key)
     try:
         number = float(value)
     except OverflowError:  # an int too large for a float
         number = math.inf
-    _require(math.isfinite(number), "expected a finite number", pointer)
+    _require(math.isfinite(number), "expected a finite number", key)
     return number
 
 
@@ -282,9 +284,10 @@ def load_document(source: bytes | str | dict) -> ReactionDocument:
     """Parse a detection file into a :class:`ReactionDocument`.
 
     Entities are sorted by region centroid (y, then x, then id), so
-    position is reading order; regions falling outside the diagram
-    bounds are clamped with a warning; SMILES payloads are parsed once
-    per distinct string, failures recorded rather than raised.
+    position is reading order; a box leaving the diagram bounds is
+    clamped to them and an arrow leaving them keeps its vertices, each
+    with a warning; SMILES payloads are parsed once per distinct string,
+    failures recorded rather than raised.
     """
     if isinstance(source, (bytes, str)):
         try:
@@ -293,82 +296,77 @@ def load_document(source: bytes | str | dict) -> ReactionDocument:
             raise SchemaError(f"invalid JSON: {exc}", "") from exc
     else:
         data = source
-    _require(isinstance(data, dict), "detection file must be a JSON object", "")
+    _require(isinstance(data, dict), "detection file must be a JSON object")
 
-    width = _number(data.get("width"), "/width")
-    height = _number(data.get("height"), "/height")
-    _require(width > 0, "width must be positive", "/width")
-    _require(height > 0, "height must be positive", "/height")
+    width = _number(data.get("width"), "width")
+    height = _number(data.get("height"), "height")
+    _require(width > 0, "width must be positive", "width")
+    _require(height > 0, "height must be positive", "height")
     bounds = AxisBox(0.0, 0.0, width, height)
 
     image_ref = data.get("image")
-    _require(image_ref is None or isinstance(image_ref, str), "image must be a string", "/image")
+    _require(image_ref is None or isinstance(image_ref, str), "image must be a string", "image")
     layout = data.get("layout")
-    _require(
-        layout is None or layout in LAYOUT_CLASSES,
-        f"layout must be one of {LAYOUT_CLASSES}",
-        "/layout",
-    )
+    _require(layout is None or layout in LAYOUT_CLASSES, f"layout must be one of {LAYOUT_CLASSES}", "layout")
 
     raw_entities = data.get("entities", [])
-    _require(isinstance(raw_entities, list), "entities must be an array", "/entities")
+    _require(isinstance(raw_entities, list), "entities must be an array", "entities")
 
     warnings: list[str] = []
     seen_ids: set[str] = set()
     molecules: dict[str, Molecule] = {}  # parsed SMILES of this document
     entities: list[Entity] = []
+    # pointers and messages naming the entity are formatted only when a check fails
     for i, raw in enumerate(raw_entities):
-        pointer = f"/entities/{i}"
-        _require(isinstance(raw, dict), "entity must be an object", pointer)
+        _require(isinstance(raw, dict), "entity must be an object", "entities", i)
         entity_id = raw.get("id")
-        _require(isinstance(entity_id, str) and entity_id, "entity id must be a non-empty string", f"{pointer}/id")
-        _require(entity_id not in seen_ids, f"duplicate entity id {entity_id!r}", f"{pointer}/id")
+        _require(isinstance(entity_id, str) and entity_id, "entity id must be a non-empty string", "entities", i, "id")
+        if entity_id in seen_ids:
+            raise SchemaError(f"duplicate entity id {entity_id!r}", f"/entities/{i}/id")
         seen_ids.add(entity_id)
 
         label = raw.get("label")
         try:
             kind = EntityKind(label)
         except ValueError:
-            raise SchemaError(f"unknown label {label!r}", f"{pointer}/label") from None
+            raise SchemaError(f"unknown label {label!r}", f"/entities/{i}/label") from None
 
         bbox = raw.get("bbox")
-        _require(isinstance(bbox, list), "bbox must be an array", f"{pointer}/bbox")
+        _require(isinstance(bbox, list), "bbox must be an array", "entities", i, "bbox")
         expected = 8 if kind == EntityKind.ARROW else 4
-        _require(
-            len(bbox) == expected,
-            f"{kind.value} entities need a {expected}-number bbox",
-            f"{pointer}/bbox",
-        )
+        if len(bbox) != expected:
+            raise SchemaError(f"{kind.value} entities need a {expected}-number bbox", f"/entities/{i}/bbox")
         try:
             region = region_from_array(bbox)
         except ValueError as exc:
-            raise SchemaError(str(exc), f"{pointer}/bbox") from None
+            raise SchemaError(str(exc), f"/entities/{i}/bbox") from None
 
-        # a region inside the diagram would clamp to an equal one; one that leaves it changes
-        if not bounds.contains(region if isinstance(region, AxisBox) else region.bounding_box()):
-            try:
-                region = region.clamped_to(bounds)
-            except ValueError as exc:  # the quad's vertices clamp one by one, so they can collapse
-                raise SchemaError(f"region clamps to a {exc}", f"{pointer}/bbox") from None
+        # a box inside the diagram would clamp to an equal one; an arrow is never clamped, as a quad's
+        # intersection with the diagram can have up to 8 vertices
+        if isinstance(region, OrientedQuad):
+            if not bounds.contains(region.bounding_box()):
+                warnings.append(f"entity {entity_id!r}: arrow leaves the diagram bounds")
+        elif not bounds.contains(region):
+            region = region.clamped_to(bounds)
             warnings.append(f"entity {entity_id!r}: region clamped to diagram bounds")
 
         smiles = raw.get("smiles")
-        _require(smiles is None or isinstance(smiles, str), "smiles must be a string", f"{pointer}/smiles")
+        _require(smiles is None or isinstance(smiles, str), "smiles must be a string", "entities", i, "smiles")
         text = raw.get("text")
-        _require(text is None or isinstance(text, str), "text must be a string", f"{pointer}/text")
+        _require(text is None or isinstance(text, str), "text must be a string", "entities", i, "text")
         direction_raw = raw.get("direction")
         direction = None
         if direction_raw is not None:
-            _require(kind == EntityKind.ARROW, "direction is only valid on arrows", f"{pointer}/direction")
+            _require(kind == EntityKind.ARROW, "direction is only valid on arrows", "entities", i, "direction")
             try:
                 direction = ArrowDirection(direction_raw)
             except ValueError:
-                raise SchemaError(f"unknown direction {direction_raw!r}", f"{pointer}/direction") from None
+                raise SchemaError(f"unknown direction {direction_raw!r}", f"/entities/{i}/direction") from None
         resolves_to = raw.get("resolves_to")
         _require(
             resolves_to is None or isinstance(resolves_to, str),
             "resolves_to must be an entity id string",
-            f"{pointer}/resolves_to",
+            "entities", i, "resolves_to",
         )
 
         molecule = None if smiles is None else molecules.get(smiles)
@@ -378,21 +376,8 @@ def load_document(source: bytes | str | dict) -> ReactionDocument:
             except (SmilesSyntaxError, ValenceError) as exc:
                 warnings.append(f"entity {entity_id!r}: unparseable SMILES {smiles!r}: {exc}")
 
-        try:
-            entities.append(
-                Entity(
-                    id=entity_id,
-                    kind=kind,
-                    region=region,
-                    smiles=smiles,
-                    molecule=molecule,
-                    text=text,
-                    direction=direction,
-                    resolves_to=resolves_to,
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc), pointer) from None
+        # the bbox length checked above gives an arrow its quad and any other kind a box
+        entities.append(Entity(entity_id, kind, region, smiles, molecule, text, direction, resolves_to))
 
     entities.sort(key=lambda e: (e.centroid[::-1], e.id))  # reading order: (cy, cx), then id
     for entity in entities:

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .reactions import BoxedMember, BoxedReaction, MemberColumns, ResponseFormatError, boxed_reactions_from_list
+from .reactions import ROLE_KEYS, BoxedMember, BoxedReaction, MemberColumns, ResponseFormatError, boxed_reactions_from_list
 from .entities import KIND_CODES, EntityKind
 from .geometry import bounds_iou_above, bounds_overlap, coords_bounds, coords_from_arrays, region_iou
 
@@ -374,12 +374,13 @@ class CorpusDocument:
 
 def load_corpus(path) -> list[CorpusDocument]:
     """The documents of a corpus file, a JSON array of ``{"id", "reactions", "layout"?}`` objects, or a
-    bare reaction array as one document ``"<single>"``; a malformed file is a ResponseFormatError."""
+    bare reaction array as one document ``"<single>"``; a malformed file is a ResponseFormatError. An array
+    is a bare reaction array when it is empty or its first item is an object with any reaction role key."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ResponseFormatError(f"eval file {path} is not valid JSON: {exc}") from exc
-    if isinstance(data, list) and (not data or isinstance(data[0], dict) and "reactants" in data[0]):
+    if isinstance(data, list) and (not data or isinstance(data[0], dict) and not data[0].keys().isdisjoint(ROLE_KEYS)):
         return [CorpusDocument(doc_id="<single>", reactions=tuple(boxed_reactions_from_list(data)))]
     if not isinstance(data, list):
         raise ResponseFormatError(f"eval file {path} must be a JSON array")

@@ -120,15 +120,6 @@ class OrientedQuad:
         ys = [p[1] for p in self.vertices]
         return AxisBox(min(xs), min(ys), max(xs), max(ys))
 
-    def clamped_to(self, bounds: AxisBox) -> "OrientedQuad":
-        clamp = lambda v, lo, hi: min(max(v, lo), hi)  # noqa: E731
-        return OrientedQuad(
-            tuple(
-                (clamp(x, bounds.x_min, bounds.x_max), clamp(y, bounds.y_min, bounds.y_max))
-                for x, y in self.vertices
-            )
-        )
-
 
 Region = AxisBox | OrientedQuad
 

@@ -160,7 +160,7 @@ _REPLY_ROLES = {
     "conditions": (_MEMBER_KINDS, (4, 4)),
     "arrow": ({EntityKind.ARROW.value: KIND_CODES[EntityKind.ARROW]}, (8, 8)),
 }
-_REQUIRED_KEYS = tuple(_REPLY_ROLES)
+ROLE_KEYS = tuple(_REPLY_ROLES)  # the role keys of every reaction object, in file order
 
 
 def _table_screen(table, kind: EntityKind, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -389,7 +389,7 @@ class MemberColumns:
 
 # a reaction file's roles take any kind in either shape
 _LABELS = {kind.value: code for kind, code in KIND_CODES.items()}
-_FILE_ROLES = dict.fromkeys(_REQUIRED_KEYS, (_LABELS, (4, 8)))
+_FILE_ROLES = dict.fromkeys(ROLE_KEYS, (_LABELS, (4, 8)))
 
 
 def _read_item(item, key: str, labels: dict, lengths: tuple) -> BoxedMember:
@@ -437,11 +437,11 @@ def _read_reactions(data, roles: dict) -> tuple[MemberColumns, ResponseFormatErr
         for i, obj in enumerate(data):
             if not isinstance(obj, dict):
                 raise ResponseFormatError(f"reaction {i} is not an object")
-            missing = [k for k in _REQUIRED_KEYS if k not in obj]
+            missing = [k for k in ROLE_KEYS if k not in obj]
             if missing:
                 raise ResponseFormatError(f"reaction {i} is missing keys {missing}")
             started += 1
-            for key in _REQUIRED_KEYS:
+            for key in ROLE_KEYS:
                 items = obj[key]
                 if not isinstance(items, list):
                     raise ResponseFormatError(f"reaction {i}: reaction roles must be arrays")

@@ -6,7 +6,8 @@ similarity with a charge-difference decay:
     e_chem = beta * tanimoto(fp_i, fp_j) + (1 - beta) * exp(-|q_i - q_j|)
 
 Pairs where either SMILES is missing or failed to parse get the neutral
-0.5 (ignorance, not evidence). Edges survive only above ``tau_chem``;
+0.5 (ignorance, not evidence). Every molecule pair of the document is
+scored in one array pass, and edges survive only above ``tau_chem``;
 ``beta`` and ``tau_chem`` come from the ``ReasoningConfig``, and the
 fingerprints are the fixed ``FINGERPRINT_WIDTH``-bit path scheme of
 ``rxnparse.chem.fingerprint``.
@@ -24,7 +25,6 @@ from ..config import ReasoningConfig
 from ..entities import KIND_CODES, EntityKind, EntityTable, ReactionDocument
 
 NEUTRAL_CHEM_SCORE = 0.5
-CHEM_ROW_BLOCK = 128  # rows of the pair matrix scored per numpy pass
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,16 @@ class ChemGraph:
 
 
 def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGraph:
-    """Score molecule pairs a block of rows at a time; kept pairs become edges row by row in molecule order.
+    """Score every molecule pair in one pass; kept pairs become edges in row-major molecule order.
 
     Intersections and unions are exact popcounts over the fingerprints
     packed as uint64 words, and float division of exact integers is
     correctly rounded, so each similarity equals ``tanimoto``'s
     ``int / int``. The blend runs elementwise in the operation order of
     the formula above, with ``exp(-|dq|)`` from a ``math.exp`` table over
-    the distinct charges, and only kept pairs are gathered. Rows
-    go ``CHEM_ROW_BLOCK`` at a time, so memory grows with the molecule
-    count, not with its square.
+    the distinct charges, and only kept pairs are gathered. The pair
+    arrays hold m(m-1)/2 entries for m molecules, below the document's
+    n×n distance matrix.
     """
     table = doc.table
     molecules = doc.by_kind(EntityKind.MOLECULE)
@@ -71,17 +71,13 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
     charge_codes = np.array([position[q] for q in charges], dtype=np.intp)
     decay = np.array([math.exp(-abs(a - b)) for a in distinct for b in distinct]).reshape(len(distinct), len(distinct))
 
-    rows, cols, values = [at[:0]], [at[:0]], [np.zeros(0)]
-    for start in range(0, len(molecules), CHEM_ROW_BLOCK):
-        block = slice(start, start + CHEM_ROW_BLOCK)
-        inter = np.bitwise_count(words[block, None, :] & words[None, :, :]).sum(axis=2, dtype=np.int64)
-        union = counts[block, None] + counts[None, :] - inter
-        s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
-        scored = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[block, None], charge_codes[None, :]]
-        scored[~(parsed[block, None] & parsed[None, :])] = NEUTRAL_CHEM_SCORE
-        # column j > row start + i: the upper triangle of the whole matrix
-        i, j = np.nonzero(np.triu(scored > config.tau_chem, k=start + 1))
-        rows.append(at[i + start])
-        cols.append(at[j])
-        values.append(scored[i, j])
-    return ChemGraph(table, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
+    i, j = np.triu_indices(len(molecules), k=1)  # row-major
+    shared = np.take(words, i, axis=0)  # and-ed in place: two pair-sized temporaries, not three
+    shared &= np.take(words, j, axis=0)
+    inter = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+    union = counts[i] + counts[j] - inter
+    s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+    scored = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[i], charge_codes[j]]
+    scored[~(parsed[i] & parsed[j])] = NEUTRAL_CHEM_SCORE
+    kept = scored > config.tau_chem
+    return ChemGraph(table, at[i[kept]], at[j[kept]], scored[kept])

@@ -8,10 +8,12 @@ feature, through a ReLU:
 
     h_i <- relu( sum_j ( W1 @ h_j + W2 @ e_ij ) )
 
-A node with no neighbours therefore lands exactly on the zero vector.
-After one layer per (W1, W2) pair of the weights, each edge is scored by
-shifted cosine similarity of its endpoint embeddings, mapped into
-[0, 1]; a zero embedding on either end scores the neutral 0.5.
+The graph carries what a layer reads, the 0/1 adjacency matrix and each
+node's sum of its edge features, so a layer is two matrix products and no
+per-edge row is kept. A node with no neighbours lands exactly on the zero
+vector. After one layer per (W1, W2) pair of the weights, each edge is
+scored by shifted cosine similarity of its endpoint embeddings, mapped
+into [0, 1]; a zero embedding on either end scores the neutral 0.5.
 """
 
 from __future__ import annotations
@@ -110,14 +112,10 @@ class SpatialGraph:
     features: np.ndarray  # (n, dim)
     rows: np.ndarray
     cols: np.ndarray
-    # (2 * len(rows), EDGE_DIMS): e_ij for both directions (i, j) and (j, i) of every edge, rows sorted
-    edge_features: np.ndarray
+    adjacency: np.ndarray  # (n, n) symmetric 0/1 matrix of the edges
+    edge_sums: np.ndarray  # (n, EDGE_DIMS): row i sums e_ij over the neighbours j of i, ascending
     weights: SpatialWeights
     values: np.ndarray | None = None  # edge scores, set by propagate
-
-    def __post_init__(self):
-        if len(self.edge_features) != 2 * len(self.rows):
-            raise ValueError(f"{len(self.rows)} edges need {2 * len(self.rows)} edge-feature rows")
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -150,24 +148,24 @@ def _node_features(doc: ReactionDocument, dim: int) -> np.ndarray:
     return features
 
 
-def _adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric 0/1 matrix of the undirected edges (rows[k], cols[k])."""
-    adjacency = np.zeros((n, n))
-    adjacency[rows, cols] = adjacency[cols, rows] = 1.0
-    return adjacency
-
-
-def _edge_features(table: EntityTable, diag: float, receivers, senders) -> np.ndarray:
-    """Feature e_ij of each directed edge (i = receiver, j = sender)."""
+def _edge_sums(table: EntityTable, diag: float, adjacency: np.ndarray) -> np.ndarray:
+    """Per receiver i, the sum of e_ij over its senders j, ascending: offset, distance and size-ratio columns
+    summed over the receiver-sorted directed edges, and the kind-pair one-hot counted."""
+    n = len(table.ids)
+    receivers, senders = np.nonzero(adjacency)
     areas, kinds = table.areas, table.kinds
     total = areas[receivers] + areas[senders]
-    features = np.zeros((len(receivers), EDGE_DIMS))
+    columns = np.empty((len(receivers), 4))
     # np.take gathers rows several times faster than fancy indexing does
-    features[:, 0:2] = (np.take(table.centroids, senders, axis=0) - np.take(table.centroids, receivers, axis=0)) / diag
-    features[:, 2] = table.distances[receivers, senders]
-    features[:, 3] = np.divide(areas[receivers], total, out=np.full(len(total), 0.5), where=total > 0)
-    features[np.arange(len(receivers)), 4 + kinds[receivers] * 4 + kinds[senders]] = 1.0
-    return features
+    columns[:, 0:2] = (np.take(table.centroids, senders, axis=0) - np.take(table.centroids, receivers, axis=0)) / diag
+    columns[:, 2] = table.distances[receivers, senders]
+    columns[:, 3] = np.divide(areas[receivers], total, out=np.full(len(total), 0.5), where=total > 0)
+    sums = np.zeros((n, EDGE_DIMS))
+    nodes, starts = np.unique(receivers, return_index=True)
+    sums[nodes, :4] = np.add.reduceat(columns, starts, axis=0)
+    pairs = receivers * 16 + kinds[receivers] * 4 + kinds[senders]
+    sums[:, 4:] = np.bincount(pairs, minlength=16 * n).reshape(n, 16)
+    return sums
 
 
 def build_spatial_graph(
@@ -191,13 +189,15 @@ def build_spatial_graph(
     linked = table.distances <= config.radius
     linked[table.knn_links(config.k_nn)] = True
     rows, cols = np.nonzero(np.triu(linked, k=1))
-    receivers, senders = np.nonzero(_adjacency(rows, cols, len(table.ids)))
+    adjacency = np.zeros(linked.shape)
+    adjacency[rows, cols] = adjacency[cols, rows] = 1.0
     return SpatialGraph(
         table=table,
         features=features,
         rows=rows,
         cols=cols,
-        edge_features=_edge_features(table, doc.diagram_bounds.diagonal or 1.0, receivers, senders),
+        adjacency=adjacency,
+        edge_sums=_edge_sums(table, doc.diagram_bounds.diagonal or 1.0, adjacency),
         weights=weights,
     )
 
@@ -207,19 +207,11 @@ def propagate(graph: SpatialGraph) -> SpatialGraph:
 
     Neighbour sums are taken before the weights apply, so each layer
     costs two small matrix products: ``relu(W1 @ sum_j h_j + W2 @ sum_j e_ij)``.
-    The edge-feature sums are the same in every layer.
+    The edge-feature sums are the graph's ``edge_sums``, the same in every layer.
     """
-    n = len(graph.node_ids)
     h = np.array(graph.features, dtype=float)
-    adjacency = _adjacency(graph.rows, graph.cols, n)
-    # edge_features rows follow the nonzero entries of the adjacency in row-major order
-    receivers, _ = np.nonzero(adjacency)
-    nodes, starts = np.unique(receivers, return_index=True)
-    edge_sums = np.zeros((n, graph.edge_features.shape[1]))
-    edge_sums[nodes] = np.add.reduceat(graph.edge_features, starts, axis=0)
-
     for w1, w2 in zip(graph.weights.w1, graph.weights.w2):
-        h = np.maximum((adjacency @ h) @ w1.T + edge_sums @ w2.T, 0.0)
+        h = np.maximum((graph.adjacency @ h) @ w1.T + graph.edge_sums @ w2.T, 0.0)
 
     return replace(graph, features=h, values=_shifted_cosines(h, graph.rows, graph.cols))
 

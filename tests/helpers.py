@@ -111,13 +111,29 @@ def table_of(ids):
     return table
 
 
-def spatial_graph(node_ids, features, edges, edge_features, weights, scores=None):
-    """A ``SpatialGraph`` over ``table_of(node_ids)``: ``edges`` are (i, j) positions, ``scores`` keyed by them."""
+def spatial_graph(node_ids, features, edges, weights, edge_sums=None, scores=None):
+    """A ``SpatialGraph`` over ``table_of(node_ids)``: ``edges`` are (i, j) positions, ``edge_sums`` the per-node
+    sums of edge features (zeros when None), ``scores`` keyed by edge."""
     from rxnparse.reasoning import SpatialGraph
+    from rxnparse.reasoning.spatial import EDGE_DIMS
 
+    n = len(node_ids)
     rows, cols = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    adjacency = np.zeros((n, n))
+    adjacency[rows, cols] = adjacency[cols, rows] = 1.0
+    sums = np.zeros((n, EDGE_DIMS)) if edge_sums is None else np.asarray(edge_sums, dtype=float)
     values = None if scores is None else np.array([scores[edge] for edge in edges], dtype=float)
-    return SpatialGraph(table_of(node_ids), features, rows, cols, edge_features, weights, values)
+    return SpatialGraph(table_of(node_ids), features, rows, cols, adjacency, sums, weights, values)
+
+
+def summed_edge_features(n, edge_features) -> np.ndarray:
+    """(n, EDGE_DIMS): row i adds ``edge_features[(i, j)]`` over j ascending, one row at a time."""
+    from rxnparse.reasoning.spatial import EDGE_DIMS
+
+    sums = np.zeros((n, EDGE_DIMS))
+    for (i, _), row in sorted(edge_features.items()):
+        sums[i] += row
+    return sums
 
 
 def chem_graph(table, scores):
@@ -496,16 +512,62 @@ def reference_spatial_edges(doc, config):
     return edges, features
 
 
-def edge_feature_dict(graph) -> dict:
-    """The rows of ``graph.edge_features`` keyed by directed pair (i, j)."""
-    directed = sorted(list(graph.edges) + [(j, i) for i, j in graph.edges])
-    return dict(zip(directed, graph.edge_features))
+def reference_edge_rows(doc, edges) -> dict:
+    """{(i, j): e_ij} for both directions of every edge, by the array arithmetic that kept one row per
+    directed edge: rows follow the adjacency's nonzero entries in row-major order."""
+    from rxnparse.reasoning.spatial import EDGE_DIMS
+
+    table, n = doc.table, len(doc.entities)
+    adjacency = np.zeros((n, n))
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    receivers, senders = np.nonzero(adjacency)
+    diag = doc.diagram_bounds.diagonal or 1.0
+    areas, kinds = table.areas, table.kinds
+    total = areas[receivers] + areas[senders]
+    rows = np.zeros((len(receivers), EDGE_DIMS))
+    rows[:, 0:2] = (np.take(table.centroids, senders, axis=0) - np.take(table.centroids, receivers, axis=0)) / diag
+    rows[:, 2] = table.distances[receivers, senders]
+    rows[:, 3] = np.divide(areas[receivers], total, out=np.full(len(total), 0.5), where=total > 0)
+    rows[np.arange(len(receivers)), 4 + kinds[receivers] * 4 + kinds[senders]] = 1.0
+    return dict(zip(zip(receivers.tolist(), senders.tolist()), rows))
 
 
-def reference_propagate(graph):
-    """(features, scores) by one W1 @ h_j + W2 @ e_ij product per directed edge."""
+def reference_edge_sums(doc, edges) -> np.ndarray:
+    """(n, EDGE_DIMS) sums of :func:`reference_edge_rows` per receiver, by one 20-wide ``np.add.reduceat``
+    over the receiver-sorted rows."""
+    from rxnparse.reasoning.spatial import EDGE_DIMS
+
+    rows = reference_edge_rows(doc, edges)
+    receivers = np.array([i for i, _ in rows], dtype=np.intp)
+    sums = np.zeros((len(doc.entities), EDGE_DIMS))
+    nodes, starts = np.unique(receivers, return_index=True)
+    sums[nodes] = np.add.reduceat(np.array(list(rows.values())).reshape(-1, EDGE_DIMS), starts, axis=0)
+    return sums
+
+
+def reference_array_propagate(graph, edge_sums):
+    """(features, values) by the matrix arithmetic of message passing over an adjacency rebuilt from the
+    graph's edges and the given per-node ``edge_sums``: ``relu((A @ h) @ W1.T + S @ W2.T)`` per layer, then
+    one shifted cosine per edge."""
     n = len(graph.node_ids)
-    features = edge_feature_dict(graph)
+    adjacency = np.zeros((n, n))
+    adjacency[graph.rows, graph.cols] = adjacency[graph.cols, graph.rows] = 1.0
+    h = np.array(graph.features, dtype=float)
+    for w1, w2 in zip(graph.weights.w1, graph.weights.w2):
+        h = np.maximum((adjacency @ h) @ w1.T + edge_sums @ w2.T, 0.0)
+    rows, cols = graph.rows, graph.cols
+    norms = np.linalg.norm(h, axis=1)
+    zero = (norms[rows] == 0.0) | (norms[cols] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = (h @ h.T)[rows, cols] / (norms[rows] * norms[cols])
+    return h, np.where(zero, 0.5, np.clip((1.0 + cosines) / 2.0, 0.0, 1.0))
+
+
+def reference_propagate(graph, edge_features):
+    """(features, scores) by one W1 @ h_j + W2 @ e_ij product per directed edge, ``edge_features``
+    keyed by directed pair (i, j)."""
+    n = len(graph.node_ids)
     adjacency = [[] for _ in range(n)]
     for i, j in graph.edges:
         adjacency[i].append(j)
@@ -516,7 +578,7 @@ def reference_propagate(graph):
         for i in range(n):
             total = np.zeros(h.shape[1])
             for j in adjacency[i]:
-                total += w1 @ h[j] + w2 @ features[(i, j)]
+                total += w1 @ h[j] + w2 @ edge_features[(i, j)]
             new_h[i] = np.maximum(total, 0.0)
         h = new_h
     scores = {}
@@ -649,6 +711,44 @@ def reference_build_chem_graph(doc, config):
             if value > config.tau_chem:
                 scores[(min(a.id, b.id), max(a.id, b.id))] = value
     return chem_graph(doc.table, scores)
+
+
+def reference_chem_row_blocks(doc, config, block=128):
+    """Chemistry edges by the array arithmetic that scored the pair matrix ``block`` rows at a time and
+    gathered kept pairs of each block's upper triangle row by row."""
+    from rxnparse.chem import FINGERPRINT_WIDTH
+    from rxnparse.entities import KIND_CODES, EntityKind
+    from rxnparse.reasoning import ChemGraph
+    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE
+
+    table = doc.table
+    molecules = doc.by_kind(EntityKind.MOLECULE)
+    at = np.flatnonzero(table.kinds == KIND_CODES[EntityKind.MOLECULE])
+    parsed = np.array([e.molecule is not None for e in molecules], dtype=bool)
+    empty = bytes(FINGERPRINT_WIDTH // 8)
+    packed = b"".join(
+        empty if e.molecule is None else e.molecule.fingerprint.to_bytes(len(empty), "little") for e in molecules
+    )
+    words = np.frombuffer(packed, dtype="<u8").reshape(len(molecules), len(empty) // 8)
+    counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    charges = [0 if e.molecule is None else e.molecule.charge for e in molecules]
+    distinct = sorted(set(charges))
+    position = {q: k for k, q in enumerate(distinct)}
+    charge_codes = np.array([position[q] for q in charges], dtype=np.intp)
+    decay = np.array([math.exp(-abs(a - b)) for a in distinct for b in distinct]).reshape(len(distinct), len(distinct))
+    rows, cols, values = [at[:0]], [at[:0]], [np.zeros(0)]
+    for start in range(0, len(molecules), block):
+        rows_here = slice(start, start + block)
+        inter = np.bitwise_count(words[rows_here, None, :] & words[None, :, :]).sum(axis=2, dtype=np.int64)
+        union = counts[rows_here, None] + counts[None, :] - inter
+        s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+        scored = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[rows_here, None], charge_codes[None, :]]
+        scored[~(parsed[rows_here, None] & parsed[None, :])] = NEUTRAL_CHEM_SCORE
+        i, j = np.nonzero(np.triu(scored > config.tau_chem, k=start + 1))
+        rows.append(at[i + start])
+        cols.append(at[j])
+        values.append(scored[i, j])
+    return ChemGraph(table, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
 
 
 # --- the output file as one json.dumps ---------------------------------------

@@ -56,6 +56,7 @@ from helpers import (
     random_molecule,
     random_quad,
     spatial_graph,
+    summed_edge_features,
 )
 from synthetic import build_corpus
 from test_evaluation import perturb, random_boxed_reaction
@@ -195,7 +196,6 @@ def test_criterion_05_propagation_checks():
         node_ids=("x",),
         features=np.ones((1, dim)),
         edges=(),
-        edge_features=np.zeros((0, EDGE_DIMS)),
         weights=SpatialWeights(
             w1=(np.eye(dim),) * 2, w2=(np.zeros((dim, EDGE_DIMS)),) * 2
         ),
@@ -204,12 +204,10 @@ def test_criterion_05_propagation_checks():
 
     # zero weights: every embedding zero, every score the neutral 0.5
     h0 = np.random.default_rng(1).normal(size=(3, dim))
-    e = np.zeros(EDGE_DIMS)
     zero_graph = spatial_graph(
         node_ids=("a", "b", "c"),
         features=h0,
         edges=((0, 1), (1, 2)),
-        edge_features=np.stack([e, e, e, e]),
         weights=SpatialWeights(
             w1=(np.zeros((dim, dim)),), w2=(np.zeros((dim, EDGE_DIMS)),)
         ),
@@ -229,8 +227,8 @@ def test_criterion_05_propagation_checks():
         node_ids=("a", "b"),
         features=h0,
         edges=((0, 1),),
-        edge_features=np.stack([e01, e10]),
         weights=SpatialWeights(w1=(w1,), w2=(w2,)),
+        edge_sums=summed_edge_features(2, {(0, 1): e01, (1, 0): e10}),
     )
     result = propagate(graph)
     expected0 = np.maximum(w1 @ h0[1] + w2 @ e01, 0.0)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import rxnparse.entities as entities_module
 from rxnparse.chem import parse_smiles
 from rxnparse.entities import (
     EntityKind,
@@ -130,13 +131,11 @@ def test_out_of_bounds_clamped_with_warning():
 
 
 def test_region_inside_the_diagram_is_not_clamped(monkeypatch):
-    """Only a region whose bounds leave the diagram goes through ``clamped_to``; one on its edge stays."""
+    """Only a box whose bounds leave the diagram goes through ``clamped_to``; one on its edge stays, and an
+    arrow leaving the diagram keeps its vertices with a warning."""
     clamped = []
-    for region_type in (AxisBox, OrientedQuad):
-        original = region_type.clamped_to
-        monkeypatch.setattr(
-            region_type, "clamped_to", lambda self, bounds, original=original: clamped.append(self) or original(self, bounds)
-        )
+    original = AxisBox.clamped_to
+    monkeypatch.setattr(AxisBox, "clamped_to", lambda self, bounds: clamped.append(self) or original(self, bounds))
     inside = [
         molecule_entity("edge", 1280, 310, w=120, h=90),  # touches the right and bottom edges
         text_entity("t", 0, 0),
@@ -145,26 +144,40 @@ def test_region_inside_the_diagram_is_not_clamped(monkeypatch):
     doc = make_doc(inside, width=1400, height=400)
     assert clamped == [] and doc.warnings == ()
     assert document_to_json(doc)["entities"] == document_to_json(make_doc(inside))["entities"]
-    leaving = make_doc([arrow_entity("a", 1300, 200, 1500), molecule_entity("m", 0, 0)], width=1400)
-    assert len(clamped) == 1 and leaving.warnings == ("entity 'a': region clamped to diagram bounds",)
-    assert max(x for x, _ in leaving.entity("a").region.vertices) == 1400
+    leaving = make_doc([arrow_entity("a", 1300, 200, 1500), molecule_entity("m", 1350, 0)], width=1400)
+    assert len(clamped) == 1 and leaving.warnings == (
+        "entity 'a': arrow leaves the diagram bounds",
+        "entity 'm': region clamped to diagram bounds",
+    )
+    assert leaving.entity("a").region == make_doc([arrow_entity("a", 1300, 200, 1500)], width=1600).entity("a").region
+    assert leaving.entity("m").region.x_max == 1400
 
 
-def test_arrow_wholly_outside_the_diagram_is_a_schema_error():
-    """Clamping it leaves a zero-area quad, which is reported at the entity's bbox."""
-    raw = '{"width": 100, "height": 100, "entities": [{"id": "a", "label": "arrow", "bbox": [110, 10, 150, 10, 150, 20, 110, 20]}]}'
-    with pytest.raises(SchemaError, match="clamps to a degenerate quadrilateral") as info:
-        load_document(raw)
-    assert info.value.pointer == "/entities/0/bbox"
+@pytest.mark.parametrize(
+    "bbox",
+    [
+        # the former vertex-by-vertex clamp put all four vertices on the segment (100, 0)-(0, 100)
+        pytest.param([110, -10, 120, -10, -10, 120, -20, 120], id="crossing"),
+        pytest.param([110, 10, 150, 10, 150, 20, 110, 20], id="wholly-outside"),
+    ],
+)
+def test_arrow_leaving_the_diagram_keeps_its_quad_with_a_warning(bbox):
+    raw = json.dumps({"width": 100, "height": 100, "entities": [{"id": "a", "label": "arrow", "bbox": bbox}]})
+    doc = load_document(raw)
+    assert doc.warnings == ("entity 'a': arrow leaves the diagram bounds",)
+    assert doc.entity("a").region.vertices == tuple(zip(map(float, bbox[::2]), map(float, bbox[1::2])))
 
 
-def test_arrow_crossing_the_diagram_can_clamp_to_a_degenerate_quad():
-    """The clamp moves each vertex on its own: this arrow passes through (50, 50), yet all four of its
-    vertices land on the segment (100, 0)-(0, 100), so the document is rejected at the arrow's bbox."""
-    raw = '{"width": 100, "height": 100, "entities": [{"id": "a", "label": "arrow", "bbox": [110, -10, 120, -10, -10, 120, -20, 120]}]}'
-    with pytest.raises(SchemaError, match="clamps to a degenerate quadrilateral") as info:
-        load_document(raw)
-    assert info.value.pointer == "/entities/0/bbox"
+def test_valid_entities_format_no_pointer(monkeypatch):
+    """The JSON pointer of an entity's check is formatted only when the check fails."""
+    paths = []
+    original = entities_module._require
+    monkeypatch.setattr(
+        entities_module, "_require", lambda condition, message, *path: paths.append(path) or original(condition, message, *path)
+    )
+    doc = make_doc([molecule_entity("m", 0, 0, smiles="CCO"), arrow_entity("a", 200, 50, 400), text_entity("t", 0, 200)])
+    assert len(doc.entities) == 3 and paths
+    assert not [path for path in paths if any(isinstance(part, str) and "/" in part for part in path)]
 
 
 def test_same_smiles_shares_one_molecule_within_a_document():
@@ -228,10 +241,17 @@ MALFORMED = NON_FINITE + [
     pytest.param("{not json", "", id="bad-json"),
     pytest.param(_detection([], layout="spiral"), "/layout", id="unknown-layout"),
     pytest.param(_detection([{**_MOLECULE, "direction": "forward"}]), "/entities/0/direction", id="direction-on-molecule"),
-    pytest.param(_detection([{"id": "a", "label": "arrow", "bbox": [110, 10, 150, 10, 150, 20, 110, 20]}]),
-                 "/entities/0/bbox", id="arrow-outside"),
-    pytest.param(_detection([{"id": "a", "label": "arrow", "bbox": [110, -10, 120, -10, -10, 120, -20, 120]}]),
-                 "/entities/0/bbox", id="arrow-crossing"),
+    pytest.param(_detection([_MOLECULE, "m"]), "/entities/1", id="entity-not-object"),
+    pytest.param(_detection([{**_MOLECULE, "id": ""}]), "/entities/0/id", id="empty-id"),
+    pytest.param(_detection([{**_MOLECULE, "bbox": "0 0 10 10"}]), "/entities/0/bbox", id="bbox-not-array"),
+    pytest.param(_detection([{**_MOLECULE, "smiles": 5}]), "/entities/0/smiles", id="smiles-not-string"),
+    pytest.param(_detection([{**_MOLECULE, "text": ["x"]}]), "/entities/0/text", id="text-not-string"),
+    pytest.param(_detection([{**_MOLECULE, "resolves_to": 1}]), "/entities/0/resolves_to", id="resolves-to-not-string"),
+    pytest.param(_detection([{"id": "a", "label": "arrow", "bbox": [0, 0, 9, 0, 9, 2, 0, 2], "direction": "up"}]),
+                 "/entities/0/direction", id="unknown-direction"),
+    pytest.param(_detection([], image=3), "/image", id="image-not-string"),
+    pytest.param(json.dumps({"width": 100, "height": 100, "entities": {}}), "/entities", id="entities-not-array"),
+    pytest.param("[]", "", id="not-an-object"),
     pytest.param(_detection([{**_MOLECULE, "bbox": [0, "0", 10, 10]}]), "/entities/0/bbox", id="string-coordinate"),
     pytest.param(_detection([{**_MOLECULE, "bbox": [0, True, 10, 10]}]), "/entities/0/bbox", id="bool-coordinate"),
     pytest.param(_detection([], height=0), "/height", id="zero-height"),

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rxnparse.geometry
@@ -44,14 +44,18 @@ from rxnparse.reasoning.spatial import BASE_NODE_DIMS
 from helpers import (
     fusion_config,
     make_doc,
+    molecule_entity,
+    reference_array_propagate,
     reference_cluster_entities,
     reference_cluster_prompt_variables,
     reference_distances,
+    reference_edge_sums,
     reference_fuse,
     reference_node_features,
     reference_propagate,
     reference_spatial_edges,
     spatial_graph,
+    summed_edge_features,
 )
 from synthetic import _multiple_line
 from test_reasoning_arrays import documents
@@ -79,6 +83,11 @@ def tiny_offset_documents(draw):
 
 
 any_documents = st.one_of(documents(), tiny_offset_documents())
+_TWINS_AND_LONER = make_doc([
+    molecule_entity("a", 100, 100, smiles="CCO"),
+    {"id": "b", "label": "text", "bbox": [110, 130, 210, 160], "text": "x"},  # the molecule's centroid
+    {"id": "c", "label": "identifier", "bbox": [1300, 300, 1340, 330], "text": "1"},
+])
 
 
 def _hex(array) -> list:
@@ -100,6 +109,10 @@ def test_tiny_offsets_take_the_hypot_path():
     radius=st.sampled_from([0.0, 0.1, 0.25, 1.0]),
     dim=st.sampled_from([BASE_NODE_DIMS, 32]),
 )
+@example(doc=make_doc([]), k_nn=4, radius=0.25, dim=32)
+@example(doc=make_doc([molecule_entity("m", 10, 10, smiles="CCO")]), k_nn=6, radius=1.0, dim=32)
+@example(doc=_TWINS_AND_LONER, k_nn=0, radius=0.0, dim=32)  # duplicate centroids linked, one isolated node
+@example(doc=_TWINS_AND_LONER, k_nn=6, radius=0.0, dim=BASE_NODE_DIMS)
 def test_table_and_spatial_features_and_edges_equal_reference(doc, k_nn, radius, dim):
     table = doc.table
     assert table.ids == tuple(e.id for e in doc.entities)
@@ -110,10 +123,21 @@ def test_table_and_spatial_features_and_edges_equal_reference(doc, k_nn, radius,
     config = ReasoningConfig(k_nn=k_nn, radius=radius)
     graph = build_spatial_graph(doc, config, random_weights(2, dim))
     assert _hex(graph.features) == _hex(reference_node_features(doc, dim))
-    edges, features = reference_spatial_edges(doc, config)
+    edges, _ = reference_spatial_edges(doc, config)
     assert graph.edges == edges
-    directed = sorted(list(edges) + [(j, i) for i, j in edges])
-    assert _hex(graph.edge_features) == _hex([features[pair] for pair in directed])
+    assert _hex(graph.adjacency) == _hex(_adjacency_of(len(doc.entities), edges))
+    assert _hex(graph.edge_sums) == _hex(reference_edge_sums(doc, edges))
+    result = propagate(graph)
+    expected_features, expected_values = reference_array_propagate(graph, reference_edge_sums(doc, edges))
+    assert _hex(result.features) == _hex(expected_features)
+    assert _hex(result.values) == _hex(expected_values)
+
+
+def _adjacency_of(n, edges):
+    adjacency = np.zeros((n, n))
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    return adjacency
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,9 +171,11 @@ def test_propagate_of_dyadic_graphs_equals_per_edge_loop(data, n, layers, dim):
     weights = SpatialWeights(
         w1=tuple(matrix(dim, dim) for _ in range(layers)), w2=tuple(matrix(dim, 20) for _ in range(layers))
     )
-    graph = spatial_graph([f"n{k}" for k in range(n)], matrix(n, dim), edges, matrix(2 * len(edges), 20), weights)
+    directed = sorted(edges + [(j, i) for i, j in edges])
+    edge_features = dict(zip(directed, matrix(len(directed), 20)))
+    graph = spatial_graph([f"n{k}" for k in range(n)], matrix(n, dim), edges, weights, summed_edge_features(n, edge_features))
     result = propagate(graph)
-    features, scores = reference_propagate(graph)
+    features, scores = reference_propagate(graph, edge_features)
     assert _hex(result.features) == _hex(features)
     assert result.edges == tuple(scores)
     assert _hex(result.values) == _hex(list(scores.values()))

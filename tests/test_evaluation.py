@@ -353,8 +353,12 @@ def test_dense_screening_group_of_200_matches_quickly():
         ('[{"id": "d0", "reactions": []}, {"id": "d1", "reactions": [], "layout": ["tree"]}]',
          "document 1 'layout' must be a string"),
         ('[{"id": "d0", "reactions": [{"reactants": []}]}]', "reaction 0 is missing keys"),
+        ('[{"products": [], "conditions": [], "arrow": [], "reactant": []}]', "reaction 0 is missing keys ['reactants']"),
+        ('[{"arrow": []}]', "reaction 0 is missing keys ['reactants', 'products', 'conditions']"),
+        ('[{"reactant": []}]', "document 0 needs 'id' and 'reactions'"),
     ],
-    ids=["not-json", "not-an-array", "no-id", "no-reactions", "list-layout", "malformed-reaction"],
+    ids=["not-json", "not-an-array", "no-id", "no-reactions", "list-layout", "malformed-reaction",
+         "bare-array-misspelled-reactants", "bare-array-arrow-only", "no-role-key-reads-as-corpus"],
 )
 def test_malformed_corpus_is_a_format_error(tmp_path, content, message):
     path = tmp_path / "corpus.json"

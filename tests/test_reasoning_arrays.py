@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import random
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -34,7 +33,6 @@ from rxnparse.reasoning import (
     fuse,
     propagate,
 )
-from rxnparse.reasoning import chemgraph as chemgraph_module
 from rxnparse.reasoning import hypotheses as hypotheses_module
 
 from helpers import (
@@ -43,6 +41,7 @@ from helpers import (
     make_doc,
     molecule_entity,
     reference_build_chem_graph,
+    reference_chem_row_blocks,
     reference_cluster_prompt_variables,
     reference_fuse,
 )
@@ -154,17 +153,17 @@ def test_chem_graph_with_zero_one_and_two_molecules():
 
 
 @settings(max_examples=100, deadline=None)
-@given(doc=documents(), block=st.integers(1, 4), tau=QUARTER_TAUS)
-def test_chem_graph_row_blocks_equal_pairwise_loop(doc, block, tau):
-    """Blocks smaller than the molecule count: rows and the triangle carry across block edges."""
-    config = ReasoningConfig(beta=0.5, tau_chem=tau)
-    with mock.patch.object(chemgraph_module, "CHEM_ROW_BLOCK", block):
-        chem = build_chem_graph(doc, config)
-    assert _hex_items(chem.scores) == _hex_items(reference_build_chem_graph(doc, config).scores)
+@given(doc=documents(), beta=st.sampled_from([0.0, 0.5, 0.7, 1.0]), tau=QUARTER_TAUS)
+def test_chem_graph_equals_row_block_arithmetic(doc, beta, tau):
+    """The one-pass scores, and their row-major order, equal those of the pair matrix scored by row blocks."""
+    config = ReasoningConfig(beta=beta, tau_chem=tau)
+    chem, expected = build_chem_graph(doc, config), reference_chem_row_blocks(doc, config, block=3)
+    assert chem.rows.tolist() == expected.rows.tolist() and chem.cols.tolist() == expected.cols.tolist()
+    assert [v.hex() for v in chem.values.tolist()] == [v.hex() for v in expected.values.tolist()]
 
 
 def test_chem_graph_of_hundreds_of_molecules():
-    """300 molecules span three row blocks; ids m0..m299 sort apart from their index order."""
+    """300 molecules; ids m0..m299 sort apart from their index order."""
     rng = random.Random(8)
     entities = [
         molecule_entity(f"m{k}", 20 * (k % 60), 100 * (k // 60), smiles=rng.choice(SMILES_POOL), w=10, h=10)
@@ -174,12 +173,12 @@ def test_chem_graph_of_hundreds_of_molecules():
     for entity in doc.entities[::7]:
         if entity.molecule is not None:
             entity.molecule.__dict__["fingerprint"] = 0
-    assert len(doc.entities) > 2 * chemgraph_module.CHEM_ROW_BLOCK
     for tau in (0.5, 0.75, 0.9):
         config = ReasoningConfig(beta=0.5, tau_chem=tau)
         chem = build_chem_graph(doc, config)
         assert chem.scores
         assert _hex_items(chem.scores) == _hex_items(reference_build_chem_graph(doc, config).scores)
+        assert _hex_items(chem.scores) == _hex_items(reference_chem_row_blocks(doc, config).scores)
 
 
 # --- fusion ---------------------------------------------------------------------

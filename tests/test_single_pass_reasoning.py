@@ -24,7 +24,6 @@ from rxnparse.config import ReasoningConfig
 from rxnparse.geometry import principal_axis
 from rxnparse.reactions import Reaction
 from rxnparse.reasoning import (
-    EDGE_DIMS,
     EdgeRelation,
     FusedEdge,
     FusedGraph,
@@ -75,7 +74,6 @@ def evidence_graphs(draw):
         node_ids=tuple(ids),
         features=np.zeros((len(ids), 1)),
         edges=tuple(space_pairs),
-        edge_features=np.zeros((2 * len(space_pairs), EDGE_DIMS)),
         weights=None,
         scores={pair: draw(QUARTERS) for pair in space_pairs},
     )
@@ -105,7 +103,6 @@ def test_fuse_prunes_a_score_exactly_at_tau():
         node_ids=ids,
         features=np.zeros((3, 1)),
         edges=((0, 1), (1, 2)),
-        edge_features=np.zeros((4, EDGE_DIMS)),
         weights=None,
         scores={(0, 1): 0.5, (1, 2): 0.75},
     )

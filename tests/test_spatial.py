@@ -21,15 +21,11 @@ from helpers import arrow_entity, make_doc, molecule_entity, spatial_graph, text
 
 def two_node_graph(w1, w2, h0, with_edge=True):
     """Hand-built graph: two nodes, optional single edge with zero features."""
-    dim = h0.shape[1]
-    e = np.zeros(EDGE_DIMS)
-    weights = SpatialWeights(w1=(w1,), w2=(w2,))
     return spatial_graph(
         node_ids=("a", "b"),
         features=h0,
         edges=((0, 1),) if with_edge else (),
-        edge_features=np.stack([e, e]) if with_edge else np.zeros((0, EDGE_DIMS)),
-        weights=weights,
+        weights=SpatialWeights(w1=(w1,), w2=(w2,)),
     )
 
 
@@ -37,13 +33,7 @@ class TestPropagation:
     def test_isolated_node_lands_on_zero(self):
         dim = 6
         weights = random_weights(3, dim, seed=3)
-        graph = spatial_graph(
-            node_ids=("solo",),
-            features=np.ones((1, dim)),
-            edges=(),
-            edge_features=np.zeros((0, EDGE_DIMS)),
-            weights=weights,
-        )
+        graph = spatial_graph(node_ids=("solo",), features=np.ones((1, dim)), edges=(), weights=weights)
         result = propagate(graph)
         assert np.all(result.features == 0.0)
 
@@ -218,15 +208,3 @@ def test_scores_symmetric_by_ids():
     for (a, b), value in graph.score_by_ids().items():
         assert a <= b
         assert 0.0 <= value <= 1.0
-
-
-def test_edge_feature_rows_must_cover_both_directions():
-    weights = random_weights(1, 4, seed=1)
-    with pytest.raises(ValueError):
-        spatial_graph(
-            node_ids=("a", "b"),
-            features=np.zeros((2, 4)),
-            edges=((0, 1),),
-            edge_features=np.zeros((1, EDGE_DIMS)),
-            weights=weights,
-        )

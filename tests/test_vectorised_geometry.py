@@ -31,12 +31,13 @@ from rxnparse.reasoning.clustering import connected_groups
 
 from helpers import (
     center_distance_normalized,
-    edge_feature_dict,
     make_doc,
     reference_cluster_entities,
     reference_cluster_prompt_variables,
     reference_connected_components,
     reference_distances,
+    reference_edge_rows,
+    reference_edge_sums,
     reference_propagate,
     reference_spatial_edges,
     reference_union_find_groups,
@@ -122,11 +123,12 @@ def test_spatial_edges_and_features_equal_reference(specs, k_nn, radius):
     graph = build_spatial_graph(doc, config)
     edges, features = reference_spatial_edges(doc, config)
     assert graph.edges == edges
-    assert graph.edge_features.shape == (2 * len(edges), EDGE_DIMS)
-    rows = edge_feature_dict(graph)
+    rows = reference_edge_rows(doc, edges)
     assert rows.keys() == features.keys()
     for pair, expected in features.items():
         assert np.array_equal(rows[pair], expected), pair
+    assert graph.edge_sums.shape == (len(doc.entities), EDGE_DIMS)
+    assert np.array_equal(graph.edge_sums, reference_edge_sums(doc, edges))
 
 
 @settings(max_examples=80, deadline=None)
@@ -136,9 +138,10 @@ def test_spatial_edges_and_features_equal_reference(specs, k_nn, radius):
 @example(specs=_DUPLICATES, k_nn=4, radius=1.0, layers=2)
 def test_propagation_matches_per_edge_loop(specs, k_nn, radius, layers):
     doc = build_doc(specs)
-    graph = build_spatial_graph(doc, ReasoningConfig(k_nn=k_nn, radius=radius), random_weights(layers))
+    config = ReasoningConfig(k_nn=k_nn, radius=radius)
+    graph = build_spatial_graph(doc, config, random_weights(layers))
     result = propagate(graph)
-    features, scores = reference_propagate(graph)
+    features, scores = reference_propagate(graph, reference_spatial_edges(doc, config)[1])
     assert result.features.shape == features.shape
     assert np.all(np.abs(result.features - features) <= 1e-12)
     result_scores = dict(zip(result.edges, result.values.tolist()))
