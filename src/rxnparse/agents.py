@@ -47,7 +47,8 @@ class BackendRejectedError(AgentError):
 
 
 class MalformedReplyError(AgentError):
-    """Live backend replied with something other than a JSON object with string ``content``."""
+    """Live backend replied with something other than a JSON object with string ``content``, or a
+    fixture's bytes are not UTF-8."""
 
 
 AGENT_ROLES = ("planner", "reaction_combiner")
@@ -137,9 +138,12 @@ class MockAgentClient(AgentClient):
 
     def _send(self, role, prompt, image, key):
         path = self.fixture_dir / role / f"{key}.txt"
-        if not path.exists():
-            raise FixtureMissingError(f"no fixture for role={role} hash={key} under {self.fixture_dir}")
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except (FileNotFoundError, NotADirectoryError):
+            raise FixtureMissingError(f"no fixture for role={role} hash={key} under {self.fixture_dir}") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedReplyError(f"fixture {path} is not UTF-8: {exc}") from None
 
 
 @dataclass

@@ -109,7 +109,7 @@ def _cmd_render(args) -> int:
     svg = render_svg(doc, outcome.reactions)
     out = Path(args.out or (Path(config.output_dir) / (Path(args.input).stem + ".svg")))
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg, encoding="utf-8")
+    write_atomic(out, svg)
     print(out)
     for warning in (*doc.warnings, *outcome.warnings):
         print(f"warning: {warning}", file=sys.stderr)

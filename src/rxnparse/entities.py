@@ -156,6 +156,7 @@ class ReactionDocument:
 
 _NAN_KEY = 0x7FF8000000000000  # kNN keys: the bits of a positive quiet NaN order after +inf's,
 _TAKEN = np.iinfo(np.int64).max  # and a taken entry's, or a row's own, after every distance's
+_NODE_KEYS = ("direction", "id", "label", "resolves_to", "smiles", "text")  # a node's keys after "bbox", sorted
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,13 +250,15 @@ class EntityTable:
 
     @cached_property
     def nodes(self) -> tuple[str, ...]:
-        """Each row's JSON object, its bbox and fields, as ``json.dumps(..., sort_keys=True)`` writes it."""
-        return tuple(
-            '{"bbox": [' + ", ".join(numbers) + "], "  # "bbox" sorts before every other key
-            + ", ".join(f'"{key}": {encode_basestring_ascii(value)}' for key, value in sorted(_fields(e).items()))
-            + "}"
-            for e, numbers in zip(self.entities, self.numbers)
-        )
+        """Each row's JSON object, its bbox and its set detection-file fields, as ``json.dumps(...,
+        sort_keys=True)`` writes it."""
+        nodes = []
+        for e, numbers in zip(self.entities, self.numbers):
+            direction = e.direction and e.direction.value
+            items = zip(_NODE_KEYS, (direction, e.id, e.kind.value, e.resolves_to, e.smiles, e.text))
+            fields = "".join(f', "{k}": {encode_basestring_ascii(v)}' for k, v in items if v is not None)
+            nodes.append('{"bbox": [' + ", ".join(numbers) + "]" + fields + "}")  # "bbox" sorts before every other key
+        return tuple(nodes)
 
     def by_id_pairs(self, rows, cols, values) -> dict:
         """``{(id_a, id_b): values[k]}`` with ``id_a < id_b`` for the edges ``(rows[k], cols[k])``, in edge order."""
@@ -393,12 +396,3 @@ def load_document(source: bytes | str | dict) -> ReactionDocument:
         layout_class=layout,
         warnings=tuple(warnings),
     )
-
-
-def _fields(entity: Entity) -> dict:
-    """The entity's detection-file fields other than its bbox."""
-    direction = None if entity.direction is None else entity.direction.value
-    fields = dict(id=entity.id, label=entity.kind.value, smiles=entity.smiles, text=entity.text,
-                  direction=direction, resolves_to=entity.resolves_to)
-    return {key: value for key, value in fields.items() if value is not None}
-

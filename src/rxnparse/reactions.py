@@ -11,15 +11,16 @@ Inside the pipeline a :class:`Reaction` references document entities by
 id and carries its fused score and conservation status; the serializer
 materializes labels and boxes from the document. One reader
 takes the wire format in: a structural pass over the decoded array,
-with every box's coordinates checked in bulk, gives
-:class:`MemberColumns`, each member's reaction, role, kind code and row
-of validated coordinates. The evaluation harness reads reaction files
-with it into :class:`BoxedReaction` views over those columns, whose
+with every box's coordinates checked in bulk, gives each member's kind
+code and row of validated coordinates, and where each role's members
+start. The evaluation harness reads reaction files with it into
+:class:`MemberColumns`, which add each member's reaction and role, and
+:class:`BoxedReaction` views over those columns, whose
 :class:`BoxedMember` values are made when a role is first read and build
 their regions only when read; :func:`parse_combiner_response` reads an
 agent's reply with it, under each role's kinds and box length, and
-resolves the rows to document entities by best IoU against the
-document's entity table.
+resolves all the rows at once to document entities by best IoU against
+the document's entity table.
 """
 
 from __future__ import annotations
@@ -151,6 +152,7 @@ def reactions_to_json(reactions, doc: ReactionDocument) -> str:
 
 
 _KINDS = tuple(EntityKind)  # by KIND_CODES
+_ARROW = KIND_CODES[EntityKind.ARROW]
 _MEMBER_KINDS = {kind.value: KIND_CODES[kind] for kind in (EntityKind.MOLECULE, EntityKind.IDENTIFIER, EntityKind.TEXT)}
 # per reply role key: label -> kind code for the kinds it takes, and the bbox lengths it takes as a pair
 # (a file's roles take (4, 8); a reply role one length, twice)
@@ -158,26 +160,29 @@ _REPLY_ROLES = {
     "reactants": (_MEMBER_KINDS, (4, 4)),
     "products": (_MEMBER_KINDS, (4, 4)),
     "conditions": (_MEMBER_KINDS, (4, 4)),
-    "arrow": ({EntityKind.ARROW.value: KIND_CODES[EntityKind.ARROW]}, (8, 8)),
+    "arrow": ({EntityKind.ARROW.value: _ARROW}, (8, 8)),
 }
 ROLE_KEYS = tuple(_REPLY_ROLES)  # the role keys of every reaction object, in file order
 
 
-def _table_screen(table, kind: EntityKind, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``(row, j)``, row-major, of a table row of ``kind`` and ``queries[j]`` whose :func:`region_iou`
-    may be nonzero. Queries of a box kind are m×4 bounds, kept where they meet the row's; reply arrows
-    (a quad has no bounds) are quads, kept where :func:`~rxnparse.geometry._clip_may_meet` keeps the
-    row's hull, in blocks that keep each temporary under :data:`_SCREEN_FLOATS` floats."""
-    rows = np.flatnonzero(table.kinds == KIND_CODES[kind])
-    if kind == EntityKind.ARROW:  # the table's hulls are those of its arrow rows, in row order
-        hull_x, hull_y = table.hulls[..., 0].ravel(), table.hulls[..., 1].ravel()
-        clips = [hull + hull[:1] * (4 - len(hull)) for hull in (query.hull for query in queries)]
-        step = max(1, _SCREEN_FLOATS // (16 * len(rows) or 1))  # 4 clip edges by 4 hull vertices per row
-        meet = np.concatenate([_clip_may_meet(hull_x, hull_y, clips[k : k + step]) for k in range(0, len(clips), step)])
-        found, cols = np.nonzero(meet.reshape(len(queries), len(rows)).T)
-    else:
-        found, cols = bounds_overlap(table.bounds[rows], queries)
-    return rows[found], cols
+def _table_screen(table, kinds: np.ndarray, coords: np.ndarray, quads) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(row, j)`` of a table row and member ``j`` of its kind whose :func:`region_iou` may be
+    nonzero, the box members' pairs and then the arrow members', each row-major; members are given as kind
+    codes and :class:`MemberColumns` coordinates, and ``quads`` are the regions of the arrow members in
+    member order. A box member is kept where its bounds meet the row's; a reply arrow (a quad has no
+    bounds) where :func:`~rxnparse.geometry._clip_may_meet` keeps the row's hull, in blocks that keep
+    each temporary under :data:`_SCREEN_FLOATS` floats."""
+    boxes, arrows = np.flatnonzero(kinds != _ARROW), np.flatnonzero(kinds == _ARROW)
+    rows, cols = bounds_overlap(table.bounds, coords[boxes, :4])
+    same = table.kinds[rows] == kinds[boxes[cols]]
+    arrow_rows = np.flatnonzero(table.kinds == _ARROW)  # the table's hulls are theirs, in row order
+    hull_x, hull_y = table.hulls[..., 0].ravel(), table.hulls[..., 1].ravel()
+    clips = [hull + hull[:1] * (4 - len(hull)) for hull in (quad.hull for quad in quads)]
+    step = max(1, _SCREEN_FLOATS // (16 * len(arrow_rows) or 1))  # 4 clip edges by 4 hull vertices per row
+    blocks = range(0, len(clips) or 1, step)  # one block when there are no clips, of (0, rows)
+    meet = np.concatenate([_clip_may_meet(hull_x, hull_y, clips[k : k + step]) for k in blocks])
+    found, met = np.nonzero(meet.T)
+    return np.concatenate((rows[same], arrow_rows[found])), np.concatenate((boxes[cols[same]], arrows[met]))
 
 
 def _resolve(kinds: np.ndarray, coords: np.ndarray, doc: ReactionDocument) -> list:
@@ -185,44 +190,39 @@ def _resolve(kinds: np.ndarray, coords: np.ndarray, doc: ReactionDocument) -> li
     entity, or the :class:`ResolutionError` saying why none.
 
     A member's entity is the one of its kind with the highest IoU, and on
-    equal IoU the smaller id, if that IoU reaches :data:`RESOLVE_IOU`. Each
-    kind's members are screened together against the document's
-    :class:`~rxnparse.entities.EntityTable` by :func:`_table_screen`.
-    Entities the screen leaves out score exactly 0.0, so they can neither
-    win nor change the best IoU. Screened boxes get :func:`bounds_iou`,
-    the floats of ``iou_axis``, all at once, on bounds read from the
-    coordinates; each screened arrow pair gets the exact :func:`region_iou`,
-    and a reply arrow whose numbers equal an entity arrow's reads that
-    entity's quad, so only the others build one.
+    equal IoU the smaller id, if that IoU reaches :data:`RESOLVE_IOU`. All
+    members are screened at once against the document's
+    :class:`~rxnparse.entities.EntityTable` by :func:`_table_screen`, and
+    every pair is ranked by one ``lexsort``. Entities the screen leaves out
+    score exactly 0.0, so they can neither win nor change the best IoU.
+    Screened boxes get :func:`bounds_iou`, the floats of ``iou_axis``, all
+    at once, on bounds read from the coordinates; each screened arrow pair
+    gets the exact :func:`region_iou`, and a reply arrow whose numbers equal
+    an entity arrow's reads that entity's quad, so only the others build one.
     """
     table = doc.table
-    resolved = [None] * len(kinds)
-    for code in set(kinds.tolist()):
-        kind, members = _KINDS[code], np.flatnonzero(kinds == code)
-        if kind == EntityKind.ARROW:
-            quads = {region_coords(e.region): e.region for e in doc.by_kind(kind)}
-            queries = [quads.get(c) or region_from_coords(c) for c in map(tuple, coords[members].tolist())]
-            rows, cols = _table_screen(table, kind, queries)
-            pairs = zip(rows.tolist(), cols.tolist())
-            ious = np.array([region_iou(table.entities[i].region, queries[j]) for i, j in pairs])
+    arrows = np.flatnonzero(kinds == _ARROW).tolist()
+    echoed = {region_coords(e.region): e.region for e in doc.by_kind(EntityKind.ARROW)}
+    quads = {k: echoed.get(c) or region_from_coords(c) for k, c in zip(arrows, map(tuple, coords[arrows].tolist()))}
+    rows, cols = _table_screen(table, kinds, coords, list(quads.values()))
+    box = kinds[cols] != _ARROW
+    ious = np.empty(len(rows))
+    ious[box] = bounds_iou(table.bounds[rows[box]], coords[cols[box], :4])
+    pairs = zip(rows[~box].tolist(), cols[~box].tolist())
+    ious[~box] = [region_iou(table.entities[i].region, quads[j]) for i, j in pairs]
+    # per member, the pair of highest IoU, then of the smaller id
+    order = np.lexsort((table.ranks[rows], -ious, cols))
+    firsts = order[np.diff(cols[order], prepend=-1) != 0]
+    best = dict(zip(cols[firsts].tolist(), zip(rows[firsts].tolist(), ious[firsts].tolist())))
+    resolved = []
+    for k, code in enumerate(kinds.tolist()):
+        row, iou = best.get(k, (None, 0.0))
+        if row is None or iou < RESOLVE_IOU:
+            bbox = region_to_array(quads.get(k) or region_from_coords(coords[k, :4].tolist()))
+            resolved.append(ResolutionError(f"no {_KINDS[code].value} entity matches bbox {bbox} "
+                                            f"at IoU >= {RESOLVE_IOU} (best {iou:.3f})"))
         else:
-            queries = coords[members, :4]
-            rows, cols = _table_screen(table, kind, queries)
-            ious = bounds_iou(table.bounds[rows], queries[cols])
-        # per query, the pair of highest IoU, then of the smaller id
-        order = np.lexsort((table.ranks[rows], -ious, cols))
-        firsts = order[np.diff(cols[order], prepend=-1) != 0]
-        best = dict(zip(cols[firsts].tolist(), zip(rows[firsts].tolist(), ious[firsts].tolist())))
-        for j, k in enumerate(members.tolist()):
-            row, iou = best.get(j, (None, 0.0))
-            if row is None or iou < RESOLVE_IOU:
-                region = queries[j] if kind == EntityKind.ARROW else region_from_coords(queries[j].tolist())
-                resolved[k] = ResolutionError(
-                    f"no {kind.value} entity matches bbox {region_to_array(region)} "
-                    f"at IoU >= {RESOLVE_IOU} (best {iou:.3f})"
-                )
-            else:
-                resolved[k] = table.ids[row]
+            resolved.append(table.ids[row])
     return resolved
 
 
@@ -238,18 +238,17 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
     :class:`ResolutionError` when a box cannot be grounded; the first
     problem in reply order is the one raised, naming its reaction.
 
-    The reaction-file reader reads the reply into :class:`MemberColumns`,
-    the members it read before any problem are resolved together by
+    The reaction-file reader reads the reply's kinds, coordinates and role
+    cuts, the members it read before any problem are resolved together by
     :func:`_resolve`, and a walk over the reply in order raises what it
     meets first.
     """
     data = _loads(raw)
-    columns, problem, (owner, at) = _read_reactions(data, _REPLY_ROLES)
-    resolved = _resolve(columns.kinds[:at], columns.coords[:at], doc)
+    kinds, coords, cuts, problem, (owner, at) = _read_reactions(data, _REPLY_ROLES)
+    resolved = _resolve(kinds[:at], coords[:at], doc)
 
     reactions = []
-    cuts = columns.cuts
-    for i in range(len(columns)):
+    for i in range(len(cuts) // 4):
         ids = ([], [], [], [])
         for r, role_ids in enumerate(ids):
             for k in range(cuts[4 * i + r], cuts[4 * i + r + 1]):
@@ -262,23 +261,13 @@ def parse_combiner_response(raw: str, doc: ReactionDocument) -> list[Reaction]:
                     role_ids.append(found)
         if i == owner:
             raise problem
-        obj = data[i]
-        reactants, products, conditions, arrows = map(tuple, ids)
-        confidence = obj.get("confidence", 1.0)
+        confidence = data[i].get("confidence", 1.0)
         if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
             raise ResponseFormatError(f"reaction {i}: confidence must be a number")
         if not 0.0 <= confidence <= 1.0:  # also rejects NaN and the infinities
             raise ResponseFormatError(f"reaction {i}: confidence {confidence!r} is not in [0, 1]")
         try:
-            reactions.append(
-                Reaction(
-                    reactants=reactants,
-                    products=products,
-                    conditions=conditions,
-                    arrows=arrows,
-                    score=float(confidence),
-                )
-            )
+            reactions.append(Reaction(*map(tuple, ids), score=float(confidence)))
         except ConstraintError as exc:
             raise ConstraintError(f"reaction {i}: {exc}") from None
     if problem is not None:  # a reaction that is not an object, or lacks a role
@@ -371,7 +360,7 @@ class MemberColumns:
     __slots__ = ("kinds", "coords", "quads", "cuts", "owners", "roles", "views", "screen")
 
     def __init__(self, kinds, coords: np.ndarray, cuts: list):
-        self.kinds, self.coords, self.cuts = np.array(kinds, dtype=np.int64), coords, cuts
+        self.kinds, self.coords, self.cuts = np.asarray(kinds, dtype=np.int64), coords, cuts
         self.quads = ~np.isnan(coords[:, 4])
         sizes, slots = np.diff(cuts), np.arange(len(cuts) - 1)
         self.owners, self.roles = np.repeat(slots // 4, sizes), np.repeat(slots % 4, sizes)
@@ -417,9 +406,10 @@ def _read_item(item, key: str, labels: dict, lengths: tuple) -> BoxedMember:
         raise ResponseFormatError(f"bad bbox {bbox!r}: {exc}") from None
 
 
-def _read_reactions(data, roles: dict) -> tuple[MemberColumns, ResponseFormatError | None, tuple]:
-    """The members read, as :class:`MemberColumns`; the first problem, naming its reaction, or None;
-    and where it sits: ``(reaction index, member row)``, the row None for the reaction's own shape.
+def _read_reactions(data, roles: dict) -> tuple[np.ndarray, np.ndarray, list, ResponseFormatError | None, tuple]:
+    """The members read, as the kind codes, coordinates and role cuts of :class:`MemberColumns`; the
+    first problem, naming its reaction, or None; and where it sits: ``(reaction index, member row)``,
+    the row None for the reaction's own shape.
 
     One structural pass records each member's kind code and bbox, checking
     in full at once only an item whose role does not take its label or bbox
@@ -477,7 +467,7 @@ def _read_reactions(data, roles: dict) -> tuple[MemberColumns, ResponseFormatErr
             at = owner, k
             break
         coords[k, : len(bboxes[k])] = region_coords(region)
-    return MemberColumns(kinds, coords, cuts), problem, at
+    return np.array(kinds, dtype=np.int64), coords, cuts, problem, at
 
 
 def boxed_reactions_from_list(data) -> list[BoxedReaction]:
@@ -488,9 +478,10 @@ def boxed_reactions_from_list(data) -> list[BoxedReaction]:
     :func:`_read_reactions` finds it. The reactions are views over one
     :class:`MemberColumns`.
     """
-    columns, problem, _ = _read_reactions(data, _FILE_ROLES)
+    kinds, coords, cuts, problem, _ = _read_reactions(data, _FILE_ROLES)
     if problem is not None:
         raise problem
+    columns = MemberColumns(kinds, coords, cuts)
     views = [BoxedReaction.__new__(BoxedReaction) for _ in range(len(columns))]
     for i, view in enumerate(views):
         view._columns, view._index = columns, i

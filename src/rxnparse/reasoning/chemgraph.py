@@ -7,10 +7,10 @@ similarity with a charge-difference decay:
 
 Pairs where either SMILES is missing or failed to parse get the neutral
 0.5 (ignorance, not evidence). Every molecule pair of the document is
-scored in one array pass, and edges survive only above ``tau_chem``;
-``beta`` and ``tau_chem`` come from the ``ReasoningConfig``, and the
-fingerprints are the fixed ``FINGERPRINT_WIDTH``-bit path scheme of
-``rxnparse.chem.fingerprint``.
+scored in array passes over row-major blocks of pairs, and edges survive
+only above ``tau_chem``; ``beta`` and ``tau_chem`` come from the
+``ReasoningConfig``, and the fingerprints are the fixed
+``FINGERPRINT_WIDTH``-bit path scheme of ``rxnparse.chem.fingerprint``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from ..config import ReasoningConfig
 from ..entities import KIND_CODES, EntityKind, EntityTable, ReactionDocument
 
 NEUTRAL_CHEM_SCORE = 0.5
+CHEM_PAIR_BLOCK = 2**13  # molecule pairs scored at once: each fingerprint gather is then 2 MiB
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,10 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
     correctly rounded, so each similarity equals ``tanimoto``'s
     ``int / int``. The blend runs elementwise in the operation order of
     the formula above, with ``exp(-|dq|)`` from a ``math.exp`` table over
-    the distinct charges, and only kept pairs are gathered. The pair
-    arrays hold m(m-1)/2 entries for m molecules, below the document's
-    n×n distance matrix.
+    the distinct charges, and only kept pairs are gathered. The
+    fingerprints are gathered and intersected :data:`CHEM_PAIR_BLOCK`
+    pairs at a time, so only the pair indices and scores hold m(m-1)/2
+    entries for m molecules, below the document's n×n distance matrix.
     """
     table = doc.table
     molecules = doc.by_kind(EntityKind.MOLECULE)
@@ -72,12 +74,16 @@ def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGrap
     decay = np.array([math.exp(-abs(a - b)) for a in distinct for b in distinct]).reshape(len(distinct), len(distinct))
 
     i, j = np.triu_indices(len(molecules), k=1)  # row-major
-    shared = np.take(words, i, axis=0)  # and-ed in place: two pair-sized temporaries, not three
-    shared &= np.take(words, j, axis=0)
-    inter = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
-    union = counts[i] + counts[j] - inter
-    s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
-    scored = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[i], charge_codes[j]]
+    scored = np.empty(len(i))
+    for start in range(0, len(i), CHEM_PAIR_BLOCK):
+        block = slice(start, start + CHEM_PAIR_BLOCK)
+        bi, bj = i[block], j[block]
+        shared = np.take(words, bi, axis=0)  # and-ed in place: two block-sized temporaries, not three
+        shared &= np.take(words, bj, axis=0)
+        inter = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
+        union = counts[bi] + counts[bj] - inter
+        s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
+        scored[block] = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[bi], charge_codes[bj]]
     scored[~(parsed[i] & parsed[j])] = NEUTRAL_CHEM_SCORE
     kept = scored > config.tau_chem
     return ChemGraph(table, at[i[kept]], at[j[kept]], scored[kept])

@@ -66,12 +66,10 @@ def cluster_prompt_variables(cluster, doc: ReactionDocument, config: ReasoningCo
     links (weight = 1 - normalized distance, from the document's distance
     matrix), which is all the evidence available before fusion: a pair
     closer than ``tau_cluster`` that is a kNN link of the spatial graph, so
-    n entities list at most ``k_nn * n`` edges. The JSON is rendered from
-    fragments into the bytes
-    ``json.dumps({"nodes": ..., "edges": [...]}, sort_keys=True)``
+    n entities list at most ``k_nn * n`` edges. The JSON is written as the
+    bytes ``json.dumps({"nodes": ..., "edges": [...]}, sort_keys=True)``
     gives: the table's sorted-key node of each entity, and each proximity
-    pair joined from its source's head, its target and its weight, keys in
-    sorted order.
+    pair from its source, target and weight, keys in sorted order.
     """
     ids = list(cluster)
     table = doc.table
@@ -83,18 +81,16 @@ def cluster_prompt_variables(cluster, doc: ReactionDocument, config: ReasoningCo
     inside = (local[a] >= 0) & (local[b] >= 0) & (close < config.tau_cluster)
     ends, close = np.sort([local[a][inside], local[b][inside]], axis=0), close[inside]
     order = np.lexsort(ends[::-1])  # row-major over the cluster's order
-    rows, cols = ends[:, order]
     weights = (1.0 - close[order]).tolist()
     # grid layouts repeat distances, so each distinct weight is rounded and written once
-    written = {w: repr(round(w, 6)) + "}" for w in set(weights)}
+    written = {w: repr(round(w, 6)) for w in set(weights)}
     quoted = list(map(encode_basestring_ascii, ids))  # json.dumps of a str
-    fragments = np.full((len(weights), 4), ", ", dtype=object)  # source head, target, weight, separator
-    fragments[:, 0] = np.array([_PROXIMITY_SOURCE + q + ', "target": ' for q in quoted], dtype=object)[rows]
-    fragments[:, 1] = np.array([q + ', "weight": ' for q in quoted], dtype=object)[cols]
-    fragments[:, 2] = [written[w] for w in weights]
-    fragments[-1:, 3] = ""
+    edges = ", ".join(
+        f'{_PROXIMITY_SOURCE}{quoted[i]}, "target": {quoted[j]}, "weight": {written[w]}}}'
+        for i, j, w in zip(*ends[:, order].tolist(), weights)
+    )
     nodes = ", ".join(table.nodes[p] for p in at)
-    return {"graph_json": '{"edges": [' + "".join(fragments.ravel().tolist()) + '], "nodes": [' + nodes + "]}"}
+    return {"graph_json": '{"edges": [' + edges + '], "nodes": [' + nodes + "]}"}
 
 
 def edges_from_reactions(reactions, cluster) -> tuple[list[HypothesisEdge], list[str]]:

@@ -1222,14 +1222,12 @@ def resolve_members(members, doc) -> dict:
     return dict(zip(members, _resolve(*member_rows(members), doc)))
 
 
-def table_screen_members(table, kind, members):
-    """``_table_screen`` of members of ``kind``: their box rows, or for arrows their quads."""
+def table_screen_members(table, members):
+    """``_table_screen`` of members of any kinds in one call: their rows, and the arrows' quads."""
     from rxnparse.entities import EntityKind
     from rxnparse.reactions import _table_screen
 
-    if kind == EntityKind.ARROW:
-        return _table_screen(table, kind, [m.region for m in members])
-    return _table_screen(table, kind, np.array([m.coords for m in members], dtype=float).reshape(-1, 4))
+    return _table_screen(table, *member_rows(members), [m.region for m in members if m.kind == EntityKind.ARROW])
 
 
 def regions_bounds(regions, polygon=True) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Reply grounding, the arrow merge, condition attachment and kNN links over arrays, against their loops.
 
-``_resolve`` scores every screened box pair at once and screens all the
-arrows of a reply in one pass; ``_merge_collinear_arrows`` takes its
+``_resolve`` screens every member of a reply, boxes and arrows, in one
+call, scores every screened box pair at once and ranks every pair with
+one ``lexsort``; ``_merge_collinear_arrows`` takes its
 candidate pairs and each axis's gap band from one array pass;
 ``_finalize_candidate`` reads the component's condition edges through
 indexes; ``EntityTable.knn_links`` takes each row's nearest others by
@@ -176,6 +177,65 @@ def test_reply_outcome_and_error_text_equal_reference(case):
     doc, members = case
     raw = json.dumps(_reply(doc, members))
     assert _reply_outcome(parse_combiner_response, raw, doc) == _reply_outcome(reference_parse_combiner_response, raw, doc)
+
+
+def test_one_reply_of_every_member_kind_equals_reference():
+    """Echoed, perturbed and unresolvable molecules, identifiers, text and arrows in one reply, screened in one
+    call, against exact duplicates under different ids (the smaller id wins, not the first row) and against
+    entities of another kind on the same bounds with a smaller id, which the kind filter must leave out."""
+    def box(eid, kind, *bounds):
+        return Entity(id=eid, kind=kind, region=AxisBox(*bounds))
+
+    def bar(x, y):
+        return OrientedQuad(((x, y), (x + 40, y), (x + 40, y + 10), (x, y + 10)))
+
+    molecule, text, identifier, arrow = EntityKind.MOLECULE, EntityKind.TEXT, EntityKind.IDENTIFIER, EntityKind.ARROW
+    entities = (
+        box("m9", molecule, 0, 0, 20, 20), box("m10", molecule, 0, 0, 20, 20), box("b", text, 0, 0, 20, 20),
+        box("m3", molecule, 40, 0, 60, 20), box("t2", text, 0, 40, 30, 50), box("t10", text, 0, 40, 30, 50),
+        box("i3", identifier, 40, 40, 50, 50), box("i20", identifier, 40, 40, 50, 50),
+        Entity(id="a7", kind=arrow, region=bar(80, 0)), Entity(id="a10", kind=arrow, region=bar(80, 0)),
+        box("c1", text, 80, 0, 120, 10), Entity(id="a1", kind=arrow, region=bar(80, 30)),
+    )
+    doc = ReactionDocument(diagram_bounds=AxisBox(0, 0, 200, 200), entities=entities)
+    echoed = [BoxedMember(e.kind, e.region) for e in entities]
+    perturbed = [
+        BoxedMember(molecule, AxisBox(40.5, 0, 60.5, 20)), BoxedMember(identifier, AxisBox(40.2, 40, 50.2, 50)),
+        BoxedMember(text, AxisBox(0, 40.5, 30, 50.5)), BoxedMember(arrow, bar(80.5, 30)),
+    ]
+    unresolvable = [
+        BoxedMember(molecule, AxisBox(150, 150, 170, 170)), BoxedMember(identifier, AxisBox(40, 40, 45, 50)),
+        BoxedMember(text, AxisBox(100, 100, 110, 110)), BoxedMember(arrow, bar(150, 100)),
+    ]
+    members = echoed + perturbed + unresolvable
+    resolved = resolve_members(members, doc)
+    assert _outcomes(resolved, members) == _outcomes(reference_resolve(members, doc), members)
+    assert [resolved[m] for m in echoed + perturbed] == [
+        "m10", "m10", "b", "m3", "t10", "t10", "i20", "i20", "a10", "a10", "c1", "a1", "m3", "i20", "t10", "a1",
+    ]
+    assert [str(resolved[m]) for m in unresolvable[1:2]] == [
+        "no identifier entity matches bbox [40, 40, 45, 50] at IoU >= 0.9 (best 0.500)"
+    ]
+    assert all(isinstance(resolved[m], reactions.ResolutionError) for m in unresolvable)
+
+    import json
+
+    def item(member):
+        return {"label": member.kind.value, "bbox": region_to_array(member.region)}
+
+    m9, _, b, m3, t2, _, i3, _, a7, _, c1, _ = echoed
+    grounded = {"reactants": [item(m9), item(i3), item(perturbed[1])], "products": [item(m3), item(t2), item(c1)],
+                "conditions": [item(b), item(perturbed[2])], "arrow": [item(a7), item(perturbed[3])]}
+    raw = json.dumps([grounded])
+    outcome = _reply_outcome(parse_combiner_response, raw, doc)
+    assert outcome == ("ok", [(("m10", "i20"), ("m3", "t10", "c1"), ("b", "t10"), ("a10", "a1"))])
+    assert outcome == _reply_outcome(reference_parse_combiner_response, raw, doc)
+    for k, stray in enumerate(unresolvable):
+        role = ("reactants", "products", "conditions", "arrow")[k]
+        raw = json.dumps([grounded, {**grounded, role: grounded[role] + [item(stray)]}])
+        outcome = _reply_outcome(parse_combiner_response, raw, doc)
+        assert outcome[0] == "ResolutionError" and outcome[1].startswith("reaction 1: ")
+        assert outcome == _reply_outcome(reference_parse_combiner_response, raw, doc)
 
 
 # --- the arrow merge ---------------------------------------------------------------

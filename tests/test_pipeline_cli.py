@@ -394,6 +394,29 @@ class TestRunBatch:
         assert manifest.documents[0].status == "failed"
         assert "FixtureMissing" in manifest.documents[0].error
 
+    def test_fixture_read_once_with_typed_errors(self, tmp_path):
+        """A missing fixture fails its document as FixtureMissingError, with the message naming its hash; the
+        same fixture holding bytes that are not UTF-8 fails it as MalformedReplyError, not UnicodeDecodeError."""
+        detection = tmp_path / "doc.json"
+        detection.write_text(json.dumps({"width": 400, "height": 300, "entities": [
+            {"id": "m1", "label": "molecule", "bbox": [0, 100, 60, 160], "smiles": "CCO"},
+            {"id": "m2", "label": "molecule", "bbox": [100, 100, 160, 160], "smiles": "CC"},
+        ]}))
+        fixtures = tmp_path / "fx"
+        fixtures.mkdir()
+        config = PipelineConfig(fixtures_dir=str(fixtures), output_dir=str(tmp_path / "out"))
+        [missing] = run_batch([detection], config).documents
+        assert missing.status == "failed"
+        prefix = "FixtureMissingError: no fixture for role=reaction_combiner hash="
+        assert missing.error.startswith(prefix) and missing.error.endswith(f" under {fixtures}")
+        key = missing.error[len(prefix):].split()[0]
+        (fixtures / "reaction_combiner").mkdir()
+        (fixtures / "reaction_combiner" / f"{key}.txt").write_bytes(b'[{"reactants": "\xff\xfe"}]')
+        [undecodable] = run_batch([detection], config).documents
+        assert undecodable.status == "failed"
+        assert undecodable.error.startswith(f"MalformedReplyError: fixture {fixtures / 'reaction_combiner' / key}.txt")
+        assert "is not UTF-8" in undecodable.error and "can't decode byte 0xff" in undecodable.error
+
 
     def test_braces_in_entity_text_reach_the_prompt_verbatim(self, tmp_path):
         """Entity text is outside input: a ``{{`` in it is prompt text, not a placeholder."""
@@ -1021,6 +1044,22 @@ class TestCli:
         capsys.readouterr()
         assert code == EXIT_OK
         assert out.read_text().startswith("<?xml")
+
+
+def test_render_whose_rename_fails_leaves_no_svg_and_exits_4(corpus, tmp_path, monkeypatch, capsys):
+    """The SVG is written through a temporary: a failed rename leaves neither file, and the command exits 4."""
+    root, paths, _gt = corpus
+    out_dir = tmp_path / "svg"
+
+    def refuse(*args, **kwargs):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code = main(["render", str(paths[0]), "--out", str(out_dir / "doc.svg"), "--fixtures-dir", str(root / "fixtures"),
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == EXIT_FAILED
+    assert "error: OSError: rename refused" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_write_atomic_leaves_only_the_target(tmp_path, monkeypatch):

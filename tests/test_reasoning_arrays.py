@@ -14,8 +14,10 @@ import hashlib
 import json
 import logging
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +35,7 @@ from rxnparse.reasoning import (
     fuse,
     propagate,
 )
+from rxnparse.reasoning import chemgraph as chemgraph_module
 from rxnparse.reasoning import hypotheses as hypotheses_module
 
 from helpers import (
@@ -179,6 +182,52 @@ def test_chem_graph_of_hundreds_of_molecules():
         assert chem.scores
         assert _hex_items(chem.scores) == _hex_items(reference_build_chem_graph(doc, config).scores)
         assert _hex_items(chem.scores) == _hex_items(reference_chem_row_blocks(doc, config).scores)
+
+
+def _molecule_grid(count: int, seed: int):
+    """``count`` molecules, 60 to a row, each SMILES drawn from the pool."""
+    rng = random.Random(seed)
+    entities = [
+        molecule_entity(f"m{k}", 20 * (k % 60), 100 * (k // 60), smiles=rng.choice(SMILES_POOL), w=10, h=10)
+        for k in range(count)
+    ]
+    return make_doc(entities, width=1400, height=100 * (count // 60 + 1))
+
+
+def _same_arrays(chem, expected) -> bool:
+    return (
+        chem.rows.tolist() == expected.rows.tolist() and chem.cols.tolist() == expected.cols.tolist()
+        and [v.hex() for v in chem.values.tolist()] == [v.hex() for v in expected.values.tolist()]
+    )
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 45])
+def test_pair_blocks_that_split_rows_anywhere_give_the_same_arrays(monkeypatch, block):
+    """Blocks of a few pairs end inside rows and across them; rows, cols and values stay those of the row-block
+    arithmetic, in the same order (12 molecules: 66 pairs)."""
+    doc = _molecule_grid(12, seed=3)
+    monkeypatch.setattr(chemgraph_module, "CHEM_PAIR_BLOCK", block)
+    for tau in (0.0, 0.5, 0.75):
+        config = ReasoningConfig(beta=0.5, tau_chem=tau)
+        assert _same_arrays(build_chem_graph(doc, config), reference_chem_row_blocks(doc, config, block=5))
+
+
+def test_chem_graph_of_800_molecules_stays_in_bounded_memory():
+    """800 molecules make 319,600 pairs: scored all at once, the two (pairs, 32) uint64 fingerprint gathers
+    alone would take about 160 MiB; in pair blocks the whole call stays under 32 MiB."""
+    doc = _molecule_grid(800, seed=5)
+    config = ReasoningConfig(beta=0.5, tau_chem=0.75)
+    table = doc.table  # held: the table and every fingerprint are built before the measured call
+    expected = reference_chem_row_blocks(doc, config)
+    tracemalloc.start()
+    try:
+        chem = build_chem_graph(doc, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chem.table is table and len(chem.values) > 0
+    assert _same_arrays(chem, expected)
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- fusion ---------------------------------------------------------------------

@@ -583,8 +583,7 @@ def _table(regions):
 
 def _kept(regions, reply):
     """The rows of a table of ``regions`` that the screen keeps for one ``reply`` region."""
-    member = _member(reply)
-    return table_screen_members(_table(regions), member.kind, [member])[0].tolist()
+    return table_screen_members(_table(regions), [_member(reply)])[0].tolist()
 
 
 def test_table_screen_pairs_are_closed_and_row_major():
@@ -593,11 +592,15 @@ def test_table_screen_pairs_are_closed_and_row_major():
     table = _table(regions)
     rows, cols = bounds_overlap(table.bounds, regions_bounds(others))
     assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (1, 1)]
-    rows, cols = table_screen_members(table, EntityKind.MOLECULE, [_member(AxisBox(1, 0, 5, 0)), _member(AxisBox(3, 3, 3, 3))])
+    rows, cols = table_screen_members(table, [_member(AxisBox(1, 0, 5, 0)), _member(AxisBox(3, 3, 3, 3))])
     assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (1, 1), (2, 0)]
     # a reply box is screened against the rows of its own kind only
     quad = OrientedQuad(((0, 0), (1, 0), (1, 1), (0, 1)))
     assert _kept([quad, AxisBox(0, 0, 1, 1)], AxisBox(0, 0, 1, 1)) == [1]
+    # and so is a reply arrow, in the same call: the box members' pairs come first, then the arrows'
+    table = _table([quad, AxisBox(0, 0, 1, 1), quad])
+    rows, cols = table_screen_members(table, [_member(quad), _member(AxisBox(0, 0, 1, 1)), _member(quad)])
+    assert list(zip(rows.tolist(), cols.tolist())) == [(1, 1), (0, 0), (0, 2), (2, 0), (2, 2)]
 
 
 # --- the quad screen: the clip's first step, evaluated exactly -----------------
@@ -630,25 +633,23 @@ def test_quads_the_screen_leaves_out_clip_to_nothing(case):
     queries=st.lists(st.one_of(arrow_quads, arrow_quads, boxes), min_size=1, max_size=5),
 )
 def test_batched_screen_equals_one_query_at_a_time(members, queries):
-    """A kind's many queries in one call keep the pairs one query per call keeps, all rows of that kind,
-    and every pair of that kind left out scores IoU exactly 0."""
+    """A reply's queries of every kind in one call keep the pairs one query per call keeps, each a row of
+    the query's kind, and every pair of one kind left out scores IoU exactly 0."""
     table = _table(members)
-    for kind in (EntityKind.MOLECULE, EntityKind.ARROW):
-        batch = [m for m in map(_member, queries) if m.kind == kind]
-        if not batch:
-            continue
-        rows, cols = table_screen_members(table, kind, batch)
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-        assert pairs == sorted(pairs)
-        assert pairs == sorted(
-            (i, j) for j, query in enumerate(batch) for i in table_screen_members(table, kind, [query])[0].tolist()
-        )
-        assert all(_member(members[i]).kind == kind for i, _ in pairs)
-        kept = set(pairs)
-        for i, member in enumerate(members):
-            for j, query in enumerate(batch):
-                if (i, j) not in kept and _member(member).kind == kind:
-                    assert region_iou(member, query.region) == 0.0
+    batch = list(map(_member, queries))
+    rows, cols = table_screen_members(table, batch)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    boxes = [(i, j) for i, j in pairs if batch[j].kind != EntityKind.ARROW]
+    assert pairs == sorted(boxes) + sorted(set(pairs) - set(boxes))  # box pairs, then arrow pairs, each row-major
+    assert sorted(pairs) == sorted(
+        (i, j) for j, query in enumerate(batch) for i in table_screen_members(table, [query])[0].tolist()
+    )
+    assert all(_member(members[i]).kind == batch[j].kind for i, j in pairs)
+    kept = set(pairs)
+    for i, member in enumerate(members):
+        for j, query in enumerate(batch):
+            if (i, j) not in kept and _member(member).kind == query.kind:
+                assert region_iou(member, query.region) == 0.0
 
 
 @pytest.mark.parametrize(
