@@ -140,16 +140,12 @@ def _cmd_fingerprint(args) -> int:
     return EXIT_OK
 
 
-def _channel_score(graph, i: int, j: int) -> float:
-    """The score of a channel graph's edge between positions ``i < j``, or the neutral 0.5."""
-    k = ((graph.rows == i) & (graph.cols == j)).nonzero()[0]
-    return graph.values[k[0]].item() if k.size else 0.5
-
-
 def _cmd_score_edge(args) -> int:
     from .entities import load_document
     from .pipeline import load_pipeline_weights
-    from .reasoning import build_chem_graph, build_spatial_graph, fuse_score, propagate
+    from .reasoning import build_spatial_graph, fuse_score, propagate
+    from .reasoning.chemgraph import score_pairs
+    from .reasoning.fusion import NEUTRAL_SPACE_SCORE
 
     config = _build_config(args)
     doc = load_document(Path(args.input).read_bytes())
@@ -158,10 +154,9 @@ def _cmd_score_edge(args) -> int:
         raise LookupError(f"{args.input} has no entity {', '.join(map(repr, unknown))}")
     reasoning = config.reasoning
     spatial = propagate(build_spatial_graph(doc, reasoning, load_pipeline_weights(config)))
-    chem = build_chem_graph(doc, reasoning)
     pair = (min(args.a, args.b), max(args.a, args.b))
-    i, j = sorted(spatial.table.position[entity_id] for entity_id in pair)
-    s_space, s_chem = _channel_score(spatial, i, j), _channel_score(chem, i, j)
+    s_space = spatial.score_by_ids().get(pair, NEUTRAL_SPACE_SCORE)
+    s_chem = score_pairs(doc.table, reasoning, [doc.table.position[args.a]], [doc.table.position[args.b]]).item()
     print(
         json.dumps(
             {

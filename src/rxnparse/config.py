@@ -24,7 +24,6 @@ class ReasoningConfig:
     k_nn: int = 4
     radius: float = 0.25
     beta: float = 0.7
-    tau_chem: float = 0.3
     tau_cluster: float = 0.35
     tau_fuse: float = 0.45
     alpha_space: float = 0.3
@@ -34,7 +33,7 @@ class ReasoningConfig:
     conservation_penalty: float = 0.9
 
     def __post_init__(self):
-        for name in ("tau_chem", "tau_cluster", "tau_fuse", "radius", "beta"):
+        for name in ("tau_cluster", "tau_fuse", "radius", "beta"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")

@@ -223,9 +223,9 @@ def run_document(
     if weights is None:
         weights = load_pipeline_weights(config)
     spatial = propagate(build_spatial_graph(doc, reasoning, weights))
-    chem = build_chem_graph(doc, reasoning)
     clusters = cluster_entities(doc, reasoning)
     hypotheses = collect_hypotheses(clusters, client, doc, reasoning, max_workers=config.max_workers)
+    chem = build_chem_graph(doc, reasoning, spatial, hypotheses)
     fused = fuse(spatial, chem, hypotheses, reasoning)
     timings["reason"] = time.perf_counter() - started
 

@@ -1,16 +1,10 @@
 """Chemistry-aware graph: fingerprint similarity plus charge consistency.
 
-For a pair of parsed molecule entities the edge score blends Tanimoto
-similarity with a charge-difference decay:
-
-    e_chem = beta * tanimoto(fp_i, fp_j) + (1 - beta) * exp(-|q_i - q_j|)
-
-Pairs where either SMILES is missing or failed to parse get the neutral
-0.5 (ignorance, not evidence). Every molecule pair of the document is
-scored in array passes over row-major blocks of pairs, and edges survive
-only above ``tau_chem``; ``beta`` and ``tau_chem`` come from the
-``ReasoningConfig``, and the fingerprints are the fixed
-``FINGERPRINT_WIDTH``-bit path scheme of ``rxnparse.chem.fingerprint``.
+A pair of parsed molecules scores ``beta * tanimoto(fp_i, fp_j) + (1 - beta)
+* exp(-|q_i - q_j|)`` over the fixed ``FINGERPRINT_WIDTH``-bit path
+fingerprints of ``rxnparse.chem.fingerprint``. A pair with an unparsed
+SMILES or a non-molecule end, or an entity with itself, scores the neutral
+0.5 (ignorance, not evidence), and no threshold drops a score.
 """
 
 from __future__ import annotations
@@ -23,14 +17,14 @@ import numpy as np
 from ..chem import FINGERPRINT_WIDTH
 from ..config import ReasoningConfig
 from ..entities import KIND_CODES, EntityKind, EntityTable, ReactionDocument
+from .fusion import ABSENT_INIT_SCORE, NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE, fuse_score
 
-NEUTRAL_CHEM_SCORE = 0.5
 CHEM_PAIR_BLOCK = 2**13  # molecule pairs scored at once: each fingerprint gather is then 2 MiB
 
 
 @dataclass(frozen=True)
 class ChemGraph:
-    """Thresholded chemistry edges: positions ``rows[k] < cols[k]`` of ``table`` score ``values[k]``."""
+    """Chemistry edges: positions ``rows[k] < cols[k]`` of ``table`` score ``values[k]``, row-major."""
 
     table: EntityTable
     rows: np.ndarray
@@ -43,47 +37,55 @@ class ChemGraph:
         return self.table.by_id_pairs(self.rows, self.cols, self.values)
 
 
-def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig) -> ChemGraph:
-    """Score every molecule pair in one pass; kept pairs become edges in row-major molecule order.
+def build_chem_graph(doc: ReactionDocument, config: ReasoningConfig, spatial, hypotheses) -> ChemGraph:
+    """The scores of the molecule pairs that fusion can keep, row-major, given the spatial and hypothesis graphs.
 
-    Intersections and unions are exact popcounts over the fingerprints
-    packed as uint64 words, and float division of exact integers is
-    correctly rounded, so each similarity equals ``tanimoto``'s
-    ``int / int``. The blend runs elementwise in the operation order of
-    the formula above, with ``exp(-|dq|)`` from a ``math.exp`` table over
-    the distinct charges, and only kept pairs are gathered. The
-    fingerprints are gathered and intersected :data:`CHEM_PAIR_BLOCK`
-    pairs at a time, so only the pair indices and scores hold m(m-1)/2
-    entries for m molecules, below the document's n×n distance matrix.
+    A pair no spatial edge or hypothesis covers fuses at most ``fuse_score(NEUTRAL_SPACE_SCORE, beta + (1 - beta),
+    ABSENT_INIT_SCORE)``, as rounding is monotone. Above ``tau_fuse`` every molecule pair is scored, else only those
+    among the spatial edges and the typed hypothesis pairs.
     """
     table = doc.table
-    molecules = doc.by_kind(EntityKind.MOLECULE)
-    at = np.flatnonzero(table.kinds == KIND_CODES[EntityKind.MOLECULE])  # their positions
-    parsed = np.array([e.molecule is not None for e in molecules], dtype=bool)
+    molecule = table.kinds == KIND_CODES[EntityKind.MOLECULE]
+    if fuse_score(NEUTRAL_SPACE_SCORE, config.beta + (1.0 - config.beta), ABSENT_INIT_SCORE, config) > config.tau_fuse:
+        rows, cols = np.flatnonzero(molecule)[np.array(np.triu_indices(molecule.sum(), k=1))]
+    else:
+        ends = [sorted((table.position[e.source], table.position[e.target])) for e in hypotheses.edges]
+        pairs = np.vstack([np.column_stack([spatial.rows, spatial.cols]), np.array(ends, dtype=np.intp).reshape(-1, 2)])
+        a, b = pairs.T
+        # a reply may name one molecule in two roles: its self-edge is no pair
+        rows, cols = np.unique(pairs[molecule[a] & molecule[b] & (a < b)], axis=0).T
+    return ChemGraph(table, rows, cols, score_pairs(table, config, rows, cols))
+
+
+def score_pairs(table: EntityTable, config: ReasoningConfig, rows, cols) -> np.ndarray:
+    """The chemistry score of each pair of positions ``rows[k]``, ``cols[k]`` of ``table``.
+
+    Exact popcounts over the uint64-packed fingerprints make each similarity ``tanimoto``'s ``int / int``, and the
+    blend runs in the formula's operation order, with ``exp(-|dq|)`` from a ``math.exp`` table over the distinct
+    charges. Pairs are scored :data:`CHEM_PAIR_BLOCK` at a time, so the fingerprint gathers stay block-sized.
+    """
+    molecules = [e.molecule if e.kind == EntityKind.MOLECULE else None for e in table.entities]
+    parsed = np.array([m is not None for m in molecules], dtype=bool)
     empty = bytes(FINGERPRINT_WIDTH // 8)
-    packed = b"".join(
-        empty if e.molecule is None else e.molecule.fingerprint.to_bytes(len(empty), "little") for e in molecules
-    )
+    packed = b"".join(empty if m is None else m.fingerprint.to_bytes(len(empty), "little") for m in molecules)
     words = np.frombuffer(packed, dtype="<u8").reshape(len(molecules), len(empty) // 8)
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     # charges are Python ints of any size: index them, and tabulate exp(-|dq|) per pair of distinct charges
-    charges = [0 if e.molecule is None else e.molecule.charge for e in molecules]
+    charges = [0 if m is None else m.charge for m in molecules]
     distinct = sorted(set(charges))
     position = {q: k for k, q in enumerate(distinct)}
     charge_codes = np.array([position[q] for q in charges], dtype=np.intp)
     decay = np.array([math.exp(-abs(a - b)) for a in distinct for b in distinct]).reshape(len(distinct), len(distinct))
 
-    i, j = np.triu_indices(len(molecules), k=1)  # row-major
-    scored = np.empty(len(i))
-    for start in range(0, len(i), CHEM_PAIR_BLOCK):
+    scored = np.empty(len(rows))
+    for start in range(0, len(rows), CHEM_PAIR_BLOCK):
         block = slice(start, start + CHEM_PAIR_BLOCK)
-        bi, bj = i[block], j[block]
+        bi, bj = rows[block], cols[block]
         shared = np.take(words, bi, axis=0)  # and-ed in place: two block-sized temporaries, not three
         shared &= np.take(words, bj, axis=0)
         inter = np.bitwise_count(shared).sum(axis=1, dtype=np.int64)
         union = counts[bi] + counts[bj] - inter
         s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
         scored[block] = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[bi], charge_codes[bj]]
-    scored[~(parsed[i] & parsed[j])] = NEUTRAL_CHEM_SCORE
-    kept = scored > config.tau_chem
-    return ChemGraph(table, at[i[kept]], at[j[kept]], scored[kept])
+    scored[~(parsed[rows] & parsed[cols]) | (np.asarray(rows) == cols)] = NEUTRAL_CHEM_SCORE
+    return scored

@@ -18,16 +18,20 @@ enumerates over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..config import ReasoningConfig
-from .chemgraph import ChemGraph, NEUTRAL_CHEM_SCORE
 from .hypotheses import HypothesisGraph
 from .relations import EdgeRelation
 from .spatial import SpatialGraph
 
+if TYPE_CHECKING:  # chemgraph imports fuse_score and the neutral scores from this module
+    from .chemgraph import ChemGraph
+
 NEUTRAL_SPACE_SCORE = 0.5
+NEUTRAL_CHEM_SCORE = 0.5
 ABSENT_INIT_SCORE = 0.0
 
 

@@ -687,10 +687,11 @@ def reference_cluster_prompt_variables(cluster, doc, config) -> dict:
 
 
 def reference_build_chem_graph(doc, config):
-    """Chemistry edges one molecule pair at a time: Python ``tanimoto`` and ``math.exp`` per pair.
+    """Every molecule pair's chemistry score, one pair at a time: Python ``tanimoto`` and ``math.exp`` per pair.
 
     A pair scores ``beta * tanimoto + (1 - beta) * exp(-|dq|)``, the convex
-    blend of fingerprint similarity and charge agreement.
+    blend of fingerprint similarity and charge agreement, or the neutral
+    score when either SMILES did not parse. Pairs come in row-major order.
     """
     from rxnparse.chem import tanimoto
     from rxnparse.entities import EntityKind
@@ -708,47 +709,8 @@ def reference_build_chem_graph(doc, config):
                 value = config.beta * s_fp + (1.0 - config.beta) * math.exp(-abs(delta_q))
             else:
                 value = NEUTRAL_CHEM_SCORE
-            if value > config.tau_chem:
-                scores[(min(a.id, b.id), max(a.id, b.id))] = value
+            scores[(min(a.id, b.id), max(a.id, b.id))] = value
     return chem_graph(doc.table, scores)
-
-
-def reference_chem_row_blocks(doc, config, block=128):
-    """Chemistry edges by the array arithmetic that scored the pair matrix ``block`` rows at a time and
-    gathered kept pairs of each block's upper triangle row by row."""
-    from rxnparse.chem import FINGERPRINT_WIDTH
-    from rxnparse.entities import KIND_CODES, EntityKind
-    from rxnparse.reasoning import ChemGraph
-    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE
-
-    table = doc.table
-    molecules = doc.by_kind(EntityKind.MOLECULE)
-    at = np.flatnonzero(table.kinds == KIND_CODES[EntityKind.MOLECULE])
-    parsed = np.array([e.molecule is not None for e in molecules], dtype=bool)
-    empty = bytes(FINGERPRINT_WIDTH // 8)
-    packed = b"".join(
-        empty if e.molecule is None else e.molecule.fingerprint.to_bytes(len(empty), "little") for e in molecules
-    )
-    words = np.frombuffer(packed, dtype="<u8").reshape(len(molecules), len(empty) // 8)
-    counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    charges = [0 if e.molecule is None else e.molecule.charge for e in molecules]
-    distinct = sorted(set(charges))
-    position = {q: k for k, q in enumerate(distinct)}
-    charge_codes = np.array([position[q] for q in charges], dtype=np.intp)
-    decay = np.array([math.exp(-abs(a - b)) for a in distinct for b in distinct]).reshape(len(distinct), len(distinct))
-    rows, cols, values = [at[:0]], [at[:0]], [np.zeros(0)]
-    for start in range(0, len(molecules), block):
-        rows_here = slice(start, start + block)
-        inter = np.bitwise_count(words[rows_here, None, :] & words[None, :, :]).sum(axis=2, dtype=np.int64)
-        union = counts[rows_here, None] + counts[None, :] - inter
-        s_fp = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
-        scored = config.beta * s_fp + (1.0 - config.beta) * decay[charge_codes[rows_here, None], charge_codes[None, :]]
-        scored[~(parsed[rows_here, None] & parsed[None, :])] = NEUTRAL_CHEM_SCORE
-        i, j = np.nonzero(np.triu(scored > config.tau_chem, k=start + 1))
-        rows.append(at[i + start])
-        cols.append(at[j])
-        values.append(scored[i, j])
-    return ChemGraph(table, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
 
 
 # --- the output file as one json.dumps ---------------------------------------

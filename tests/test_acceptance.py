@@ -279,10 +279,10 @@ def test_criterion_06_fusion_properties():
 
     config = ReasoningConfig()
     spatial = propagate(build_spatial_graph(doc, config))
-    chem = build_chem_graph(doc, config)
     for tau in (0.0, 0.3, 0.45, 0.7, 1.0):
         hyp = HypothesisGraph(edges=(HypothesisEdge("m1", "a1", EdgeRelation.REACTANT_TO_ARROW, rng.random()),))
-        fused = fuse(spatial, chem, hyp, ReasoningConfig(tau_fuse=tau))
+        config = ReasoningConfig(tau_fuse=tau)
+        fused = fuse(spatial, build_chem_graph(doc, config, spatial, hyp), hyp, config)
         assert all(e.score > tau for e in fused.edges)
     _report(6, "monotonicity, degenerate argsort and pruning over 10^4 draws", started, 10.0)
 

@@ -1,18 +1,26 @@
+import dataclasses
 import math
 
 import pytest
 
 from rxnparse.config import ReasoningConfig
+from rxnparse.reasoning import EdgeRelation, HypothesisEdge, HypothesisGraph, build_spatial_graph, fuse, fuse_score
 from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, build_chem_graph
+from rxnparse.reasoning.fusion import NEUTRAL_SPACE_SCORE
 from rxnparse.reasoning.clustering import cluster_entities
 
 from helpers import make_doc, molecule_entity, text_entity
 
 
+def chem_scores(doc, beta: float = 0.7) -> dict:
+    """Every molecule pair's chemistry score: fusion can keep any pair at ``tau_fuse`` 0, so every pair is scored."""
+    config = ReasoningConfig(beta=beta, tau_fuse=0.0)
+    return build_chem_graph(doc, config, build_spatial_graph(doc, config), HypothesisGraph(edges=())).scores
+
+
 def pair_score(smiles_a: str, smiles_b: str, beta: float = 0.7) -> float:
-    """The chemistry score of two molecules, with no threshold pruning it."""
     doc = make_doc([molecule_entity("m1", 0, 0, smiles=smiles_a), molecule_entity("m2", 300, 0, smiles=smiles_b)])
-    return build_chem_graph(doc, ReasoningConfig(beta=beta, tau_chem=0.0)).scores[("m1", "m2")]
+    return chem_scores(doc, beta)[("m1", "m2")]
 
 
 class TestChemGraph:
@@ -23,8 +31,7 @@ class TestChemGraph:
                 molecule_entity("m2", 300, 0, smiles="CCO"),
             ]
         )
-        graph = build_chem_graph(doc, ReasoningConfig())
-        assert graph.scores[("m1", "m2")] == pytest.approx(1.0)
+        assert chem_scores(doc)[("m1", "m2")] == pytest.approx(1.0)
 
     def test_disjoint_fingerprints_floor(self):
         # score collapses to (1 - beta) when tanimoto = 0 and charges agree
@@ -46,19 +53,25 @@ class TestChemGraph:
                 molecule_entity("none", 600, 0),
             ]
         )
-        graph = build_chem_graph(doc, ReasoningConfig())
-        assert graph.scores[("bad", "good")] == NEUTRAL_CHEM_SCORE
-        assert graph.scores[("good", "none")] == NEUTRAL_CHEM_SCORE
+        scores = chem_scores(doc)
+        assert scores[("bad", "good")] == NEUTRAL_CHEM_SCORE
+        assert scores[("good", "none")] == NEUTRAL_CHEM_SCORE
 
-    def test_threshold_prunes(self):
-        doc = make_doc(
-            [
-                molecule_entity("m1", 0, 0, smiles="CCO"),
-                molecule_entity("m2", 300, 0, smiles="CCO"),
-            ]
-        )
-        graph = build_chem_graph(doc, ReasoningConfig(tau_chem=1.0))
-        assert graph.scores == {}
+    def test_chemistry_prunes_a_typed_edge(self):
+        """CCO -> [Fe+3] at confidence 0.5 under the defaults: Tanimoto 0 and a charge gap of 3 score about 0.015,
+        which fuses at 0.403 with a neutral spatial score, below ``tau_fuse`` 0.45. Read as the neutral 0.5, the
+        chemistry would fuse the edge at 0.5 and keep it."""
+        doc = make_doc([molecule_entity("m1", 0, 0, smiles="CCO"), molecule_entity("m2", 300, 0, smiles="[Fe+3]")])
+        config = ReasoningConfig()
+        spatial = build_spatial_graph(doc, config)  # not propagated: the spatial channel reads neutral
+        hypotheses = HypothesisGraph(edges=(HypothesisEdge("m1", "m2", EdgeRelation.REACTANT_TO_PRODUCT, 0.5),))
+        chem = build_chem_graph(doc, config, spatial, hypotheses)
+        s_chem = config.beta * 0.0 + (1.0 - config.beta) * math.exp(-3)
+        assert chem.scores == {("m1", "m2"): s_chem}
+        assert fuse(spatial, chem, hypotheses, config).edges == ()
+        scored = fuse(spatial, chem, hypotheses, dataclasses.replace(config, tau_fuse=0.0)).edges
+        assert [e.score for e in scored] == [fuse_score(NEUTRAL_SPACE_SCORE, s_chem, 0.5, config)]
+        assert round(scored[0].score, 3) == 0.403
 
     def test_non_molecules_excluded(self):
         doc = make_doc(
@@ -67,8 +80,7 @@ class TestChemGraph:
                 text_entity("t1", 300, 0),
             ]
         )
-        graph = build_chem_graph(doc, ReasoningConfig())
-        assert graph.scores == {}
+        assert chem_scores(doc) == {}
 
 
 class TestClustering:

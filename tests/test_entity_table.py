@@ -187,12 +187,11 @@ def test_document_without_molecules():
         {"id": "t2", "label": "text", "bbox": [60, 0, 110, 20], "text": "b"},
         {"id": "i1", "label": "identifier", "bbox": [0, 30, 20, 50], "text": "1"},
     ])
-    config = ReasoningConfig()
-    chem = build_chem_graph(doc, config)
-    assert chem.scores == {} and chem.rows.size == chem.cols.size == chem.values.size == 0
+    config = fusion_config((0.3, 0.2, 0.5), 0.0)
     spatial = propagate(build_spatial_graph(doc, config))
     hypotheses = HypothesisGraph(edges=(HypothesisEdge("t1", "t2", EdgeRelation.REACTANT_TO_PRODUCT),))
-    config = fusion_config((0.3, 0.2, 0.5), 0.0)
+    chem = build_chem_graph(doc, config, spatial, hypotheses)
+    assert chem.scores == {} and chem.rows.size == chem.cols.size == chem.values.size == 0
     assert fuse(spatial, chem, hypotheses, config) == reference_fuse(spatial, chem, hypotheses, config)
 
 

@@ -20,19 +20,19 @@ from rxnparse.outputs import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_PARTIAL, wr
 from rxnparse.pipeline import PipelineConfig, load_pipeline_weights, make_client, run_batch, run_document
 from rxnparse.reasoning import (
     EDGE_DIMS,
-    build_chem_graph,
     build_spatial_graph,
     cluster_entities,
     propagate,
     random_weights,
     save_weights,
 )
+from rxnparse.reasoning.fusion import NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE
 from rxnparse.reasoning.hypotheses import COMBINER_ROLE
 from rxnparse.reasoning.spatial import BASE_NODE_DIMS
 from rxnparse.render import UnknownEntityError, render_svg
 from rxnparse.reactions import Reaction, reactions_to_json
 
-from helpers import arrow_entity, make_doc, molecule_entity
+from helpers import arrow_entity, make_doc, molecule_entity, reference_build_chem_graph
 from synthetic import build_corpus
 
 
@@ -44,7 +44,6 @@ CHANGED_REASONING = {
     "k_nn": 5,
     "radius": 0.3,
     "beta": 0.6,
-    "tau_chem": 0.25,
     "tau_cluster": 0.4,
     "tau_fuse": 0.5,
     "alpha_space": 0.25,
@@ -139,7 +138,7 @@ class TestPipelineConfig:
     def test_default_config_hash_pinned(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "fixtures").mkdir()
-        assert PipelineConfig(fixtures_dir="fixtures").config_hash() == "bbd13856e58662d9"
+        assert PipelineConfig(fixtures_dir="fixtures").config_hash() == "fc527a133e1232dd"
 
     def test_config_hash_and_seeded_weights_are_computed_once_and_equal_fresh_ones(self, tmp_path):
         (tmp_path / "fx").mkdir()
@@ -761,15 +760,17 @@ class TestCli:
             ('{"fixtures_dir": "fx", "reasoning": {', "not valid JSON"),
             ("[1, 2]", "JSON object"),
             (None, "cannot read config file"),
-            # max_workers is the one thread count, and the weights file alone sets the spatial shape
+            # max_workers is the one thread count, the weights file alone sets the spatial shape, and no
+            # threshold drops a chemistry score
             ({"cluster_workers": 2}, "unknown config keys: ['cluster_workers']"),
             ({"reasoning": {"layers": 2}}, "unknown config keys: ['reasoning.layers']"),
             ({"reasoning": {"dim": 32}}, "unknown config keys: ['reasoning.dim']"),
+            ({"reasoning": {"tau_chem": 0.3}}, "unknown config keys: ['reasoning.tau_chem']"),
         ],
         ids=[
             "int-as-string", "int-as-float", "float-as-bool", "reasoning-not-object", "workers-as-string",
             "bool-as-string", "null-output-dir", "name-as-number", "truncated", "top-level-array", "missing-file",
-            "removed-cluster-workers", "removed-layers", "removed-dim",
+            "removed-cluster-workers", "removed-layers", "removed-dim", "removed-tau-chem",
         ],
     )
     def test_malformed_config_file_exits_3(self, tmp_path, capsys, content, named):
@@ -991,23 +992,37 @@ class TestCli:
         shown = "INFO rxnparse.agents: agent request role=reaction_combiner hash=" in done.stderr
         assert shown == bool(flags)
 
-    def test_score_edge_subcommand(self, corpus, capsys):
-        """Every pair prints its channel scores as the graphs' views give them, 0.5 where a channel has no edge."""
+    def test_score_edge_subcommand(self, corpus, tmp_path, capsys):
+        """Every pair prints the spatial graph's score, neutral where it has no edge, and the per-pair chemistry
+        score of any two molecules, neutral for any other pair: CCO and [Fe+3] print their own score of about
+        0.015."""
         root, paths, _gt = corpus
-        doc = load_document(paths[0].read_bytes())
+        low = tmp_path / "low.json"
+        low.write_text(json.dumps({"width": 1400, "height": 400, "entities": [
+            {"id": "m1", "label": "molecule", "bbox": [10, 10, 100, 90], "smiles": "CCO"},
+            {"id": "m2", "label": "molecule", "bbox": [210, 10, 300, 90], "smiles": "[Fe+3]"},
+            {"id": "m3", "label": "molecule", "bbox": [410, 10, 500, 90], "smiles": "C1CC"},
+            {"id": "t1", "label": "text", "bbox": [610, 10, 700, 90], "text": "rt"},
+        ]}))
         fixtures = ["--fixtures-dir", str(root / "fixtures")]
-        config = _build_config(build_parser().parse_args(["score-edge", str(paths[0]), "a", "b", *fixtures]))
-        spatial = propagate(build_spatial_graph(doc, config.reasoning, load_pipeline_weights(config)))
-        space, chem = spatial.score_by_ids(), build_chem_graph(doc, config.reasoning).scores
-        ids = [e.id for e in doc.entities]
-        pairs = [(a, b) for a in ids for b in ids if a != b]
-        assert any(pair in space for pair in pairs) and any(pair in chem for pair in pairs)
-        for a, b in pairs:
-            assert main(["score-edge", str(paths[0]), a, b, *fixtures]) == EXIT_OK
-            data = json.loads(capsys.readouterr().out)
-            pair = (min(a, b), max(a, b))
-            assert (data["s_space"], data["s_chem"]) == (space.get(pair, 0.5), chem.get(pair, 0.5))
-            assert 0.0 <= data["s_space"] <= 1.0 and 0.0 <= data["s_chem"] <= 1.0
+        printed = []
+        for path in (paths[0], low):
+            doc = load_document(path.read_bytes())
+            config = _build_config(build_parser().parse_args(["score-edge", str(path), "a", "b", *fixtures]))
+            spatial = propagate(build_spatial_graph(doc, config.reasoning, load_pipeline_weights(config)))
+            space, chem = spatial.score_by_ids(), reference_build_chem_graph(doc, config.reasoning).scores
+            ids = [e.id for e in doc.entities]
+            pairs = [(a, b) for a in ids for b in ids]  # an entity with itself too: no channel scores it
+            assert any(pair in space for pair in pairs) and any(pair in chem for pair in pairs)
+            for a, b in pairs:
+                assert main(["score-edge", str(path), a, b, *fixtures]) == EXIT_OK
+                data = json.loads(capsys.readouterr().out)
+                pair = (min(a, b), max(a, b))
+                expected = (space.get(pair, NEUTRAL_SPACE_SCORE), chem.get(pair, NEUTRAL_CHEM_SCORE))
+                assert (data["s_space"], data["s_chem"]) == expected
+                assert 0.0 <= data["s_space"] <= 1.0 and 0.0 <= data["s_chem"] <= 1.0
+                printed.append(data["s_chem"])
+        assert min(printed) < 0.02
 
     def test_score_edge_of_an_unknown_id_exits_4(self, corpus, capsys):
         root, paths, _gt = corpus

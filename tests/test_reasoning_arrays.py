@@ -1,6 +1,6 @@
 """Chemistry, fusion and the combiner prompt over arrays, against their per-pair loops.
 
-``build_chem_graph`` scores molecule pairs from packed fingerprints,
+``build_chem_graph`` scores the molecule pairs fusion can keep from packed fingerprints,
 ``fuse`` scores candidates from dense id-pair arrays, and
 ``cluster_prompt_variables`` writes its JSON from fragments. The
 references in ``helpers`` are the per-pair loops they replaced: the
@@ -10,6 +10,8 @@ same bytes. The prompt bytes are also pinned by hash, since the mock
 fixtures are keyed by prompts built with the same function.
 """
 
+import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -33,18 +35,20 @@ from rxnparse.reasoning import (
     cluster_prompt_variables,
     collect_hypotheses,
     fuse,
+    fuse_score,
     propagate,
 )
 from rxnparse.reasoning import chemgraph as chemgraph_module
+from rxnparse.reasoning.fusion import ABSENT_INIT_SCORE, NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE
 from rxnparse.reasoning import hypotheses as hypotheses_module
 
 from helpers import (
     center_distance_normalized,
+    chem_graph,
     fusion_config,
     make_doc,
     molecule_entity,
     reference_build_chem_graph,
-    reference_chem_row_blocks,
     reference_cluster_prompt_variables,
     reference_fuse,
 )
@@ -58,11 +62,6 @@ SMILES_POOL = (
 )
 TEXTS = ("rt", 'H2O "wet"', "Pd\\C", "80 °C", "Ni/Al₂O₃", "")
 LABELS = ("molecule", "molecule", "text", "identifier", "arrow")
-QUARTER_TAUS = st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
-
-
-def _hex_items(scores: dict) -> list:
-    return [(pair, value.hex()) for pair, value in scores.items()]
 
 
 def _fused_hex(graph) -> list:
@@ -120,18 +119,85 @@ def documents(draw, max_entities=11):
 
 # --- chemistry ------------------------------------------------------------------
 
+BETAS = st.one_of(st.sampled_from([0.0, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+# dyadic weights, and the default ones
+WEIGHTS = st.sampled_from([(0.5, 0.25, 0.25), (0.25, 0.25, 0.5), (0.0, 0.5, 0.5), (0.3, 0.2, 0.5)])
+RELATIONS = [r for r in EdgeRelation if r != EdgeRelation.NO_EDGE]
+# (k_nn, radius) of the spatial graph: the default, then sparser graphs that leave molecule pairs uncovered
+SPATIAL = st.sampled_from([(4, 0.25), (2, 0.1), (1, 0.0), (0, 0.0)])
+NO_HYPOTHESES = HypothesisGraph(edges=())
+
+
+def _config(weights, beta, tau_fuse) -> ReasoningConfig:
+    return dataclasses.replace(fusion_config(weights, tau_fuse), beta=beta)
+
+
+def _uncovered_bound(config) -> float:
+    """The most a pair that no spatial edge and no hypothesis covers can fuse at."""
+    return fuse_score(NEUTRAL_SPACE_SCORE, config.beta + (1.0 - config.beta), ABSENT_INIT_SCORE, config)
+
+
+def _all_pairs_graph(doc, beta):
+    """The chemistry graph under ``tau_fuse`` 0, below the bound: fusion can keep any pair, so all are scored."""
+    config = ReasoningConfig(beta=beta, tau_fuse=0.0)
+    return build_chem_graph(doc, config, build_spatial_graph(doc, config), NO_HYPOTHESES)
+
+
+def _same_arrays(chem, expected) -> bool:
+    """The same rows and cols in the same (row-major) order, and bit-equal values."""
+    return (
+        chem.rows.tolist() == expected.rows.tolist() and chem.cols.tolist() == expected.cols.tolist()
+        and [v.hex() for v in chem.values.tolist()] == [v.hex() for v in expected.values.tolist()]
+    )
+
+
+def _covered(table, spatial, typed) -> set:
+    """The id pairs of the spatial edges and of the typed edges, smaller id first."""
+    ends = [(table.ids[i], table.ids[j]) for i, j in spatial.edges] + [(e.source, e.target) for e in typed]
+    return {(min(a, b), max(a, b)) for a, b in ends}
+
+
+def _typed_edges(doc, spatial, chem, data) -> tuple:
+    """Typed edges on drawn pairs, either way round and repeated; some join an entity to itself, as when a reply
+    names one molecule in two roles."""
+    ids = [e.id for e in doc.entities]
+    if not ids:
+        return ()
+    pairs = [(ids[i], ids[j]) for i, j in spatial.edges] + list(chem.scores) + [(i, i) for i in ids]
+    if len(ids) > 1:
+        pairs.append(tuple(data.draw(st.permutations(ids))[:2]))
+    typed = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        a, b = data.draw(st.sampled_from(pairs))
+        source, target = (a, b) if data.draw(st.booleans()) else (b, a)
+        relation, confidence = data.draw(st.sampled_from(RELATIONS)), data.draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+        typed += [HypothesisEdge(source, target, relation, confidence)] * data.draw(st.integers(1, 2))
+    return tuple(typed)
+
 
 @settings(max_examples=300, deadline=None)
-@given(
-    doc=documents(),
-    beta=st.one_of(st.sampled_from([0.0, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)),
-    tau=st.one_of(QUARTER_TAUS, st.floats(0.0, 1.0)),
-)
-def test_chem_graph_equals_pairwise_loop(doc, beta, tau):
-    config = ReasoningConfig(beta=beta, tau_chem=tau)
-    chem, expected = build_chem_graph(doc, config), reference_build_chem_graph(doc, config)
-    assert _hex_items(chem.scores) == _hex_items(expected.scores)
+@given(doc=documents(), beta=BETAS, weights=WEIGHTS, links=SPATIAL, data=st.data())
+def test_chem_graph_scores_the_pairs_fusion_can_keep(doc, beta, weights, links, data):
+    """Each scored pair has the per-pair loop's value, bit for bit, in row-major order. Every molecule pair is
+    scored when an uncovered pair can pass ``tau_fuse``; else only the molecule pairs of the spatial edges and
+    the typed pairs are."""
+    bound = _uncovered_bound(_config(weights, beta, 0.0))
+    config = _config(weights, beta, data.draw(st.sampled_from([0.0, np.nextafter(bound, 0.0), bound, 0.45, 1.0])))
+    spatial = build_spatial_graph(doc, ReasoningConfig(k_nn=links[0], radius=links[1]))
+    oracle = reference_build_chem_graph(doc, config)
+    hypotheses = HypothesisGraph(edges=_typed_edges(doc, spatial, oracle, data))
+    chem = build_chem_graph(doc, config, spatial, hypotheses)
+    covered = set(oracle.scores) if bound > config.tau_fuse else _covered(doc.table, spatial, hypotheses.edges)
+    expected = chem_graph(doc.table, {pair: value for pair, value in oracle.scores.items() if pair in covered})
+    assert _same_arrays(chem, expected)
     assert np.all(chem.rows < chem.cols)  # entity positions, each pair once
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=documents(), beta=BETAS)
+def test_chem_graph_of_all_pairs_equals_pairwise_loop(doc, beta):
+    """Where fusion can keep any pair, every molecule pair is scored: the per-pair loop's values and order."""
+    assert _same_arrays(_all_pairs_graph(doc, beta), reference_build_chem_graph(doc, ReasoningConfig(beta=beta)))
 
 
 def _molecules(*smiles):
@@ -144,44 +210,12 @@ def _molecules(*smiles):
 
 
 def test_chem_graph_with_zero_one_and_two_molecules():
-    config = ReasoningConfig(beta=0.5, tau_chem=0.5)
     for smiles in ((), ("CCO",), ("CCO", "[O-]C(=O)C"), ("CCO", "CCO"), ("CCO", "C1CC")):
         doc = _molecules(*smiles)
-        assert _hex_items(build_chem_graph(doc, config).scores) == _hex_items(
-            reference_build_chem_graph(doc, config).scores
-        )
-    # identical molecules score 0.5 * 1 + 0.5 * exp(0) = 1.0; an unparsed pair's neutral 0.5 sits on tau
-    assert build_chem_graph(_molecules("CCO", "CCO"), config).scores == {("m0", "m1"): 1.0}
-    assert build_chem_graph(_molecules("CCO", "C1CC"), config).scores == {}
-
-
-@settings(max_examples=100, deadline=None)
-@given(doc=documents(), beta=st.sampled_from([0.0, 0.5, 0.7, 1.0]), tau=QUARTER_TAUS)
-def test_chem_graph_equals_row_block_arithmetic(doc, beta, tau):
-    """The one-pass scores, and their row-major order, equal those of the pair matrix scored by row blocks."""
-    config = ReasoningConfig(beta=beta, tau_chem=tau)
-    chem, expected = build_chem_graph(doc, config), reference_chem_row_blocks(doc, config, block=3)
-    assert chem.rows.tolist() == expected.rows.tolist() and chem.cols.tolist() == expected.cols.tolist()
-    assert [v.hex() for v in chem.values.tolist()] == [v.hex() for v in expected.values.tolist()]
-
-
-def test_chem_graph_of_hundreds_of_molecules():
-    """300 molecules; ids m0..m299 sort apart from their index order."""
-    rng = random.Random(8)
-    entities = [
-        molecule_entity(f"m{k}", 20 * (k % 60), 100 * (k // 60), smiles=rng.choice(SMILES_POOL), w=10, h=10)
-        for k in range(300)
-    ]
-    doc = make_doc(entities, width=1400, height=600)
-    for entity in doc.entities[::7]:
-        if entity.molecule is not None:
-            entity.molecule.__dict__["fingerprint"] = 0
-    for tau in (0.5, 0.75, 0.9):
-        config = ReasoningConfig(beta=0.5, tau_chem=tau)
-        chem = build_chem_graph(doc, config)
-        assert chem.scores
-        assert _hex_items(chem.scores) == _hex_items(reference_build_chem_graph(doc, config).scores)
-        assert _hex_items(chem.scores) == _hex_items(reference_chem_row_blocks(doc, config).scores)
+        assert _same_arrays(_all_pairs_graph(doc, 0.5), reference_build_chem_graph(doc, ReasoningConfig(beta=0.5)))
+    # identical molecules score 0.5 * 1 + 0.5 * exp(0) = 1.0; an unparsed pair scores the neutral 0.5
+    assert _all_pairs_graph(_molecules("CCO", "CCO"), 0.5).scores == {("m0", "m1"): 1.0}
+    assert _all_pairs_graph(_molecules("CCO", "C1CC"), 0.5).scores == {("m0", "m1"): NEUTRAL_CHEM_SCORE}
 
 
 def _molecule_grid(count: int, seed: int):
@@ -194,78 +228,99 @@ def _molecule_grid(count: int, seed: int):
     return make_doc(entities, width=1400, height=100 * (count // 60 + 1))
 
 
-def _same_arrays(chem, expected) -> bool:
-    return (
-        chem.rows.tolist() == expected.rows.tolist() and chem.cols.tolist() == expected.cols.tolist()
-        and [v.hex() for v in chem.values.tolist()] == [v.hex() for v in expected.values.tolist()]
-    )
+def test_chem_graph_of_hundreds_of_molecules():
+    """300 molecules; ids m0..m299 sort apart from their index order."""
+    doc = _molecule_grid(300, seed=8)
+    for entity in doc.entities[::7]:
+        if entity.molecule is not None:
+            entity.molecule.__dict__["fingerprint"] = 0
+    for beta in (0.5, 0.7):
+        chem = _all_pairs_graph(doc, beta)
+        assert len(chem.values) == 300 * 299 // 2
+        assert _same_arrays(chem, reference_build_chem_graph(doc, ReasoningConfig(beta=beta)))
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 45])
 def test_pair_blocks_that_split_rows_anywhere_give_the_same_arrays(monkeypatch, block):
-    """Blocks of a few pairs end inside rows and across them; rows, cols and values stay those of the row-block
-    arithmetic, in the same order (12 molecules: 66 pairs)."""
+    """Blocks of a few pairs end inside rows and across them; rows, cols and values stay the per-pair loop's, in
+    the same order (12 molecules: 66 pairs)."""
     doc = _molecule_grid(12, seed=3)
     monkeypatch.setattr(chemgraph_module, "CHEM_PAIR_BLOCK", block)
-    for tau in (0.0, 0.5, 0.75):
-        config = ReasoningConfig(beta=0.5, tau_chem=tau)
-        assert _same_arrays(build_chem_graph(doc, config), reference_chem_row_blocks(doc, config, block=5))
+    for beta in (0.0, 0.5, 1.0):
+        assert _same_arrays(_all_pairs_graph(doc, beta), reference_build_chem_graph(doc, ReasoningConfig(beta=beta)))
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_of_800():
+    """800 molecules and the per-pair loop's scores of all their 319,600 pairs at ``beta`` 0.5, built once."""
+    doc = _molecule_grid(800, seed=5)
+    return doc, reference_build_chem_graph(doc, ReasoningConfig(beta=0.5))
 
 
 def test_chem_graph_of_800_molecules_stays_in_bounded_memory():
-    """800 molecules make 319,600 pairs: scored all at once, the two (pairs, 32) uint64 fingerprint gathers
-    alone would take about 160 MiB; in pair blocks the whole call stays under 32 MiB."""
-    doc = _molecule_grid(800, seed=5)
-    config = ReasoningConfig(beta=0.5, tau_chem=0.75)
-    table = doc.table  # held: the table and every fingerprint are built before the measured call
-    expected = reference_chem_row_blocks(doc, config)
+    """800 molecules make 319,600 pairs, all scored under ``tau_fuse`` 0: scored all at once, the two
+    (pairs, 32) uint64 fingerprint gathers alone would take about 160 MiB; in pair blocks the whole call stays
+    under 32 MiB."""
+    doc, expected = _grid_of_800()
+    config = ReasoningConfig(beta=0.5, tau_fuse=0.0)
+    table = doc.table  # held: the table, the spatial graph and every fingerprint are built before the measured call
+    spatial = build_spatial_graph(doc, config)
     tracemalloc.start()
     try:
-        chem = build_chem_graph(doc, config)
+        chem = build_chem_graph(doc, config, spatial, NO_HYPOTHESES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chem.table is table and len(chem.values) > 0
+    assert chem.table is table and len(chem.values) == 800 * 799 // 2
     assert _same_arrays(chem, expected)
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-# --- fusion ---------------------------------------------------------------------
+def test_chem_graph_of_800_molecules_under_the_default_fusion_scores_only_covered_pairs():
+    """Under the default weights and ``tau_fuse`` an uncovered pair fuses at most 0.35, below 0.45, so only the
+    molecule pairs of the spatial edges and the typed pairs are scored, not all 319,600; each has the per-pair
+    loop's score, in row-major order over positions of several bytes."""
+    doc, everything = _grid_of_800()
+    config = ReasoningConfig(beta=0.5)
+    assert _uncovered_bound(config) <= config.tau_fuse
+    spatial = build_spatial_graph(doc, config)
+    ids = doc.table.ids
+    # molecules across the grid from each other: typed pairs that no spatial edge covers
+    typed = [HypothesisEdge(ids[k], ids[-1 - k], EdgeRelation.REACTANT_TO_PRODUCT) for k in range(0, 400, 5)]
+    chem = build_chem_graph(doc, config, spatial, HypothesisGraph(edges=tuple(typed)))
+    assert len(spatial.rows) < len(chem.values) <= len(spatial.rows) + len(typed) < 800 * 799 // 2
+    covered = _covered(doc.table, spatial, typed)
+    expected = chem_graph(doc.table, {pair: value for pair, value in everything.scores.items() if pair in covered})
+    assert _same_arrays(chem, expected)
 
-# dyadic weights, and the default ones
-WEIGHTS = st.sampled_from([(0.5, 0.25, 0.25), (0.25, 0.25, 0.5), (0.0, 0.5, 0.5), (0.3, 0.2, 0.5)])
+
+# --- fusion ---------------------------------------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
-@given(doc=documents(), weights=WEIGHTS, propagated=st.booleans(), data=st.data())
-def test_fuse_of_real_graphs_equals_reference(doc, weights, propagated, data):
-    """Spatial and chemistry graphs built from a document, typed edges either way round and repeated.
+@given(doc=documents(), weights=WEIGHTS, beta=BETAS, links=SPATIAL, propagated=st.booleans(), data=st.data())
+def test_fuse_of_the_scored_pairs_equals_reference_over_all_pairs(doc, weights, beta, links, propagated, data):
+    """Fusion over the chemistry of the pairs it can keep equals fusion over every molecule pair's chemistry.
 
-    ``tau_fuse`` is often one of the candidates' own scores, so a score lands exactly on it. A
-    spatial graph not yet propagated has no scores and adds no spatial candidates.
+    ``tau_fuse`` falls on either side of the uncovered-pair bound: on the bound or one of the candidates' own
+    scores at or above it, so that only covered pairs are scored, or just below the bound or on a candidate's
+    score below it, so that all are. A score may land exactly on it. A spatial graph not yet propagated has no
+    scores and adds no spatial candidates.
     """
-    config = ReasoningConfig(tau_chem=0.25)
-    spatial = build_spatial_graph(doc, config)
+    spatial = build_spatial_graph(doc, ReasoningConfig(k_nn=links[0], radius=links[1]))
     spatial = propagate(spatial) if propagated else spatial
-    chem = build_chem_graph(doc, config)
-    ids = [e.id for e in doc.entities]
-    typed = []
-    if len(ids) > 1:
-        pairs = list(spatial.score_by_ids()) + list(chem.scores) + [tuple(data.draw(st.permutations(ids))[:2])]
-        relations = [r for r in EdgeRelation if r != EdgeRelation.NO_EDGE]
-        for _ in range(data.draw(st.integers(0, 8))):
-            a, b = data.draw(st.sampled_from(pairs))
-            source, target = (a, b) if data.draw(st.booleans()) else (b, a)
-            edge = HypothesisEdge(
-                source, target, data.draw(st.sampled_from(relations)), data.draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))
-            )
-            typed += [edge] * data.draw(st.integers(1, 2))
-    hypotheses = HypothesisGraph(edges=tuple(typed))
-    # every candidate scores above 0: alpha_chem > 0, and a chemistry score is 0.5 or above tau_chem
-    everything = reference_fuse(spatial, chem, hypotheses, fusion_config(weights, 0.0)).edges
-    config = fusion_config(weights, data.draw(st.sampled_from([e.score for e in everything])) if everything else 0.45)
-    expected = reference_fuse(spatial, chem, hypotheses, config)
-    fused = fuse(spatial, chem, hypotheses, config)
+    oracle = reference_build_chem_graph(doc, ReasoningConfig(beta=beta))
+    hypotheses = HypothesisGraph(edges=_typed_edges(doc, spatial, oracle, data))
+    bound = _uncovered_bound(_config(weights, beta, 0.0))
+    everything = reference_fuse(spatial, oracle, hypotheses, _config(weights, beta, 0.0)).edges
+    scores = [e.score for e in everything]
+    if data.draw(st.booleans()):
+        taus = [bound] + [score for score in scores if score >= bound]
+    else:
+        taus = [np.nextafter(bound, 0.0)] + [score for score in scores if score < bound]
+    config = _config(weights, beta, data.draw(st.sampled_from(taus)))
+    expected = reference_fuse(spatial, oracle, hypotheses, config)
+    fused = fuse(spatial, build_chem_graph(doc, config, spatial, hypotheses), hypotheses, config)
     assert _fused_hex(fused) == _fused_hex(expected)
     assert fused.node_ids == expected.node_ids
 
