@@ -8,12 +8,9 @@ molecule's atom counts (a dict), charge (an int) and fingerprint (an
 int bit mask) are cached properties, computed on first read.
 """
 
-from rxnparse.chem import (
-    conservation_residual,
-    parse_smiles,
-    tanimoto,
-    write_smiles,
-)
+from rxnparse.chem.fingerprint import tanimoto
+from rxnparse.chem.molecule import conservation_residual
+from rxnparse.chem.smiles import parse_smiles, write_smiles
 
 # Parsing gives an immutable molecular graph; hydrogens on bare atoms are
 # implied by the standard valence table.

@@ -16,7 +16,8 @@ from rxnparse.agents import MockAgentClient
 from rxnparse.entities import load_document
 from rxnparse.pipeline import PipelineConfig, run_document
 from rxnparse.reactions import reactions_to_json
-from rxnparse.reasoning import COMBINER_ROLE, cluster_entities, cluster_prompt_variables
+from rxnparse.reasoning.clustering import cluster_entities
+from rxnparse.reasoning.hypotheses import COMBINER_ROLE, cluster_prompt_variables
 from rxnparse.render import render_svg
 
 # One esterification row: ethanol + acetic acid -> ethyl acetate (+ water,

@@ -13,16 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .molecule import (
-    AROMATIC_ELEMENTS,
-    ORGANIC_SUBSET,
-    Atom,
-    Bond,
-    Molecule,
-    ValenceError,
-)
-
-__all__ = ["SmilesSyntaxError", "ValenceError", "parse_smiles", "write_smiles", "MAX_LENGTH"]
+from .molecule import AROMATIC_ELEMENTS, ORGANIC_SUBSET, Atom, Bond, Molecule
 
 MAX_LENGTH = 4096
 
@@ -66,7 +57,8 @@ def parse_smiles(text: str) -> Molecule:
 
     Raises :class:`SmilesSyntaxError` on malformed input (unbalanced
     brackets or branches, unknown element, unclosed ring closure, ...)
-    and :class:`ValenceError` when an uncharged atom is over-bonded.
+    and :class:`~rxnparse.chem.molecule.ValenceError` when an uncharged
+    atom is over-bonded.
     """
     if not text:
         raise SmilesSyntaxError("empty SMILES string", 0)

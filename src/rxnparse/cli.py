@@ -117,7 +117,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    from .chem import FINGERPRINT_TAG, FINGERPRINT_WIDTH, parse_smiles
+    from .chem.fingerprint import FINGERPRINT_TAG, FINGERPRINT_WIDTH
+    from .chem.smiles import parse_smiles
 
     mol = parse_smiles(args.smiles)
     fp = mol.fingerprint
@@ -143,9 +144,9 @@ def _cmd_fingerprint(args) -> int:
 def _cmd_score_edge(args) -> int:
     from .entities import load_document
     from .pipeline import load_pipeline_weights
-    from .reasoning import build_spatial_graph, fuse_score, propagate
+    from .reasoning.spatial import build_spatial_graph, propagate
     from .reasoning.chemgraph import score_pairs
-    from .reasoning.fusion import NEUTRAL_SPACE_SCORE
+    from .reasoning.fusion import NEUTRAL_SPACE_SCORE, fuse_score
 
     config = _build_config(args)
     doc = load_document(Path(args.input).read_bytes())

@@ -21,7 +21,7 @@ to parse does not reject the entity: it enters the pipeline unparsed
 to a neutral score for it.
 
 Each distinct SMILES is parsed once per document: every entity naming
-it shares one :class:`~rxnparse.chem.Molecule`, together with the
+it shares one :class:`~rxnparse.chem.molecule.Molecule`, together with the
 chemistry the molecule computes on first read (fingerprint, sketch, atom
 counts, charge). A SMILES that fails to parse warns for every entity
 naming it. Every reasoning layer reads the entities through the
@@ -40,7 +40,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .chem import Molecule, SmilesSyntaxError, ValenceError, parse_smiles
+from .chem.molecule import Molecule, ValenceError
+from .chem.smiles import SmilesSyntaxError, parse_smiles
 from .geometry import (
     AxisBox,
     OrientedQuad,

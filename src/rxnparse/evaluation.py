@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isfinite
 from operator import is_
 from pathlib import Path
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from .reactions import ROLE_KEYS, BoxedMember, BoxedReaction, MemberColumns, ResponseFormatError, boxed_reactions_from_list
 from .entities import KIND_CODES, EntityKind
-from .geometry import bounds_iou_above, bounds_overlap, coords_bounds, coords_from_arrays, region_iou
+from .geometry import bounds_iou_above, bounds_overlap, coords_bounds, region_iou
 
 
 class AlignmentError(ValueError):
@@ -240,6 +241,7 @@ _SCREENED = {"hard": (("reactants", "products", "conditions"), None),
              "soft": (("reactants", "products"), EntityKind.MOLECULE)}
 _N_KINDS = len(KIND_CODES)
 _N_SLOTS = len(_SCREENED["hard"][0]) * _N_KINDS  # slot: role index * _N_KINDS + kind code
+_NAN4, _NAN8 = (float("nan"),) * 4, (float("nan"),) * 8
 
 
 def _columns(reactions) -> MemberColumns:
@@ -250,8 +252,12 @@ def _columns(reactions) -> MemberColumns:
         return columns
     roles = [role for r in reactions for role in (r.reactants, r.products, r.conditions, r.arrows)]
     members = [member for role in roles for member in role]
-    kinds, coords = [KIND_CODES[m.kind] for m in members], coords_from_arrays([m.coords for m in members])[0]
-    return MemberColumns(kinds, coords, [0, *accumulate(map(len, roles))])
+    # a box's 4 numbers, then NaN, or a quad's 8; a hand-built region may hold a value that is not finite
+    # (the reader rejects one), and a box's IoU is then 0: its row is NaN, which no bounds test passes
+    rows = [c if all(map(isfinite, c)) else _NAN8 for c in (m.coords for m in members)]
+    coords = np.array([c if len(c) == 8 else c + _NAN4 for c in rows], dtype=float)
+    kinds = [KIND_CODES[m.kind] for m in members]
+    return MemberColumns(kinds, coords.reshape(-1, 8), [0, *accumulate(map(len, roles))])
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,6 +378,14 @@ class CorpusDocument:
     layout: str | None = None
 
 
+def _reactions(data, where: str) -> tuple[BoxedReaction, ...]:
+    """The reader's reactions of ``data``; a malformed one is a ResponseFormatError prefixed ``where: ``."""
+    try:
+        return tuple(boxed_reactions_from_list(data))
+    except ResponseFormatError as exc:
+        raise ResponseFormatError(f"{where}: {exc}") from exc
+
+
 def load_corpus(path) -> list[CorpusDocument]:
     """The documents of a corpus file, a JSON array of ``{"id", "reactions", "layout"?}`` objects, or a
     bare reaction array as one document ``"<single>"``; a malformed file is a ResponseFormatError. An array
@@ -381,7 +395,7 @@ def load_corpus(path) -> list[CorpusDocument]:
     except json.JSONDecodeError as exc:
         raise ResponseFormatError(f"eval file {path} is not valid JSON: {exc}") from exc
     if isinstance(data, list) and (not data or isinstance(data[0], dict) and not data[0].keys().isdisjoint(ROLE_KEYS)):
-        return [CorpusDocument(doc_id="<single>", reactions=tuple(boxed_reactions_from_list(data)))]
+        return [CorpusDocument(doc_id="<single>", reactions=_reactions(data, f"eval file {path}"))]
     if not isinstance(data, list):
         raise ResponseFormatError(f"eval file {path} must be a JSON array")
     docs = []
@@ -394,7 +408,7 @@ def load_corpus(path) -> list[CorpusDocument]:
         docs.append(
             CorpusDocument(
                 doc_id=str(obj["id"]),
-                reactions=tuple(boxed_reactions_from_list(obj["reactions"])),
+                reactions=_reactions(obj["reactions"], f"eval file {path}: document {i}"),
                 layout=layout,
             )
         )

@@ -27,19 +27,13 @@ from .entities import ReactionDocument, load_document
 from .outputs import EXIT_FAILED, EXIT_OK, EXIT_PARTIAL, write_atomic
 from .planner import AgentPlan, extract_features, route
 from .reactions import Reaction, reactions_to_json
-from .reasoning import (
-    build_chem_graph,
-    build_spatial_graph,
-    cluster_entities,
-    collect_hypotheses,
-    fuse,
-    infer_reactions,
-    load_weights,
-    post_process,
-    propagate,
-    random_weights,
-)
-from .reasoning.spatial import SpatialWeights
+from .reasoning.chemgraph import build_chem_graph
+from .reasoning.clustering import cluster_entities
+from .reasoning.fusion import fuse
+from .reasoning.hypotheses import collect_hypotheses
+from .reasoning.inference import infer_reactions
+from .reasoning.postprocess import post_process
+from .reasoning.spatial import SpatialWeights, build_spatial_graph, load_weights, propagate, random_weights
 
 log = logging.getLogger(__name__)
 

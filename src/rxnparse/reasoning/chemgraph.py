@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chem import FINGERPRINT_WIDTH
+from ..chem.fingerprint import FINGERPRINT_WIDTH
 from ..config import ReasoningConfig
 from ..entities import KIND_CODES, EntityKind, EntityTable, ReactionDocument
 from .fusion import ABSENT_INIT_SCORE, NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE, fuse_score

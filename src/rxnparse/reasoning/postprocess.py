@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..chem import conservation_residual
+from ..chem.molecule import conservation_residual
 from ..config import ReasoningConfig
 from ..entities import KIND_CODES, EntityKind, ReactionDocument
 from ..geometry import axis_parameter, principal_axis

@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from rxnparse.chem import Atom, Bond, Molecule, VALENCES
+from rxnparse.chem.molecule import VALENCES, Atom, Bond, Molecule
 from rxnparse.entities import load_document
 from rxnparse.geometry import AxisBox, OrientedQuad, polygon_of, region_to_array
 
@@ -114,8 +114,7 @@ def table_of(ids):
 def spatial_graph(node_ids, features, edges, weights, edge_sums=None, scores=None):
     """A ``SpatialGraph`` over ``table_of(node_ids)``: ``edges`` are (i, j) positions, ``edge_sums`` the per-node
     sums of edge features (zeros when None), ``scores`` keyed by edge."""
-    from rxnparse.reasoning import SpatialGraph
-    from rxnparse.reasoning.spatial import EDGE_DIMS
+    from rxnparse.reasoning.spatial import EDGE_DIMS, SpatialGraph
 
     n = len(node_ids)
     rows, cols = np.array(edges, dtype=np.intp).reshape(-1, 2).T
@@ -138,7 +137,7 @@ def summed_edge_features(n, edge_features) -> np.ndarray:
 
 def chem_graph(table, scores):
     """A ``ChemGraph`` over ``table`` whose ``scores`` view is ``scores`` ((id_a, id_b) -> value)."""
-    from rxnparse.reasoning import ChemGraph
+    from rxnparse.reasoning.chemgraph import ChemGraph
 
     ends = [sorted((table.position[a], table.position[b])) for a, b in scores]
     rows, cols = np.array(ends, dtype=np.intp).reshape(-1, 2).T
@@ -693,9 +692,9 @@ def reference_build_chem_graph(doc, config):
     blend of fingerprint similarity and charge agreement, or the neutral
     score when either SMILES did not parse. Pairs come in row-major order.
     """
-    from rxnparse.chem import tanimoto
+    from rxnparse.chem.fingerprint import tanimoto
     from rxnparse.entities import EntityKind
-    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE
+    from rxnparse.reasoning.fusion import NEUTRAL_CHEM_SCORE
 
     molecules = doc.by_kind(EntityKind.MOLECULE)
     charges = {e.id: sum(a.charge for a in e.molecule.atoms) for e in molecules if e.molecule is not None}
@@ -743,9 +742,9 @@ def reference_reactions_to_json(reactions, doc) -> str:
 
 
 def reference_fuse(spatial, chem, hypotheses, config):
-    from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE
     from rxnparse.reasoning.fusion import (
         ABSENT_INIT_SCORE,
+        NEUTRAL_CHEM_SCORE,
         NEUTRAL_SPACE_SCORE,
         FusedEdge,
         FusedGraph,

@@ -16,7 +16,8 @@ from rxnparse.agents import MockAgentClient
 from rxnparse.config import ReasoningConfig
 from rxnparse.entities import load_document
 from rxnparse.geometry import region_to_array
-from rxnparse.reasoning import COMBINER_ROLE, cluster_entities, cluster_prompt_variables
+from rxnparse.reasoning.clustering import cluster_entities
+from rxnparse.reasoning.hypotheses import COMBINER_ROLE, cluster_prompt_variables
 
 SMILES_POOL = ["CCO", "C=C", "CC", "CCC", "CC=O", "CC(C)O", "CO", "C1CC1", "c1ccccc1"]
 CONDITION_POOL = ["H2SO4", "ferric chloride", "NaOH", "reflux", "rt", "Pd/C"]

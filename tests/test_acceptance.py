@@ -15,11 +15,9 @@ import numpy as np
 import pytest
 
 from rxnparse.agents import MockAgentClient
-from rxnparse.chem import (
-    conservation_residual,
-    parse_smiles,
-    tanimoto,
-)
+from rxnparse.chem.fingerprint import tanimoto
+from rxnparse.chem.molecule import conservation_residual
+from rxnparse.chem.smiles import parse_smiles
 from rxnparse.config import ReasoningConfig
 from rxnparse.evaluation import (
     CorpusDocument,
@@ -33,8 +31,7 @@ from rxnparse.geometry import AxisBox, OrientedQuad, iou_axis, region_iou
 from rxnparse.pipeline import PipelineConfig, run_batch
 from rxnparse.planner import AgentPlan, ROLES, plan_from_json, plan_to_json, route, extract_features
 from rxnparse.reactions import boxed_reactions_from_json, parse_combiner_response, reactions_to_json
-from rxnparse.reasoning import fuse_score
-from rxnparse.reasoning.fusion import FusedEdge, FusedGraph
+from rxnparse.reasoning.fusion import FusedEdge, FusedGraph, fuse_score
 from rxnparse.reasoning.relations import EdgeRelation
 from rxnparse.reasoning.spatial import EDGE_DIMS, SpatialWeights, propagate
 from rxnparse.render import render_svg
@@ -274,7 +271,9 @@ def test_criterion_06_fusion_properties():
             arrow_entity("a1", 450, 150, 850),
         ]
     )
-    from rxnparse.reasoning import build_chem_graph, build_spatial_graph, fuse
+    from rxnparse.reasoning.chemgraph import build_chem_graph
+    from rxnparse.reasoning.fusion import fuse
+    from rxnparse.reasoning.spatial import build_spatial_graph
     from rxnparse.reasoning.hypotheses import HypothesisEdge, HypothesisGraph
 
     config = ReasoningConfig()

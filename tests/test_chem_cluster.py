@@ -4,10 +4,12 @@ import math
 import pytest
 
 from rxnparse.config import ReasoningConfig
-from rxnparse.reasoning import EdgeRelation, HypothesisEdge, HypothesisGraph, build_spatial_graph, fuse, fuse_score
-from rxnparse.reasoning.chemgraph import NEUTRAL_CHEM_SCORE, build_chem_graph
-from rxnparse.reasoning.fusion import NEUTRAL_SPACE_SCORE
+from rxnparse.reasoning.chemgraph import build_chem_graph
 from rxnparse.reasoning.clustering import cluster_entities
+from rxnparse.reasoning.fusion import NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE, fuse, fuse_score
+from rxnparse.reasoning.hypotheses import HypothesisEdge, HypothesisGraph
+from rxnparse.reasoning.relations import EdgeRelation
+from rxnparse.reasoning.spatial import build_spatial_graph
 
 from helpers import make_doc, molecule_entity, text_entity
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import rxnparse.entities as entities_module
-from rxnparse.chem import parse_smiles
+from rxnparse.chem.smiles import parse_smiles
 from rxnparse.entities import (
     EntityKind,
     SchemaError,
@@ -256,6 +256,12 @@ MALFORMED = NON_FINITE + [
     pytest.param(_detection([{**_MOLECULE, "bbox": [0, True, 10, 10]}]), "/entities/0/bbox", id="bool-coordinate"),
     pytest.param(_detection([], height=0), "/height", id="zero-height"),
     pytest.param(_detection([], width=0), "/width", id="zero-width"),
+    # the first problem in input order: entity 0's smiles before entity 1's id, though an entity's id is
+    # checked before its smiles, and within one entity its bbox before its smiles
+    pytest.param(_detection([{**_MOLECULE, "smiles": 5}, {**_MOLECULE, "id": ""}]), "/entities/0/smiles",
+                 id="earlier-entity-first"),
+    pytest.param(_detection([{**_MOLECULE, "bbox": [0, "0", 10, 10], "smiles": 5}]), "/entities/0/bbox",
+                 id="bbox-before-smiles"),
 ]
 
 
@@ -267,3 +273,20 @@ def test_schema_error_names_its_pointer_once(raw, pointer):
     assert info.value.pointer == pointer
     assert message.endswith(f" (at {pointer or '/'})") and message.count(" (at ") == 1, message
 
+
+def test_warnings_come_per_entity_in_input_order_then_unknown_references_in_reading_order():
+    doc = load_document(_detection([
+        {"id": "i", "label": "identifier", "bbox": [10, 80, 20, 90], "text": "1a", "resolves_to": "ghost"},
+        {"id": "m", "label": "molecule", "bbox": [90, 0, 120, 10], "smiles": "C1CC"},
+        {"id": "a", "label": "arrow", "bbox": [50, 40, 130, 40, 130, 45, 50, 45]},
+        {"id": "j", "label": "identifier", "bbox": [10, 20, 20, 30], "text": "2", "resolves_to": "ghost2"},
+        {"id": "n", "label": "molecule", "bbox": [0, 50, 10, 60], "smiles": "C(C"},
+    ]))
+    assert doc.warnings == (
+        "entity 'm': region clamped to diagram bounds",
+        "entity 'm': unparseable SMILES 'C1CC': unclosed ring closure 1 (position 1)",
+        "entity 'a': arrow leaves the diagram bounds",
+        "entity 'n': unparseable SMILES 'C(C': unclosed '(' (position 1)",
+        "entity 'j': resolves_to references unknown entity 'ghost2'",
+        "entity 'i': resolves_to references unknown entity 'ghost'",
+    )

@@ -25,21 +25,12 @@ from rxnparse.entities import load_document
 from rxnparse.geometry import centroid_distances
 from rxnparse.pipeline import PipelineConfig, run_document
 from rxnparse.reactions import Reaction, parse_combiner_response, reactions_to_json
-from rxnparse.reasoning import (
-    EdgeRelation,
-    HypothesisEdge,
-    HypothesisGraph,
-    SpatialWeights,
-    build_chem_graph,
-    build_spatial_graph,
-    cluster_entities,
-    cluster_prompt_variables,
-    collect_hypotheses,
-    fuse,
-    propagate,
-    random_weights,
-)
-from rxnparse.reasoning.spatial import BASE_NODE_DIMS
+from rxnparse.reasoning.chemgraph import build_chem_graph
+from rxnparse.reasoning.clustering import cluster_entities
+from rxnparse.reasoning.fusion import fuse
+from rxnparse.reasoning.hypotheses import HypothesisEdge, HypothesisGraph, cluster_prompt_variables, collect_hypotheses
+from rxnparse.reasoning.relations import EdgeRelation
+from rxnparse.reasoning.spatial import BASE_NODE_DIMS, SpatialWeights, build_spatial_graph, propagate, random_weights
 
 from helpers import (
     fusion_config,

@@ -1,14 +1,15 @@
 import random
 
-from rxnparse.chem import (
+from rxnparse.chem.fingerprint import (
     FINGERPRINT_TAG,
     FINGERPRINT_WIDTH,
     MAX_PATH_LENGTH,
     SKETCH_DIMS,
-    parse_smiles,
+    _bit_for,
+    _path_labels,
     tanimoto,
 )
-from rxnparse.chem.fingerprint import _bit_for, _path_labels
+from rxnparse.chem.smiles import parse_smiles
 
 from helpers import permuted, random_molecule
 

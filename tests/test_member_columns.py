@@ -11,6 +11,7 @@ another pred list, threshold or polygon setting.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,3 +191,22 @@ def test_reader_built_roles_are_made_on_first_read():
                                    (BoxedMember(EntityKind.TEXT, AxisBox(1, 1, 2, 2)),), (),
                                    (BoxedMember(EntityKind.ARROW, OrientedQuad(((0, 0), (9, 0), (9, 2), (0, 2)))),))
     assert hash(loaded) == hash(_copy(loaded))
+
+
+@pytest.mark.parametrize(
+    "box",
+    [AxisBox(500, 0, float("inf"), 10), AxisBox(500, 0, float("nan"), 10), AxisBox(-float("inf"), 0, 4, 4)],
+    ids=["inf", "nan", "minus-inf-over-a-match"],
+)
+def test_a_non_finite_box_in_a_hand_built_list_leaves_the_other_matches(box):
+    """A hand-built member whose box holds a value that is not finite matches nothing, and the other
+    reactions of its list match as the predicate says, on either side and in either place."""
+    gt = [BoxedReaction((BoxedMember(EntityKind.MOLECULE, AxisBox(k, 0, k + 4, 4)),),
+                        (BoxedMember(EntityKind.MOLECULE, AxisBox(k, 9, k + 4, 13)),)) for k in (0, 100)]
+    odd = BoxedReaction((BoxedMember(EntityKind.MOLECULE, box),), gt[0].products)
+    for pred, matched in ((gt + [odd], 2), ([odd] + gt[1:], 1)):
+        for a, b in ((gt, pred), (pred, gt)):
+            for criterion, polygon in itertools.product(CRITERIA, (True, False)):
+                expected = reference_score(a, b, criterion, 0.5, polygon)
+                assert expected.matched == matched
+                assert score(a, b, criterion, 0.5, polygon) == expected

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxnparse.chem import (
-    Atom,
-    Bond,
-    Molecule,
-    conservation_residual,
-    parse_smiles,
-)
+from rxnparse.chem.molecule import Atom, Bond, Molecule, conservation_residual
+from rxnparse.chem.smiles import parse_smiles
 
 from helpers import BALANCED_REACTIONS, FORMULAS, formula_sum, random_molecule
 

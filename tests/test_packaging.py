@@ -3,14 +3,15 @@
 The package-data globs in ``pyproject.toml`` against the files they ship:
 an editable install reads data files from the source tree, so a file no
 glob matches is missed only by a wheel, and a glob that matches nothing
-is never noticed at all. Every exported name against the package: a
-name left in an ``__all__`` after its definition went fails only a
-star import. And what an import loads, each in a fresh interpreter: a
-module loads only the modules it uses, so scoring a corpus never loads
-the pipeline.
+is never noticed at all. Every ``from rxnparse... import name`` against
+the module it names: each name is imported from the module that defines
+it, so no package keeps a list of names to re-export. And what an import
+loads, each in a fresh interpreter: a module loads only the modules it
+uses, so scoring a corpus never loads the pipeline.
 """
 
-import importlib
+import ast
+import functools
 import json
 import os
 import subprocess
@@ -52,11 +53,68 @@ def test_every_package_data_glob_matches_a_file(pattern):
     assert any(path.is_file() for path in PACKAGE.glob(pattern)), pattern
 
 
-@pytest.mark.parametrize("module", ["rxnparse.chem", "rxnparse.reasoning"])
-def test_every_name_in_all_resolves(module):
-    package = importlib.import_module(module)
-    assert package.__all__
-    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+def _source(module: str) -> Path | None:
+    """The file that defines ``module`` (a dotted ``rxnparse`` name), or None when there is none."""
+    base = ROOT / "src" / Path(*module.split("."))
+    for path in (base / "__init__.py", base.with_suffix(".py")):
+        if path.is_file():
+            return path
+    return None
+
+
+@functools.cache
+def _defined(path: Path) -> frozenset[str]:
+    """The names a module's top level defines with a ``def``, a ``class`` or an assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name))
+    return frozenset(names)
+
+
+def _defines(module: str, name: str) -> bool:
+    """Whether ``module`` defines ``name`` or has a submodule ``name``."""
+    source = _source(module)
+    return source is not None and (name in _defined(source) or _source(f"{module}.{name}") is not None)
+
+
+def _rxnparse_imports(path: Path):
+    """``(line, module, name)`` for every ``from rxnparse... import name`` in ``path``, relative ones resolved."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            package = path.relative_to(ROOT / "src").parent.parts
+            parts = list(package[: len(package) - node.level + 1]) + ([node.module] if node.module else [])
+            module = ".".join(parts)
+        else:
+            module = node.module
+        if module == "rxnparse" or module.startswith("rxnparse."):
+            for alias in node.names:
+                yield node.lineno, module, alias.name
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    misplaced = [
+        f"{path.relative_to(ROOT)}:{line}: {module}.{name}"
+        for top in ("src", "tests", "demos")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for line, module, name in _rxnparse_imports(path)
+        if not _defines(module, name)
+    ]
+    assert misplaced == []
+
+
+def test_no_package_re_exports_beyond_the_four_benchmark_names():
+    # bench/gen.py and bench/tracing.py import these four from the package
+    init = PACKAGE / "reasoning" / "__init__.py"
+    imported = {alias.name for node in ast.parse(init.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported == {"COMBINER_ROLE", "cluster_entities", "cluster_prompt_variables", "connected_components"}
+    assert [str(path.relative_to(ROOT)) for path in sorted(PACKAGE.rglob("*.py")) if "__all__" in _defined(path)] == []
 
 
 def _loaded_after(module: str) -> list[str]:
@@ -73,7 +131,7 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_chemistry_loads_without_numpy():
-    loaded = _loaded_after("rxnparse.chem")
+    loaded = _loaded_after("rxnparse.chem.smiles")
     assert "rxnparse.chem.smiles" in loaded and "numpy" not in loaded
 
 

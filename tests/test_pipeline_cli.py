@@ -18,17 +18,17 @@ from rxnparse.config import DEFAULT_QUERY, ConfigError, ReasoningConfig
 from rxnparse.entities import load_document
 from rxnparse.outputs import EXIT_CONFIG, EXIT_FAILED, EXIT_OK, EXIT_PARTIAL, write_atomic
 from rxnparse.pipeline import PipelineConfig, load_pipeline_weights, make_client, run_batch, run_document
-from rxnparse.reasoning import (
+from rxnparse.reasoning.clustering import cluster_entities
+from rxnparse.reasoning.fusion import NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE
+from rxnparse.reasoning.hypotheses import COMBINER_ROLE
+from rxnparse.reasoning.spatial import (
+    BASE_NODE_DIMS,
     EDGE_DIMS,
     build_spatial_graph,
-    cluster_entities,
     propagate,
     random_weights,
     save_weights,
 )
-from rxnparse.reasoning.fusion import NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE
-from rxnparse.reasoning.hypotheses import COMBINER_ROLE
-from rxnparse.reasoning.spatial import BASE_NODE_DIMS
 from rxnparse.render import UnknownEntityError, render_svg
 from rxnparse.reactions import Reaction, reactions_to_json
 
@@ -38,6 +38,7 @@ from synthetic import build_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 _EMPTY_REACTION = {"reactants": [], "products": [], "conditions": [], "arrow": []}
+_WITHOUT_REACTANTS = {"products": [], "conditions": [], "arrow": []}
 
 # a valid value for every reasoning key, each different from its default
 CHANGED_REASONING = {
@@ -420,7 +421,8 @@ class TestRunBatch:
     def test_braces_in_entity_text_reach_the_prompt_verbatim(self, tmp_path):
         """Entity text is outside input: a ``{{`` in it is prompt text, not a placeholder."""
         from rxnparse.agents import MockAgentClient
-        from rxnparse.reasoning import COMBINER_ROLE, cluster_entities, cluster_prompt_variables
+        from rxnparse.reasoning.clustering import cluster_entities
+        from rxnparse.reasoning.hypotheses import COMBINER_ROLE, cluster_prompt_variables
 
         entities = [
             {"id": "m1", "label": "molecule", "bbox": [0, 100, 140, 200], "smiles": "CCO"},
@@ -460,7 +462,8 @@ def _role_sorted(reaction_obj):
 def test_example_document_end_to_end(two_reaction_json, tmp_path):
     """cmd_parse on the reference example reproduces its reaction set."""
     from rxnparse.agents import MockAgentClient
-    from rxnparse.reasoning import COMBINER_ROLE, cluster_entities, cluster_prompt_variables
+    from rxnparse.reasoning.clustering import cluster_entities
+    from rxnparse.reasoning.hypotheses import COMBINER_ROLE, cluster_prompt_variables
 
     example = json.loads(two_reaction_json)
     entities = []
@@ -958,27 +961,33 @@ class TestCli:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "content, message",
+        "content, where, message",
         [
-            ([{"id": "d1", "reactions": [_EMPTY_REACTION, {"reactants": []}]}], "reaction 1 is missing keys"),
+            ([{"id": "d1", "reactions": [_EMPTY_REACTION, {"reactants": []}]}], "document 0: ",
+             "reaction 1 is missing keys"),
             ([{"id": "d1", "reactions": [{**_EMPTY_REACTION, "arrow": [{"label": "arrow", "bbox": [1, 2]}]}]}],
-             "reaction 0: bad bbox"),
-            ([_EMPTY_REACTION, _EMPTY_REACTION, {**_EMPTY_REACTION, "products": {}}], "reaction 2: reaction roles"),
+             "document 0: ", "reaction 0: bad bbox"),
+            ([_EMPTY_REACTION, _EMPTY_REACTION, {**_EMPTY_REACTION, "products": {}}], "", "reaction 2: reaction roles"),
             ([{"id": "d1", "reactions": [{**_EMPTY_REACTION, "arrow": [{"label": "arrow", "bbox": [0, 0, 1, 1e400]}]}]}],
-             "must be finite"),
+             "document 0: ", "must be finite"),
             ([{**_EMPTY_REACTION, "reactants": [{"label": "molecule", "bbox": ["0", True, "1e1", 5]}]}],
-             "coordinates must be numbers"),
+             "", "coordinates must be numbers"),
+            ([{"id": "d0", "reactions": [_EMPTY_REACTION]}, {"id": "d1", "reactions": [_WITHOUT_REACTANTS]}],
+             "document 1: ", "reaction 0 is missing keys ['reactants']"),
+            ([{"id": "d0", "reactions": []}, {"id": "d1", "reactions": 5}], "document 1: ",
+             "expected a JSON array of reactions"),
         ],
         ids=["corpus-missing-keys", "corpus-bad-bbox", "bare-array-role-not-array", "corpus-infinite-bbox",
-             "bare-array-string-and-bool-bbox"],
+             "bare-array-string-and-bool-bbox", "second-document-missing-reactants", "reactions-not-an-array"],
     )
-    def test_malformed_eval_reactions_exit_4(self, tmp_path, capsys, content, message):
+    def test_malformed_eval_reactions_exit_4(self, tmp_path, capsys, content, where, message):
+        """The error names the file, then the document of a corpus file, then what is wrong."""
         eval_file = tmp_path / "gt.json"
         eval_file.write_text(json.dumps(content))
         code = main(["eval", "--gt", str(eval_file), "--pred", str(eval_file)])
         err = capsys.readouterr().err
         assert code == EXIT_FAILED
-        assert "ResponseFormatError" in err and message in err
+        assert f"error: ResponseFormatError: eval file {eval_file}: {where}" in err and message in err
 
     @pytest.mark.parametrize("flags", [["-v"], ["--log-level", "INFO"], []], ids=["v", "log-level", "default"])
     def test_log_level_shows_agent_requests(self, corpus, tmp_path, flags):

@@ -1,6 +1,6 @@
 import pytest
 
-from rxnparse.chem import conservation_residual
+from rxnparse.chem.molecule import conservation_residual
 from rxnparse.config import ReasoningConfig
 from rxnparse.reactions import Conservation, Reaction
 from rxnparse.reasoning.postprocess import post_process

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxnparse.chem import tanimoto
+from rxnparse.chem.fingerprint import tanimoto
 from rxnparse.geometry import AxisBox, OrientedQuad, iou_axis, region_iou
 
 coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)

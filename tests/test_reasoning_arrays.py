@@ -25,22 +25,14 @@ from hypothesis import strategies as st
 
 from rxnparse.config import ReasoningConfig
 from rxnparse.entities import load_document
-from rxnparse.reasoning import (
-    EdgeRelation,
-    HypothesisEdge,
-    HypothesisGraph,
-    build_chem_graph,
-    build_spatial_graph,
-    cluster_entities,
-    cluster_prompt_variables,
-    collect_hypotheses,
-    fuse,
-    fuse_score,
-    propagate,
-)
 from rxnparse.reasoning import chemgraph as chemgraph_module
-from rxnparse.reasoning.fusion import ABSENT_INIT_SCORE, NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE
 from rxnparse.reasoning import hypotheses as hypotheses_module
+from rxnparse.reasoning.chemgraph import build_chem_graph
+from rxnparse.reasoning.clustering import cluster_entities
+from rxnparse.reasoning.fusion import ABSENT_INIT_SCORE, NEUTRAL_CHEM_SCORE, NEUTRAL_SPACE_SCORE, fuse, fuse_score
+from rxnparse.reasoning.hypotheses import HypothesisEdge, HypothesisGraph, cluster_prompt_variables, collect_hypotheses
+from rxnparse.reasoning.relations import EdgeRelation
+from rxnparse.reasoning.spatial import build_spatial_graph, propagate
 
 from helpers import (
     center_distance_normalized,

@@ -23,17 +23,11 @@ import rxnparse.reasoning.postprocess
 from rxnparse.config import ReasoningConfig
 from rxnparse.geometry import principal_axis
 from rxnparse.reactions import Reaction
-from rxnparse.reasoning import (
-    EdgeRelation,
-    FusedEdge,
-    FusedGraph,
-    HypothesisEdge,
-    HypothesisGraph,
-    connected_components,
-    fuse,
-    infer_reactions,
-)
+from rxnparse.reasoning.fusion import FusedEdge, FusedGraph, fuse
+from rxnparse.reasoning.hypotheses import HypothesisEdge, HypothesisGraph
+from rxnparse.reasoning.inference import connected_components, infer_reactions
 from rxnparse.reasoning.postprocess import _MERGE_MIN_COS, _merge_collinear_arrows
+from rxnparse.reasoning.relations import EdgeRelation
 
 from helpers import (
     arrow_entity,

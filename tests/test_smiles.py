@@ -3,12 +3,8 @@ from collections import Counter
 
 import pytest
 
-from rxnparse.chem import (
-    SmilesSyntaxError,
-    ValenceError,
-    parse_smiles,
-    write_smiles,
-)
+from rxnparse.chem.molecule import ValenceError
+from rxnparse.chem.smiles import SmilesSyntaxError, parse_smiles, write_smiles
 
 from helpers import random_molecule
 
@@ -202,7 +198,7 @@ def test_fuzz_never_raises_anything_else():
 
 def test_many_ring_closures_use_percent_digits():
     # a dense cage forces the writer past single-digit ring labels
-    from rxnparse.chem import Atom, Bond, Molecule
+    from rxnparse.chem.molecule import Atom, Bond, Molecule
 
     n = 14
     atoms = tuple(Atom(element="C") for _ in range(n))

@@ -15,19 +15,12 @@ from hypothesis import strategies as st
 
 from rxnparse.config import ReasoningConfig
 from rxnparse.geometry import AxisBox, centroid_distances
-from rxnparse.reasoning import (
-    EDGE_DIMS,
-    EdgeRelation,
-    FusedEdge,
-    FusedGraph,
-    build_spatial_graph,
-    cluster_entities,
-    cluster_prompt_variables,
-    connected_components,
-    propagate,
-    random_weights,
-)
-from rxnparse.reasoning.clustering import connected_groups
+from rxnparse.reasoning.clustering import cluster_entities, connected_groups
+from rxnparse.reasoning.fusion import FusedEdge, FusedGraph
+from rxnparse.reasoning.hypotheses import cluster_prompt_variables
+from rxnparse.reasoning.inference import connected_components
+from rxnparse.reasoning.relations import EdgeRelation
+from rxnparse.reasoning.spatial import EDGE_DIMS, build_spatial_graph, propagate, random_weights
 
 from helpers import (
     center_distance_normalized,
